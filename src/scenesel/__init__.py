@@ -29,8 +29,6 @@ from .kernel import (
     build_scene_graph,
     kernel_brute_force,
     marginalized_kernel,
-    pairwise_similarity_matrix,
-    similarity,
 )
 from .sampler import (
     RoundReport,

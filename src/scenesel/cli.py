@@ -16,20 +16,13 @@ import numpy as np
 
 from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
-from .core import ConvergenceError, DataError, ParseError, Scene, SceneSelError
+from .core import ConvergenceError, DataError, ParseError, SceneSelError, write_text_atomic
 from .entropy import category_entropy
-from .kernel import KernelEvalCounter, pairwise_similarity_matrix
-from .sampler import STRATEGIES, SimilarityCache, StagePlan
+from .kernel import KernelEvalCounter
+from .sampler import STRATEGIES, SimilarityCache
 from .uncertainty import scene_uncertainty
 
 log = logging.getLogger("scenesel")
-
-
-def _atomic_write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    tmp.replace(path)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -37,7 +30,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
-    _atomic_write(path, buf.getvalue())
+    write_text_atomic(path, buf.getvalue())
 
 
 def _mix_from_flag(value: str) -> tuple[float, ...]:
@@ -114,9 +107,8 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     for sid, scene in sorted(pool.items()):
         pred = predictor(scene)
-        _atomic_write(out / "ground_truth" / f"{sid}.txt", kitti.serialize_label_file(scene))
-        _atomic_write(out / "labels" / f"{sid}.txt", kitti.serialize_label_file(pred))
-        (out / "sidecars").mkdir(parents=True, exist_ok=True)
+        kitti.write_label_file(scene, out / "ground_truth" / f"{sid}.txt")
+        kitti.write_label_file(pred, out / "labels" / f"{sid}.txt")
         kitti.save_mixture_sidecar(pred, out / "sidecars" / f"{sid}.mdn")
     print(f"wrote {len(pool)} scenes to {out}")
     return 0
@@ -138,7 +130,7 @@ def cmd_score(args) -> int:
         ]
         _write_csv(out, ["scene_id", "uncertainty"], rows)
     else:  # similarity: emit the pairwise matrix
-        sim = pairwise_similarity_matrix(scenes, cfg.catalog, cfg.kernel, jobs=args.jobs)
+        sim = SimilarityCache(cfg.catalog, cfg.kernel).matrix(scenes)
         ids = [s.id for s in scenes]
         rows = [[ids[i]] + [f"{v:.9f}" for v in sim[i]] for i in range(len(ids))]
         _write_csv(out, ["scene_id"] + ids, rows)
@@ -179,6 +171,9 @@ def cmd_select(args) -> int:
             f"unlabeled pool of {len(unlabeled)} cannot supply n_r={cfg.plan.n_r} scenes"
         )
     counter = KernelEvalCounter()
+    # One cache serves the selection and its report, so the report's pairs
+    # among the selected scenes are cache hits.
+    cache = SimilarityCache(cfg.catalog, cfg.kernel)
     selected, slog = sampler.three_stage_select(
         unlabeled,
         cfg.plan,
@@ -187,12 +182,13 @@ def cmd_select(args) -> int:
         cfg.entropy,
         cfg.kernel,
         cfg.uncertainty,
+        cache=cache,
         counter=counter,
         allow_degraded=True,
     )
     st = st.with_selection(tuple(selected))
     state_mod.save_round_state(st, state_path)
-    _atomic_write(out / f"selected_round_{st.round_index:03d}.txt", "\n".join(selected) + "\n")
+    write_text_atomic(out / f"selected_round_{st.round_index:03d}.txt", "\n".join(selected) + "\n")
     report = diagnostics.selection_report(
         [by_id[i] for i in selected],
         scenes,
@@ -202,6 +198,7 @@ def cmd_select(args) -> int:
         cfg.uncertainty,
         cfg.anchors,
         rng_seed=args.seed,
+        cache=cache,
     )
     _write_report(out / f"report_round_{st.round_index:03d}", report)
     log.info("stage sizes %s, kernel evals %d", slog.stage_sizes, slog.kernel_evals)
@@ -227,7 +224,7 @@ def _write_report(prefix: Path, report: diagnostics.DiagReport) -> None:
         f"pair_sample_count = {report.pair_sample_count}",
         f"uncertainty_histogram = {report.uncertainty_histogram}",
     ]
-    _atomic_write(prefix.with_suffix(".summary.txt"), "\n".join(lines) + "\n")
+    write_text_atomic(prefix.with_suffix(".summary.txt"), "\n".join(lines) + "\n")
 
 
 def cmd_simulate(args) -> int:
@@ -288,7 +285,7 @@ def cmd_simulate(args) -> int:
                 + [rep.class_counts[c] for c in cfg.catalog.classes]
             )
             comparison_rows.append([strategy] + rows[-1])
-            _atomic_write(
+            write_text_atomic(
                 sdir / f"selected_round_{rep.round_index:03d}.txt",
                 "\n".join(rep.selected_ids) + "\n",
             )
@@ -311,7 +308,8 @@ def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     try:
         scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=True)
-    except DataError:
+    except DataError as exc:
+        log.warning("loading the pool without sidecars: %s", exc)
         scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=False)
     by_id = {s.id: s for s in scenes}
     if args.ids:
@@ -341,7 +339,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="scenesel", description=__doc__)
     parser.add_argument("--config", default=None, help="key-value configuration file")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--jobs", type=int, default=1)
     parser.add_argument("-v", "--verbose", action="store_true")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -17,7 +17,6 @@ ignored. Recognized keys:
     plan.k1 / plan.k2        stage multipliers, defaults 3.0 / 2.5
     plan.n_r                 per-round selection count, default 20
     plan.rounds              number of rounds, default 3
-    diag.squared_mean_term   true/false, default true
 
 Environment variables override file values with the prefix ``SCENESEL_`` and
 dots mapped to underscores, e.g. ``SCENESEL_ENTROPY_TAU=0.5``. Command-line
@@ -52,7 +51,6 @@ _SCALAR_KEYS = {
     "plan.k2",
     "plan.n_r",
     "plan.rounds",
-    "diag.squared_mean_term",
 }
 
 
@@ -65,7 +63,6 @@ class CliConfig:
     uncertainty: UncertaintyConfig
     plan: StagePlan
     rounds: int
-    squared_mean_term: bool
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -102,15 +99,6 @@ def _env_overrides(environ) -> dict[str, str]:
         else:
             raise DataError(f"unknown configuration variable {name}")
     return values
-
-
-def _as_bool(value: str, key: str) -> bool:
-    low = value.strip().lower()
-    if low in ("true", "1", "yes"):
-        return True
-    if low in ("false", "0", "no"):
-        return False
-    raise DataError(f"{key}: expected a boolean, got {value!r}")
 
 
 def build_config(
@@ -169,7 +157,6 @@ def build_config(
             order=order,
         )
         rounds = int(values.get("plan.rounds", 3))
-        squared = _as_bool(values.get("diag.squared_mean_term", "true"), "diag.squared_mean_term")
     except ValueError as exc:
         raise DataError(f"invalid configuration: {exc}") from exc
     if rounds < 1:
@@ -182,5 +169,4 @@ def build_config(
         uncertainty=unc,
         plan=plan,
         rounds=rounds,
-        squared_mean_term=squared,
     )

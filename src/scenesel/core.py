@@ -1,12 +1,14 @@
 """Shared domain types: catalogs, boxes, detections, scenes, anchors.
 
 All types are immutable value objects; they can be shared freely across
-parallel workers.
+parallel workers. ``write_text_atomic`` is the package's one way to write a
+file.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from pathlib import Path
 
 #: Order of the seven box-residual dimensions used everywhere in the package.
 RESIDUAL_DIMS = ("x", "y", "z", "w", "h", "l", "theta")
@@ -223,3 +225,16 @@ DEFAULT_ANCHORS = AnchorTable.from_dict(
         "cyclist": Anchor(length=1.76, width=0.6, height=1.73),
     }
 )
+
+
+def write_text_atomic(path: str | Path, text: str) -> None:
+    """Write UTF-8 text through a temporary file and a rename.
+
+    Creates the parent directory. A crash leaves either the old file or the
+    new one, never a partial write.
+    """
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_suffix(path.suffix + ".tmp")
+    tmp.write_text(text, encoding="utf-8", newline="\n")
+    tmp.replace(path)

@@ -6,16 +6,19 @@ of sampled pairwise similarities, and binned per-scene uncertainty.
 """
 from __future__ import annotations
 
+import logging
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .core import AnchorTable, ClassCatalog, DataError, Scene
-from .entropy import EntropyConfig, filtered_class_counts
+from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
 from .kernel import KernelConfig, KernelEvalCounter
 from .sampler import SimilarityCache
 from .uncertainty import UncertaintyConfig, scene_uncertainty
+
+log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -28,19 +31,6 @@ class DiagReport:
     similarity_std: float | None
     pair_sample_count: int
     uncertainty_histogram: dict[str, list] = field(default_factory=dict)
-
-
-def counts_entropy(class_counts: dict[str, int]) -> float:
-    """Shannon entropy (nats) of a count histogram; zero-total gives 0."""
-    total = sum(class_counts.values())
-    if total == 0:
-        return 0.0
-    ent = 0.0
-    for n in class_counts.values():
-        if n > 0:
-            p = n / total
-            ent -= p * math.log(p)
-    return ent
 
 
 def category_kl_to_uniform(class_counts: dict[str, int], num_classes: int) -> float:
@@ -149,7 +139,7 @@ def selection_report(
         )
 
     entropy = counts_entropy(counts)
-    kl = math.log(catalog.num_classes) - entropy
+    kl = category_kl_to_uniform(counts, catalog.num_classes)
 
     sim_mean = sim_std = None
     pair_count = 0
@@ -166,8 +156,8 @@ def selection_report(
         unc = [scene_uncertainty(s, anchors, uncertainty_cfg) for s in selected]
         hist, edges = np.histogram(unc, bins=10)
         unc_hist = {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in hist]}
-    except DataError:
-        pass  # no sidecars: uncertainty histogram omitted
+    except DataError as exc:
+        log.warning("uncertainty histogram omitted: %s", exc)
 
     return DiagReport(
         class_histogram=counts,

@@ -30,24 +30,32 @@ def filtered_class_counts(
     return counts
 
 
+def counts_entropy(class_counts: dict[str, int], zeta: float = 0.0) -> float:
+    """Shannon entropy (natural log) of a class-count histogram.
+
+    A zero-total histogram scores 0. Only nonzero classes contribute, each
+    with ``-p * ln(p + zeta)``; ``zeta = 0`` gives the plain entropy.
+    """
+    total = sum(class_counts.values())
+    if total == 0:
+        return 0.0
+    ent = 0.0
+    for n in class_counts.values():
+        p = n / total
+        if p > 0.0:
+            ent -= p * math.log(p + zeta)
+    # The stability constant makes a pure single-class histogram come out at
+    # -ln(1 + zeta) < 0; clamp so the range contract [0, ln C + C*zeta] holds.
+    return max(ent, 0.0)
+
+
 def category_entropy(scene: Scene, catalog: ClassCatalog, config: EntropyConfig) -> float:
-    """Shannon entropy (natural log) of the filtered class proportions.
+    """Entropy of the scene's filtered class proportions.
 
     A scene with no surviving detections scores 0: no class evidence means no
     balance contribution, placing it last in stage-1 ranking.
     """
-    counts = filtered_class_counts(scene, catalog, config)
-    total = sum(counts.values())
-    if total == 0:
-        return 0.0
-    ent = 0.0
-    for n in counts.values():
-        p = n / total
-        if p > 0.0:
-            ent -= p * math.log(p + config.zeta)
-    # The stability constant makes a pure single-class scene come out at
-    # -ln(1 + zeta) < 0; clamp so the range contract [0, ln C + C*zeta] holds.
-    return max(ent, 0.0)
+    return counts_entropy(filtered_class_counts(scene, catalog, config), config.zeta)
 
 
 def rank_by_entropy(

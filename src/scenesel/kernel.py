@@ -3,8 +3,9 @@
 A scene becomes a complete directed graph over its confidence-filtered
 objects plus an ego node at the origin; edge weights are inverse center
 distances. Graph similarity is the expected product kernel over random-walk
-path pairs, evaluated by fixed-point iteration on the product graph, then
-normalized by the self-kernels so that self-similarity is exactly 1.
+path pairs, evaluated by fixed-point iteration on the product graph.
+``sampler.SimilarityCache`` normalizes it by the self-kernels into a
+similarity in [0, 1] with self-similarity exactly 1.
 
 Random-walk model (the cited kernel's standard construction): uniform start
 probability 1/|V|, per-step termination probability gamma, and transition
@@ -225,86 +226,3 @@ def kernel_brute_force(
         if not mass:
             break
     return total
-
-
-def similarity(
-    scene_i: Scene,
-    scene_j: Scene,
-    catalog: ClassCatalog,
-    config: KernelConfig,
-    counter: KernelEvalCounter | None = None,
-) -> float:
-    """Normalized kernel similarity in [0, 1] between two scenes."""
-    g1 = build_scene_graph(scene_i, catalog, config)
-    g2 = build_scene_graph(scene_j, catalog, config)
-    return similarity_from_graphs(g1, g2, config, counter=counter)
-
-
-def similarity_from_graphs(
-    g1: SceneGraph,
-    g2: SceneGraph,
-    config: KernelConfig,
-    counter: KernelEvalCounter | None = None,
-    self_k1: float | None = None,
-    self_k2: float | None = None,
-) -> float:
-    """Normalized similarity; self-kernels may be supplied to avoid recomputation."""
-    if self_k1 is None:
-        self_k1 = marginalized_kernel(g1, g1, config, counter)
-    if self_k2 is None:
-        self_k2 = marginalized_kernel(g2, g2, config, counter)
-    if self_k1 <= 0 or self_k2 <= 0:
-        raise SceneGraphInternalError("self-kernel must be positive for a valid graph")
-    cross = marginalized_kernel(g1, g2, config, counter)
-    return cross / math.sqrt(self_k1 * self_k2)
-
-
-class SceneGraphInternalError(RuntimeError):
-    """Guard for conditions that cannot occur for valid graphs."""
-
-
-def pairwise_similarity_matrix(
-    scenes: list[Scene],
-    catalog: ClassCatalog,
-    config: KernelConfig,
-    counter: KernelEvalCounter | None = None,
-    jobs: int = 1,
-) -> np.ndarray:
-    """Symmetric [0, 1] similarity matrix in input order, unit diagonal.
-
-    Each unordered pair is computed exactly once; symmetry is exact by
-    construction. With jobs > 1 the off-diagonal pairs are evaluated by a
-    process pool.
-    """
-    if not scenes:
-        raise ValueError("need at least one scene")
-    graphs = [build_scene_graph(s, catalog, config) for s in scenes]
-    self_ks = [marginalized_kernel(g, g, config, counter) for g in graphs]
-    n = len(scenes)
-    sim = np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if jobs > 1 and pairs:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            values = list(
-                pool.map(
-                    _pair_kernel_task,
-                    [(graphs[i], graphs[j], config) for i, j in pairs],
-                    chunksize=max(1, len(pairs) // (jobs * 4)),
-                )
-            )
-        if counter is not None:
-            for _ in pairs:
-                counter.bump()
-    else:
-        values = [marginalized_kernel(graphs[i], graphs[j], config, counter) for i, j in pairs]
-    for (i, j), cross in zip(pairs, values):
-        val = cross / math.sqrt(self_ks[i] * self_ks[j])
-        sim[i, j] = sim[j, i] = val
-    return sim
-
-
-def _pair_kernel_task(args: tuple[SceneGraph, SceneGraph, KernelConfig]) -> float:
-    g1, g2, config = args
-    return marginalized_kernel(g1, g2, config)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import logging
-import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -26,6 +25,7 @@ from .core import (
     RESIDUAL_DIMS,
     Scene,
     ScoredDetection,
+    write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
@@ -147,7 +147,7 @@ def serialize_label_file(scene: Scene) -> str:
 
 
 def write_label_file(scene: Scene, path: str | Path) -> None:
-    Path(path).write_text(serialize_label_file(scene), encoding="utf-8", newline="\n")
+    write_text_atomic(path, serialize_label_file(scene))
 
 
 def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
@@ -163,7 +163,7 @@ def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
             }
         )
     doc = {"version": SIDECAR_VERSION, "dims": list(RESIDUAL_DIMS), "detections": entries}
-    Path(path).write_text(json.dumps(doc, indent=1), encoding="utf-8")
+    write_text_atomic(path, json.dumps(doc, indent=1))
 
 
 def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:

@@ -7,13 +7,13 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .core import AnchorTable, ClassCatalog, Scene
-from .entropy import EntropyConfig, category_entropy, filtered_class_counts, rank_by_entropy
+from .core import AnchorTable, ClassCatalog, DataError, Scene
+from .entropy import EntropyConfig, counts_entropy, filtered_class_counts, rank_by_entropy
 from .kernel import (
     KernelConfig,
     KernelEvalCounter,
@@ -22,7 +22,6 @@ from .kernel import (
 )
 from .state import RoundState
 from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainty
-from .core import DataError
 
 log = logging.getLogger(__name__)
 
@@ -51,10 +50,12 @@ class StagePlan:
 
 
 class SimilarityCache:
-    """Memoizes graphs, self-kernels, and pairwise similarities by scene id.
+    """Normalized graph-kernel similarity between scenes, memoized by scene id.
 
-    Assumes a stable id -> scene mapping for the lifetime of the cache (true
-    for a fixed pool under a deterministic predictor).
+    The one place scenes become similarities: the cross kernel divided by the
+    square root of both self-kernels. Graphs, self-kernels and pairs are each
+    computed once. Assumes a stable id -> scene mapping for the lifetime of
+    the cache (true for a fixed pool under a deterministic predictor).
     """
 
     def __init__(self, catalog: ClassCatalog, config: KernelConfig):
@@ -79,6 +80,7 @@ class SimilarityCache:
         return k
 
     def similarity(self, s1: Scene, s2: Scene, counter: KernelEvalCounter | None = None) -> float:
+        """Similarity in [0, 1]; equal ids short-circuit to exactly 1."""
         if s1.id == s2.id:
             return 1.0
         key = (s1.id, s2.id) if s1.id < s2.id else (s2.id, s1.id)
@@ -92,6 +94,7 @@ class SimilarityCache:
         return val
 
     def matrix(self, scenes: list[Scene], counter: KernelEvalCounter | None = None) -> np.ndarray:
+        """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
         sim = np.eye(n)
         for i in range(n):
@@ -372,13 +375,6 @@ def _round_report(
     for s in selected_preds:
         for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():
             counts[c] += n
-    total = sum(counts.values())
-    sel_entropy = 0.0
-    if total:
-        for n in counts.values():
-            p = n / total
-            if p > 0:
-                sel_entropy -= p * math.log(p + entropy_cfg.zeta)
 
     mean_sim = None
     if len(selected_preds) >= 2:
@@ -393,7 +389,8 @@ def _round_report(
         mean_unc = float(
             np.mean([scene_uncertainty(s, anchors, uncertainty_cfg) for s in selected_preds])
         )
-    except DataError:
+    except DataError as exc:
+        log.warning("round %d: mean uncertainty omitted: %s", round_index, exc)
         mean_unc = None
 
     return RoundReport(
@@ -402,9 +399,9 @@ def _round_report(
         selected_ids=tuple(s.id for s in selected_preds),
         stage_sizes=stage_sizes,
         kernel_evals=counter.count,
-        selection_entropy=sel_entropy,
+        selection_entropy=counts_entropy(counts, entropy_cfg.zeta),
         mean_pairwise_similarity=mean_sim,
         mean_uncertainty=mean_unc,
         class_counts=counts,
-        object_count=total,
+        object_count=sum(counts.values()),
     )

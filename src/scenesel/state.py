@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import DataError
+from .core import DataError, write_text_atomic
 
 STATE_VERSION = 1
 
@@ -71,10 +71,7 @@ def save_round_state(state: RoundState, path: str | Path) -> None:
         "per_round_selected": [list(r) for r in state.per_round_selected],
         "rng_seed": state.rng_seed,
     }
-    path = Path(path)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(json.dumps(doc, indent=1), encoding="utf-8")
-    tmp.replace(path)
+    write_text_atomic(path, json.dumps(doc, indent=1))
 
 
 def load_round_state(path: str | Path) -> RoundState:

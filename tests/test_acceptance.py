@@ -25,10 +25,15 @@ from scenesel.kernel import (
     KernelEvalCounter,
     kernel_brute_force,
     marginalized_kernel,
-    pairwise_similarity_matrix,
 )
 from scenesel.kitti import parse_label_file, serialize_label_file
-from scenesel.sampler import StagePlan, farthest_sampling, run_al_rounds, three_stage_select
+from scenesel.sampler import (
+    SimilarityCache,
+    StagePlan,
+    farthest_sampling,
+    run_al_rounds,
+    three_stage_select,
+)
 from scenesel.state import RoundState, load_round_state, save_round_state
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig, mixture_au, mixture_eu, propagate_uncertainty
@@ -93,7 +98,7 @@ def test_02_kernel_algebra(capsys):
     self_ok = True
     for trial in range(5):
         scenes = [random_scene(scene_rng, f"g{trial}_{i}") for i in range(10)]
-        gram = pairwise_similarity_matrix(scenes, DEFAULT_CATALOG, KER)
+        gram = SimilarityCache(DEFAULT_CATALOG, KER).matrix(scenes)
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram).min()))
         self_ok = self_ok and all(abs(gram[i, i] - 1.0) <= 1e-9 for i in range(10))
     ok = symmetric and self_ok and min_eig >= -1e-8

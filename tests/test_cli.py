@@ -1,9 +1,12 @@
 import json
+import logging
+import re
 import shutil
 from pathlib import Path
 
 import pytest
 
+from scenesel import sampler
 from scenesel.cli import main
 
 
@@ -117,6 +120,30 @@ class TestSelect:
         state, out = self.init_state(pool_dir, tmp_path, n0=23)
         assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
 
+    def test_init_creates_missing_state_directory(self, pool_dir, tmp_path):
+        state = tmp_path / "missing" / "state.json"
+        code = run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 4)
+        assert code == 0
+        assert json.loads(state.read_text())["round_index"] == 0
+
+    def test_report_reuses_the_selection_cache(self, pool_dir, tmp_path, capsys, monkeypatch):
+        # Every kernel evaluation of the round, report included, is one the
+        # selection counted: the report's pairs are cache hits.
+        state, out = self.init_state(pool_dir, tmp_path)
+        capsys.readouterr()
+        calls = []
+        kernel = sampler.marginalized_kernel
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(sampler, "marginalized_kernel", counting)
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+        reported = int(re.search(r"kernel evals (\d+)", capsys.readouterr().out).group(1))
+        assert reported > 0
+        assert len(calls) == reported
+
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"
         code = run("select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 99)
@@ -166,6 +193,13 @@ class TestStats:
         ids_file.write_text("scene_000001\nscene_000002\n")
         out = tmp_path / "stats"
         assert run("stats", "--pool", pool_dir, "--ids", ids_file, "--out", out) == 0
+
+    def test_missing_sidecars_fallback_is_logged(self, pool_dir, tmp_path, caplog):
+        shutil.rmtree(pool_dir / "sidecars")
+        with caplog.at_level(logging.WARNING):
+            assert run("stats", "--pool", pool_dir, "--out", tmp_path / "stats") == 0
+        assert "loading the pool without sidecars" in caplog.text
+        assert "missing mixture sidecar" in caplog.text
 
     def test_unknown_ids_rejected(self, pool_dir, tmp_path):
         ids_file = tmp_path / "ids.txt"

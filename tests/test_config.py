@@ -22,7 +22,6 @@ class TestConfigFile:
         assert cfg.plan.k2 == 2.5
         assert cfg.plan.order == ("entropy", "similarity", "uncertainty")
         assert cfg.rounds == 3
-        assert cfg.squared_mean_term is True
         assert cfg.catalog.classes == ("car", "pedestrian", "cyclist")
 
     def test_file_values_and_comments(self, tmp_path):
@@ -105,9 +104,3 @@ class TestOverrides:
     def test_bad_rounds_rejected(self):
         with pytest.raises(DataError, match="rounds"):
             build_config(overrides={"plan.rounds": 0}, environ={})
-
-    def test_bool_parsing(self):
-        cfg = build_config(overrides={"diag.squared_mean_term": "false"}, environ={})
-        assert cfg.squared_mean_term is False
-        with pytest.raises(DataError, match="boolean"):
-            build_config(overrides={"diag.squared_mean_term": "maybe"}, environ={})

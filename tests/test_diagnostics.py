@@ -1,3 +1,4 @@
+import logging
 import math
 
 import numpy as np
@@ -8,12 +9,11 @@ from hypothesis import strategies as st
 from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, Scene, ScoredDetection
 from scenesel.diagnostics import (
     category_kl_to_uniform,
-    counts_entropy,
     sample_pair_similarities,
     selection_report,
     similarity_gaussian_kl,
 )
-from scenesel.entropy import EntropyConfig
+from scenesel.entropy import EntropyConfig, counts_entropy
 from scenesel.kernel import KernelConfig
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
@@ -181,6 +181,14 @@ class TestSelectionReport:
         assert 0.0 <= rep.similarity_mean <= 1.0
         # ground-truth scenes carry no mixtures, so no uncertainty histogram
         assert rep.uncertainty_histogram == {}
+
+    def test_omitted_uncertainty_is_logged(self, caplog):
+        pool = duplicated_scenes(3)
+        with caplog.at_level(logging.WARNING, logger="scenesel.diagnostics"):
+            rep = self.report(pool, pool)
+        assert rep.uncertainty_histogram == {}
+        assert "uncertainty histogram omitted" in caplog.text
+        assert "no mixture parameters" in caplog.text
 
     def test_selection_outside_pool_rejected(self):
         pool = duplicated_scenes(3)

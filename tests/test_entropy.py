@@ -8,6 +8,7 @@ from scenesel.core import Scene
 from scenesel.entropy import (
     EntropyConfig,
     category_entropy,
+    counts_entropy,
     filtered_class_counts,
     rank_by_entropy,
 )
@@ -106,6 +107,19 @@ class TestCategoryEntropy:
         lo = filtered_class_counts(s, DEFAULT_CATALOG, EntropyConfig(tau=tau_lo))
         hi = filtered_class_counts(s, DEFAULT_CATALOG, EntropyConfig(tau=tau_hi))
         assert all(hi[c] <= lo[c] for c in lo)
+
+
+class TestCountsEntropy:
+    def test_single_class_clamped_to_zero(self):
+        # -ln(1 + zeta) < 0 before the clamp
+        assert counts_entropy({"car": 5, "pedestrian": 0}, zeta=1e-12) == 0.0
+
+    def test_category_entropy_is_counts_entropy_of_filtered_counts(self, catalog):
+        rng = random.Random(5)
+        for i in range(50):
+            s = random_scene(rng, f"s{i}", max_objects=6)
+            counts = filtered_class_counts(s, catalog, CFG)
+            assert category_entropy(s, catalog, CFG) == counts_entropy(counts, CFG.zeta)
 
 
 class TestRankByEntropy:

@@ -12,12 +12,20 @@ from scenesel.kernel import (
     build_scene_graph,
     kernel_brute_force,
     marginalized_kernel,
-    pairwise_similarity_matrix,
-    similarity,
 )
+from scenesel.sampler import SimilarityCache
 from conftest import make_detection, random_scene
 
 CFG = KernelConfig()
+
+
+def similarity(s1, s2, catalog):
+    """Similarity of two scenes through a fresh cache."""
+    return SimilarityCache(catalog, CFG).similarity(s1, s2)
+
+
+def similarity_matrix(scenes, catalog, counter=None):
+    return SimilarityCache(catalog, CFG).matrix(scenes, counter)
 
 
 def random_graph(rng: random.Random, max_nodes=5, labels=("a", "b", "c")):
@@ -180,10 +188,13 @@ class TestBruteForce:
 
 class TestSimilarity:
     def test_self_similarity_one(self, catalog):
+        # A same-content copy under another id: equal ids would short-circuit
+        # to 1.0 without evaluating the kernel.
         rng = random.Random(13)
         for i in range(5):
             s = random_scene(rng, f"s{i}")
-            assert similarity(s, s, catalog, CFG) == pytest.approx(1.0, abs=1e-9)
+            copy = Scene(f"copy{i}", s.detections)
+            assert similarity(s, copy, catalog) == pytest.approx(1.0, abs=1e-9)
 
     def test_rigid_rotation_invariance(self, catalog):
         # Rotation about the sensor origin preserves every pairwise distance
@@ -208,7 +219,7 @@ class TestSimilarity:
             )
             for d in s.detections
         )
-        assert similarity(s, Scene("r", rotated), catalog, CFG) == pytest.approx(1.0, abs=1e-6)
+        assert similarity(s, Scene("r", rotated), catalog) == pytest.approx(1.0, abs=1e-6)
 
     def test_shared_structure_beats_disjoint_classes(self, catalog):
         cars = Scene(
@@ -232,7 +243,7 @@ class TestSimilarity:
                 ScoredDetection("pedestrian", 0.9, Box3D(0, 8, 0, 0.6, 0.8, 1.7, 0)),
             ),
         )
-        assert similarity(cars, peds, catalog, CFG) < similarity(cars, cars2, catalog, CFG)
+        assert similarity(cars, peds, catalog) < similarity(cars, cars2, catalog)
 
     def test_label_sensitivity(self, catalog):
         # Relabeling one node to a class the other graph lacks never raises
@@ -255,41 +266,34 @@ class TestSimilarity:
                 base.detections[1],
             ),
         )
-        assert similarity(relabeled, other, DEFAULT_CATALOG, CFG) <= similarity(
-            base, other, DEFAULT_CATALOG, CFG
+        assert similarity(relabeled, other, DEFAULT_CATALOG) <= similarity(
+            base, other, DEFAULT_CATALOG
         ) + 1e-12
 
 
 class TestPairwiseMatrix:
     def test_single_scene(self, catalog):
         rng = random.Random(19)
-        sim = pairwise_similarity_matrix([random_scene(rng, "s")], catalog, CFG)
+        sim = similarity_matrix([random_scene(rng, "s")], catalog)
         assert sim.shape == (1, 1)
         assert sim[0, 0] == 1.0
 
     def test_exact_symmetry_and_unit_diagonal(self, catalog):
         rng = random.Random(23)
         scenes = [random_scene(rng, f"s{i}") for i in range(5)]
-        sim = pairwise_similarity_matrix(scenes, catalog, CFG)
+        sim = similarity_matrix(scenes, catalog)
         assert np.array_equal(sim, sim.T)
         assert np.allclose(np.diag(sim), 1.0)
 
     def test_gram_matrix_psd(self, catalog):
         rng = random.Random(29)
         scenes = [random_scene(rng, f"s{i}") for i in range(5)]
-        sim = pairwise_similarity_matrix(scenes, catalog, CFG)
+        sim = similarity_matrix(scenes, catalog)
         assert np.linalg.eigvalsh(sim).min() >= -1e-8
 
     def test_counter_counts_each_pair_once(self, catalog):
         rng = random.Random(31)
         scenes = [random_scene(rng, f"s{i}") for i in range(4)]
         counter = KernelEvalCounter()
-        pairwise_similarity_matrix(scenes, catalog, CFG, counter=counter)
+        similarity_matrix(scenes, catalog, counter)
         assert counter.count == 4 + 6  # self-kernels + unordered pairs
-
-    def test_parallel_matches_serial(self, catalog):
-        rng = random.Random(37)
-        scenes = [random_scene(rng, f"s{i}") for i in range(4)]
-        serial = pairwise_similarity_matrix(scenes, catalog, CFG)
-        parallel = pairwise_similarity_matrix(scenes, catalog, CFG, jobs=2)
-        assert np.allclose(serial, parallel, atol=1e-12)

@@ -126,6 +126,13 @@ class TestSidecar:
         loaded = load_mixture_sidecar(path, Scene("s", (make_detection(),)))
         assert loaded.detections[0].mixture == m
 
+    def test_save_creates_directory_and_leaves_no_tmp(self, tmp_path):
+        scene = Scene("s", (make_detection(mixture=uniform_mixture()),))
+        path = tmp_path / "new" / "s.mdn"
+        save_mixture_sidecar(scene, path)
+        assert [p.name for p in path.parent.iterdir()] == ["s.mdn"]
+        assert load_mixture_sidecar(path, Scene("s", (make_detection(),))) == scene
+
 
 class TestPoolDir:
     def test_load_sorted_with_sidecars(self, tmp_path, catalog):

@@ -291,6 +291,28 @@ class TestRunRounds:
         assert reports[0].strategy == strategy
         assert reports[0].stage_sizes is None
 
+    def test_omitted_uncertainty_is_logged(self, caplog):
+        gt, _ = predicted_pool(n=8, seed=5)
+        state = RoundState.fresh(gt, budget_total=2, rng_seed=5)
+        with caplog.at_level(logging.WARNING, logger="scenesel.sampler"):
+            _, reports = run_al_rounds(
+                gt,
+                StagePlan(n_r=2),
+                1,
+                lambda s: s,  # ground truth carries no mixtures
+                gt.__getitem__,
+                state,
+                DEFAULT_CATALOG,
+                DEFAULT_ANCHORS,
+                ENT,
+                KER,
+                UNC,
+                strategy="random",
+            )
+        assert reports[0].mean_uncertainty is None
+        assert "round 1: mean uncertainty omitted" in caplog.text
+        assert "no mixture parameters" in caplog.text
+
     def test_random_strategy_seed_sensitivity(self):
         _, r1 = self.run(strategy="random", rounds=1, n=30, seed=21)
         gt, _ = predicted_pool(n=30, seed=21)
