@@ -29,6 +29,7 @@ from .kernel import (
     build_scene_graph,
     kernel_brute_force,
     marginalized_kernel,
+    marginalized_kernels,
 )
 from .sampler import (
     RoundReport,

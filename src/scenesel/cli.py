@@ -140,7 +140,7 @@ def cmd_score(args) -> int:
 
 def cmd_select(args) -> int:
     cfg = _config_from_args(args)
-    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=not args.no_sidecars)
+    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=True)
     by_id = {s.id: s for s in scenes}
     state_path = Path(args.state)
     out = Path(args.out)
@@ -362,7 +362,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--init", action="store_true", help="initialize the state and exit")
     p.add_argument("--n0", type=int, default=0, help="initial random labeled count")
     p.add_argument("--budget", type=int, default=0)
-    p.add_argument("--no-sidecars", action="store_true")
     _add_plan_flags(p)
     p.set_defaults(func=cmd_select)
 

@@ -4,8 +4,10 @@ A scene becomes a complete directed graph over its confidence-filtered
 objects plus an ego node at the origin; edge weights are inverse center
 distances. Graph similarity is the expected product kernel over random-walk
 path pairs, evaluated by fixed-point iteration on the product graph.
-``sampler.SimilarityCache`` normalizes it by the self-kernels into a
-similarity in [0, 1] with self-similarity exactly 1.
+``marginalized_kernels`` is the one solver: it evaluates many pairs at once,
+one stacked fixed point per graph-size group, and ``marginalized_kernel`` is
+its one-pair call. ``sampler.SimilarityCache`` normalizes the kernel by the
+self-kernels into a similarity in [0, 1] with self-similarity exactly 1.
 
 Random-walk model (the cited kernel's standard construction): uniform start
 probability 1/|V|, per-step termination probability gamma, and transition
@@ -15,10 +17,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .core import ClassCatalog, ConvergenceError, Scene
+
+# Bytes of product-graph matrices solved in one stacked fixed point. Bounds
+# the engine's working set: the broadcast that builds them holds a few
+# arrays of this size. A larger product graph is solved on its own.
+BATCH_BYTES = 256 * 1024
 
 
 @dataclass(frozen=True)
@@ -47,8 +55,8 @@ class KernelEvalCounter:
     def __init__(self):
         self.count = 0
 
-    def bump(self):
-        self.count += 1
+    def bump(self, n: int = 1):
+        self.count += n
 
 
 @dataclass(frozen=True)
@@ -80,6 +88,29 @@ class SceneGraph:
     def num_nodes(self) -> int:
         return len(self.labels)
 
+    # Read-only arrays the kernel needs, built on first use and kept with the
+    # graph, so a cache that keeps its graphs builds them once per scene.
+    @cached_property
+    def weight_array(self) -> np.ndarray:
+        return _frozen(np.array(self.weights))
+
+    @cached_property
+    def label_array(self) -> np.ndarray:
+        return _frozen(np.array(self.labels))
+
+    def transition_matrix(self, gamma: float) -> np.ndarray:
+        """Walk transition probabilities; the matrix for the last gamma is kept."""
+        kept = self.__dict__.get("_transition")
+        if kept is None or kept[0] != gamma:
+            t = _frozen(_transition_matrix(self.weight_array, gamma))
+            kept = self.__dict__["_transition"] = (gamma, t)
+        return kept[1]
+
+
+def _frozen(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
 
 def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig) -> SceneGraph:
     """Graph over above-threshold objects plus the ego node at the origin.
@@ -107,14 +138,7 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
     return SceneGraph(labels=labels, weights=tuple(tuple(row) for row in weights))
 
 
-def _node_kernel_matrix(g1: SceneGraph, g2: SceneGraph) -> np.ndarray:
-    l1 = np.array(g1.labels, dtype=object)
-    l2 = np.array(g2.labels, dtype=object)
-    return 0.5 * (l1[:, None] == l2[None, :]).astype(float)
-
-
-def _transition_matrix(g: SceneGraph, gamma: float) -> np.ndarray:
-    w = np.asarray(g.weights)
+def _transition_matrix(w: np.ndarray, gamma: float) -> np.ndarray:
     adj = w > 0
     outdeg = adj.sum(axis=1)
     t = np.zeros_like(w)
@@ -130,46 +154,99 @@ def marginalized_kernel(
 ) -> float:
     """Expected path-pair kernel between two graphs (unnormalized).
 
-    Solves R = q + M R on the product graph by fixed-point iteration, where q
-    is the joint termination probability gamma^2 and M combines transition
+    The one-pair call of ``marginalized_kernels``.
+    """
+    return marginalized_kernels([(g1, g2)], config, counter)[0]
+
+
+def marginalized_kernels(
+    pairs: list[tuple[SceneGraph, SceneGraph]],
+    config: KernelConfig,
+    counter: KernelEvalCounter | None = None,
+) -> list[float]:
+    """Unnormalized kernels of many graph pairs, in input order.
+
+    Solves R = q + M R on each product graph by fixed-point iteration, where
+    q is the joint termination probability gamma^2 and M combines transition
     probabilities with the edge kernel exp(-|e - e'| / (2 sigma^2)) and the
-    node kernel [label == label'] / 2. The full kernel is then the start
+    node kernel [label == label'] / 2. A kernel is then the start
     distribution contracted with the node kernel and R.
+
+    Pairs are grouped by (|V1|, |V2|). A group builds its matrices M in one
+    broadcast and iterates them as one stacked matmul, at most BATCH_BYTES of
+    M at a time; each pair's R is frozen at the iteration where its own
+    residual drops below tol. So every value is the float a lone pair gets.
+    The counter grows by one per pair.
     """
     if counter is not None:
-        counter.bump()
+        counter.bump(len(pairs))
     # canonical argument order so K(a, b) and K(b, a) share one float result
-    if (g2.labels, g2.weights) < (g1.labels, g1.weights):
-        g1, g2 = g2, g1
-    kv = _node_kernel_matrix(g1, g2)
-    if not kv.any():
-        return 0.0
-    n1, n2 = g1.num_nodes, g2.num_nodes
-    w1 = np.asarray(g1.weights)
-    w2 = np.asarray(g2.weights)
-    t1 = _transition_matrix(g1, config.gamma)
-    t2 = _transition_matrix(g2, config.gamma)
+    ordered = [
+        (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)
+        for g1, g2 in pairs
+    ]
+    groups: dict[tuple[int, int], list[int]] = {}
+    for k, (g1, g2) in enumerate(ordered):
+        groups.setdefault((g1.num_nodes, g2.num_nodes), []).append(k)
 
-    # Edge kernel on every (edge of g1) x (edge of g2) combination.
-    ke = np.exp(-np.abs(w1[:, None, :, None] - w2[None, :, None, :]) / (2.0 * config.sigma**2))
-    m = (t1[:, None, :, None] * t2[None, :, None, :] * ke * kv[None, None, :, :]).reshape(
-        n1 * n2, n1 * n2
-    )
+    values = [0.0] * len(ordered)
+    for (n1, n2), members in groups.items():
+        l1 = np.array([ordered[k][0].label_array for k in members])
+        l2 = np.array([ordered[k][1].label_array for k in members])
+        kv = 0.5 * (l1[:, :, None] == l2[:, None, :]).astype(float)
+        # A pair with no matching labels has kernel 0 and is not iterated.
+        live = kv.reshape(len(members), -1).any(axis=1)
+        kv = kv[live]
+        members = [k for k, ok in zip(members, live) if ok]
+        size = max(1, BATCH_BYTES // (8 * (n1 * n2) ** 2))
+        for lo in range(0, len(members), size):
+            batch = members[lo : lo + size]
+            solved = _solve_batch([ordered[k] for k in batch], kv[lo : lo + size], config)
+            for k, v in zip(batch, solved):
+                values[k] = v
+    return values
+
+
+def _solve_batch(
+    pairs: list[tuple[SceneGraph, SceneGraph]], kv: np.ndarray, config: KernelConfig
+) -> list[float]:
+    """Kernels of same-size pairs; ``kv`` stacks their node-kernel matrices."""
+    b, n1, n2 = kv.shape
+    w1 = np.array([g1.weight_array for g1, _ in pairs])
+    w2 = np.array([g2.weight_array for _, g2 in pairs])
+    t1 = np.array([g1.transition_matrix(config.gamma) for g1, _ in pairs])
+    t2 = np.array([g2.transition_matrix(config.gamma) for _, g2 in pairs])
+
+    # Edge kernel exp(-|e - e'| / (2 sigma^2)) on every (edge of g1) x (edge
+    # of g2) combination, in place: -x / c and x / -c are the same float.
+    ke = w1[:, :, None, :, None] - w2[:, None, :, None, :]
+    np.abs(ke, out=ke)
+    np.divide(ke, -(2.0 * config.sigma**2), out=ke)
+    np.exp(ke, out=ke)
+    # M = ((t1 * t2) * ke) * kv, multiplied in that order.
+    m = t1[:, :, None, :, None] * t2[:, None, :, None, :]
+    m *= ke
+    m *= kv[:, None, None, :, :]
+    m = m.reshape(b, n1 * n2, n1 * n2)
 
     q = np.full(n1 * n2, config.gamma**2)
-    r = q.copy()
-    residual = math.inf
+    r = np.tile(q, (b, 1))
+    active = np.ones(b, dtype=bool)
+    residual = np.full(b, math.inf)
     for _ in range(config.max_iter):
-        r_next = q + m @ r
-        residual = float(np.max(np.abs(r_next - r)))
-        r = r_next
-        if residual < config.tol:
+        r_next = q + np.matmul(m, r[:, :, None])[:, :, 0]
+        residual = np.max(np.abs(r_next - r), axis=1)
+        np.copyto(r, r_next, where=active[:, None])
+        active &= ~(residual < config.tol)
+        if not active.any():
             break
     else:
-        raise ConvergenceError("marginalized kernel fixed point did not converge", residual)
+        raise ConvergenceError(
+            "marginalized kernel fixed point did not converge", float(residual[active].max())
+        )
 
     start = 1.0 / (n1 * n2)
-    return float(start * (kv.reshape(-1) @ r))
+    return [float(start * (kv[p].reshape(-1) @ r[p])) for p in range(b)]
 
 
 def kernel_brute_force(

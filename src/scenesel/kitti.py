@@ -163,7 +163,8 @@ def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
             }
         )
     doc = {"version": SIDECAR_VERSION, "dims": list(RESIDUAL_DIMS), "detections": entries}
-    write_text_atomic(path, json.dumps(doc, indent=1))
+    # No indent: ``json`` uses its C encoder only without one.
+    write_text_atomic(path, json.dumps(doc))
 
 
 def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:

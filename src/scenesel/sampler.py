@@ -19,6 +19,7 @@ from .kernel import (
     KernelEvalCounter,
     build_scene_graph,
     marginalized_kernel,
+    marginalized_kernels,
 )
 from .state import RoundState
 from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainty
@@ -27,6 +28,9 @@ log = logging.getLogger(__name__)
 
 STAGE_NAMES = ("entropy", "similarity", "uncertainty")
 STRATEGIES = ("random", "entropy-only", "fs-only", "uncertainty-only", "tscenejal")
+# Missing pairs ``SimilarityCache.matrix`` collects before it evaluates them
+# in one ``marginalized_kernels`` call. Bounds the memory the batch holds.
+BLOCK_PAIRS = 1024
 
 
 @dataclass(frozen=True)
@@ -53,8 +57,12 @@ class SimilarityCache:
     """Normalized graph-kernel similarity between scenes, memoized by scene id.
 
     The one place scenes become similarities: the cross kernel divided by the
-    square root of both self-kernels. Graphs, self-kernels and pairs are each
-    computed once. Assumes a stable id -> scene mapping for the lifetime of
+    square root of both self-kernels. Graphs (with the arrays the kernel
+    builds from them), self-kernels and pairs are each computed once.
+    ``similarity`` evaluates one pair through ``marginalized_kernel``;
+    ``matrix`` makes one pass over its pairs and evaluates the missing ones
+    BLOCK_PAIRS at a time through the batched ``marginalized_kernels``, with
+    the same floats. Assumes a stable id -> scene mapping for the lifetime of
     the cache (true for a fixed pool under a deterministic predictor).
     """
 
@@ -97,10 +105,44 @@ class SimilarityCache:
         """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
         sim = np.eye(n)
+        pairs = self._pairs
+        missing = []
         for i in range(n):
+            a = scenes[i].id
             for j in range(i + 1, n):
-                sim[i, j] = sim[j, i] = self.similarity(scenes[i], scenes[j], counter)
+                b = scenes[j].id
+                key = (a, b) if a < b else (b, a)
+                val = 1.0 if a == b else pairs.get(key)
+                if val is None:
+                    missing.append((i, j, key))
+                    if len(missing) == BLOCK_PAIRS:
+                        self._fill(scenes, missing, sim, counter)
+                        missing = []
+                else:
+                    sim[i, j] = sim[j, i] = val
+        if missing:
+            self._fill(scenes, missing, sim, counter)
         return sim
+
+    def _fill(self, scenes, missing, sim, counter) -> None:
+        """Evaluate, store and fill in the missing pairs ``(i, j, key)``."""
+        todo = {}  # key -> (i, j); a pool that repeats an id repeats keys
+        needs_self = {}  # scene id -> scene
+        for i, j, key in missing:
+            todo.setdefault(key, (i, j))
+            for s in (scenes[i], scenes[j]):
+                if s.id not in self._self_k:
+                    needs_self[s.id] = s
+        selfs = [(self._graph(s), self._graph(s)) for s in needs_self.values()]
+        crosses = [(self._graph(scenes[i]), self._graph(scenes[j])) for i, j in todo.values()]
+        values = marginalized_kernels(selfs + crosses, self.config, counter)
+        self._self_k.update(zip(needs_self, values))
+        for (key, (i, j)), cross in zip(todo.items(), values[len(selfs) :]):
+            self._pairs[key] = cross / math.sqrt(
+                self._self_k[scenes[i].id] * self._self_k[scenes[j].id]
+            )
+        for i, j, key in missing:
+            sim[i, j] = sim[j, i] = self._pairs[key]
 
 
 def _argbest(ids: list[str], values, candidates, maximize: bool) -> int:

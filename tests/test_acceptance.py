@@ -98,9 +98,14 @@ def test_02_kernel_algebra(capsys):
     self_ok = True
     for trial in range(5):
         scenes = [random_scene(scene_rng, f"g{trial}_{i}") for i in range(10)]
-        gram = SimilarityCache(DEFAULT_CATALOG, KER).matrix(scenes)
+        # Each scene next to a same-content copy under another id: the unit
+        # diagonal is set, not computed, so self-similarity is read off the
+        # (scene, copy) entries, normalized by the matrix's own self-kernels.
+        copies = [Scene(f"{s.id}_copy", s.detections) for s in scenes]
+        both = SimilarityCache(DEFAULT_CATALOG, KER).matrix(scenes + copies)
+        gram = both[:10, :10]
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram).min()))
-        self_ok = self_ok and all(abs(gram[i, i] - 1.0) <= 1e-9 for i in range(10))
+        self_ok = self_ok and all(abs(both[i, 10 + i] - 1.0) <= 1e-9 for i in range(10))
     ok = symmetric and self_ok and min_eig >= -1e-8
     verdict(capsys, 2, "kernel symmetry, unit self-similarity, PSD Gram matrices",
             ok, f"min eigenvalue {min_eig:.2e}")

@@ -132,17 +132,30 @@ class TestSelect:
         state, out = self.init_state(pool_dir, tmp_path)
         capsys.readouterr()
         calls = []
-        kernel = sampler.marginalized_kernel
+        kernel, kernels = sampler.marginalized_kernel, sampler.marginalized_kernels
 
         def counting(*args, **kwargs):
             calls.append(1)
             return kernel(*args, **kwargs)
 
+        def counting_batch(pairs, *args, **kwargs):
+            calls.extend([1] * len(pairs))
+            return kernels(pairs, *args, **kwargs)
+
         monkeypatch.setattr(sampler, "marginalized_kernel", counting)
+        monkeypatch.setattr(sampler, "marginalized_kernels", counting_batch)
         assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
         reported = int(re.search(r"kernel evals (\d+)", capsys.readouterr().out).group(1))
         assert reported > 0
         assert len(calls) == reported
+
+    def test_no_sidecars_flag_is_usage_error(self, pool_dir, tmp_path, capsys):
+        # Every stage order ranks by uncertainty, which needs the sidecars.
+        state, out = self.init_state(pool_dir, tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            run("select", "--pool", pool_dir, "--state", state, "--out", out, "--no-sidecars")
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --no-sidecars" in capsys.readouterr().err
 
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"

@@ -1,0 +1,112 @@
+"""Golden selections: the ids every strategy selects for fixed seeds.
+
+A numerical refactor of the kernel, the entropy or the uncertainty path must
+leave every selection, and every round's kernel-evaluation count, exactly as
+recorded in ``golden_selections.json``. The fixture was recorded before the
+batched kernel engine replaced the per-pair solver. To record it again after
+a deliberate change of behaviour, run ``PYTHONPATH=src python
+tests/test_golden.py`` and explain the change.
+"""
+import contextlib
+import io
+import json
+import re
+import sys
+from pathlib import Path
+
+import pytest
+
+from scenesel import sampler, synth
+from scenesel.cli import main
+from scenesel.config import build_config
+from scenesel.state import RoundState
+
+FIXTURE = Path(__file__).resolve().parent / "golden_selections.json"
+SEEDS = (1, 2)
+# The synth/simulate CLI defaults.
+NOISE = synth.NoiseModel(
+    confidence_noise=0.5,
+    position_noise_per_meter=0.005,
+    false_positive_rate=0.3,
+    misclass_rate=0.05,
+    mixture_components=3,
+    mean_spread=0.1,
+)
+
+
+def library_rounds(seed: int, strategy: str) -> dict:
+    """Three ``run_al_rounds`` rounds of 4 on a 60-scene pool (2-6 objects)."""
+    cfg = build_config(overrides={"plan.n_r": 4}, environ={})
+    spec = synth.PoolSpec(n_scenes=60, class_mix=(0.9, 0.05, 0.05), objects_min=2, objects_max=6, rng_seed=seed)
+    pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
+    predictor = synth.make_predictor(NOISE, cfg.anchors, cfg.catalog, seed)
+    state = RoundState.fresh(pool, budget_total=len(pool), rng_seed=seed)
+    _, reports = sampler.run_al_rounds(
+        pool,
+        cfg.plan,
+        3,
+        predictor,
+        pool.__getitem__,
+        state,
+        cfg.catalog,
+        cfg.anchors,
+        cfg.entropy,
+        cfg.kernel,
+        cfg.uncertainty,
+        strategy=strategy,
+    )
+    return {
+        "selected": [list(r.selected_ids) for r in reports],
+        "kernel_evals": [r.kernel_evals for r in reports],
+    }
+
+
+def cli_rounds(seed: int, work: Path) -> dict:
+    """``synth`` 40 scenes of 8-20 objects, ``select --init``, two rounds of 3."""
+    pool, state, out = work / "pool", work / "state.json", work / "sel"
+
+    def run(*argv):
+        printed = io.StringIO()
+        with contextlib.redirect_stdout(printed):
+            code = main(["--seed", str(seed)] + [str(a) for a in argv])
+        assert code == 0, argv
+        return printed.getvalue()
+
+    run("synth", "--out", pool, "--n-scenes", 40, "--objects", "8,20")
+    run("select", "--pool", pool, "--state", state, "--out", out, "--init", "--n0", 4)
+    selected, evals = [], []
+    for r in (1, 2):
+        printed = run("select", "--pool", pool, "--state", state, "--out", out, "--n-r", 3)
+        evals.append(int(re.search(r"kernel evals (\d+)", printed).group(1)))
+        selected.append((out / f"selected_round_{r:03d}.txt").read_text().split())
+    return {"selected": selected, "kernel_evals": evals}
+
+
+@pytest.fixture(scope="module")
+def golden():
+    return json.loads(FIXTURE.read_text())
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+def test_library_selections_match_golden(golden, seed, strategy):
+    assert library_rounds(seed, strategy) == golden["run_al_rounds"][str(seed)][strategy]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_cli_selections_match_golden(golden, seed, tmp_path):
+    assert cli_rounds(seed, tmp_path) == golden["cli"][str(seed)]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    doc = {"run_al_rounds": {}, "cli": {}}
+    for seed in SEEDS:
+        doc["run_al_rounds"][str(seed)] = {s: library_rounds(seed, s) for s in sampler.STRATEGIES}
+        with tempfile.TemporaryDirectory() as tmp:
+            doc["cli"][str(seed)] = cli_rounds(seed, Path(tmp))
+    # One line per list of ids or counts.
+    text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", json.dumps(doc, indent=1))
+    FIXTURE.write_text(text + "\n")
+    print(f"wrote {FIXTURE}", file=sys.stderr)

@@ -6,14 +6,16 @@ import pytest
 
 from scenesel.core import Box3D, ClassCatalog, ConvergenceError, DEFAULT_CATALOG, Scene, ScoredDetection
 from scenesel.kernel import (
+    BATCH_BYTES,
     KernelConfig,
     KernelEvalCounter,
     SceneGraph,
     build_scene_graph,
     kernel_brute_force,
     marginalized_kernel,
+    marginalized_kernels,
 )
-from scenesel.sampler import SimilarityCache
+from scenesel.sampler import BLOCK_PAIRS, SimilarityCache
 from conftest import make_detection, random_scene
 
 CFG = KernelConfig()
@@ -148,6 +150,114 @@ class TestMarginalizedKernel:
         cfg = KernelConfig(max_iter=1, tol=1e-15)
         with pytest.raises(ConvergenceError):
             marginalized_kernel(g, g, cfg)
+
+
+def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
+    """The one-pair fixed-point solver the batched engine replaced, verbatim
+    in its arithmetic: the engine must reproduce its floats exactly."""
+    if (g2.labels, g2.weights) < (g1.labels, g1.weights):
+        g1, g2 = g2, g1
+    kv = 0.5 * (np.array(g1.labels, dtype=object)[:, None] == np.array(g2.labels, dtype=object)[None, :]).astype(float)
+    if not kv.any():
+        return 0.0
+
+    def transition(w):
+        adj = w > 0
+        t = np.zeros_like(w)
+        t[adj] = 1.0
+        return (1.0 - config.gamma) * t / adj.sum(axis=1)[:, None]
+
+    n1, n2 = g1.num_nodes, g2.num_nodes
+    w1, w2 = np.asarray(g1.weights), np.asarray(g2.weights)
+    t1, t2 = transition(w1), transition(w2)
+    ke = np.exp(-np.abs(w1[:, None, :, None] - w2[None, :, None, :]) / (2.0 * config.sigma**2))
+    m = (t1[:, None, :, None] * t2[None, :, None, :] * ke * kv[None, None, :, :]).reshape(n1 * n2, n1 * n2)
+    q = np.full(n1 * n2, config.gamma**2)
+    r = q.copy()
+    for _ in range(config.max_iter):
+        r_next = q + m @ r
+        residual = float(np.max(np.abs(r_next - r)))
+        r = r_next
+        if residual < config.tol:
+            break
+    return float(1.0 / (n1 * n2) * (kv.reshape(-1) @ r))
+
+
+class TestBatchedEngine:
+    """``marginalized_kernels`` returns, with ``==``, the floats of one-pair calls."""
+
+    @staticmethod
+    def assert_same_as_single(pairs):
+        batched = marginalized_kernels(pairs, CFG)
+        assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
+        return batched
+
+    def test_mixed_sizes_2_to_21_nodes(self):
+        rng = random.Random(41)
+        graphs = [random_graph(rng, max_nodes=21) for _ in range(12)]
+        graphs += [random_graph(rng, max_nodes=3) for _ in range(12)]
+        pairs = [(rng.choice(graphs), rng.choice(graphs)) for _ in range(60)]
+        assert {g.num_nodes for pair in pairs for g in pair} >= {2, 3}
+        assert max(g.num_nodes for pair in pairs for g in pair) >= 15
+        batched = self.assert_same_as_single(pairs)
+        assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+
+    def test_swapped_order_and_self_pairs(self):
+        rng = random.Random(43)
+        graphs = [random_graph(rng, max_nodes=6) for _ in range(8)]
+        pairs = [(a, b) for a in graphs for b in graphs]  # both orders, and (g, g)
+        batched = self.assert_same_as_single(pairs)
+        by_pair = dict(zip(((id(a), id(b)) for a, b in pairs), batched))
+        assert all(by_pair[id(a), id(b)] == by_pair[id(b), id(a)] for a, b in pairs)
+        assert all(by_pair[id(g), id(g)] > 0 for g in graphs)
+
+    def test_all_zero_node_kernel_pairs(self):
+        rng = random.Random(47)
+        only_a = [random_graph(rng, labels=("a",)) for _ in range(4)]
+        only_b = [random_graph(rng, labels=("b",)) for _ in range(4)]
+        pairs = [(a, b) for a in only_a for b in only_b] + [(only_a[0], only_a[1])]
+        batched = self.assert_same_as_single(pairs)
+        assert batched[:-1] == [0.0] * 16
+        assert batched[-1] > 0
+
+    def test_more_pairs_than_one_stacked_batch(self):
+        rng = random.Random(53)
+        graphs = []
+        while len(graphs) < 30:
+            g = random_graph(rng, max_nodes=5)
+            if g.num_nodes == 5:
+                graphs.append(g)
+        per_batch = BATCH_BYTES // (8 * 25**2)
+        pairs = [(rng.choice(graphs), rng.choice(graphs)) for _ in range(3 * per_batch + 1)]
+        batched = self.assert_same_as_single(pairs)
+        assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+
+    def test_matrix_over_more_than_one_block(self, catalog):
+        rng = random.Random(59)
+        scenes = [random_scene(rng, f"s{i:02d}", max_objects=5) for i in range(50)]
+        assert 50 * 49 // 2 > BLOCK_PAIRS
+        counter = KernelEvalCounter()
+        sim = similarity_matrix(scenes, catalog, counter)
+        assert counter.count == 50 + 50 * 49 // 2
+        cache = SimilarityCache(catalog, CFG)
+        for i in range(50):
+            for j in range(i + 1, 50):
+                assert sim[i, j] == sim[j, i] == cache.similarity(scenes[i], scenes[j])
+
+    def test_nonconvergence_raises(self):
+        rng = random.Random(61)
+        pairs = [(random_graph(rng), random_graph(rng, labels=("a",))) for _ in range(5)]
+        with pytest.raises(ConvergenceError):
+            marginalized_kernels(pairs, KernelConfig(max_iter=1))
+
+    def test_counter_grows_by_number_of_pairs(self):
+        rng = random.Random(67)
+        g1, g2 = random_graph(rng), random_graph(rng)
+        counter = KernelEvalCounter()
+        marginalized_kernels([(g1, g2), (g2, g1), (g1, g1)], CFG, counter)
+        assert counter.count == 3
+        marginalized_kernels([], CFG, counter)
+        assert counter.count == 3
 
 
 class TestBruteForce:
