@@ -47,24 +47,14 @@ def category_kl_to_uniform(class_counts: dict[str, int], num_classes: int) -> fl
     return math.log(num_classes) - counts_entropy(class_counts)
 
 
-def similarity_gaussian_kl(
-    mu_s: float,
-    sigma_s: float,
-    mu_t: float,
-    sigma_t: float,
-    squared_mean_term: bool = True,
-) -> float:
+def similarity_gaussian_kl(mu_s: float, sigma_s: float, mu_t: float, sigma_t: float) -> float:
     """KL divergence between two univariate Gaussians (sigmas are std devs).
 
-    The default uses the standard squared mean-offset term, which guarantees
-    non-negativity. ``squared_mean_term=False`` switches to an unsquared
-    offset for fidelity audits of the derivation variant; that form can go
-    negative and is not a divergence.
+    Non-negative, and zero iff both means and both sigmas agree.
     """
     if not (sigma_s > 0 and sigma_t > 0):
         raise ValueError("sigmas must be positive")
-    offset = mu_s - mu_t
-    num = sigma_s**2 + (offset**2 if squared_mean_term else offset)
+    num = sigma_s**2 + (mu_s - mu_t) ** 2
     return math.log(sigma_t / sigma_s) + num / (2.0 * sigma_t**2) - 0.5
 
 

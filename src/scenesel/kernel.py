@@ -45,6 +45,8 @@ class KernelConfig:
             raise ValueError("sigma must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
+        if not self.max_iter >= 1:
+            raise ValueError("max_iter must be >= 1")
         if not self.min_dist > 0:
             raise ValueError("min_dist must be positive")
 

@@ -18,7 +18,7 @@ from .kernel import (
     KernelConfig,
     KernelEvalCounter,
     build_scene_graph,
-    marginalized_kernel,
+    marginalized_kernel,  # unused here; bench/spans.py patches this name
     marginalized_kernels,
 )
 from .state import RoundState
@@ -28,6 +28,12 @@ log = logging.getLogger(__name__)
 
 STAGE_NAMES = ("entropy", "similarity", "uncertainty")
 STRATEGIES = ("random", "entropy-only", "fs-only", "uncertainty-only", "tscenejal")
+# The one stage each single-metric strategy runs.
+_SINGLE_STAGE = {
+    "entropy-only": "entropy",
+    "fs-only": "similarity",
+    "uncertainty-only": "uncertainty",
+}
 # Missing pairs ``SimilarityCache.matrix`` collects before it evaluates them
 # in one ``marginalized_kernels`` call. Bounds the memory the batch holds.
 BLOCK_PAIRS = 1024
@@ -59,11 +65,12 @@ class SimilarityCache:
     The one place scenes become similarities: the cross kernel divided by the
     square root of both self-kernels. Graphs (with the arrays the kernel
     builds from them), self-kernels and pairs are each computed once.
-    ``similarity`` evaluates one pair through ``marginalized_kernel``;
-    ``matrix`` makes one pass over its pairs and evaluates the missing ones
-    BLOCK_PAIRS at a time through the batched ``marginalized_kernels``, with
-    the same floats. Assumes a stable id -> scene mapping for the lifetime of
-    the cache (true for a fixed pool under a deterministic predictor).
+    ``matrix`` makes one pass over its pairs and ``_fill`` evaluates the
+    missing ones BLOCK_PAIRS at a time through the batched
+    ``marginalized_kernels``; ``_fill`` is the only code that calls the kernel
+    and normalizes. ``similarity`` is the one-pair call of ``matrix``.
+    Assumes a stable id -> scene mapping for the lifetime of the cache (true
+    for a fixed pool under a deterministic predictor).
     """
 
     def __init__(self, catalog: ClassCatalog, config: KernelConfig):
@@ -80,26 +87,9 @@ class SimilarityCache:
             self._graphs[scene.id] = g
         return g
 
-    def _self_kernel(self, scene: Scene, counter: KernelEvalCounter | None):
-        k = self._self_k.get(scene.id)
-        if k is None:
-            k = marginalized_kernel(self._graph(scene), self._graph(scene), self.config, counter)
-            self._self_k[scene.id] = k
-        return k
-
     def similarity(self, s1: Scene, s2: Scene, counter: KernelEvalCounter | None = None) -> float:
         """Similarity in [0, 1]; equal ids short-circuit to exactly 1."""
-        if s1.id == s2.id:
-            return 1.0
-        key = (s1.id, s2.id) if s1.id < s2.id else (s2.id, s1.id)
-        val = self._pairs.get(key)
-        if val is None:
-            cross = marginalized_kernel(self._graph(s1), self._graph(s2), self.config, counter)
-            val = cross / math.sqrt(
-                self._self_kernel(s1, counter) * self._self_kernel(s2, counter)
-            )
-            self._pairs[key] = val
-        return val
+        return float(self.matrix([s1, s2], counter)[0, 1])
 
     def matrix(self, scenes: list[Scene], counter: KernelEvalCounter | None = None) -> np.ndarray:
         """Symmetric similarity matrix in input order with a unit diagonal."""
@@ -192,6 +182,22 @@ def farthest_sampling(pool_ids: list[str], similarity_matrix, k: int) -> list[st
     return [pool_ids[i] for i in selected]
 
 
+def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter):
+    """The ``size`` ids of ``scenes`` that one metric stage keeps, in its order.
+
+    The one stage dispatch: ``three_stage_select`` runs each stage of its plan
+    through it, and each single-metric strategy its one stage on the id-sorted
+    pool. ``similarity`` is farthest sampling over the cache's matrix.
+    """
+    if stage == "entropy":
+        return rank_by_entropy(scenes, catalog, entropy_cfg, size)
+    if stage == "similarity":
+        return farthest_sampling([s.id for s in scenes], cache.matrix(scenes, counter), size)
+    if stage == "uncertainty":
+        return rank_by_uncertainty(scenes, anchors, uncertainty_cfg, size)
+    raise ValueError(f"unknown stage {stage!r}; valid: {', '.join(STAGE_NAMES)}")
+
+
 @dataclass
 class SelectionLog:
     pool_size: int
@@ -247,23 +253,17 @@ def three_stage_select(
 
     by_id = {s.id: s for s in unlabeled_scenes}
     candidates = sorted(by_id)
-    entropy_sorts = 0
     for stage, size in zip(plan.order, sizes):
         scenes = [by_id[i] for i in candidates]
-        if stage == "entropy":
-            candidates = rank_by_entropy(scenes, catalog, entropy_cfg, size)
-            entropy_sorts += 1
-        elif stage == "similarity":
-            sim = cache.matrix(scenes, counter)
-            candidates = farthest_sampling([s.id for s in scenes], sim, size)
-        elif stage == "uncertainty":
-            candidates = rank_by_uncertainty(scenes, anchors, uncertainty_cfg, size)
+        candidates = _run_stage(
+            stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter
+        )
     return list(candidates), SelectionLog(
         pool_size=pool_size,
         stage_order=plan.order,
         stage_sizes=tuple(sizes),
         kernel_evals=counter.count,
-        entropy_sorts=entropy_sorts,
+        entropy_sorts=plan.order.count("entropy"),
         degraded=degraded,
     )
 
@@ -309,19 +309,15 @@ def _select_for_strategy(
             allow_degraded=True,
         )
         return selected, slog.stage_sizes
-    ids = sorted(s.id for s in preds)
+    ordered = sorted(preds, key=lambda s: s.id)
     if strategy == "random":
-        picked = rng.choice(len(ids), size=plan.n_r, replace=False)
-        return [ids[i] for i in picked], None
-    if strategy == "entropy-only":
-        return rank_by_entropy(preds, catalog, entropy_cfg, plan.n_r), None
-    if strategy == "fs-only":
-        ordered = sorted(preds, key=lambda s: s.id)
-        sim = cache.matrix(ordered, counter)
-        return farthest_sampling([s.id for s in ordered], sim, plan.n_r), None
-    if strategy == "uncertainty-only":
-        return rank_by_uncertainty(preds, anchors, uncertainty_cfg, plan.n_r), None
-    raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
+        picked = rng.choice(len(ordered), size=plan.n_r, replace=False)
+        return [ordered[i].id for i in picked], None
+    stage = _SINGLE_STAGE[strategy]
+    selected = _run_stage(
+        stage, ordered, plan.n_r, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter
+    )
+    return selected, None
 
 
 def run_al_rounds(
@@ -420,12 +416,8 @@ def _round_report(
 
     mean_sim = None
     if len(selected_preds) >= 2:
-        vals = [
-            cache.similarity(selected_preds[i], selected_preds[j], counter)
-            for i in range(len(selected_preds))
-            for j in range(i + 1, len(selected_preds))
-        ]
-        mean_sim = float(np.mean(vals))
+        sim = cache.matrix(selected_preds, counter)
+        mean_sim = float(np.mean(sim[np.triu_indices(len(sim), 1)]))
 
     try:
         mean_unc = float(

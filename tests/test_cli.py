@@ -78,6 +78,15 @@ class TestScore:
         (empty / "labels").mkdir(parents=True)
         assert run("score", "--pool", empty, "--metric", "entropy", "--out", tmp_path / "e.csv") == 3
 
+    @pytest.mark.parametrize("max_iter", ["0", "-5"])
+    def test_nonpositive_max_iter_is_config_error(self, pool_dir, tmp_path, capsys, monkeypatch, max_iter):
+        # A bad setting, not numeric non-convergence (exit 4).
+        monkeypatch.setenv("SCENESEL_KERNEL_MAX_ITER", max_iter)
+        code = run("score", "--pool", pool_dir, "--metric", "similarity", "--out", tmp_path / "s.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert "invalid configuration" in err and "max_iter must be >= 1" in err
+
 
 class TestSelect:
     def init_state(self, pool_dir, tmp_path, n0=4):

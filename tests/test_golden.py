@@ -1,11 +1,13 @@
 """Golden selections: the ids every strategy selects for fixed seeds.
 
 A numerical refactor of the kernel, the entropy or the uncertainty path must
-leave every selection, and every round's kernel-evaluation count, exactly as
-recorded in ``golden_selections.json``. The fixture was recorded before the
-batched kernel engine replaced the per-pair solver. To record it again after
-a deliberate change of behaviour, run ``PYTHONPATH=src python
-tests/test_golden.py`` and explain the change.
+leave every selection, every round's kernel-evaluation count and every
+``run_al_rounds`` report's mean pairwise similarity (as ``repr``) exactly as
+recorded in ``golden_selections.json``. The ids and counts were recorded
+before the batched kernel engine replaced the per-pair solver, the
+similarities before the round report moved onto ``SimilarityCache.matrix``.
+To record it again after a deliberate change of behaviour, run
+``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
 import contextlib
 import io
@@ -58,6 +60,7 @@ def library_rounds(seed: int, strategy: str) -> dict:
     return {
         "selected": [list(r.selected_ids) for r in reports],
         "kernel_evals": [r.kernel_evals for r in reports],
+        "mean_pairwise_similarity": [repr(r.mean_pairwise_similarity) for r in reports],
     }
 
 

@@ -151,6 +151,12 @@ class TestMarginalizedKernel:
         with pytest.raises(ConvergenceError):
             marginalized_kernel(g, g, cfg)
 
+    @pytest.mark.parametrize("max_iter", [0, -5])
+    def test_nonpositive_max_iter_rejected(self, max_iter):
+        # Not a convergence failure: no iteration would ever run.
+        with pytest.raises(ValueError, match="max_iter must be >= 1"):
+            KernelConfig(max_iter=max_iter)
+
 
 def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
     """The one-pair fixed-point solver the batched engine replaced, verbatim
@@ -379,6 +385,38 @@ class TestSimilarity:
         assert similarity(relabeled, other, DEFAULT_CATALOG) <= similarity(
             base, other, DEFAULT_CATALOG
         ) + 1e-12
+
+
+class TestNormalizationReference:
+    """``SimilarityCache`` against the normalization written out from
+    ``scenesel.kernel``: cross kernel over the root of both self-kernels."""
+
+    def test_similarity_and_matrix_equal_the_reference(self, catalog):
+        rng = random.Random(37)
+        scenes = [random_scene(rng, f"s{i}") for i in range(7)]
+        graphs = [build_scene_graph(s, catalog, CFG) for s in scenes]
+
+        def reference(i, j):
+            g1, g2 = graphs[i], graphs[j]
+            cross = marginalized_kernel(g1, g2, CFG)
+            return cross / math.sqrt(marginalized_kernel(g1, g1, CFG) * marginalized_kernel(g2, g2, CFG))
+
+        cache = SimilarityCache(catalog, CFG)
+        # Misses one pair at a time, a matrix that mixes those hits with
+        # misses, a hit and a miss one pair at a time, and a matrix with one
+        # hit beside two misses.
+        for i, j in [(0, 1), (4, 2), (1, 3)]:
+            assert cache.similarity(scenes[i], scenes[j]) == reference(i, j)
+        sim = cache.matrix(scenes[:5])
+        for i in range(5):
+            for j in range(i + 1, 5):
+                assert sim[i, j] == sim[j, i] == reference(i, j)
+        assert cache.similarity(scenes[3], scenes[0]) == reference(0, 3)
+        assert cache.similarity(scenes[6], scenes[2]) == reference(2, 6)
+        sim = cache.matrix([scenes[6], scenes[5], scenes[2]])
+        assert sim[0, 1] == reference(5, 6)
+        assert sim[0, 2] == reference(2, 6)
+        assert sim[1, 2] == reference(2, 5)
 
 
 class TestPairwiseMatrix:
