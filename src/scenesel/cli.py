@@ -186,6 +186,15 @@ def cmd_select(args) -> int:
         counter=counter,
         allow_degraded=True,
     )
+    # Another run may have advanced the state while this one selected; write
+    # nothing over it. This narrows the window between load and save; it is
+    # not a lock.
+    current = state_mod.load_round_state(state_path).round_index
+    if current != st.round_index:
+        raise DataError(
+            f"{state_path}: round_index moved from {st.round_index} to {current} "
+            "while this round was selecting; nothing written"
+        )
     st = st.with_selection(tuple(selected))
     state_mod.save_round_state(st, state_path)
     write_text_atomic(out / f"selected_round_{st.round_index:03d}.txt", "\n".join(selected) + "\n")

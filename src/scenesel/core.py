@@ -108,8 +108,9 @@ class MixtureParams:
 
     Each field holds one row per residual dimension (see RESIDUAL_DIMS) with K
     entries. ``variances`` entries are variances, not standard deviations.
-    Zero variance is accepted so a noiseless predictor can express exact
-    certainty; the NLL evaluation rejects it separately.
+    Every entry must be finite. Zero variance is accepted so a noiseless
+    predictor can express exact certainty; the NLL evaluation rejects it
+    separately.
     """
 
     weights: tuple[tuple[float, ...], ...]
@@ -117,22 +118,30 @@ class MixtureParams:
     variances: tuple[tuple[float, ...], ...]
 
     def __post_init__(self):
+        # One C-level pass per check; ``min(row) < 0`` is only asked of a row
+        # already known to be finite (a NaN would make ``min`` order-dependent).
         n = len(RESIDUAL_DIMS)
         if not (len(self.weights) == len(self.means) == len(self.variances) == n):
             raise ValueError(f"mixture needs {n} residual dimensions")
         k = len(self.weights[0])
         if k < 1:
             raise ValueError("mixture needs at least one component")
+        isfinite = math.isfinite
         for row_w, row_m, row_v in zip(self.weights, self.means, self.variances):
             if not (len(row_w) == len(row_m) == len(row_v) == k):
                 raise ValueError("all dimensions must share the same component count")
-            if abs(sum(row_w) - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError(f"mixture weights must sum to 1, got {sum(row_w)!r}")
-            if any(w < 0 for w in row_w):
+            total = sum(row_w)
+            if abs(total - 1.0) > WEIGHT_SUM_TOL:
+                raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+            if not all(map(isfinite, row_w)):
+                raise ValueError("mixture weights must be finite")
+            if min(row_w) < 0:
                 raise ValueError("mixture weights must be non-negative")
-            if any(v < 0 for v in row_v):
+            if not all(map(isfinite, row_v)):
+                raise ValueError("mixture variances must be finite")
+            if min(row_v) < 0:
                 raise ValueError("mixture variances must be non-negative")
-            if any(not math.isfinite(m) for m in row_m):
+            if not all(map(isfinite, row_m)):
                 raise ValueError("mixture means must be finite")
 
     @property

@@ -81,13 +81,13 @@ def sample_pair_similarities(
     chosen = rng.choice(total_pairs, size=n_pairs, replace=False)
     if cache is None:
         cache = SimilarityCache(catalog, kernel_cfg)
-    values = []
+    index_pairs = []
     for flat in sorted(int(c) for c in chosen):
         # Unrank the flat upper-triangle index into (i, j).
         i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2)
         j = flat - i * (2 * n - i - 1) // 2 + i + 1
-        values.append(cache.similarity(scenes[i], scenes[j], counter))
-    return values
+        index_pairs.append((i, j))
+    return cache.pair_similarities(scenes, index_pairs, counter)
 
 
 def selection_report(

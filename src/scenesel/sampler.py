@@ -5,6 +5,7 @@ updates are strictly sequential, with a single writer over the round state.
 """
 from __future__ import annotations
 
+import itertools
 import logging
 import math
 from dataclasses import dataclass
@@ -65,8 +66,9 @@ class SimilarityCache:
     The one place scenes become similarities: the cross kernel divided by the
     square root of both self-kernels. Graphs (with the arrays the kernel
     builds from them), self-kernels and pairs are each computed once.
-    ``matrix`` makes one pass over its pairs and ``_fill`` evaluates the
-    missing ones BLOCK_PAIRS at a time through the batched
+    ``matrix`` (every pair of a list) and ``pair_similarities`` (the pairs
+    asked for) make one pass, ``_scan``, over their pairs, and ``_fill``
+    evaluates the missing ones BLOCK_PAIRS at a time through the batched
     ``marginalized_kernels``; ``_fill`` is the only code that calls the kernel
     and normalizes. ``similarity`` is the one-pair call of ``matrix``.
     Assumes a stable id -> scene mapping for the lifetime of the cache (true
@@ -95,27 +97,39 @@ class SimilarityCache:
         """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
         sim = np.eye(n)
-        pairs = self._pairs
-        missing = []
-        for i in range(n):
-            a = scenes[i].id
-            for j in range(i + 1, n):
-                b = scenes[j].id
-                key = (a, b) if a < b else (b, a)
-                val = 1.0 if a == b else pairs.get(key)
-                if val is None:
-                    missing.append((i, j, key))
-                    if len(missing) == BLOCK_PAIRS:
-                        self._fill(scenes, missing, sim, counter)
-                        missing = []
-                else:
-                    sim[i, j] = sim[j, i] = val
-        if missing:
-            self._fill(scenes, missing, sim, counter)
+        self._scan(scenes, itertools.combinations(range(n), 2), sim, counter)
         return sim
 
-    def _fill(self, scenes, missing, sim, counter) -> None:
-        """Evaluate, store and fill in the missing pairs ``(i, j, key)``."""
+    def pair_similarities(
+        self, scenes: list[Scene], index_pairs: list[tuple[int, int]], counter: KernelEvalCounter | None = None
+    ) -> list[float]:
+        """Similarity of ``scenes[i]`` and ``scenes[j]`` for each ``(i, j)``, in order."""
+        found = {}
+        self._scan(scenes, index_pairs, found, counter)
+        return [found[p] for p in index_pairs]
+
+    def _scan(self, scenes, index_pairs, out, counter) -> None:
+        """Set ``out[i, j]`` and ``out[j, i]`` for each ``(i, j)`` in one pass:
+        hits at once, misses through ``_fill`` BLOCK_PAIRS at a time."""
+        ids = [s.id for s in scenes]
+        pairs = self._pairs
+        missing = []
+        for i, j in index_pairs:
+            a, b = ids[i], ids[j]
+            key = (a, b) if a < b else (b, a)
+            val = 1.0 if a == b else pairs.get(key)
+            if val is None:
+                missing.append((i, j, key))
+                if len(missing) == BLOCK_PAIRS:
+                    self._fill(scenes, missing, out, counter)
+                    missing = []
+            else:
+                out[i, j] = out[j, i] = val
+        if missing:
+            self._fill(scenes, missing, out, counter)
+
+    def _fill(self, scenes, missing, out, counter) -> None:
+        """Evaluate, store and put into ``out`` the missing pairs ``(i, j, key)``."""
         todo = {}  # key -> (i, j); a pool that repeats an id repeats keys
         needs_self = {}  # scene id -> scene
         for i, j, key in missing:
@@ -132,7 +146,7 @@ class SimilarityCache:
                 self._self_k[scenes[i].id] * self._self_k[scenes[j].id]
             )
         for i, j, key in missing:
-            sim[i, j] = sim[j, i] = self._pairs[key]
+            out[i, j] = out[j, i] = self._pairs[key]
 
 
 def _argbest(ids: list[str], values, candidates, maximize: bool) -> int:

@@ -163,17 +163,17 @@ def _residual_mixture(
     k = noise.mixture_components
     var = (noise.position_noise_per_meter * max(rng_range, 1.0)) ** 2 * var_scale
     spread = noise.mean_spread * (rng_range / 60.0)
-    weights, means, variances = [], [], []
-    for dim in RESIDUAL_DIMS:
-        mu = nominal[dim]
-        if spread > 0:
-            row_means = [mu + spread * float(rng.normal()) for _ in range(k)]
-        else:
-            row_means = [mu] * k
-        weights.append(tuple([1.0 / k] * k))
-        means.append(tuple(row_means))
-        variances.append(tuple([var] * k))
-    return MixtureParams(weights=tuple(weights), means=tuple(means), variances=tuple(variances))
+    n = len(RESIDUAL_DIMS)
+    if spread > 0:
+        # One draw for all components, row by row: the same stream and the
+        # same floats as one ``rng.normal()`` per component.
+        draws = rng.standard_normal((n, k)).tolist()
+        means = tuple(
+            tuple([nominal[dim] + spread * z for z in row]) for dim, row in zip(RESIDUAL_DIMS, draws)
+        )
+    else:
+        means = tuple((nominal[dim],) * k for dim in RESIDUAL_DIMS)
+    return MixtureParams(weights=((1.0 / k,) * k,) * n, means=means, variances=((var,) * k,) * n)
 
 
 def simulate_predictions(
@@ -190,18 +190,28 @@ def simulate_predictions(
     appended per a Poisson draw. A zero noise model reproduces the ground
     truth exactly with confidence 1.0 and all component means equal.
     """
+    sigma = noise.position_noise_per_meter
     preds = []
     for det in gt_scene.detections:
-        rng_range = det.box.range_to_origin()
-        pos_std = noise.position_noise_per_meter * rng_range
+        gt = det.box
+        rng_range = gt.range_to_origin()
+        pos_std = sigma * rng_range
+        # The box noise in one draw (x, y, z only under position noise, then
+        # w, l, h, theta): the same stream and floats as one rng.normal each.
+        if pos_std:
+            zx, zy, zz, zw, zl, zh, zt = rng.standard_normal(7).tolist()
+            x, y, z = gt.x + pos_std * zx, gt.y + pos_std * zy, gt.z + pos_std * zz
+        else:
+            zw, zl, zh, zt = rng.standard_normal(4).tolist()
+            x, y, z = gt.x, gt.y, gt.z
         box = Box3D(
-            x=det.box.x + float(rng.normal(0.0, pos_std)) if pos_std else det.box.x,
-            y=det.box.y + float(rng.normal(0.0, pos_std)) if pos_std else det.box.y,
-            z=det.box.z + float(rng.normal(0.0, pos_std)) if pos_std else det.box.z,
-            w=det.box.w * float(np.exp(rng.normal(0.0, noise.position_noise_per_meter))),
-            l=det.box.l * float(np.exp(rng.normal(0.0, noise.position_noise_per_meter))),
-            h=det.box.h * float(np.exp(rng.normal(0.0, noise.position_noise_per_meter))),
-            theta=det.box.theta + float(rng.normal(0.0, noise.position_noise_per_meter)),
+            x=x,
+            y=y,
+            z=z,
+            w=gt.w * float(np.exp(sigma * zw)),
+            l=gt.l * float(np.exp(sigma * zl)),
+            h=gt.h * float(np.exp(sigma * zh)),
+            theta=gt.theta + sigma * zt,
         )
         label = det.class_label
         if noise.misclass_rate > 0 and rng.random() < noise.misclass_rate:
@@ -213,14 +223,15 @@ def simulate_predictions(
         else:
             conf = 1.0
         anchor = anchors.for_class(label)
+        diagonal = anchor.diagonal
         nominal = {
-            "x": (box.x - det.box.x) / anchor.diagonal,
-            "y": (box.y - det.box.y) / anchor.diagonal,
-            "z": (box.z - det.box.z) / anchor.height,
+            "x": (box.x - gt.x) / diagonal,
+            "y": (box.y - gt.y) / diagonal,
+            "z": (box.z - gt.z) / anchor.height,
             "w": math.log(box.w / anchor.width),
             "h": math.log(box.h / anchor.height),
             "l": math.log(box.l / anchor.length),
-            "theta": box.theta - det.box.theta,
+            "theta": box.theta - gt.theta,
         }
         mixture = _residual_mixture(noise, rng, nominal, rng_range)
         preds.append(ScoredDetection(label, conf, box, mixture))

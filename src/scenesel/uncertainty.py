@@ -10,6 +10,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
+from operator import mul
 
 from .core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene
 
@@ -39,26 +40,31 @@ class BoxUncertainty:
         n = len(RESIDUAL_DIMS)
         if len(self.au) != n or len(self.eu) != n:
             raise ValueError(f"expected {n} entries per kind")
-        for v in (*self.au, *self.eu):
-            if not (math.isfinite(v) and v >= 0):
-                raise ValueError("propagated variances must be finite and non-negative")
+        values = (*self.au, *self.eu)
+        if not all(map(math.isfinite, values)) or min(values) < 0:
+            raise ValueError("propagated variances must be finite and non-negative")
+
+
+# ``sum(map(mul, a, b))`` adds the same products in the same order as
+# ``sum(x * y for x, y in zip(a, b))``, so the same floats, without a
+# generator frame per term.
 
 
 def mixture_mean(params: MixtureParams, dim: str) -> float:
     weights, means, _ = params.row(dim)
-    return sum(w * m for w, m in zip(weights, means))
+    return sum(map(mul, weights, means))
 
 
 def mixture_au(params: MixtureParams, dim: str) -> float:
     """Aleatoric part: mixture-weighted mean of component variances."""
     weights, _, variances = params.row(dim)
-    return sum(w * v for w, v in zip(weights, variances))
+    return sum(map(mul, weights, variances))
 
 
 def mixture_eu(params: MixtureParams, dim: str) -> float:
     """Epistemic part: mixture-weighted spread of component means."""
     weights, means, _ = params.row(dim)
-    mean = sum(w * m for w, m in zip(weights, means))
+    mean = sum(map(mul, weights, means))
     return sum(w * (m - mean) ** 2 for w, m in zip(weights, means))
 
 
@@ -104,10 +110,16 @@ def propagate_uncertainty(
 
 
 def detection_uncertainty(params: MixtureParams, anchor: Anchor) -> BoxUncertainty:
-    au = tuple(mixture_au(params, d) for d in RESIDUAL_DIMS)
-    eu = tuple(mixture_eu(params, d) for d in RESIDUAL_DIMS)
-    means = tuple(mixture_mean(params, d) for d in RESIDUAL_DIMS)
-    return propagate_uncertainty(au, eu, means, anchor)
+    """One pass over the rows, each row's mean computed once: the same sums,
+    and so the same floats, as ``mixture_mean``, ``mixture_au`` and
+    ``mixture_eu`` per dimension."""
+    au, eu, means = [], [], []
+    for weights, row_m, variances in zip(params.weights, params.means, params.variances):
+        mean = sum(map(mul, weights, row_m))
+        au.append(sum(map(mul, weights, variances)))
+        eu.append(sum(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
+        means.append(mean)
+    return propagate_uncertainty(tuple(au), tuple(eu), tuple(means), anchor)
 
 
 def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig) -> float:

@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from scenesel import sampler
+from scenesel import sampler, state as state_mod
 from scenesel.cli import main
 
 
@@ -72,6 +72,22 @@ class TestScore:
         assert code == 3
         err = capsys.readouterr().err
         assert "scene_000000" in err
+
+    @pytest.mark.parametrize(
+        "field, value", [("weights", "NaN"), ("variances", "NaN"), ("variances", "Infinity")]
+    )
+    def test_nonfinite_sidecar_is_data_error_naming_the_file(self, pool_dir, tmp_path, capsys, field, value):
+        # Was exit 2, "propagated variances must be finite and non-negative",
+        # without the file: the mixture was accepted and failed when scored.
+        sidecar = pool_dir / "sidecars" / "scene_000003.mdn"
+        doc = json.loads(sidecar.read_text())
+        doc["detections"][0][field][2][0] = float(value.replace("Infinity", "inf"))
+        sidecar.write_text(json.dumps(doc))
+        assert value in sidecar.read_text()
+        code = run("score", "--pool", pool_dir, "--metric", "uncertainty", "--out", tmp_path / "u.csv")
+        assert code == 3
+        err = capsys.readouterr().err
+        assert f"{sidecar}: entry 0: mixture {field} must be finite" in err
 
     def test_empty_pool_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -157,6 +173,35 @@ class TestSelect:
         reported = int(re.search(r"kernel evals (\d+)", capsys.readouterr().out).group(1))
         assert reported > 0
         assert len(calls) == reported
+
+    def test_nan_sidecar_is_data_error(self, pool_dir, tmp_path, capsys):
+        state, out = self.init_state(pool_dir, tmp_path)
+        sidecar = pool_dir / "sidecars" / "scene_000005.mdn"
+        doc = json.loads(sidecar.read_text())
+        doc["detections"][-1]["variances"][6] = [float("nan")] * len(doc["detections"][-1]["variances"][6])
+        sidecar.write_text(json.dumps(doc))
+        before = state.read_bytes()
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
+        assert str(sidecar) in capsys.readouterr().err
+        assert state.read_bytes() == before
+
+    def test_state_advanced_during_the_round_is_not_overwritten(self, pool_dir, tmp_path, capsys, monkeypatch):
+        # Another run saves round 1 between this run's load and its save.
+        state, out = self.init_state(pool_dir, tmp_path)
+        select = sampler.three_stage_select
+
+        def racing(unlabeled, *args, **kwargs):
+            other = state_mod.load_round_state(state).with_selection((unlabeled[0].id,))
+            state_mod.save_round_state(other, state)
+            return select(unlabeled, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "three_stage_select", racing)
+        capsys.readouterr()
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
+        assert "round_index moved from 0 to 1" in capsys.readouterr().err
+        doc = json.loads(state.read_text())
+        assert doc["round_index"] == 1 and len(doc["per_round_selected"][0]) == 1
+        assert not out.exists() or not list(out.iterdir())
 
     def test_no_sidecars_flag_is_usage_error(self, pool_dir, tmp_path, capsys):
         # Every stage order ranks by uncertainty, which needs the sidecars.

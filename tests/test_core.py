@@ -1,4 +1,6 @@
 import math
+import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -11,6 +13,7 @@ from scenesel.core import (
     RESIDUAL_DIMS,
     Scene,
     ScoredDetection,
+    WEIGHT_SUM_TOL,
     anchor_diagonal,
 )
 from conftest import uniform_mixture, mixture_from_rows
@@ -79,6 +82,128 @@ class TestMixtureParams:
     def test_zero_variance_allowed(self):
         # Exact certainty is representable; the NLL path rejects it separately.
         assert uniform_mixture(var=0.0).num_components == 1
+
+    @pytest.mark.parametrize(
+        "weights, variances, message",
+        [
+            ((math.nan, 1.0), (1.0, 1.0), "mixture weights must be finite"),
+            ((0.5, 0.5), (math.nan, 1.0), "mixture variances must be finite"),
+            ((0.5, 0.5), (1.0, math.inf), "mixture variances must be finite"),
+        ],
+    )
+    def test_nonfinite_weights_and_variances_rejected(self, weights, variances, message):
+        # A NaN weight passes the sum check (NaN compares false) and a NaN or
+        # +inf variance the sign check; both must still be rejected.
+        with pytest.raises(ValueError, match=message):
+            mixture_from_rows(weights, (0.0, 0.0), variances)
+
+
+def reference_post_init(self):
+    """The ``MixtureParams.__post_init__`` that the one-pass validator replaced,
+    verbatim: the new one must accept and reject the same rows with the same
+    messages, apart from the non-finite weights and variances it now rejects."""
+    n = len(RESIDUAL_DIMS)
+    if not (len(self.weights) == len(self.means) == len(self.variances) == n):
+        raise ValueError(f"mixture needs {n} residual dimensions")
+    k = len(self.weights[0])
+    if k < 1:
+        raise ValueError("mixture needs at least one component")
+    for row_w, row_m, row_v in zip(self.weights, self.means, self.variances):
+        if not (len(row_w) == len(row_m) == len(row_v) == k):
+            raise ValueError("all dimensions must share the same component count")
+        if abs(sum(row_w) - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"mixture weights must sum to 1, got {sum(row_w)!r}")
+        if any(w < 0 for w in row_w):
+            raise ValueError("mixture weights must be non-negative")
+        if any(v < 0 for v in row_v):
+            raise ValueError("mixture variances must be non-negative")
+        if any(not math.isfinite(m) for m in row_m):
+            raise ValueError("mixture means must be finite")
+
+
+NONFINITE = (math.nan, math.inf, -math.inf)
+
+
+def _mutate(rng: random.Random, fields: dict) -> None:
+    """Break one entry, row or field of a mixture in one of many ways."""
+    name = rng.choice(("weights", "means", "variances"))
+    rows = fields[name]
+    if not rows:
+        return
+    d = rng.randrange(len(rows))
+    row = list(rows[d])
+    kind = rng.choice(("dims", "length", "sum", "negative", "nonfinite", "nonfinite", "shift"))
+    if kind == "dims":
+        fields[name] = rows[:-1] if rng.random() < 0.5 else rows + [rows[0]]
+        return
+    if kind == "length" or not row:
+        row = row[:-1] if (rng.random() < 0.5 and len(row) > 1) else row + [0.5]
+    elif kind == "sum":
+        row[rng.randrange(len(row))] += rng.choice((1e-6, -1e-6, 1e-10, 0.5))
+    elif kind == "negative":
+        row[rng.randrange(len(row))] = -rng.choice((1e-12, 0.1, 2.0))
+    elif kind == "nonfinite":
+        row[rng.randrange(len(row))] = rng.choice(NONFINITE)
+    elif len(row) > 1:  # shift: a weight row still sums to 1, one entry < 0
+        i, j = rng.sample(range(len(row)), 2)
+        row[i], row[j] = row[i] + 0.75, row[j] - 0.75
+    rows[d] = tuple(row)
+
+
+def _generated_mixtures(n_cases: int, seed: int = 0):
+    rng = random.Random(seed)
+    for case in range(n_cases):
+        k = rng.randint(1, 5)
+        raw = [[rng.random() + 0.01 for _ in range(k)] for _ in RESIDUAL_DIMS]
+        fields = {
+            "weights": [tuple(x / sum(r) for x in r) for r in raw],
+            "means": [tuple(rng.uniform(-3, 3) for _ in range(k)) for _ in RESIDUAL_DIMS],
+            "variances": [tuple(rng.choice((0.0, rng.random())) for _ in range(k)) for _ in RESIDUAL_DIMS],
+        }
+        if case % 10 == 0:
+            fields = {name: [()] * len(RESIDUAL_DIMS) for name in fields}  # no components
+        for _ in range(rng.choice((0, 1, 1, 2, 3))):
+            _mutate(rng, fields)
+        yield {name: tuple(rows) for name, rows in fields.items()}
+
+
+def _outcome(validate) -> str:
+    try:
+        validate()
+    except ValueError as exc:
+        return str(exc)
+    return "accepted"
+
+
+class TestValidationEquivalence:
+    def test_same_verdicts_and_messages_as_the_replaced_validator(self):
+        seen, newly_rejected = set(), 0
+        for fields in _generated_mixtures(6000):
+            old = _outcome(lambda: reference_post_init(SimpleNamespace(**fields)))
+            new = _outcome(lambda: MixtureParams(**fields))
+            nonfinite = any(
+                not math.isfinite(v) for name in ("weights", "variances") for row in fields[name] for v in row
+            )
+            if nonfinite:
+                # The bugfix: a non-finite weight or variance is never accepted.
+                assert new != "accepted", fields
+                newly_rejected += old == "accepted"
+            else:
+                assert new == old, fields
+                seen.add(old.split(", got")[0])
+        # The generator reaches every verdict of the replaced validator and
+        # some mixtures it wrongly accepted.
+        assert seen == {
+            "accepted",
+            "mixture needs 7 residual dimensions",
+            "mixture needs at least one component",
+            "all dimensions must share the same component count",
+            "mixture weights must sum to 1",
+            "mixture weights must be non-negative",
+            "mixture variances must be non-negative",
+            "mixture means must be finite",
+        }
+        assert newly_rejected > 0
 
 
 class TestSceneAndDetection:

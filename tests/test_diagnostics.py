@@ -1,3 +1,4 @@
+import itertools
 import logging
 import math
 
@@ -14,7 +15,9 @@ from scenesel.diagnostics import (
     similarity_gaussian_kl,
 )
 from scenesel.entropy import EntropyConfig, counts_entropy
-from scenesel.kernel import KernelConfig
+from scenesel import sampler
+from scenesel.kernel import KernelConfig, KernelEvalCounter
+from scenesel.sampler import SimilarityCache
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
 
@@ -118,6 +121,30 @@ class TestPairSampling:
         c = sample_pair_similarities(scenes, 12, 43, DEFAULT_CATALOG, KER)
         assert a == b
         assert a != c
+
+    def test_sampled_pairs_evaluated_in_one_batch(self, monkeypatch):
+        # The same values and evaluation count as one ``similarity`` call per
+        # pair, from one ``marginalized_kernels`` call instead of one per miss.
+        spec = PoolSpec(n_scenes=10, class_mix=(0.5, 0.3, 0.2), rng_seed=3)
+        scenes = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
+        one_by_one, one_counter = [], KernelEvalCounter()
+        cache = SimilarityCache(DEFAULT_CATALOG, KER)
+        upper = list(itertools.combinations(range(10), 2))  # by flat index
+        for flat in sorted(np.random.default_rng(7).choice(45, size=20, replace=False)):
+            i, j = upper[flat]
+            one_by_one.append(cache.similarity(scenes[i], scenes[j], one_counter))
+        calls = []
+        kernels = sampler.marginalized_kernels
+
+        def counting(pairs, *args, **kwargs):
+            calls.append(len(pairs))
+            return kernels(pairs, *args, **kwargs)
+
+        monkeypatch.setattr(sampler, "marginalized_kernels", counting)
+        counter = KernelEvalCounter()
+        batched = sample_pair_similarities(scenes, 20, 7, DEFAULT_CATALOG, KER, counter=counter)
+        assert batched == one_by_one
+        assert calls == [counter.count] and counter.count == one_counter.count
 
     def test_pair_count_capped(self):
         vals = sample_pair_similarities(duplicated_scenes(4), 100, 0, DEFAULT_CATALOG, KER)

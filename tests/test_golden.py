@@ -3,13 +3,19 @@
 A numerical refactor of the kernel, the entropy or the uncertainty path must
 leave every selection, every round's kernel-evaluation count and every
 ``run_al_rounds`` report's mean pairwise similarity (as ``repr``) exactly as
-recorded in ``golden_selections.json``. The ids and counts were recorded
-before the batched kernel engine replaced the per-pair solver, the
-similarities before the round report moved onto ``SimilarityCache.matrix``.
+recorded in ``golden_selections.json``; the predictor's mixtures and the
+scene uncertainties computed from them are pinned by digest. The ids and
+counts were recorded before the batched kernel engine replaced the per-pair
+solver, the similarities before the round report moved onto
+``SimilarityCache.matrix``, the mixture digests before the predictor, the
+``MixtureParams`` validation and the uncertainty scoring were made one pass
+per mixture.
 To record it again after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
 import contextlib
+import dataclasses
+import hashlib
 import io
 import json
 import re
@@ -22,6 +28,7 @@ from scenesel import sampler, synth
 from scenesel.cli import main
 from scenesel.config import build_config
 from scenesel.state import RoundState
+from scenesel.uncertainty import scene_uncertainty
 
 FIXTURE = Path(__file__).resolve().parent / "golden_selections.json"
 SEEDS = (1, 2)
@@ -34,6 +41,33 @@ NOISE = synth.NoiseModel(
     mixture_components=3,
     mean_spread=0.1,
 )
+
+# Noise models whose predictions are pinned: the default, and the two that
+# take the predictor's no-draw branches (equal component means; no box noise
+# and zero variances).
+MIXTURE_NOISE = {
+    "default": NOISE,
+    "k1_no_spread": dataclasses.replace(NOISE, mixture_components=1, mean_spread=0.0),
+    "no_position_noise": dataclasses.replace(NOISE, position_noise_per_meter=0.0),
+}
+
+
+def _sha256(lines) -> str:
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
+
+
+def mixture_digests(seed: int, noise: synth.NoiseModel) -> dict:
+    """Digests of the predictions for a 200-scene pool (2-6 objects): ``repr``
+    of every predicted scene, and ``float.hex`` of its scene uncertainty."""
+    cfg = build_config(environ={})
+    spec = synth.PoolSpec(n_scenes=200, class_mix=(0.9, 0.05, 0.05), objects_min=2, objects_max=6, rng_seed=seed)
+    pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
+    predictor = synth.make_predictor(noise, cfg.anchors, cfg.catalog, seed)
+    preds = [predictor(pool[sid]) for sid in sorted(pool)]
+    return {
+        "predictions": _sha256(repr(p) for p in preds),
+        "uncertainty": _sha256(scene_uncertainty(p, cfg.anchors, cfg.uncertainty).hex() for p in preds),
+    }
 
 
 def library_rounds(seed: int, strategy: str) -> dict:
@@ -97,6 +131,12 @@ def test_library_selections_match_golden(golden, seed, strategy):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("noise", MIXTURE_NOISE)
+def test_mixture_digests_match_golden(golden, seed, noise):
+    assert mixture_digests(seed, MIXTURE_NOISE[noise]) == golden["mixtures"][str(seed)][noise]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
 def test_cli_selections_match_golden(golden, seed, tmp_path):
     assert cli_rounds(seed, tmp_path) == golden["cli"][str(seed)]
 
@@ -104,9 +144,10 @@ def test_cli_selections_match_golden(golden, seed, tmp_path):
 if __name__ == "__main__":
     import tempfile
 
-    doc = {"run_al_rounds": {}, "cli": {}}
+    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}}
     for seed in SEEDS:
         doc["run_al_rounds"][str(seed)] = {s: library_rounds(seed, s) for s in sampler.STRATEGIES}
+        doc["mixtures"][str(seed)] = {name: mixture_digests(seed, n) for name, n in MIXTURE_NOISE.items()}
         with tempfile.TemporaryDirectory() as tmp:
             doc["cli"][str(seed)] = cli_rounds(seed, Path(tmp))
     # One line per list of ids or counts.

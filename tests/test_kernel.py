@@ -418,6 +418,23 @@ class TestNormalizationReference:
         assert sim[0, 2] == reference(2, 6)
         assert sim[1, 2] == reference(2, 5)
 
+    def test_pair_similarities_equal_the_reference(self, catalog):
+        rng = random.Random(41)
+        scenes = [random_scene(rng, f"s{i}") for i in range(6)]
+        graphs = [build_scene_graph(s, catalog, CFG) for s in scenes]
+
+        def reference(i, j):
+            g1, g2 = graphs[i], graphs[j]
+            cross = marginalized_kernel(g1, g2, CFG)
+            return cross / math.sqrt(marginalized_kernel(g1, g1, CFG) * marginalized_kernel(g2, g2, CFG))
+
+        cache = SimilarityCache(catalog, CFG)
+        cache.similarity(scenes[0], scenes[1])
+        # A hit, misses in both argument orders, a repeated pair and a self pair.
+        index_pairs = [(1, 0), (2, 5), (5, 2), (3, 4), (2, 5), (4, 4), (0, 3)]
+        values = cache.pair_similarities(scenes, index_pairs)
+        assert values == [1.0 if i == j else reference(min(i, j), max(i, j)) for i, j in index_pairs]
+
 
 class TestPairwiseMatrix:
     def test_single_scene(self, catalog):

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG
+from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, MixtureParams, RESIDUAL_DIMS
 from scenesel.kernel import KernelConfig
 from scenesel.diagnostics import sample_pair_similarities
 from scenesel.synth import (
     NoiseModel,
     PoolSpec,
+    _residual_mixture,
     generate_pool,
     make_predictor,
     simulate_predictions,
@@ -191,3 +192,39 @@ class TestSimulatePredictions:
         pred = predictor(next(iter(pool.values())))
         mix = pred.detections[0].mixture
         assert any(len(set(row)) > 1 for row in mix.means)
+
+
+def reference_residual_mixture(noise, rng, nominal, rng_range, var_scale=1.0):
+    """The per-component ``_residual_mixture`` that one batched draw replaced,
+    verbatim: the batched one must give the same floats from the same stream."""
+    k = noise.mixture_components
+    var = (noise.position_noise_per_meter * max(rng_range, 1.0)) ** 2 * var_scale
+    spread = noise.mean_spread * (rng_range / 60.0)
+    weights, means, variances = [], [], []
+    for dim in RESIDUAL_DIMS:
+        mu = nominal[dim]
+        if spread > 0:
+            row_means = [mu + spread * float(rng.normal()) for _ in range(k)]
+        else:
+            row_means = [mu] * k
+        weights.append(tuple([1.0 / k] * k))
+        means.append(tuple(row_means))
+        variances.append(tuple([var] * k))
+    return MixtureParams(weights=tuple(weights), means=tuple(means), variances=tuple(variances))
+
+
+class TestBatchedDraws:
+    @pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("mean_spread", [0.0, 0.1, 2.0])
+    def test_residual_mixture_matches_one_draw_per_component(self, k, mean_spread):
+        noise = NoiseModel(position_noise_per_meter=0.005, mixture_components=k, mean_spread=mean_spread)
+        for seed in range(200):
+            values = np.random.default_rng(seed).normal(size=9).tolist()
+            nominal = dict(zip(RESIDUAL_DIMS, values))
+            rng_range, var_scale = 80.0 * abs(values[7]), (1.0, 4.0)[seed % 2]
+            new_rng, old_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+            new = _residual_mixture(noise, new_rng, nominal, rng_range, var_scale)
+            old = reference_residual_mixture(noise, old_rng, nominal, rng_range, var_scale)
+            assert repr(new) == repr(old)
+            # The stream stays in step for the draws that follow.
+            assert new_rng.random() == old_rng.random()

@@ -4,11 +4,12 @@ import random
 import numpy as np
 import pytest
 
-from scenesel.core import Anchor, DataError, RESIDUAL_DIMS, Scene
+from scenesel.core import Anchor, DataError, MixtureParams, RESIDUAL_DIMS, Scene
 from scenesel.uncertainty import (
     BoxUncertainty,
     NearSingularYawError,
     UncertaintyConfig,
+    detection_uncertainty,
     mdn_nll,
     mixture_au,
     mixture_eu,
@@ -125,6 +126,41 @@ class TestPropagation:
         means = (0, 0, 0, 1, 1, 1, math.pi / 2)
         with pytest.raises(NearSingularYawError):
             propagate_uncertainty(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
+
+
+def reference_moments(params):
+    """Per-dimension AU, EU and means as the generator-form sums that the
+    ``sum(map(mul, ...))`` forms and the one-pass ``detection_uncertainty``
+    replaced: the floats must not change."""
+    au, eu, means = [], [], []
+    for d in RESIDUAL_DIMS:
+        weights, row_m, variances = params.row(d)
+        mean = sum(w * m for w, m in zip(weights, row_m))
+        au.append(sum(w * v for w, v in zip(weights, variances)))
+        eu.append(sum(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
+        means.append(mean)
+    return tuple(au), tuple(eu), tuple(means)
+
+
+class TestOnePassUncertainty:
+    def test_same_floats_as_the_generator_sums(self):
+        rng = random.Random(11)
+        anchor = Anchor(length=3.9, width=1.6, height=1.56)
+        for _ in range(500):
+            k = rng.randint(1, 5)
+            rows_w = []
+            for _ in RESIDUAL_DIMS:
+                raw = [rng.random() + 1e-3 for _ in range(k)]
+                rows_w.append(tuple(x / sum(raw) for x in raw))
+            params = MixtureParams(
+                weights=tuple(rows_w),
+                means=tuple(tuple(rng.uniform(-1.2, 1.2) for _ in range(k)) for _ in RESIDUAL_DIMS),
+                variances=tuple(tuple(rng.choice((0.0, rng.random())) for _ in range(k)) for _ in RESIDUAL_DIMS),
+            )
+            au, eu, means = reference_moments(params)
+            assert detection_uncertainty(params, anchor) == propagate_uncertainty(au, eu, means, anchor)
+            for i, d in enumerate(RESIDUAL_DIMS):
+                assert (mixture_au(params, d), mixture_eu(params, d), mixture_mean(params, d)) == (au[i], eu[i], means[i])
 
 
 class TestSceneUncertainty:
