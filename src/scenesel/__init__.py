@@ -24,7 +24,6 @@ from .core import (
 from .entropy import EntropyConfig, category_entropy, filtered_class_counts, rank_by_entropy
 from .kernel import (
     KernelConfig,
-    KernelEvalCounter,
     SceneGraph,
     build_scene_graph,
     kernel_brute_force,
@@ -45,7 +44,6 @@ from .state import RoundState, load_round_state, save_round_state
 from .uncertainty import (
     BoxUncertainty,
     UncertaintyConfig,
-    mdn_nll,
     mixture_au,
     mixture_eu,
     mixture_mean,

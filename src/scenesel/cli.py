@@ -18,7 +18,6 @@ from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
 from .core import ConvergenceError, DataError, ParseError, SceneSelError, write_text_atomic
 from .entropy import category_entropy
-from .kernel import KernelEvalCounter
 from .sampler import STRATEGIES, SimilarityCache
 from .uncertainty import scene_uncertainty
 
@@ -165,12 +164,14 @@ def cmd_select(args) -> int:
         return 0
 
     st = state_mod.load_round_state(state_path)
-    unlabeled = [by_id[i] for i in sorted(st.unlabeled_ids) if i in by_id]
+    missing = sorted(st.unlabeled_ids - by_id.keys())
+    if missing:
+        raise DataError(f"{state_path}: unlabeled ids not in pool: {missing[:5]}")
+    unlabeled = [by_id[i] for i in sorted(st.unlabeled_ids)]
     if len(unlabeled) < cfg.plan.n_r:
         raise DataError(
             f"unlabeled pool of {len(unlabeled)} cannot supply n_r={cfg.plan.n_r} scenes"
         )
-    counter = KernelEvalCounter()
     # One cache serves the selection and its report, so the report's pairs
     # among the selected scenes are cache hits.
     cache = SimilarityCache(cfg.catalog, cfg.kernel)
@@ -183,7 +184,6 @@ def cmd_select(args) -> int:
         cfg.kernel,
         cfg.uncertainty,
         cache=cache,
-        counter=counter,
         allow_degraded=True,
     )
     # Another run may have advanced the state while this one selected; write

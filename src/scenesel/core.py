@@ -109,8 +109,7 @@ class MixtureParams:
     Each field holds one row per residual dimension (see RESIDUAL_DIMS) with K
     entries. ``variances`` entries are variances, not standard deviations.
     Every entry must be finite. Zero variance is accepted so a noiseless
-    predictor can express exact certainty; the NLL evaluation rejects it
-    separately.
+    predictor can express exact certainty.
     """
 
     weights: tuple[tuple[float, ...], ...]

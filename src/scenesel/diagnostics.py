@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import AnchorTable, ClassCatalog, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
-from .kernel import KernelConfig, KernelEvalCounter
+from .kernel import KernelConfig
 from .sampler import SimilarityCache
 from .uncertainty import UncertaintyConfig, scene_uncertainty
 
@@ -47,17 +47,6 @@ def category_kl_to_uniform(class_counts: dict[str, int], num_classes: int) -> fl
     return math.log(num_classes) - counts_entropy(class_counts)
 
 
-def similarity_gaussian_kl(mu_s: float, sigma_s: float, mu_t: float, sigma_t: float) -> float:
-    """KL divergence between two univariate Gaussians (sigmas are std devs).
-
-    Non-negative, and zero iff both means and both sigmas agree.
-    """
-    if not (sigma_s > 0 and sigma_t > 0):
-        raise ValueError("sigmas must be positive")
-    num = sigma_s**2 + (mu_s - mu_t) ** 2
-    return math.log(sigma_t / sigma_s) + num / (2.0 * sigma_t**2) - 0.5
-
-
 def sample_pair_similarities(
     scenes: list[Scene],
     n_pairs: int,
@@ -65,7 +54,6 @@ def sample_pair_similarities(
     catalog: ClassCatalog,
     kernel_cfg: KernelConfig,
     cache: SimilarityCache | None = None,
-    counter: KernelEvalCounter | None = None,
 ) -> list[float]:
     """Similarity of n_pairs random unordered scene pairs, seeded.
 
@@ -87,7 +75,7 @@ def sample_pair_similarities(
         i = int((2 * n - 1 - math.sqrt((2 * n - 1) ** 2 - 8 * flat)) // 2)
         j = flat - i * (2 * n - i - 1) // 2 + i + 1
         index_pairs.append((i, j))
-    return cache.pair_similarities(scenes, index_pairs, counter)
+    return cache.pair_similarities(scenes, index_pairs)
 
 
 def selection_report(

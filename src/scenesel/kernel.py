@@ -51,16 +51,6 @@ class KernelConfig:
             raise ValueError("min_dist must be positive")
 
 
-class KernelEvalCounter:
-    """Counts pairwise kernel evaluations, for complexity instrumentation."""
-
-    def __init__(self):
-        self.count = 0
-
-    def bump(self, n: int = 1):
-        self.count += n
-
-
 @dataclass(frozen=True)
 class SceneGraph:
     """Complete directed graph with labeled nodes and positive edge weights.
@@ -148,23 +138,16 @@ def _transition_matrix(w: np.ndarray, gamma: float) -> np.ndarray:
     return (1.0 - gamma) * t / outdeg[:, None]
 
 
-def marginalized_kernel(
-    g1: SceneGraph,
-    g2: SceneGraph,
-    config: KernelConfig,
-    counter: KernelEvalCounter | None = None,
-) -> float:
+def marginalized_kernel(g1: SceneGraph, g2: SceneGraph, config: KernelConfig) -> float:
     """Expected path-pair kernel between two graphs (unnormalized).
 
     The one-pair call of ``marginalized_kernels``.
     """
-    return marginalized_kernels([(g1, g2)], config, counter)[0]
+    return marginalized_kernels([(g1, g2)], config)[0]
 
 
 def marginalized_kernels(
-    pairs: list[tuple[SceneGraph, SceneGraph]],
-    config: KernelConfig,
-    counter: KernelEvalCounter | None = None,
+    pairs: list[tuple[SceneGraph, SceneGraph]], config: KernelConfig
 ) -> list[float]:
     """Unnormalized kernels of many graph pairs, in input order.
 
@@ -178,10 +161,7 @@ def marginalized_kernels(
     broadcast and iterates them as one stacked matmul, at most BATCH_BYTES of
     M at a time; each pair's R is frozen at the iteration where its own
     residual drops below tol. So every value is the float a lone pair gets.
-    The counter grows by one per pair.
     """
-    if counter is not None:
-        counter.bump(len(pairs))
     # canonical argument order so K(a, b) and K(b, a) share one float result
     ordered = [
         (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)

@@ -186,9 +186,9 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     for idx, (det, entry) in enumerate(zip(scene.detections, entries)):
         try:
             mixture = MixtureParams(
-                weights=tuple(tuple(float(v) for v in row) for row in entry["weights"]),
-                means=tuple(tuple(float(v) for v in row) for row in entry["means"]),
-                variances=tuple(tuple(float(v) for v in row) for row in entry["variances"]),
+                weights=tuple(tuple(map(float, row)) for row in entry["weights"]),
+                means=tuple(tuple(map(float, row)) for row in entry["means"]),
+                variances=tuple(tuple(map(float, row)) for row in entry["variances"]),
             )
         except (KeyError, TypeError, ValueError) as exc:
             raise DataError(f"{path}: entry {idx}: {exc}") from exc

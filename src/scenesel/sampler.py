@@ -17,7 +17,6 @@ from .core import AnchorTable, ClassCatalog, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts, rank_by_entropy
 from .kernel import (
     KernelConfig,
-    KernelEvalCounter,
     build_scene_graph,
     marginalized_kernel,  # unused here; bench/spans.py patches this name
     marginalized_kernels,
@@ -70,9 +69,11 @@ class SimilarityCache:
     asked for) make one pass, ``_scan``, over their pairs, and ``_fill``
     evaluates the missing ones BLOCK_PAIRS at a time through the batched
     ``marginalized_kernels``; ``_fill`` is the only code that calls the kernel
-    and normalizes. ``similarity`` is the one-pair call of ``matrix``.
-    Assumes a stable id -> scene mapping for the lifetime of the cache (true
-    for a fixed pool under a deterministic predictor).
+    and normalizes. ``evaluations`` counts the kernel values ``_fill`` has
+    evaluated, self-kernels included, so the kernel work of any call is the
+    growth of ``evaluations`` across it. ``similarity`` is the one-pair call
+    of ``matrix``. Assumes a stable id -> scene mapping for the lifetime of
+    the cache (true for a fixed pool under a deterministic predictor).
     """
 
     def __init__(self, catalog: ClassCatalog, config: KernelConfig):
@@ -81,6 +82,7 @@ class SimilarityCache:
         self._graphs = {}
         self._self_k = {}
         self._pairs = {}
+        self.evaluations = 0
 
     def _graph(self, scene: Scene):
         g = self._graphs.get(scene.id)
@@ -89,26 +91,24 @@ class SimilarityCache:
             self._graphs[scene.id] = g
         return g
 
-    def similarity(self, s1: Scene, s2: Scene, counter: KernelEvalCounter | None = None) -> float:
+    def similarity(self, s1: Scene, s2: Scene) -> float:
         """Similarity in [0, 1]; equal ids short-circuit to exactly 1."""
-        return float(self.matrix([s1, s2], counter)[0, 1])
+        return float(self.matrix([s1, s2])[0, 1])
 
-    def matrix(self, scenes: list[Scene], counter: KernelEvalCounter | None = None) -> np.ndarray:
+    def matrix(self, scenes: list[Scene]) -> np.ndarray:
         """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
         sim = np.eye(n)
-        self._scan(scenes, itertools.combinations(range(n), 2), sim, counter)
+        self._scan(scenes, itertools.combinations(range(n), 2), sim)
         return sim
 
-    def pair_similarities(
-        self, scenes: list[Scene], index_pairs: list[tuple[int, int]], counter: KernelEvalCounter | None = None
-    ) -> list[float]:
+    def pair_similarities(self, scenes: list[Scene], index_pairs: list[tuple[int, int]]) -> list[float]:
         """Similarity of ``scenes[i]`` and ``scenes[j]`` for each ``(i, j)``, in order."""
         found = {}
-        self._scan(scenes, index_pairs, found, counter)
+        self._scan(scenes, index_pairs, found)
         return [found[p] for p in index_pairs]
 
-    def _scan(self, scenes, index_pairs, out, counter) -> None:
+    def _scan(self, scenes, index_pairs, out) -> None:
         """Set ``out[i, j]`` and ``out[j, i]`` for each ``(i, j)`` in one pass:
         hits at once, misses through ``_fill`` BLOCK_PAIRS at a time."""
         ids = [s.id for s in scenes]
@@ -121,14 +121,14 @@ class SimilarityCache:
             if val is None:
                 missing.append((i, j, key))
                 if len(missing) == BLOCK_PAIRS:
-                    self._fill(scenes, missing, out, counter)
+                    self._fill(scenes, missing, out)
                     missing = []
             else:
                 out[i, j] = out[j, i] = val
         if missing:
-            self._fill(scenes, missing, out, counter)
+            self._fill(scenes, missing, out)
 
-    def _fill(self, scenes, missing, out, counter) -> None:
+    def _fill(self, scenes, missing, out) -> None:
         """Evaluate, store and put into ``out`` the missing pairs ``(i, j, key)``."""
         todo = {}  # key -> (i, j); a pool that repeats an id repeats keys
         needs_self = {}  # scene id -> scene
@@ -139,7 +139,8 @@ class SimilarityCache:
                     needs_self[s.id] = s
         selfs = [(self._graph(s), self._graph(s)) for s in needs_self.values()]
         crosses = [(self._graph(scenes[i]), self._graph(scenes[j])) for i, j in todo.values()]
-        values = marginalized_kernels(selfs + crosses, self.config, counter)
+        values = marginalized_kernels(selfs + crosses, self.config)
+        self.evaluations += len(values)
         self._self_k.update(zip(needs_self, values))
         for (key, (i, j)), cross in zip(todo.items(), values[len(selfs) :]):
             self._pairs[key] = cross / math.sqrt(
@@ -196,7 +197,7 @@ def farthest_sampling(pool_ids: list[str], similarity_matrix, k: int) -> list[st
     return [pool_ids[i] for i in selected]
 
 
-def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter):
+def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache):
     """The ``size`` ids of ``scenes`` that one metric stage keeps, in its order.
 
     The one stage dispatch: ``three_stage_select`` runs each stage of its plan
@@ -206,7 +207,7 @@ def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_c
     if stage == "entropy":
         return rank_by_entropy(scenes, catalog, entropy_cfg, size)
     if stage == "similarity":
-        return farthest_sampling([s.id for s in scenes], cache.matrix(scenes, counter), size)
+        return farthest_sampling([s.id for s in scenes], cache.matrix(scenes), size)
     if stage == "uncertainty":
         return rank_by_uncertainty(scenes, anchors, uncertainty_cfg, size)
     raise ValueError(f"unknown stage {stage!r}; valid: {', '.join(STAGE_NAMES)}")
@@ -214,8 +215,6 @@ def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_c
 
 @dataclass
 class SelectionLog:
-    pool_size: int
-    stage_order: tuple[str, str, str]
     stage_sizes: tuple[int, int, int]
     kernel_evals: int
     entropy_sorts: int
@@ -231,7 +230,6 @@ def three_stage_select(
     kernel_cfg: KernelConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache | None = None,
-    counter: KernelEvalCounter | None = None,
     allow_degraded: bool = False,
 ) -> tuple[list[str], SelectionLog]:
     """Run the three metric stages in the configured order.
@@ -240,7 +238,8 @@ def three_stage_select(
     which metric runs at which position. If the pool is smaller than the
     first stage and ``allow_degraded`` is set, the multipliers shrink
     proportionally so stage 1 consumes the whole pool (logged); otherwise the
-    shortfall is an error.
+    shortfall is an error. The log's ``kernel_evals`` is the kernel work of
+    this call: the growth of ``cache.evaluations``.
     """
     pool_size = len(unlabeled_scenes)
     sizes = list(plan.stage_sizes())
@@ -260,23 +259,20 @@ def three_stage_select(
             tuple(sizes),
         )
 
-    if counter is None:
-        counter = KernelEvalCounter()
     if cache is None:
         cache = SimilarityCache(catalog, kernel_cfg)
+    evaluated_before = cache.evaluations
 
     by_id = {s.id: s for s in unlabeled_scenes}
     candidates = sorted(by_id)
     for stage, size in zip(plan.order, sizes):
         scenes = [by_id[i] for i in candidates]
         candidates = _run_stage(
-            stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter
+            stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
         )
     return list(candidates), SelectionLog(
-        pool_size=pool_size,
-        stage_order=plan.order,
         stage_sizes=tuple(sizes),
-        kernel_evals=counter.count,
+        kernel_evals=cache.evaluations - evaluated_before,
         entropy_sorts=plan.order.count("entropy"),
         degraded=degraded,
     )
@@ -306,7 +302,6 @@ def _select_for_strategy(
     kernel_cfg: KernelConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
-    counter: KernelEvalCounter,
     rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int, int] | None]:
     if strategy == "tscenejal":
@@ -319,7 +314,6 @@ def _select_for_strategy(
             kernel_cfg,
             uncertainty_cfg,
             cache=cache,
-            counter=counter,
             allow_degraded=True,
         )
         return selected, slog.stage_sizes
@@ -329,7 +323,7 @@ def _select_for_strategy(
         return [ordered[i].id for i in picked], None
     stage = _SINGLE_STAGE[strategy]
     selected = _run_stage(
-        stage, ordered, plan.n_r, catalog, anchors, entropy_cfg, uncertainty_cfg, cache, counter
+        stage, ordered, plan.n_r, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
     )
     return selected, None
 
@@ -372,7 +366,7 @@ def run_al_rounds(
     reports: list[RoundReport] = []
     for _ in range(rounds):
         round_index = state.round_index + 1
-        counter = KernelEvalCounter()
+        evaluated_before = cache.evaluations
         rng = np.random.default_rng(np.random.SeedSequence([state.rng_seed, round_index]))
         unlabeled = [pool[i] for i in sorted(state.unlabeled_ids)]
         preds = [predictor(s) for s in unlabeled]
@@ -386,7 +380,6 @@ def run_al_rounds(
             kernel_cfg,
             uncertainty_cfg,
             cache,
-            counter,
             rng,
         )
         for sid in selected:
@@ -399,7 +392,7 @@ def run_al_rounds(
                 strategy,
                 selected_preds,
                 stage_sizes,
-                counter,
+                evaluated_before,
                 catalog,
                 anchors,
                 entropy_cfg,
@@ -416,13 +409,16 @@ def _round_report(
     strategy: str,
     selected_preds: list[Scene],
     stage_sizes,
-    counter: KernelEvalCounter,
+    evaluated_before: int,
     catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
 ) -> RoundReport:
+    """The round's report. Its ``kernel_evals`` is the growth of
+    ``cache.evaluations`` since ``evaluated_before``, taken when the round
+    began, so it counts the selection's kernel work and the report's."""
     counts = {c: 0 for c in catalog.classes}
     for s in selected_preds:
         for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():
@@ -430,7 +426,7 @@ def _round_report(
 
     mean_sim = None
     if len(selected_preds) >= 2:
-        sim = cache.matrix(selected_preds, counter)
+        sim = cache.matrix(selected_preds)
         mean_sim = float(np.mean(sim[np.triu_indices(len(sim), 1)]))
 
     try:
@@ -446,7 +442,7 @@ def _round_report(
         strategy=strategy,
         selected_ids=tuple(s.id for s in selected_preds),
         stage_sizes=stage_sizes,
-        kernel_evals=counter.count,
+        kernel_evals=cache.evaluations - evaluated_before,
         selection_entropy=counts_entropy(counts, entropy_cfg.zeta),
         mean_pairwise_similarity=mean_sim,
         mean_uncertainty=mean_unc,

@@ -143,28 +143,6 @@ def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyCon
     return total / (7 * len(kept))
 
 
-def mdn_nll(params: MixtureParams, target: tuple[float, ...]) -> float:
-    """Negative log-likelihood of a 7-vector of residual targets.
-
-    Evaluated in log space; component variances must be strictly positive.
-    """
-    if len(target) != len(RESIDUAL_DIMS):
-        raise ValueError(f"target must have {len(RESIDUAL_DIMS)} entries")
-    nll = 0.0
-    for dim, t in zip(RESIDUAL_DIMS, target):
-        weights, means, variances = params.row(dim)
-        if any(v <= 0 for v in variances):
-            raise ValueError("NLL needs strictly positive variances")
-        log_terms = [
-            math.log(w) - 0.5 * math.log(2.0 * math.pi * v) - (t - m) ** 2 / (2.0 * v)
-            for w, m, v in zip(weights, means, variances)
-            if w > 0
-        ]
-        peak = max(log_terms)
-        nll -= peak + math.log(sum(math.exp(lt - peak) for lt in log_terms))
-    return nll
-
-
 def rank_by_uncertainty(
     scenes: list[Scene], anchors: AnchorTable, config: UncertaintyConfig, top_n: int
 ) -> list[str]:

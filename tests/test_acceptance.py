@@ -22,7 +22,6 @@ from scenesel.diagnostics import category_kl_to_uniform, sample_pair_similaritie
 from scenesel.entropy import EntropyConfig, category_entropy
 from scenesel.kernel import (
     KernelConfig,
-    KernelEvalCounter,
     kernel_brute_force,
     marginalized_kernel,
 )
@@ -333,10 +332,8 @@ def test_12_complexity_contract(capsys):
     details = []
     for n_r, pool_n in ((7, 40), (20, 80)):
         _, preds = _predicted_pool(n=pool_n, seed=n_r)
-        counter = KernelEvalCounter()
         _, slog = three_stage_select(
-            preds, StagePlan(n_r=n_r), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC,
-            counter=counter,
+            preds, StagePlan(n_r=n_r), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
         )
         bound = math.floor(3 * n_r) ** 2
         ok = ok and slog.kernel_evals <= bound and slog.entropy_sorts == 1

@@ -185,6 +185,23 @@ class TestSelect:
         assert str(sidecar) in capsys.readouterr().err
         assert state.read_bytes() == before
 
+    def test_unlabeled_ids_missing_from_pool_are_data_error(self, pool_dir, tmp_path, capsys):
+        # Scenes removed from the pool after --init would otherwise stay
+        # unlabeled forever without a word; the error names the first five.
+        state, out = self.init_state(pool_dir, tmp_path)
+        gone = sorted(json.loads(state.read_text())["unlabeled_ids"])[:7]
+        for sid in gone:
+            (pool_dir / "labels" / f"{sid}.txt").unlink()
+            (pool_dir / "sidecars" / f"{sid}.mdn").unlink()
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
+        err = capsys.readouterr().err
+        assert "unlabeled ids not in pool" in err
+        assert all(sid in err for sid in gone[:5]) and gone[5] not in err
+        assert state.read_bytes() == before
+        assert not out.exists() or not list(out.iterdir())
+
     def test_state_advanced_during_the_round_is_not_overwritten(self, pool_dir, tmp_path, capsys, monkeypatch):
         # Another run saves round 1 between this run's load and its save.
         state, out = self.init_state(pool_dir, tmp_path)

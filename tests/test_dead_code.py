@@ -1,0 +1,69 @@
+"""Every module-level function and class in ``scenesel`` is used by the system.
+
+A definition counts as used when a module of ``src/scenesel`` or ``bench/``
+refers to its name (a bare name or an attribute) outside the definition
+itself. The package ``__init__`` only re-exports names, so neither its
+definitions nor its references count; tests do not count either. A name
+nothing refers to may stay only with its reason in ``ALLOWED``.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scenesel"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+REFERRING = MODULES + sorted((ROOT / "bench").glob("*.py"))
+
+_REFERENCE_FOR_ACCEPTANCE = (
+    "reference moment that acceptance checks 03/04 and TestOnePassUncertainty "
+    "compare the one-pass detection_uncertainty against"
+)
+ALLOWED = {
+    ("uncertainty", "mixture_mean"): _REFERENCE_FOR_ACCEPTANCE,
+    ("uncertainty", "mixture_au"): _REFERENCE_FOR_ACCEPTANCE,
+    ("uncertainty", "mixture_eu"): _REFERENCE_FOR_ACCEPTANCE,
+}
+
+_DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def definitions(path: Path) -> set[str]:
+    """Names of the module's top-level functions and classes."""
+    return {node.name for node in ast.parse(path.read_text()).body if isinstance(node, _DEFS)}
+
+
+def references(path: Path) -> set[str]:
+    """Names the module refers to; a definition's references to its own
+    name (recursion) do not count."""
+    found = set()
+    for top in ast.parse(path.read_text()).body:
+        own = top.name if isinstance(top, _DEFS) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            else:
+                continue
+            if name != own:
+                found.add(name)
+    return found
+
+
+def test_every_definition_is_referenced():
+    used = set().union(*(references(p) for p in REFERRING))
+    unused = sorted(
+        (path.stem, name)
+        for path in MODULES
+        for name in definitions(path) - used
+        if (path.stem, name) not in ALLOWED
+    )
+    assert unused == []
+
+
+def test_allowed_names_are_defined_and_unreferenced():
+    used = set().union(*(references(p) for p in REFERRING))
+    for (mod, name), reason in ALLOWED.items():
+        assert reason
+        assert name in definitions(SRC / f"{mod}.py"), (mod, name)
+        assert name not in used, (mod, name)

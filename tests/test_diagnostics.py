@@ -12,11 +12,10 @@ from scenesel.diagnostics import (
     category_kl_to_uniform,
     sample_pair_similarities,
     selection_report,
-    similarity_gaussian_kl,
 )
 from scenesel.entropy import EntropyConfig, counts_entropy
 from scenesel import sampler
-from scenesel.kernel import KernelConfig, KernelEvalCounter
+from scenesel.kernel import KernelConfig
 from scenesel.sampler import SimilarityCache
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
@@ -73,35 +72,6 @@ class TestCategoryKL:
         )
 
 
-class TestGaussianKL:
-    def test_identical_is_zero(self):
-        assert similarity_gaussian_kl(1.3, 0.7, 1.3, 0.7) == pytest.approx(0.0, abs=1e-12)
-
-    def test_variance_ratio_case(self):
-        # ln 2 + 1/8 - 1/2
-        kl = similarity_gaussian_kl(0.0, 1.0, 0.0, 2.0)
-        assert kl == pytest.approx(0.3181471805599453, abs=1e-12)
-
-    def test_mean_shift_case(self):
-        assert similarity_gaussian_kl(1.0, 1.0, 0.0, 1.0) == pytest.approx(0.5, abs=1e-12)
-
-    def test_nonpositive_sigma_rejected(self):
-        with pytest.raises(ValueError):
-            similarity_gaussian_kl(0.0, 0.0, 0.0, 1.0)
-        with pytest.raises(ValueError):
-            similarity_gaussian_kl(0.0, 1.0, 0.0, -1.0)
-
-    @given(
-        mu_s=st.floats(-5, 5),
-        sigma_s=st.floats(0.05, 5),
-        mu_t=st.floats(-5, 5),
-        sigma_t=st.floats(0.05, 5),
-    )
-    @settings(max_examples=200, deadline=None)
-    def test_squared_form_nonnegative(self, mu_s, sigma_s, mu_t, sigma_t):
-        assert similarity_gaussian_kl(mu_s, sigma_s, mu_t, sigma_t) >= -1e-12
-
-
 def duplicated_scenes(n=6):
     det = ScoredDetection("car", 0.9, make_box(x=4.0, y=3.0))
     return [Scene(id=f"dup_{i}", detections=(det,)) for i in range(n)]
@@ -127,12 +97,12 @@ class TestPairSampling:
         # pair, from one ``marginalized_kernels`` call instead of one per miss.
         spec = PoolSpec(n_scenes=10, class_mix=(0.5, 0.3, 0.2), rng_seed=3)
         scenes = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
-        one_by_one, one_counter = [], KernelEvalCounter()
+        one_by_one = []
         cache = SimilarityCache(DEFAULT_CATALOG, KER)
         upper = list(itertools.combinations(range(10), 2))  # by flat index
         for flat in sorted(np.random.default_rng(7).choice(45, size=20, replace=False)):
             i, j = upper[flat]
-            one_by_one.append(cache.similarity(scenes[i], scenes[j], one_counter))
+            one_by_one.append(cache.similarity(scenes[i], scenes[j]))
         calls = []
         kernels = sampler.marginalized_kernels
 
@@ -141,10 +111,10 @@ class TestPairSampling:
             return kernels(pairs, *args, **kwargs)
 
         monkeypatch.setattr(sampler, "marginalized_kernels", counting)
-        counter = KernelEvalCounter()
-        batched = sample_pair_similarities(scenes, 20, 7, DEFAULT_CATALOG, KER, counter=counter)
+        fresh = SimilarityCache(DEFAULT_CATALOG, KER)
+        batched = sample_pair_similarities(scenes, 20, 7, DEFAULT_CATALOG, KER, cache=fresh)
         assert batched == one_by_one
-        assert calls == [counter.count] and counter.count == one_counter.count
+        assert calls == [fresh.evaluations] and fresh.evaluations == cache.evaluations
 
     def test_pair_count_capped(self):
         vals = sample_pair_similarities(duplicated_scenes(4), 100, 0, DEFAULT_CATALOG, KER)

@@ -8,7 +8,6 @@ from scenesel.core import Box3D, ClassCatalog, ConvergenceError, DEFAULT_CATALOG
 from scenesel.kernel import (
     BATCH_BYTES,
     KernelConfig,
-    KernelEvalCounter,
     SceneGraph,
     build_scene_graph,
     kernel_brute_force,
@@ -26,8 +25,8 @@ def similarity(s1, s2, catalog):
     return SimilarityCache(catalog, CFG).similarity(s1, s2)
 
 
-def similarity_matrix(scenes, catalog, counter=None):
-    return SimilarityCache(catalog, CFG).matrix(scenes, counter)
+def similarity_matrix(scenes, catalog):
+    return SimilarityCache(catalog, CFG).matrix(scenes)
 
 
 def random_graph(rng: random.Random, max_nodes=5, labels=("a", "b", "c")):
@@ -242,9 +241,9 @@ class TestBatchedEngine:
         rng = random.Random(59)
         scenes = [random_scene(rng, f"s{i:02d}", max_objects=5) for i in range(50)]
         assert 50 * 49 // 2 > BLOCK_PAIRS
-        counter = KernelEvalCounter()
-        sim = similarity_matrix(scenes, catalog, counter)
-        assert counter.count == 50 + 50 * 49 // 2
+        cache = SimilarityCache(catalog, CFG)
+        sim = cache.matrix(scenes)
+        assert cache.evaluations == 50 + 50 * 49 // 2
         cache = SimilarityCache(catalog, CFG)
         for i in range(50):
             for j in range(i + 1, 50):
@@ -255,15 +254,6 @@ class TestBatchedEngine:
         pairs = [(random_graph(rng), random_graph(rng, labels=("a",))) for _ in range(5)]
         with pytest.raises(ConvergenceError):
             marginalized_kernels(pairs, KernelConfig(max_iter=1))
-
-    def test_counter_grows_by_number_of_pairs(self):
-        rng = random.Random(67)
-        g1, g2 = random_graph(rng), random_graph(rng)
-        counter = KernelEvalCounter()
-        marginalized_kernels([(g1, g2), (g2, g1), (g1, g1)], CFG, counter)
-        assert counter.count == 3
-        marginalized_kernels([], CFG, counter)
-        assert counter.count == 3
 
 
 class TestBruteForce:
@@ -459,6 +449,6 @@ class TestPairwiseMatrix:
     def test_counter_counts_each_pair_once(self, catalog):
         rng = random.Random(31)
         scenes = [random_scene(rng, f"s{i}") for i in range(4)]
-        counter = KernelEvalCounter()
-        similarity_matrix(scenes, catalog, counter)
-        assert counter.count == 4 + 6  # self-kernels + unordered pairs
+        cache = SimilarityCache(catalog, CFG)
+        cache.matrix(scenes)
+        assert cache.evaluations == 4 + 6  # self-kernels + unordered pairs

@@ -6,7 +6,7 @@ import pytest
 
 from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, Scene, ScoredDetection
 from scenesel.entropy import EntropyConfig
-from scenesel.kernel import KernelConfig, KernelEvalCounter
+from scenesel.kernel import KernelConfig
 from scenesel.sampler import (
     STAGE_NAMES,
     SimilarityCache,
@@ -172,7 +172,7 @@ class TestThreeStageSelect:
     def test_instrumentation_contract(self):
         _, preds = predicted_pool(n=12)
         plan = StagePlan(n_r=2)
-        counter = KernelEvalCounter()
+        cache = SimilarityCache(DEFAULT_CATALOG, KER)
         _, slog = three_stage_select(
             list(preds.values()),
             plan,
@@ -181,8 +181,9 @@ class TestThreeStageSelect:
             ENT,
             KER,
             UNC,
-            counter=counter,
+            cache=cache,
         )
+        assert slog.kernel_evals == cache.evaluations > 0
         assert slog.entropy_sorts == 1
         assert slog.kernel_evals <= plan.stage_sizes()[0] ** 2
 
@@ -242,7 +243,7 @@ class TestThreeStageSelect:
 
 
 class TestRunRounds:
-    def run(self, strategy="tscenejal", rounds=2, n_r=3, n=30, seed=21, budget=None):
+    def run(self, strategy="tscenejal", rounds=2, n_r=3, n=30, seed=21, budget=None, cache=None):
         gt, _ = predicted_pool(n=n, seed=seed)
         predictor = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=seed)
         state = RoundState.fresh(gt, budget_total=budget or rounds * n_r, rng_seed=seed)
@@ -259,6 +260,7 @@ class TestRunRounds:
             KER,
             UNC,
             strategy=strategy,
+            cache=cache,
         )
 
     def test_accounting(self):
@@ -283,6 +285,15 @@ class TestRunRounds:
         s2, r2 = self.run()
         assert s1 == s2
         assert [r.selected_ids for r in r1] == [r.selected_ids for r in r2]
+
+    @pytest.mark.parametrize("strategy", ["tscenejal", "fs-only", "entropy-only"])
+    def test_round_counts_are_the_cache_work(self, strategy):
+        # Selection and report both draw on the one cache; every evaluation
+        # it makes belongs to exactly one round.
+        cache = SimilarityCache(DEFAULT_CATALOG, KER)
+        _, reports = self.run(strategy=strategy, rounds=3, cache=cache)
+        assert reports[0].kernel_evals > 0
+        assert sum(r.kernel_evals for r in reports) == cache.evaluations
 
     @pytest.mark.parametrize("strategy", ["random", "entropy-only", "fs-only", "uncertainty-only"])
     def test_baseline_strategies(self, strategy):
@@ -372,12 +383,10 @@ class TestSimilarityCache:
         _, preds = predicted_pool(n=6)
         scenes = sorted(preds.values(), key=lambda s: s.id)
         cache = SimilarityCache(DEFAULT_CATALOG, KER)
-        c1 = KernelEvalCounter()
-        m1 = cache.matrix(scenes, c1)
-        assert c1.count == 6 + 15  # self-kernels plus unordered pairs
-        c2 = KernelEvalCounter()
-        m2 = cache.matrix(scenes, c2)
-        assert c2.count == 0
+        m1 = cache.matrix(scenes)
+        assert cache.evaluations == 6 + 15  # self-kernels plus unordered pairs
+        m2 = cache.matrix(scenes)
+        assert cache.evaluations == 6 + 15
         np.testing.assert_array_equal(m1, m2)
 
     def test_identical_ids_short_circuit(self):

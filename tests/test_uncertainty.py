@@ -10,7 +10,6 @@ from scenesel.uncertainty import (
     NearSingularYawError,
     UncertaintyConfig,
     detection_uncertainty,
-    mdn_nll,
     mixture_au,
     mixture_eu,
     mixture_mean,
@@ -229,38 +228,6 @@ class TestSceneUncertainty:
             scene_uncertainty(scene, anchors, UncertaintyConfig(eta=e)) for e in (0.0, 0.5, 1.0, 2.0)
         ]
         assert all(b >= a for a, b in zip(values, values[1:]))
-
-
-class TestMdnNll:
-    def test_single_component_closed_form(self):
-        var = 1.0 / (2.0 * math.pi)
-        m = uniform_mixture(var=var, mean=0.0)
-        got = mdn_nll(m, tuple([0.0] * 7))
-        # per-dimension: -ln N(0 | 0, var) with 2*pi*var = 1 -> 0
-        assert got == pytest.approx(0.0, abs=1e-12)
-
-    def test_shift_increases_nll(self):
-        m = uniform_mixture(var=0.25, mean=0.0)
-        at_mean = mdn_nll(m, tuple([0.0] * 7))
-        shifted = mdn_nll(m, tuple([0.5] * 7))
-        assert shifted > at_mean
-
-    def test_logsumexp_reference(self):
-        m = mixture_from_rows((0.5, 0.5), (-1.0, 1.0), (0.5, 0.5))
-        target = tuple([0.0] * 7)
-        got = mdn_nll(m, target)
-
-        def ref_dim(t):
-            dens = 0.5 * (
-                math.exp(-((t + 1.0) ** 2) / 1.0) + math.exp(-((t - 1.0) ** 2) / 1.0)
-            ) / math.sqrt(2.0 * math.pi * 0.5)
-            return -math.log(dens)
-
-        assert got == pytest.approx(7 * ref_dim(0.0), abs=1e-12)
-
-    def test_zero_variance_rejected(self):
-        with pytest.raises(ValueError):
-            mdn_nll(uniform_mixture(var=0.0), tuple([0.0] * 7))
 
 
 class TestRanking:
