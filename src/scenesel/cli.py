@@ -172,19 +172,16 @@ def cmd_select(args) -> int:
         raise DataError(
             f"unlabeled pool of {len(unlabeled)} cannot supply n_r={cfg.plan.n_r} scenes"
         )
+    if st.budget_left < cfg.plan.n_r:
+        raise DataError(
+            f"budget of {st.budget_total} scenes has {st.budget_left} left, "
+            f"cannot supply n_r={cfg.plan.n_r} scenes"
+        )
     # One cache serves the selection and its report, so the report's pairs
     # among the selected scenes are cache hits.
     cache = SimilarityCache(cfg.catalog, cfg.kernel)
     selected, slog = sampler.three_stage_select(
-        unlabeled,
-        cfg.plan,
-        cfg.catalog,
-        cfg.anchors,
-        cfg.entropy,
-        cfg.kernel,
-        cfg.uncertainty,
-        cache=cache,
-        allow_degraded=True,
+        unlabeled, cfg.plan, cfg.catalog, cfg.anchors, cfg.entropy, cfg.uncertainty, cache
     )
     # Another run may have advanced the state while this one selected; write
     # nothing over it. This narrows the window between load and save; it is
@@ -203,11 +200,10 @@ def cmd_select(args) -> int:
         scenes,
         cfg.catalog,
         cfg.entropy,
-        cfg.kernel,
         cfg.uncertainty,
         cfg.anchors,
+        cache,
         rng_seed=args.seed,
-        cache=cache,
     )
     _write_report(out / f"report_round_{st.round_index:03d}", report)
     log.info("stage sizes %s, kernel evals %d", slog.stage_sizes, slog.kernel_evals)
@@ -334,9 +330,9 @@ def cmd_stats(args) -> int:
         scenes,
         cfg.catalog,
         cfg.entropy,
-        cfg.kernel,
         cfg.uncertainty,
         cfg.anchors,
+        SimilarityCache(cfg.catalog, cfg.kernel),
         rng_seed=args.seed,
     )
     _write_report(Path(args.out) / "stats", report)

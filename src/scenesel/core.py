@@ -1,8 +1,7 @@
 """Shared domain types: catalogs, boxes, detections, scenes, anchors.
 
-All types are immutable value objects; they can be shared freely across
-parallel workers. ``write_text_atomic`` is the package's one way to write a
-file.
+All types are immutable value objects. ``write_text_atomic`` is the
+package's one way to write a file.
 """
 from __future__ import annotations
 

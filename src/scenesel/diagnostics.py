@@ -14,11 +14,13 @@ import numpy as np
 
 from .core import AnchorTable, ClassCatalog, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
-from .kernel import KernelConfig
 from .sampler import SimilarityCache
 from .uncertainty import UncertaintyConfig, scene_uncertainty
 
 log = logging.getLogger(__name__)
+
+# Scene pairs whose similarities a report samples.
+REPORT_PAIRS = 200
 
 
 @dataclass
@@ -51,11 +53,9 @@ def sample_pair_similarities(
     scenes: list[Scene],
     n_pairs: int,
     rng_seed: int,
-    catalog: ClassCatalog,
-    kernel_cfg: KernelConfig,
-    cache: SimilarityCache | None = None,
+    cache: SimilarityCache,
 ) -> list[float]:
-    """Similarity of n_pairs random unordered scene pairs, seeded.
+    """Similarity of n_pairs random unordered scene pairs, seeded, from ``cache``.
 
     Pairs are drawn without replacement across pairs; n_pairs is capped at
     the number of distinct pairs.
@@ -67,8 +67,6 @@ def sample_pair_similarities(
     n_pairs = min(n_pairs, total_pairs)
     rng = np.random.default_rng(rng_seed)
     chosen = rng.choice(total_pairs, size=n_pairs, replace=False)
-    if cache is None:
-        cache = SimilarityCache(catalog, kernel_cfg)
     index_pairs = []
     for flat in sorted(int(c) for c in chosen):
         # Unrank the flat upper-triangle index into (i, j).
@@ -83,14 +81,13 @@ def selection_report(
     pool: list[Scene],
     catalog: ClassCatalog,
     entropy_cfg: EntropyConfig,
-    kernel_cfg: KernelConfig,
     uncertainty_cfg: UncertaintyConfig,
     anchors: AnchorTable,
+    cache: SimilarityCache,
     rng_seed: int = 0,
-    n_pairs: int = 200,
-    cache: SimilarityCache | None = None,
 ) -> DiagReport:
-    """Summarize a selection: class balance, similarity spread, uncertainty.
+    """Summarize a selection: class balance, similarity spread over
+    REPORT_PAIRS sampled pairs from ``cache``, uncertainty.
 
     An empty selection yields a zeroed report with KL marked not applicable.
     """
@@ -122,9 +119,7 @@ def selection_report(
     sim_mean = sim_std = None
     pair_count = 0
     if len(selected) >= 2:
-        sims = sample_pair_similarities(
-            selected, n_pairs, rng_seed, catalog, kernel_cfg, cache=cache
-        )
+        sims = sample_pair_similarities(selected, REPORT_PAIRS, rng_seed, cache)
         sim_mean = float(np.mean(sims))
         sim_std = float(np.std(sims))
         pair_count = len(sims)

@@ -11,7 +11,8 @@ self-kernels into a similarity in [0, 1] with self-similarity exactly 1.
 
 Random-walk model (the cited kernel's standard construction): uniform start
 probability 1/|V|, per-step termination probability gamma, and transition
-probability (1-gamma)/outdeg(u) to each out-neighbor of u.
+probability (1-gamma)/outdeg(u) to each out-neighbor of u, which on these
+complete graphs is (1-gamma)/(|V|-1) to every other node.
 """
 from __future__ import annotations
 
@@ -56,8 +57,8 @@ class SceneGraph:
     """Complete directed graph with labeled nodes and positive edge weights.
 
     ``weights[i][j]`` is the weight of the directed edge i -> j; the diagonal
-    is zero and ignored. Contains exactly one ego node; a mirror node stands
-    in when the scene has no above-threshold objects.
+    must be zero (no self-loops). Contains exactly one ego node; a mirror node
+    stands in when the scene has no above-threshold objects.
     """
 
     labels: tuple[str, ...]
@@ -72,6 +73,8 @@ class SceneGraph:
         for i, row in enumerate(self.weights):
             for j, w in enumerate(row):
                 if i == j:
+                    if w != 0:
+                        raise ValueError(f"diagonal weight ({i},{i}) must be zero")
                     continue
                 if not (w > 0 and math.isfinite(w)):
                     raise ValueError(f"edge weight ({i},{j}) must be positive and finite")
@@ -89,14 +92,6 @@ class SceneGraph:
     @cached_property
     def label_array(self) -> np.ndarray:
         return _frozen(np.array(self.labels))
-
-    def transition_matrix(self, gamma: float) -> np.ndarray:
-        """Walk transition probabilities; the matrix for the last gamma is kept."""
-        kept = self.__dict__.get("_transition")
-        if kept is None or kept[0] != gamma:
-            t = _frozen(_transition_matrix(self.weight_array, gamma))
-            kept = self.__dict__["_transition"] = (gamma, t)
-        return kept[1]
 
 
 def _frozen(a: np.ndarray) -> np.ndarray:
@@ -128,14 +123,6 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
             dist = max(math.sqrt(dx * dx + dy * dy + dz * dz), config.min_dist)
             weights[i][j] = weights[j][i] = 1.0 / dist
     return SceneGraph(labels=labels, weights=tuple(tuple(row) for row in weights))
-
-
-def _transition_matrix(w: np.ndarray, gamma: float) -> np.ndarray:
-    adj = w > 0
-    outdeg = adj.sum(axis=1)
-    t = np.zeros_like(w)
-    t[adj] = 1.0
-    return (1.0 - gamma) * t / outdeg[:, None]
 
 
 def marginalized_kernel(g1: SceneGraph, g2: SceneGraph, config: KernelConfig) -> float:
@@ -196,18 +183,20 @@ def _solve_batch(
     b, n1, n2 = kv.shape
     w1 = np.array([g1.weight_array for g1, _ in pairs])
     w2 = np.array([g2.weight_array for _, g2 in pairs])
-    t1 = np.array([g1.transition_matrix(config.gamma) for g1, _ in pairs])
-    t2 = np.array([g2.transition_matrix(config.gamma) for _, g2 in pairs])
 
     # Edge kernel exp(-|e - e'| / (2 sigma^2)) on every (edge of g1) x (edge
     # of g2) combination, in place: -x / c and x / -c are the same float.
-    ke = w1[:, :, None, :, None] - w2[:, None, :, None, :]
-    np.abs(ke, out=ke)
-    np.divide(ke, -(2.0 * config.sigma**2), out=ke)
-    np.exp(ke, out=ke)
-    # M = ((t1 * t2) * ke) * kv, multiplied in that order.
-    m = t1[:, :, None, :, None] * t2[:, None, :, None, :]
-    m *= ke
+    m = w1[:, :, None, :, None] - w2[:, None, :, None, :]
+    np.abs(m, out=m)
+    np.divide(m, -(2.0 * config.sigma**2), out=m)
+    np.exp(m, out=m)
+    # Every graph is complete, so each step of a walk on g1 has probability
+    # (1-gamma)/(n1-1) and each on g2 (1-gamma)/(n2-1). M is the edge kernel
+    # times their product, times the 0/1 mask of pairs of real (off-diagonal)
+    # edges, times the node kernel, multiplied in that order.
+    m *= ((1.0 - config.gamma) / (n1 - 1)) * ((1.0 - config.gamma) / (n2 - 1))
+    off1, off2 = ~np.eye(n1, dtype=bool), ~np.eye(n2, dtype=bool)
+    m *= off1[:, None, :, None] & off2[None, :, None, :]
     m *= kv[:, None, None, :, :]
     m = m.reshape(b, n1 * n2, n1 * n2)
 

@@ -67,20 +67,12 @@ def parse_label_line(line: str, path: str | None = None, line_no: int | None = N
         raise ParseError(f"bad numeric field: {exc}", path, line_no) from exc
 
 
-def parse_label_file(
-    path: str | Path,
-    catalog: ClassCatalog | None = None,
-    unknown_class: str = "skip",
-    scene_id: str | None = None,
-) -> Scene:
-    """Parse one label file into a Scene.
+def parse_label_file(path: str | Path, catalog: ClassCatalog | None = None) -> Scene:
+    """Parse one label file into a Scene whose id is the file stem.
 
     "DontCare" lines are skipped. A missing score column maps to confidence
-    1.0. Classes outside the catalog follow ``unknown_class``: "skip" (with a
-    warning, the default) or "error".
+    1.0. Classes outside the catalog are skipped with a warning.
     """
-    if unknown_class not in ("skip", "error"):
-        raise ValueError(f"unknown_class must be 'skip' or 'error', got {unknown_class!r}")
     path = Path(path)
     detections = []
     for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
@@ -90,8 +82,6 @@ def parse_label_file(
         if rec.type == "DontCare":
             continue
         if catalog is not None and rec.type not in catalog:
-            if unknown_class == "error":
-                raise ParseError(f"unknown class {rec.type!r}", str(path), line_no)
             log.warning("%s:%d: skipping unknown class %r", path, line_no, rec.type)
             continue
         h, w, l = rec.dims
@@ -105,7 +95,7 @@ def parse_label_file(
         except ValueError as exc:
             raise ParseError(str(exc), str(path), line_no) from exc
         detections.append(det)
-    return Scene(id=scene_id or path.stem, detections=tuple(detections))
+    return Scene(id=path.stem, detections=tuple(detections))
 
 
 def serialize_label_file(scene: Scene) -> str:
@@ -200,22 +190,20 @@ def load_pool_dir(
     pool_dir: str | Path,
     catalog: ClassCatalog | None = None,
     with_sidecars: bool = False,
-    labels_subdir: str = "labels",
-    sidecars_subdir: str = "sidecars",
 ) -> list[Scene]:
-    """Load every ``<labels>/<id>.txt`` in a pool directory, sorted by id.
+    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id.
 
-    With ``with_sidecars`` each scene must have ``<sidecars>/<id>.mdn``.
+    With ``with_sidecars`` each scene must have ``sidecars/<id>.mdn``.
     """
     pool_dir = Path(pool_dir)
-    labels = pool_dir / labels_subdir
+    labels = pool_dir / "labels"
     if not labels.is_dir():
-        raise DataError(f"no {labels_subdir}/ directory under {pool_dir}")
+        raise DataError(f"no labels/ directory under {pool_dir}")
     scenes = []
     for label_path in sorted(labels.glob("*.txt")):
         scene = parse_label_file(label_path, catalog=catalog)
         if with_sidecars:
-            sidecar = pool_dir / sidecars_subdir / (label_path.stem + ".mdn")
+            sidecar = pool_dir / "sidecars" / (label_path.stem + ".mdn")
             if not sidecar.exists():
                 raise DataError(f"missing mixture sidecar: {sidecar}")
             scene = load_mixture_sidecar(sidecar, scene)

@@ -227,28 +227,25 @@ def three_stage_select(
     catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
-    kernel_cfg: KernelConfig,
     uncertainty_cfg: UncertaintyConfig,
-    cache: SimilarityCache | None = None,
-    allow_degraded: bool = False,
+    cache: SimilarityCache,
 ) -> tuple[list[str], SelectionLog]:
     """Run the three metric stages in the configured order.
 
     Stage target sizes are floor(k1*n_r), floor(k2*n_r), n_r regardless of
     which metric runs at which position. If the pool is smaller than the
-    first stage and ``allow_degraded`` is set, the multipliers shrink
-    proportionally so stage 1 consumes the whole pool (logged); otherwise the
-    shortfall is an error. The log's ``kernel_evals`` is the kernel work of
-    this call: the growth of ``cache.evaluations``.
+    first stage, the round is degraded: the multipliers shrink
+    proportionally so stage 1 consumes the whole pool, with a warning and
+    ``SelectionLog.degraded`` set. A pool below n_r is an error. Similarities
+    come from ``cache``, under its kernel config. The log's ``kernel_evals``
+    is the kernel work of this call: the growth of ``cache.evaluations``.
     """
     pool_size = len(unlabeled_scenes)
     sizes = list(plan.stage_sizes())
     degraded = False
     if pool_size < sizes[0]:
-        if not allow_degraded or pool_size < plan.n_r:
-            raise ValueError(
-                f"pool of {pool_size} scenes is below the required first-stage size {sizes[0]}"
-            )
+        if pool_size < plan.n_r:
+            raise ValueError(f"pool of {pool_size} scenes is below n_r={plan.n_r}")
         degraded = True
         sizes[0] = pool_size
         sizes[1] = min(sizes[1], max(plan.n_r, math.floor(plan.k2 * pool_size / plan.k1)))
@@ -259,8 +256,6 @@ def three_stage_select(
             tuple(sizes),
         )
 
-    if cache is None:
-        cache = SimilarityCache(catalog, kernel_cfg)
     evaluated_before = cache.evaluations
 
     by_id = {s.id: s for s in unlabeled_scenes}
@@ -299,22 +294,13 @@ def _select_for_strategy(
     catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
-    kernel_cfg: KernelConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
     rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int, int] | None]:
     if strategy == "tscenejal":
         selected, slog = three_stage_select(
-            preds,
-            plan,
-            catalog,
-            anchors,
-            entropy_cfg,
-            kernel_cfg,
-            uncertainty_cfg,
-            cache=cache,
-            allow_degraded=True,
+            preds, plan, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
         )
         return selected, slog.stage_sizes
     ordered = sorted(preds, key=lambda s: s.id)
@@ -349,19 +335,24 @@ def run_al_rounds(
     under the chosen strategy, reveals ground truth via the oracle, and moves
     the ids to the labeled set. Deterministic given the state's rng_seed. A
     predictor or oracle failure aborts the round; the input state object is
-    never mutated.
+    never mutated. A ``cache`` must have been made for ``catalog`` and
+    ``kernel_cfg``; without one, the rounds share a new cache.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
-    already = sum(len(r) for r in state.per_round_selected)
-    if already + rounds * plan.n_r > state.budget_total:
+    if rounds * plan.n_r > state.budget_left:
         raise ValueError(
             f"budget {state.budget_total} cannot cover {rounds} more rounds of {plan.n_r}"
         )
     if cache is None:
         cache = SimilarityCache(catalog, kernel_cfg)
+    elif (cache.catalog, cache.config) != (catalog, kernel_cfg):
+        raise ValueError(
+            f"cache was made for {cache.catalog} and {cache.config}, "
+            f"not {catalog} and {kernel_cfg}"
+        )
 
     reports: list[RoundReport] = []
     for _ in range(rounds):
@@ -377,7 +368,6 @@ def run_al_rounds(
             catalog,
             anchors,
             entropy_cfg,
-            kernel_cfg,
             uncertainty_cfg,
             cache,
             rng,

@@ -36,6 +36,11 @@ class RoundState:
                 f"{len(self.per_round_selected)} recorded rounds"
             )
 
+    @property
+    def budget_left(self) -> int:
+        """Scenes the budget still allows later rounds to select."""
+        return self.budget_total - sum(len(r) for r in self.per_round_selected)
+
     @classmethod
     def fresh(cls, pool_ids, budget_total: int, rng_seed: int) -> "RoundState":
         return cls(

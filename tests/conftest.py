@@ -5,7 +5,6 @@ import pytest
 
 from scenesel.core import (
     Box3D,
-    ClassCatalog,
     DEFAULT_ANCHORS,
     DEFAULT_CATALOG,
     MixtureParams,

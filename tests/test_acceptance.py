@@ -37,7 +37,7 @@ from scenesel.state import RoundState, load_round_state, save_round_state
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig, mixture_au, mixture_eu, propagate_uncertainty
 
-from conftest import make_box, mixture_from_rows, random_scene, uniform_mixture
+from conftest import make_box, mixture_from_rows, random_scene
 from test_kernel import random_graph
 from test_uncertainty import unit_anchor
 
@@ -207,7 +207,8 @@ def test_07_stage_size_contract(capsys):
         _, preds = _predicted_pool(n=3 * n_r + 5, seed=n_r)
         plan = StagePlan(n_r=n_r)
         selected, slog = three_stage_select(
-            preds, plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            preds, plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC,
+            SimilarityCache(DEFAULT_CATALOG, KER),
         )
         expected = (math.floor(3 * n_r), math.floor(2.5 * n_r), n_r)
         ok = ok and slog.stage_sizes == expected and len(selected) == n_r
@@ -236,7 +237,9 @@ def balance_sim():
 
     def gt_mean_sim(gt, selected, seed):
         scenes = [gt[sid] for sid in sorted(selected)]
-        return float(np.mean(sample_pair_similarities(scenes, 200, seed, DEFAULT_CATALOG, KER)))
+        return float(np.mean(
+            sample_pair_similarities(scenes, 200, seed, SimilarityCache(DEFAULT_CATALOG, KER))
+        ))
 
     start = time.monotonic()
     results = []
@@ -309,12 +312,13 @@ def test_10_uncertainty_ordering_across_strategies(capsys, strategy_uncertaintie
 
 def test_11_parser_and_state_fidelity(capsys, tmp_path):
     rng = random.Random(808)
-    label_path = tmp_path / "scene.txt"
     roundtrips = True
     for i in range(10_000):
         scene = random_scene(rng, f"rt_{i:05d}", max_objects=6)
+        label_path = tmp_path / f"{scene.id}.txt"  # the parser takes the id from the stem
         label_path.write_text(serialize_label_file(scene), encoding="utf-8")
-        back = parse_label_file(label_path, catalog=DEFAULT_CATALOG, scene_id=scene.id)
+        back = parse_label_file(label_path, catalog=DEFAULT_CATALOG)
+        label_path.unlink()
         roundtrips = roundtrips and back == scene
     ids = [f"s{i:04d}" for i in range(500)]
     state = RoundState.fresh(ids, budget_total=400, rng_seed=3)
@@ -333,7 +337,8 @@ def test_12_complexity_contract(capsys):
     for n_r, pool_n in ((7, 40), (20, 80)):
         _, preds = _predicted_pool(n=pool_n, seed=n_r)
         _, slog = three_stage_select(
-            preds, StagePlan(n_r=n_r), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            preds, StagePlan(n_r=n_r), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC,
+            SimilarityCache(DEFAULT_CATALOG, KER),
         )
         bound = math.floor(3 * n_r) ** 2
         ok = ok and slog.kernel_evals <= bound and slog.entropy_sorts == 1

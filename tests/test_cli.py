@@ -2,7 +2,6 @@ import json
 import logging
 import re
 import shutil
-from pathlib import Path
 
 import pytest
 
@@ -144,6 +143,25 @@ class TestSelect:
     def test_exhausted_pool_is_data_error(self, pool_dir, tmp_path):
         state, out = self.init_state(pool_dir, tmp_path, n0=23)
         assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
+
+    def test_exhausted_budget_is_data_error(self, pool_dir, tmp_path, capsys, monkeypatch):
+        # A budget of 5 covers one round of 3, not two. The second round
+        # stops before any kernel work and writes nothing.
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        assert run(*select, "--init", "--n0", 4, "--budget", 5) == 0
+        assert run(*select, "--n-r", 3) == 0
+        before = state.read_bytes()
+
+        def no_kernel_work(*args, **kwargs):
+            raise AssertionError("kernel evaluated after the budget ran out")
+
+        monkeypatch.setattr(sampler, "marginalized_kernels", no_kernel_work)
+        capsys.readouterr()
+        assert run(*select, "--n-r", 3) == 3
+        assert "budget of 5 scenes has 2 left" in capsys.readouterr().err
+        assert state.read_bytes() == before
+        assert not (out / "selected_round_002.txt").exists()
 
     def test_init_creates_missing_state_directory(self, pool_dir, tmp_path):
         state = tmp_path / "missing" / "state.json"

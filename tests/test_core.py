@@ -6,7 +6,6 @@ import pytest
 
 from scenesel.core import (
     Anchor,
-    AnchorTable,
     Box3D,
     ClassCatalog,
     MixtureParams,

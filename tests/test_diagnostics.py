@@ -72,6 +72,10 @@ class TestCategoryKL:
         )
 
 
+def fresh_cache():
+    return SimilarityCache(DEFAULT_CATALOG, KER)
+
+
 def duplicated_scenes(n=6):
     det = ScoredDetection("car", 0.9, make_box(x=4.0, y=3.0))
     return [Scene(id=f"dup_{i}", detections=(det,)) for i in range(n)]
@@ -79,16 +83,16 @@ def duplicated_scenes(n=6):
 
 class TestPairSampling:
     def test_duplicate_pool_all_ones(self):
-        vals = sample_pair_similarities(duplicated_scenes(), 10, 0, DEFAULT_CATALOG, KER)
+        vals = sample_pair_similarities(duplicated_scenes(), 10, 0, fresh_cache())
         assert len(vals) == 10
         assert all(abs(v - 1.0) <= 1e-9 for v in vals)
 
     def test_seed_determinism(self):
         spec = PoolSpec(n_scenes=8, class_mix=(0.5, 0.3, 0.2), rng_seed=1)
         scenes = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
-        a = sample_pair_similarities(scenes, 12, 42, DEFAULT_CATALOG, KER)
-        b = sample_pair_similarities(scenes, 12, 42, DEFAULT_CATALOG, KER)
-        c = sample_pair_similarities(scenes, 12, 43, DEFAULT_CATALOG, KER)
+        a = sample_pair_similarities(scenes, 12, 42, fresh_cache())
+        b = sample_pair_similarities(scenes, 12, 42, fresh_cache())
+        c = sample_pair_similarities(scenes, 12, 43, fresh_cache())
         assert a == b
         assert a != c
 
@@ -112,27 +116,26 @@ class TestPairSampling:
 
         monkeypatch.setattr(sampler, "marginalized_kernels", counting)
         fresh = SimilarityCache(DEFAULT_CATALOG, KER)
-        batched = sample_pair_similarities(scenes, 20, 7, DEFAULT_CATALOG, KER, cache=fresh)
+        batched = sample_pair_similarities(scenes, 20, 7, fresh)
         assert batched == one_by_one
         assert calls == [fresh.evaluations] and fresh.evaluations == cache.evaluations
 
     def test_pair_count_capped(self):
-        vals = sample_pair_similarities(duplicated_scenes(4), 100, 0, DEFAULT_CATALOG, KER)
+        vals = sample_pair_similarities(duplicated_scenes(4), 100, 0, fresh_cache())
         assert len(vals) == 6  # C(4, 2)
 
     def test_pool_below_two_rejected(self):
         with pytest.raises(DataError):
-            sample_pair_similarities(duplicated_scenes(1), 5, 0, DEFAULT_CATALOG, KER)
+            sample_pair_similarities(duplicated_scenes(1), 5, 0, fresh_cache())
 
     def test_redundant_pool_more_similar_than_diverse(self):
         base = dict(n_scenes=16, class_mix=(0.5, 0.3, 0.2), rng_seed=5)
         redundant = generate_pool(PoolSpec(redundancy_groups=1, **base), DEFAULT_CATALOG)
         diverse = generate_pool(PoolSpec(redundancy_groups=None, **base), DEFAULT_CATALOG)
-        mean_r = np.mean(
-            sample_pair_similarities(sorted(redundant.values(), key=lambda s: s.id), 40, 0, DEFAULT_CATALOG, KER)
-        )
-        mean_d = np.mean(
-            sample_pair_similarities(sorted(diverse.values(), key=lambda s: s.id), 40, 0, DEFAULT_CATALOG, KER)
+        # The two pools reuse ids, so each needs its own cache.
+        mean_r, mean_d = (
+            np.mean(sample_pair_similarities(sorted(pool.values(), key=lambda s: s.id), 40, 0, fresh_cache()))
+            for pool in (redundant, diverse)
         )
         assert mean_r > mean_d
 
@@ -140,7 +143,7 @@ class TestPairSampling:
 class TestSelectionReport:
     def report(self, selected, pool):
         return selection_report(
-            selected, pool, DEFAULT_CATALOG, ENT, KER, UNC, DEFAULT_ANCHORS, rng_seed=0, n_pairs=30
+            selected, pool, DEFAULT_CATALOG, ENT, UNC, DEFAULT_ANCHORS, fresh_cache(), rng_seed=0
         )
 
     def test_empty_selection_zeroed(self):

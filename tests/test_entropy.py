@@ -12,7 +12,7 @@ from scenesel.entropy import (
     filtered_class_counts,
     rank_by_entropy,
 )
-from conftest import make_box, make_detection, random_scene
+from conftest import make_detection, random_scene
 
 
 CFG = EntropyConfig()

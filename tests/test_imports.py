@@ -1,4 +1,4 @@
-"""Every import in a ``scenesel`` module is used by that module.
+"""Every import in a ``scenesel`` module or a test module is used by that module.
 
 The package ``__init__`` re-exports names and is not checked. A name the
 module itself does not use may stay only with its reason in ``ALLOWED``.
@@ -8,8 +8,11 @@ from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "scenesel"
-MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "scenesel"
+MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py") + sorted(
+    (ROOT / "tests").glob("*.py")
+)
 
 ALLOWED = {
     ("sampler", "marginalized_kernel"): "bench/spans.py patches it at this name "

@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from scenesel.core import Box3D, ClassCatalog, ConvergenceError, DEFAULT_CATALOG, Scene, ScoredDetection
+from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, Scene, ScoredDetection
 from scenesel.kernel import (
     BATCH_BYTES,
     KernelConfig,
@@ -15,7 +15,7 @@ from scenesel.kernel import (
     marginalized_kernels,
 )
 from scenesel.sampler import BLOCK_PAIRS, SimilarityCache
-from conftest import make_detection, random_scene
+from conftest import random_scene
 
 CFG = KernelConfig()
 
@@ -85,6 +85,13 @@ def literal_kernel(g1: SceneGraph, g2: SceneGraph, max_len: int) -> float:
                     break
             total += pr1 * pr2 * val
     return total
+
+
+class TestSceneGraph:
+    def test_nonzero_diagonal_rejected(self):
+        # The walk has no self-loops; a diagonal weight would add one.
+        with pytest.raises(ValueError, match=r"diagonal weight \(0,0\) must be zero"):
+            SceneGraph(("a", "b"), ((0.5, 1.0), (1.0, 0.0)))
 
 
 class TestBuildSceneGraph:

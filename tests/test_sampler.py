@@ -1,10 +1,9 @@
 import logging
-import math
 
 import numpy as np
 import pytest
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, Scene, ScoredDetection
+from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, Scene, ScoredDetection
 from scenesel.entropy import EntropyConfig
 from scenesel.kernel import KernelConfig
 from scenesel.sampler import (
@@ -32,6 +31,10 @@ NOISE = NoiseModel(
     mixture_components=3,
     mean_spread=0.5,
 )
+
+
+def fresh_cache():
+    return SimilarityCache(DEFAULT_CATALOG, KER)
 
 
 def predicted_pool(n=10, seed=3, class_mix=(0.6, 0.3, 0.1)):
@@ -154,7 +157,7 @@ class TestThreeStageSelect:
         _, preds = predicted_pool(n=10)
         plan = StagePlan(n_r=2)
         selected, slog = three_stage_select(
-            list(preds.values()), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            list(preds.values()), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert slog.stage_sizes == (6, 5, 2)
         assert len(selected) == 2
@@ -165,23 +168,16 @@ class TestThreeStageSelect:
     def test_dominant_scene_always_selected(self):
         plan = StagePlan(n_r=1, k1=3.0, k2=2.0)
         selected, _ = three_stage_select(
-            dominant_pool(), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            dominant_pool(), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert selected == ["a"]
 
     def test_instrumentation_contract(self):
         _, preds = predicted_pool(n=12)
         plan = StagePlan(n_r=2)
-        cache = SimilarityCache(DEFAULT_CATALOG, KER)
+        cache = fresh_cache()
         _, slog = three_stage_select(
-            list(preds.values()),
-            plan,
-            DEFAULT_CATALOG,
-            DEFAULT_ANCHORS,
-            ENT,
-            KER,
-            UNC,
-            cache=cache,
+            list(preds.values()), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, cache
         )
         assert slog.kernel_evals == cache.evaluations > 0
         assert slog.entropy_sorts == 1
@@ -193,21 +189,14 @@ class TestThreeStageSelect:
         plan_default = StagePlan(n_r=3)
         plan_reversed = StagePlan(n_r=3, order=("uncertainty", "similarity", "entropy"))
         sel_d, log_d = three_stage_select(
-            scenes, plan_default, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            scenes, plan_default, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         sel_r, log_r = three_stage_select(
-            scenes, plan_reversed, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
+            scenes, plan_reversed, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert log_d.stage_sizes == log_r.stage_sizes == (9, 7, 3)
         assert len(sel_d) == len(sel_r) == 3
         assert set(sel_d) != set(sel_r)
-
-    def test_small_pool_rejected_by_default(self):
-        _, preds = predicted_pool(n=4)
-        with pytest.raises(ValueError, match="below the required"):
-            three_stage_select(
-                list(preds.values()), StagePlan(n_r=2), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC
-            )
 
     def test_degraded_round_shrinks_proportionally(self, caplog):
         _, preds = predicted_pool(n=4)
@@ -218,9 +207,8 @@ class TestThreeStageSelect:
                 DEFAULT_CATALOG,
                 DEFAULT_ANCHORS,
                 ENT,
-                KER,
                 UNC,
-                allow_degraded=True,
+                fresh_cache(),
             )
         assert slog.degraded
         assert slog.stage_sizes[0] == 4
@@ -229,16 +217,15 @@ class TestThreeStageSelect:
 
     def test_degraded_still_needs_n_r_scenes(self):
         _, preds = predicted_pool(n=4)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="below n_r=5"):
             three_stage_select(
                 list(preds.values()),
                 StagePlan(n_r=5),
                 DEFAULT_CATALOG,
                 DEFAULT_ANCHORS,
                 ENT,
-                KER,
                 UNC,
-                allow_degraded=True,
+                fresh_cache(),
             )
 
 
@@ -356,6 +343,19 @@ class TestRunRounds:
     def test_unknown_strategy_rejected(self):
         with pytest.raises(ValueError, match="strategy"):
             self.run(strategy="oracle")
+
+    @pytest.mark.parametrize(
+        "catalog, config",
+        [
+            (ClassCatalog(("car", "pedestrian")), KER),
+            (DEFAULT_CATALOG, KernelConfig(gamma=0.9, sigma=0.05)),
+        ],
+    )
+    def test_mismatched_cache_rejected(self, catalog, config):
+        # The cache's similarities are those of its own catalog and config;
+        # rounds given others must not silently use them.
+        with pytest.raises(ValueError, match="cache was made for"):
+            self.run(cache=SimilarityCache(catalog, config))
 
     def test_input_state_not_mutated(self):
         gt, _ = predicted_pool(n=16, seed=4)

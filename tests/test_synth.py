@@ -4,6 +4,7 @@ import pytest
 from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, MixtureParams, RESIDUAL_DIMS
 from scenesel.kernel import KernelConfig
 from scenesel.diagnostics import sample_pair_similarities
+from scenesel.sampler import SimilarityCache
 from scenesel.synth import (
     NoiseModel,
     PoolSpec,
@@ -82,16 +83,17 @@ class TestGeneratePool:
         base = dict(n_scenes=12, class_mix=(0.5, 0.3, 0.2), rng_seed=9)
         clustered = generate_pool(PoolSpec(redundancy_groups=1, **base), DEFAULT_CATALOG)
         unclustered = generate_pool(PoolSpec(redundancy_groups=12, **base), DEFAULT_CATALOG)
-        ker = KernelConfig()
-        mean_c = np.mean(
-            sample_pair_similarities(
-                sorted(clustered.values(), key=lambda s: s.id), 30, 0, DEFAULT_CATALOG, ker
+        # The two pools reuse ids, so each needs its own cache.
+        mean_c, mean_u = (
+            np.mean(
+                sample_pair_similarities(
+                    sorted(pool.values(), key=lambda s: s.id),
+                    30,
+                    0,
+                    SimilarityCache(DEFAULT_CATALOG, KernelConfig()),
+                )
             )
-        )
-        mean_u = np.mean(
-            sample_pair_similarities(
-                sorted(unclustered.values(), key=lambda s: s.id), 30, 0, DEFAULT_CATALOG, ker
-            )
+            for pool in (clustered, unclustered)
         )
         assert mean_c > mean_u
 

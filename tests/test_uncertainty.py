@@ -6,7 +6,6 @@ import pytest
 
 from scenesel.core import Anchor, DataError, MixtureParams, RESIDUAL_DIMS, Scene
 from scenesel.uncertainty import (
-    BoxUncertainty,
     NearSingularYawError,
     UncertaintyConfig,
     detection_uncertainty,
