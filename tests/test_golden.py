@@ -9,7 +9,8 @@ counts were recorded before the batched kernel engine replaced the per-pair
 solver, the similarities before the round report moved onto
 ``SimilarityCache.matrix``, the mixture digests before the predictor, the
 ``MixtureParams`` validation and the uncertainty scoring were made one pass
-per mixture.
+per mixture, and the digests of every file ``select`` writes before the
+rounds parsed mixture sidecars only for the scenes of the uncertainty stage.
 To record it again after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
@@ -119,6 +120,32 @@ def cli_rounds(seed: int, work: Path) -> dict:
     return {"selected": selected, "kernel_evals": evals}
 
 
+def cli_select_digests(work: Path) -> dict:
+    """sha256 of every file ``select`` writes (the state and the round's
+    selection and report), after ``select --init --n0 6`` and after each of
+    two ``--n-r 4`` rounds, on a ``synth --seed 2`` pool of 60 scenes of
+    8-20 objects."""
+    pool, state, out = work / "pool", work / "state.json", work / "sel"
+
+    def run(*argv):
+        with contextlib.redirect_stdout(io.StringIO()):
+            code = main(["--seed", "2"] + [str(a) for a in argv])
+        assert code == 0, argv
+
+    def digests():
+        files = [state] + sorted(out.iterdir() if out.exists() else [])
+        return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files}
+
+    run("synth", "--out", pool, "--n-scenes", 60, "--objects", "8,20")
+    select = ("select", "--pool", pool, "--state", state, "--out", out)
+    run(*select, "--init", "--n0", 6)
+    steps = {"init": digests()}
+    for r in (1, 2):
+        run(*select, "--n-r", 4)
+        steps[f"round_{r:03d}"] = digests()
+    return steps
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -141,15 +168,21 @@ def test_cli_selections_match_golden(golden, seed, tmp_path):
     assert cli_rounds(seed, tmp_path) == golden["cli"][str(seed)]
 
 
+def test_cli_select_outputs_match_golden(golden, tmp_path):
+    assert cli_select_digests(tmp_path) == golden["select_outputs"]
+
+
 if __name__ == "__main__":
     import tempfile
 
-    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}}
+    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}, "select_outputs": {}}
     for seed in SEEDS:
         doc["run_al_rounds"][str(seed)] = {s: library_rounds(seed, s) for s in sampler.STRATEGIES}
         doc["mixtures"][str(seed)] = {name: mixture_digests(seed, n) for name, n in MIXTURE_NOISE.items()}
         with tempfile.TemporaryDirectory() as tmp:
             doc["cli"][str(seed)] = cli_rounds(seed, Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["select_outputs"] = cli_select_digests(Path(tmp))
     # One line per list of ids or counts.
     text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", json.dumps(doc, indent=1))
     FIXTURE.write_text(text + "\n")
