@@ -138,8 +138,16 @@ def cmd_score(args) -> int:
 
 
 def cmd_select(args) -> int:
+    """Initialize the round state (``--init``) or run one selection round.
+
+    Labels are parsed for every pool scene, and every scene must have its
+    mixture sidecar, but a sidecar is parsed only for a scene that reaches
+    the uncertainty stage (with the default order, floor(k2*n_r) scenes);
+    ``--init`` parses none.
+    """
     cfg = _config_from_args(args)
-    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=True)
+    scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
+    sidecars = {s.id: kitti.sidecar_path(args.pool, s.id) for s in scenes}
     by_id = {s.id: s for s in scenes}
     state_path = Path(args.state)
     out = Path(args.out)
@@ -178,10 +186,18 @@ def cmd_select(args) -> int:
             f"cannot supply n_r={cfg.plan.n_r} scenes"
         )
     # One cache serves the selection and its report, so the report's pairs
-    # among the selected scenes are cache hits.
+    # among the selected scenes are cache hits. Likewise the parsed sidecars:
+    # every selected scene went through the uncertainty stage.
     cache = SimilarityCache(cfg.catalog, cfg.kernel)
+    parsed = {}
+
+    def with_mixtures(scene):
+        if scene.id not in parsed:
+            parsed[scene.id] = kitti.load_mixture_sidecar(sidecars[scene.id], scene)
+        return parsed[scene.id]
+
     selected, slog = sampler.three_stage_select(
-        unlabeled, cfg.plan, cfg.catalog, cfg.anchors, cfg.entropy, cfg.uncertainty, cache
+        unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
     )
     # Another run may have advanced the state while this one selected; write
     # nothing over it. This narrows the window between load and save; it is
@@ -196,9 +212,8 @@ def cmd_select(args) -> int:
     state_mod.save_round_state(st, state_path)
     write_text_atomic(out / f"selected_round_{st.round_index:03d}.txt", "\n".join(selected) + "\n")
     report = diagnostics.selection_report(
-        [by_id[i] for i in selected],
+        [with_mixtures(by_id[i]) for i in selected],
         scenes,
-        cfg.catalog,
         cfg.entropy,
         cfg.uncertainty,
         cfg.anchors,
@@ -328,7 +343,6 @@ def cmd_stats(args) -> int:
     report = diagnostics.selection_report(
         selected,
         scenes,
-        cfg.catalog,
         cfg.entropy,
         cfg.uncertainty,
         cfg.anchors,

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .core import AnchorTable, ClassCatalog, DataError, Scene
+from .core import AnchorTable, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
 from .sampler import SimilarityCache
 from .uncertainty import UncertaintyConfig, scene_uncertainty
@@ -79,15 +79,15 @@ def sample_pair_similarities(
 def selection_report(
     selected: list[Scene],
     pool: list[Scene],
-    catalog: ClassCatalog,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
     anchors: AnchorTable,
     cache: SimilarityCache,
     rng_seed: int = 0,
 ) -> DiagReport:
-    """Summarize a selection: class balance, similarity spread over
-    REPORT_PAIRS sampled pairs from ``cache``, uncertainty.
+    """Summarize a selection: class balance over the classes of
+    ``cache.catalog``, similarity spread over REPORT_PAIRS sampled pairs from
+    ``cache``, uncertainty.
 
     An empty selection yields a zeroed report with KL marked not applicable.
     """
@@ -96,6 +96,7 @@ def selection_report(
         if s.id not in pool_ids:
             raise ValueError(f"selected scene {s.id!r} not in pool")
 
+    catalog = cache.catalog
     counts = {c: 0 for c in catalog.classes}
     for s in selected:
         for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():

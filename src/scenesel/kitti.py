@@ -57,9 +57,9 @@ def parse_label_line(line: str, path: str | None = None, line_no: int | None = N
             truncated=float(fields[1]),
             occluded=int(float(fields[2])),
             alpha=float(fields[3]),
-            bbox2d=tuple(float(v) for v in fields[4:8]),
-            dims=tuple(float(v) for v in fields[8:11]),
-            location=tuple(float(v) for v in fields[11:14]),
+            bbox2d=tuple(map(float, fields[4:8])),
+            dims=tuple(map(float, fields[8:11])),
+            location=tuple(map(float, fields[11:14])),
             rotation_y=float(fields[14]),
             score=float(fields[15]) if len(fields) == 16 else None,
         )
@@ -186,6 +186,15 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     return Scene(id=scene.id, detections=tuple(enriched))
 
 
+def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:
+    """``sidecars/<scene_id>.mdn`` under a pool directory; a data error if
+    the file does not exist."""
+    path = Path(pool_dir) / "sidecars" / f"{scene_id}.mdn"
+    if not path.exists():
+        raise DataError(f"missing mixture sidecar: {path}")
+    return path
+
+
 def load_pool_dir(
     pool_dir: str | Path,
     catalog: ClassCatalog | None = None,
@@ -203,9 +212,6 @@ def load_pool_dir(
     for label_path in sorted(labels.glob("*.txt")):
         scene = parse_label_file(label_path, catalog=catalog)
         if with_sidecars:
-            sidecar = pool_dir / "sidecars" / (label_path.stem + ".mdn")
-            if not sidecar.exists():
-                raise DataError(f"missing mixture sidecar: {sidecar}")
-            scene = load_mixture_sidecar(sidecar, scene)
+            scene = load_mixture_sidecar(sidecar_path(pool_dir, scene.id), scene)
         scenes.append(scene)
     return scenes

@@ -197,19 +197,25 @@ def farthest_sampling(pool_ids: list[str], similarity_matrix, k: int) -> list[st
     return [pool_ids[i] for i in selected]
 
 
-def _run_stage(stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache):
+def _unchanged(scene: Scene) -> Scene:
+    return scene
+
+
+def _run_stage(stage, scenes, size, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures):
     """The ``size`` ids of ``scenes`` that one metric stage keeps, in its order.
 
     The one stage dispatch: ``three_stage_select`` runs each stage of its plan
     through it, and each single-metric strategy its one stage on the id-sorted
-    pool. ``similarity`` is farthest sampling over the cache's matrix.
+    pool. ``entropy`` counts classes of the cache's catalog; ``similarity`` is
+    farthest sampling over the cache's matrix; ``uncertainty`` ranks the
+    scenes that ``with_mixtures`` returns, each with its mixtures attached.
     """
     if stage == "entropy":
-        return rank_by_entropy(scenes, catalog, entropy_cfg, size)
+        return rank_by_entropy(scenes, cache.catalog, entropy_cfg, size)
     if stage == "similarity":
         return farthest_sampling([s.id for s in scenes], cache.matrix(scenes), size)
     if stage == "uncertainty":
-        return rank_by_uncertainty(scenes, anchors, uncertainty_cfg, size)
+        return rank_by_uncertainty([with_mixtures(s) for s in scenes], anchors, uncertainty_cfg, size)
     raise ValueError(f"unknown stage {stage!r}; valid: {', '.join(STAGE_NAMES)}")
 
 
@@ -224,11 +230,11 @@ class SelectionLog:
 def three_stage_select(
     unlabeled_scenes: list[Scene],
     plan: StagePlan,
-    catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
+    with_mixtures: Callable[[Scene], Scene] = _unchanged,
 ) -> tuple[list[str], SelectionLog]:
     """Run the three metric stages in the configured order.
 
@@ -236,9 +242,13 @@ def three_stage_select(
     which metric runs at which position. If the pool is smaller than the
     first stage, the round is degraded: the multipliers shrink
     proportionally so stage 1 consumes the whole pool, with a warning and
-    ``SelectionLog.degraded`` set. A pool below n_r is an error. Similarities
-    come from ``cache``, under its kernel config. The log's ``kernel_evals``
-    is the kernel work of this call: the growth of ``cache.evaluations``.
+    ``SelectionLog.degraded`` set. A pool below n_r is an error. Classes are
+    those of ``cache.catalog``, and similarities come from ``cache``, under
+    its kernel config. The uncertainty stage ranks ``with_mixtures(scene)``
+    for each scene it is handed, so scenes may come without mixtures when
+    ``with_mixtures`` attaches them; by default the scenes carry their own.
+    The log's ``kernel_evals`` is the kernel work of this call: the growth
+    of ``cache.evaluations``.
     """
     pool_size = len(unlabeled_scenes)
     sizes = list(plan.stage_sizes())
@@ -263,7 +273,7 @@ def three_stage_select(
     for stage, size in zip(plan.order, sizes):
         scenes = [by_id[i] for i in candidates]
         candidates = _run_stage(
-            stage, scenes, size, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
+            stage, scenes, size, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures
         )
     return list(candidates), SelectionLog(
         stage_sizes=tuple(sizes),
@@ -291,7 +301,6 @@ def _select_for_strategy(
     strategy: str,
     preds: list[Scene],
     plan: StagePlan,
-    catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
@@ -299,9 +308,7 @@ def _select_for_strategy(
     rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int, int] | None]:
     if strategy == "tscenejal":
-        selected, slog = three_stage_select(
-            preds, plan, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
-        )
+        selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache)
         return selected, slog.stage_sizes
     ordered = sorted(preds, key=lambda s: s.id)
     if strategy == "random":
@@ -309,7 +316,7 @@ def _select_for_strategy(
         return [ordered[i].id for i in picked], None
     stage = _SINGLE_STAGE[strategy]
     selected = _run_stage(
-        stage, ordered, plan.n_r, catalog, anchors, entropy_cfg, uncertainty_cfg, cache
+        stage, ordered, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, _unchanged
     )
     return selected, None
 
@@ -365,7 +372,6 @@ def run_al_rounds(
             strategy,
             preds,
             plan,
-            catalog,
             anchors,
             entropy_cfg,
             uncertainty_cfg,
@@ -383,7 +389,6 @@ def run_al_rounds(
                 selected_preds,
                 stage_sizes,
                 evaluated_before,
-                catalog,
                 anchors,
                 entropy_cfg,
                 uncertainty_cfg,
@@ -400,7 +405,6 @@ def _round_report(
     selected_preds: list[Scene],
     stage_sizes,
     evaluated_before: int,
-    catalog: ClassCatalog,
     anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
@@ -409,6 +413,7 @@ def _round_report(
     """The round's report. Its ``kernel_evals`` is the growth of
     ``cache.evaluations`` since ``evaluated_before``, taken when the round
     began, so it counts the selection's kernel work and the report's."""
+    catalog = cache.catalog
     counts = {c: 0 for c in catalog.classes}
     for s in selected_preds:
         for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():

@@ -207,7 +207,7 @@ def test_07_stage_size_contract(capsys):
         _, preds = _predicted_pool(n=3 * n_r + 5, seed=n_r)
         plan = StagePlan(n_r=n_r)
         selected, slog = three_stage_select(
-            preds, plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC,
+            preds, plan, DEFAULT_ANCHORS, ENT, UNC,
             SimilarityCache(DEFAULT_CATALOG, KER),
         )
         expected = (math.floor(3 * n_r), math.floor(2.5 * n_r), n_r)
@@ -337,7 +337,7 @@ def test_12_complexity_contract(capsys):
     for n_r, pool_n in ((7, 40), (20, 80)):
         _, preds = _predicted_pool(n=pool_n, seed=n_r)
         _, slog = three_stage_select(
-            preds, StagePlan(n_r=n_r), DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC,
+            preds, StagePlan(n_r=n_r), DEFAULT_ANCHORS, ENT, UNC,
             SimilarityCache(DEFAULT_CATALOG, KER),
         )
         bound = math.floor(3 * n_r) ** 2

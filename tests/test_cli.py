@@ -2,10 +2,11 @@ import json
 import logging
 import re
 import shutil
+from pathlib import Path
 
 import pytest
 
-from scenesel import sampler, state as state_mod
+from scenesel import kitti, sampler, state as state_mod
 from scenesel.cli import main
 
 
@@ -192,16 +193,92 @@ class TestSelect:
         assert reported > 0
         assert len(calls) == reported
 
-    def test_nan_sidecar_is_data_error(self, pool_dir, tmp_path, capsys):
+    def parsed_sidecars(self, monkeypatch):
+        """Record the path of every sidecar parsed from now on."""
+        parsed = []
+        load = kitti.load_mixture_sidecar
+
+        def counting(path, scene):
+            parsed.append(str(path))
+            return load(path, scene)
+
+        monkeypatch.setattr(kitti, "load_mixture_sidecar", counting)
+        return parsed
+
+    def clean_round(self, pool_dir, tmp_path, monkeypatch):
+        """A round of 3 on a copy of the pool, in its own directory: the
+        sidecars it parsed and every file it wrote."""
+        work = tmp_path / "clean"
+        shutil.copytree(pool_dir, work / "pool")
+        state, out = self.init_state(work / "pool", work)
+        parsed = self.parsed_sidecars(monkeypatch)
+        assert run("--seed", 9, "select", "--pool", work / "pool", "--state", state, "--out", out, "--n-r", 3) == 0
+        monkeypatch.undo()
+        written = {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]}
+        return {Path(p).stem for p in parsed}, written
+
+    @pytest.mark.parametrize("order", [None, "uncertainty,entropy,similarity"])
+    def test_round_parses_only_the_uncertainty_stage_sidecars(self, pool_dir, tmp_path, capsys, monkeypatch, order):
+        parsed = self.parsed_sidecars(monkeypatch)
         state, out = self.init_state(pool_dir, tmp_path)
-        sidecar = pool_dir / "sidecars" / "scene_000005.mdn"
+        assert parsed == []  # --init parses none
+        unlabeled = json.loads(state.read_text())["unlabeled_ids"]
+        capsys.readouterr()
+        flags = ("--n-r", 3) if order is None else ("--n-r", 3, "--order", order)
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, *flags) == 0
+        sizes = re.search(r"stage sizes \((\d+), (\d+), (\d+)\)", capsys.readouterr().out).groups()
+        assert len(parsed) == len(set(parsed))
+        if order is None:
+            assert len(parsed) == int(sizes[1]) == 7
+        else:
+            assert sorted(Path(p).stem for p in parsed) == sorted(unlabeled)
+
+    def test_nan_sidecar_is_data_error(self, pool_dir, tmp_path, capsys, monkeypatch):
+        # The NaN goes into a sidecar that a clean round parses, for a scene
+        # the uncertainty stage ranks.
+        ranked, _ = self.clean_round(pool_dir, tmp_path, monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        sidecar = pool_dir / "sidecars" / f"{min(ranked)}.mdn"
         doc = json.loads(sidecar.read_text())
         doc["detections"][-1]["variances"][6] = [float("nan")] * len(doc["detections"][-1]["variances"][6])
         sidecar.write_text(json.dumps(doc))
         before = state.read_bytes()
+        capsys.readouterr()
         assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
         assert str(sidecar) in capsys.readouterr().err
         assert state.read_bytes() == before
+
+    def test_nan_sidecar_of_an_unranked_scene_is_not_read(self, pool_dir, tmp_path, monkeypatch):
+        # An unlabeled scene that the uncertainty stage never sees: its
+        # sidecar is not parsed, and the round writes what a clean pool gives.
+        ranked, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        unranked = sorted(set(json.loads(state.read_text())["unlabeled_ids"]) - ranked)
+        sidecar = pool_dir / "sidecars" / f"{unranked[0]}.mdn"
+        doc = json.loads(sidecar.read_text())
+        doc["detections"][0]["weights"][0][0] = float("nan")
+        sidecar.write_text(json.dumps(doc))
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+        assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
+
+    @pytest.mark.parametrize("which", ["labeled", "unlabeled"])
+    def test_deleted_sidecar_of_any_pool_scene_is_data_error(self, pool_dir, tmp_path, capsys, which):
+        # Every pool scene needs its sidecar, whether or not a round would
+        # parse it; --init checks too.
+        state, out = self.init_state(pool_dir, tmp_path)
+        sid = sorted(json.loads(state.read_text())[f"{which}_ids"])[0]
+        sidecar = pool_dir / "sidecars" / f"{sid}.mdn"
+        sidecar.unlink()
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
+        assert f"missing mixture sidecar: {sidecar}" in capsys.readouterr().err
+        assert state.read_bytes() == before
+        assert not out.exists() or not list(out.iterdir())
+        fresh = tmp_path / "fresh.json"
+        assert run("select", "--pool", pool_dir, "--state", fresh, "--out", out, "--init", "--n0", 4) == 3
+        assert f"missing mixture sidecar: {sidecar}" in capsys.readouterr().err
+        assert not fresh.exists()
 
     def test_unlabeled_ids_missing_from_pool_are_data_error(self, pool_dir, tmp_path, capsys):
         # Scenes removed from the pool after --init would otherwise stay

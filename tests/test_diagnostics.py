@@ -143,7 +143,7 @@ class TestPairSampling:
 class TestSelectionReport:
     def report(self, selected, pool):
         return selection_report(
-            selected, pool, DEFAULT_CATALOG, ENT, UNC, DEFAULT_ANCHORS, fresh_cache(), rng_seed=0
+            selected, pool, ENT, UNC, DEFAULT_ANCHORS, fresh_cache(), rng_seed=0
         )
 
     def test_empty_selection_zeroed(self):

@@ -157,7 +157,7 @@ class TestThreeStageSelect:
         _, preds = predicted_pool(n=10)
         plan = StagePlan(n_r=2)
         selected, slog = three_stage_select(
-            list(preds.values()), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
+            list(preds.values()), plan, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert slog.stage_sizes == (6, 5, 2)
         assert len(selected) == 2
@@ -168,16 +168,53 @@ class TestThreeStageSelect:
     def test_dominant_scene_always_selected(self):
         plan = StagePlan(n_r=1, k1=3.0, k2=2.0)
         selected, _ = three_stage_select(
-            dominant_pool(), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
+            dominant_pool(), plan, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert selected == ["a"]
+
+    def test_classes_come_from_the_cache(self):
+        # Entropy decides a plan of n_r 1 with k1 = k2 = 1. Under car only,
+        # both scenes score 0 and the tie goes to the smaller id.
+        mix = uniform_mixture()
+
+        def scene(sid, *labels):
+            dets = (ScoredDetection(c, 0.9, make_box(x=4.0 * i), mix) for i, c in enumerate(labels))
+            return Scene(id=sid, detections=tuple(dets))
+
+        scenes = [scene("a", "car", "car"), scene("b", "car", "pedestrian")]
+        plan = StagePlan(n_r=1, k1=1.0, k2=1.0)
+        picks = [
+            three_stage_select(scenes, plan, DEFAULT_ANCHORS, ENT, UNC, SimilarityCache(catalog, KER))[0]
+            for catalog in (DEFAULT_CATALOG, ClassCatalog(("car",)))
+        ]
+        assert picks == [["b"], ["a"]]
+
+    def test_mixtures_attached_for_the_uncertainty_stage_only(self):
+        # The uncertainty stage ranks what ``with_mixtures`` returns; the
+        # other stages never ask for it.
+        _, preds = predicted_pool(n=12)
+        bare = [
+            Scene(p.id, tuple(ScoredDetection(d.class_label, d.confidence, d.box) for d in p.detections))
+            for p in preds.values()
+        ]
+        asked = []
+
+        def with_mixtures(scene):
+            asked.append(scene.id)
+            return preds[scene.id]
+
+        plan = StagePlan(n_r=2)
+        expected = three_stage_select(list(preds.values()), plan, DEFAULT_ANCHORS, ENT, UNC, fresh_cache())
+        got = three_stage_select(bare, plan, DEFAULT_ANCHORS, ENT, UNC, fresh_cache(), with_mixtures)
+        assert got == expected
+        assert len(asked) == len(set(asked)) == plan.stage_sizes()[1]
 
     def test_instrumentation_contract(self):
         _, preds = predicted_pool(n=12)
         plan = StagePlan(n_r=2)
         cache = fresh_cache()
         _, slog = three_stage_select(
-            list(preds.values()), plan, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, cache
+            list(preds.values()), plan, DEFAULT_ANCHORS, ENT, UNC, cache
         )
         assert slog.kernel_evals == cache.evaluations > 0
         assert slog.entropy_sorts == 1
@@ -189,10 +226,10 @@ class TestThreeStageSelect:
         plan_default = StagePlan(n_r=3)
         plan_reversed = StagePlan(n_r=3, order=("uncertainty", "similarity", "entropy"))
         sel_d, log_d = three_stage_select(
-            scenes, plan_default, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
+            scenes, plan_default, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         sel_r, log_r = three_stage_select(
-            scenes, plan_reversed, DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
+            scenes, plan_reversed, DEFAULT_ANCHORS, ENT, UNC, fresh_cache()
         )
         assert log_d.stage_sizes == log_r.stage_sizes == (9, 7, 3)
         assert len(sel_d) == len(sel_r) == 3
@@ -204,7 +241,6 @@ class TestThreeStageSelect:
             selected, slog = three_stage_select(
                 list(preds.values()),
                 StagePlan(n_r=2),
-                DEFAULT_CATALOG,
                 DEFAULT_ANCHORS,
                 ENT,
                 UNC,
@@ -221,7 +257,6 @@ class TestThreeStageSelect:
             three_stage_select(
                 list(preds.values()),
                 StagePlan(n_r=5),
-                DEFAULT_CATALOG,
                 DEFAULT_ANCHORS,
                 ENT,
                 UNC,
