@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, Scene, ScoredDetection
+from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, Scene, ScoredDetection
 from scenesel.diagnostics import (
     category_kl_to_uniform,
     sample_pair_similarities,
@@ -171,6 +171,15 @@ class TestSelectionReport:
         assert 0.0 <= rep.similarity_mean <= 1.0
         # ground-truth scenes carry no mixtures, so no uncertainty histogram
         assert rep.uncertainty_histogram == {}
+
+    def test_classes_come_from_the_cache(self):
+        spec = PoolSpec(n_scenes=6, class_mix=(0.5, 0.3, 0.2), rng_seed=2)
+        pool = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
+        cars = sum(d.class_label == "car" for s in pool for d in s.detections)
+        car_only = SimilarityCache(ClassCatalog(("car",)), KER)
+        rep = selection_report(pool, pool, ENT, UNC, DEFAULT_ANCHORS, car_only, rng_seed=0)
+        assert rep.class_histogram == {"car": cars} and rep.object_count == cars
+        assert rep.category_kl == 0.0
 
     def test_omitted_uncertainty_is_logged(self, caplog):
         pool = duplicated_scenes(3)
