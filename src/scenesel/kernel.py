@@ -3,11 +3,15 @@
 A scene becomes a complete directed graph over its confidence-filtered
 objects plus an ego node at the origin; edge weights are inverse center
 distances. Graph similarity is the expected product kernel over random-walk
-path pairs, evaluated by fixed-point iteration on the product graph.
-``marginalized_kernels`` is the one solver: it evaluates many pairs at once,
-one stacked fixed point per graph-size group, and ``marginalized_kernel`` is
-its one-pair call. ``sampler.SimilarityCache`` normalizes the kernel by the
-self-kernels into a similarity in [0, 1] with self-similarity exactly 1.
+path pairs, evaluated by fixed-point iteration on the product graph. The
+node kernel is zero between different labels, so only the label-matched
+("live") product nodes enter the fixed point and the kernel; the solver
+drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
+ICML 2004). ``marginalized_kernels`` is the one solver: it evaluates many
+pairs at once, one stacked fixed point per live-count group whatever the
+graph sizes, and ``marginalized_kernel`` is its one-pair call.
+``sampler.SimilarityCache`` normalizes the kernel by the self-kernels into a
+similarity in [0, 1] with self-similarity exactly 1.
 
 Random-walk model (the cited kernel's standard construction): uniform start
 probability 1/|V|, per-step termination probability gamma, and transition
@@ -24,9 +28,10 @@ import numpy as np
 
 from .core import ClassCatalog, ConvergenceError, Scene
 
-# Bytes of product-graph matrices solved in one stacked fixed point. Bounds
-# the engine's working set: the broadcast that builds them holds a few
-# arrays of this size. A larger product graph is solved on its own.
+# Bytes of live-node matrices M_LL solved in one stacked fixed point: a
+# batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
+# engine's working set: the gathers that build them hold a few arrays of
+# this size. A pair whose M_LL alone is larger is solved on its own.
 BATCH_BYTES = 256 * 1024
 
 
@@ -138,15 +143,20 @@ def marginalized_kernels(
 ) -> list[float]:
     """Unnormalized kernels of many graph pairs, in input order.
 
-    Solves R = q + M R on each product graph by fixed-point iteration, where
-    q is the joint termination probability gamma^2 and M combines transition
-    probabilities with the edge kernel exp(-|e - e'| / (2 sigma^2)) and the
-    node kernel [label == label'] / 2. A kernel is then the start
-    distribution contracted with the node kernel and R.
+    Solves R = q + M R by fixed-point iteration, where q is the joint
+    termination probability gamma^2 and M combines transition probabilities
+    with the edge kernel exp(-|e - e'| / (2 sigma^2)) and the node kernel
+    [label == label'] / 2. A kernel is then the start distribution
+    contracted with the node kernel and R. Every column (u, v) of M carries
+    the node kernel of (u, v), so R on the label-matched ("live") product
+    nodes is a closed system, and the kernel reads only those nodes: each
+    pair solves R_L = q + M_LL R_L over its live nodes alone, in ascending
+    order of the flat index i * |V2| + j. A pair with no live node is 0.0.
 
-    Pairs are grouped by (|V1|, |V2|). A group builds its matrices M in one
-    broadcast and iterates them as one stacked matmul, at most BATCH_BYTES of
-    M at a time; each pair's R is frozen at the iteration where its own
+    Pairs are grouped by their live count L, whatever their graph sizes. A
+    group builds its matrices M_LL in one gather from the call's edge
+    weights and iterates them as one stacked matmul, at most BATCH_BYTES of
+    M_LL at a time; each pair's R_L is frozen at the iteration where its own
     residual drops below tol. So every value is the float a lone pair gets.
     """
     # canonical argument order so K(a, b) and K(b, a) share one float result
@@ -154,54 +164,109 @@ def marginalized_kernels(
         (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)
         for g1, g2 in pairs
     ]
-    groups: dict[tuple[int, int], list[int]] = {}
-    for k, (g1, g2) in enumerate(ordered):
-        groups.setdefault((g1.num_nodes, g2.num_nodes), []).append(k)
-
     values = [0.0] * len(ordered)
-    for (n1, n2), members in groups.items():
-        l1 = np.array([ordered[k][0].label_array for k in members])
-        l2 = np.array([ordered[k][1].label_array for k in members])
-        kv = 0.5 * (l1[:, :, None] == l2[:, None, :]).astype(float)
-        # A pair with no matching labels has kernel 0 and is not iterated.
-        live = kv.reshape(len(members), -1).any(axis=1)
-        kv = kv[live]
-        members = [k for k, ok in zip(members, live) if ok]
-        size = max(1, BATCH_BYTES // (8 * (n1 * n2) ** 2))
+    if not ordered:
+        return values
+
+    # The call's distinct graphs: labels as integer codes in one flat buffer,
+    # weights in another, each graph at its own offset.
+    slot: dict[int, int] = {}
+    graphs: list[SceneGraph] = []
+    for pair in ordered:
+        for g in pair:
+            if id(g) not in slot:
+                slot[id(g)] = len(graphs)
+                graphs.append(g)
+    codes: dict[str, int] = {}
+    label_codes = np.array([codes.setdefault(a, len(codes)) for g in graphs for a in g.labels])
+    sizes = np.array([g.num_nodes for g in graphs])
+    label_at = np.cumsum(sizes) - sizes
+    weight_at = np.cumsum(sizes * sizes) - sizes * sizes
+    # A walk never stays on a node, so a step pair that stays on a node of
+    # either graph has M entry 0. The first graph of a pair reads its
+    # weights from a buffer whose diagonal is +inf, the second from one
+    # whose diagonal is -inf: such a step pair's |e - e'| is +inf and its
+    # edge kernel exactly 0.0, and every other entry is computed as if the
+    # diagonal were not there.
+    weights_minus = np.concatenate([g.weight_array.reshape(-1) for g in graphs])
+    node = np.arange(len(label_codes)) - np.repeat(label_at, sizes)
+    diagonal = np.repeat(weight_at, sizes) + node * (np.repeat(sizes, sizes) + 1)
+    weights_minus[diagonal] = -math.inf
+    weights_plus = weights_minus.copy()
+    weights_plus[diagonal] = math.inf
+    first = np.array([slot[id(g1)] for g1, _ in ordered])
+    second = np.array([slot[id(g2)] for _, g2 in ordered])
+    n1, n2 = sizes[first], sizes[second]
+
+    # Live sets, one label-match array per (|V1|, |V2|) group: with its rows
+    # sorted by live count, one nonzero call lists every row's live nodes.
+    live: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    by_size = np.lexsort((n2, n1))
+    bounds = np.flatnonzero(np.diff(n1[by_size]) | np.diff(n2[by_size])) + 1
+    for members in np.split(by_size, bounds):
+        a, b = int(n1[members[0]]), int(n2[members[0]])
+        l1 = label_codes[label_at[first[members]][:, None] + np.arange(a)]
+        l2 = label_codes[label_at[second[members]][:, None] + np.arange(b)]
+        match = (l1[:, :, None] == l2[:, None, :]).reshape(len(members), a * b)
+        counts = match.sum(axis=1)
+        rank = np.argsort(counts, kind="stable")
+        members, counts = members[rank], counts[rank]
+        nodes = np.nonzero(match[rank])[1]
+        node_at = np.cumsum(counts) - counts
+        runs = np.flatnonzero(np.diff(counts)) + 1
+        for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(counts)]):
+            count = int(counts[lo])
+            if count:
+                flat = nodes[node_at[lo] : node_at[lo] + (hi - lo) * count].reshape(hi - lo, count)
+                live.setdefault(count, []).append((members[lo:hi], flat // b, flat % b))
+
+    for count, parts in live.items():
+        members = np.concatenate([p[0] for p in parts])
+        rows = np.concatenate([p[1] for p in parts])
+        cols = np.concatenate([p[2] for p in parts])
+        size = max(1, BATCH_BYTES // (8 * count * count))
         for lo in range(0, len(members), size):
             batch = members[lo : lo + size]
-            solved = _solve_batch([ordered[k] for k in batch], kv[lo : lo + size], config)
-            for k, v in zip(batch, solved):
+            w1 = _live_edges(weights_plus, weight_at[first[batch]], n1[batch], rows[lo : lo + size])
+            w2 = _live_edges(weights_minus, weight_at[second[batch]], n2[batch], cols[lo : lo + size])
+            solved = _solve_live(w1, w2, n1[batch], n2[batch], config)
+            for k, v in zip(batch.tolist(), solved):
                 values[k] = v
     return values
 
 
-def _solve_batch(
-    pairs: list[tuple[SceneGraph, SceneGraph]], kv: np.ndarray, config: KernelConfig
-) -> list[float]:
-    """Kernels of same-size pairs; ``kv`` stacks their node-kernel matrices."""
-    b, n1, n2 = kv.shape
-    w1 = np.array([g1.weight_array for g1, _ in pairs])
-    w2 = np.array([g2.weight_array for _, g2 in pairs])
+def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """Edge weights between the live nodes of b pairs on one side, (b, L, L).
 
-    # Edge kernel exp(-|e - e'| / (2 sigma^2)) on every (edge of g1) x (edge
-    # of g2) combination, in place: -x / c and x / -c are the same float.
-    m = w1[:, :, None, :, None] - w2[:, None, :, None, :]
+    The graph of pair p has its n[p] x n[p] weights at ``flat[at[p]:]`` and
+    ``nodes[p, x]`` is its node in live node x; entry (p, x, y) is the
+    weight of the edge nodes[p, x] -> nodes[p, y].
+    """
+    return flat[(at[:, None] + nodes * n[:, None])[:, :, None] + nodes[:, None, :]]
+
+
+def _solve_live(
+    w1: np.ndarray, w2: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig
+) -> list[float]:
+    """Kernels of b pairs with the same live count L, from the (b, L, L)
+    edge weights ``w1`` and ``w2`` between their live nodes on each graph
+    (see ``_live_edges``) and the graphs' node counts ``n1`` and ``n2``."""
+    b, count, _ = w1.shape
+    # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
+    # are the same float.
+    m = np.subtract(w1, w2, out=w1)
     np.abs(m, out=m)
     np.divide(m, -(2.0 * config.sigma**2), out=m)
     np.exp(m, out=m)
     # Every graph is complete, so each step of a walk on g1 has probability
-    # (1-gamma)/(n1-1) and each on g2 (1-gamma)/(n2-1). M is the edge kernel
-    # times their product, times the 0/1 mask of pairs of real (off-diagonal)
-    # edges, times the node kernel, multiplied in that order.
-    m *= ((1.0 - config.gamma) / (n1 - 1)) * ((1.0 - config.gamma) / (n2 - 1))
-    off1, off2 = ~np.eye(n1, dtype=bool), ~np.eye(n2, dtype=bool)
-    m *= off1[:, None, :, None] & off2[None, :, None, :]
-    m *= kv[:, None, None, :, :]
-    m = m.reshape(b, n1 * n2, n1 * n2)
+    # (1-gamma)/(n1-1) and each on g2 (1-gamma)/(n2-1). M_LL is the edge
+    # kernel times their product, times the node kernel 1/2 of the live
+    # target, multiplied in that order.
+    m *= (((1.0 - config.gamma) / (n1 - 1)) * ((1.0 - config.gamma) / (n2 - 1)))[:, None, None]
+    m *= 0.5
 
-    q = np.full(n1 * n2, config.gamma**2)
-    r = np.tile(q, (b, 1))
+    q = config.gamma**2
+    r = np.full((b, count), q)
     active = np.ones(b, dtype=bool)
     residual = np.full(b, math.inf)
     for _ in range(config.max_iter):
@@ -216,8 +281,9 @@ def _solve_batch(
             "marginalized kernel fixed point did not converge", float(residual[active].max())
         )
 
-    start = 1.0 / (n1 * n2)
-    return [float(start * (kv[p].reshape(-1) @ r[p])) for p in range(b)]
+    # kv_L . R_L per pair, each as its own dot product
+    kv = np.full((count, 1), 0.5)
+    return (1.0 / (n1 * n2) * np.matmul(r[:, None, :], kv)[:, 0, 0]).tolist()
 
 
 def kernel_brute_force(

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, Scene, ScoredDetection
+from scenesel import kernel as kernel_module
 from scenesel.kernel import (
     BATCH_BYTES,
     KernelConfig,
@@ -164,11 +165,43 @@ class TestMarginalizedKernel:
             KernelConfig(max_iter=max_iter)
 
 
+def canonical(g1: SceneGraph, g2: SceneGraph) -> tuple[SceneGraph, SceneGraph]:
+    return (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)
+
+
 def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
-    """The one-pair fixed-point solver the batched engine replaced, verbatim
-    in its arithmetic: the engine must reproduce its floats exactly."""
-    if (g2.labels, g2.weights) < (g1.labels, g1.weights):
-        g1, g2 = g2, g1
+    """A plain one-pair fixed point on the live (label-matched) product
+    nodes, in the engine's elementwise order: the engine must reproduce its
+    floats exactly."""
+    g1, g2 = canonical(g1, g2)
+    n1, n2 = g1.num_nodes, g2.num_nodes
+    live = np.flatnonzero(np.array(g1.labels)[:, None] == np.array(g2.labels)[None, :])
+    if live.size == 0:
+        return 0.0
+    i, j = live // n2, live % n2
+    w1, w2 = np.asarray(g1.weights), np.asarray(g2.weights)
+    m = w1[np.ix_(i, i)] - w2[np.ix_(j, j)]
+    m = np.exp(np.abs(m) / -(2.0 * config.sigma**2))
+    m = m * (((1.0 - config.gamma) / (n1 - 1)) * ((1.0 - config.gamma) / (n2 - 1)))
+    m = m * ((i[:, None] != i[None, :]) & (j[:, None] != j[None, :]))
+    m = m * 0.5
+    q = np.full(live.size, config.gamma**2)
+    r = q.copy()
+    for _ in range(config.max_iter):
+        r_next = q + m @ r
+        residual = float(np.max(np.abs(r_next - r)))
+        r = r_next
+        if residual < config.tol:
+            break
+    return float(1.0 / (n1 * n2) * (np.full(live.size, 0.5) @ r))
+
+
+def full_product_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
+    """The fixed point on every product node, label-matched or not, as the
+    one-pair solver before the live-node engine computed it. Dropping the
+    unmatched nodes is exact, but the stop test sees other nodes, so the
+    two agree to the tolerance of acceptance 01, not to the bit."""
+    g1, g2 = canonical(g1, g2)
     kv = 0.5 * (np.array(g1.labels, dtype=object)[:, None] == np.array(g2.labels, dtype=object)[None, :]).astype(float)
     if not kv.any():
         return 0.0
@@ -195,6 +228,33 @@ def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
     return float(1.0 / (n1 * n2) * (kv.reshape(-1) @ r))
 
 
+def live_count(g1: SceneGraph, g2: SceneGraph) -> int:
+    return sum(a == b for a in g1.labels for b in g2.labels)
+
+
+def graph_with_labels(rng: random.Random, labels: tuple[str, ...]) -> SceneGraph:
+    n = len(labels)
+    weights = [[0.0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            weights[i][j] = weights[j][i] = rng.uniform(0.05, 2.0)
+    return SceneGraph(labels=labels, weights=tuple(tuple(r) for r in weights))
+
+
+@pytest.fixture
+def batch_sizes(monkeypatch):
+    """The pair count of every stacked solve the engine makes."""
+    sizes = []
+    solve = kernel_module._solve_live
+
+    def counted(w1, w2, n1, n2, config):
+        sizes.append(len(w1))
+        return solve(w1, w2, n1, n2, config)
+
+    monkeypatch.setattr(kernel_module, "_solve_live", counted)
+    return sizes
+
+
 class TestBatchedEngine:
     """``marginalized_kernels`` returns, with ``==``, the floats of one-pair calls."""
 
@@ -213,6 +273,8 @@ class TestBatchedEngine:
         assert max(g.num_nodes for pair in pairs for g in pair) >= 15
         batched = self.assert_same_as_single(pairs)
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+        full = [full_product_reference(g1, g2) for g1, g2 in pairs]
+        assert batched == pytest.approx(full, rel=1e-6, abs=0.0)
 
     def test_swapped_order_and_self_pairs(self):
         rng = random.Random(43)
@@ -222,27 +284,70 @@ class TestBatchedEngine:
         by_pair = dict(zip(((id(a), id(b)) for a, b in pairs), batched))
         assert all(by_pair[id(a), id(b)] == by_pair[id(b), id(a)] for a, b in pairs)
         assert all(by_pair[id(g), id(g)] > 0 for g in graphs)
+        assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+        full = [full_product_reference(g1, g2) for g1, g2 in pairs]
+        assert batched == pytest.approx(full, rel=1e-6, abs=0.0)
 
-    def test_all_zero_node_kernel_pairs(self):
+    def test_all_zero_node_kernel_pairs(self, batch_sizes):
         rng = random.Random(47)
         only_a = [random_graph(rng, labels=("a",)) for _ in range(4)]
         only_b = [random_graph(rng, labels=("b",)) for _ in range(4)]
         pairs = [(a, b) for a in only_a for b in only_b] + [(only_a[0], only_a[1])]
-        batched = self.assert_same_as_single(pairs)
+        batched = marginalized_kernels(pairs, CFG)
         assert batched[:-1] == [0.0] * 16
         assert batched[-1] > 0
+        assert batch_sizes == [1]  # the pairs with no live node are not iterated
+        assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
 
-    def test_more_pairs_than_one_stacked_batch(self):
+    def test_more_pairs_than_one_stacked_batch(self, batch_sizes):
+        # Every graph has 5 nodes labeled a, a, a, b, b in some order, so
+        # every pair has the live count 3*3 + 2*2 = 13, and the pairs fill
+        # one live-count group of more than three stacked batches.
         rng = random.Random(53)
         graphs = []
-        while len(graphs) < 30:
-            g = random_graph(rng, max_nodes=5)
-            if g.num_nodes == 5:
-                graphs.append(g)
-        per_batch = BATCH_BYTES // (8 * 25**2)
+        for _ in range(30):
+            labels = ["a", "a", "a", "b", "b"]
+            rng.shuffle(labels)
+            graphs.append(graph_with_labels(rng, tuple(labels)))
+        per_batch = BATCH_BYTES // (8 * 13**2)
         pairs = [(rng.choice(graphs), rng.choice(graphs)) for _ in range(3 * per_batch + 1)]
-        batched = self.assert_same_as_single(pairs)
+        assert {live_count(g1, g2) for g1, g2 in pairs} == {13}
+        batched = marginalized_kernels(pairs, CFG)
+        assert batch_sizes == [per_batch] * 3 + [1]
+        assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+
+    def test_same_float_alone_and_among_other_sizes_of_its_live_count(self, batch_sizes):
+        # A live-count group holds pairs of different graph sizes; a pair's
+        # value must not depend on which of them share its stacked solve.
+        rng = random.Random(67)
+        graphs = [random_graph(rng, max_nodes=7, labels=("a", "b", "c", "d")) for _ in range(40)]
+        pairs = [(g1, g2) for g1 in graphs for g2 in graphs if live_count(g1, g2) == 6]
+        assert len({(g1.num_nodes, g2.num_nodes) for g1, g2 in pairs}) >= 5
+        batched = marginalized_kernels(pairs, CFG)
+        assert batch_sizes == [len(pairs)]  # one stacked solve
+        assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
+        assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+
+    def test_ego_times_ego_only_live_node(self):
+        # The one live node has no live successor (the walk would have to
+        # stay on the ego node of both graphs), so R_L = q and the kernel is
+        # the start probability times kv * gamma^2.
+        rng = random.Random(71)
+        cases = [
+            (("ego", "car"), ("ego", "pedestrian")),
+            (("ego", "car", "car", "car"), ("ego", "pedestrian", "cyclist")),
+        ]
+        for labels1, labels2 in cases:
+            g1, g2 = graph_with_labels(rng, labels1), graph_with_labels(rng, labels2)
+            assert live_count(g1, g2) == 1
+            n1, n2 = g1.num_nodes, g2.num_nodes
+            expected = 1.0 / (n1 * n2) * (0.5 * CFG.gamma**2)
+            assert marginalized_kernel(g1, g2, CFG) == expected
+            assert marginalized_kernel(g2, g1, CFG) == expected
+            assert per_pair_reference(g1, g2) == expected
+            assert full_product_reference(g1, g2) == pytest.approx(expected, rel=1e-6)
+            assert kernel_brute_force(g1, g2, CFG, 40) == pytest.approx(expected, rel=1e-12)
 
     def test_matrix_over_more_than_one_block(self, catalog):
         rng = random.Random(59)
