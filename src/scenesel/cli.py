@@ -328,7 +328,7 @@ def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     try:
         scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=True)
-    except DataError as exc:
+    except (DataError, ParseError) as exc:
         log.warning("loading the pool without sidecars: %s", exc)
         scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=False)
     by_id = {s.id: s for s in scenes}

@@ -380,6 +380,17 @@ class TestStats:
         assert "loading the pool without sidecars" in caplog.text
         assert "missing mixture sidecar" in caplog.text
 
+    def test_non_json_sidecar_falls_back_like_a_missing_one(self, pool_dir, tmp_path, caplog):
+        (pool_dir / "sidecars" / "scene_000002.mdn").write_text("{not json")
+        with caplog.at_level(logging.WARNING):
+            assert run("stats", "--pool", pool_dir, "--out", tmp_path / "bad") == 0
+        assert "loading the pool without sidecars" in caplog.text
+        assert "invalid sidecar JSON" in caplog.text
+        shutil.rmtree(pool_dir / "sidecars")
+        assert run("stats", "--pool", pool_dir, "--out", tmp_path / "none") == 0
+        for name in ("stats.summary.txt", "stats.hist.csv"):
+            assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
+
     def test_unknown_ids_rejected(self, pool_dir, tmp_path):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("scene_999999\n")
