@@ -200,7 +200,7 @@ def marginalized_kernels(
 
     # Live sets, one label-match array per (|V1|, |V2|) group: with its rows
     # sorted by live count, one nonzero call lists every row's live nodes.
-    live: dict[int, list[tuple[np.ndarray, np.ndarray, np.ndarray]]] = {}
+    live: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
     by_size = np.lexsort((n2, n1))
     bounds = np.flatnonzero(np.diff(n1[by_size]) | np.diff(n2[by_size])) + 1
     for members in np.split(by_size, bounds):
@@ -211,26 +211,27 @@ def marginalized_kernels(
         counts = match.sum(axis=1)
         rank = np.argsort(counts, kind="stable")
         members, counts = members[rank], counts[rank]
-        nodes = np.nonzero(match[rank])[1]
+        # flat indices i * b + j; int32 halves what the call holds until the
+        # pairs are solved
+        nodes = np.nonzero(match[rank])[1].astype(np.int32)
         node_at = np.cumsum(counts) - counts
         runs = np.flatnonzero(np.diff(counts)) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(counts)]):
             count = int(counts[lo])
             if count:
                 flat = nodes[node_at[lo] : node_at[lo] + (hi - lo) * count].reshape(hi - lo, count)
-                live.setdefault(count, []).append((members[lo:hi], flat // b, flat % b))
+                live.setdefault(count, []).append((members[lo:hi], flat))
 
     for count, parts in live.items():
         members = np.concatenate([p[0] for p in parts])
-        rows = np.concatenate([p[1] for p in parts])
-        cols = np.concatenate([p[2] for p in parts])
+        nodes = np.concatenate([p[1] for p in parts])
         size = max(1, BATCH_BYTES // (8 * count * count))
         for lo in range(0, len(members), size):
             batch = members[lo : lo + size]
-            w1 = _live_edges(weights_plus, weight_at[first[batch]], n1[batch], rows[lo : lo + size])
-            w2 = _live_edges(weights_minus, weight_at[second[batch]], n2[batch], cols[lo : lo + size])
-            solved = _solve_live(w1, w2, n1[batch], n2[batch], config)
-            for k, v in zip(batch.tolist(), solved):
+            i, j = np.divmod(nodes[lo : lo + size], n2[batch][:, None])
+            m = _live_edges(weights_plus, weight_at[first[batch]], n1[batch], i)
+            np.subtract(m, _live_edges(weights_minus, weight_at[second[batch]], n2[batch], j), out=m)
+            for k, v in zip(batch.tolist(), _solve_live(m, n1[batch], n2[batch], config)):
                 values[k] = v
     return values
 
@@ -245,16 +246,13 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     return flat[(at[:, None] + nodes * n[:, None])[:, :, None] + nodes[:, None, :]]
 
 
-def _solve_live(
-    w1: np.ndarray, w2: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig
-) -> list[float]:
-    """Kernels of b pairs with the same live count L, from the (b, L, L)
-    edge weights ``w1`` and ``w2`` between their live nodes on each graph
-    (see ``_live_edges``) and the graphs' node counts ``n1`` and ``n2``."""
-    b, count, _ = w1.shape
+def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> list[float]:
+    """Kernels of b pairs with the same live count L, from the graphs' node
+    counts and the (b, L, L) differences e - e' of the edge weights between
+    their live nodes (see ``_live_edges``), which become M_LL in place."""
+    b, count, _ = m.shape
     # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
     # are the same float.
-    m = np.subtract(w1, w2, out=w1)
     np.abs(m, out=m)
     np.divide(m, -(2.0 * config.sigma**2), out=m)
     np.exp(m, out=m)

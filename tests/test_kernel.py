@@ -247,9 +247,9 @@ def batch_sizes(monkeypatch):
     sizes = []
     solve = kernel_module._solve_live
 
-    def counted(w1, w2, n1, n2, config):
-        sizes.append(len(w1))
-        return solve(w1, w2, n1, n2, config)
+    def counted(m, n1, n2, config):
+        sizes.append(len(m))
+        return solve(m, n1, n2, config)
 
     monkeypatch.setattr(kernel_module, "_solve_live", counted)
     return sizes
