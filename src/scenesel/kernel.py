@@ -88,20 +88,13 @@ class SceneGraph:
     def num_nodes(self) -> int:
         return len(self.labels)
 
-    # Read-only arrays the kernel needs, built on first use and kept with the
-    # graph, so a cache that keeps its graphs builds them once per scene.
+    # The read-only weight array the kernel needs, built on first use and kept
+    # with the graph, so a cache that keeps its graphs builds it once per scene.
     @cached_property
     def weight_array(self) -> np.ndarray:
-        return _frozen(np.array(self.weights))
-
-    @cached_property
-    def label_array(self) -> np.ndarray:
-        return _frozen(np.array(self.labels))
-
-
-def _frozen(a: np.ndarray) -> np.ndarray:
-    a.flags.writeable = False
-    return a
+        a = np.array(self.weights)
+        a.flags.writeable = False
+        return a
 
 
 def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig) -> SceneGraph:
@@ -279,7 +272,8 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
             "marginalized kernel fixed point did not converge", float(residual[active].max())
         )
 
-    # kv_L . R_L per pair, each as its own dot product
+    # kv_L . R_L, one dot product per pair, so that no pair's float depends
+    # on the others in its batch
     kv = np.full((count, 1), 0.5)
     return (1.0 / (n1 * n2) * np.matmul(r[:, None, :], kv)[:, 0, 0]).tolist()
 
