@@ -326,11 +326,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
+    labeled = kitti.load_pool_dir(args.pool, cfg.catalog)
     try:
-        scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=True)
+        scenes = [kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, s.id), s) for s in labeled]
     except (DataError, ParseError) as exc:
         log.warning("loading the pool without sidecars: %s", exc)
-        scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=False)
+        scenes = labeled
     by_id = {s.id: s for s in scenes}
     if args.ids:
         wanted = [line.strip() for line in Path(args.ids).read_text().splitlines() if line.strip()]

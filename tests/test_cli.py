@@ -391,6 +391,13 @@ class TestStats:
         for name in ("stats.summary.txt", "stats.hist.csv"):
             assert (tmp_path / "bad" / name).read_bytes() == (tmp_path / "none" / name).read_bytes()
 
+    def test_bad_label_file_is_data_error_without_fallback(self, pool_dir, tmp_path, caplog, capsys):
+        (pool_dir / "labels" / "scene_000002.txt").write_text("car 0.9 notanumber\n")
+        with caplog.at_level(logging.WARNING):
+            assert run("stats", "--pool", pool_dir, "--out", tmp_path / "stats") == 3
+        assert "scene_000002.txt" in capsys.readouterr().err
+        assert "without sidecars" not in caplog.text
+
     def test_unknown_ids_rejected(self, pool_dir, tmp_path):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("scene_999999\n")
