@@ -30,15 +30,18 @@ def similarity_matrix(scenes, catalog):
     return SimilarityCache(catalog, CFG).matrix(scenes)
 
 
-def random_graph(rng: random.Random, max_nodes=5, labels=("a", "b", "c")):
-    n = rng.randint(2, max_nodes)
-    node_labels = tuple(rng.choice(labels) for _ in range(n))
+def graph_with_labels(rng: random.Random, labels: tuple[str, ...]) -> SceneGraph:
+    n = len(labels)
     weights = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            w = rng.uniform(0.05, 2.0)
-            weights[i][j] = weights[j][i] = w
-    return SceneGraph(labels=node_labels, weights=tuple(tuple(r) for r in weights))
+            weights[i][j] = weights[j][i] = rng.uniform(0.05, 2.0)
+    return SceneGraph(labels=labels, weights=tuple(tuple(r) for r in weights))
+
+
+def random_graph(rng: random.Random, max_nodes=5, labels=("a", "b", "c")):
+    n = rng.randint(2, max_nodes)
+    return graph_with_labels(rng, tuple(rng.choice(labels) for _ in range(n)))
 
 
 def enumerate_paths(g: SceneGraph, max_len: int):
@@ -230,15 +233,6 @@ def full_product_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
 
 def live_count(g1: SceneGraph, g2: SceneGraph) -> int:
     return sum(a == b for a in g1.labels for b in g2.labels)
-
-
-def graph_with_labels(rng: random.Random, labels: tuple[str, ...]) -> SceneGraph:
-    n = len(labels)
-    weights = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            weights[i][j] = weights[j][i] = rng.uniform(0.05, 2.0)
-    return SceneGraph(labels=labels, weights=tuple(tuple(r) for r in weights))
 
 
 @pytest.fixture
