@@ -385,7 +385,7 @@ class TestStats:
         with caplog.at_level(logging.WARNING):
             assert run("stats", "--pool", pool_dir, "--out", tmp_path / "bad") == 0
         assert "loading the pool without sidecars" in caplog.text
-        assert "invalid sidecar JSON" in caplog.text
+        assert "scene_000002.mdn: invalid sidecar JSON" in caplog.text
         shutil.rmtree(pool_dir / "sidecars")
         assert run("stats", "--pool", pool_dir, "--out", tmp_path / "none") == 0
         for name in ("stats.summary.txt", "stats.hist.csv"):
