@@ -2,7 +2,8 @@
 
 A numerical refactor of the kernel, the entropy or the uncertainty path must
 leave every selection, every round's kernel-evaluation count and every
-``run_al_rounds`` report's mean pairwise similarity (as ``repr``) exactly as
+``run_al_rounds`` report's mean pairwise similarity, selection entropy and
+mean uncertainty (as ``repr``), class counts and object count exactly as
 recorded in ``golden_selections.json``; the predictor's mixtures and the
 scene uncertainties computed from them are pinned by digest. The ids and
 counts were recorded before the batched kernel engine replaced the per-pair
@@ -16,6 +17,9 @@ the kernel came to be solved on the label-matched product nodes only: that
 changes the order of the kernel's sums and, where the stop test no longer
 sees the unmatched nodes, its last iteration, so those floats moved by at
 most 1.7e-8 relative; the ids, counts and mixture digests did not move.
+The report's selection entropy, mean uncertainty, class counts and object
+count were added before the ``random`` strategy came to predict only the
+scenes it picks.
 To record it again after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
@@ -101,6 +105,10 @@ def library_rounds(seed: int, strategy: str) -> dict:
         "selected": [list(r.selected_ids) for r in reports],
         "kernel_evals": [r.kernel_evals for r in reports],
         "mean_pairwise_similarity": [repr(r.mean_pairwise_similarity) for r in reports],
+        "selection_entropy": [repr(r.selection_entropy) for r in reports],
+        "mean_uncertainty": [repr(r.mean_uncertainty) for r in reports],
+        "class_counts": [r.class_counts for r in reports],
+        "object_count": [r.object_count for r in reports],
     }
 
 
