@@ -305,15 +305,12 @@ def _select_for_strategy(
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
-    rng: np.random.Generator,
 ) -> tuple[list[str], tuple[int, int, int] | None]:
+    """The ids a strategy that ranks predictions selects from ``preds``."""
     if strategy == "tscenejal":
         selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache)
         return selected, slog.stage_sizes
     ordered = sorted(preds, key=lambda s: s.id)
-    if strategy == "random":
-        picked = rng.choice(len(ordered), size=plan.n_r, replace=False)
-        return [ordered[i].id for i in picked], None
     stage = _SINGLE_STAGE[strategy]
     selected = _run_stage(
         stage, ordered, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, _unchanged
@@ -338,12 +335,18 @@ def run_al_rounds(
 ) -> tuple[RoundState, list[RoundReport]]:
     """Drive ``rounds`` selection rounds, returning the new state and reports.
 
-    Each round runs the predictor over the unlabeled pool, selects n_r ids
-    under the chosen strategy, reveals ground truth via the oracle, and moves
-    the ids to the labeled set. Deterministic given the state's rng_seed. A
-    predictor or oracle failure aborts the round; the input state object is
-    never mutated. A ``cache`` must have been made for ``catalog`` and
-    ``kernel_cfg``; without one, the rounds share a new cache.
+    Each round selects n_r ids under the chosen strategy, reveals ground
+    truth via the oracle, and moves the ids to the labeled set. A round runs
+    the predictor on the scenes its strategy reads: every unlabeled scene
+    for a strategy that ranks predictions, and for ``random``, which picks
+    its ids before any prediction, only the picked scenes, whose
+    predictions the round report reads. Deterministic given the state's
+    rng_seed. A predictor failure on a scene the round predicts, or an
+    oracle failure, aborts the round; a ``random`` round does not predict,
+    and so does not fail on, a scene it does not pick. The input state
+    object is never mutated. A ``cache`` must have been made for
+    ``catalog`` and ``kernel_cfg``; without one, the rounds share a new
+    cache.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -365,23 +368,22 @@ def run_al_rounds(
     for _ in range(rounds):
         round_index = state.round_index + 1
         evaluated_before = cache.evaluations
-        rng = np.random.default_rng(np.random.SeedSequence([state.rng_seed, round_index]))
         unlabeled = [pool[i] for i in sorted(state.unlabeled_ids)]
-        preds = [predictor(s) for s in unlabeled]
-        selected, stage_sizes = _select_for_strategy(
-            strategy,
-            preds,
-            plan,
-            anchors,
-            entropy_cfg,
-            uncertainty_cfg,
-            cache,
-            rng,
-        )
+        if strategy == "random":
+            rng = np.random.default_rng(np.random.SeedSequence([state.rng_seed, round_index]))
+            picked = rng.choice(len(unlabeled), size=plan.n_r, replace=False)
+            selected = [unlabeled[i].id for i in picked]
+            selected_preds = [predictor(unlabeled[i]) for i in picked]
+            stage_sizes = None
+        else:
+            preds = [predictor(s) for s in unlabeled]
+            selected, stage_sizes = _select_for_strategy(
+                strategy, preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache
+            )
+            pred_by_id = {p.id: p for p in preds}
+            selected_preds = [pred_by_id[i] for i in selected]
         for sid in selected:
             oracle(sid)  # ground-truth reveal; the simulated pool already holds it
-        pred_by_id = {p.id: p for p in preds}
-        selected_preds = [pred_by_id[i] for i in selected]
         reports.append(
             _round_report(
                 round_index,

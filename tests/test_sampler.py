@@ -8,6 +8,7 @@ from scenesel.entropy import EntropyConfig
 from scenesel.kernel import KernelConfig
 from scenesel.sampler import (
     STAGE_NAMES,
+    STRATEGIES,
     SimilarityCache,
     StagePlan,
     farthest_sampling,
@@ -265,9 +266,17 @@ class TestThreeStageSelect:
 
 
 class TestRunRounds:
-    def run(self, strategy="tscenejal", rounds=2, n_r=3, n=30, seed=21, budget=None, cache=None):
+    def run(self, strategy="tscenejal", rounds=2, n_r=3, n=30, seed=21, budget=None, cache=None, predicted=None):
+        """Rounds on a predicted pool. Each scene the predictor is called on
+        is appended to ``predicted``, when given."""
         gt, _ = predicted_pool(n=n, seed=seed)
-        predictor = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=seed)
+        stand_in = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=seed)
+
+        def predictor(scene):
+            if predicted is not None:
+                predicted.append(scene.id)
+            return stand_in(scene)
+
         state = RoundState.fresh(gt, budget_total=budget or rounds * n_r, rng_seed=seed)
         return run_al_rounds(
             gt,
@@ -323,6 +332,47 @@ class TestRunRounds:
         assert len(state.labeled_ids) == 3
         assert reports[0].strategy == strategy
         assert reports[0].stage_sizes is None
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_predictor_runs_on_the_scenes_the_strategy_reads(self, strategy):
+        # Random sampling reads no prediction to pick, so it predicts only
+        # its picks, for the report; every other strategy ranks the
+        # predictions of the whole unlabeled pool, once per scene a round.
+        predicted = []
+        state, _ = self.run(strategy=strategy, rounds=2, n_r=3, n=30, predicted=predicted)
+        round_1, round_2 = state.per_round_selected
+        if strategy == "random":
+            assert len(predicted) == 6
+            assert sorted(predicted) == sorted(round_1 + round_2)
+        else:
+            pool = sorted(state.labeled_ids | state.unlabeled_ids)
+            assert predicted == pool + [i for i in pool if i not in round_1]
+
+    def test_random_round_survives_a_predictor_failure_on_unpicked_scenes(self):
+        _, picks = self.run(strategy="random", rounds=1, n=16)
+        gt, _ = predicted_pool(n=16, seed=21)
+        stand_in = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=21)
+
+        def predictor(scene):
+            if scene.id not in picks[0].selected_ids:
+                raise RuntimeError(f"no prediction for {scene.id}")
+            return stand_in(scene)
+
+        _, reports = run_al_rounds(
+            gt,
+            StagePlan(n_r=3),
+            1,
+            predictor,
+            gt.__getitem__,
+            RoundState.fresh(gt, budget_total=3, rng_seed=21),
+            DEFAULT_CATALOG,
+            DEFAULT_ANCHORS,
+            ENT,
+            KER,
+            UNC,
+            strategy="random",
+        )
+        assert reports == picks
 
     def test_omitted_uncertainty_is_logged(self, caplog):
         gt, _ = predicted_pool(n=8, seed=5)
