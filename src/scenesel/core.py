@@ -6,6 +6,7 @@ package's one way to write a file.
 from __future__ import annotations
 
 import math
+import uuid
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -237,11 +238,17 @@ DEFAULT_ANCHORS = AnchorTable.from_dict(
 def write_text_atomic(path: str | Path, text: str) -> None:
     """Write UTF-8 text through a temporary file and a rename.
 
-    Creates the parent directory. A crash leaves either the old file or the
-    new one, never a partial write.
+    Creates the parent directory. Each write has a temporary file of its own
+    next to the target, so a crash, or another writer of the same file,
+    leaves either the old file or one whole new one, never a partial write.
+    A write or rename that fails removes its temporary file.
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(path.suffix + ".tmp")
-    tmp.write_text(text, encoding="utf-8", newline="\n")
-    tmp.replace(path)
+    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    try:
+        tmp.write_text(text, encoding="utf-8", newline="\n")
+        tmp.replace(path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

@@ -1,5 +1,8 @@
 import math
+import os
 import random
+import threading
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -14,6 +17,7 @@ from scenesel.core import (
     ScoredDetection,
     WEIGHT_SUM_TOL,
     anchor_diagonal,
+    write_text_atomic,
 )
 from conftest import uniform_mixture, mixture_from_rows
 
@@ -225,3 +229,78 @@ class TestAnchorTable:
     def test_diagonal_derived(self):
         a = Anchor(length=3.9, width=1.6, height=1.56)
         assert a.diagonal == pytest.approx(math.hypot(1.6, 3.9))
+
+
+class TestWriteTextAtomic:
+    def test_concurrent_writers_each_publish_a_whole_file(self, tmp_path, monkeypatch):
+        # Writer A is held with half its text written while writer B writes
+        # and renames the same target; then A finishes. Neither may fail, and
+        # the published file must be one writer's whole text.
+        target = tmp_path / "state.json"
+        texts = {"A": "A" * 10 + "\n", "B": "B" * 8 + "\n"}
+        a_half_written, b_done = threading.Event(), threading.Event()
+        plain_write_text = Path.write_text
+
+        def write_in_halves(self, data, encoding=None, errors=None, newline=None):
+            with self.open("w", encoding=encoding, errors=errors, newline=newline) as f:
+                f.write(data[: len(data) // 2])
+                f.flush()
+                if threading.current_thread().name == "A":
+                    a_half_written.set()
+                    assert b_done.wait(10)
+                f.write(data[len(data) // 2 :])
+
+        errors = []
+
+        def writer(name):
+            try:
+                write_text_atomic(target, texts[name])
+            except Exception as exc:
+                errors.append((name, exc))
+            finally:
+                if name == "B":
+                    b_done.set()
+
+        monkeypatch.setattr(Path, "write_text", write_in_halves)
+        a = threading.Thread(target=writer, args=("A",), name="A")
+        a.start()
+        assert a_half_written.wait(10)
+        b = threading.Thread(target=writer, args=("B",), name="B")
+        b.start()
+        b.join(10)
+        a.join(10)
+        monkeypatch.setattr(Path, "write_text", plain_write_text)
+        assert errors == []
+        assert target.read_text(encoding="utf-8") in texts.values()
+        assert os.listdir(tmp_path) == ["state.json"]
+
+    @pytest.mark.parametrize("failing", ["write", "rename"])
+    def test_failed_write_keeps_the_old_file_and_no_temp_file(self, tmp_path, monkeypatch, failing):
+        target = tmp_path / "selected.txt"
+        write_text_atomic(target, "old\n")
+
+        def half_then_fail(self, data, encoding=None, errors=None, newline=None):
+            with self.open("w", encoding=encoding, errors=errors, newline=newline) as f:
+                f.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        def fail(*args, **kwargs):
+            raise OSError("rename refused")
+
+        if failing == "write":
+            monkeypatch.setattr(Path, "write_text", half_then_fail)
+        else:
+            monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError):
+            write_text_atomic(target, "new text\n")
+        monkeypatch.undo()
+        assert target.read_text(encoding="utf-8") == "old\n"
+        assert os.listdir(tmp_path) == ["selected.txt"]
+
+    def test_utf8_newlines_mode_and_parent_directories(self, tmp_path):
+        target = tmp_path / "new" / "dir" / "report.txt"
+        write_text_atomic(target, "zé\nb\n")
+        assert target.read_bytes() == "zé\nb\n".encode("utf-8")
+        plain = tmp_path / "plain.txt"
+        plain.write_text("x")
+        assert target.stat().st_mode == plain.stat().st_mode
