@@ -334,7 +334,11 @@ def cmd_stats(args) -> int:
         scenes = labeled
     by_id = {s.id: s for s in scenes}
     if args.ids:
-        wanted = [line.strip() for line in Path(args.ids).read_text().splitlines() if line.strip()]
+        try:
+            text = Path(args.ids).read_text(encoding="utf-8")
+        except (OSError, UnicodeDecodeError) as exc:
+            raise DataError(f"{args.ids}: cannot read ids file: {exc}") from exc
+        wanted = [line.strip() for line in text.splitlines() if line.strip()]
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise DataError(f"ids not in pool: {missing[:5]}")

@@ -22,6 +22,14 @@ def pool_dir(tmp_path):
     return out
 
 
+class TestConfigFile:
+    def test_missing_config_file_is_data_error_naming_it(self, tmp_path, capsys):
+        config = tmp_path / "no_such.conf"
+        assert run("--config", config, "synth", "--out", tmp_path / "pool", "--n-scenes", 4) == 3
+        assert f"{config}: cannot read configuration file" in capsys.readouterr().err
+        assert not (tmp_path / "pool").exists()
+
+
 class TestSynth:
     def test_layout_and_counts(self, pool_dir):
         labels = sorted(p.name for p in (pool_dir / "labels").iterdir())
@@ -397,6 +405,12 @@ class TestStats:
             assert run("stats", "--pool", pool_dir, "--out", tmp_path / "stats") == 3
         assert "scene_000002.txt" in capsys.readouterr().err
         assert "without sidecars" not in caplog.text
+
+    def test_missing_ids_file_is_data_error_naming_it(self, pool_dir, tmp_path, capsys):
+        ids_file = tmp_path / "no_such_ids.txt"
+        assert run("stats", "--pool", pool_dir, "--ids", ids_file, "--out", tmp_path / "o") == 3
+        assert f"{ids_file}: cannot read ids file" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_unknown_ids_rejected(self, pool_dir, tmp_path):
         ids_file = tmp_path / "ids.txt"
