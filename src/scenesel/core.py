@@ -6,7 +6,7 @@ package's one way to write a file.
 from __future__ import annotations
 
 import math
-import uuid
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -245,7 +245,7 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{uuid.uuid4().hex}.tmp")
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         tmp.write_text(text, encoding="utf-8", newline="\n")
         tmp.replace(path)

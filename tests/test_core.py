@@ -269,6 +269,7 @@ class TestWriteTextAtomic:
         b.start()
         b.join(10)
         a.join(10)
+        assert not a.is_alive() and not b.is_alive()
         monkeypatch.setattr(Path, "write_text", plain_write_text)
         assert errors == []
         assert target.read_text(encoding="utf-8") in texts.values()
