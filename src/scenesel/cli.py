@@ -16,7 +16,7 @@ import numpy as np
 
 from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
-from .core import ConvergenceError, DataError, ParseError, SceneSelError, write_text_atomic
+from .core import ConvergenceError, DataError, SceneSelError, read_text, write_text_atomic
 from .entropy import category_entropy
 from .sampler import STRATEGIES, SimilarityCache
 from .uncertainty import scene_uncertainty
@@ -329,16 +329,12 @@ def cmd_stats(args) -> int:
     labeled = kitti.load_pool_dir(args.pool, cfg.catalog)
     try:
         scenes = [kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, s.id), s) for s in labeled]
-    except (DataError, ParseError) as exc:
+    except DataError as exc:
         log.warning("loading the pool without sidecars: %s", exc)
         scenes = labeled
     by_id = {s.id: s for s in scenes}
     if args.ids:
-        try:
-            text = Path(args.ids).read_text(encoding="utf-8")
-        except (OSError, UnicodeDecodeError) as exc:
-            raise DataError(f"{args.ids}: cannot read ids file: {exc}") from exc
-        wanted = [line.strip() for line in text.splitlines() if line.strip()]
+        wanted = [line.strip() for line in read_text(args.ids).splitlines() if line.strip()]
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise DataError(f"ids not in pool: {missing[:5]}")
@@ -415,7 +411,7 @@ def main(argv=None) -> int:
     except ConvergenceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (DataError, ParseError) as exc:
+    except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (ValueError, SceneSelError) as exc:

@@ -28,7 +28,7 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .core import Anchor, AnchorTable, ClassCatalog, DataError, DEFAULT_ANCHORS, DEFAULT_CATALOG
+from .core import Anchor, AnchorTable, ClassCatalog, DataError, DEFAULT_ANCHORS, DEFAULT_CATALOG, read_text
 from .entropy import EntropyConfig
 from .kernel import KernelConfig
 from .sampler import STAGE_NAMES, StagePlan
@@ -67,11 +67,7 @@ class CliConfig:
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
     values: dict[str, str] = {}
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DataError(f"{path}: cannot read configuration file: {exc}") from exc
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -1,7 +1,7 @@
 """Shared domain types: catalogs, boxes, detections, scenes, anchors.
 
-All types are immutable value objects. ``write_text_atomic`` is the
-package's one way to write a file.
+All types are immutable value objects. ``read_text`` is the package's one
+way to read a file and ``write_text_atomic`` its one way to write one.
 """
 from __future__ import annotations
 
@@ -20,7 +20,12 @@ class SceneSelError(Exception):
     """Base class for package-specific failures."""
 
 
-class ParseError(SceneSelError):
+class DataError(SceneSelError):
+    """Unusable input: a file that cannot be read, a malformed one
+    (``ParseError``), or well-formed data that breaks a rule."""
+
+
+class ParseError(DataError):
     """Malformed input file; carries path and line number when available."""
 
     def __init__(self, message: str, path: str | None = None, line_no: int | None = None):
@@ -32,10 +37,6 @@ class ParseError(SceneSelError):
         super().__init__(f"{loc} {message}" if loc else message)
         self.path = path
         self.line_no = line_no
-
-
-class DataError(SceneSelError):
-    """Inputs are syntactically fine but semantically unusable."""
 
 
 class ConvergenceError(SceneSelError):
@@ -89,10 +90,12 @@ class Box3D:
     theta: float
 
     def __post_init__(self):
-        if not (self.w > 0 and self.l > 0 and self.h > 0):
-            raise ValueError(f"box dimensions must be positive, got w={self.w} l={self.l} h={self.h}")
+        if not (0 < self.w < math.inf and 0 < self.l < math.inf and 0 < self.h < math.inf):
+            raise ValueError(f"box dimensions must be positive and finite, got w={self.w} l={self.l} h={self.h}")
         if not math.isfinite(self.theta):
             raise ValueError("yaw must be finite")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            raise ValueError(f"box center must be finite, got x={self.x} y={self.y} z={self.z}")
 
     @property
     def center(self) -> tuple[float, float, float]:
@@ -233,6 +236,23 @@ DEFAULT_ANCHORS = AnchorTable.from_dict(
         "cyclist": Anchor(length=1.76, width=0.6, height=1.73),
     }
 )
+
+
+def read_text(path: str | Path) -> str:
+    """The text of a UTF-8 file, newlines as stored.
+
+    A file that cannot be read is a ``DataError`` naming it; one that is not
+    UTF-8 is a ``ParseError`` naming it and the line of the first bad byte.
+    """
+    try:
+        data = Path(path).read_bytes()
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc}") from exc
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise ParseError(f"not UTF-8: {exc}", str(path), line_no) from exc
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:

@@ -3,7 +3,10 @@
 Label lines carry, whitespace-separated: type, truncated, occluded, alpha,
 2D bbox (4 values), dimensions h w l, location x y z, rotation_y, and an
 optional score (15 or 16 fields). ``location`` is used as the box center
-as-is; calibration files are out of scope.
+as-is; calibration files are out of scope. ``parse_label_file`` turns each
+line straight into a ``Box3D`` and a ``ScoredDetection``, with no
+intermediate record; the fields the package does not model are checked and
+dropped. Every file is read through ``core.read_text``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -13,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 
 from .core import (
@@ -25,6 +28,7 @@ from .core import (
     RESIDUAL_DIMS,
     Scene,
     ScoredDetection,
+    read_text,
     write_text_atomic,
 )
 
@@ -34,67 +38,43 @@ SIDECAR_VERSION = 1
 FLOAT_FMT = "{:.6f}"
 
 
-@dataclass(frozen=True)
-class KittiLabelLine:
-    type: str
-    truncated: float
-    occluded: int
-    alpha: float
-    bbox2d: tuple[float, float, float, float]
-    dims: tuple[float, float, float]  # h, w, l
-    location: tuple[float, float, float]
-    rotation_y: float
-    score: float | None = None
-
-
-def parse_label_line(line: str, path: str | None = None, line_no: int | None = None) -> KittiLabelLine:
-    fields = line.split()
-    if len(fields) not in (15, 16):
-        raise ParseError(f"expected 15 or 16 fields, got {len(fields)}", path, line_no)
-    try:
-        return KittiLabelLine(
-            type=fields[0],
-            truncated=float(fields[1]),
-            occluded=int(float(fields[2])),
-            alpha=float(fields[3]),
-            bbox2d=tuple(map(float, fields[4:8])),
-            dims=tuple(map(float, fields[8:11])),
-            location=tuple(map(float, fields[11:14])),
-            rotation_y=float(fields[14]),
-            score=float(fields[15]) if len(fields) == 16 else None,
-        )
-    except ValueError as exc:
-        raise ParseError(f"bad numeric field: {exc}", path, line_no) from exc
-
-
 def parse_label_file(path: str | Path, catalog: ClassCatalog | None = None) -> Scene:
     """Parse one label file into a Scene whose id is the file stem.
 
-    "DontCare" lines are skipped. A missing score column maps to confidence
-    1.0. Classes outside the catalog are skipped with a warning.
+    Checks each line in this order: 15 or 16 fields, numeric fields and a
+    finite ``occluded`` (also on the lines then skipped: "DontCare", and with
+    a warning classes outside the catalog), then the box and the score, in
+    ``Box3D`` and ``ScoredDetection``. A missing score is confidence 1.0.
+    Every failure is a ``ParseError`` with the path and line number.
     """
     path = Path(path)
+    where = str(path)
     detections = []
-    for line_no, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        if not raw.strip():
+    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+        fields = raw.split()
+        if not fields:
             continue
-        rec = parse_label_line(raw, str(path), line_no)
-        if rec.type == "DontCare":
-            continue
-        if catalog is not None and rec.type not in catalog:
-            log.warning("%s:%d: skipping unknown class %r", path, line_no, rec.type)
-            continue
-        h, w, l = rec.dims
-        x, y, z = rec.location
+        if len(fields) not in (15, 16):
+            raise ParseError(f"expected 15 or 16 fields, got {len(fields)}", where, line_no)
         try:
-            det = ScoredDetection(
-                class_label=rec.type,
-                confidence=1.0 if rec.score is None else rec.score,
-                box=Box3D(x=x, y=y, z=z, w=w, l=l, h=h, theta=rec.rotation_y),
-            )
+            values = tuple(map(float, fields[1:]))
         except ValueError as exc:
-            raise ParseError(str(exc), str(path), line_no) from exc
-        detections.append(det)
+            raise ParseError(f"bad numeric field: {exc}", where, line_no) from exc
+        if not isfinite(values[1]):
+            raise ParseError(f"occluded must be finite, got {fields[2]}", where, line_no)
+        label = fields[0]
+        if label == "DontCare":
+            continue
+        if catalog is not None and label not in catalog:
+            log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
+            continue
+        # truncated, occluded, alpha, 2D bbox (4), h w l, x y z, rotation_y[, score]
+        h, w, l, x, y, z, theta = values[7:14]
+        try:
+            box = Box3D(x, y, z, w, l, h, theta)
+            detections.append(ScoredDetection(label, values[14] if len(values) == 15 else 1.0, box))
+        except ValueError as exc:
+            raise ParseError(str(exc), where, line_no) from exc
     return Scene(id=path.stem, detections=tuple(detections))
 
 
@@ -161,7 +141,7 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     """Attach sidecar mixtures to the scene's detections, in file order."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid sidecar JSON: {exc}", str(path)) from exc
     if doc.get("version") != SIDECAR_VERSION:

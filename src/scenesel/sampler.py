@@ -340,13 +340,14 @@ def run_al_rounds(
     the predictor on the scenes its strategy reads: every unlabeled scene
     for a strategy that ranks predictions, and for ``random``, which picks
     its ids before any prediction, only the picked scenes, whose
-    predictions the round report reads. Deterministic given the state's
-    rng_seed. A predictor failure on a scene the round predicts, or an
-    oracle failure, aborts the round; a ``random`` round does not predict,
-    and so does not fail on, a scene it does not pick. The input state
-    object is never mutated. A ``cache`` must have been made for
-    ``catalog`` and ``kernel_cfg``; without one, the rounds share a new
-    cache.
+    predictions the round report reads. A round whose unlabeled pool holds
+    fewer than n_r scenes is an error, under every strategy, before the
+    strategy runs. Deterministic given the state's rng_seed. A predictor
+    failure on a scene the round predicts, or an oracle failure, aborts the
+    round; a ``random`` round does not predict, and so does not fail on, a
+    scene it does not pick. The input state object is never mutated. A
+    ``cache`` must have been made for ``catalog`` and ``kernel_cfg``;
+    without one, the rounds share a new cache.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -369,6 +370,8 @@ def run_al_rounds(
         round_index = state.round_index + 1
         evaluated_before = cache.evaluations
         unlabeled = [pool[i] for i in sorted(state.unlabeled_ids)]
+        if len(unlabeled) < plan.n_r:
+            raise ValueError(f"pool of {len(unlabeled)} scenes is below n_r={plan.n_r}")
         if strategy == "random":
             rng = np.random.default_rng(np.random.SeedSequence([state.rng_seed, round_index]))
             picked = rng.choice(len(unlabeled), size=plan.n_r, replace=False)

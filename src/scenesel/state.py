@@ -5,7 +5,7 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .core import DataError, write_text_atomic
+from .core import DataError, read_text, write_text_atomic
 
 STATE_VERSION = 1
 
@@ -83,8 +83,8 @@ def load_round_state(path: str | Path) -> RoundState:
     """Load and re-validate a persisted state; never yields partial state."""
     path = Path(path)
     try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except (json.JSONDecodeError, OSError) as exc:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
         raise DataError(f"{path}: cannot read round state: {exc}") from exc
     if doc.get("version") != STATE_VERSION:
         raise DataError(f"{path}: unsupported state version {doc.get('version')!r}")

@@ -26,7 +26,7 @@ class TestConfigFile:
     def test_missing_config_file_is_data_error_naming_it(self, tmp_path, capsys):
         config = tmp_path / "no_such.conf"
         assert run("--config", config, "synth", "--out", tmp_path / "pool", "--n-scenes", 4) == 3
-        assert f"{config}: cannot read configuration file" in capsys.readouterr().err
+        assert f"{config}: cannot read file" in capsys.readouterr().err
         assert not (tmp_path / "pool").exists()
 
 
@@ -358,6 +358,12 @@ class TestSimulate:
         code = run("simulate", "--out", tmp_path / "s", "--strategies", "oracle")
         assert code == 3
 
+    def test_pool_below_n_r_names_pool_and_n_r(self, tmp_path, capsys):
+        # The default --n0 10 labels all five scenes, leaving none to select.
+        code = run("simulate", "--out", tmp_path / "s", "--n-scenes", 5, "--n-r", 1, "--rounds", 1)
+        assert code == 2
+        assert "pool of 0 scenes is below n_r=1" in capsys.readouterr().err
+
 
 class TestStats:
     def test_pool_stats_written(self, pool_dir, tmp_path):
@@ -409,10 +415,87 @@ class TestStats:
     def test_missing_ids_file_is_data_error_naming_it(self, pool_dir, tmp_path, capsys):
         ids_file = tmp_path / "no_such_ids.txt"
         assert run("stats", "--pool", pool_dir, "--ids", ids_file, "--out", tmp_path / "o") == 3
-        assert f"{ids_file}: cannot read ids file" in capsys.readouterr().err
+        assert f"{ids_file}: cannot read file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_unknown_ids_rejected(self, pool_dir, tmp_path):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("scene_999999\n")
         assert run("stats", "--pool", pool_dir, "--ids", ids_file, "--out", tmp_path / "o") == 3
+
+
+LABEL_LINE = "car 0.0 0 0.0 0 0 0 0 1.5 1.6 3.9 5.0 1.0 0.5 0.1 0.8"
+
+
+def _append_label(target, line: bytes):
+    target.write_bytes(target.read_bytes() + line + b"\n")
+
+
+def _nan_sidecar(target):
+    doc = json.loads(target.read_text())
+    doc["detections"][0]["means"][0] = [float("nan")] * len(doc["detections"][0]["means"][0])
+    target.write_text(json.dumps(doc))
+
+
+ALL_POOL_COMMANDS = {"select": 3, "score": 3, "stats": 3}
+# A sidecar fault is a data error for ``select`` and ``score``; ``stats``
+# logs it and reports on the labels alone.
+SIDECAR_EXITS = {"select": 3, "score": 3, "stats": 0}
+# fault: (the file it goes into, how it is injected, {command: exit code})
+FAULTS = {
+    "label: inf occluded": (
+        "label", lambda p: _append_label(p, LABEL_LINE.replace(" 0 0.0 ", " inf 0.0 ", 1).encode()), ALL_POOL_COMMANDS
+    ),
+    "label: nan location": (
+        "label", lambda p: _append_label(p, LABEL_LINE.replace("5.0", "nan").encode()), ALL_POOL_COMMANDS
+    ),
+    "label: not UTF-8": ("label", lambda p: _append_label(p, b"car \xff" + LABEL_LINE[3:].encode()), ALL_POOL_COMMANDS),
+    "state: not UTF-8": ("state", lambda p: p.write_bytes(b"\xff\xfe{"), {"select": 3}),
+    "sidecar: not UTF-8": ("sidecar", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), SIDECAR_EXITS),
+    "sidecar: missing": ("sidecar", lambda p: p.unlink(), SIDECAR_EXITS),
+    "sidecar: not JSON": ("sidecar", lambda p: p.write_text("{not json"), SIDECAR_EXITS),
+    "sidecar: NaN": ("sidecar", _nan_sidecar, SIDECAR_EXITS),
+    "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
+    "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
+    "ids: missing": ("ids", lambda p: None, {"stats": 3}),
+    "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
+}
+
+
+class TestFaultMatrix:
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_fault_exits_with_its_code_naming_the_file(self, tmp_path, capsys, caplog, fault):
+        where, inject, exits = FAULTS[fault]
+        pool, state, sel = tmp_path / "pool", tmp_path / "state.json", tmp_path / "sel"
+        assert run("--seed", 3, "synth", "--out", pool, "--n-scenes", 12, "--groups", 3) == 0
+        assert run("--seed", 9, "select", "--pool", pool, "--state", state, "--out", sel, "--init", "--n0", 4) == 0
+        # An unlabeled scene: with uncertainty first, ``select`` parses the
+        # sidecar of every unlabeled scene.
+        sid = sorted(json.loads(state.read_text())["unlabeled_ids"])[0]
+        target = {
+            "label": pool / "labels" / f"{sid}.txt",
+            "sidecar": pool / "sidecars" / f"{sid}.mdn",
+            "state": state,
+            "config": tmp_path / "scenesel.conf",
+            "ids": tmp_path / "ids.txt",
+        }[where]
+        inject(target)
+        config = ("--config", target) if where == "config" else ()
+        ids = ("--ids", target) if where == "ids" else ()
+        commands = {
+            "select": ("select", "--pool", pool, "--state", state, "--out", sel,
+                       "--n-r", 2, "--order", "uncertainty,entropy,similarity"),
+            "score": ("score", "--pool", pool, "--metric", "uncertainty", "--out", tmp_path / "score.csv"),
+            "stats": ("stats", "--pool", pool, *ids, "--out", tmp_path / "stats"),
+            "simulate": ("simulate", "--out", tmp_path / "sim", "--n-scenes", 12, "--n-r", 2, "--rounds", 1),
+        }
+        for command, code in exits.items():
+            capsys.readouterr()
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert run(*config, *commands[command]) == code, command
+            # A fallback (exit 0) names the file in the warning it logs.
+            said = capsys.readouterr().err if code else caplog.text
+            assert str(target) in said, (command, said)
+            if code == 0:
+                assert "loading the pool without sidecars" in caplog.text

@@ -1,6 +1,7 @@
 import math
 import os
 import random
+import re
 import threading
 from pathlib import Path
 from types import SimpleNamespace
@@ -11,12 +12,15 @@ from scenesel.core import (
     Anchor,
     Box3D,
     ClassCatalog,
+    DataError,
     MixtureParams,
+    ParseError,
     RESIDUAL_DIMS,
     Scene,
     ScoredDetection,
     WEIGHT_SUM_TOL,
     anchor_diagonal,
+    read_text,
     write_text_atomic,
 )
 from conftest import uniform_mixture, mixture_from_rows
@@ -54,9 +58,19 @@ class TestBox3D:
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, w=-1.0, l=1.0, h=1.0, theta=0.0)
 
+    @pytest.mark.parametrize("dims", [(math.inf, 1.0, 1.0), (1.0, math.inf, 1.0), (1.0, 1.0, math.nan)])
+    def test_nonfinite_dims_rejected(self, dims):
+        with pytest.raises(ValueError, match="box dimensions must be positive and finite"):
+            Box3D(0, 0, 0, *dims, theta=0.0)
+
     def test_nonfinite_yaw_rejected(self):
         with pytest.raises(ValueError):
             Box3D(0, 0, 0, w=1.0, l=1.0, h=1.0, theta=math.inf)
+
+    @pytest.mark.parametrize("center", [(math.nan, 0, 0), (0, math.inf, 0), (0, 0, -math.inf)])
+    def test_nonfinite_center_rejected(self, center):
+        with pytest.raises(ValueError, match="box center must be finite"):
+            Box3D(*center, w=1.0, l=1.0, h=1.0, theta=0.0)
 
     def test_range(self):
         assert Box3D(3, 0, 4, 1, 1, 1, 0).range_to_origin() == pytest.approx(5.0)
@@ -305,3 +319,26 @@ class TestWriteTextAtomic:
         plain = tmp_path / "plain.txt"
         plain.write_text("x")
         assert target.stat().st_mode == plain.stat().st_mode
+
+
+class TestReadText:
+    def test_utf8_text_round_trips_a_write(self, tmp_path):
+        target = tmp_path / "report.txt"
+        write_text_atomic(target, "zé\nb\n")
+        assert read_text(target) == "zé\nb\n"
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "directory"])
+    def test_unreadable_file_is_data_error_naming_it(self, tmp_path, make):
+        target = tmp_path / "input.txt"
+        make(target)
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot read file: "):
+            read_text(target)
+
+    def test_non_utf8_file_is_parse_error_at_the_bad_line(self, tmp_path):
+        target = tmp_path / "input.txt"
+        target.write_bytes(b"a\nb\nc \xff d\n")
+        with pytest.raises(ParseError) as excinfo:
+            read_text(target)
+        assert isinstance(excinfo.value, DataError)
+        assert (excinfo.value.path, excinfo.value.line_no) == (str(target), 3)
+        assert "not UTF-8" in str(excinfo.value)

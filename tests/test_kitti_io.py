@@ -17,6 +17,33 @@ from conftest import make_detection, random_scene, uniform_mixture
 SAMPLE_LINE = "Car 0.0 0 -1.57 614 181 727 284 1.57 1.73 4.15 1.0 1.47 8.41 -1.56 0.9"
 
 
+def with_field(index, value, line=SAMPLE_LINE):
+    fields = line.split()
+    fields[index] = value
+    return " ".join(fields)
+
+
+DONTCARE_LINE = "DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10"
+
+# One rejected second line per case: the label line rules, in the order the
+# parser checks them.
+REJECTED_LINES = {
+    "14 fields": " ".join(SAMPLE_LINE.split()[:14]).encode(),
+    "17 fields": (SAMPLE_LINE + " 0.5").encode(),
+    "non-numeric field": with_field(5, "abc").encode(),
+    "non-numeric field on a DontCare line": with_field(13, "x", DONTCARE_LINE).encode(),
+    "inf occluded": with_field(2, "inf").encode(),
+    "inf occluded on a DontCare line": with_field(2, "inf", DONTCARE_LINE).encode(),
+    "w <= 0": with_field(9, "0").encode(),
+    "inf l": with_field(10, "inf").encode(),
+    "nan yaw": with_field(14, "nan").encode(),
+    "nan x": with_field(11, "nan").encode(),
+    "inf z": with_field(13, "-inf").encode(),
+    "score 1.5": with_field(15, "1.5").encode(),
+    "0xff byte": b"Car \xff" + SAMPLE_LINE[3:].encode(),
+}
+
+
 class TestParse:
     def test_sample_line(self, tmp_path):
         p = tmp_path / "000001.txt"
@@ -43,16 +70,19 @@ class TestParse:
         p.write_text("")
         assert parse_label_file(p).detections == ()
 
-    def test_fourteen_fields_rejected_with_line_number(self, tmp_path):
+    @pytest.mark.parametrize("bad", REJECTED_LINES.values(), ids=REJECTED_LINES.keys())
+    def test_rejected_line_names_path_and_line(self, tmp_path, bad):
         p = tmp_path / "s.txt"
-        p.write_text(SAMPLE_LINE + "\n" + " ".join(SAMPLE_LINE.split()[:14]) + "\n")
+        p.write_bytes(SAMPLE_LINE.encode() + b"\n" + bad + b"\n" + SAMPLE_LINE.encode() + b"\n")
         with pytest.raises(ParseError) as excinfo:
             parse_label_file(p)
         assert excinfo.value.line_no == 2
+        assert excinfo.value.path == str(p)
+        assert str(excinfo.value).startswith(f"{p}:2: ")
 
     def test_dontcare_skipped(self, tmp_path):
         p = tmp_path / "s.txt"
-        p.write_text("DontCare -1 -1 -10 0 0 0 0 -1 -1 -1 -1000 -1000 -1000 -10\n")
+        p.write_text(DONTCARE_LINE + "\n")
         assert parse_label_file(p).detections == ()
 
     def test_unknown_class_policy(self, tmp_path, catalog):

@@ -421,6 +421,15 @@ class TestRunRounds:
         with pytest.raises(ValueError, match="budget"):
             self.run(rounds=3, budget=6)
 
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_pool_below_n_r_rejected_before_the_strategy_runs(self, strategy):
+        # Five unlabeled scenes cannot supply n_r=6 under any strategy; the
+        # round fails with the pool and n_r named, before any prediction.
+        predicted = []
+        with pytest.raises(ValueError, match="pool of 5 scenes is below n_r=6"):
+            self.run(strategy=strategy, rounds=1, n_r=6, n=5, predicted=predicted)
+        assert predicted == []
+
     def test_zero_rounds_rejected(self):
         with pytest.raises(ValueError, match="rounds"):
             self.run(rounds=0, budget=6)
