@@ -13,6 +13,7 @@ from .core import (
     DataError,
     DEFAULT_ANCHORS,
     DEFAULT_CATALOG,
+    MixtureError,
     MixtureParams,
     ParseError,
     RESIDUAL_DIMS,
@@ -42,7 +43,6 @@ from .sampler import (
 )
 from .state import RoundState, load_round_state, save_round_state
 from .uncertainty import (
-    BoxUncertainty,
     UncertaintyConfig,
     mixture_au,
     mixture_eu,

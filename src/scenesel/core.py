@@ -1,7 +1,8 @@
 """Shared domain types: catalogs, boxes, detections, scenes, anchors.
 
-All types are immutable value objects. ``read_text`` is the package's one
-way to read a file and ``write_text_atomic`` its one way to write one.
+All types are immutable value objects; a mixture block is a read-only
+array. ``read_text`` is the package's one way to read a file and
+``write_text_atomic`` its one way to write one.
 """
 from __future__ import annotations
 
@@ -9,6 +10,8 @@ import math
 import os
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 #: Order of the seven box-residual dimensions used everywhere in the package.
 RESIDUAL_DIMS = ("x", "y", "z", "w", "h", "l", "theta")
@@ -105,54 +108,169 @@ class Box3D:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 
 
-@dataclass(frozen=True)
-class MixtureParams:
-    """Per-residual-dimension Gaussian mixture for one detection.
+class MixtureError(ValueError):
+    """A mixture that breaks a rule; ``entry`` is the index of the first
+    failing detection."""
 
-    Each field holds one row per residual dimension (see RESIDUAL_DIMS) with K
-    entries. ``variances`` entries are variances, not standard deviations.
-    Every entry must be finite. Zero variance is accepted so a noiseless
-    predictor can express exact certainty.
+    def __init__(self, message: str, entry: int):
+        super().__init__(message)
+        self.entry = entry
+
+
+@dataclass(frozen=True, eq=False)
+class MixtureParams:
+    """Per-residual-dimension Gaussian mixtures of one scene's detections.
+
+    ``block`` is one read-only float64 array of shape (D, 3, 7, K): for each
+    of D detections in scene order, the weights, means and variances of K
+    components in each residual dimension (see RESIDUAL_DIMS). Variances
+    are variances, not standard deviations. Every entry must be finite, and
+    the weights of each row non-negative with sum 1. Zero variance is
+    accepted so a noiseless predictor can express exact certainty.
+
+    A block that breaks a rule raises ``MixtureError`` for the first failing
+    row, detection by detection and dimension by dimension, with the first
+    check that row fails.
     """
 
-    weights: tuple[tuple[float, ...], ...]
-    means: tuple[tuple[float, ...], ...]
-    variances: tuple[tuple[float, ...], ...]
+    block: np.ndarray
 
     def __post_init__(self):
-        # One C-level pass per check; ``min(row) < 0`` is only asked of a row
-        # already known to be finite (a NaN would make ``min`` order-dependent).
+        block = np.array(self.block, dtype=np.float64)
         n = len(RESIDUAL_DIMS)
-        if not (len(self.weights) == len(self.means) == len(self.variances) == n):
+        if block.ndim != 4 or block.shape[1] != 3:
+            raise ValueError(f"mixture block must have shape (D, 3, {n}, K), got {block.shape}")
+        if block.shape[2] != n:
             raise ValueError(f"mixture needs {n} residual dimensions")
-        k = len(self.weights[0])
-        if k < 1:
+        if block.shape[3] < 1:
             raise ValueError("mixture needs at least one component")
-        isfinite = math.isfinite
-        for row_w, row_m, row_v in zip(self.weights, self.means, self.variances):
-            if not (len(row_w) == len(row_m) == len(row_v) == k):
-                raise ValueError("all dimensions must share the same component count")
-            total = sum(row_w)
-            if abs(total - 1.0) > WEIGHT_SUM_TOL:
-                raise ValueError(f"mixture weights must sum to 1, got {total!r}")
-            if not all(map(isfinite, row_w)):
-                raise ValueError("mixture weights must be finite")
-            if min(row_w) < 0:
-                raise ValueError("mixture weights must be non-negative")
-            if not all(map(isfinite, row_v)):
-                raise ValueError("mixture variances must be finite")
-            if min(row_v) < 0:
-                raise ValueError("mixture variances must be non-negative")
-            if not all(map(isfinite, row_m)):
-                raise ValueError("mixture means must be finite")
+        _check_rows(block)
+        block.flags.writeable = False
+        object.__setattr__(self, "block", block)
+
+    @classmethod
+    def from_rows(cls, entries) -> "MixtureParams":
+        """The block of one scene from nested rows: one (weights, means,
+        variances) triple per detection, each field 7 rows of K numbers.
+
+        One scene's detections share one K. An entry that is not numeric or
+        not of that shape raises ``MixtureError`` naming it; within an
+        entry, rows are checked in order, so one whose rows differ in K
+        fails at its first row of another length unless an earlier row fails.
+        """
+        try:
+            block = np.array(entries, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            block = None
+        if block is None or block.ndim != 4 or block.shape[1:3] != (3, len(RESIDUAL_DIMS)) or not block.shape[3]:
+            return cls(_block_of_rows(entries))
+        try:
+            return cls(block)
+        except MixtureError:
+            # numpy reads None as NaN: the rows themselves give the verdict.
+            _block_of_rows(entries)
+            raise
 
     @property
     def num_components(self) -> int:
-        return len(self.weights[0])
+        return self.block.shape[3]
 
-    def row(self, dim: str) -> tuple[tuple[float, ...], tuple[float, ...], tuple[float, ...]]:
-        i = RESIDUAL_DIMS.index(dim)
-        return self.weights[i], self.means[i], self.variances[i]
+    def __eq__(self, other):
+        if not isinstance(other, MixtureParams):
+            return NotImplemented
+        return self.block.shape == other.block.shape and bool((self.block == other.block).all())
+
+    def __hash__(self):
+        return hash((self.block.shape, self.block.tobytes()))
+
+
+@np.errstate(all="ignore")  # an overflowing or NaN weight sum fails below
+def _check_rows(block: np.ndarray, first_entry: int = 0) -> None:
+    """Check every row of a (D, 3, R, K) block; see ``MixtureParams``.
+
+    Weight sums add the components left to right, as ``sum`` does. The rows
+    are checked together; the failing row and check are looked up only when
+    one fails.
+    """
+    if not block.size:
+        return
+    if np.isfinite(block).all() and block[:, ::2].min() >= 0:
+        weights = block[:, 0]
+        total = weights[..., 0]
+        for i in range(1, block.shape[3]):
+            total = total + weights[..., i]
+        if abs(total - 1.0).max() <= WEIGHT_SUM_TOL:
+            return
+    _raise_first_failure(block, first_entry)
+
+
+def _raise_first_failure(block: np.ndarray, first_entry: int) -> None:
+    weights, means, variances = block[:, 0], block[:, 1], block[:, 2]
+    total = 0.0
+    for i in range(block.shape[3]):
+        total = total + weights[..., i]
+    fails = np.stack(
+        [
+            np.abs(total - 1.0) > WEIGHT_SUM_TOL,
+            ~np.isfinite(weights).all(-1),
+            (weights < 0).any(-1),
+            ~np.isfinite(variances).all(-1),
+            (variances < 0).any(-1),
+            ~np.isfinite(means).all(-1),
+        ],
+        axis=-1,
+    )
+    d, r = (int(i) for i in np.argwhere(fails.any(-1))[0])
+    check = int(fails[d, r].argmax())
+    if check == 0:
+        message = f"mixture weights must sum to 1, got {sum(weights[d, r].tolist())!r}"
+    else:
+        message = _ROW_MESSAGES[check - 1]
+    raise MixtureError(message, first_entry + d)
+
+
+_ROW_MESSAGES = (
+    "mixture weights must be finite",
+    "mixture weights must be non-negative",
+    "mixture variances must be finite",
+    "mixture variances must be non-negative",
+    "mixture means must be finite",
+)
+
+
+def _block_of_rows(entries) -> np.ndarray:
+    """``MixtureParams.from_rows`` for entries that are not one (D, 3, 7, K)
+    array: each entry is converted and checked on its own, in order, so the
+    error names the first entry that fails and why."""
+    n = len(RESIDUAL_DIMS)
+    checked = []
+    for idx, entry in enumerate(entries):
+        try:
+            weights, means, variances = ([list(map(float, row)) for row in field] for field in entry)
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise MixtureError(str(exc), idx) from exc
+        if not (len(weights) == len(means) == len(variances) == n):
+            raise MixtureError(f"mixture needs {n} residual dimensions", idx)
+        k = len(weights[0])
+        if k < 1:
+            raise MixtureError("mixture needs at least one component", idx)
+        even = next(
+            (r for r in range(n) if not (len(weights[r]) == len(means[r]) == len(variances[r]) == k)), n
+        )
+        if even:
+            _check_rows(np.array([[weights[:even], means[:even], variances[:even]]]), idx)
+        if even < n:
+            raise MixtureError("all dimensions must share the same component count", idx)
+        if not checked:
+            k0 = k
+        elif k != k0:
+            raise MixtureError(
+                f"mixture has {k} components but entry 0 has {k0}; "
+                "the detections of one scene must share one component count",
+                idx,
+            )
+        checked.append((weights, means, variances))
+    return np.array(checked, dtype=np.float64)
 
 
 @dataclass(frozen=True)
@@ -160,7 +278,6 @@ class ScoredDetection:
     class_label: str
     confidence: float
     box: Box3D
-    mixture: MixtureParams | None = None
 
     def __post_init__(self):
         if not (0.0 <= self.confidence <= 1.0):
@@ -169,14 +286,21 @@ class ScoredDetection:
 
 @dataclass(frozen=True)
 class Scene:
-    """One frame: a unique id plus its (possibly empty) detections."""
+    """One frame: a unique id plus its (possibly empty) detections and,
+    for predictions, their mixtures."""
 
     id: str
     detections: tuple[ScoredDetection, ...] = ()
+    mixtures: MixtureParams | None = None
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("scene id must be non-empty")
+        if self.mixtures is not None and len(self.mixtures.block) != len(self.detections):
+            raise ValueError(
+                f"scene {self.id!r} has {len(self.detections)} detections "
+                f"but {len(self.mixtures.block)} mixtures"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,8 @@ dropped. Every file is read through ``core.read_text``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
-of weights, means and variances.
+of weights, means and variances; the entries of one sidecar share one K.
+They are written from, and read into, the scene's one mixture block.
 """
 from __future__ import annotations
 
@@ -23,6 +24,7 @@ from .core import (
     Box3D,
     ClassCatalog,
     DataError,
+    MixtureError,
     MixtureParams,
     ParseError,
     RESIDUAL_DIMS,
@@ -121,24 +123,21 @@ def write_label_file(scene: Scene, path: str | Path) -> None:
 
 
 def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
-    entries = []
-    for idx, det in enumerate(scene.detections):
-        if det.mixture is None:
-            raise DataError(f"detection {idx} has no mixture parameters to save")
-        entries.append(
-            {
-                "weights": [list(row) for row in det.mixture.weights],
-                "means": [list(row) for row in det.mixture.means],
-                "variances": [list(row) for row in det.mixture.variances],
-            }
-        )
+    if scene.mixtures is None:
+        if scene.detections:
+            raise DataError(f"scene {scene.id!r} has no mixture parameters to save")
+        rows = []
+    else:
+        rows = scene.mixtures.block.tolist()
+    entries = [{"weights": w, "means": m, "variances": v} for w, m, v in rows]
     doc = {"version": SIDECAR_VERSION, "dims": list(RESIDUAL_DIMS), "detections": entries}
     # No indent: ``json`` uses its C encoder only without one.
     write_text_atomic(path, json.dumps(doc))
 
 
 def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
-    """Attach sidecar mixtures to the scene's detections, in file order."""
+    """The scene with the sidecar's mixtures attached: one block whose
+    entries are the detections in file order, all with one K."""
     path = Path(path)
     try:
         doc = json.loads(read_text(path))
@@ -152,18 +151,19 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
             f"{path}: sidecar has {len(entries)} entries but scene {scene.id!r} has "
             f"{len(scene.detections)} detections"
         )
-    enriched = []
-    for idx, (det, entry) in enumerate(zip(scene.detections, entries)):
+    if not entries:
+        return scene
+    rows = []
+    for idx, entry in enumerate(entries):
         try:
-            mixture = MixtureParams(
-                weights=tuple(tuple(map(float, row)) for row in entry["weights"]),
-                means=tuple(tuple(map(float, row)) for row in entry["means"]),
-                variances=tuple(tuple(map(float, row)) for row in entry["variances"]),
-            )
-        except (KeyError, TypeError, ValueError) as exc:
+            rows.append((entry["weights"], entry["means"], entry["variances"]))
+        except (KeyError, TypeError) as exc:
             raise DataError(f"{path}: entry {idx}: {exc}") from exc
-        enriched.append(ScoredDetection(det.class_label, det.confidence, det.box, mixture))
-    return Scene(id=scene.id, detections=tuple(enriched))
+    try:
+        mixtures = MixtureParams.from_rows(rows)
+    except MixtureError as exc:
+        raise DataError(f"{path}: entry {exc.entry}: {exc}") from exc
+    return Scene(id=scene.id, detections=scene.detections, mixtures=mixtures)
 
 
 def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:

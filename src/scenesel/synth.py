@@ -156,24 +156,25 @@ def _sigmoid(z: float) -> float:
 def _residual_mixture(
     noise: NoiseModel,
     rng,
-    nominal: dict[str, float],
+    nominal: list[float],
     rng_range: float,
     var_scale: float = 1.0,
-) -> MixtureParams:
+) -> np.ndarray:
+    """One detection's (3, 7, K) weights, means and variances around the
+    ``nominal`` residuals (in RESIDUAL_DIMS order)."""
     k = noise.mixture_components
     var = (noise.position_noise_per_meter * max(rng_range, 1.0)) ** 2 * var_scale
     spread = noise.mean_spread * (rng_range / 60.0)
     n = len(RESIDUAL_DIMS)
+    out = np.empty((3, n, k))
+    out[0] = 1.0 / k
+    out[1] = np.array(nominal)[:, None]
     if spread > 0:
         # One draw for all components, row by row: the same stream and the
         # same floats as one ``rng.normal()`` per component.
-        draws = rng.standard_normal((n, k)).tolist()
-        means = tuple(
-            tuple([nominal[dim] + spread * z for z in row]) for dim, row in zip(RESIDUAL_DIMS, draws)
-        )
-    else:
-        means = tuple((nominal[dim],) * k for dim in RESIDUAL_DIMS)
-    return MixtureParams(weights=((1.0 / k,) * k,) * n, means=means, variances=((var,) * k,) * n)
+        out[1] += spread * rng.standard_normal((n, k))
+    out[2] = var
+    return out
 
 
 def simulate_predictions(
@@ -183,7 +184,8 @@ def simulate_predictions(
     catalog: ClassCatalog,
     rng: np.random.Generator,
 ) -> Scene:
-    """Noisy predictions with mixture parameters for one ground-truth scene.
+    """Noisy predictions for one ground-truth scene, with their mixtures as
+    one (D, 3, 7, K) block filled detection by detection in stream order.
 
     Residual variance grows with range; component-mean disagreement (and so
     the epistemic term) scales with ``mean_spread``. False positives are
@@ -191,7 +193,7 @@ def simulate_predictions(
     truth exactly with confidence 1.0 and all component means equal.
     """
     sigma = noise.position_noise_per_meter
-    preds = []
+    preds, mixtures = [], []
     for det in gt_scene.detections:
         gt = det.box
         rng_range = gt.range_to_origin()
@@ -224,17 +226,17 @@ def simulate_predictions(
             conf = 1.0
         anchor = anchors.for_class(label)
         diagonal = anchor.diagonal
-        nominal = {
-            "x": (box.x - gt.x) / diagonal,
-            "y": (box.y - gt.y) / diagonal,
-            "z": (box.z - gt.z) / anchor.height,
-            "w": math.log(box.w / anchor.width),
-            "h": math.log(box.h / anchor.height),
-            "l": math.log(box.l / anchor.length),
-            "theta": box.theta - gt.theta,
-        }
-        mixture = _residual_mixture(noise, rng, nominal, rng_range)
-        preds.append(ScoredDetection(label, conf, box, mixture))
+        nominal = [
+            (box.x - gt.x) / diagonal,
+            (box.y - gt.y) / diagonal,
+            (box.z - gt.z) / anchor.height,
+            math.log(box.w / anchor.width),
+            math.log(box.h / anchor.height),
+            math.log(box.l / anchor.length),
+            box.theta - gt.theta,
+        ]
+        mixtures.append(_residual_mixture(noise, rng, nominal, rng_range))
+        preds.append(ScoredDetection(label, conf, box))
 
     if noise.false_positive_rate > 0:
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
@@ -249,20 +251,19 @@ def simulate_predictions(
                 h=a.height * float(np.exp(rng.normal(0.0, 0.1))),
                 theta=float(rng.uniform(-math.pi, math.pi)),
             )
-            nominal = {
-                "x": 0.0,
-                "y": 0.0,
-                "z": 0.0,
-                "w": math.log(box.w / a.width),
-                "h": math.log(box.h / a.height),
-                "l": math.log(box.l / a.length),
-                "theta": 0.0,
-            }
-            mixture = _residual_mixture(noise, rng, nominal, box.range_to_origin(), var_scale=4.0)
-            preds.append(
-                ScoredDetection(cls, float(rng.uniform(0.05, 0.95)), box, mixture)
-            )
-    return Scene(id=gt_scene.id, detections=tuple(preds))
+            nominal = [
+                0.0,
+                0.0,
+                0.0,
+                math.log(box.w / a.width),
+                math.log(box.h / a.height),
+                math.log(box.l / a.length),
+                0.0,
+            ]
+            mixtures.append(_residual_mixture(noise, rng, nominal, box.range_to_origin(), var_scale=4.0))
+            preds.append(ScoredDetection(cls, float(rng.uniform(0.05, 0.95)), box))
+    block = np.reshape(mixtures, (-1, 3, len(RESIDUAL_DIMS), noise.mixture_components))
+    return Scene(id=gt_scene.id, detections=tuple(preds), mixtures=MixtureParams(block))
 
 
 def _stable_id_seed(scene_id: str) -> int:

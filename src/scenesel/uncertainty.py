@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
+import numpy as np
+
 from .core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene
 
 log = logging.getLogger(__name__)
@@ -29,41 +31,30 @@ class UncertaintyConfig:
             raise ValueError("eta must be non-negative")
 
 
-@dataclass(frozen=True)
-class BoxUncertainty:
-    """Propagated per-dimension variances (box-space units squared)."""
-
-    au: tuple[float, ...]
-    eu: tuple[float, ...]
-
-    def __post_init__(self):
-        n = len(RESIDUAL_DIMS)
-        if len(self.au) != n or len(self.eu) != n:
-            raise ValueError(f"expected {n} entries per kind")
-        values = (*self.au, *self.eu)
-        if not all(map(math.isfinite, values)) or min(values) < 0:
-            raise ValueError("propagated variances must be finite and non-negative")
-
-
+# The plain-loop moments of one detection's row: the oracle the array
+# scoring of ``scene_uncertainty`` must match float for float.
 # ``sum(map(mul, a, b))`` adds the same products in the same order as
-# ``sum(x * y for x, y in zip(a, b))``, so the same floats, without a
-# generator frame per term.
+# ``sum(x * y for x, y in zip(a, b))``, without a generator frame per term.
 
 
-def mixture_mean(params: MixtureParams, dim: str) -> float:
-    weights, means, _ = params.row(dim)
+def _row(params: MixtureParams, dim: str, detection: int) -> list[list[float]]:
+    return params.block[detection, :, RESIDUAL_DIMS.index(dim)].tolist()
+
+
+def mixture_mean(params: MixtureParams, dim: str, detection: int = 0) -> float:
+    weights, means, _ = _row(params, dim, detection)
     return sum(map(mul, weights, means))
 
 
-def mixture_au(params: MixtureParams, dim: str) -> float:
+def mixture_au(params: MixtureParams, dim: str, detection: int = 0) -> float:
     """Aleatoric part: mixture-weighted mean of component variances."""
-    weights, _, variances = params.row(dim)
+    weights, _, variances = _row(params, dim, detection)
     return sum(map(mul, weights, variances))
 
 
-def mixture_eu(params: MixtureParams, dim: str) -> float:
+def mixture_eu(params: MixtureParams, dim: str, detection: int = 0) -> float:
     """Epistemic part: mixture-weighted spread of component means."""
-    weights, means, _ = params.row(dim)
+    weights, means, _ = _row(params, dim, detection)
     mean = sum(map(mul, weights, means))
     return sum(w * (m - mean) ** 2 for w, m in zip(weights, means))
 
@@ -91,8 +82,8 @@ def propagate_uncertainty(
     residual_eu: tuple[float, ...],
     residual_means: tuple[float, ...],
     anchor: Anchor,
-) -> BoxUncertainty:
-    """Scale residual-space variances into box space.
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """Scale residual-space variances into box space: (au, eu).
 
     x, y scale by the squared anchor diagonal, z by the squared anchor
     height, w/h/l by the squared residual mean, and yaw by sec^2 of the yaw
@@ -103,43 +94,74 @@ def propagate_uncertainty(
         raise ValueError(f"expected {n} residual entries")
     if any(v < 0 for v in (*residual_au, *residual_eu)):
         raise ValueError("residual variances must be non-negative")
-    return BoxUncertainty(
-        au=_propagate(tuple(residual_au), tuple(residual_means), anchor),
-        eu=_propagate(tuple(residual_eu), tuple(residual_means), anchor),
-    )
+    means = tuple(residual_means)
+    return _propagate(tuple(residual_au), means, anchor), _propagate(tuple(residual_eu), means, anchor)
 
 
-def detection_uncertainty(params: MixtureParams, anchor: Anchor) -> BoxUncertainty:
-    """One pass over the rows, each row's mean computed once: the same sums,
-    and so the same floats, as ``mixture_mean``, ``mixture_au`` and
-    ``mixture_eu`` per dimension."""
-    au, eu, means = [], [], []
-    for weights, row_m, variances in zip(params.weights, params.means, params.variances):
-        mean = sum(map(mul, weights, row_m))
-        au.append(sum(map(mul, weights, variances)))
-        eu.append(sum(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
-        means.append(mean)
-    return propagate_uncertainty(tuple(au), tuple(eu), tuple(means), anchor)
-
-
+@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
 def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig) -> float:
     """Mean over the filtered detections' 7 propagated terms of au + eta*eu.
 
     Zero eligible detections score 0. Detections are filtered by the shared
-    confidence threshold; a counted detection without mixture parameters is a
-    data error.
+    confidence threshold; a scene with counted detections but no mixture
+    parameters, or whose propagated variances are not finite, is a data
+    error.
+
+    The moments are array operations over the kept rows of the scene's
+    block, every sum in the order of the plain loops of ``mixture_mean``,
+    ``mixture_au``, ``mixture_eu`` and ``propagate_uncertainty``, so every
+    float is theirs for any K: over components a loop of K array adds
+    (numpy's ``sum`` adds in another order from K = 8), over the 7
+    dimensions and across detections Python's ``sum`` and ``+=``.
+    ``(m - mean) ** 2`` is ``np.float_power``, which is C ``pow`` as
+    Python's ``**`` is, and the yaw's cosine is ``math.cos``.
     """
-    kept = [d for d in scene.detections if d.confidence >= config.tau]
+    kept = [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
     if not kept:
         return 0.0
+    if scene.mixtures is None:
+        raise DataError(f"scene {scene.id!r}: {len(kept)} counted detections have no mixture parameters")
+    block = scene.mixtures.block
+    if len(kept) < len(block):
+        block = block[kept]
+    weighted = block[:, 1:] * block[:, :1]  # w*m and w*v
+    mean_au = 0.0
+    for i in range(block.shape[3]):
+        mean_au = mean_au + weighted[..., i]
+    mean, au = mean_au[:, 0], mean_au[:, 1]
+    spread = block[:, 0] * np.float_power(block[:, 1] - mean[..., None], 2.0)
+    eu = 0.0
+    for i in range(block.shape[3]):
+        eu = eu + spread[..., i]
+
+    # The factors of ``_propagate``, one row per detection; a yaw near
+    # +-pi/2 gets NaN and fails below.
+    factors = []
+    for det, (_, _, _, mw, mh, ml, mt) in zip(kept, mean.tolist()):
+        anchor = anchors.for_class(scene.detections[det].class_label)
+        d2 = anchor.diagonal**2
+        cos_t = math.cos(mt)
+        sec2 = 1.0 / (cos_t * cos_t) if abs(cos_t) >= SEC_SINGULAR_COS else math.nan
+        factors.append((d2, d2, anchor.height**2, mw * mw, mh * mh, ml * ml, sec2))
+    scale = np.array(factors)
+    terms = scale * au + config.eta * (scale * eu)
+    finite = np.isfinite(terms)
+    if not finite.all():
+        # The first failing detection, through the plain loop: a yaw near
+        # +-pi/2 raises there; anything else overflowed.
+        row = int(finite.all(1).argmin())
+        det = scene.detections[kept[row]]
+        propagate_uncertainty(
+            tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()),
+            anchors.for_class(det.class_label),
+        )
+        raise DataError(
+            f"scene {scene.id!r}: detection {kept[row]} ({det.class_label}): "
+            "propagated variances are not finite"
+        )
     total = 0.0
-    for idx, det in enumerate(kept):
-        if det.mixture is None:
-            raise DataError(
-                f"scene {scene.id!r}: detection {idx} ({det.class_label}) has no mixture parameters"
-            )
-        box_u = detection_uncertainty(det.mixture, anchors.for_class(det.class_label))
-        total += sum(a + config.eta * e for a, e in zip(box_u.au, box_u.eu))
+    for row in terms.tolist():
+        total += sum(row)
     return total / (7 * len(kept))
 
 

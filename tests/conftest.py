@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
 from scenesel.core import (
@@ -28,29 +29,34 @@ def make_box(x=1.0, y=2.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.1):
     return Box3D(x=x, y=y, z=z, w=w, l=l, h=h, theta=theta)
 
 
-def make_detection(label="car", confidence=0.9, box=None, mixture=None):
-    return ScoredDetection(label, confidence, box or make_box(), mixture)
+def make_detection(label="car", confidence=0.9, box=None):
+    return ScoredDetection(label, confidence, box or make_box())
 
 
 def uniform_mixture(k=1, mean=0.0, var=0.04):
-    """Mixture with identical rows across all seven residual dimensions."""
-    row_w = tuple([1.0 / k] * k)
-    row_m = tuple([mean] * k)
-    row_v = tuple([var] * k)
-    n = len(RESIDUAL_DIMS)
-    return MixtureParams(
-        weights=tuple([row_w] * n), means=tuple([row_m] * n), variances=tuple([row_v] * n)
-    )
+    """One detection's mixture with identical rows across all seven
+    residual dimensions."""
+    return mixture_from_rows([1.0 / k] * k, [mean] * k, [var] * k)
 
 
 def mixture_from_rows(weights, means, variances):
-    """Same single-dimension row replicated over all seven dimensions."""
+    """One detection's mixture: the same row replicated over all seven
+    dimensions."""
     n = len(RESIDUAL_DIMS)
-    return MixtureParams(
-        weights=tuple([tuple(weights)] * n),
-        means=tuple([tuple(means)] * n),
-        variances=tuple([tuple(variances)] * n),
-    )
+    return MixtureParams.from_rows([([list(weights)] * n, [list(means)] * n, [list(variances)] * n)])
+
+
+def stack_mixtures(*mixtures):
+    """One block from one-detection mixtures, in order."""
+    return MixtureParams(np.concatenate([m.block for m in mixtures]))
+
+
+def scene_with_mixtures(scene_id, *pairs):
+    """A scene from (detection, one-detection mixture) pairs."""
+    if not pairs:
+        return Scene(scene_id)
+    dets, mixtures = zip(*pairs)
+    return Scene(scene_id, tuple(dets), stack_mixtures(*mixtures))
 
 
 def random_scene(rng: random.Random, scene_id: str, catalog=DEFAULT_CATALOG, max_objects=4):

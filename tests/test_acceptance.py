@@ -162,11 +162,11 @@ def test_05_propagation_identity(capsys):
     for _ in range(200):
         au = tuple(float(v) for v in rng.uniform(0.0, 3.0, 7))
         eu = tuple(float(v) for v in rng.uniform(0.0, 3.0, 7))
-        out = propagate_uncertainty(au, eu, means, anchor)
+        out_au, out_eu = propagate_uncertainty(au, eu, means, anchor)
         worst = max(
             worst,
-            max(abs(a - b) for a, b in zip(out.au, au)),
-            max(abs(a - b) for a, b in zip(out.eu, eu)),
+            max(abs(a - b) for a, b in zip(out_au, au)),
+            max(abs(a - b) for a, b in zip(out_eu, eu)),
         )
     ok = worst <= 1e-12
     verdict(capsys, 5, "residual propagation is the identity at unit anchors",

@@ -6,8 +6,9 @@ from pathlib import Path
 
 import pytest
 
-from scenesel import kitti, sampler, state as state_mod
+from scenesel import kitti, sampler, state as state_mod, synth
 from scenesel.cli import main
+from scenesel.config import build_config
 
 
 def run(*argv):
@@ -431,10 +432,43 @@ def _append_label(target, line: bytes):
     target.write_bytes(target.read_bytes() + line + b"\n")
 
 
-def _nan_sidecar(target):
-    doc = json.loads(target.read_text())
-    doc["detections"][0]["means"][0] = [float("nan")] * len(doc["detections"][0]["means"][0])
-    target.write_text(json.dumps(doc))
+def _edit_sidecar(edit):
+    """A fault that rewrites a sidecar's list of entries in place."""
+
+    def inject(target):
+        doc = json.loads(target.read_text())
+        edit(doc["detections"])
+        target.write_text(json.dumps(doc))
+
+    return inject
+
+
+def _nan_means(entries):
+    entries[0]["means"][0] = [float("nan")] * len(entries[0]["means"][0])
+
+
+def _short_row(entries):
+    entries[0]["weights"][4] = entries[0]["weights"][4][:-1]
+
+
+def _one_component(entries):
+    entries[1] = {name: [[1.0 if name == "weights" else 0.0]] * 7 for name in entries[1]}
+
+
+def _non_numeric(entries):
+    entries[0]["means"][0][0] = "wide"
+
+
+def _overflowing_w_mean(target):
+    # A finite w mean whose propagated variance is not: on the first
+    # detection that passes the confidence filter (the score column).
+    labels = target.parent.parent / "labels" / f"{target.stem}.txt"
+    kept = next(i for i, line in enumerate(labels.read_text().splitlines()) if float(line.split()[-1]) >= 0.3)
+
+    def edit(entries):
+        entries[kept]["means"][3] = [1e200] * len(entries[kept]["means"][3])
+
+    _edit_sidecar(edit)(target)
 
 
 ALL_POOL_COMMANDS = {"select": 3, "score": 3, "stats": 3}
@@ -454,12 +488,28 @@ FAULTS = {
     "sidecar: not UTF-8": ("sidecar", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), SIDECAR_EXITS),
     "sidecar: missing": ("sidecar", lambda p: p.unlink(), SIDECAR_EXITS),
     "sidecar: not JSON": ("sidecar", lambda p: p.write_text("{not json"), SIDECAR_EXITS),
-    "sidecar: NaN": ("sidecar", _nan_sidecar, SIDECAR_EXITS),
+    "sidecar: NaN": ("sidecar", _edit_sidecar(_nan_means), SIDECAR_EXITS),
+    "sidecar: entry rows differ in K": ("sidecar", _edit_sidecar(_short_row), SIDECAR_EXITS),
+    "sidecar: entries differ in K": ("sidecar", _edit_sidecar(_one_component), SIDECAR_EXITS),
+    "sidecar: non-numeric value": ("sidecar", _edit_sidecar(_non_numeric), SIDECAR_EXITS),
+    "sidecar: overflowing w mean": ("sidecar", _overflowing_w_mean, SIDECAR_EXITS),
     "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
 }
+
+
+# What a fault's message, or for exit 0 its warning, says besides the file;
+# "{sid}" is the faulty scene's id. The overflow is found when the scene is
+# scored, where the file is no longer known: its message names the scene and
+# the detection, and ``stats`` omits the uncertainty histogram.
+SAID = {
+    "sidecar: entry rows differ in K": ("entry 0: all dimensions must share the same component count",),
+    "sidecar: entries differ in K": ("entry 1: mixture has 1 components but entry 0 has 3",),
+    "sidecar: non-numeric value": ("entry 0: could not convert string to float: 'wide'",),
+}
+OVERFLOW_SAID = ("scene '{sid}': detection ", "propagated variances are not finite")
 
 
 class TestFaultMatrix:
@@ -496,6 +546,76 @@ class TestFaultMatrix:
                 assert run(*config, *commands[command]) == code, command
             # A fallback (exit 0) names the file in the warning it logs.
             said = capsys.readouterr().err if code else caplog.text
-            assert str(target) in said, (command, said)
+            if fault == "sidecar: overflowing w mean":
+                expected = [part.format(sid=sid) for part in OVERFLOW_SAID]
+                fallback = "uncertainty histogram omitted"
+            else:
+                expected = [str(target), *SAID.get(fault, ())]
+                fallback = "loading the pool without sidecars"
+            for part in expected:
+                assert part in said, (command, said)
             if code == 0:
-                assert "loading the pool without sidecars" in caplog.text
+                assert fallback in caplog.text
+
+
+class TestInvariance:
+    """A selection depends on the inputs and the seed alone: not on the order
+    a pool is built or its files are written in, nor on what a cache already
+    holds (metamorphic relations, as in Segura et al., IEEE TSE 2016)."""
+
+    @staticmethod
+    def pool_and_predictor(seed=4, n=40):
+        cfg = build_config(overrides={"plan.n_r": 4}, environ={})
+        spec = synth.PoolSpec(n_scenes=n, class_mix=(0.7, 0.2, 0.1), rng_seed=seed)
+        pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
+        noise = synth.NoiseModel(
+            confidence_noise=0.5, position_noise_per_meter=0.005, false_positive_rate=0.3,
+            misclass_rate=0.05, mixture_components=3, mean_spread=0.1,
+        )
+        return cfg, pool, synth.make_predictor(noise, cfg.anchors, cfg.catalog, seed)
+
+    @pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+    def test_rounds_do_not_depend_on_the_pool_order(self, strategy):
+        cfg, pool, predictor = self.pool_and_predictor()
+        reverse = {sid: pool[sid] for sid in sorted(pool, reverse=True)}
+
+        def rounds(p):
+            state = state_mod.RoundState.fresh(p, budget_total=len(p), rng_seed=4)
+            _, reports = sampler.run_al_rounds(
+                p, cfg.plan, 2, predictor, p.__getitem__, state, cfg.catalog, cfg.anchors,
+                cfg.entropy, cfg.kernel, cfg.uncertainty, strategy=strategy,
+            )
+            return reports
+
+        assert rounds(reverse) == rounds(pool)
+
+    def test_selection_does_not_depend_on_a_warm_cache(self):
+        cfg, pool, predictor = self.pool_and_predictor()
+        preds = [predictor(pool[sid]) for sid in sorted(pool)]
+        warm = sampler.SimilarityCache(cfg.catalog, cfg.kernel)
+        warm.matrix(preds[::-1])
+        evaluated = warm.evaluations
+
+        def select(cache):
+            return sampler.three_stage_select(preds, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache)
+
+        cold_ids, cold_log = select(sampler.SimilarityCache(cfg.catalog, cfg.kernel))
+        warm_ids, warm_log = select(warm)
+        assert warm_ids == cold_ids
+        assert warm_log.stage_sizes == cold_log.stage_sizes
+        assert warm.evaluations == evaluated  # every pair was a hit
+
+    def test_select_does_not_depend_on_the_order_files_are_written(self, pool_dir, tmp_path):
+        reverse = tmp_path / "reverse"
+        for sub in ("labels", "sidecars"):
+            (reverse / sub).mkdir(parents=True)
+            for path in sorted((pool_dir / sub).iterdir(), reverse=True):
+                (reverse / sub / path.name).write_bytes(path.read_bytes())
+        outputs = []
+        for pool in (pool_dir, reverse):
+            state, out = tmp_path / pool.name / "state.json", tmp_path / pool.name / "sel"
+            select = ("--seed", 9, "select", "--pool", pool, "--state", state, "--out", out)
+            assert run(*select, "--init", "--n0", 4) == 0
+            assert run(*select, "--n-r", 3) == 0
+            outputs.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
+        assert outputs[1] == outputs[0]

@@ -6,6 +6,7 @@ import threading
 from pathlib import Path
 from types import SimpleNamespace
 
+import numpy as np
 import pytest
 
 from scenesel.core import (
@@ -13,6 +14,7 @@ from scenesel.core import (
     Box3D,
     ClassCatalog,
     DataError,
+    MixtureError,
     MixtureParams,
     ParseError,
     RESIDUAL_DIMS,
@@ -89,8 +91,8 @@ class TestMixtureParams:
         rows_w = tuple([(1.0,)] * 6 + [(0.5, 0.5)])
         rows_m = tuple([(0.0,)] * 6 + [(0.0, 0.0)])
         rows_v = tuple([(1.0,)] * 6 + [(1.0, 1.0)])
-        with pytest.raises(ValueError):
-            MixtureParams(weights=rows_w, means=rows_m, variances=rows_v)
+        with pytest.raises(ValueError, match="all dimensions must share the same component count"):
+            MixtureParams.from_rows([(rows_w, rows_m, rows_v)])
 
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
@@ -116,25 +118,31 @@ class TestMixtureParams:
 
 
 def reference_post_init(self):
-    """The ``MixtureParams.__post_init__`` that the one-pass validator replaced,
-    verbatim: the new one must accept and reject the same rows with the same
-    messages, apart from the non-finite weights and variances it now rejects."""
+    """The row-by-row ``MixtureParams.__post_init__`` of one detection's
+    tuples that the block check replaced, verbatim: the block check must
+    accept and reject the same rows with the same first message."""
     n = len(RESIDUAL_DIMS)
     if not (len(self.weights) == len(self.means) == len(self.variances) == n):
         raise ValueError(f"mixture needs {n} residual dimensions")
     k = len(self.weights[0])
     if k < 1:
         raise ValueError("mixture needs at least one component")
+    isfinite = math.isfinite
     for row_w, row_m, row_v in zip(self.weights, self.means, self.variances):
         if not (len(row_w) == len(row_m) == len(row_v) == k):
             raise ValueError("all dimensions must share the same component count")
-        if abs(sum(row_w) - 1.0) > WEIGHT_SUM_TOL:
-            raise ValueError(f"mixture weights must sum to 1, got {sum(row_w)!r}")
-        if any(w < 0 for w in row_w):
+        total = sum(row_w)
+        if abs(total - 1.0) > WEIGHT_SUM_TOL:
+            raise ValueError(f"mixture weights must sum to 1, got {total!r}")
+        if not all(map(isfinite, row_w)):
+            raise ValueError("mixture weights must be finite")
+        if min(row_w) < 0:
             raise ValueError("mixture weights must be non-negative")
-        if any(v < 0 for v in row_v):
+        if not all(map(isfinite, row_v)):
+            raise ValueError("mixture variances must be finite")
+        if min(row_v) < 0:
             raise ValueError("mixture variances must be non-negative")
-        if any(not math.isfinite(m) for m in row_m):
+        if not all(map(isfinite, row_m)):
             raise ValueError("mixture means must be finite")
 
 
@@ -167,21 +175,27 @@ def _mutate(rng: random.Random, fields: dict) -> None:
     rows[d] = tuple(row)
 
 
-def _generated_mixtures(n_cases: int, seed: int = 0):
+def _generated_scenes(n_cases: int, seed: int = 0):
+    """Lists of 1-4 one-detection field dicts sharing one K, of which about
+    one in three is broken in one to three ways."""
     rng = random.Random(seed)
     for case in range(n_cases):
         k = rng.randint(1, 5)
-        raw = [[rng.random() + 0.01 for _ in range(k)] for _ in RESIDUAL_DIMS]
-        fields = {
-            "weights": [tuple(x / sum(r) for x in r) for r in raw],
-            "means": [tuple(rng.uniform(-3, 3) for _ in range(k)) for _ in RESIDUAL_DIMS],
-            "variances": [tuple(rng.choice((0.0, rng.random())) for _ in range(k)) for _ in RESIDUAL_DIMS],
-        }
-        if case % 10 == 0:
-            fields = {name: [()] * len(RESIDUAL_DIMS) for name in fields}  # no components
-        for _ in range(rng.choice((0, 1, 1, 2, 3))):
-            _mutate(rng, fields)
-        yield {name: tuple(rows) for name, rows in fields.items()}
+        entries = []
+        for _ in range(rng.randint(1, 4)):
+            raw = [[rng.random() + 0.01 for _ in range(k)] for _ in RESIDUAL_DIMS]
+            fields = {
+                "weights": [tuple(x / sum(r) for x in r) for r in raw],
+                "means": [tuple(rng.uniform(-3, 3) for _ in range(k)) for _ in RESIDUAL_DIMS],
+                "variances": [tuple(rng.choice((0.0, rng.random())) for _ in range(k)) for _ in RESIDUAL_DIMS],
+            }
+            if case % 10 == 0:
+                fields = {name: [()] * len(RESIDUAL_DIMS) for name in fields}  # no components
+            if rng.random() < 0.35:
+                for _ in range(rng.choice((1, 1, 2, 3))):
+                    _mutate(rng, fields)
+            entries.append({name: tuple(rows) for name, rows in fields.items()})
+        yield entries
 
 
 def _outcome(validate) -> str:
@@ -192,35 +206,89 @@ def _outcome(validate) -> str:
     return "accepted"
 
 
+def _reference_outcome(entries) -> tuple[int | None, str]:
+    for idx, fields in enumerate(entries):
+        outcome = _outcome(lambda: reference_post_init(SimpleNamespace(**fields)))
+        if outcome != "accepted":
+            return idx, outcome
+    return None, "accepted"
+
+
+def _block_outcome(entries) -> tuple[int | None, str]:
+    rows = [(f["weights"], f["means"], f["variances"]) for f in entries]
+    try:
+        MixtureParams.from_rows(rows)
+    except MixtureError as exc:
+        return exc.entry, str(exc)
+    return None, "accepted"
+
+
 class TestValidationEquivalence:
     def test_same_verdicts_and_messages_as_the_replaced_validator(self):
-        seen, newly_rejected = set(), 0
-        for fields in _generated_mixtures(6000):
-            old = _outcome(lambda: reference_post_init(SimpleNamespace(**fields)))
-            new = _outcome(lambda: MixtureParams(**fields))
-            nonfinite = any(
-                not math.isfinite(v) for name in ("weights", "variances") for row in fields[name] for v in row
-            )
-            if nonfinite:
-                # The bugfix: a non-finite weight or variance is never accepted.
-                assert new != "accepted", fields
-                newly_rejected += old == "accepted"
-            else:
-                assert new == old, fields
-                seen.add(old.split(", got")[0])
-        # The generator reaches every verdict of the replaced validator and
-        # some mixtures it wrongly accepted.
+        # Each generated scene goes through ``MixtureParams.from_rows``: the
+        # block check when its entries form one (D, 3, 7, K) array, the
+        # entry-by-entry path when they do not. Either way the first failing
+        # entry and its message are the row-by-row validator's.
+        seen, blocks = set(), 0
+        for entries in _generated_scenes(6000):
+            expected = _reference_outcome(entries)
+            assert _block_outcome(entries) == expected, entries
+            seen.add(expected[1].split(", got")[0])
+            try:
+                block = np.array([[f["weights"], f["means"], f["variances"]] for f in entries], dtype=float)
+            except ValueError:
+                continue
+            if block.ndim == 4 and block.shape[1:3] == (3, 7) and block.shape[3]:
+                blocks += 1
+                assert _outcome(lambda: MixtureParams(block)) == expected[1]
+        # The generator reaches every verdict of the replaced validator, and
+        # most scenes are whole blocks.
         assert seen == {
             "accepted",
             "mixture needs 7 residual dimensions",
             "mixture needs at least one component",
             "all dimensions must share the same component count",
             "mixture weights must sum to 1",
+            "mixture weights must be finite",
             "mixture weights must be non-negative",
+            "mixture variances must be finite",
             "mixture variances must be non-negative",
             "mixture means must be finite",
         }
-        assert newly_rejected > 0
+        assert blocks > 3000
+
+
+class TestMixtureBlock:
+    def test_entries_of_one_scene_share_one_k(self):
+        one, two = uniform_mixture(k=1), uniform_mixture(k=2)
+        rows = [m.block[0].tolist() for m in (two, two, one)]
+        with pytest.raises(MixtureError, match="mixture has 1 components but entry 0 has 2") as err:
+            MixtureParams.from_rows(rows)
+        assert err.value.entry == 2
+
+    def test_block_is_read_only(self):
+        # ``core`` types are immutable values: the block cannot be written,
+        # and one built from a caller's array does not share its memory.
+        source = uniform_mixture(k=2).block.copy()
+        mixtures = MixtureParams(source)
+        with pytest.raises(ValueError, match="read-only"):
+            mixtures.block[0, 1, 0, 0] = 5.0
+        source[0, 1, 0, 0] = 5.0
+        assert mixtures.block[0, 1, 0, 0] == 0.0
+        scene = Scene("s", (ScoredDetection("car", 0.9, Box3D(0, 0, 0, 1, 1, 1, 0)),), mixtures)
+        with pytest.raises(ValueError, match="read-only"):
+            scene.mixtures.block[0, 2] = 1.0
+
+    def test_scene_needs_one_mixture_per_detection(self):
+        det = ScoredDetection("car", 0.9, Box3D(0, 0, 0, 1, 1, 1, 0))
+        with pytest.raises(ValueError, match="2 detections but 1 mixtures"):
+            Scene("s", (det, det), uniform_mixture())
+
+    def test_equal_blocks_are_equal_values(self):
+        a, b = uniform_mixture(k=3, var=0.5), uniform_mixture(k=3, var=0.5)
+        assert a == b and hash(a) == hash(b)
+        assert a != uniform_mixture(k=3, var=0.25)
+        assert a != uniform_mixture(k=1, var=0.5)
 
 
 class TestSceneAndDetection:

@@ -16,7 +16,7 @@ REFERRING = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
 _REFERENCE_FOR_ACCEPTANCE = (
     "reference moment that acceptance checks 03/04 and TestOnePassUncertainty "
-    "compare the one-pass detection_uncertainty against"
+    "compare the array scoring of scene_uncertainty against"
 )
 ALLOWED = {
     ("uncertainty", "mixture_mean"): _REFERENCE_FOR_ACCEPTANCE,

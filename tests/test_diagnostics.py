@@ -20,7 +20,7 @@ from scenesel.sampler import SimilarityCache
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
 
-from conftest import make_box, uniform_mixture
+from conftest import make_box, scene_with_mixtures, uniform_mixture
 
 ENT = EntropyConfig()
 KER = KernelConfig()
@@ -197,10 +197,7 @@ class TestSelectionReport:
 
     def test_uncertainty_histogram_with_sidecars(self):
         mix = uniform_mixture(k=2, mean=0.05, var=0.01)
-        scenes = [
-            Scene(id=f"m{i}", detections=(ScoredDetection("car", 0.9, make_box(x=3.0 + i), mix),))
-            for i in range(4)
-        ]
+        scenes = [scene_with_mixtures(f"m{i}", (ScoredDetection("car", 0.9, make_box(x=3.0 + i)), mix)) for i in range(4)]
         rep = self.report(scenes, scenes)
         assert sum(rep.uncertainty_histogram["counts"]) == 4
         assert len(rep.uncertainty_histogram["bin_edges"]) == 11

@@ -19,7 +19,8 @@ sees the unmatched nodes, its last iteration, so those floats moved by at
 most 1.7e-8 relative; the ids, counts and mixture digests did not move.
 The report's selection entropy, mean uncertainty, class counts and object
 count were added before the ``random`` strategy came to predict only the
-scenes it picks.
+scenes it picks. The sidecar digests were recorded before a scene's mixtures
+became one array, which ``mixture_digests`` renders as the tuples they were.
 To record it again after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
@@ -66,16 +67,32 @@ def _sha256(lines) -> str:
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
+def tuple_repr(scene) -> str:
+    """``repr`` of a predicted scene as it read when each detection held its
+    mixture as three 7xK tuples of tuples, so that the recorded predictions
+    digest still pins the same floats."""
+    dets = []
+    for det, (w, m, v) in zip(scene.detections, scene.mixtures.block.tolist()):
+        rows = lambda field: tuple(map(tuple, field))  # noqa: E731
+        mixture = f"MixtureParams(weights={rows(w)!r}, means={rows(m)!r}, variances={rows(v)!r})"
+        dets.append(
+            f"ScoredDetection(class_label={det.class_label!r}, confidence={det.confidence!r}, "
+            f"box={det.box!r}, mixture={mixture})"
+        )
+    return f"Scene(id={scene.id!r}, detections={'(' + ', '.join(dets) + (',)' if len(dets) == 1 else ')')})"
+
+
 def mixture_digests(seed: int, noise: synth.NoiseModel) -> dict:
-    """Digests of the predictions for a 200-scene pool (2-6 objects): ``repr``
-    of every predicted scene, and ``float.hex`` of its scene uncertainty."""
+    """Digests of the predictions for a 200-scene pool (2-6 objects): the
+    tuple-form ``repr`` of every predicted scene (``tuple_repr``), and
+    ``float.hex`` of its scene uncertainty."""
     cfg = build_config(environ={})
     spec = synth.PoolSpec(n_scenes=200, class_mix=(0.9, 0.05, 0.05), objects_min=2, objects_max=6, rng_seed=seed)
     pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
     predictor = synth.make_predictor(noise, cfg.anchors, cfg.catalog, seed)
     preds = [predictor(pool[sid]) for sid in sorted(pool)]
     return {
-        "predictions": _sha256(repr(p) for p in preds),
+        "predictions": _sha256(tuple_repr(p) for p in preds),
         "uncertainty": _sha256(scene_uncertainty(p, cfg.anchors, cfg.uncertainty).hex() for p in preds),
     }
 
@@ -159,6 +176,21 @@ def cli_select_digests(work: Path) -> dict:
     return steps
 
 
+def synth_sidecar_digests(work: Path) -> dict:
+    """sha256 of every sidecar ``synth --seed 2`` writes for 30 scenes, with
+    the default flags and with 8 components and no false positives."""
+    out = {}
+    for name, flags in {"default": (), "k8_no_fp": ("--components", 8, "--fp-rate", 0)}.items():
+        pool = work / name
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["--seed", "2", "synth", "--out", str(pool), "--n-scenes", "30", *map(str, flags)]) == 0
+        digest = hashlib.sha256()
+        for f in sorted((pool / "sidecars").iterdir()):
+            digest.update(f.name.encode() + b"\n" + f.read_bytes() + b"\n")
+        out[name] = digest.hexdigest()
+    return out
+
+
 @pytest.fixture(scope="module")
 def golden():
     return json.loads(FIXTURE.read_text())
@@ -185,10 +217,14 @@ def test_cli_select_outputs_match_golden(golden, tmp_path):
     assert cli_select_digests(tmp_path) == golden["select_outputs"]
 
 
+def test_synth_sidecars_match_golden(golden, tmp_path):
+    assert synth_sidecar_digests(tmp_path) == golden["sidecars"]
+
+
 if __name__ == "__main__":
     import tempfile
 
-    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}, "select_outputs": {}}
+    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}, "select_outputs": {}, "sidecars": {}}
     for seed in SEEDS:
         doc["run_al_rounds"][str(seed)] = {s: library_rounds(seed, s) for s in sampler.STRATEGIES}
         doc["mixtures"][str(seed)] = {name: mixture_digests(seed, n) for name, n in MIXTURE_NOISE.items()}
@@ -196,6 +232,8 @@ if __name__ == "__main__":
             doc["cli"][str(seed)] = cli_rounds(seed, Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
         doc["select_outputs"] = cli_select_digests(Path(tmp))
+    with tempfile.TemporaryDirectory() as tmp:
+        doc["sidecars"] = synth_sidecar_digests(Path(tmp))
     # One line per list of ids or counts.
     text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", json.dumps(doc, indent=1))
     FIXTURE.write_text(text + "\n")

@@ -1,3 +1,4 @@
+import json
 import random
 
 import pytest
@@ -12,7 +13,7 @@ from scenesel.kitti import (
     serialize_label_file,
     write_label_file,
 )
-from conftest import make_detection, random_scene, uniform_mixture
+from conftest import make_detection, mixture_from_rows, random_scene, scene_with_mixtures, uniform_mixture
 
 SAMPLE_LINE = "Car 0.0 0 -1.57 614 181 727 284 1.57 1.73 4.15 1.0 1.47 8.41 -1.56 0.9"
 
@@ -111,54 +112,103 @@ class TestRoundtrip:
         assert parse_label_file(tmp) == scene
 
 
+def saved_sidecar(tmp_path, *mixtures):
+    """A sidecar saved from a scene of one car per one-detection mixture,
+    and that scene without its mixtures."""
+    scene = scene_with_mixtures("s", *((make_detection(), m) for m in mixtures))
+    path = tmp_path / "s.mdn"
+    save_mixture_sidecar(scene, path)
+    return path, Scene("s", scene.detections)
+
+
+def edited(path, edit):
+    doc = json.loads(path.read_text())
+    edit(doc["detections"])
+    path.write_text(json.dumps(doc))
+
+
 class TestSidecar:
     def test_single_component_roundtrip(self, tmp_path):
         m = uniform_mixture(var=0.04)
-        scene = Scene("s", (make_detection(mixture=m),))
-        path = tmp_path / "s.mdn"
-        save_mixture_sidecar(scene, path)
-        bare = Scene("s", (make_detection(),))
+        path, bare = saved_sidecar(tmp_path, m)
         loaded = load_mixture_sidecar(path, bare)
-        assert loaded.detections[0].mixture == m
+        assert loaded.mixtures == m
         from scenesel.uncertainty import mixture_au
 
-        assert mixture_au(loaded.detections[0].mixture, "x") == pytest.approx(0.04)
+        assert mixture_au(loaded.mixtures, "x") == pytest.approx(0.04)
 
     def test_count_mismatch(self, tmp_path):
         m = uniform_mixture()
-        three = Scene("s", tuple(make_detection(mixture=m) for _ in range(3)))
-        path = tmp_path / "s.mdn"
-        save_mixture_sidecar(three, path)
-        two = Scene("s", tuple(make_detection() for _ in range(2)))
+        path, three = saved_sidecar(tmp_path, m, m, m)
+        two = Scene("s", three.detections[:2])
         with pytest.raises(DataError, match="3 entries"):
             load_mixture_sidecar(path, two)
 
     def test_bad_weights_rejected(self, tmp_path):
-        m = uniform_mixture()
-        scene = Scene("s", (make_detection(mixture=m),))
-        path = tmp_path / "s.mdn"
-        save_mixture_sidecar(scene, path)
+        path, bare = saved_sidecar(tmp_path, uniform_mixture())
         text = path.read_text().replace("1.0", "0.9", 1)
         path.write_text(text)
         with pytest.raises(DataError):
-            load_mixture_sidecar(path, Scene("s", (make_detection(),)))
+            load_mixture_sidecar(path, bare)
 
     def test_valid_three_component_simplex(self, tmp_path):
-        from conftest import mixture_from_rows
-
         m = mixture_from_rows((0.5, 0.3, 0.2), (0.0, 0.1, 0.2), (0.01, 0.02, 0.03))
-        scene = Scene("s", (make_detection(mixture=m),))
-        path = tmp_path / "s.mdn"
-        save_mixture_sidecar(scene, path)
-        loaded = load_mixture_sidecar(path, Scene("s", (make_detection(),)))
-        assert loaded.detections[0].mixture == m
+        path, bare = saved_sidecar(tmp_path, m)
+        loaded = load_mixture_sidecar(path, bare)
+        assert loaded.mixtures == m
 
     def test_save_creates_directory_and_leaves_no_tmp(self, tmp_path):
-        scene = Scene("s", (make_detection(mixture=uniform_mixture()),))
+        scene = scene_with_mixtures("s", (make_detection(), uniform_mixture()))
         path = tmp_path / "new" / "s.mdn"
         save_mixture_sidecar(scene, path)
         assert [p.name for p in path.parent.iterdir()] == ["s.mdn"]
         assert load_mixture_sidecar(path, Scene("s", (make_detection(),))) == scene
+
+    def test_block_is_written_as_nested_rows(self, tmp_path):
+        m = mixture_from_rows((0.5, 0.5), (0.1, -0.2), (0.01, 0.02))
+        path, _ = saved_sidecar(tmp_path, m, uniform_mixture(k=2))
+        entries = json.loads(path.read_text())["detections"]
+        assert entries[0] == {"weights": [[0.5, 0.5]] * 7, "means": [[0.1, -0.2]] * 7, "variances": [[0.01, 0.02]] * 7}
+        assert entries[1]["means"] == [[0.0, 0.0]] * 7
+
+    @pytest.mark.parametrize(
+        "fault, message",
+        [
+            ("rows differ in K", "entry 1: all dimensions must share the same component count"),
+            ("entries differ in K", "entry 1: mixture has 1 components but entry 0 has 2"),
+            ("non-numeric value", "entry 1: could not convert string to float: 'wide'"),
+            ("null value", "entry 1: float() argument must be a string or a real number, not 'NoneType'"),
+            ("missing field", "entry 1: 'variances'"),
+            ("bad value before a short row", "entry 1: mixture weights must sum to 1, got 1.5"),
+            ("first failing entry", "entry 0: mixture means must be finite"),
+        ],
+    )
+    def test_fault_names_the_file_and_the_first_failing_entry(self, tmp_path, fault, message):
+        m = uniform_mixture(k=2)
+        path, bare = saved_sidecar(tmp_path, m, m, m)
+
+        def edit(entries):
+            if fault == "rows differ in K":
+                entries[1]["weights"][4] = [1.0]
+            elif fault == "entries differ in K":
+                entries[1] = {name: [[1.0 if name == "weights" else 0.0]] * 7 for name in entries[1]}
+            elif fault == "non-numeric value":
+                entries[1]["means"][3][1] = "wide"
+            elif fault == "null value":
+                entries[1]["weights"][0][0] = None
+            elif fault == "missing field":
+                del entries[1]["variances"]
+            elif fault == "bad value before a short row":
+                entries[1]["weights"][2] = [1.0, 0.5]
+                entries[1]["means"][5] = [0.0]
+            else:
+                entries[0]["means"][6][0] = float("inf")
+                entries[1]["weights"][0] = [1.0]
+
+        edited(path, edit)
+        with pytest.raises(DataError) as err:
+            load_mixture_sidecar(path, bare)
+        assert str(err.value).startswith(f"{path}: {message}")
 
 
 class TestPoolDir:
@@ -169,9 +219,7 @@ class TestPoolDir:
         for sid in ("b", "a"):
             scene = random_scene(rng, sid, max_objects=2)
             write_label_file(scene, tmp_path / "labels" / f"{sid}.txt")
-            withm = Scene(
-                sid, tuple(make_detection(d.class_label, d.confidence, d.box, uniform_mixture()) for d in scene.detections)
-            )
+            withm = scene_with_mixtures(sid, *((d, uniform_mixture()) for d in scene.detections))
             save_mixture_sidecar(withm, tmp_path / "sidecars" / f"{sid}.mdn")
         scenes = load_pool_dir(tmp_path, catalog, with_sidecars=True)
         assert [s.id for s in scenes] == ["a", "b"]

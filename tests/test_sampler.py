@@ -19,7 +19,7 @@ from scenesel.state import RoundState
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
 
-from conftest import make_box, uniform_mixture
+from conftest import make_box, scene_with_mixtures, uniform_mixture
 
 ENT = EntropyConfig()
 KER = KernelConfig()
@@ -137,19 +137,14 @@ def dominant_pool():
     """Three scenes where 'a' wins entropy, dissimilarity and uncertainty."""
     spread = uniform_mixture(k=1, mean=0.0, var=5.0)
     tight = uniform_mixture(k=1, mean=0.0, var=1e-3)
-    a = Scene(
-        id="a",
-        detections=(
-            ScoredDetection("car", 0.9, make_box(x=10.0, y=0.0), spread),
-            ScoredDetection("pedestrian", 0.9, make_box(x=-8.0, y=6.0, w=0.6, l=0.8, h=1.7), spread),
-            ScoredDetection("cyclist", 0.9, make_box(x=2.0, y=-12.0, w=0.6, l=1.76, h=1.7), spread),
-        ),
+    a = scene_with_mixtures(
+        "a",
+        (ScoredDetection("car", 0.9, make_box(x=10.0, y=0.0)), spread),
+        (ScoredDetection("pedestrian", 0.9, make_box(x=-8.0, y=6.0, w=0.6, l=0.8, h=1.7)), spread),
+        (ScoredDetection("cyclist", 0.9, make_box(x=2.0, y=-12.0, w=0.6, l=1.76, h=1.7)), spread),
     )
     def plain(sid):
-        return Scene(
-            id=sid,
-            detections=(ScoredDetection("car", 0.9, make_box(x=5.0, y=5.0), tight),),
-        )
+        return scene_with_mixtures(sid, (ScoredDetection("car", 0.9, make_box(x=5.0, y=5.0)), tight))
     return [a, plain("b"), plain("c")]
 
 
@@ -179,8 +174,8 @@ class TestThreeStageSelect:
         mix = uniform_mixture()
 
         def scene(sid, *labels):
-            dets = (ScoredDetection(c, 0.9, make_box(x=4.0 * i), mix) for i, c in enumerate(labels))
-            return Scene(id=sid, detections=tuple(dets))
+            dets = (ScoredDetection(c, 0.9, make_box(x=4.0 * i)) for i, c in enumerate(labels))
+            return scene_with_mixtures(sid, *((d, mix) for d in dets))
 
         scenes = [scene("a", "car", "car"), scene("b", "car", "pedestrian")]
         plan = StagePlan(n_r=1, k1=1.0, k2=1.0)
@@ -194,10 +189,7 @@ class TestThreeStageSelect:
         # The uncertainty stage ranks what ``with_mixtures`` returns; the
         # other stages never ask for it.
         _, preds = predicted_pool(n=12)
-        bare = [
-            Scene(p.id, tuple(ScoredDetection(d.class_label, d.confidence, d.box) for d in p.detections))
-            for p in preds.values()
-        ]
+        bare = [Scene(p.id, p.detections) for p in preds.values()]
         asked = []
 
         def with_mixtures(scene):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, MixtureParams, RESIDUAL_DIMS
+from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, RESIDUAL_DIMS
 from scenesel.kernel import KernelConfig
 from scenesel.diagnostics import sample_pair_similarities
 from scenesel.sampler import SimilarityCache
@@ -61,9 +61,9 @@ class TestGeneratePool:
         for sid, scene in pool.items():
             assert scene.id == sid
             assert 2 <= len(scene.detections) <= 6
+            assert scene.mixtures is None
             for det in scene.detections:
                 assert det.confidence == 1.0
-                assert det.mixture is None
 
     def test_class_mix_convergence(self):
         spec = PoolSpec(n_scenes=1000, class_mix=MIX_90_5_5, rng_seed=11)
@@ -127,10 +127,8 @@ class TestSimulatePredictions:
                 assert d_pred.class_label == d_gt.class_label
                 assert d_pred.confidence == 1.0
                 assert d_pred.box == d_gt.box
-                # single component, zero spread: no epistemic disagreement
-                for row_w, row_m in zip(d_pred.mixture.weights, d_pred.mixture.means):
-                    assert len(row_w) == 1
-                    assert len(set(row_m)) == 1
+            # single component, zero spread: no epistemic disagreement
+            assert pred.mixtures.block.shape == (len(scene.detections), 3, 7, 1)
             assert scene_uncertainty(pred, DEFAULT_ANCHORS, cfg) == 0.0
 
     def test_order_independent_determinism(self):
@@ -166,8 +164,8 @@ class TestSimulatePredictions:
         )
         p_near = simulate_predictions(near, noise, DEFAULT_ANCHORS, DEFAULT_CATALOG, np.random.default_rng(0))
         p_far = simulate_predictions(far, noise, DEFAULT_ANCHORS, DEFAULT_CATALOG, np.random.default_rng(0))
-        mix_near = p_near.detections[0].mixture
-        mix_far = p_far.detections[0].mixture
+        mix_near = p_near.mixtures
+        mix_far = p_far.mixtures
         from scenesel.core import RESIDUAL_DIMS
 
         for dim in RESIDUAL_DIMS:
@@ -192,13 +190,14 @@ class TestSimulatePredictions:
             seed=5,
         )
         pred = predictor(next(iter(pool.values())))
-        mix = pred.detections[0].mixture
-        assert any(len(set(row)) > 1 for row in mix.means)
+        means = pred.mixtures.block[0, 1]
+        assert any(len(set(row)) > 1 for row in means.tolist())
 
 
 def reference_residual_mixture(noise, rng, nominal, rng_range, var_scale=1.0):
     """The per-component ``_residual_mixture`` that one batched draw replaced,
-    verbatim: the batched one must give the same floats from the same stream."""
+    as nested rows: the batched one must give the same floats from the same
+    stream."""
     k = noise.mixture_components
     var = (noise.position_noise_per_meter * max(rng_range, 1.0)) ** 2 * var_scale
     spread = noise.mean_spread * (rng_range / 60.0)
@@ -209,10 +208,10 @@ def reference_residual_mixture(noise, rng, nominal, rng_range, var_scale=1.0):
             row_means = [mu + spread * float(rng.normal()) for _ in range(k)]
         else:
             row_means = [mu] * k
-        weights.append(tuple([1.0 / k] * k))
-        means.append(tuple(row_means))
-        variances.append(tuple([var] * k))
-    return MixtureParams(weights=tuple(weights), means=tuple(means), variances=tuple(variances))
+        weights.append([1.0 / k] * k)
+        means.append(row_means)
+        variances.append([var] * k)
+    return [weights, means, variances]
 
 
 class TestBatchedDraws:
@@ -225,8 +224,8 @@ class TestBatchedDraws:
             nominal = dict(zip(RESIDUAL_DIMS, values))
             rng_range, var_scale = 80.0 * abs(values[7]), (1.0, 4.0)[seed % 2]
             new_rng, old_rng = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
-            new = _residual_mixture(noise, new_rng, nominal, rng_range, var_scale)
+            new = _residual_mixture(noise, new_rng, list(nominal.values()), rng_range, var_scale)
             old = reference_residual_mixture(noise, old_rng, nominal, rng_range, var_scale)
-            assert repr(new) == repr(old)
+            assert new.shape == (3, 7, k) and new.tolist() == old
             # The stream stays in step for the draws that follow.
             assert new_rng.random() == old_rng.random()

@@ -4,11 +4,10 @@ import random
 import numpy as np
 import pytest
 
-from scenesel.core import Anchor, DataError, MixtureParams, RESIDUAL_DIMS, Scene
+from scenesel.core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene, ScoredDetection
 from scenesel.uncertainty import (
     NearSingularYawError,
     UncertaintyConfig,
-    detection_uncertainty,
     mixture_au,
     mixture_eu,
     mixture_mean,
@@ -16,7 +15,7 @@ from scenesel.uncertainty import (
     rank_by_uncertainty,
     scene_uncertainty,
 )
-from conftest import make_detection, mixture_from_rows, uniform_mixture
+from conftest import make_box, make_detection, mixture_from_rows, scene_with_mixtures, uniform_mixture
 
 CFG = UncertaintyConfig()
 UNIT_ANCHOR = Anchor(length=1.0, width=1e-9, height=1.0)  # diagonal ~ 1
@@ -100,24 +99,24 @@ class TestPropagation:
         au = tuple([0.3] * 7)
         eu = tuple([0.1] * 7)
         means = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)  # unit residual means, zero yaw
-        out = propagate_uncertainty(au, eu, means, a)
-        for got in out.au:
+        out_au, out_eu = propagate_uncertainty(au, eu, means, a)
+        for got in out_au:
             assert got == pytest.approx(0.3, abs=1e-12)
-        for got in out.eu:
+        for got in out_eu:
             assert got == pytest.approx(0.1, abs=1e-12)
 
     def test_diagonal_scaling(self):
         a = Anchor(length=math.sqrt(2.0), width=math.sqrt(2.0), height=1.0)  # diagonal 2
         au = (0.1, 0, 0, 0, 0, 0, 0)
-        out = propagate_uncertainty(au, tuple([0.0] * 7), (0, 0, 0, 1, 1, 1, 0), a)
-        assert out.au[0] == pytest.approx(0.4)
+        out_au, _ = propagate_uncertainty(au, tuple([0.0] * 7), (0, 0, 0, 1, 1, 1, 0), a)
+        assert out_au[0] == pytest.approx(0.4)
 
     def test_secant_scaling(self):
         a = unit_anchor()
         vars7 = (0, 0, 0, 0, 0, 0, 0.01)
         means = (0, 0, 0, 1, 1, 1, math.pi / 3)
-        out = propagate_uncertainty(vars7, tuple([0.0] * 7), means, a)
-        assert out.au[6] == pytest.approx(0.04, rel=1e-9)  # sec^2(pi/3) = 4
+        out_au, _ = propagate_uncertainty(vars7, tuple([0.0] * 7), means, a)
+        assert out_au[6] == pytest.approx(0.04, rel=1e-9)  # sec^2(pi/3) = 4
 
     def test_near_singular_yaw_rejected(self):
         a = unit_anchor()
@@ -126,13 +125,12 @@ class TestPropagation:
             propagate_uncertainty(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
 
 
-def reference_moments(params):
+def reference_moments(params, detection):
     """Per-dimension AU, EU and means as the generator-form sums that the
-    ``sum(map(mul, ...))`` forms and the one-pass ``detection_uncertainty``
-    replaced: the floats must not change."""
+    ``sum(map(mul, ...))`` forms replaced: the floats must not change."""
     au, eu, means = [], [], []
-    for d in RESIDUAL_DIMS:
-        weights, row_m, variances = params.row(d)
+    for i in range(len(RESIDUAL_DIMS)):
+        weights, row_m, variances = params.block[detection, :, i].tolist()
         mean = sum(w * m for w, m in zip(weights, row_m))
         au.append(sum(w * v for w, v in zip(weights, variances)))
         eu.append(sum(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
@@ -140,47 +138,94 @@ def reference_moments(params):
     return tuple(au), tuple(eu), tuple(means)
 
 
+def random_block(rng: random.Random, n_detections: int, k: int) -> MixtureParams:
+    entries = []
+    for _ in range(n_detections):
+        rows_w = []
+        for _ in RESIDUAL_DIMS:
+            raw = [rng.random() + 1e-3 for _ in range(k)]
+            rows_w.append([x / sum(raw) for x in raw])
+        means = [[rng.uniform(-1.2, 1.2) for _ in range(k)] for _ in RESIDUAL_DIMS]
+        variances = [[rng.choice((0.0, rng.random())) for _ in range(k)] for _ in RESIDUAL_DIMS]
+        entries.append((rows_w, means, variances))
+    return MixtureParams.from_rows(entries)
+
+
+def oracle_scene_uncertainty(scene, anchors, config):
+    """``scene_uncertainty`` as plain loops over each kept detection's rows:
+    ``mixture_mean``, ``mixture_au``, ``mixture_eu``, then
+    ``propagate_uncertainty``."""
+    kept = [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
+    if not kept:
+        return 0.0
+    total = 0.0
+    for i in kept:
+        p = scene.mixtures
+        au = tuple(mixture_au(p, d, i) for d in RESIDUAL_DIMS)
+        eu = tuple(mixture_eu(p, d, i) for d in RESIDUAL_DIMS)
+        means = tuple(mixture_mean(p, d, i) for d in RESIDUAL_DIMS)
+        box_au, box_eu = propagate_uncertainty(au, eu, means, anchors.for_class(scene.detections[i].class_label))
+        total += sum(a + config.eta * e for a, e in zip(box_au, box_eu))
+    return total / (7 * len(kept))
+
+
 class TestOnePassUncertainty:
     def test_same_floats_as_the_generator_sums(self):
         rng = random.Random(11)
-        anchor = Anchor(length=3.9, width=1.6, height=1.56)
-        for _ in range(500):
-            k = rng.randint(1, 5)
-            rows_w = []
-            for _ in RESIDUAL_DIMS:
-                raw = [rng.random() + 1e-3 for _ in range(k)]
-                rows_w.append(tuple(x / sum(raw) for x in raw))
-            params = MixtureParams(
-                weights=tuple(rows_w),
-                means=tuple(tuple(rng.uniform(-1.2, 1.2) for _ in range(k)) for _ in RESIDUAL_DIMS),
-                variances=tuple(tuple(rng.choice((0.0, rng.random())) for _ in range(k)) for _ in RESIDUAL_DIMS),
-            )
-            au, eu, means = reference_moments(params)
-            assert detection_uncertainty(params, anchor) == propagate_uncertainty(au, eu, means, anchor)
-            for i, d in enumerate(RESIDUAL_DIMS):
-                assert (mixture_au(params, d), mixture_eu(params, d), mixture_mean(params, d)) == (au[i], eu[i], means[i])
+        for _ in range(200):
+            params = random_block(rng, rng.randint(1, 4), rng.randint(1, 5))
+            for det in range(len(params.block)):
+                au, eu, means = reference_moments(params, det)
+                for i, d in enumerate(RESIDUAL_DIMS):
+                    got = (mixture_au(params, d, det), mixture_eu(params, d, det), mixture_mean(params, d, det))
+                    assert got == (au[i], eu[i], means[i])
+
+
+class TestArrayUncertainty:
+    @pytest.mark.parametrize("k", [1, 2, 3, 7, 8, 9])
+    def test_scene_uncertainty_is_the_plain_loop_oracle(self, anchors, k):
+        # Bit for bit (``==``): numpy's pairwise ``.sum(-1)`` already adds
+        # eight components in another order, and ``x * x`` rounds
+        # differently from ``x ** 2`` now and then.
+        rng = random.Random(100 + k)
+        for n in range(300):
+            labels = [rng.choice(("car", "pedestrian", "cyclist")) for _ in range(rng.randint(1, 6))]
+            dets = tuple(ScoredDetection(c, rng.choice((0.1, 0.5, 0.9, 1.0)), make_box()) for c in labels)
+            scene = Scene(f"s{n}", dets, random_block(rng, len(dets), k))
+            assert scene_uncertainty(scene, anchors, CFG) == oracle_scene_uncertainty(scene, anchors, CFG)
+
+    def test_overflowing_propagation_is_a_data_error_naming_scene_and_detection(self, anchors):
+        # A finite w mean of 1e200 squares to inf when propagated.
+        ok, big = uniform_mixture(k=2, mean=0.1), uniform_mixture(k=2, mean=0.1)
+        block = big.block.copy()
+        block[0, 1, RESIDUAL_DIMS.index("w")] = 1e200
+        scene = scene_with_mixtures(
+            "s", (make_detection(confidence=0.1), ok), (make_detection(), ok), (make_detection(), MixtureParams(block))
+        )
+        with pytest.raises(DataError, match=r"scene 's': detection 2 \(car\): propagated variances are not finite"):
+            scene_uncertainty(scene, anchors, CFG)
+
+
+def with_yaw_means(m, yaw_means):
+    """A one-detection mixture with its yaw row of means replaced."""
+    block = m.block.copy()
+    block[0, 1, RESIDUAL_DIMS.index("theta")] = yaw_means
+    return MixtureParams(block)
 
 
 class TestSceneUncertainty:
     def _unit_anchors(self):
-        from scenesel.core import AnchorTable
-
         return AnchorTable.from_dict(
             {c: unit_anchor() for c in ("car", "pedestrian", "cyclist")}
         )
 
-    def _det(self, mixture, label="car", conf=0.9):
-        return make_detection(label, conf, mixture=mixture)
+    def _scene(self, *mixtures, sid="s"):
+        return scene_with_mixtures(sid, *((make_detection("car", 0.9), m) for m in mixtures))
 
     def test_constant_au(self):
         # unit anchors + unit residual means via mean=1 row, yaw row zeroed
-        m = uniform_mixture(var=0.07, mean=1.0)
-        m = type(m)(
-            weights=m.weights,
-            means=m.means[:6] + ((0.0,),),
-            variances=m.variances,
-        )
-        scene = Scene("s", (self._det(m),))
+        m = with_yaw_means(uniform_mixture(var=0.07, mean=1.0), 0.0)
+        scene = self._scene(m)
         assert scene_uncertainty(scene, self._unit_anchors(), CFG) == pytest.approx(0.07)
 
     def test_eta_weighting(self):
@@ -188,23 +233,18 @@ class TestSceneUncertainty:
         m = mixture_from_rows(
             (0.5, 0.5), (1.0 - math.sqrt(0.14), 1.0 + math.sqrt(0.14)), (0.0, 0.0)
         )
-        m = type(m)(weights=m.weights, means=m.means[:6] + (((0.0, 0.0),)), variances=m.variances)
         # yaw row gets symmetric means about 0 with the same spread
-        yaw_means = (-math.sqrt(0.14), math.sqrt(0.14))
-        m = type(m)(weights=m.weights, means=m.means[:6] + (yaw_means,), variances=m.variances)
-        scene = Scene("s", (self._det(m),))
+        m = with_yaw_means(m, (-math.sqrt(0.14), math.sqrt(0.14)))
+        scene = self._scene(m)
         got = scene_uncertainty(scene, self._unit_anchors(), CFG)
         assert got == pytest.approx(0.07, rel=1e-9)
 
     def test_linearity_across_detections(self):
-        m1 = uniform_mixture(var=0.02, mean=1.0)
-        m3 = uniform_mixture(var=0.06, mean=1.0)
-        zero_yaw = lambda m: type(m)(
-            weights=m.weights, means=m.means[:6] + ((0.0,),), variances=m.variances
-        )
-        s1 = Scene("a", (self._det(zero_yaw(m1)),))
-        s3 = Scene("b", (self._det(zero_yaw(m3)),))
-        both = Scene("c", (self._det(zero_yaw(m1)), self._det(zero_yaw(m3))))
+        m1 = with_yaw_means(uniform_mixture(var=0.02, mean=1.0), 0.0)
+        m3 = with_yaw_means(uniform_mixture(var=0.06, mean=1.0), 0.0)
+        s1 = self._scene(m1, sid="a")
+        s3 = self._scene(m3, sid="b")
+        both = self._scene(m1, m3, sid="c")
         anchors = self._unit_anchors()
         u1 = scene_uncertainty(s1, anchors, CFG)
         u3 = scene_uncertainty(s3, anchors, CFG)
@@ -219,9 +259,8 @@ class TestSceneUncertainty:
         assert scene_uncertainty(Scene("s"), anchors, CFG) == 0.0
 
     def test_monotone_in_eta(self):
-        m = mixture_from_rows((0.5, 0.5), (0.9, 1.1), (0.01, 0.02))
-        m = type(m)(weights=m.weights, means=m.means[:6] + (((-0.1, 0.1),)), variances=m.variances)
-        scene = Scene("s", (self._det(m),))
+        m = with_yaw_means(mixture_from_rows((0.5, 0.5), (0.9, 1.1), (0.01, 0.02)), (-0.1, 0.1))
+        scene = self._scene(m)
         anchors = self._unit_anchors()
         values = [
             scene_uncertainty(scene, anchors, UncertaintyConfig(eta=e)) for e in (0.0, 0.5, 1.0, 2.0)
@@ -231,9 +270,8 @@ class TestSceneUncertainty:
 
 class TestRanking:
     def _scene(self, sid, var):
-        m = uniform_mixture(var=var, mean=1.0)
-        m = type(m)(weights=m.weights, means=m.means[:6] + ((0.0,),), variances=m.variances)
-        return Scene(sid, (make_detection("car", 0.9, mixture=m),))
+        m = with_yaw_means(uniform_mixture(var=var, mean=1.0), 0.0)
+        return scene_with_mixtures(sid, (make_detection("car", 0.9), m))
 
     def test_descending_order(self, anchors):
         scenes = [self._scene("a", 0.9), self._scene("b", 0.1), self._scene("c", 0.5)]
@@ -247,11 +285,8 @@ class TestRanking:
         assert rank_by_uncertainty([self._scene("a", 0.4)], anchors, CFG, 0) == []
 
     def test_near_singular_excluded_with_warning(self, anchors, caplog):
-        m = uniform_mixture(var=0.1, mean=1.0)
-        bad = type(m)(
-            weights=m.weights, means=m.means[:6] + ((math.pi / 2,),), variances=m.variances
-        )
-        scenes = [self._scene("good", 0.4), Scene("bad", (make_detection(mixture=bad),))]
+        bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
+        scenes = [self._scene("good", 0.4), scene_with_mixtures("bad", (make_detection(), bad))]
         import logging
 
         with caplog.at_level(logging.WARNING):
