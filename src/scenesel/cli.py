@@ -10,6 +10,7 @@ import csv
 import io
 import logging
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from .config import CliConfig, build_config
 from .core import ConvergenceError, DataError, SceneSelError, read_text, write_text_atomic
 from .entropy import category_entropy
 from .sampler import STRATEGIES, SimilarityCache
-from .uncertainty import scene_uncertainty
+from .uncertainty import PropagationOverflowError, scene_uncertainty
 
 log = logging.getLogger("scenesel")
 
@@ -30,6 +31,16 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     writer.writerow(header)
     writer.writerows(rows)
     write_text_atomic(path, buf.getvalue())
+
+
+@contextmanager
+def _naming_sidecar(pool_dir):
+    """Prefix an overflowing scene's error with its sidecar's path: the
+    scene is scored after the file is parsed, where the path is not known."""
+    try:
+        yield
+    except PropagationOverflowError as exc:
+        raise DataError(f"{kitti.sidecar_path(pool_dir, exc.scene_id)}: {exc}") from exc
 
 
 def _mix_from_flag(value: str) -> tuple[float, ...]:
@@ -124,9 +135,10 @@ def cmd_score(args) -> int:
         rows = [[s.id, f"{category_entropy(s, cfg.catalog, cfg.entropy):.9f}"] for s in scenes]
         _write_csv(out, ["scene_id", "entropy"], rows)
     elif args.metric == "uncertainty":
-        rows = [
-            [s.id, f"{scene_uncertainty(s, cfg.anchors, cfg.uncertainty):.9f}"] for s in scenes
-        ]
+        with _naming_sidecar(args.pool):
+            rows = [
+                [s.id, f"{scene_uncertainty(s, cfg.anchors, cfg.uncertainty):.9f}"] for s in scenes
+            ]
         _write_csv(out, ["scene_id", "uncertainty"], rows)
     else:  # similarity: emit the pairwise matrix
         sim = SimilarityCache(cfg.catalog, cfg.kernel).matrix(scenes)
@@ -196,9 +208,10 @@ def cmd_select(args) -> int:
             parsed[scene.id] = kitti.load_mixture_sidecar(sidecars[scene.id], scene)
         return parsed[scene.id]
 
-    selected, slog = sampler.three_stage_select(
-        unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
-    )
+    with _naming_sidecar(args.pool):
+        selected, slog = sampler.three_stage_select(
+            unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
+        )
     # Another run may have advanced the state while this one selected; write
     # nothing over it. This narrows the window between load and save; it is
     # not a lock.
@@ -329,6 +342,10 @@ def cmd_stats(args) -> int:
     labeled = kitti.load_pool_dir(args.pool, cfg.catalog)
     try:
         scenes = [kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, s.id), s) for s in labeled]
+        # A sidecar whose scene cannot be scored is a faulty sidecar too.
+        with _naming_sidecar(args.pool):
+            for s in scenes:
+                scene_uncertainty(s, cfg.anchors, cfg.uncertainty)
     except DataError as exc:
         log.warning("loading the pool without sidecars: %s", exc)
         scenes = labeled

@@ -158,18 +158,7 @@ class MixtureParams:
         entry, rows are checked in order, so one whose rows differ in K
         fails at its first row of another length unless an earlier row fails.
         """
-        try:
-            block = np.array(entries, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
-            block = None
-        if block is None or block.ndim != 4 or block.shape[1:3] != (3, len(RESIDUAL_DIMS)) or not block.shape[3]:
-            return cls(_block_of_rows(entries))
-        try:
-            return cls(block)
-        except MixtureError:
-            # numpy reads None as NaN: the rows themselves give the verdict.
-            _block_of_rows(entries)
-            raise
+        return cls(_block_of_rows(entries))
 
     @property
     def num_components(self) -> int:
@@ -181,7 +170,8 @@ class MixtureParams:
         return self.block.shape == other.block.shape and bool((self.block == other.block).all())
 
     def __hash__(self):
-        return hash((self.block.shape, self.block.tobytes()))
+        # + 0.0 turns -0.0 into 0.0: equal blocks hash alike.
+        return hash((self.block.shape, (self.block + 0.0).tobytes()))
 
 
 @np.errstate(all="ignore")  # an overflowing or NaN weight sum fails below
@@ -239,35 +229,45 @@ _ROW_MESSAGES = (
 
 
 def _block_of_rows(entries) -> np.ndarray:
-    """``MixtureParams.from_rows`` for entries that are not one (D, 3, 7, K)
-    array: each entry is converted and checked on its own, in order, so the
-    error names the first entry that fails and why."""
+    """The (D, 3, 7, K) array of ``MixtureParams.from_rows``, its values
+    left to the block check. An entry that cannot join the block raises
+    ``MixtureError`` naming it, after the rows before it are checked, so a
+    fault in an earlier row is reported first."""
     n = len(RESIDUAL_DIMS)
     checked = []
+
+    def fail(message, idx, rows=None):  # always raises
+        if checked:
+            _check_rows(np.array(checked, dtype=np.float64))
+        if rows is not None and rows[0]:
+            _check_rows(np.array([rows], dtype=np.float64), idx)
+        raise MixtureError(message, idx)
+
     for idx, entry in enumerate(entries):
         try:
             weights, means, variances = ([list(map(float, row)) for row in field] for field in entry)
         except (TypeError, ValueError, OverflowError) as exc:
-            raise MixtureError(str(exc), idx) from exc
+            fail(str(exc), idx)
         if not (len(weights) == len(means) == len(variances) == n):
-            raise MixtureError(f"mixture needs {n} residual dimensions", idx)
+            fail(f"mixture needs {n} residual dimensions", idx)
         k = len(weights[0])
         if k < 1:
-            raise MixtureError("mixture needs at least one component", idx)
+            fail("mixture needs at least one component", idx)
         even = next(
             (r for r in range(n) if not (len(weights[r]) == len(means[r]) == len(variances[r]) == k)), n
         )
-        if even:
-            _check_rows(np.array([[weights[:even], means[:even], variances[:even]]]), idx)
         if even < n:
-            raise MixtureError("all dimensions must share the same component count", idx)
-        if not checked:
-            k0 = k
-        elif k != k0:
-            raise MixtureError(
-                f"mixture has {k} components but entry 0 has {k0}; "
+            fail(
+                "all dimensions must share the same component count",
+                idx,
+                [weights[:even], means[:even], variances[:even]],
+            )
+        if checked and k != len(checked[0][0][0]):
+            fail(
+                f"mixture has {k} components but entry 0 has {len(checked[0][0][0])}; "
                 "the detections of one scene must share one component count",
                 idx,
+                [weights, means, variances],
             )
         checked.append((weights, means, variances))
     return np.array(checked, dtype=np.float64)

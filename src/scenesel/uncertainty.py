@@ -63,6 +63,15 @@ class NearSingularYawError(DataError):
     """Yaw residual mean too close to +-pi/2 for the secant propagation."""
 
 
+class PropagationOverflowError(DataError):
+    """A detection's propagated variances are not finite; ``scene_id``
+    names its scene."""
+
+    def __init__(self, message: str, scene_id: str):
+        super().__init__(message)
+        self.scene_id = scene_id
+
+
 def _propagate(variances: tuple[float, ...], means: tuple[float, ...], anchor: Anchor) -> tuple[float, ...]:
     d2 = anchor.diagonal**2
     h2 = anchor.height**2
@@ -155,9 +164,10 @@ def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyCon
             tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()),
             anchors.for_class(det.class_label),
         )
-        raise DataError(
+        raise PropagationOverflowError(
             f"scene {scene.id!r}: detection {kept[row]} ({det.class_label}): "
-            "propagated variances are not finite"
+            "propagated variances are not finite",
+            scene.id,
         )
     total = 0.0
     for row in terms.tolist():

@@ -501,15 +501,13 @@ FAULTS = {
 
 
 # What a fault's message, or for exit 0 its warning, says besides the file;
-# "{sid}" is the faulty scene's id. The overflow is found when the scene is
-# scored, where the file is no longer known: its message names the scene and
-# the detection, and ``stats`` omits the uncertainty histogram.
+# "{sid}" is the faulty scene's id.
 SAID = {
     "sidecar: entry rows differ in K": ("entry 0: all dimensions must share the same component count",),
     "sidecar: entries differ in K": ("entry 1: mixture has 1 components but entry 0 has 3",),
     "sidecar: non-numeric value": ("entry 0: could not convert string to float: 'wide'",),
+    "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
 }
-OVERFLOW_SAID = ("scene '{sid}': detection ", "propagated variances are not finite")
 
 
 class TestFaultMatrix:
@@ -546,16 +544,10 @@ class TestFaultMatrix:
                 assert run(*config, *commands[command]) == code, command
             # A fallback (exit 0) names the file in the warning it logs.
             said = capsys.readouterr().err if code else caplog.text
-            if fault == "sidecar: overflowing w mean":
-                expected = [part.format(sid=sid) for part in OVERFLOW_SAID]
-                fallback = "uncertainty histogram omitted"
-            else:
-                expected = [str(target), *SAID.get(fault, ())]
-                fallback = "loading the pool without sidecars"
-            for part in expected:
+            for part in [str(target), *(part.format(sid=sid) for part in SAID.get(fault, ()))]:
                 assert part in said, (command, said)
             if code == 0:
-                assert fallback in caplog.text
+                assert "loading the pool without sidecars" in caplog.text
 
 
 class TestInvariance:

@@ -289,6 +289,9 @@ class TestMixtureBlock:
         assert a == b and hash(a) == hash(b)
         assert a != uniform_mixture(k=3, var=0.25)
         assert a != uniform_mixture(k=1, var=0.5)
+        # A signed zero is equal to zero, so it must hash alike.
+        assert uniform_mixture(k=3, mean=-0.0, var=0.5) == a
+        assert hash(uniform_mixture(k=3, mean=-0.0, var=0.5)) == hash(a)
 
 
 class TestSceneAndDetection:
