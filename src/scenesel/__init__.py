@@ -20,7 +20,6 @@ from .core import (
     Scene,
     SceneSelError,
     ScoredDetection,
-    anchor_diagonal,
 )
 from .entropy import EntropyConfig, category_entropy, filtered_class_counts, rank_by_entropy
 from .kernel import (

@@ -13,8 +13,6 @@ import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-import numpy as np
-
 from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
 from .core import ConvergenceError, DataError, SceneSelError, read_text, write_text_atomic
@@ -86,11 +84,11 @@ def _add_pool_spec_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _add_plan_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of one round's plan, for the commands that select."""
     p.add_argument("--n-r", type=int, default=None)
     p.add_argument("--k1", type=float, default=None)
     p.add_argument("--k2", type=float, default=None)
     p.add_argument("--order", default=None, help="comma-separated stage order")
-    p.add_argument("--rounds", type=int, default=None)
 
 
 def _config_from_args(args) -> CliConfig:
@@ -126,8 +124,9 @@ def cmd_synth(args) -> int:
 
 def cmd_score(args) -> int:
     cfg = _config_from_args(args)
-    with_sidecars = args.metric == "uncertainty"
-    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, with_sidecars=with_sidecars)
+    scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
+    if args.metric == "uncertainty":
+        scenes = kitti.attach_sidecars(args.pool, scenes)
     if not scenes:
         raise DataError(f"no label files under {args.pool}")
     out = Path(args.out)
@@ -165,20 +164,9 @@ def cmd_select(args) -> int:
     out = Path(args.out)
 
     if args.init:
-        rng = np.random.default_rng(args.seed)
-        ids = sorted(by_id)
-        n0 = args.n0
-        if n0 > len(ids):
-            raise DataError(f"--n0 {n0} exceeds pool size {len(ids)}")
-        labeled = {ids[i] for i in rng.choice(len(ids), size=n0, replace=False)}
-        st = state_mod.RoundState(
-            round_index=0,
-            labeled_ids=frozenset(labeled),
-            unlabeled_ids=frozenset(set(ids) - labeled),
-            budget_total=args.budget if args.budget else len(ids),
-            per_round_selected=(),
-            rng_seed=args.seed,
-        )
+        if args.n0 > len(by_id):
+            raise DataError(f"--n0 {args.n0} exceeds pool size {len(by_id)}")
+        st = state_mod.RoundState.fresh(by_id, args.n0, args.budget or len(by_id), args.seed)
         state_mod.save_round_state(st, state_path)
         print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
         return 0
@@ -271,22 +259,10 @@ def cmd_simulate(args) -> int:
     pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
     predictor = synth.make_predictor(noise, cfg.anchors, cfg.catalog, args.seed)
     out = Path(args.out)
-
-    rng = np.random.default_rng(args.seed)
-    ids = sorted(pool)
-    n0 = min(args.n0, len(ids))
-    initial = {ids[i] for i in rng.choice(len(ids), size=n0, replace=False)}
+    initial = state_mod.RoundState.fresh(pool, min(args.n0, len(pool)), len(pool), args.seed)
 
     comparison_rows = []
     for strategy in strategies:
-        st = state_mod.RoundState(
-            round_index=0,
-            labeled_ids=frozenset(initial),
-            unlabeled_ids=frozenset(set(ids) - initial),
-            budget_total=len(ids),
-            per_round_selected=(),
-            rng_seed=args.seed,
-        )
         cache = SimilarityCache(cfg.catalog, cfg.kernel)
         st, reports = sampler.run_al_rounds(
             pool,
@@ -294,7 +270,7 @@ def cmd_simulate(args) -> int:
             cfg.rounds,
             predictor,
             lambda sid: pool[sid],
-            st,
+            initial,
             cfg.catalog,
             cfg.anchors,
             cfg.entropy,
@@ -341,7 +317,7 @@ def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     labeled = kitti.load_pool_dir(args.pool, cfg.catalog)
     try:
-        scenes = [kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, s.id), s) for s in labeled]
+        scenes = kitti.attach_sidecars(args.pool, labeled)
         # A sidecar whose scene cannot be scored is a faulty sidecar too.
         with _naming_sidecar(args.pool):
             for s in scenes:
@@ -352,6 +328,11 @@ def cmd_stats(args) -> int:
     by_id = {s.id: s for s in scenes}
     if args.ids:
         wanted = [line.strip() for line in read_text(args.ids).splitlines() if line.strip()]
+        seen = set()
+        for w in wanted:
+            if w in seen:
+                raise DataError(f"{args.ids}: id {w!r} is listed more than once")
+            seen.add(w)
         missing = [w for w in wanted if w not in by_id]
         if missing:
             raise DataError(f"ids not in pool: {missing[:5]}")
@@ -382,14 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate a synthetic pool on disk")
     p.add_argument("--out", required=True)
     _add_pool_spec_flags(p)
-    _add_plan_flags(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("score", help="score a pool by one metric")
     p.add_argument("--pool", required=True)
     p.add_argument("--metric", choices=("entropy", "similarity", "uncertainty"), required=True)
     p.add_argument("--out", required=True)
-    _add_plan_flags(p)
     p.set_defaults(func=cmd_score)
 
     p = sub.add_parser("select", help="run one selection round against a state file")
@@ -408,13 +387,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n0", type=int, default=10)
     _add_pool_spec_flags(p)
     _add_plan_flags(p)
+    p.add_argument("--rounds", type=int, default=None)
     p.set_defaults(func=cmd_simulate)
 
     p = sub.add_parser("stats", help="diagnostics for a pool or a selection")
     p.add_argument("--pool", required=True)
     p.add_argument("--ids", default=None, help="file with one selected id per line")
     p.add_argument("--out", required=True)
-    _add_plan_flags(p)
     p.set_defaults(func=cmd_stats)
     return parser
 

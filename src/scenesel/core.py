@@ -18,6 +18,11 @@ RESIDUAL_DIMS = ("x", "y", "z", "w", "h", "l", "theta")
 
 WEIGHT_SUM_TOL = 1e-9
 
+#: The node labels a scene graph reserves: the ego vehicle, and the
+#: stand-in node of a scene with no kept detection.
+EGO_LABEL = "__ego__"
+MIRROR_LABEL = "__mirror__"
+
 
 class SceneSelError(Exception):
     """Base class for package-specific failures."""
@@ -52,22 +57,18 @@ class ConvergenceError(SceneSelError):
 
 @dataclass(frozen=True)
 class ClassCatalog:
-    """Ordered set of object classes plus the two reserved node labels."""
+    """Ordered set of object classes; none may be a reserved node label."""
 
     classes: tuple[str, ...]
-    ego_label: str = "__ego__"
-    mirror_label: str = "__mirror__"
 
     def __post_init__(self):
         if len(self.classes) < 1:
             raise ValueError("catalog needs at least one class")
         if len(set(self.classes)) != len(self.classes):
             raise ValueError("class names must be unique")
-        for reserved in (self.ego_label, self.mirror_label):
+        for reserved in (EGO_LABEL, MIRROR_LABEL):
             if reserved in self.classes:
                 raise ValueError(f"reserved label {reserved!r} collides with a class name")
-        if self.ego_label == self.mirror_label:
-            raise ValueError("ego and mirror labels must differ")
 
     @property
     def num_classes(self) -> int:
@@ -159,10 +160,6 @@ class MixtureParams:
         fails at its first row of another length unless an earlier row fails.
         """
         return cls(_block_of_rows(entries))
-
-    @property
-    def num_components(self) -> int:
-        return self.block.shape[3]
 
     def __eq__(self, other):
         if not isinstance(other, MixtureParams):
@@ -317,14 +314,8 @@ class Anchor:
 
     @property
     def diagonal(self) -> float:
-        return anchor_diagonal(self.width, self.length)
-
-
-def anchor_diagonal(w_a: float, l_a: float) -> float:
-    """Ground-plane diagonal of an anchor box."""
-    if not (w_a > 0 and l_a > 0):
-        raise ValueError(f"anchor dimensions must be positive, got w={w_a} l={l_a}")
-    return math.hypot(w_a, l_a)
+        """Ground-plane diagonal of the anchor box."""
+        return math.hypot(self.width, self.length)
 
 
 @dataclass(frozen=True)

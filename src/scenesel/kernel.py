@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassCatalog, ConvergenceError, Scene
+from .core import ClassCatalog, ConvergenceError, EGO_LABEL, MIRROR_LABEL, Scene
 
 # Bytes of live-node matrices M_LL solved in one stacked fixed point: a
 # batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
@@ -106,11 +106,11 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
     kept = [d for d in scene.detections if d.confidence >= config.tau and d.class_label in catalog]
     if not kept:
         return SceneGraph(
-            labels=(catalog.ego_label, catalog.mirror_label),
+            labels=(EGO_LABEL, MIRROR_LABEL),
             weights=((0.0, 1.0), (1.0, 0.0)),
         )
     centers = [(0.0, 0.0, 0.0)] + [d.box.center for d in kept]
-    labels = (catalog.ego_label,) + tuple(d.class_label for d in kept)
+    labels = (EGO_LABEL,) + tuple(d.class_label for d in kept)
     n = len(labels)
     weights = [[0.0] * n for _ in range(n)]
     for i in range(n):

@@ -175,23 +175,16 @@ def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:
     return path
 
 
-def load_pool_dir(
-    pool_dir: str | Path,
-    catalog: ClassCatalog | None = None,
-    with_sidecars: bool = False,
-) -> list[Scene]:
-    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id.
-
-    With ``with_sidecars`` each scene must have ``sidecars/<id>.mdn``.
-    """
+def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog | None = None) -> list[Scene]:
+    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id."""
     pool_dir = Path(pool_dir)
     labels = pool_dir / "labels"
     if not labels.is_dir():
         raise DataError(f"no labels/ directory under {pool_dir}")
-    scenes = []
-    for label_path in sorted(labels.glob("*.txt")):
-        scene = parse_label_file(label_path, catalog=catalog)
-        if with_sidecars:
-            scene = load_mixture_sidecar(sidecar_path(pool_dir, scene.id), scene)
-        scenes.append(scene)
-    return scenes
+    return [parse_label_file(label_path, catalog=catalog) for label_path in sorted(labels.glob("*.txt"))]
+
+
+def attach_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> list[Scene]:
+    """The scenes with their ``sidecars/<id>.mdn`` under a pool directory
+    attached, in order; each sidecar must exist."""
+    return [load_mixture_sidecar(sidecar_path(pool_dir, s.id), s) for s in scenes]

@@ -5,6 +5,8 @@ import json
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .core import DataError, read_text, write_text_atomic
 
 STATE_VERSION = 1
@@ -42,11 +44,16 @@ class RoundState:
         return self.budget_total - sum(len(r) for r in self.per_round_selected)
 
     @classmethod
-    def fresh(cls, pool_ids, budget_total: int, rng_seed: int) -> "RoundState":
+    def fresh(cls, pool_ids, n0: int, budget_total: int, rng_seed: int) -> "RoundState":
+        """Round 0 of a pool: n0 ids drawn without replacement by the seed's
+        generator from the sorted ids are labeled, the rest unlabeled."""
+        ids = sorted(pool_ids)
+        picked = np.random.default_rng(rng_seed).choice(len(ids), size=n0, replace=False)
+        labeled = frozenset(ids[i] for i in picked)
         return cls(
             round_index=0,
-            labeled_ids=frozenset(),
-            unlabeled_ids=frozenset(pool_ids),
+            labeled_ids=labeled,
+            unlabeled_ids=frozenset(ids) - labeled,
             budget_total=budget_total,
             per_round_selected=(),
             rng_seed=rng_seed,
@@ -86,16 +93,35 @@ def load_round_state(path: str | Path) -> RoundState:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise DataError(f"{path}: cannot read round state: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: invalid round state: not a JSON object")
     if doc.get("version") != STATE_VERSION:
         raise DataError(f"{path}: unsupported state version {doc.get('version')!r}")
     try:
         return RoundState(
             round_index=int(doc["round_index"]),
-            labeled_ids=frozenset(doc["labeled_ids"]),
-            unlabeled_ids=frozenset(doc["unlabeled_ids"]),
+            labeled_ids=frozenset(_ids(doc["labeled_ids"], "labeled_ids")),
+            unlabeled_ids=frozenset(_ids(doc["unlabeled_ids"], "unlabeled_ids")),
             budget_total=int(doc["budget_total"]),
-            per_round_selected=tuple(tuple(r) for r in doc["per_round_selected"]),
+            per_round_selected=tuple(
+                _ids(r, "per_round_selected entry") for r in _list(doc["per_round_selected"], "per_round_selected")
+            ),
             rng_seed=int(doc["rng_seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid round state: {exc}") from exc
+
+
+def _list(value, what: str) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"{what} must be a list, got {type(value).__name__}")
+    return value
+
+
+def _ids(value, what: str) -> tuple[str, ...]:
+    """A list of id strings as a tuple; anything else is a ``TypeError``
+    (a string would otherwise pass as its characters)."""
+    for v in _list(value, what):
+        if not isinstance(v, str):
+            raise TypeError(f"{what} must hold id strings, got {v!r}")
+    return tuple(value)

@@ -220,7 +220,7 @@ def test_07_stage_size_contract(capsys):
 def balance_sim():
     """Ten seeded 1000-scene simulations comparing tscenejal against random."""
     def run_strategy(gt, strategy, seed):
-        state = RoundState.fresh(gt, budget_total=len(gt), rng_seed=seed)
+        state = RoundState.fresh(gt, n0=0, budget_total=len(gt), rng_seed=seed)
         predictor = make_predictor(SIM_NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=seed)
         state, _ = run_al_rounds(
             gt, StagePlan(n_r=20), 3, predictor, gt.__getitem__, state,
@@ -290,7 +290,7 @@ def strategy_uncertainties():
         predictor = make_predictor(SIM_NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=seed)
         means = {}
         for strategy in strategies:
-            state = RoundState.fresh(gt, budget_total=len(gt), rng_seed=seed)
+            state = RoundState.fresh(gt, n0=0, budget_total=len(gt), rng_seed=seed)
             _, reports = run_al_rounds(
                 gt, StagePlan(n_r=10), 2, predictor, gt.__getitem__, state,
                 DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC, strategy=strategy,
@@ -321,7 +321,7 @@ def test_11_parser_and_state_fidelity(capsys, tmp_path):
         label_path.unlink()
         roundtrips = roundtrips and back == scene
     ids = [f"s{i:04d}" for i in range(500)]
-    state = RoundState.fresh(ids, budget_total=400, rng_seed=3)
+    state = RoundState.fresh(ids, n0=0, budget_total=400, rng_seed=3)
     state = state.with_selection(tuple(ids[:200]))
     state = state.with_selection(tuple(ids[200:400]))
     path = tmp_path / "state.json"

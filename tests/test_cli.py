@@ -2,6 +2,7 @@ import json
 import logging
 import re
 import shutil
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -366,6 +367,33 @@ class TestSimulate:
         assert "pool of 0 scenes is below n_r=1" in capsys.readouterr().err
 
 
+class TestPlanFlags:
+    """Only the commands that run a plan take its flags, and ``select``,
+    which runs one round, takes no ``--rounds``."""
+
+    @pytest.mark.parametrize("flag", [("--n-r", 3), ("--k1", 3), ("--rounds", 2)])
+    @pytest.mark.parametrize("command", ["synth", "score", "stats"])
+    def test_commands_without_a_plan_reject_its_flags(self, pool_dir, tmp_path, capsys, command, flag):
+        argv = {
+            "synth": ("synth", "--out", tmp_path / "new", "--n-scenes", 4),
+            "score": ("score", "--pool", pool_dir, "--metric", "entropy", "--out", tmp_path / "e.csv"),
+            "stats": ("stats", "--pool", pool_dir, "--out", tmp_path / "stats"),
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            run(*argv, *flag)
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag[0]}" in capsys.readouterr().err
+
+    def test_select_rejects_rounds(self, pool_dir, tmp_path, capsys):
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--init", "--n0", 4) == 0
+        with pytest.raises(SystemExit) as exc:
+            run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3, "--rounds", 2)
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --rounds" in capsys.readouterr().err
+        assert json.loads(state.read_text())["round_index"] == 0
+
+
 class TestStats:
     def test_pool_stats_written(self, pool_dir, tmp_path):
         out = tmp_path / "stats"
@@ -471,6 +499,13 @@ def _overflowing_w_mean(target):
     _edit_sidecar(edit)(target)
 
 
+def _string_labeled_ids(target):
+    # One id as a string, not a list: it would load as its characters.
+    doc = json.loads(target.read_text())
+    doc["labeled_ids"] = doc["labeled_ids"][0]
+    target.write_text(json.dumps(doc))
+
+
 ALL_POOL_COMMANDS = {"select": 3, "score": 3, "stats": 3}
 # A sidecar fault is a data error for ``select`` and ``score``; ``stats``
 # logs it and reports on the labels alone.
@@ -485,6 +520,7 @@ FAULTS = {
     ),
     "label: not UTF-8": ("label", lambda p: _append_label(p, b"car \xff" + LABEL_LINE[3:].encode()), ALL_POOL_COMMANDS),
     "state: not UTF-8": ("state", lambda p: p.write_bytes(b"\xff\xfe{"), {"select": 3}),
+    "state: labeled_ids is a string": ("state", _string_labeled_ids, {"select": 3}),
     "sidecar: not UTF-8": ("sidecar", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), SIDECAR_EXITS),
     "sidecar: missing": ("sidecar", lambda p: p.unlink(), SIDECAR_EXITS),
     "sidecar: not JSON": ("sidecar", lambda p: p.write_text("{not json"), SIDECAR_EXITS),
@@ -497,6 +533,7 @@ FAULTS = {
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
+    "ids: repeated id": ("ids", lambda p: p.write_text("scene_000001\nscene_000002\nscene_000001\n"), {"stats": 3}),
 }
 
 
@@ -507,6 +544,8 @@ SAID = {
     "sidecar: entries differ in K": ("entry 1: mixture has 1 components but entry 0 has 3",),
     "sidecar: non-numeric value": ("entry 0: could not convert string to float: 'wide'",),
     "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
+    "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
+    "ids: repeated id": ("id 'scene_000001' is listed more than once",),
 }
 
 
@@ -572,7 +611,7 @@ class TestInvariance:
         reverse = {sid: pool[sid] for sid in sorted(pool, reverse=True)}
 
         def rounds(p):
-            state = state_mod.RoundState.fresh(p, budget_total=len(p), rng_seed=4)
+            state = state_mod.RoundState.fresh(p, n0=0, budget_total=len(p), rng_seed=4)
             _, reports = sampler.run_al_rounds(
                 p, cfg.plan, 2, predictor, p.__getitem__, state, cfg.catalog, cfg.anchors,
                 cfg.entropy, cfg.kernel, cfg.uncertainty, strategy=strategy,
@@ -580,6 +619,36 @@ class TestInvariance:
             return reports
 
         assert rounds(reverse) == rounds(pool)
+
+    @pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+    def test_rounds_do_not_depend_on_how_they_are_split(self, strategy):
+        # One call of three rounds against three calls of one round that
+        # pass the state along, sharing one cache or each with its own.
+        # ``kernel_evals`` counts the evaluations a round made, not the pairs
+        # it needed: a new cache evaluates again the pairs an earlier round
+        # left in a shared one, so only that field may differ, and only up.
+        cfg, pool, predictor = self.pool_and_predictor()
+        start = state_mod.RoundState.fresh(pool, n0=4, budget_total=len(pool), rng_seed=4)
+
+        def rounds(state, n, cache):
+            return sampler.run_al_rounds(
+                pool, cfg.plan, n, predictor, pool.__getitem__, state, cfg.catalog, cfg.anchors,
+                cfg.entropy, cfg.kernel, cfg.uncertainty, strategy=strategy, cache=cache,
+            )
+
+        whole_state, whole = rounds(start, 3, sampler.SimilarityCache(cfg.catalog, cfg.kernel))
+        shared = sampler.SimilarityCache(cfg.catalog, cfg.kernel)
+        for new_cache in (False, True):
+            state, split = start, []
+            for _ in range(3):
+                cache = sampler.SimilarityCache(cfg.catalog, cfg.kernel) if new_cache else shared
+                state, reports = rounds(state, 1, cache)
+                split += reports
+            assert state == whole_state
+            if new_cache:
+                assert all(r.kernel_evals >= w.kernel_evals for r, w in zip(split, whole))
+                split = [replace(r, kernel_evals=w.kernel_evals) for r, w in zip(split, whole)]
+            assert split == whole, new_cache
 
     def test_selection_does_not_depend_on_a_warm_cache(self):
         cfg, pool, predictor = self.pool_and_predictor()

@@ -21,7 +21,6 @@ from scenesel.core import (
     Scene,
     ScoredDetection,
     WEIGHT_SUM_TOL,
-    anchor_diagonal,
     read_text,
     write_text_atomic,
 )
@@ -30,15 +29,15 @@ from conftest import uniform_mixture, mixture_from_rows
 
 class TestAnchorDiagonal:
     def test_three_four_five(self):
-        assert anchor_diagonal(3.0, 4.0) == pytest.approx(5.0)
+        assert Anchor(length=4.0, width=3.0, height=1.0).diagonal == pytest.approx(5.0)
 
     def test_zero_dimension_rejected(self):
         with pytest.raises(ValueError):
-            anchor_diagonal(1.0, 0.0)
+            Anchor(length=0.0, width=1.0, height=1.0)
 
     def test_kitti_car_anchor(self):
         # sqrt(1.6^2 + 3.9^2), computed directly
-        assert anchor_diagonal(1.6, 3.9) == pytest.approx(4.215447781671598, abs=1e-12)
+        assert Anchor(length=3.9, width=1.6, height=1.56).diagonal == pytest.approx(4.215447781671598, abs=1e-12)
 
 
 class TestCatalog:
@@ -85,7 +84,7 @@ class TestMixtureParams:
 
     def test_valid_simplex_accepted(self):
         m = mixture_from_rows((0.5, 0.3, 0.2), (0.0, 1.0, 2.0), (1.0, 1.0, 1.0))
-        assert m.num_components == 3
+        assert m.block.shape[3] == 3
 
     def test_uneven_component_count_rejected(self):
         rows_w = tuple([(1.0,)] * 6 + [(0.5, 0.5)])
@@ -100,7 +99,7 @@ class TestMixtureParams:
 
     def test_zero_variance_allowed(self):
         # Exact certainty is representable; the NLL path rejects it separately.
-        assert uniform_mixture(var=0.0).num_components == 1
+        assert uniform_mixture(var=0.0).block.shape[3] == 1
 
     @pytest.mark.parametrize(
         "weights, variances, message",

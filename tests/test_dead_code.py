@@ -1,10 +1,13 @@
-"""Every module-level function and class in ``scenesel`` is used by the system.
+"""Every module-level function and class in ``scenesel``, and every method
+and property of those classes, is used by the system.
 
 A definition counts as used when a module of ``src/scenesel`` or ``bench/``
 refers to its name (a bare name or an attribute) outside the definition
 itself. The package ``__init__`` only re-exports names, so neither its
-definitions nor its references count; tests do not count either. A name
-nothing refers to may stay only with its reason in ``ALLOWED``.
+definitions nor its references count; tests do not count either. Dunder
+methods are called by Python, so they are not checked. A module-level name
+nothing refers to may stay only with its reason in ``ALLOWED``; a method or
+property may not.
 """
 import ast
 from pathlib import Path
@@ -32,21 +35,44 @@ def definitions(path: Path) -> set[str]:
     return {node.name for node in ast.parse(path.read_text()).body if isinstance(node, _DEFS)}
 
 
+def _is_dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
+def members(path: Path) -> set[tuple[str, str]]:
+    """(class, name) of the non-dunder methods and properties of the
+    module's top-level classes."""
+    return {
+        (top.name, node.name)
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.ClassDef)
+        for node in top.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(node.name)
+    }
+
+
+def _names(node: ast.AST, own: set[str], found: set[str]) -> None:
+    """Add the names ``node`` refers to, skipping those of the definitions
+    it sits in (``own``), so that recursion does not count."""
+    if isinstance(node, _DEFS):
+        own = own | {node.name}
+    if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+        name = node.id
+    elif isinstance(node, ast.Attribute):
+        name = node.attr
+    else:
+        name = None
+    if name is not None and name not in own:
+        found.add(name)
+    for child in ast.iter_child_nodes(node):
+        _names(child, own, found)
+
+
 def references(path: Path) -> set[str]:
     """Names the module refers to; a definition's references to its own
     name (recursion) do not count."""
     found = set()
-    for top in ast.parse(path.read_text()).body:
-        own = top.name if isinstance(top, _DEFS) else None
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-                name = node.id
-            elif isinstance(node, ast.Attribute):
-                name = node.attr
-            else:
-                continue
-            if name != own:
-                found.add(name)
+    _names(ast.parse(path.read_text()), set(), found)
     return found
 
 
@@ -57,6 +83,17 @@ def test_every_definition_is_referenced():
         for path in MODULES
         for name in definitions(path) - used
         if (path.stem, name) not in ALLOWED
+    )
+    assert unused == []
+
+
+def test_every_method_and_property_is_referenced():
+    used = set().union(*(references(p) for p in REFERRING))
+    unused = sorted(
+        (path.stem, f"{cls}.{name}")
+        for path in MODULES
+        for cls, name in members(path)
+        if name not in used
     )
     assert unused == []
 

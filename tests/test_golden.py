@@ -103,7 +103,7 @@ def library_rounds(seed: int, strategy: str) -> dict:
     spec = synth.PoolSpec(n_scenes=60, class_mix=(0.9, 0.05, 0.05), objects_min=2, objects_max=6, rng_seed=seed)
     pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
     predictor = synth.make_predictor(NOISE, cfg.anchors, cfg.catalog, seed)
-    state = RoundState.fresh(pool, budget_total=len(pool), rng_seed=seed)
+    state = RoundState.fresh(pool, n0=0, budget_total=len(pool), rng_seed=seed)
     _, reports = sampler.run_al_rounds(
         pool,
         cfg.plan,

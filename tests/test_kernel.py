@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, Scene, ScoredDetection
+from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, EGO_LABEL, MIRROR_LABEL, Scene, ScoredDetection
 from scenesel import kernel as kernel_module
 from scenesel.kernel import (
     BATCH_BYTES,
@@ -101,13 +101,13 @@ class TestSceneGraph:
 class TestBuildSceneGraph:
     def test_empty_scene_gives_ego_mirror_unit_edges(self, catalog):
         g = build_scene_graph(Scene("s"), catalog, CFG)
-        assert g.labels == (catalog.ego_label, catalog.mirror_label)
+        assert g.labels == (EGO_LABEL, MIRROR_LABEL)
         assert g.weights == ((0.0, 1.0), (1.0, 0.0))
 
     def test_single_car_distance_five(self, catalog):
         det = ScoredDetection("car", 0.9, Box3D(3, 0, 4, 1.6, 3.9, 1.56, 0.0))
         g = build_scene_graph(Scene("s", (det,)), catalog, CFG)
-        assert g.labels == (catalog.ego_label, "car")
+        assert g.labels == (EGO_LABEL, "car")
         assert g.weights[0][1] == pytest.approx(0.2)
         assert g.weights[1][0] == pytest.approx(0.2)
 

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from scenesel.core import DataError, ParseError, Scene
 from scenesel.kitti import (
+    attach_sidecars,
     load_mixture_sidecar,
     load_pool_dir,
     parse_label_file,
@@ -221,11 +222,11 @@ class TestPoolDir:
             write_label_file(scene, tmp_path / "labels" / f"{sid}.txt")
             withm = scene_with_mixtures(sid, *((d, uniform_mixture()) for d in scene.detections))
             save_mixture_sidecar(withm, tmp_path / "sidecars" / f"{sid}.mdn")
-        scenes = load_pool_dir(tmp_path, catalog, with_sidecars=True)
+        scenes = attach_sidecars(tmp_path, load_pool_dir(tmp_path, catalog))
         assert [s.id for s in scenes] == ["a", "b"]
 
     def test_missing_sidecar_names_file(self, tmp_path, catalog):
         (tmp_path / "labels").mkdir()
         write_label_file(random_scene(random.Random(1), "x"), tmp_path / "labels" / "x.txt")
         with pytest.raises(DataError, match="x.mdn"):
-            load_pool_dir(tmp_path, catalog, with_sidecars=True)
+            attach_sidecars(tmp_path, load_pool_dir(tmp_path, catalog))

@@ -269,7 +269,7 @@ class TestRunRounds:
                 predicted.append(scene.id)
             return stand_in(scene)
 
-        state = RoundState.fresh(gt, budget_total=budget or rounds * n_r, rng_seed=seed)
+        state = RoundState.fresh(gt, n0=0, budget_total=budget or rounds * n_r, rng_seed=seed)
         return run_al_rounds(
             gt,
             StagePlan(n_r=n_r),
@@ -356,7 +356,7 @@ class TestRunRounds:
             1,
             predictor,
             gt.__getitem__,
-            RoundState.fresh(gt, budget_total=3, rng_seed=21),
+            RoundState.fresh(gt, n0=0, budget_total=3, rng_seed=21),
             DEFAULT_CATALOG,
             DEFAULT_ANCHORS,
             ENT,
@@ -368,7 +368,7 @@ class TestRunRounds:
 
     def test_omitted_uncertainty_is_logged(self, caplog):
         gt, _ = predicted_pool(n=8, seed=5)
-        state = RoundState.fresh(gt, budget_total=2, rng_seed=5)
+        state = RoundState.fresh(gt, n0=0, budget_total=2, rng_seed=5)
         with caplog.at_level(logging.WARNING, logger="scenesel.sampler"):
             _, reports = run_al_rounds(
                 gt,
@@ -392,7 +392,7 @@ class TestRunRounds:
         _, r1 = self.run(strategy="random", rounds=1, n=30, seed=21)
         gt, _ = predicted_pool(n=30, seed=21)
         predictor = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=21)
-        state = RoundState.fresh(gt, budget_total=3, rng_seed=999)
+        state = RoundState.fresh(gt, n0=0, budget_total=3, rng_seed=999)
         _, r2 = run_al_rounds(
             gt,
             StagePlan(n_r=3),
@@ -446,7 +446,7 @@ class TestRunRounds:
     def test_input_state_not_mutated(self):
         gt, _ = predicted_pool(n=16, seed=4)
         predictor = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=4)
-        state = RoundState.fresh(gt, budget_total=4, rng_seed=4)
+        state = RoundState.fresh(gt, n0=0, budget_total=4, rng_seed=4)
         run_al_rounds(
             gt,
             StagePlan(n_r=2),

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from scenesel.core import DataError
@@ -11,11 +12,22 @@ POOL = [f"scene_{i:06d}" for i in range(12)]
 
 class TestRoundStateInvariants:
     def test_fresh_state(self):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         assert st.round_index == 0
         assert st.labeled_ids == frozenset()
         assert st.unlabeled_ids == frozenset(POOL)
         assert st.per_round_selected == ()
+
+    def test_fresh_labels_n0_ids_drawn_from_the_sorted_pool(self):
+        st = RoundState.fresh(reversed(POOL), n0=4, budget_total=12, rng_seed=7)
+        drawn = {POOL[i] for i in np.random.default_rng(7).choice(len(POOL), size=4, replace=False)}
+        assert st.labeled_ids == drawn
+        assert st.unlabeled_ids == frozenset(POOL) - drawn
+        assert st.round_index == 0 and st.per_round_selected == ()
+
+    def test_fresh_n0_above_pool_rejected(self):
+        with pytest.raises(ValueError):
+            RoundState.fresh(POOL, n0=len(POOL) + 1, budget_total=12, rng_seed=7)
 
     def test_overlap_rejected(self):
         with pytest.raises(ValueError, match="overlap"):
@@ -62,7 +74,7 @@ class TestRoundStateInvariants:
             )
 
     def test_with_selection_moves_ids(self):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         nxt = st.with_selection((POOL[0], POOL[3]))
         assert nxt.round_index == 1
         assert nxt.labeled_ids == frozenset({POOL[0], POOL[3]})
@@ -73,21 +85,21 @@ class TestRoundStateInvariants:
         assert st.labeled_ids == frozenset()
 
     def test_with_selection_rejects_unknown_id(self):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         with pytest.raises(ValueError, match="not in unlabeled"):
             st.with_selection(("nope",))
 
 
 class TestPersistence:
     def test_fresh_roundtrip(self, tmp_path):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         path = tmp_path / "state.json"
         save_round_state(st, path)
         assert load_round_state(path) == st
 
     def test_two_round_roundtrip(self, tmp_path):
         ids = [f"s{i:04d}" for i in range(600)]
-        st = RoundState.fresh(ids, budget_total=400, rng_seed=11)
+        st = RoundState.fresh(ids, n0=0, budget_total=400, rng_seed=11)
         st = st.with_selection(tuple(ids[:200]))
         st = st.with_selection(tuple(ids[200:400]))
         path = tmp_path / "state.json"
@@ -108,7 +120,7 @@ class TestPersistence:
             load_round_state(tmp_path / "absent.json")
 
     def test_wrong_version_rejected(self, tmp_path):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         path = tmp_path / "state.json"
         save_round_state(st, path)
         doc = json.loads(path.read_text())
@@ -118,7 +130,7 @@ class TestPersistence:
             load_round_state(path)
 
     def test_invariants_revalidated_on_load(self, tmp_path):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         path = tmp_path / "state.json"
         save_round_state(st, path)
         doc = json.loads(path.read_text())
@@ -127,7 +139,35 @@ class TestPersistence:
         with pytest.raises(DataError, match="overlap"):
             load_round_state(path)
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("labeled_ids", POOL[0]),
+            ("unlabeled_ids", POOL[5]),
+            ("labeled_ids", [POOL[0], 7]),
+            ("per_round_selected", [POOL[0]]),
+        ],
+    )
+    def test_id_lists_must_be_lists_of_strings(self, tmp_path, key, value):
+        # A string would load as the set of its characters, and the next save
+        # would write those in place of the ids.
+        st = RoundState.fresh(POOL, n0=0, budget_total=12, rng_seed=7).with_selection((POOL[0],))
+        path = tmp_path / "state.json"
+        save_round_state(st, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as err:
+            load_round_state(path)
+        assert str(err.value).startswith(f"{path}: invalid round state: {key}")
+
+    def test_non_object_document_raises_data_error(self, tmp_path):
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps(POOL))
+        with pytest.raises(DataError, match="not a JSON object"):
+            load_round_state(path)
+
     def test_no_tmp_file_left_behind(self, tmp_path):
-        st = RoundState.fresh(POOL, budget_total=6, rng_seed=7)
+        st = RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7)
         save_round_state(st, tmp_path / "state.json")
         assert [p.name for p in tmp_path.iterdir()] == ["state.json"]
