@@ -154,7 +154,10 @@ def cmd_select(args) -> int:
     Labels are parsed for every pool scene, and every scene must have its
     mixture sidecar, but a sidecar is parsed only for a scene that reaches
     the uncertainty stage (with the default order, floor(k2*n_r) scenes);
-    ``--init`` parses none.
+    ``--init`` parses none. A round reads and then rewrites the similarity
+    cache file next to the state file (``state.json`` ->
+    ``state.similarity.json``), dropping the values of the scenes it
+    labeled; ``--init`` leaves that file alone.
     """
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
@@ -187,8 +190,11 @@ def cmd_select(args) -> int:
         )
     # One cache serves the selection and its report, so the report's pairs
     # among the selected scenes are cache hits. Likewise the parsed sidecars:
-    # every selected scene went through the uncertainty stage.
+    # every selected scene went through the uncertainty stage. The cache
+    # starts from the kernel values the rounds before kept in its file.
     cache = SimilarityCache(cfg.catalog, cfg.kernel)
+    cache_path = state_path.with_suffix(".similarity.json")  # next to the state
+    cache.load(cache_path)
     parsed = {}
 
     def with_mixtures(scene):
@@ -200,6 +206,9 @@ def cmd_select(args) -> int:
         selected, slog = sampler.three_stage_select(
             unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
         )
+    # The kernel values the selection needed: what it would have evaluated
+    # without the file.
+    needed = slog.kernel_evals + cache.reused
     # Another run may have advanced the state while this one selected; write
     # nothing over it. This narrows the window between load and save; it is
     # not a lock.
@@ -222,10 +231,12 @@ def cmd_select(args) -> int:
         rng_seed=args.seed,
     )
     _write_report(out / f"report_round_{st.round_index:03d}", report)
-    log.info("stage sizes %s, kernel evals %d", slog.stage_sizes, slog.kernel_evals)
+    # Last, so that a crash before it only loses the round's new values.
+    cache.save(cache_path, [by_id[i] for i in selected])
+    log.info("stage sizes %s, kernel evals %d, %d evaluated", slog.stage_sizes, needed, slog.kernel_evals)
     print(
         f"round {st.round_index}: selected {len(selected)} scenes "
-        f"(stage sizes {slog.stage_sizes}, kernel evals {slog.kernel_evals})"
+        f"(stage sizes {slog.stage_sizes}, kernel evals {needed}, {slog.kernel_evals} evaluated)"
     )
     return 0
 
@@ -335,7 +346,7 @@ def cmd_stats(args) -> int:
             seen.add(w)
         missing = [w for w in wanted if w not in by_id]
         if missing:
-            raise DataError(f"ids not in pool: {missing[:5]}")
+            raise DataError(f"{args.ids}: ids not in pool: {missing[:5]}")
         selected = [by_id[w] for w in wanted]
     else:
         selected = scenes

@@ -101,10 +101,6 @@ class Box3D:
         if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
             raise ValueError(f"box center must be finite, got x={self.x} y={self.y} z={self.z}")
 
-    @property
-    def center(self) -> tuple[float, float, float]:
-        return (self.x, self.y, self.z)
-
     def range_to_origin(self) -> float:
         return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
 

@@ -97,20 +97,36 @@ class SceneGraph:
         return a
 
 
+def scene_content(
+    scene: Scene, catalog: ClassCatalog, config: KernelConfig
+) -> tuple[tuple[str, float, float, float], ...]:
+    """All that ``build_scene_graph`` reads of a scene: the label and center
+    (x, y, z) of each detection that passes the confidence filter and the
+    catalog, in scene order. Scenes of equal content have equal graphs."""
+    tau = config.tau
+    return tuple(
+        (d.class_label, b.x, b.y, b.z)
+        for d in scene.detections
+        if d.confidence >= tau and d.class_label in catalog
+        for b in (d.box,)
+    )
+
+
 def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig) -> SceneGraph:
-    """Graph over above-threshold objects plus the ego node at the origin.
+    """Graph over above-threshold objects plus the ego node at the origin,
+    built from ``scene_content`` alone.
 
     With no surviving objects the graph degenerates to ego + mirror with both
     directed edges of weight exactly 1.
     """
-    kept = [d for d in scene.detections if d.confidence >= config.tau and d.class_label in catalog]
+    kept = scene_content(scene, catalog, config)
     if not kept:
         return SceneGraph(
             labels=(EGO_LABEL, MIRROR_LABEL),
             weights=((0.0, 1.0), (1.0, 0.0)),
         )
-    centers = [(0.0, 0.0, 0.0)] + [d.box.center for d in kept]
-    labels = (EGO_LABEL,) + tuple(d.class_label for d in kept)
+    centers = [(0.0, 0.0, 0.0)] + [c[1:] for c in kept]
+    labels = (EGO_LABEL,) + tuple(c[0] for c in kept)
     n = len(labels)
     weights = [[0.0] * n for _ in range(n)]
     for i in range(n):

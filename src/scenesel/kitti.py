@@ -143,9 +143,13 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
         doc = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid sidecar JSON: {exc}", str(path)) from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: sidecar is not a JSON object")
     if doc.get("version") != SIDECAR_VERSION:
         raise DataError(f"{path}: unsupported sidecar version {doc.get('version')!r}")
     entries = doc.get("detections", [])
+    if not isinstance(entries, list):
+        raise DataError(f"{path}: sidecar detections must be a list, got {type(entries).__name__}")
     if len(entries) != len(scene.detections):
         raise DataError(
             f"{path}: sidecar has {len(entries)} entries but scene {scene.id!r} has "

@@ -5,21 +5,25 @@ updates are strictly sequential, with a single writer over the round state.
 """
 from __future__ import annotations
 
+import hashlib
 import itertools
+import json
 import logging
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .core import AnchorTable, ClassCatalog, DataError, Scene
+from .core import AnchorTable, ClassCatalog, DataError, ParseError, Scene, read_text, write_text_atomic
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts, rank_by_entropy
 from .kernel import (
     KernelConfig,
     build_scene_graph,
     marginalized_kernel,  # unused here; bench/spans.py patches this name
     marginalized_kernels,
+    scene_content,
 )
 from .state import RoundState
 from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainty
@@ -37,6 +41,10 @@ _SINGLE_STAGE = {
 # Missing pairs ``SimilarityCache.matrix`` collects before it evaluates them
 # in one ``marginalized_kernels`` call. Bounds the memory the batch holds.
 BLOCK_PAIRS = 1024
+# The layout of a similarity cache file and the floats of the kernel it
+# stores. It is part of the file's fingerprint: bump it when either changes,
+# and a file of the old format is replaced, not read.
+CACHE_FORMAT = 1
 
 
 @dataclass(frozen=True)
@@ -60,39 +68,113 @@ class StagePlan:
 
 
 class SimilarityCache:
-    """Normalized graph-kernel similarity between scenes, memoized by scene id.
+    """Normalized graph-kernel similarity between scenes, memoized by content.
 
     The one place scenes become similarities: the cross kernel divided by the
-    square root of both self-kernels. Graphs (with the arrays the kernel
-    builds from them), self-kernels and pairs are each computed once.
-    ``matrix`` (every pair of a list) and ``pair_similarities`` (the pairs
-    asked for) make one pass, ``_scan``, over their pairs, and ``_fill``
-    evaluates the missing ones BLOCK_PAIRS at a time through the batched
-    ``marginalized_kernels``; ``_fill`` is the only code that calls the kernel
-    and normalizes. ``evaluations`` counts the kernel values ``_fill`` has
-    evaluated, self-kernels included, so the kernel work of any call is the
-    growth of ``evaluations`` across it. ``similarity`` is the one-pair call
-    of ``matrix``. Assumes a stable id -> scene mapping for the lifetime of
-    the cache (true for a fixed pool under a deterministic predictor).
+    square root of both self-kernels. A scene's key is its
+    ``kernel.scene_content``, all that its graph is built from, interned to an
+    int once per scan. So a scene whose predictions change gets a new key,
+    scenes of equal content share one key (and are exactly 1 apart), and a
+    hit builds no graph. Graphs (with the arrays the kernel builds from
+    them), self-kernels and pairs are each computed once per key; the cache
+    holds no scene. ``matrix`` (every pair of a list) and
+    ``pair_similarities`` (the pairs asked for) make one pass, ``_scan``,
+    over their pairs, and ``_fill`` evaluates the missing ones BLOCK_PAIRS
+    at a time through the batched ``marginalized_kernels``; ``_fill`` is the
+    only code that calls the kernel and normalizes. ``evaluations`` counts
+    the kernel values ``_fill`` has evaluated, self-kernels included, so the
+    kernel work of any call is the growth of ``evaluations`` across it.
+    ``similarity`` is the one-pair call of ``matrix``.
+
+    ``load`` and ``save`` keep the kernel values across processes in one
+    JSON file, keyed by a digest of each scene's content and stamped with
+    ``fingerprint``. After ``load``, ``_fill`` takes each kernel value the
+    file holds from it instead of evaluating it, and ``reused`` counts the
+    values so taken: ``evaluations + reused`` is what a cache without the
+    file would have evaluated.
     """
 
     def __init__(self, catalog: ClassCatalog, config: KernelConfig):
         self.catalog = catalog
         self.config = config
+        self._keys = {}  # scene content -> key
+        self._contents = []  # key -> scene content
         self._graphs = {}
         self._self_k = {}
         self._pairs = {}
         self.evaluations = 0
+        self.reused = 0
+        # After ``load``: the file's kernel values and those evaluated since,
+        # self-kernels by content digest and cross kernels by digest pair.
+        self._stored = None
+        self._digests = {}  # key -> content digest, made when first needed
 
-    def _graph(self, scene: Scene):
-        g = self._graphs.get(scene.id)
+    @property
+    def fingerprint(self) -> str:
+        """Digest of what a stored kernel value depends on besides the two
+        contents: the kernel config, the catalog and CACHE_FORMAT."""
+        doc = {"format": CACHE_FORMAT, "kernel": asdict(self.config), "catalog": list(self.catalog.classes)}
+        return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
+
+    def load(self, path: str | Path) -> None:
+        """Take the kernel values of the cache file ``path``, and keep every
+        value evaluated from now on for ``save``; for a new cache only.
+
+        A missing file holds no value. A file of another ``fingerprint`` is
+        not read: a warning names it, and ``save`` replaces it. A file that
+        is not UTF-8 JSON, not an object, or holds a value that is not a
+        kernel value (a number in [0, 1], above 0 for a self-kernel) is a
+        ``DataError`` naming it.
+        """
+        if self._keys or self._stored is not None:
+            raise ValueError("load needs a new cache")
+        self._stored = _read_cache_file(Path(path), self.fingerprint)
+
+    def save(self, path: str | Path, dropped: list[Scene]) -> None:
+        """Write the values ``load`` took and those evaluated since to the
+        cache file ``path``, atomically, less every value that involves the
+        content of a scene in ``dropped``."""
+        if self._stored is None:
+            raise ValueError("save needs a cache that was loaded")
+        drop = {_content_digest(scene_content(s, self.catalog, self.config)) for s in dropped}
+        selfs, crosses = self._stored
+        pairs = {}
+        for (a, b), value in sorted(crosses.items()):
+            if a not in drop and b not in drop:
+                pairs.setdefault(a, {})[b] = value
+        doc = {
+            "fingerprint": self.fingerprint,
+            "scenes": {d: value for d, value in sorted(selfs.items()) if d not in drop},
+            "pairs": pairs,
+        }
+        write_text_atomic(path, json.dumps(doc))
+
+    def _key(self, scene: Scene) -> int:
+        content = scene_content(scene, self.catalog, self.config)
+        key = self._keys.get(content)
+        if key is None:
+            key = self._keys[content] = len(self._contents)
+            self._contents.append(content)
+        return key
+
+    def _digest(self, key: int) -> str:
+        digest = self._digests.get(key)
+        if digest is None:
+            digest = self._digests[key] = _content_digest(self._contents[key])
+        return digest
+
+    def _digest_pair(self, pair: tuple[int, int]) -> tuple[str, str]:
+        a, b = self._digest(pair[0]), self._digest(pair[1])
+        return (a, b) if a < b else (b, a)
+
+    def _graph(self, key: int, scene: Scene):
+        g = self._graphs.get(key)
         if g is None:
-            g = build_scene_graph(scene, self.catalog, self.config)
-            self._graphs[scene.id] = g
+            g = self._graphs[key] = build_scene_graph(scene, self.catalog, self.config)
         return g
 
     def similarity(self, s1: Scene, s2: Scene) -> float:
-        """Similarity in [0, 1]; equal ids short-circuit to exactly 1."""
+        """Similarity in [0, 1]; equal contents short-circuit to exactly 1."""
         return float(self.matrix([s1, s2])[0, 1])
 
     def matrix(self, scenes: list[Scene]) -> np.ndarray:
@@ -111,43 +193,115 @@ class SimilarityCache:
     def _scan(self, scenes, index_pairs, out) -> None:
         """Set ``out[i, j]`` and ``out[j, i]`` for each ``(i, j)`` in one pass:
         hits at once, misses through ``_fill`` BLOCK_PAIRS at a time."""
-        ids = [s.id for s in scenes]
+        keys = [self._key(s) for s in scenes]
         pairs = self._pairs
         missing = []
         for i, j in index_pairs:
-            a, b = ids[i], ids[j]
+            a, b = keys[i], keys[j]
             key = (a, b) if a < b else (b, a)
             val = 1.0 if a == b else pairs.get(key)
             if val is None:
                 missing.append((i, j, key))
                 if len(missing) == BLOCK_PAIRS:
-                    self._fill(scenes, missing, out)
+                    self._fill(scenes, keys, missing, out)
                     missing = []
             else:
                 out[i, j] = out[j, i] = val
         if missing:
-            self._fill(scenes, missing, out)
+            self._fill(scenes, keys, missing, out)
 
-    def _fill(self, scenes, missing, out) -> None:
-        """Evaluate, store and put into ``out`` the missing pairs ``(i, j, key)``."""
-        todo = {}  # key -> (i, j); a pool that repeats an id repeats keys
-        needs_self = {}  # scene id -> scene
+    def _fill(self, scenes, keys, missing, out) -> None:
+        """Store and put into ``out`` the missing pairs ``(i, j, key)``, each
+        kernel value taken from the loaded file if it holds it, else evaluated."""
+        todo = {}  # key -> (i, j); scenes of equal content repeat keys
+        needs_self = {}  # key -> index of a scene with that key
         for i, j, key in missing:
             todo.setdefault(key, (i, j))
-            for s in (scenes[i], scenes[j]):
-                if s.id not in self._self_k:
-                    needs_self[s.id] = s
-        selfs = [(self._graph(s), self._graph(s)) for s in needs_self.values()]
-        crosses = [(self._graph(scenes[i]), self._graph(scenes[j])) for i, j in todo.values()]
-        values = marginalized_kernels(selfs + crosses, self.config)
+            for s in (i, j):
+                if keys[s] not in self._self_k:
+                    needs_self[keys[s]] = s
+        crosses = {}
+        if self._stored is not None:
+            stored_self, stored_cross = self._stored
+            for k in list(needs_self):
+                value = stored_self.get(self._digest(k))
+                if value is not None:
+                    self._self_k[k] = value
+                    del needs_self[k]
+                    self.reused += 1
+            for key in todo:
+                value = stored_cross.get(self._digest_pair(key))
+                if value is not None:
+                    crosses[key] = value
+            self.reused += len(crosses)
+        evaluate = [(key, ij) for key, ij in todo.items() if key not in crosses]
+        selfs = [(self._graph(k, scenes[s]),) * 2 for k, s in needs_self.items()]
+        pairs = [(self._graph(keys[i], scenes[i]), self._graph(keys[j], scenes[j])) for _, (i, j) in evaluate]
+        values = marginalized_kernels(selfs + pairs, self.config)
         self.evaluations += len(values)
         self._self_k.update(zip(needs_self, values))
-        for (key, (i, j)), cross in zip(todo.items(), values[len(selfs) :]):
-            self._pairs[key] = cross / math.sqrt(
-                self._self_k[scenes[i].id] * self._self_k[scenes[j].id]
-            )
+        crosses.update(zip((key for key, _ in evaluate), values[len(selfs) :]))
+        if self._stored is not None:
+            stored_self, stored_cross = self._stored
+            stored_self.update((self._digest(k), v) for k, v in zip(needs_self, values))
+            stored_cross.update((self._digest_pair(key), v) for (key, _), v in zip(evaluate, values[len(selfs) :]))
+        for (a, b), cross in crosses.items():
+            self._pairs[(a, b)] = cross / math.sqrt(self._self_k[a] * self._self_k[b])
         for i, j, key in missing:
             out[i, j] = out[j, i] = self._pairs[key]
+
+
+def _content_digest(content) -> str:
+    """Hex digest of a ``scene_content``: its labels as JSON, then its
+    centers as float64 bytes. ``+ 0.0`` digests -0.0 as 0.0, to which it
+    compares equal."""
+    digest = hashlib.blake2b(json.dumps([c[0] for c in content]).encode(), digest_size=16)
+    digest.update((np.array([c[1:] for c in content], dtype=np.float64).reshape(-1) + 0.0).tobytes())
+    return digest.hexdigest()
+
+
+def _read_cache_file(path: Path, fingerprint: str) -> tuple[dict, dict]:
+    """The self-kernels by digest and cross kernels by digest pair of a
+    similarity cache file; see ``SimilarityCache.load``."""
+    selfs, crosses = {}, {}
+    if not path.exists():
+        return selfs, crosses
+    try:
+        doc = json.loads(read_text(path))
+    except json.JSONDecodeError as exc:
+        raise ParseError(f"invalid similarity cache JSON: {exc}", str(path)) from exc
+    if not isinstance(doc, dict):
+        raise DataError(f"{path}: similarity cache is not a JSON object")
+    if doc.get("fingerprint") != fingerprint:
+        log.warning("%s: made for another kernel config, catalog or format; replacing it", path)
+        return selfs, crosses
+    try:
+        for digest, value in _mapping(doc["scenes"], "scenes").items():
+            selfs[digest] = _kernel_value(value, self_kernel=True)
+        for a, partners in _mapping(doc["pairs"], "pairs").items():
+            for b, value in _mapping(partners, f"pairs of {a}").items():
+                if a not in selfs or b not in selfs:
+                    raise ValueError(f"pair ({a}, {b}) of a scene with no self-kernel")
+                crosses[(a, b) if a < b else (b, a)] = _kernel_value(value, self_kernel=False)
+    except (KeyError, ValueError) as exc:
+        raise DataError(f"{path}: invalid similarity cache: {exc}") from exc
+    return selfs, crosses
+
+
+def _mapping(value, what: str) -> dict:
+    if not isinstance(value, dict):
+        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _kernel_value(value, self_kernel: bool) -> float:
+    """A kernel value read from a cache file. Every kernel lies in [0, 1/2],
+    and a self-kernel is positive (the ego nodes match)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"kernel value {value!r} is not a number")
+    if not (0 < value <= 1 if self_kernel else 0 <= value <= 1):
+        raise ValueError(f"kernel value {value!r} is not in {'(0, 1]' if self_kernel else '[0, 1]'}")
+    return float(value)
 
 
 def _argbest(ids: list[str], values, candidates, maximize: bool) -> int:

@@ -333,6 +333,56 @@ class TestSelect:
         assert exc.value.code == 2
         assert "unrecognized arguments: --no-sidecars" in capsys.readouterr().err
 
+    def test_similarity_cache_file_keeps_the_unlabeled_scenes_values(self, pool_dir, tmp_path):
+        # The file next to the state holds the kernel values of the scenes
+        # still unlabeled; ``--init`` leaves it alone.
+        state, out = self.init_state(pool_dir, tmp_path)
+        cache_file = tmp_path / "state.similarity.json"
+        assert not cache_file.exists()
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
+        for _ in range(2):
+            assert run(*select) == 0
+        cfg = build_config(environ={})
+        pool = {s.id: s for s in kitti.load_pool_dir(pool_dir, cfg.catalog)}
+        doc = json.loads(state.read_text())
+        reused = {}
+        for which in ("labeled_ids", "unlabeled_ids"):
+            cache = sampler.SimilarityCache(cfg.catalog, cfg.kernel)
+            cache.load(cache_file)
+            cache.matrix([pool[i] for i in doc[which]])
+            reused[which] = cache.reused
+        assert reused["labeled_ids"] == 0 < reused["unlabeled_ids"]
+        before = cache_file.read_bytes()
+        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--init", "--n0", 4) == 0
+        assert cache_file.read_bytes() == before
+
+    def test_crash_before_the_cache_save_only_loses_values(self, pool_dir, tmp_path, monkeypatch):
+        # Round 2 dies after it wrote the state, the selection and the
+        # report: the file keeps round 1's values, and round 3 writes what a
+        # round 3 without a crash writes.
+        rounds = []
+        for crash in (False, True):
+            work = tmp_path / f"crash_{crash}"
+            state, out = self.init_state(pool_dir, work)
+            select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
+            assert run(*select) == 0
+            kept = (work / "state.similarity.json").read_bytes()
+            if crash:
+
+                def killed(*args):
+                    raise KeyboardInterrupt
+
+                with monkeypatch.context() as m:
+                    m.setattr(sampler.SimilarityCache, "save", killed)
+                    with pytest.raises(KeyboardInterrupt):
+                        run(*select)
+                assert (work / "state.similarity.json").read_bytes() == kept
+            else:
+                assert run(*select) == 0
+            assert run(*select) == 0
+            rounds.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
+        assert rounds[1] == rounds[0]
+
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"
         code = run("select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 99)
@@ -447,10 +497,11 @@ class TestStats:
         assert f"{ids_file}: cannot read file" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
-    def test_unknown_ids_rejected(self, pool_dir, tmp_path):
+    def test_unknown_ids_rejected(self, pool_dir, tmp_path, capsys):
         ids_file = tmp_path / "ids.txt"
         ids_file.write_text("scene_999999\n")
         assert run("stats", "--pool", pool_dir, "--ids", ids_file, "--out", tmp_path / "o") == 3
+        assert f"{ids_file}: ids not in pool: ['scene_999999']" in capsys.readouterr().err
 
 
 LABEL_LINE = "car 0.0 0 0.0 0 0 0 0 1.5 1.6 3.9 5.0 1.0 0.5 0.1 0.8"
@@ -499,6 +550,22 @@ def _overflowing_w_mean(target):
     _edit_sidecar(edit)(target)
 
 
+def _cache_file(scenes=None, pairs=None, fingerprint=None):
+    """A fault that writes a similarity cache file: by default one valid,
+    empty file of the CLI's default kernel config and catalog."""
+    cfg = build_config(environ={})
+
+    def inject(target):
+        doc = {
+            "fingerprint": fingerprint or sampler.SimilarityCache(cfg.catalog, cfg.kernel).fingerprint,
+            "scenes": scenes if scenes is not None else {},
+            "pairs": pairs if pairs is not None else {},
+        }
+        target.write_text(json.dumps(doc))
+
+    return inject
+
+
 def _string_labeled_ids(target):
     # One id as a string, not a list: it would load as its characters.
     doc = json.loads(target.read_text())
@@ -529,6 +596,23 @@ FAULTS = {
     "sidecar: entries differ in K": ("sidecar", _edit_sidecar(_one_component), SIDECAR_EXITS),
     "sidecar: non-numeric value": ("sidecar", _edit_sidecar(_non_numeric), SIDECAR_EXITS),
     "sidecar: overflowing w mean": ("sidecar", _overflowing_w_mean, SIDECAR_EXITS),
+    "sidecar: not an object": ("sidecar", lambda p: p.write_text("[1]"), SIDECAR_EXITS),
+    "sidecar: detections not a list": (
+        "sidecar", lambda p: p.write_text('{"version": 1, "detections": 5}'), SIDECAR_EXITS
+    ),
+    "similarity cache: not JSON": ("cache", lambda p: p.write_text("{not json"), {"select": 3}),
+    "similarity cache: not UTF-8": ("cache", lambda p: p.write_bytes(b"{\xff}"), {"select": 3}),
+    "similarity cache: not an object": ("cache", lambda p: p.write_text("[1]"), {"select": 3}),
+    "similarity cache: NaN kernel": ("cache", _cache_file(scenes={"d1": float("nan")}), {"select": 3}),
+    "similarity cache: kernel above 1": (
+        "cache", _cache_file(scenes={"d1": 0.5, "d2": 0.5}, pairs={"d1": {"d2": 1.5}}), {"select": 3}
+    ),
+    "similarity cache: zero self-kernel": ("cache", _cache_file(scenes={"d1": 0.0}), {"select": 3}),
+    "similarity cache: string kernel": ("cache", _cache_file(scenes={"d1": "0.5"}), {"select": 3}),
+    "similarity cache: pair without self-kernels": (
+        "cache", _cache_file(scenes={"d1": 0.5}, pairs={"d1": {"d2": 0.1}}), {"select": 3}
+    ),
+    "similarity cache: stale fingerprint": ("cache", _cache_file(fingerprint="0" * 64), {"select": 0}),
     "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
@@ -546,6 +630,16 @@ SAID = {
     "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
+    "sidecar: not an object": ("sidecar is not a JSON object",),
+    "sidecar: detections not a list": ("sidecar detections must be a list, got int",),
+    "similarity cache: not JSON": ("invalid similarity cache JSON",),
+    "similarity cache: not an object": ("similarity cache is not a JSON object",),
+    "similarity cache: NaN kernel": ("kernel value nan is not in (0, 1]",),
+    "similarity cache: kernel above 1": ("kernel value 1.5 is not in [0, 1]",),
+    "similarity cache: zero self-kernel": ("kernel value 0.0 is not in (0, 1]",),
+    "similarity cache: string kernel": ("kernel value '0.5' is not a number",),
+    "similarity cache: pair without self-kernels": ("pair (d1, d2) of a scene with no self-kernel",),
+    "similarity cache: stale fingerprint": ("made for another kernel config, catalog or format; replacing it",),
 }
 
 
@@ -565,6 +659,7 @@ class TestFaultMatrix:
             "state": state,
             "config": tmp_path / "scenesel.conf",
             "ids": tmp_path / "ids.txt",
+            "cache": state.with_suffix(".similarity.json"),
         }[where]
         inject(target)
         config = ("--config", target) if where == "config" else ()
@@ -585,7 +680,7 @@ class TestFaultMatrix:
             said = capsys.readouterr().err if code else caplog.text
             for part in [str(target), *(part.format(sid=sid) for part in SAID.get(fault, ()))]:
                 assert part in said, (command, said)
-            if code == 0:
+            if code == 0 and where == "sidecar":
                 assert "loading the pool without sidecars" in caplog.text
 
 
@@ -680,3 +775,27 @@ class TestInvariance:
             assert run(*select, "--n-r", 3) == 0
             outputs.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
         assert outputs[1] == outputs[0]
+
+    def test_select_does_not_depend_on_the_similarity_cache_file(self, pool_dir, tmp_path, capsys):
+        # Rounds that keep the file, and rounds that start each without it,
+        # write the same bytes and print the same count of kernel values
+        # needed; only the count evaluated falls with the file.
+        outputs, printed = [], []
+        for keep in (True, False):
+            state, out = tmp_path / f"keep_{keep}" / "state.json", tmp_path / f"keep_{keep}" / "sel"
+            select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+            assert run(*select, "--init", "--n0", 4) == 0
+            counts = []
+            for _ in range(3):
+                if not keep:
+                    state.with_suffix(".similarity.json").unlink(missing_ok=True)
+                capsys.readouterr()
+                assert run(*select, "--n-r", 3) == 0
+                line = capsys.readouterr().out
+                counts.append(tuple(map(int, re.search(r"kernel evals (\d+), (\d+) evaluated", line).groups())))
+            outputs.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
+            printed.append(counts)
+        assert outputs[0] == outputs[1]
+        assert [n for n, _ in printed[0]] == [n for n, _ in printed[1]]
+        assert all(n == e for n, e in printed[1])
+        assert all(e < n for n, e in printed[0][1:])

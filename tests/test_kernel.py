@@ -125,6 +125,16 @@ class TestBuildSceneGraph:
         g = build_scene_graph(Scene("s", dets), catalog, CFG)
         assert g.num_nodes == 2  # ego + one above-threshold car
 
+    def test_graph_depends_on_the_scene_content_alone(self, catalog):
+        # Other ids, sizes, yaws, scores above tau and filtered detections:
+        # the same content, so the same graph.
+        kept = ScoredDetection("car", 0.9, Box3D(1, 2, 0, 1, 1, 1, 0))
+        a = Scene("a", (kept, ScoredDetection("pedestrian", 0.1, Box3D(4, 0, 0, 1, 1, 1, 0))))
+        b = Scene("b", (ScoredDetection("car", 0.5, Box3D(1, 2, 0, 2, 3, 1, 1.0)), ScoredDetection("truck", 0.9, kept.box)))
+        assert kernel_module.scene_content(a, catalog, CFG) == (("car", 1.0, 2.0, 0.0),)
+        assert kernel_module.scene_content(b, catalog, CFG) == kernel_module.scene_content(a, catalog, CFG)
+        assert build_scene_graph(b, catalog, CFG) == build_scene_graph(a, catalog, CFG)
+
 
 class TestMarginalizedKernel:
     def test_matches_brute_force_on_mirror_graph(self, catalog):
@@ -349,7 +359,11 @@ class TestBatchedEngine:
         assert 50 * 49 // 2 > BLOCK_PAIRS
         cache = SimilarityCache(catalog, CFG)
         sim = cache.matrix(scenes)
-        assert cache.evaluations == 50 + 50 * 49 // 2
+        # Scenes of equal content (here those with no detection above tau)
+        # share their values.
+        distinct = len({kernel_module.scene_content(s, catalog, CFG) for s in scenes})
+        assert distinct < 50
+        assert cache.evaluations == distinct + distinct * (distinct - 1) // 2
         cache = SimilarityCache(catalog, CFG)
         for i in range(50):
             for j in range(i + 1, 50):
@@ -557,4 +571,7 @@ class TestPairwiseMatrix:
         scenes = [random_scene(rng, f"s{i}") for i in range(4)]
         cache = SimilarityCache(catalog, CFG)
         cache.matrix(scenes)
-        assert cache.evaluations == 4 + 6  # self-kernels + unordered pairs
+        # self-kernels + unordered pairs, of the distinct contents
+        distinct = len({kernel_module.scene_content(s, catalog, CFG) for s in scenes})
+        assert distinct == 2
+        assert cache.evaluations == 2 + 1

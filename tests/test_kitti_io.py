@@ -59,7 +59,7 @@ class TestParse:
         assert det.box.h == pytest.approx(1.57)
         assert det.box.w == pytest.approx(1.73)
         assert det.box.l == pytest.approx(4.15)
-        assert det.box.center == pytest.approx((1.0, 1.47, 8.41))
+        assert (det.box.x, det.box.y, det.box.z) == pytest.approx((1.0, 1.47, 8.41))
         assert det.box.theta == pytest.approx(-1.56)
 
     def test_missing_score_defaults_to_one(self, tmp_path):

@@ -1,4 +1,7 @@
+import json
 import logging
+from collections import Counter
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -443,6 +446,43 @@ class TestRunRounds:
         with pytest.raises(ValueError, match="cache was made for"):
             self.run(cache=SimilarityCache(catalog, config))
 
+    def test_predictions_that_change_between_rounds_are_not_served_stale(self):
+        # A detector retrained every round predicts other boxes for the same
+        # scene: each prediction of a scene shifts all of its boxes 2 m
+        # further along x. A cache shared by the rounds must give round 2 the
+        # similarities of round 2's boxes, as a new cache does; one keyed by
+        # scene id served round 1's.
+        gt, _ = predicted_pool(n=30, seed=21)
+        stand_in = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=21)
+
+        def retrained():
+            seen = Counter()
+
+            def predictor(scene):
+                seen[scene.id] += 1
+                pred = stand_in(scene)
+                shift = 2.0 * seen[scene.id]
+                dets = tuple(replace(d, box=replace(d.box, x=d.box.x + shift)) for d in pred.detections)
+                return replace(pred, detections=dets)
+
+            return predictor
+
+        def rounds(predictor, state, n, cache):
+            return run_al_rounds(
+                gt, StagePlan(n_r=3), n, predictor, gt.__getitem__, state, DEFAULT_CATALOG,
+                DEFAULT_ANCHORS, ENT, KER, UNC, cache=cache,
+            )
+
+        start = RoundState.fresh(gt, n0=0, budget_total=6, rng_seed=21)
+        shared_state, shared = rounds(retrained(), start, 2, fresh_cache())
+        predictor = retrained()
+        state, first = rounds(predictor, start, 1, fresh_cache())
+        state, second = rounds(predictor, state, 1, fresh_cache())
+        assert shared_state == state
+        assert shared[0] == first[0]
+        # Round 2 shares no content with round 1, so even its count is equal.
+        assert shared[1] == second[0]
+
     def test_input_state_not_mutated(self):
         gt, _ = predicted_pool(n=16, seed=4)
         predictor = make_predictor(NOISE, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=4)
@@ -480,3 +520,91 @@ class TestSimilarityCache:
         s = next(iter(preds.values()))
         cache = SimilarityCache(DEFAULT_CATALOG, KER)
         assert cache.similarity(s, s) == 1.0
+
+    def test_equal_content_under_other_ids_shares_one_key(self):
+        # Sizes, yaws and detections below tau are not part of a scene's graph.
+        _, preds = predicted_pool(n=3)
+        a, c = sorted(preds.values(), key=lambda s: s.id)[:2]
+        kept = [d for d in a.detections if d.confidence >= KER.tau]
+        twin = Scene("twin", tuple(replace(d, box=replace(d.box, w=d.box.w + 1.0, theta=0.0)) for d in kept))
+        cache = fresh_cache()
+        assert cache.similarity(a, twin) == 1.0
+        assert cache.evaluations == 0
+        value = cache.similarity(a, c)
+        assert cache.evaluations == 3
+        assert cache.similarity(twin, c) == value
+        assert cache.evaluations == 3
+
+    def test_a_scene_whose_content_changes_is_evaluated_again(self):
+        _, preds = predicted_pool(n=3)
+        a, c = sorted(preds.values(), key=lambda s: s.id)[:2]
+        moved = replace(a, detections=tuple(replace(d, box=replace(d.box, y=d.box.y + 3.0)) for d in a.detections))
+        cache = fresh_cache()
+        cache.similarity(a, c)
+        assert cache.similarity(moved, c) == fresh_cache().similarity(moved, c) != cache.similarity(a, c)
+
+    def saved(self, tmp_path, scenes, dropped=()):
+        """A cache file holding the values of every pair of ``scenes``."""
+        path = tmp_path / "state.similarity.json"
+        cache = fresh_cache()
+        cache.load(path)
+        cache.matrix(scenes)
+        cache.save(path, list(dropped))
+        return path
+
+    def test_file_round_trip_gives_the_same_floats_without_evaluating(self, tmp_path):
+        _, preds = predicted_pool(n=8)
+        scenes = sorted(preds.values(), key=lambda s: s.id)
+        path = self.saved(tmp_path, scenes[:6])
+        cache = fresh_cache()
+        cache.load(path)
+        m = cache.matrix(scenes)
+        np.testing.assert_array_equal(m, fresh_cache().matrix(scenes))
+        # 6 self-kernels and 15 pairs from the file; 2 self-kernels and the
+        # 13 pairs that involve the two new scenes evaluated.
+        assert (cache.reused, cache.evaluations) == (6 + 15, 2 + 13)
+        assert cache.reused + cache.evaluations == 8 + 28
+
+    def test_save_drops_every_value_of_the_dropped_scenes(self, tmp_path):
+        _, preds = predicted_pool(n=5)
+        scenes = sorted(preds.values(), key=lambda s: s.id)
+        doc = json.loads(self.saved(tmp_path, scenes, dropped=scenes[:2]).read_text())
+        assert len(doc["scenes"]) == 3
+        assert sum(len(p) for p in doc["pairs"].values()) == 3
+        cache = fresh_cache()
+        cache.load(tmp_path / "state.similarity.json")
+        cache.matrix(scenes[2:])
+        assert (cache.reused, cache.evaluations) == (6, 0)
+
+    def test_signed_zeros_digest_alike(self, tmp_path):
+        box = make_box(x=0.0, y=5.0)
+        zero = Scene("zero", (ScoredDetection("car", 0.9, box),))
+        negative = Scene("negative", (ScoredDetection("car", 0.9, replace(box, x=-0.0)),))
+        other = Scene("other", (ScoredDetection("car", 0.9, make_box(x=3.0)),))
+        path = self.saved(tmp_path, [zero, other])
+        cache = fresh_cache()
+        cache.load(path)
+        cache.similarity(negative, other)
+        assert (cache.reused, cache.evaluations) == (3, 0)
+
+    def test_file_of_another_config_is_not_read(self, tmp_path, caplog):
+        _, preds = predicted_pool(n=3)
+        scenes = sorted(preds.values(), key=lambda s: s.id)
+        path = self.saved(tmp_path, scenes)
+        cache = SimilarityCache(DEFAULT_CATALOG, KernelConfig(gamma=0.2))
+        with caplog.at_level(logging.WARNING, logger="scenesel.sampler"):
+            cache.load(path)
+        assert f"{path}: made for another kernel config, catalog or format; replacing it" in caplog.text
+        cache.matrix(scenes)
+        assert (cache.reused, cache.evaluations) == (0, 6)
+        cache.save(path, [])
+        assert json.loads(path.read_text())["fingerprint"] == cache.fingerprint != fresh_cache().fingerprint
+
+    def test_load_needs_a_new_cache_and_save_a_loaded_one(self, tmp_path):
+        _, preds = predicted_pool(n=2)
+        cache = fresh_cache()
+        with pytest.raises(ValueError, match="save needs a cache that was loaded"):
+            cache.save(tmp_path / "c.json", [])
+        cache.matrix(list(preds.values()))
+        with pytest.raises(ValueError, match="load needs a new cache"):
+            cache.load(tmp_path / "c.json")
