@@ -17,8 +17,9 @@ from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
 from .core import ConvergenceError, DataError, SceneSelError, read_text, write_text_atomic
 from .entropy import category_entropy
+from .kernel import DistanceOverflowError
 from .sampler import STRATEGIES, SimilarityCache
-from .uncertainty import PropagationOverflowError, scene_uncertainty
+from .uncertainty import PropagationOverflowError, UncertaintyShortfallError, scene_uncertainty
 
 log = logging.getLogger("scenesel")
 
@@ -31,14 +32,23 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     write_text_atomic(path, buf.getvalue())
 
 
+# The file at fault, under a pool directory, in each error that names a
+# scene by id alone.
+_SCENE_FILES = {
+    DistanceOverflowError: lambda pool_dir, scene_id: Path(pool_dir) / "labels" / f"{scene_id}.txt",
+    PropagationOverflowError: kitti.sidecar_path,
+    UncertaintyShortfallError: kitti.sidecar_path,
+}
+
+
 @contextmanager
-def _naming_sidecar(pool_dir):
-    """Prefix an overflowing scene's error with its sidecar's path: the
-    scene is scored after the file is parsed, where the path is not known."""
+def _naming_scene_file(pool_dir):
+    """Prefix a scene's error with the path of the file at fault: scenes are
+    scored after their files are parsed, where the paths are not known."""
     try:
         yield
-    except PropagationOverflowError as exc:
-        raise DataError(f"{kitti.sidecar_path(pool_dir, exc.scene_id)}: {exc}") from exc
+    except tuple(_SCENE_FILES) as exc:
+        raise DataError(f"{_SCENE_FILES[type(exc)](pool_dir, exc.scene_id)}: {exc}") from exc
 
 
 def _mix_from_flag(value: str) -> tuple[float, ...]:
@@ -92,17 +102,7 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> CliConfig:
-    overrides = {}
-    for flag, key in (
-        ("n_r", "plan.n_r"),
-        ("k1", "plan.k1"),
-        ("k2", "plan.k2"),
-        ("order", "plan.order"),
-        ("rounds", "plan.rounds"),
-    ):
-        value = getattr(args, flag, None)
-        if value is not None:
-            overrides[key] = value
+    overrides = {f"plan.{f}": getattr(args, f, None) for f in ("n_r", "k1", "k2", "order", "rounds")}
     return build_config(path=args.config, overrides=overrides)
 
 
@@ -134,13 +134,14 @@ def cmd_score(args) -> int:
         rows = [[s.id, f"{category_entropy(s, cfg.catalog, cfg.entropy):.9f}"] for s in scenes]
         _write_csv(out, ["scene_id", "entropy"], rows)
     elif args.metric == "uncertainty":
-        with _naming_sidecar(args.pool):
+        with _naming_scene_file(args.pool):
             rows = [
                 [s.id, f"{scene_uncertainty(s, cfg.anchors, cfg.uncertainty):.9f}"] for s in scenes
             ]
         _write_csv(out, ["scene_id", "uncertainty"], rows)
     else:  # similarity: emit the pairwise matrix
-        sim = SimilarityCache(cfg.catalog, cfg.kernel).matrix(scenes)
+        with _naming_scene_file(args.pool):
+            sim = SimilarityCache(cfg.catalog, cfg.kernel).matrix(scenes)
         ids = [s.id for s in scenes]
         rows = [[ids[i]] + [f"{v:.9f}" for v in sim[i]] for i in range(len(ids))]
         _write_csv(out, ["scene_id"] + ids, rows)
@@ -157,8 +158,14 @@ def cmd_select(args) -> int:
     ``--init`` parses none. A round reads and then rewrites the similarity
     cache file next to the state file (``state.json`` ->
     ``state.similarity.json``), dropping the values of the scenes it
-    labeled; ``--init`` leaves that file alone.
+    labeled; ``--init`` leaves that file alone. A flag of the other mode
+    (``--n0`` and ``--budget`` are ``--init``'s, the plan flags a round's)
+    is a usage error, raised before any file is read.
     """
+    other_mode = ("n_r", "k1", "k2", "order") if args.init else ("n0", "budget")
+    ignored = ["--" + f.replace("_", "-") for f in other_mode if getattr(args, f) is not None]
+    if ignored:
+        raise ValueError(f"{'select --init' if args.init else 'a select round'} takes no {', '.join(ignored)}")
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
     sidecars = {s.id: kitti.sidecar_path(args.pool, s.id) for s in scenes}
@@ -167,9 +174,10 @@ def cmd_select(args) -> int:
     out = Path(args.out)
 
     if args.init:
-        if args.n0 > len(by_id):
-            raise DataError(f"--n0 {args.n0} exceeds pool size {len(by_id)}")
-        st = state_mod.RoundState.fresh(by_id, args.n0, args.budget or len(by_id), args.seed)
+        n0 = args.n0 or 0
+        if n0 > len(by_id):
+            raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
+        st = state_mod.RoundState.fresh(by_id, n0, args.budget or len(by_id), args.seed)
         state_mod.save_round_state(st, state_path)
         print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
         return 0
@@ -202,7 +210,7 @@ def cmd_select(args) -> int:
             parsed[scene.id] = kitti.load_mixture_sidecar(sidecars[scene.id], scene)
         return parsed[scene.id]
 
-    with _naming_sidecar(args.pool):
+    with _naming_scene_file(args.pool):
         selected, slog = sampler.three_stage_select(
             unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
         )
@@ -272,6 +280,7 @@ def cmd_simulate(args) -> int:
     out = Path(args.out)
     initial = state_mod.RoundState.fresh(pool, min(args.n0, len(pool)), len(pool), args.seed)
 
+    header = ["round", "selected", "entropy", "mean_similarity", "mean_uncertainty", "kernel_evals", *cfg.catalog.classes]
     comparison_rows = []
     for strategy in strategies:
         cache = SimilarityCache(cfg.catalog, cfg.kernel)
@@ -309,17 +318,9 @@ def cmd_simulate(args) -> int:
                 sdir / f"selected_round_{rep.round_index:03d}.txt",
                 "\n".join(rep.selected_ids) + "\n",
             )
-        header = ["round", "selected", "entropy", "mean_similarity", "mean_uncertainty", "kernel_evals"] + list(
-            cfg.catalog.classes
-        )
         _write_csv(sdir / "rounds.csv", header, rows)
         state_mod.save_round_state(st, sdir / "state.json")
-    _write_csv(
-        out / "comparison.csv",
-        ["strategy", "round", "selected", "entropy", "mean_similarity", "mean_uncertainty", "kernel_evals"]
-        + list(cfg.catalog.classes),
-        comparison_rows,
-    )
+    _write_csv(out / "comparison.csv", ["strategy"] + header, comparison_rows)
     print(f"simulated {cfg.rounds} rounds for {len(strategies)} strategies -> {out}")
     return 0
 
@@ -330,7 +331,7 @@ def cmd_stats(args) -> int:
     try:
         scenes = kitti.attach_sidecars(args.pool, labeled)
         # A sidecar whose scene cannot be scored is a faulty sidecar too.
-        with _naming_sidecar(args.pool):
+        with _naming_scene_file(args.pool):
             for s in scenes:
                 scene_uncertainty(s, cfg.anchors, cfg.uncertainty)
     except DataError as exc:
@@ -350,15 +351,16 @@ def cmd_stats(args) -> int:
         selected = [by_id[w] for w in wanted]
     else:
         selected = scenes
-    report = diagnostics.selection_report(
-        selected,
-        scenes,
-        cfg.entropy,
-        cfg.uncertainty,
-        cfg.anchors,
-        SimilarityCache(cfg.catalog, cfg.kernel),
-        rng_seed=args.seed,
-    )
+    with _naming_scene_file(args.pool):
+        report = diagnostics.selection_report(
+            selected,
+            scenes,
+            cfg.entropy,
+            cfg.uncertainty,
+            cfg.anchors,
+            SimilarityCache(cfg.catalog, cfg.kernel),
+            rng_seed=args.seed,
+        )
     _write_report(Path(args.out) / "stats", report)
     print(f"wrote stats for {len(selected)} of {len(scenes)} scenes to {args.out}")
     return 0
@@ -387,8 +389,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", required=True)
     p.add_argument("--out", required=True)
     p.add_argument("--init", action="store_true", help="initialize the state and exit")
-    p.add_argument("--n0", type=int, default=0, help="initial random labeled count")
-    p.add_argument("--budget", type=int, default=0)
+    p.add_argument("--n0", type=int, default=None, help="with --init: initial random labeled count (default 0)")
+    p.add_argument("--budget", type=int, default=None, help="with --init: scenes to label in all (default: the pool)")
     _add_plan_flags(p)
     p.set_defaults(func=cmd_select)
 

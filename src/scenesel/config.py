@@ -1,22 +1,10 @@
 """Key-value configuration: one file, env overrides, flag overrides.
 
 File format: one ``key = value`` pair per line, ``#`` comments, blank lines
-ignored. Recognized keys:
-
-    classes                  comma-separated class names
-    anchor.<class>           "length,width,height" in meters
-    entropy.tau              shared confidence filter, default 0.3
-    entropy.zeta             entropy stability constant, default 1e-12
-    kernel.gamma             walk termination probability, default 0.1
-    kernel.sigma             edge-kernel bandwidth, default 1.0
-    kernel.tol               fixed-point tolerance, default 1e-8
-    kernel.max_iter          fixed-point iteration cap, default 1000
-    kernel.min_dist          distance clamp in meters, default 0.1
-    uncertainty.eta          epistemic weight, default 0.5
-    plan.order               stage order, default entropy,similarity,uncertainty
-    plan.k1 / plan.k2        stage multipliers, defaults 3.0 / 2.5
-    plan.n_r                 per-round selection count, default 20
-    plan.rounds              number of rounds, default 3
+ignored. The recognized keys are those of ``KEYS`` and ``anchor.<class>``
+("length,width,height" in meters); ``entropy.tau`` is the confidence filter
+of all three metrics. A key left unset keeps the default of its dataclass
+field; the README's configuration table lists them.
 
 Environment variables override file values with the prefix ``SCENESEL_`` and
 dots mapped to underscores, e.g. ``SCENESEL_ENTROPY_TAU=0.5``. Command-line
@@ -31,26 +19,29 @@ from pathlib import Path
 from .core import Anchor, AnchorTable, ClassCatalog, DataError, DEFAULT_ANCHORS, DEFAULT_CATALOG, read_text
 from .entropy import EntropyConfig
 from .kernel import KernelConfig
-from .sampler import STAGE_NAMES, StagePlan
+from .sampler import StagePlan
 from .uncertainty import UncertaintyConfig
 
 ENV_PREFIX = "SCENESEL_"
 
-_SCALAR_KEYS = {
-    "classes",
-    "entropy.tau",
-    "entropy.zeta",
-    "kernel.gamma",
-    "kernel.sigma",
-    "kernel.tol",
-    "kernel.max_iter",
-    "kernel.min_dist",
-    "uncertainty.eta",
-    "plan.order",
-    "plan.k1",
-    "plan.k2",
-    "plan.n_r",
-    "plan.rounds",
+
+#: Each scalar key, "<section>.<field>" or "classes", with the converter of
+#: its value.
+KEYS = {
+    "classes": lambda value: tuple(c.strip() for c in value.split(",") if c.strip()),
+    "entropy.tau": float,
+    "entropy.zeta": float,
+    "kernel.gamma": float,
+    "kernel.sigma": float,
+    "kernel.tol": float,
+    "kernel.max_iter": int,
+    "kernel.min_dist": float,
+    "uncertainty.eta": float,
+    "plan.order": lambda value: tuple(s.strip() for s in value.split(",")),
+    "plan.k1": float,
+    "plan.k2": float,
+    "plan.n_r": int,
+    "plan.rounds": int,
 }
 
 
@@ -80,14 +71,14 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
 
 
 def _check_key(key: str, where: str) -> None:
-    if key in _SCALAR_KEYS or key.startswith("anchor."):
+    if key in KEYS or key.startswith("anchor."):
         return
     raise DataError(f"{where}: unknown configuration key {key!r}")
 
 
 def _env_overrides(environ) -> dict[str, str]:
     values = {}
-    known = {k.replace(".", "_").upper(): k for k in _SCALAR_KEYS}
+    known = {k.replace(".", "_").upper(): k for k in KEYS}
     for name, value in environ.items():
         if not name.startswith(ENV_PREFIX):
             continue
@@ -118,12 +109,8 @@ def build_config(
         values[key] = str(value)
 
     try:
-        if "classes" in values:
-            catalog = ClassCatalog(
-                classes=tuple(c.strip() for c in values["classes"].split(",") if c.strip())
-            )
-        else:
-            catalog = DEFAULT_CATALOG
+        given = {key: KEYS[key](value) for key, value in values.items() if key in KEYS}
+        catalog = ClassCatalog(classes=given.pop("classes")) if "classes" in given else DEFAULT_CATALOG
 
         anchor_map = {name: anchor for name, anchor in DEFAULT_ANCHORS.entries}
         for key, value in values.items():
@@ -136,27 +123,19 @@ def build_config(
         anchors = AnchorTable.from_dict(anchor_map)
         anchors.check_covers(catalog)
 
-        tau = float(values.get("entropy.tau", 0.3))
-        entropy = EntropyConfig(tau=tau, zeta=float(values.get("entropy.zeta", 1e-12)))
-        kernel = KernelConfig(
-            gamma=float(values.get("kernel.gamma", 0.1)),
-            sigma=float(values.get("kernel.sigma", 1.0)),
-            tol=float(values.get("kernel.tol", 1e-8)),
-            max_iter=int(values.get("kernel.max_iter", 1000)),
-            min_dist=float(values.get("kernel.min_dist", 0.1)),
-            tau=tau,
-        )
-        unc = UncertaintyConfig(eta=float(values.get("uncertainty.eta", 0.5)), tau=tau)
-        order = tuple(
-            s.strip() for s in values.get("plan.order", ",".join(STAGE_NAMES)).split(",")
-        )
-        plan = StagePlan(
-            n_r=int(values.get("plan.n_r", 20)),
-            k1=float(values.get("plan.k1", 3.0)),
-            k2=float(values.get("plan.k2", 2.5)),
-            order=order,
-        )
-        rounds = int(values.get("plan.rounds", 3))
+        if "entropy.tau" in given:
+            given["kernel.tau"] = given["uncertainty.tau"] = given["entropy.tau"]
+        fields = {"entropy": {}, "kernel": {}, "uncertainty": {}, "plan": {}}
+        for key, value in given.items():
+            section, name = key.split(".")
+            fields[section][name] = value
+        entropy = EntropyConfig(**fields["entropy"])
+        kernel = KernelConfig(**fields["kernel"])
+        unc = UncertaintyConfig(**fields["uncertainty"])
+        # No dataclass holds these two defaults: StagePlan.n_r has none, and
+        # rounds is no field of a plan.
+        rounds = fields["plan"].pop("rounds", 3)
+        plan = StagePlan(**{"n_r": 20, **fields["plan"]})
     except ValueError as exc:
         raise DataError(f"invalid configuration: {exc}") from exc
     if rounds < 1:

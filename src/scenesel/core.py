@@ -18,6 +18,10 @@ RESIDUAL_DIMS = ("x", "y", "z", "w", "h", "l", "theta")
 
 WEIGHT_SUM_TOL = 1e-9
 
+#: The default confidence threshold that the entropy, kernel and uncertainty
+#: configs share: a detection counts when its confidence is at least tau.
+DEFAULT_TAU = 0.3
+
 #: The node labels a scene graph reserves: the ego vehicle, and the
 #: stand-in node of a scene with no kept detection.
 EGO_LABEL = "__ego__"
@@ -31,6 +35,16 @@ class SceneSelError(Exception):
 class DataError(SceneSelError):
     """Unusable input: a file that cannot be read, a malformed one
     (``ParseError``), or well-formed data that breaks a rule."""
+
+
+class SceneDataError(DataError):
+    """A rule broken by one scene's data, found after its files were parsed,
+    where their paths are no longer known; ``scene_id`` names the scene, so
+    that a caller that knows the files can name the one at fault."""
+
+    def __init__(self, message: str, scene_id: str):
+        super().__init__(message)
+        self.scene_id = scene_id
 
 
 class ParseError(DataError):

@@ -97,10 +97,7 @@ def selection_report(
             raise ValueError(f"selected scene {s.id!r} not in pool")
 
     catalog = cache.catalog
-    counts = {c: 0 for c in catalog.classes}
-    for s in selected:
-        for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():
-            counts[c] += n
+    counts = filtered_class_counts(selected, catalog, entropy_cfg)
     total = sum(counts.values())
 
     if not selected or total == 0:

@@ -4,12 +4,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .core import ClassCatalog, Scene
+from .core import ClassCatalog, DEFAULT_TAU, Scene
 
 
 @dataclass(frozen=True)
 class EntropyConfig:
-    tau: float = 0.3
+    tau: float = DEFAULT_TAU
     zeta: float = 1e-12
 
     def __post_init__(self):
@@ -20,13 +20,15 @@ class EntropyConfig:
 
 
 def filtered_class_counts(
-    scene: Scene, catalog: ClassCatalog, config: EntropyConfig
+    scenes: list[Scene], catalog: ClassCatalog, config: EntropyConfig
 ) -> dict[str, int]:
-    """Count detections per class, keeping only those with confidence >= tau."""
+    """Count the detections of ``scenes`` per catalog class, keeping only
+    those with confidence >= tau."""
     counts = {c: 0 for c in catalog.classes}
-    for det in scene.detections:
-        if det.confidence >= config.tau and det.class_label in counts:
-            counts[det.class_label] += 1
+    for scene in scenes:
+        for det in scene.detections:
+            if det.confidence >= config.tau and det.class_label in counts:
+                counts[det.class_label] += 1
     return counts
 
 
@@ -55,7 +57,7 @@ def category_entropy(scene: Scene, catalog: ClassCatalog, config: EntropyConfig)
     A scene with no surviving detections scores 0: no class evidence means no
     balance contribution, placing it last in stage-1 ranking.
     """
-    return counts_entropy(filtered_class_counts(scene, catalog, config), config.zeta)
+    return counts_entropy(filtered_class_counts([scene], catalog, config), config.zeta)
 
 
 def rank_by_entropy(

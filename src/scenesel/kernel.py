@@ -26,7 +26,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassCatalog, ConvergenceError, EGO_LABEL, MIRROR_LABEL, Scene
+from .core import ClassCatalog, ConvergenceError, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
 
 # Bytes of live-node matrices M_LL solved in one stacked fixed point: a
 # batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
@@ -42,7 +42,7 @@ class KernelConfig:
     tol: float = 1e-8
     max_iter: int = 1000
     min_dist: float = 0.1
-    tau: float = 0.3  # confidence filter, shared with the entropy metric
+    tau: float = DEFAULT_TAU  # confidence filter, shared with the entropy metric
 
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
@@ -55,6 +55,11 @@ class KernelConfig:
             raise ValueError("max_iter must be >= 1")
         if not self.min_dist > 0:
             raise ValueError("min_dist must be positive")
+
+
+class DistanceOverflowError(SceneDataError):
+    """Two centers of a scene lie so far apart that their distance is not a
+    finite float; ``scene_id`` names the scene."""
 
 
 @dataclass(frozen=True)
@@ -117,7 +122,8 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
     built from ``scene_content`` alone.
 
     With no surviving objects the graph degenerates to ego + mirror with both
-    directed edges of weight exactly 1.
+    directed edges of weight exactly 1. Two nodes whose distance overflows
+    are a ``DistanceOverflowError``.
     """
     kept = scene_content(scene, catalog, config)
     if not kept:
@@ -135,6 +141,11 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
             dy = centers[i][1] - centers[j][1]
             dz = centers[i][2] - centers[j][2]
             dist = max(math.sqrt(dx * dx + dy * dy + dz * dz), config.min_dist)
+            if math.isinf(dist):
+                raise DistanceOverflowError(
+                    f"scene {scene.id!r}: the distance from {centers[i]} to {centers[j]} overflows",
+                    scene.id,
+                )
             weights[i][j] = weights[j][i] = 1.0 / dist
     return SceneGraph(labels=labels, weights=tuple(tuple(row) for row in weights))
 

@@ -246,7 +246,8 @@ class SimilarityCache:
             stored_self.update((self._digest(k), v) for k, v in zip(needs_self, values))
             stored_cross.update((self._digest_pair(key), v) for (key, _), v in zip(evaluate, values[len(selfs) :]))
         for (a, b), cross in crosses.items():
-            self._pairs[(a, b)] = cross / math.sqrt(self._self_k[a] * self._self_k[b])
+            # Rounding can put a near-copy's similarity at 1 + 2.2e-16.
+            self._pairs[(a, b)] = min(cross / math.sqrt(self._self_k[a] * self._self_k[b]), 1.0)
         for i, j, key in missing:
             out[i, j] = out[j, i] = self._pairs[key]
 
@@ -451,27 +452,6 @@ class RoundReport:
     object_count: int
 
 
-def _select_for_strategy(
-    strategy: str,
-    preds: list[Scene],
-    plan: StagePlan,
-    anchors: AnchorTable,
-    entropy_cfg: EntropyConfig,
-    uncertainty_cfg: UncertaintyConfig,
-    cache: SimilarityCache,
-) -> tuple[list[str], tuple[int, int, int] | None]:
-    """The ids a strategy that ranks predictions selects from ``preds``."""
-    if strategy == "tscenejal":
-        selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache)
-        return selected, slog.stage_sizes
-    ordered = sorted(preds, key=lambda s: s.id)
-    stage = _SINGLE_STAGE[strategy]
-    selected = _run_stage(
-        stage, ordered, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, _unchanged
-    )
-    return selected, None
-
-
 def run_al_rounds(
     pool: dict[str, Scene],
     plan: StagePlan,
@@ -534,9 +514,14 @@ def run_al_rounds(
             stage_sizes = None
         else:
             preds = [predictor(s) for s in unlabeled]
-            selected, stage_sizes = _select_for_strategy(
-                strategy, preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache
-            )
+            if strategy == "tscenejal":
+                selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache)
+                stage_sizes = slog.stage_sizes
+            else:
+                selected = _run_stage(
+                    _SINGLE_STAGE[strategy], preds, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, _unchanged
+                )
+                stage_sizes = None
             pred_by_id = {p.id: p for p in preds}
             selected_preds = [pred_by_id[i] for i in selected]
         for sid in selected:
@@ -572,11 +557,7 @@ def _round_report(
     """The round's report. Its ``kernel_evals`` is the growth of
     ``cache.evaluations`` since ``evaluated_before``, taken when the round
     began, so it counts the selection's kernel work and the report's."""
-    catalog = cache.catalog
-    counts = {c: 0 for c in catalog.classes}
-    for s in selected_preds:
-        for c, n in filtered_class_counts(s, catalog, entropy_cfg).items():
-            counts[c] += n
+    counts = filtered_class_counts(selected_preds, cache.catalog, entropy_cfg)
 
     mean_sim = None
     if len(selected_preds) >= 2:

@@ -14,7 +14,7 @@ from operator import mul
 
 import numpy as np
 
-from .core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene
+from .core import Anchor, AnchorTable, DataError, DEFAULT_TAU, MixtureParams, RESIDUAL_DIMS, Scene, SceneDataError
 
 log = logging.getLogger(__name__)
 
@@ -24,7 +24,7 @@ SEC_SINGULAR_COS = 1e-6
 @dataclass(frozen=True)
 class UncertaintyConfig:
     eta: float = 0.5  # weight of the epistemic term
-    tau: float = 0.3  # confidence filter, shared with the entropy metric
+    tau: float = DEFAULT_TAU  # confidence filter, shared with the entropy metric
 
     def __post_init__(self):
         if self.eta < 0:
@@ -63,13 +63,14 @@ class NearSingularYawError(DataError):
     """Yaw residual mean too close to +-pi/2 for the secant propagation."""
 
 
-class PropagationOverflowError(DataError):
+class PropagationOverflowError(SceneDataError):
     """A detection's propagated variances are not finite; ``scene_id``
     names its scene."""
 
-    def __init__(self, message: str, scene_id: str):
-        super().__init__(message)
-        self.scene_id = scene_id
+
+class UncertaintyShortfallError(SceneDataError):
+    """Exclusions left fewer rankable scenes than asked for; ``scene_id``
+    names the first excluded scene."""
 
 
 def _propagate(variances: tuple[float, ...], means: tuple[float, ...], anchor: Anchor) -> tuple[float, ...]:
@@ -180,16 +181,25 @@ def rank_by_uncertainty(
 ) -> list[str]:
     """Ids of top_n scenes by descending uncertainty, ties by ascending id.
 
-    Scenes with a near-singular yaw residual are excluded with a warning; an
-    error is raised only if exclusions leave fewer than top_n scenes.
+    Scenes with a near-singular yaw residual are excluded with a warning.
+    A top_n above the number of scenes is a ``ValueError``; exclusions that
+    leave fewer than top_n scenes are an ``UncertaintyShortfallError``.
     """
+    if top_n > len(scenes):
+        raise ValueError(f"top_n={top_n} exceeds {len(scenes)} scenes")
     scored = []
+    excluded = []
     for s in scenes:
         try:
             scored.append((scene_uncertainty(s, anchors, config), s.id))
         except NearSingularYawError as exc:
             log.warning("excluding scene %s from uncertainty ranking: %s", s.id, exc)
+            excluded.append(s.id)
     if top_n > len(scored):
-        raise ValueError(f"top_n={top_n} exceeds {len(scored)} rankable scenes")
+        raise UncertaintyShortfallError(
+            f"{len(excluded)} of {len(scenes)} scenes excluded for a yaw residual near +-pi/2, "
+            f"the first {excluded[0]!r}, leave {len(scored)} to rank, below top_n={top_n}",
+            excluded[0],
+        )
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return [sid for _, sid in scored[:top_n]]

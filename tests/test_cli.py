@@ -1,5 +1,6 @@
 import json
 import logging
+import math
 import re
 import shutil
 from dataclasses import replace
@@ -150,6 +151,23 @@ class TestSelect:
         state.write_bytes(snapshot)
         run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
         assert (out / "selected_round_001.txt").read_text() == first
+
+    @pytest.mark.parametrize(
+        "flags, named",
+        [
+            (("--init", "--n0", 4, "--n-r", 7, "--k1", 9), "select --init takes no --n-r, --k1"),
+            (("--init", "--k2", 2, "--order", "entropy,similarity,uncertainty"), "select --init takes no --k2, --order"),
+            (("--n-r", 3, "--n0", 25, "--budget", 2), "a select round takes no --n0, --budget"),
+            (("--n-r", 3, "--budget", 0), "a select round takes no --budget"),
+            (("--n0", 0), "a select round takes no --n0"),
+        ],
+    )
+    def test_a_flag_of_the_other_mode_is_a_usage_error_before_any_file_is_read(self, tmp_path, capsys, flags, named):
+        # No pool: a command that read a file first would exit 3.
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        assert run("select", "--pool", tmp_path / "no_pool", "--state", state, "--out", out, *flags) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_exhausted_pool_is_data_error(self, pool_dir, tmp_path):
         state, out = self.init_state(pool_dir, tmp_path, n0=23)
@@ -550,6 +568,26 @@ def _overflowing_w_mean(target):
     _edit_sidecar(edit)(target)
 
 
+def _far_center(target):
+    # x = 1e200 on the first line that passes the confidence filter: the
+    # squared distance to the ego node overflows.
+    lines = target.read_text().splitlines()
+    kept = next(i for i, line in enumerate(lines) if float(line.split()[-1]) >= 0.3)
+    fields = lines[kept].split()
+    fields[11] = "1e200"
+    lines[kept] = " ".join(fields)
+    target.write_text("\n".join(lines) + "\n")
+
+
+def _singular_yaw_everywhere(target):
+    # Every scene with a kept detection drops out of the uncertainty ranking.
+    for sidecar in target.parent.glob("*.mdn"):
+        doc = json.loads(sidecar.read_text())
+        for entry in doc["detections"]:
+            entry["means"][6] = [math.pi / 2] * len(entry["means"][6])
+        sidecar.write_text(json.dumps(doc))
+
+
 def _cache_file(scenes=None, pairs=None, fingerprint=None):
     """A fault that writes a similarity cache file: by default one valid,
     empty file of the CLI's default kernel config and catalog."""
@@ -615,6 +653,10 @@ FAULTS = {
     "similarity cache: stale fingerprint": ("cache", _cache_file(fingerprint="0" * 64), {"select": 0}),
     "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
+    "label: center too far out": (
+        "label", _far_center, {"select, similarity first": 3, "score --metric similarity": 3, "stats": 3}
+    ),
+    "sidecar: every yaw near pi/2": ("sidecar", _singular_yaw_everywhere, {"select": 3}),
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
     "ids: repeated id": ("ids", lambda p: p.write_text("scene_000001\nscene_000002\nscene_000001\n"), {"stats": 3}),
@@ -630,6 +672,8 @@ SAID = {
     "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
+    "label: center too far out": ("scene '{sid}': the distance from (0.0, 0.0, 0.0) to (1e+200, ",),
+    "sidecar: every yaw near pi/2": ("excluded for a yaw residual near +-pi/2, the first '{sid}'",),
     "sidecar: not an object": ("sidecar is not a JSON object",),
     "sidecar: detections not a list": ("sidecar detections must be a list, got int",),
     "similarity cache: not JSON": ("invalid similarity cache JSON",),
@@ -667,7 +711,10 @@ class TestFaultMatrix:
         commands = {
             "select": ("select", "--pool", pool, "--state", state, "--out", sel,
                        "--n-r", 2, "--order", "uncertainty,entropy,similarity"),
+            "select, similarity first": ("select", "--pool", pool, "--state", state, "--out", sel,
+                                         "--n-r", 2, "--order", "similarity,entropy,uncertainty"),
             "score": ("score", "--pool", pool, "--metric", "uncertainty", "--out", tmp_path / "score.csv"),
+            "score --metric similarity": ("score", "--pool", pool, "--metric", "similarity", "--out", tmp_path / "score.csv"),
             "stats": ("stats", "--pool", pool, *ids, "--out", tmp_path / "stats"),
             "simulate": ("simulate", "--out", tmp_path / "sim", "--n-scenes", 12, "--n-r", 2, "--rounds", 1),
         }

@@ -1,6 +1,9 @@
+import re
+from pathlib import Path
+
 import pytest
 
-from scenesel.config import build_config, parse_config_file
+from scenesel.config import KEYS, build_config, parse_config_file
 from scenesel.core import DataError
 
 
@@ -104,3 +107,42 @@ class TestOverrides:
     def test_bad_rounds_rejected(self):
         with pytest.raises(DataError, match="rounds"):
             build_config(overrides={"plan.rounds": 0}, environ={})
+
+
+class TestReadmeTable:
+    """The README's configuration table is the one copy of the defaults
+    outside their dataclasses: it must list every key and every default."""
+
+    @staticmethod
+    def rows():
+        """(keys, defaults, line) of each row, each cell's backticked parts."""
+        text = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        table = text.split("## Configuration", 1)[1].split("\n\n")[2]
+        for line in table.splitlines()[2:]:
+            keys, defaults = line.split("|")[1:3]
+            yield re.findall(r"`([^`]+)`", keys), re.findall(r"`([^`]+)`", defaults), line
+
+    def test_keys_are_the_config_keys(self):
+        keys = [k for ks, _, _ in self.rows() for k in ks]
+        assert sorted(keys) == sorted([*KEYS, "anchor.<class>"])
+
+    @staticmethod
+    def value(cfg, key):
+        if key == "classes":
+            return cfg.catalog.classes
+        if key == "plan.rounds":
+            return cfg.rounds
+        section, name = key.split(".")
+        return getattr(getattr(cfg, section), name)
+
+    def test_defaults_are_build_configs(self):
+        cfg = build_config(environ={})
+        for keys, defaults, line in self.rows():
+            if keys == ["anchor.<class>"]:
+                for name, value in re.findall(r"(\w+) `([^`]+)`", line.split("|")[2]):
+                    anchor = cfg.anchors.for_class(name)
+                    assert tuple(map(float, value.split(","))) == (anchor.length, anchor.width, anchor.height)
+                continue
+            assert len(keys) == len(defaults), line
+            for key, default in zip(keys, defaults):
+                assert KEYS[key](default) == self.value(cfg, key), key

@@ -31,10 +31,10 @@ class TestFilteredCounts:
                 make_detection("pedestrian", 0.5),
             ]
         )
-        assert filtered_class_counts(s, catalog, CFG) == {"car": 1, "pedestrian": 1, "cyclist": 0}
+        assert filtered_class_counts([s], catalog, CFG) == {"car": 1, "pedestrian": 1, "cyclist": 0}
 
     def test_empty_scene(self, catalog):
-        assert filtered_class_counts(Scene("s"), catalog, CFG) == {
+        assert filtered_class_counts([Scene("s")], catalog, CFG) == {
             "car": 0,
             "pedestrian": 0,
             "cyclist": 0,
@@ -42,7 +42,7 @@ class TestFilteredCounts:
 
     def test_zero_threshold_counts_all(self, catalog):
         s = scene_with([make_detection("car", 0.0), make_detection("car", 0.2)])
-        counts = filtered_class_counts(s, catalog, EntropyConfig(tau=0.0))
+        counts = filtered_class_counts([s], catalog, EntropyConfig(tau=0.0))
         assert counts["car"] == 2
 
 
@@ -104,8 +104,8 @@ class TestCategoryEntropy:
         if tau_lo > tau_hi:
             tau_lo, tau_hi = tau_hi, tau_lo
         s = random_scene(random.Random(seed), "s")
-        lo = filtered_class_counts(s, DEFAULT_CATALOG, EntropyConfig(tau=tau_lo))
-        hi = filtered_class_counts(s, DEFAULT_CATALOG, EntropyConfig(tau=tau_hi))
+        lo = filtered_class_counts([s], DEFAULT_CATALOG, EntropyConfig(tau=tau_lo))
+        hi = filtered_class_counts([s], DEFAULT_CATALOG, EntropyConfig(tau=tau_hi))
         assert all(hi[c] <= lo[c] for c in lo)
 
 
@@ -118,7 +118,7 @@ class TestCountsEntropy:
         rng = random.Random(5)
         for i in range(50):
             s = random_scene(rng, f"s{i}", max_objects=6)
-            counts = filtered_class_counts(s, catalog, CFG)
+            counts = filtered_class_counts([s], catalog, CFG)
             assert category_entropy(s, catalog, CFG) == counts_entropy(counts, CFG.zeta)
 
 

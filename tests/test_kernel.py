@@ -8,6 +8,7 @@ from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, EGO_LABEL, M
 from scenesel import kernel as kernel_module
 from scenesel.kernel import (
     BATCH_BYTES,
+    DistanceOverflowError,
     KernelConfig,
     SceneGraph,
     build_scene_graph,
@@ -116,6 +117,15 @@ class TestBuildSceneGraph:
         dets = (ScoredDetection("car", 0.9, box), ScoredDetection("pedestrian", 0.9, box))
         g = build_scene_graph(Scene("s", dets), catalog, CFG)
         assert g.weights[1][2] == pytest.approx(1.0 / CFG.min_dist)
+
+    def test_an_overflowing_distance_is_a_data_error_naming_the_scene(self, catalog):
+        # 1e150 m squares to 1e300, a float; 1e200 m does not.
+        far = Scene("s", (ScoredDetection("car", 0.9, Box3D(1e150, 0, 0, 1, 1, 1, 0)),))
+        assert build_scene_graph(far, catalog, CFG).weights[0][1] == 1e-150
+        too_far = Scene("s", (ScoredDetection("car", 0.9, Box3D(1e200, 0, 0, 1, 1, 1, 0)),))
+        with pytest.raises(DistanceOverflowError, match="scene 's': the distance from") as info:
+            build_scene_graph(too_far, catalog, CFG)
+        assert info.value.scene_id == "s"
 
     def test_threshold_filters_nodes(self, catalog):
         dets = (

@@ -543,6 +543,24 @@ class TestSimilarityCache:
         cache.similarity(a, c)
         assert cache.similarity(moved, c) == fresh_cache().similarity(moved, c) != cache.similarity(a, c)
 
+    def test_a_near_copy_is_at_most_1_similar(self):
+        # Moving one center by 4e-12 m puts this pair's similarity, before
+        # the clamp, at 1 + 2.2e-16.
+        centers = [
+            (-29.164354074165594, -27.40708711536172, -0.241327463062094),
+            (-22.831593206663456, -41.65177594668742, 0.22719640264727015),
+            (-14.856376537754972, 12.16208858113124, -0.2662773826893058),
+            (10.73189494492913, 45.45521478501264, 0.44748439631367903),
+            (-18.095358395488923, -24.958110815608396, -0.45676576545335257),
+        ]
+        near = [*centers]
+        near[1] = (centers[1][0] + 4.077785640339489e-12, *centers[1][1:])
+
+        def scene(sid, cs):
+            return Scene(sid, tuple(ScoredDetection("car", 1.0, make_box(*c)) for c in cs))
+
+        assert fresh_cache().similarity(scene("a", centers), scene("b", near)) == 1.0
+
     def saved(self, tmp_path, scenes, dropped=()):
         """A cache file holding the values of every pair of ``scenes``."""
         path = tmp_path / "state.similarity.json"

@@ -8,6 +8,7 @@ from scenesel.core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUA
 from scenesel.uncertainty import (
     NearSingularYawError,
     UncertaintyConfig,
+    UncertaintyShortfallError,
     mixture_au,
     mixture_eu,
     mixture_mean,
@@ -292,3 +293,12 @@ class TestRanking:
         with caplog.at_level(logging.WARNING):
             assert rank_by_uncertainty(scenes, anchors, CFG, 1) == ["good"]
         assert any("excluding scene" in r.message for r in caplog.records)
+
+    def test_exclusions_below_top_n_are_a_data_error_naming_the_first(self, anchors):
+        bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
+        scenes = [self._scene("good", 0.4), *(scene_with_mixtures(sid, (make_detection(), bad)) for sid in ("b1", "b2"))]
+        with pytest.raises(UncertaintyShortfallError, match="2 of 3 scenes excluded .* the first 'b1'") as info:
+            rank_by_uncertainty(scenes, anchors, CFG, 2)
+        assert info.value.scene_id == "b1"
+        with pytest.raises(ValueError, match="top_n=4 exceeds 3 scenes"):
+            rank_by_uncertainty(scenes, anchors, CFG, 4)
