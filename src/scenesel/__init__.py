@@ -9,7 +9,6 @@ from .core import (
     AnchorTable,
     Box3D,
     ClassCatalog,
-    ConvergenceError,
     DataError,
     DEFAULT_ANCHORS,
     DEFAULT_CATALOG,

@@ -1,7 +1,7 @@
 """Command-line frontend: synth, score, select, simulate, stats.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric
-non-convergence. All randomness flows from the ``--seed`` flag.
+Exit codes: 0 success, 2 usage error, 3 data error. All randomness flows
+from the ``--seed`` flag.
 """
 from __future__ import annotations
 
@@ -15,11 +15,16 @@ from pathlib import Path
 
 from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
-from .core import ConvergenceError, DataError, SceneSelError, read_text, write_text_atomic
+from .core import DataError, SceneSelError, read_text, write_text_atomic
 from .entropy import category_entropy
 from .kernel import DistanceOverflowError
 from .sampler import STRATEGIES, SimilarityCache
-from .uncertainty import PropagationOverflowError, UncertaintyShortfallError, scene_uncertainty
+from .uncertainty import (
+    NearSingularYawError,
+    PropagationOverflowError,
+    UncertaintyShortfallError,
+    scene_uncertainty,
+)
 
 log = logging.getLogger("scenesel")
 
@@ -36,6 +41,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # scene by id alone.
 _SCENE_FILES = {
     DistanceOverflowError: lambda pool_dir, scene_id: Path(pool_dir) / "labels" / f"{scene_id}.txt",
+    NearSingularYawError: kitti.sidecar_path,
     PropagationOverflowError: kitti.sidecar_path,
     UncertaintyShortfallError: kitti.sidecar_path,
 }
@@ -417,9 +423,6 @@ def main(argv=None) -> int:
     logging.basicConfig(level=logging.DEBUG if args.verbose else logging.WARNING)
     try:
         return args.func(args)
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -34,7 +34,6 @@ KEYS = {
     "kernel.gamma": float,
     "kernel.sigma": float,
     "kernel.tol": float,
-    "kernel.max_iter": int,
     "kernel.min_dist": float,
     "uncertainty.eta": float,
     "plan.order": lambda value: tuple(s.strip() for s in value.split(",")),

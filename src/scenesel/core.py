@@ -61,14 +61,6 @@ class ParseError(DataError):
         self.line_no = line_no
 
 
-class ConvergenceError(SceneSelError):
-    """Fixed-point iteration failed to converge; carries the last residual."""
-
-    def __init__(self, message: str, residual: float):
-        super().__init__(f"{message} (last residual {residual:.3e})")
-        self.residual = residual
-
-
 @dataclass(frozen=True)
 class ClassCatalog:
     """Ordered set of object classes; none may be a reserved node label."""

@@ -10,8 +10,12 @@ drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
 ICML 2004). ``marginalized_kernels`` is the one solver: it evaluates many
 pairs at once, one stacked fixed point per live-count group whatever the
 graph sizes, and ``marginalized_kernel`` is its one-pair call.
-``sampler.SimilarityCache`` normalizes the kernel by the self-kernels into a
-similarity in [0, 1] with self-similarity exactly 1.
+Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
+kernel is the sum of its path-pair terms up to one length K fixed by gamma
+and tol. Such a truncated sum is positive semidefinite (Kashima et al.), so
+a cross kernel never exceeds the geometric mean of the two self-kernels
+beyond rounding. ``sampler.SimilarityCache`` normalizes the kernel by the
+self-kernels into a similarity in [0, 1] with self-similarity exactly 1.
 
 Random-walk model (the cited kernel's standard construction): uniform start
 probability 1/|V|, per-step termination probability gamma, and transition
@@ -26,7 +30,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .core import ClassCatalog, ConvergenceError, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
+from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
 
 # Bytes of live-node matrices M_LL solved in one stacked fixed point: a
 # batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
@@ -40,7 +44,6 @@ class KernelConfig:
     gamma: float = 0.1
     sigma: float = 1.0
     tol: float = 1e-8
-    max_iter: int = 1000
     min_dist: float = 0.1
     tau: float = DEFAULT_TAU  # confidence filter, shared with the entropy metric
 
@@ -51,10 +54,28 @@ class KernelConfig:
             raise ValueError("sigma must be positive")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.max_iter >= 1:
-            raise ValueError("max_iter must be >= 1")
         if not self.min_dist > 0:
             raise ValueError("min_dist must be positive")
+
+    @property
+    def steps(self) -> int:
+        """K, the fixed-point steps of every kernel: the least K >= 0 with
+        q rho^K / (1 - rho) <= tol, where q = gamma^2 and rho = (1-gamma)^2 / 2.
+
+        K steps of R = q + M R from R = q sum the path-pair terms of lengths
+        0..K. Every row of M sums to at most rho (the transition
+        probabilities (1-gamma)^2 times the node kernel 1/2, with an edge
+        kernel of at most 1), so the terms left out add at most
+        q rho^(K+1) / (1 - rho) <= rho tol to any entry of R, and less to
+        the kernel. K = 0, the length-0 term alone, once tol >= q / (1 - rho).
+        The logarithms are taken term by term, so that no tiny gamma or tol
+        underflows.
+        """
+        rho = (1.0 - self.gamma) ** 2 / 2.0
+        if self.tol >= self.gamma**2 / (1.0 - rho):
+            return 0
+        k = (math.log(self.tol) + math.log1p(-rho) - 2.0 * math.log(self.gamma)) / math.log(rho)
+        return max(0, math.ceil(k))
 
 
 class DistanceOverflowError(SceneDataError):
@@ -176,8 +197,9 @@ def marginalized_kernels(
     Pairs are grouped by their live count L, whatever their graph sizes. A
     group builds its matrices M_LL in one gather from the call's edge
     weights and iterates them as one stacked matmul, at most BATCH_BYTES of
-    M_LL at a time; each pair's R_L is frozen at the iteration where its own
-    residual drops below tol. So every value is the float a lone pair gets.
+    M_LL at a time, for the ``config.steps`` steps that every pair takes.
+    So every value is the float a lone pair gets, and a cross kernel and
+    its two self-kernels are the same truncated series.
     """
     # canonical argument order so K(a, b) and K(b, a) share one float result
     ordered = [
@@ -269,7 +291,8 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
 def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> list[float]:
     """Kernels of b pairs with the same live count L, from the graphs' node
     counts and the (b, L, L) differences e - e' of the edge weights between
-    their live nodes (see ``_live_edges``), which become M_LL in place."""
+    their live nodes (see ``_live_edges``), which become M_LL in place.
+    Runs ``config.steps`` steps of R_L = q + M_LL R_L from R_L = q."""
     b, count, _ = m.shape
     # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
     # are the same float.
@@ -285,19 +308,8 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
 
     q = config.gamma**2
     r = np.full((b, count), q)
-    active = np.ones(b, dtype=bool)
-    residual = np.full(b, math.inf)
-    for _ in range(config.max_iter):
-        r_next = q + np.matmul(m, r[:, :, None])[:, :, 0]
-        residual = np.max(np.abs(r_next - r), axis=1)
-        np.copyto(r, r_next, where=active[:, None])
-        active &= ~(residual < config.tol)
-        if not active.any():
-            break
-    else:
-        raise ConvergenceError(
-            "marginalized kernel fixed point did not converge", float(residual[active].max())
-        )
+    for _ in range(config.steps):
+        r = q + np.matmul(m, r[:, :, None])[:, :, 0]
 
     # kv_L . R_L, one dot product per pair, so that no pair's float depends
     # on the others in its batch

@@ -40,11 +40,16 @@ _SINGLE_STAGE = {
 }
 # Missing pairs ``SimilarityCache.matrix`` collects before it evaluates them
 # in one ``marginalized_kernels`` call. Bounds the memory the batch holds.
-BLOCK_PAIRS = 1024
+# Every pair takes the same ``KernelConfig.steps`` steps, so a larger block
+# fills larger stacked solves at no cost in steps: the cold 240-scene matrix
+# of the benchmark's ``fs_pool`` workload (seed 1) makes 8 calls and 371
+# stacked solves at 4096, against 29 and 788 at 1024.
+BLOCK_PAIRS = 4096
 # The layout of a similarity cache file and the floats of the kernel it
 # stores. It is part of the file's fingerprint: bump it when either changes,
-# and a file of the old format is replaced, not read.
-CACHE_FORMAT = 1
+# and a file of the old format is replaced, not read. 2: every kernel is the
+# series of ``KernelConfig.steps`` steps, not stopped per pair at tol.
+CACHE_FORMAT = 2
 
 
 @dataclass(frozen=True)
@@ -246,7 +251,8 @@ class SimilarityCache:
             stored_self.update((self._digest(k), v) for k, v in zip(needs_self, values))
             stored_cross.update((self._digest_pair(key), v) for (key, _), v in zip(evaluate, values[len(selfs) :]))
         for (a, b), cross in crosses.items():
-            # Rounding can put a near-copy's similarity at 1 + 2.2e-16.
+            # A cross kernel and its self-kernels are one truncated series,
+            # so only rounding can put a near-copy's similarity above 1.
             self._pairs[(a, b)] = min(cross / math.sqrt(self._self_k[a] * self._self_k[b]), 1.0)
         for i, j, key in missing:
             out[i, j] = out[j, i] = self._pairs[key]

@@ -59,8 +59,9 @@ def mixture_eu(params: MixtureParams, dim: str, detection: int = 0) -> float:
     return sum(w * (m - mean) ** 2 for w, m in zip(weights, means))
 
 
-class NearSingularYawError(DataError):
-    """Yaw residual mean too close to +-pi/2 for the secant propagation."""
+class NearSingularYawError(SceneDataError):
+    """A detection's yaw residual mean is too close to +-pi/2 for the secant
+    propagation; ``scene_id`` names its scene."""
 
 
 class PropagationOverflowError(SceneDataError):
@@ -80,9 +81,7 @@ def _propagate(variances: tuple[float, ...], means: tuple[float, ...], anchor: A
     mx, my, mz, mw, mh, ml, mt = means
     cos_t = math.cos(mt)
     if abs(cos_t) < SEC_SINGULAR_COS:
-        raise NearSingularYawError(
-            f"yaw residual mean {mt} is too close to +-pi/2 for secant propagation"
-        )
+        raise ValueError(f"yaw residual mean {mt} is too close to +-pi/2 for secant propagation")
     sec2 = 1.0 / (cos_t * cos_t)
     return (d2 * vx, d2 * vy, h2 * vz, mw * mw * vw, mh * mh * vh, ml * ml * vl, sec2 * vt)
 
@@ -97,7 +96,8 @@ def propagate_uncertainty(
 
     x, y scale by the squared anchor diagonal, z by the squared anchor
     height, w/h/l by the squared residual mean, and yaw by sec^2 of the yaw
-    residual mean. AU and EU use identical factors.
+    residual mean. AU and EU use identical factors. A yaw residual mean
+    within SEC_SINGULAR_COS of a zero cosine is a ``ValueError``.
     """
     n = len(RESIDUAL_DIMS)
     if not (len(residual_au) == len(residual_eu) == len(residual_means) == n):
@@ -114,8 +114,10 @@ def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyCon
 
     Zero eligible detections score 0. Detections are filtered by the shared
     confidence threshold; a scene with counted detections but no mixture
-    parameters, or whose propagated variances are not finite, is a data
-    error.
+    parameters is a data error, a detection whose yaw residual mean is
+    within SEC_SINGULAR_COS of a zero cosine a ``NearSingularYawError``, and
+    one whose propagated variances are not finite a
+    ``PropagationOverflowError``, each for the first such detection.
 
     The moments are array operations over the kept rows of the scene's
     block, every sum in the order of the plain loops of ``mixture_mean``,
@@ -158,18 +160,18 @@ def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyCon
     finite = np.isfinite(terms)
     if not finite.all():
         # The first failing detection, through the plain loop: a yaw near
-        # +-pi/2 raises there; anything else overflowed.
+        # +-pi/2 is the one argument it rejects; anything else overflowed.
         row = int(finite.all(1).argmin())
         det = scene.detections[kept[row]]
-        propagate_uncertainty(
-            tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()),
-            anchors.for_class(det.class_label),
-        )
-        raise PropagationOverflowError(
-            f"scene {scene.id!r}: detection {kept[row]} ({det.class_label}): "
-            "propagated variances are not finite",
-            scene.id,
-        )
+        where = f"scene {scene.id!r}: detection {kept[row]} ({det.class_label})"
+        try:
+            propagate_uncertainty(
+                tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()),
+                anchors.for_class(det.class_label),
+            )
+        except ValueError as exc:
+            raise NearSingularYawError(f"{where}: {exc}", scene.id) from exc
+        raise PropagationOverflowError(f"{where}: propagated variances are not finite", scene.id)
     total = 0.0
     for row in terms.tolist():
         total += sum(row)

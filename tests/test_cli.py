@@ -107,12 +107,12 @@ class TestScore:
 
     @pytest.mark.parametrize("max_iter", ["0", "-5"])
     def test_nonpositive_max_iter_is_config_error(self, pool_dir, tmp_path, capsys, monkeypatch, max_iter):
-        # A bad setting, not numeric non-convergence (exit 4).
+        # The kernel runs KernelConfig.steps steps, derived from gamma and
+        # tol: there is no iteration cap to set, so the variable is unknown.
         monkeypatch.setenv("SCENESEL_KERNEL_MAX_ITER", max_iter)
         code = run("score", "--pool", pool_dir, "--metric", "similarity", "--out", tmp_path / "s.csv")
         assert code == 3
-        err = capsys.readouterr().err
-        assert "invalid configuration" in err and "max_iter must be >= 1" in err
+        assert "unknown configuration variable SCENESEL_KERNEL_MAX_ITER" in capsys.readouterr().err
 
 
 class TestSelect:
@@ -656,15 +656,17 @@ FAULTS = {
     "label: center too far out": (
         "label", _far_center, {"select, similarity first": 3, "score --metric similarity": 3, "stats": 3}
     ),
-    "sidecar: every yaw near pi/2": ("sidecar", _singular_yaw_everywhere, {"select": 3}),
+    "sidecar: every yaw near pi/2": ("sidecar", _singular_yaw_everywhere, SIDECAR_EXITS),
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
     "ids: repeated id": ("ids", lambda p: p.write_text("scene_000001\nscene_000002\nscene_000001\n"), {"stats": 3}),
 }
 
 
-# What a fault's message, or for exit 0 its warning, says besides the file;
-# "{sid}" is the faulty scene's id.
+# What a fault's message, or for exit 0 its warning, says besides the file,
+# or {command: what it says} where the commands differ; "{sid}" is the
+# faulty scene's id.
+_NEAR_SINGULAR_YAW = ("scene '{sid}': detection ", "yaw residual mean 1.5707963267948966 is too close to +-pi/2")
 SAID = {
     "sidecar: entry rows differ in K": ("entry 0: all dimensions must share the same component count",),
     "sidecar: entries differ in K": ("entry 1: mixture has 1 components but entry 0 has 3",),
@@ -673,7 +675,11 @@ SAID = {
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
     "label: center too far out": ("scene '{sid}': the distance from (0.0, 0.0, 0.0) to (1e+200, ",),
-    "sidecar: every yaw near pi/2": ("excluded for a yaw residual near +-pi/2, the first '{sid}'",),
+    "sidecar: every yaw near pi/2": {
+        "select": ("excluded for a yaw residual near +-pi/2, the first '{sid}'",),
+        "score": _NEAR_SINGULAR_YAW,
+        "stats": _NEAR_SINGULAR_YAW,
+    },
     "sidecar: not an object": ("sidecar is not a JSON object",),
     "sidecar: detections not a list": ("sidecar detections must be a list, got int",),
     "similarity cache: not JSON": ("invalid similarity cache JSON",),
@@ -725,7 +731,10 @@ class TestFaultMatrix:
                 assert run(*config, *commands[command]) == code, command
             # A fallback (exit 0) names the file in the warning it logs.
             said = capsys.readouterr().err if code else caplog.text
-            for part in [str(target), *(part.format(sid=sid) for part in SAID.get(fault, ()))]:
+            parts = SAID.get(fault, ())
+            if isinstance(parts, dict):
+                parts = parts[command]
+            for part in [str(target), *(part.format(sid=sid) for part in parts)]:
                 assert part in said, (command, said)
             if code == 0 and where == "sidecar":
                 assert "loading the pool without sidecars" in caplog.text

@@ -1,11 +1,12 @@
+import dataclasses
 import math
 import random
 
 import numpy as np
 import pytest
 
-from scenesel.core import Box3D, ConvergenceError, DEFAULT_CATALOG, EGO_LABEL, MIRROR_LABEL, Scene, ScoredDetection
-from scenesel import kernel as kernel_module
+from scenesel.core import Box3D, DEFAULT_CATALOG, EGO_LABEL, MIRROR_LABEL, Scene, ScoredDetection
+from scenesel import kernel as kernel_module, synth
 from scenesel.kernel import (
     BATCH_BYTES,
     DistanceOverflowError,
@@ -175,17 +176,89 @@ class TestMarginalizedKernel:
             k_bf = kernel_brute_force(g1, g2, CFG, 40)
             assert k_it == pytest.approx(k_bf, rel=1e-6, abs=1e-12)
 
-    def test_nonconvergence_raises(self):
-        g = SceneGraph(("a", "a"), ((0.0, 1.0), (1.0, 0.0)))
-        cfg = KernelConfig(max_iter=1, tol=1e-15)
-        with pytest.raises(ConvergenceError):
-            marginalized_kernel(g, g, cfg)
 
-    @pytest.mark.parametrize("max_iter", [0, -5])
-    def test_nonpositive_max_iter_rejected(self, max_iter):
-        # Not a convergence failure: no iteration would ever run.
-        with pytest.raises(ValueError, match="max_iter must be >= 1"):
-            KernelConfig(max_iter=max_iter)
+class TestStepCount:
+    """Every kernel is its path-pair series summed to the lengths
+    0..``KernelConfig.steps``, whatever the pair."""
+
+    @staticmethod
+    def rho_q(config):
+        return (1.0 - config.gamma) ** 2 / 2.0, config.gamma**2
+
+    def test_default_is_16(self):
+        assert CFG.steps == 16
+
+    @pytest.mark.parametrize(
+        "config", [CFG, KernelConfig(tol=1e-3), KernelConfig(gamma=0.5, sigma=0.5), KernelConfig(gamma=0.02, tol=1e-12)],
+        ids=["default", "tol 1e-3", "gamma 0.5", "gamma 0.02"],
+    )
+    def test_the_kernel_is_the_series_to_steps(self, config):
+        rng = random.Random(73)
+        assert config.steps + 1 <= 40  # the brute force's length cap
+        for _ in range(30):
+            g1, g2 = random_graph(rng), random_graph(rng)
+            assert marginalized_kernel(g1, g2, config) == pytest.approx(
+                kernel_brute_force(g1, g2, config, config.steps + 1), rel=1e-13, abs=0.0
+            )
+
+    @pytest.mark.parametrize("gamma", [0.1, 0.5, 0.9])
+    def test_a_tol_of_the_length_0_term_takes_no_step(self, gamma):
+        rho, q = self.rho_q(KernelConfig(gamma=gamma))
+        for tol in (q / (1.0 - rho), 10 * q / (1.0 - rho), math.inf):
+            config = KernelConfig(gamma=gamma, tol=tol)
+            assert config.steps == 0
+            rng = random.Random(79)
+            g1, g2 = random_graph(rng), random_graph(rng)
+            assert marginalized_kernel(g1, g2, config) == pytest.approx(
+                kernel_brute_force(g1, g2, config, 1), rel=1e-13, abs=0.0
+            )
+        assert KernelConfig(gamma=gamma, tol=0.999 * q / (1.0 - rho)).steps == 1
+
+    def test_each_step_count_meets_its_bound(self):
+        # K is the least step count whose left-out terms q rho^(K+1) / (1 - rho)
+        # stay within rho tol.
+        for gamma in (0.01, 0.1, 0.3, 0.7):
+            for tol in (1e-4, 1e-8, 1e-12):
+                config = KernelConfig(gamma=gamma, tol=tol)
+                rho, q = self.rho_q(config)
+                k = config.steps
+                assert q * rho**k / (1.0 - rho) <= tol * (1 + 1e-12)
+                assert k == 0 or q * rho ** (k - 1) / (1.0 - rho) > tol
+
+    def test_a_gamma_near_0_with_a_tiny_tol_is_finite(self):
+        config = KernelConfig(gamma=1e-12, tol=1e-300)
+        assert 900 < config.steps < 1000
+        g = SceneGraph(("a", "a"), ((0.0, 1.0), (1.0, 0.0)))
+        assert 0.0 < marginalized_kernel(g, g, config) < math.inf
+        # gamma^2 underflows: every term is below any tol.
+        assert KernelConfig(gamma=5e-324, tol=1e-300).steps == 0
+
+
+class TestCauchySchwarz:
+    """A cross kernel and its two self-kernels are one truncated series of a
+    positive semidefinite kernel, so cross <= sqrt(self_a self_b) with no
+    clamp, up to rounding."""
+
+    @pytest.mark.parametrize("objects", [(2, 6), (8, 20)], ids=["2-6 objects", "8-20 objects"])
+    def test_raw_cross_kernels_obey_cauchy_schwarz(self, catalog, objects):
+        spec = synth.PoolSpec(
+            n_scenes=36, class_mix=(0.6, 0.3, 0.1), objects_min=objects[0], objects_max=objects[1],
+            redundancy_groups=12, rng_seed=5,
+        )
+        scenes = list(synth.generate_pool(spec, catalog).values())
+        # Near copies put the bound at its tightest.
+        for i, s in enumerate(scenes[:12]):
+            d = s.detections[0]
+            moved = dataclasses.replace(d, box=dataclasses.replace(d.box, x=d.box.x + 1e-9))
+            scenes.append(Scene(f"copy{i}", (moved, *s.detections[1:])))
+        graphs = [build_scene_graph(s, catalog, CFG) for s in scenes]
+        selfs = marginalized_kernels([(g, g) for g in graphs], CFG)
+        index_pairs = [(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))]
+        crosses = marginalized_kernels([(graphs[i], graphs[j]) for i, j in index_pairs], CFG)
+        eps = np.finfo(float).eps
+        worst = max(cross / math.sqrt(selfs[i] * selfs[j]) for (i, j), cross in zip(index_pairs, crosses))
+        assert worst <= 1 + 4 * eps
+        assert worst > 1 - 1e-6  # the near copies reach the bound
 
 
 def canonical(g1: SceneGraph, g2: SceneGraph) -> tuple[SceneGraph, SceneGraph]:
@@ -193,9 +266,9 @@ def canonical(g1: SceneGraph, g2: SceneGraph) -> tuple[SceneGraph, SceneGraph]:
 
 
 def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
-    """A plain one-pair fixed point on the live (label-matched) product
-    nodes, in the engine's elementwise order: the engine must reproduce its
-    floats exactly."""
+    """A plain one-pair fixed point of ``config.steps`` steps on the live
+    (label-matched) product nodes, in the engine's elementwise order: the
+    engine must reproduce its floats exactly."""
     g1, g2 = canonical(g1, g2)
     n1, n2 = g1.num_nodes, g2.num_nodes
     live = np.flatnonzero(np.array(g1.labels)[:, None] == np.array(g2.labels)[None, :])
@@ -210,20 +283,17 @@ def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
     m = m * 0.5
     q = np.full(live.size, config.gamma**2)
     r = q.copy()
-    for _ in range(config.max_iter):
-        r_next = q + m @ r
-        residual = float(np.max(np.abs(r_next - r)))
-        r = r_next
-        if residual < config.tol:
-            break
+    for _ in range(config.steps):
+        r = q + m @ r
     return float(1.0 / (n1 * n2) * (np.full(live.size, 0.5) @ r))
 
 
 def full_product_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
     """The fixed point on every product node, label-matched or not, as the
-    one-pair solver before the live-node engine computed it. Dropping the
-    unmatched nodes is exact, but the stop test sees other nodes, so the
-    two agree to the tolerance of acceptance 01, not to the bit."""
+    one-pair solver before the live-node engine computed it, for the same
+    ``config.steps`` steps. Dropping the unmatched nodes is exact, but the
+    sums run in another order, so the two agree to rounding, not to the
+    bit."""
     g1, g2 = canonical(g1, g2)
     kv = 0.5 * (np.array(g1.labels, dtype=object)[:, None] == np.array(g2.labels, dtype=object)[None, :]).astype(float)
     if not kv.any():
@@ -242,12 +312,8 @@ def full_product_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
     m = (t1[:, None, :, None] * t2[None, :, None, :] * ke * kv[None, None, :, :]).reshape(n1 * n2, n1 * n2)
     q = np.full(n1 * n2, config.gamma**2)
     r = q.copy()
-    for _ in range(config.max_iter):
-        r_next = q + m @ r
-        residual = float(np.max(np.abs(r_next - r)))
-        r = r_next
-        if residual < config.tol:
-            break
+    for _ in range(config.steps):
+        r = q + m @ r
     return float(1.0 / (n1 * n2) * (kv.reshape(-1) @ r))
 
 
@@ -365,25 +431,22 @@ class TestBatchedEngine:
 
     def test_matrix_over_more_than_one_block(self, catalog):
         rng = random.Random(59)
-        scenes = [random_scene(rng, f"s{i:02d}", max_objects=5) for i in range(50)]
-        assert 50 * 49 // 2 > BLOCK_PAIRS
+        n = math.isqrt(2 * BLOCK_PAIRS) + 8
+        scenes = [random_scene(rng, f"s{i:03d}", max_objects=5) for i in range(n)]
+        contents = [kernel_module.scene_content(s, catalog, CFG) for s in scenes]
+        # The pairs of different content are the ones the matrix evaluates.
+        assert sum(contents[i] != contents[j] for i in range(n) for j in range(i + 1, n)) > BLOCK_PAIRS
         cache = SimilarityCache(catalog, CFG)
         sim = cache.matrix(scenes)
         # Scenes of equal content (here those with no detection above tau)
         # share their values.
-        distinct = len({kernel_module.scene_content(s, catalog, CFG) for s in scenes})
-        assert distinct < 50
+        distinct = len(set(contents))
+        assert distinct < n
         assert cache.evaluations == distinct + distinct * (distinct - 1) // 2
         cache = SimilarityCache(catalog, CFG)
-        for i in range(50):
-            for j in range(i + 1, 50):
+        for i in range(n):
+            for j in range(i + 1, n):
                 assert sim[i, j] == sim[j, i] == cache.similarity(scenes[i], scenes[j])
-
-    def test_nonconvergence_raises(self):
-        rng = random.Random(61)
-        pairs = [(random_graph(rng), random_graph(rng, labels=("a",))) for _ in range(5)]
-        with pytest.raises(ConvergenceError):
-            marginalized_kernels(pairs, KernelConfig(max_iter=1))
 
 
 class TestBruteForce:

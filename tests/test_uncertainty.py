@@ -4,7 +4,7 @@ import random
 import numpy as np
 import pytest
 
-from scenesel.core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene, ScoredDetection
+from scenesel.core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene, SceneDataError, ScoredDetection
 from scenesel.uncertainty import (
     NearSingularYawError,
     UncertaintyConfig,
@@ -120,9 +120,11 @@ class TestPropagation:
         assert out_au[6] == pytest.approx(0.04, rel=1e-9)  # sec^2(pi/3) = 4
 
     def test_near_singular_yaw_rejected(self):
+        # An argument outside the secant's domain; ``scene_uncertainty``
+        # turns it into a NearSingularYawError naming the scene.
         a = unit_anchor()
         means = (0, 0, 0, 1, 1, 1, math.pi / 2)
-        with pytest.raises(NearSingularYawError):
+        with pytest.raises(ValueError, match=r"yaw residual mean 1.5707963267948966 is too close to \+-pi/2"):
             propagate_uncertainty(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
 
 
@@ -250,6 +252,18 @@ class TestSceneUncertainty:
         u1 = scene_uncertainty(s1, anchors, CFG)
         u3 = scene_uncertainty(s3, anchors, CFG)
         assert scene_uncertainty(both, anchors, CFG) == pytest.approx((u1 + u3) / 2)
+
+    def test_near_singular_yaw_is_a_data_error_naming_the_scene(self):
+        # The first detection that fails names itself: here the second kept
+        # one, after a detection below tau and a good one.
+        good = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), 0.0)
+        bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
+        scene = scene_with_mixtures(
+            "s", (make_detection("car", 0.1), bad), (make_detection("car", 0.9), good), (make_detection("car", 0.9), bad)
+        )
+        with pytest.raises(NearSingularYawError, match=r"scene 's': detection 2 \(car\): yaw residual mean ") as info:
+            scene_uncertainty(scene, self._unit_anchors(), CFG)
+        assert isinstance(info.value, SceneDataError) and info.value.scene_id == "s"
 
     def test_missing_mixture_raises(self, anchors):
         scene = Scene("s", (make_detection("car", 0.9),))
