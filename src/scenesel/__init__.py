@@ -25,6 +25,7 @@ from .kernel import (
     KernelConfig,
     SceneGraph,
     build_scene_graph,
+    indexed_kernels,
     kernel_brute_force,
     marginalized_kernel,
     marginalized_kernels,

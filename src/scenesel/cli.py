@@ -248,6 +248,7 @@ def cmd_select(args) -> int:
     # Last, so that a crash before it only loses the round's new values.
     cache.save(cache_path, [by_id[i] for i in selected])
     log.info("stage sizes %s, kernel evals %d, %d evaluated", slog.stage_sizes, needed, slog.kernel_evals)
+    log.info("similarity cache: %d pairs hit, %d missed (selection and report)", cache.hits, cache.misses)
     print(
         f"round {st.round_index}: selected {len(selected)} scenes "
         f"(stage sizes {slog.stage_sizes}, kernel evals {needed}, {slog.kernel_evals} evaluated)"

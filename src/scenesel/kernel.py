@@ -7,9 +7,10 @@ path pairs, evaluated by fixed-point iteration on the product graph. The
 node kernel is zero between different labels, so only the label-matched
 ("live") product nodes enter the fixed point and the kernel; the solver
 drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
-ICML 2004). ``marginalized_kernels`` is the one solver: it evaluates many
-pairs at once, one stacked fixed point per live-count group whatever the
-graph sizes, and ``marginalized_kernel`` is its one-pair call.
+ICML 2004). ``indexed_kernels`` is the one solver: it evaluates many pairs,
+given as indices into a list of graphs, at once, one stacked fixed point per
+live-count group whatever the graph sizes. ``marginalized_kernels`` is its
+call over a list of graph pairs, and ``marginalized_kernel`` the one-pair call.
 Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
 kernel is the sum of its path-pair terms up to one length K fixed by gamma
 and tol. Such a truncated sum is positive semidefinite (Kashima et al.), so
@@ -50,8 +51,14 @@ class KernelConfig:
     def __post_init__(self):
         if not (0.0 < self.gamma < 1.0):
             raise ValueError("gamma must be in (0, 1)")
-        if not self.sigma > 0:
-            raise ValueError("sigma must be positive")
+        # The edge kernel divides by 2 sigma^2, as computed here: where that
+        # is 0 or inf the kernel is NaN. So 1.6e-162 <= sigma <= 9.4e153.
+        try:
+            two_sigma_sq = 2.0 * self.sigma**2
+        except OverflowError:
+            two_sigma_sq = math.inf
+        if not (self.sigma > 0 and 0.0 < two_sigma_sq < math.inf):
+            raise ValueError(f"sigma must make 2 sigma^2 a positive finite float, got sigma={self.sigma}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if not self.min_dist > 0:
@@ -182,7 +189,27 @@ def marginalized_kernel(g1: SceneGraph, g2: SceneGraph, config: KernelConfig) ->
 def marginalized_kernels(
     pairs: list[tuple[SceneGraph, SceneGraph]], config: KernelConfig
 ) -> list[float]:
-    """Unnormalized kernels of many graph pairs, in input order.
+    """Unnormalized kernels of many graph pairs, in input order: the call
+    of ``indexed_kernels`` over the pairs' distinct graph objects."""
+    slot: dict[int, int] = {}
+    graphs: list[SceneGraph] = []
+    index = []
+    for pair in pairs:
+        for g in pair:
+            at = slot.get(id(g))
+            if at is None:
+                at = slot[id(g)] = len(graphs)
+                graphs.append(g)
+            index.append(at)
+    index = np.array(index, dtype=np.intp).reshape(-1, 2)
+    return indexed_kernels(graphs, index[:, 0], index[:, 1], config).tolist()
+
+
+def indexed_kernels(
+    graphs: list[SceneGraph], first: np.ndarray, second: np.ndarray, config: KernelConfig
+) -> np.ndarray:
+    """Unnormalized kernels of the pairs ``(graphs[first[p]], graphs[second[p]])``,
+    in input order; the one solver.
 
     Solves R = q + M R by fixed-point iteration, where q is the joint
     termination probability gamma^2 and M combines transition probabilities
@@ -201,24 +228,22 @@ def marginalized_kernels(
     So every value is the float a lone pair gets, and a cross kernel and
     its two self-kernels are the same truncated series.
     """
-    # canonical argument order so K(a, b) and K(b, a) share one float result
-    ordered = [
-        (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)
-        for g1, g2 in pairs
-    ]
-    values = [0.0] * len(ordered)
-    if not ordered:
+    first = np.asarray(first, dtype=np.intp)
+    second = np.asarray(second, dtype=np.intp)
+    values = np.zeros(len(first))
+    if not len(first):
         return values
+    # Canonical argument order, so that K(a, b) and K(b, a) share one float
+    # result: the graph of smaller (labels, weights) goes first. One rank per
+    # graph of the call orders every pair; graphs of equal content, whose
+    # ranks differ, compute alike in either order.
+    rank = np.empty(len(graphs), dtype=np.intp)
+    rank[sorted(range(len(graphs)), key=lambda g: (graphs[g].labels, graphs[g].weights))] = np.arange(len(graphs))
+    swap = rank[second] < rank[first]
+    first, second = np.where(swap, second, first), np.where(swap, first, second)
 
-    # The call's distinct graphs: labels as integer codes in one flat buffer,
+    # The call's graphs: labels as integer codes in one flat buffer,
     # weights in another, each graph at its own offset.
-    slot: dict[int, int] = {}
-    graphs: list[SceneGraph] = []
-    for pair in ordered:
-        for g in pair:
-            if id(g) not in slot:
-                slot[id(g)] = len(graphs)
-                graphs.append(g)
     codes: dict[str, int] = {}
     label_codes = np.array([codes.setdefault(a, len(codes)) for g in graphs for a in g.labels])
     sizes = np.array([g.num_nodes for g in graphs])
@@ -236,8 +261,6 @@ def marginalized_kernels(
     weights_minus[diagonal] = -math.inf
     weights_plus = weights_minus.copy()
     weights_plus[diagonal] = math.inf
-    first = np.array([slot[id(g1)] for g1, _ in ordered])
-    second = np.array([slot[id(g2)] for _, g2 in ordered])
     n1, n2 = sizes[first], sizes[second]
 
     # Live sets, one label-match array per (|V1|, |V2|) group: with its rows
@@ -251,11 +274,11 @@ def marginalized_kernels(
         l2 = label_codes[label_at[second[members]][:, None] + np.arange(b)]
         match = (l1[:, :, None] == l2[:, None, :]).reshape(len(members), a * b)
         counts = match.sum(axis=1)
-        rank = np.argsort(counts, kind="stable")
-        members, counts = members[rank], counts[rank]
+        by_count = np.argsort(counts, kind="stable")
+        members, counts = members[by_count], counts[by_count]
         # flat indices i * b + j; int32 halves what the call holds until the
         # pairs are solved
-        nodes = np.nonzero(match[rank])[1].astype(np.int32)
+        nodes = np.nonzero(match[by_count])[1].astype(np.int32)
         node_at = np.cumsum(counts) - counts
         runs = np.flatnonzero(np.diff(counts)) + 1
         for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(counts)]):
@@ -273,8 +296,7 @@ def marginalized_kernels(
             i, j = np.divmod(nodes[lo : lo + size], n2[batch][:, None])
             m = _live_edges(weights_plus, weight_at[first[batch]], n1[batch], i)
             np.subtract(m, _live_edges(weights_minus, weight_at[second[batch]], n2[batch], j), out=m)
-            for k, v in zip(batch.tolist(), _solve_live(m, n1[batch], n2[batch], config)):
-                values[k] = v
+            values[batch] = _solve_live(m, n1[batch], n2[batch], config)
     return values
 
 
@@ -288,7 +310,7 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     return flat[(at[:, None] + nodes * n[:, None])[:, :, None] + nodes[:, None, :]]
 
 
-def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> list[float]:
+def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> np.ndarray:
     """Kernels of b pairs with the same live count L, from the graphs' node
     counts and the (b, L, L) differences e - e' of the edge weights between
     their live nodes (see ``_live_edges``), which become M_LL in place.
@@ -297,7 +319,10 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
     # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
     # are the same float.
     np.abs(m, out=m)
-    np.divide(m, -(2.0 * config.sigma**2), out=m)
+    # Near the smallest sigma the quotient overflows to -inf, whose edge
+    # kernel is its limit, 0.
+    with np.errstate(over="ignore"):
+        np.divide(m, -(2.0 * config.sigma**2), out=m)
     np.exp(m, out=m)
     # Every graph is complete, so each step of a walk on g1 has probability
     # (1-gamma)/(n1-1) and each on g2 (1-gamma)/(n2-1). M_LL is the edge
@@ -314,7 +339,7 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
     # kv_L . R_L, one dot product per pair, so that no pair's float depends
     # on the others in its batch
     kv = np.full((count, 1), 0.5)
-    return (1.0 / (n1 * n2) * np.matmul(r[:, None, :], kv)[:, 0, 0]).tolist()
+    return 1.0 / (n1 * n2) * np.matmul(r[:, None, :], kv)[:, 0, 0]
 
 
 def kernel_brute_force(

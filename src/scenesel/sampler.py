@@ -6,10 +6,10 @@ updates are strictly sequential, with a single writer over the round state.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import logging
 import math
+import sys
 from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Callable
@@ -21,8 +21,8 @@ from .entropy import EntropyConfig, counts_entropy, filtered_class_counts, rank_
 from .kernel import (
     KernelConfig,
     build_scene_graph,
+    indexed_kernels,
     marginalized_kernel,  # unused here; bench/spans.py patches this name
-    marginalized_kernels,
     scene_content,
 )
 from .state import RoundState
@@ -38,8 +38,8 @@ _SINGLE_STAGE = {
     "fs-only": "similarity",
     "uncertainty-only": "uncertainty",
 }
-# Missing pairs ``SimilarityCache.matrix`` collects before it evaluates them
-# in one ``marginalized_kernels`` call. Bounds the memory the batch holds.
+# Distinct missing pairs ``SimilarityCache`` evaluates in one
+# ``indexed_kernels`` call. Bounds the memory the batch holds.
 # Every pair takes the same ``KernelConfig.steps`` steps, so a larger block
 # fills larger stacked solves at no cost in steps: the cold 240-scene matrix
 # of the benchmark's ``fs_pool`` workload (seed 1) makes 8 calls and 371
@@ -82,13 +82,25 @@ class SimilarityCache:
     scenes of equal content share one key (and are exactly 1 apart), and a
     hit builds no graph. Graphs (with the arrays the kernel builds from
     them), self-kernels and pairs are each computed once per key; the cache
-    holds no scene. ``matrix`` (every pair of a list) and
-    ``pair_similarities`` (the pairs asked for) make one pass, ``_scan``,
-    over their pairs, and ``_fill`` evaluates the missing ones BLOCK_PAIRS
-    at a time through the batched ``marginalized_kernels``; ``_fill`` is the
-    only code that calls the kernel and normalizes. ``evaluations`` counts
-    the kernel values ``_fill`` has evaluated, self-kernels included, so the
-    kernel work of any call is the growth of ``evaluations`` across it.
+    holds no scene.
+
+    The pair store is two arrays: a sorted int64 array of pair codes
+    ``lo << 32 | hi`` of the pair's two keys, ``lo < hi``, and the float64
+    similarities in the same order, 16 bytes a pair; self-kernels are a
+    float64 array by key, NaN until known. ``matrix`` (every pair of a list)
+    and ``pair_similarities`` (the pairs asked for) make one pass,
+    ``_scan``, over their pairs as index arrays: it serves every hit with
+    one ``np.searchsorted``, sets the pairs of equal content to 1.0 and
+    hands the distinct missing pairs to ``_fill`` in scan order, BLOCK_PAIRS
+    at a time. ``_fill`` evaluates a block in one ``indexed_kernels`` call and
+    is the only code that calls the kernel and normalizes; self-kernels
+    whose product is not a normal float (a tiny ``gamma``) are a
+    ``DataError``. ``hits`` and ``misses`` count the pairs asked for that
+    were of equal content or in the store when their scan began, and the
+    others: a pair asked for twice in one cold call is two misses and one
+    evaluation. ``evaluations`` counts the kernel
+    values ``_fill`` has evaluated, self-kernels included, so the kernel
+    work of any call is the growth of ``evaluations`` across it.
     ``similarity`` is the one-pair call of ``matrix``.
 
     ``load`` and ``save`` keep the kernel values across processes in one
@@ -105,10 +117,13 @@ class SimilarityCache:
         self._keys = {}  # scene content -> key
         self._contents = []  # key -> scene content
         self._graphs = {}
-        self._self_k = {}
-        self._pairs = {}
+        self._self_k = np.empty(0)  # key -> self-kernel, NaN until known
+        self._codes = np.empty(0, dtype=np.int64)  # sorted pair codes
+        self._values = np.empty(0)  # the similarity of each code
         self.evaluations = 0
         self.reused = 0
+        self.hits = 0
+        self.misses = 0
         # After ``load``: the file's kernel values and those evaluated since,
         # self-kernels by content digest and cross kernels by digest pair.
         self._stored = None
@@ -168,8 +183,8 @@ class SimilarityCache:
             digest = self._digests[key] = _content_digest(self._contents[key])
         return digest
 
-    def _digest_pair(self, pair: tuple[int, int]) -> tuple[str, str]:
-        a, b = self._digest(pair[0]), self._digest(pair[1])
+    def _digest_pair(self, lo: int, hi: int) -> tuple[str, str]:
+        a, b = self._digest(lo), self._digest(hi)
         return (a, b) if a < b else (b, a)
 
     def _graph(self, key: int, scene: Scene):
@@ -185,77 +200,119 @@ class SimilarityCache:
     def matrix(self, scenes: list[Scene]) -> np.ndarray:
         """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
+        first, second = np.triu_indices(n, 1)
+        values = self._scan(scenes, first, second)
         sim = np.eye(n)
-        self._scan(scenes, itertools.combinations(range(n), 2), sim)
+        sim[first, second] = values
+        sim[second, first] = values
         return sim
 
     def pair_similarities(self, scenes: list[Scene], index_pairs: list[tuple[int, int]]) -> list[float]:
         """Similarity of ``scenes[i]`` and ``scenes[j]`` for each ``(i, j)``, in order."""
-        found = {}
-        self._scan(scenes, index_pairs, found)
-        return [found[p] for p in index_pairs]
+        pairs = np.array(index_pairs, dtype=np.intp).reshape(len(index_pairs), 2)
+        return self._scan(scenes, pairs[:, 0], pairs[:, 1]).tolist()
 
-    def _scan(self, scenes, index_pairs, out) -> None:
-        """Set ``out[i, j]`` and ``out[j, i]`` for each ``(i, j)`` in one pass:
-        hits at once, misses through ``_fill`` BLOCK_PAIRS at a time."""
-        keys = [self._key(s) for s in scenes]
-        pairs = self._pairs
-        missing = []
-        for i, j in index_pairs:
-            a, b = keys[i], keys[j]
-            key = (a, b) if a < b else (b, a)
-            val = 1.0 if a == b else pairs.get(key)
-            if val is None:
-                missing.append((i, j, key))
-                if len(missing) == BLOCK_PAIRS:
-                    self._fill(scenes, keys, missing, out)
-                    missing = []
-            else:
-                out[i, j] = out[j, i] = val
-        if missing:
-            self._fill(scenes, keys, missing, out)
+    def _scan(self, scenes, first: np.ndarray, second: np.ndarray) -> np.ndarray:
+        """The similarity of ``scenes[first[p]]`` and ``scenes[second[p]]``
+        for each p: hits from the store, misses through ``_fill``."""
+        keys = np.fromiter(map(self._key, scenes), dtype=np.int64, count=len(scenes))
+        if len(self._contents) > len(self._self_k):
+            self._self_k = np.concatenate([self._self_k, np.full(len(self._contents) - len(self._self_k), np.nan)])
+        a, b = keys[first], keys[second]
+        codes = np.minimum(a, b) << 32 | np.maximum(a, b)
+        values, found = self._lookup(codes)
+        same = a == b
+        values[same] = 1.0
+        miss = np.flatnonzero(~(found | same))
+        self.hits += len(codes) - len(miss)
+        self.misses += len(miss)
+        if len(miss):
+            # the distinct missing pairs, in scan order
+            _, at = np.unique(codes[miss], return_index=True)
+            todo = miss[np.sort(at)]
+            for lo in range(0, len(todo), BLOCK_PAIRS):
+                block = todo[lo : lo + BLOCK_PAIRS]
+                self._fill(scenes, keys, first[block], second[block], codes[block])
+            values[miss] = self._lookup(codes[miss])[0]
+        return values
 
-    def _fill(self, scenes, keys, missing, out) -> None:
-        """Store and put into ``out`` the missing pairs ``(i, j, key)``, each
-        kernel value taken from the loaded file if it holds it, else evaluated."""
-        todo = {}  # key -> (i, j); scenes of equal content repeat keys
-        needs_self = {}  # key -> index of a scene with that key
-        for i, j, key in missing:
-            todo.setdefault(key, (i, j))
-            for s in (i, j):
-                if keys[s] not in self._self_k:
-                    needs_self[keys[s]] = s
-        crosses = {}
+    def _lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The stored similarity of each pair code, and whether it is stored."""
+        values = np.zeros(len(codes))
+        if not len(self._codes):
+            return values, np.zeros(len(codes), dtype=bool)
+        at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
+        found = self._codes[at] == codes
+        values[found] = self._values[at[found]]
+        return values, found
+
+    def _fill(self, scenes, keys, first, second, codes) -> None:
+        """Store the similarities of the distinct missing pairs ``codes``,
+        of ``scenes[first[p]]`` and ``scenes[second[p]]``, each kernel value
+        taken from the loaded file if it holds it, else evaluated."""
+        lo, hi = codes >> 32, codes & 0xFFFFFFFF
+        # By key: a scene of that key in the block, or -1.
+        scene_of = np.full(len(self._contents), -1)
+        ends = np.concatenate([first, second])
+        scene_of[keys[ends]] = ends
+        needs_self = np.flatnonzero((scene_of >= 0) & np.isnan(self._self_k))
+        cross = np.zeros(len(codes))
+        evaluate = np.ones(len(codes), dtype=bool)
         if self._stored is not None:
             stored_self, stored_cross = self._stored
-            for k in list(needs_self):
+            for k in needs_self.tolist():
                 value = stored_self.get(self._digest(k))
                 if value is not None:
                     self._self_k[k] = value
-                    del needs_self[k]
                     self.reused += 1
-            for key in todo:
-                value = stored_cross.get(self._digest_pair(key))
+            needs_self = needs_self[np.isnan(self._self_k[needs_self])]
+            for p, pair in enumerate(zip(lo.tolist(), hi.tolist())):
+                value = stored_cross.get(self._digest_pair(*pair))
                 if value is not None:
-                    crosses[key] = value
-            self.reused += len(crosses)
-        evaluate = [(key, ij) for key, ij in todo.items() if key not in crosses]
-        selfs = [(self._graph(k, scenes[s]),) * 2 for k, s in needs_self.items()]
-        pairs = [(self._graph(keys[i], scenes[i]), self._graph(keys[j], scenes[j])) for _, (i, j) in evaluate]
-        values = marginalized_kernels(selfs + pairs, self.config)
+                    cross[p] = value
+                    evaluate[p] = False
+                    self.reused += 1
+        # One kernel call over the graphs of the keys it needs: the
+        # self-kernels first, then the cross kernels.
+        slot = np.full(len(self._contents), -1)
+        slot[needs_self] = slot[lo[evaluate]] = slot[hi[evaluate]] = 0
+        graph_keys = np.flatnonzero(slot == 0)
+        slot[graph_keys] = np.arange(len(graph_keys))
+        graphs = [self._graph(k, scenes[s]) for k, s in zip(graph_keys.tolist(), scene_of[graph_keys].tolist())]
+        values = indexed_kernels(
+            graphs,
+            np.concatenate([slot[needs_self], slot[lo[evaluate]]]),
+            np.concatenate([slot[needs_self], slot[hi[evaluate]]]),
+            self.config,
+        )
         self.evaluations += len(values)
-        self._self_k.update(zip(needs_self, values))
-        crosses.update(zip((key for key, _ in evaluate), values[len(selfs) :]))
+        self._self_k[needs_self] = values[: len(needs_self)]
+        cross[evaluate] = values[len(needs_self) :]
+        # Self-kernels scale with gamma^2: a tiny gamma makes their product
+        # 0 (no similarity) or subnormal (an inexact one).
+        product = self._self_k[lo] * self._self_k[hi]
+        inexact = np.flatnonzero(~(product >= sys.float_info.min))
+        if len(inexact):
+            p = inexact[0]
+            raise DataError(
+                f"kernel.gamma={self.config.gamma}: the self-kernels of scenes {scenes[first[p]].id!r} "
+                f"and {scenes[second[p]].id!r} multiply to {product[p]}, below {sys.float_info.min}, "
+                "so their similarity cannot be computed; raise kernel.gamma"
+            )
         if self._stored is not None:
             stored_self, stored_cross = self._stored
-            stored_self.update((self._digest(k), v) for k, v in zip(needs_self, values))
-            stored_cross.update((self._digest_pair(key), v) for (key, _), v in zip(evaluate, values[len(selfs) :]))
-        for (a, b), cross in crosses.items():
-            # A cross kernel and its self-kernels are one truncated series,
-            # so only rounding can put a near-copy's similarity above 1.
-            self._pairs[(a, b)] = min(cross / math.sqrt(self._self_k[a] * self._self_k[b]), 1.0)
-        for i, j, key in missing:
-            out[i, j] = out[j, i] = self._pairs[key]
+            stored_self.update((self._digest(k), v) for k, v in zip(needs_self.tolist(), values[: len(needs_self)].tolist()))
+            stored_cross.update(
+                (self._digest_pair(a, b), v)
+                for a, b, v in zip(lo[evaluate].tolist(), hi[evaluate].tolist(), cross[evaluate].tolist())
+            )
+        # A cross kernel and its self-kernels are one truncated series, so
+        # only rounding can put a near-copy's similarity above 1.
+        similarity = np.minimum(cross / np.sqrt(product), 1.0)
+        order = np.argsort(codes)
+        at = np.searchsorted(self._codes, codes[order])
+        self._codes = np.insert(self._codes, at, codes[order])
+        self._values = np.insert(self._values, at, similarity[order])
 
 
 def _content_digest(content) -> str:
@@ -311,17 +368,11 @@ def _kernel_value(value, self_kernel: bool) -> float:
     return float(value)
 
 
-def _argbest(ids: list[str], values, candidates, maximize: bool) -> int:
-    """Index of the best value among candidates; ties go to the smallest id."""
-    best = None
-    for i in candidates:
-        if best is None:
-            best = i
-            continue
-        v, b = values[i], values[best]
-        if (v > b if maximize else v < b) or (v == b and ids[i] < ids[best]):
-            best = i
-    return best
+def _first_best(values: np.ndarray, candidates: np.ndarray, maximize: bool) -> int:
+    """Index of the first largest (or smallest) value where ``candidates``."""
+    among = values[candidates]
+    best = among.max() if maximize else among.min()
+    return int(np.flatnonzero(candidates & (values == best))[0])
 
 
 def farthest_sampling(pool_ids: list[str], similarity_matrix, k: int) -> list[str]:
@@ -340,22 +391,29 @@ def farthest_sampling(pool_ids: list[str], similarity_matrix, k: int) -> list[st
     sim = np.asarray(similarity_matrix, dtype=float)
     if sim.shape != (n, n):
         raise ValueError("similarity matrix shape mismatch")
+    if np.isnan(sim).any():
+        raise ValueError("similarity matrix holds NaN")
     if n == 1:
         return [pool_ids[0]]
 
-    row_sums = sim.sum(axis=1)
-    hub = _argbest(pool_ids, row_sums, range(n), maximize=True)
-    first = _argbest(pool_ids, sim[:, hub], [i for i in range(n) if i != hub], maximize=False)
+    # Scenes in ascending id order, so that the first of equal values is the
+    # smallest id. Row sums are summed in input order.
+    order = sorted(range(n), key=pool_ids.__getitem__)
+    row_sums = sim.sum(axis=1)[order]
+    sim = sim[np.ix_(order, order)]
+    remaining = np.ones(n, dtype=bool)
+    hub = _first_best(row_sums, remaining, maximize=True)
+    first = _first_best(sim[:, hub], np.arange(n) != hub, maximize=False)
 
     selected = [first]
-    remaining = set(range(n)) - {first}
+    remaining[first] = False
     min_dissim = 1.0 - sim[:, first]
     while len(selected) < k:
-        pick = _argbest(pool_ids, min_dissim, remaining, maximize=True)
+        pick = _first_best(min_dissim, remaining, maximize=True)
         selected.append(pick)
-        remaining.discard(pick)
+        remaining[pick] = False
         min_dissim = np.minimum(min_dissim, 1.0 - sim[:, pick])
-    return [pool_ids[i] for i in selected]
+    return [pool_ids[order[i]] for i in selected]
 
 
 def _unchanged(scene: Scene) -> Scene:

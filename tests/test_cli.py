@@ -115,6 +115,52 @@ class TestScore:
         assert "unknown configuration variable SCENESEL_KERNEL_MAX_ITER" in capsys.readouterr().err
 
 
+class TestKernelSettings:
+    """Kernel settings under which no similarity is a finite float fail
+    before any is written, naming the setting."""
+
+    @pytest.fixture()
+    def tiny_pool(self, tmp_path):
+        pool = tmp_path / "tiny"
+        assert run("--seed", 2, "synth", "--out", pool, "--n-scenes", 4) == 0
+        return pool
+
+    def score(self, pool, out, monkeypatch, key, value):
+        monkeypatch.setenv(f"SCENESEL_KERNEL_{key.upper()}", value)
+        return run("score", "--pool", pool, "--metric", "similarity", "--out", out)
+
+    # 2 sigma^2 underflows to 0, overflows to inf (1e154, inf), or the
+    # square alone overflows (1e200, which was an OverflowError traceback).
+    @pytest.mark.parametrize("sigma", ["1e-170", "1e154", "inf", "1e200"])
+    def test_a_sigma_with_no_finite_2_sigma_squared_is_config_error(self, tiny_pool, tmp_path, capsys, monkeypatch, sigma):
+        # Was exit 0 with NaN similarities written.
+        out = tmp_path / "s.csv"
+        assert self.score(tiny_pool, out, monkeypatch, "sigma", sigma) == 3
+        err = capsys.readouterr().err
+        assert "invalid configuration: sigma must make 2 sigma^2 a positive finite float" in err
+        assert not out.exists()
+
+    # Self-kernels scale with gamma^2: at 1e-100 the product of two
+    # underflows to 0 (was a ZeroDivisionError traceback), at 1e-80 it is
+    # subnormal and the similarity inexact.
+    @pytest.mark.parametrize("gamma", ["1e-100", "1e-80"])
+    def test_a_gamma_whose_self_kernels_multiply_below_the_normal_floats_is_data_error(
+        self, tiny_pool, tmp_path, capsys, monkeypatch, gamma
+    ):
+        out = tmp_path / "s.csv"
+        assert self.score(tiny_pool, out, monkeypatch, "gamma", gamma) == 3
+        err = capsys.readouterr().err
+        assert f"kernel.gamma={float(gamma)}: the self-kernels of scenes 'scene_000000' and 'scene_000001'" in err
+        assert not out.exists()
+
+    def test_a_small_gamma_with_normal_self_kernels_is_scored(self, tiny_pool, tmp_path, monkeypatch):
+        out = tmp_path / "s.csv"
+        assert self.score(tiny_pool, out, monkeypatch, "gamma", "1e-60") == 0
+        values = [float(v) for row in out.read_text().splitlines()[1:] for v in row.split(",")[1:]]
+        assert len(values) == 16
+        assert all(0.0 < v <= 1.0 for v in values)
+
+
 class TestSelect:
     def init_state(self, pool_dir, tmp_path, n0=4):
         state = tmp_path / "state.json"
@@ -185,7 +231,7 @@ class TestSelect:
         def no_kernel_work(*args, **kwargs):
             raise AssertionError("kernel evaluated after the budget ran out")
 
-        monkeypatch.setattr(sampler, "marginalized_kernels", no_kernel_work)
+        monkeypatch.setattr(sampler, "indexed_kernels", no_kernel_work)
         capsys.readouterr()
         assert run(*select, "--n-r", 3) == 3
         assert "budget of 5 scenes has 2 left" in capsys.readouterr().err
@@ -204,22 +250,37 @@ class TestSelect:
         state, out = self.init_state(pool_dir, tmp_path)
         capsys.readouterr()
         calls = []
-        kernel, kernels = sampler.marginalized_kernel, sampler.marginalized_kernels
+        kernel, kernels = sampler.marginalized_kernel, sampler.indexed_kernels
 
         def counting(*args, **kwargs):
             calls.append(1)
             return kernel(*args, **kwargs)
 
-        def counting_batch(pairs, *args, **kwargs):
-            calls.extend([1] * len(pairs))
-            return kernels(pairs, *args, **kwargs)
+        def counting_batch(graphs, first, *args, **kwargs):
+            calls.extend([1] * len(first))
+            return kernels(graphs, first, *args, **kwargs)
 
         monkeypatch.setattr(sampler, "marginalized_kernel", counting)
-        monkeypatch.setattr(sampler, "marginalized_kernels", counting_batch)
+        monkeypatch.setattr(sampler, "indexed_kernels", counting_batch)
         assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
         reported = int(re.search(r"kernel evals (\d+)", capsys.readouterr().out).group(1))
         assert reported > 0
         assert len(calls) == reported
+
+    def test_verbose_round_logs_the_cache_hits_and_misses(self, pool_dir, tmp_path, capsys, caplog):
+        state, out = self.init_state(pool_dir, tmp_path)
+        capsys.readouterr()
+        with caplog.at_level(logging.INFO, logger="scenesel"):
+            assert run("-v", "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+        hits, misses = map(int, re.search(r"similarity cache: (\d+) pairs hit, (\d+) missed", caplog.text).groups())
+        # The similarity stage asks for the 36 pairs of the 9 scenes the
+        # entropy stage keeps, cold; the report's 3 pairs among the 3
+        # selected are hits.
+        assert (hits, misses) == (3, 36)
+        assert re.fullmatch(
+            r"round 1: selected 3 scenes \(stage sizes \(9, 7, 3\), kernel evals \d+, \d+ evaluated\)\n",
+            capsys.readouterr().out,
+        )
 
     def parsed_sidecars(self, monkeypatch):
         """Record the path of every sidecar parsed from now on."""

@@ -98,7 +98,7 @@ class TestPairSampling:
 
     def test_sampled_pairs_evaluated_in_one_batch(self, monkeypatch):
         # The same values and evaluation count as one ``similarity`` call per
-        # pair, from one ``marginalized_kernels`` call instead of one per miss.
+        # pair, from one ``indexed_kernels`` call instead of one per miss.
         spec = PoolSpec(n_scenes=10, class_mix=(0.5, 0.3, 0.2), rng_seed=3)
         scenes = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
         one_by_one = []
@@ -108,13 +108,13 @@ class TestPairSampling:
             i, j = upper[flat]
             one_by_one.append(cache.similarity(scenes[i], scenes[j]))
         calls = []
-        kernels = sampler.marginalized_kernels
+        kernels = sampler.indexed_kernels
 
-        def counting(pairs, *args, **kwargs):
-            calls.append(len(pairs))
-            return kernels(pairs, *args, **kwargs)
+        def counting(graphs, first, *args, **kwargs):
+            calls.append(len(first))
+            return kernels(graphs, first, *args, **kwargs)
 
-        monkeypatch.setattr(sampler, "marginalized_kernels", counting)
+        monkeypatch.setattr(sampler, "indexed_kernels", counting)
         fresh = SimilarityCache(DEFAULT_CATALOG, KER)
         batched = sample_pair_similarities(scenes, 20, 7, fresh)
         assert batched == one_by_one

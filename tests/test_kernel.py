@@ -177,6 +177,25 @@ class TestMarginalizedKernel:
             assert k_it == pytest.approx(k_bf, rel=1e-6, abs=1e-12)
 
 
+class TestSigma:
+    # 2 sigma^2, as the edge kernel computes it, is a positive finite float
+    # from about 1.6e-162 to 9.4e153 only; outside, every kernel is NaN.
+    @pytest.mark.parametrize("sigma", [1e-170, 1e-162, 9.5e153, 1e154, 1e200, math.inf, math.nan, 0.0, -1.0])
+    def test_a_sigma_with_no_finite_2_sigma_squared_is_rejected(self, sigma):
+        with pytest.raises(ValueError, match="sigma must make 2 sigma\\^2 a positive finite float"):
+            KernelConfig(sigma=sigma)
+
+    # At the smallest sigma, |e - e'| / (2 sigma^2) overflows to inf, and the
+    # edge kernel is its limit, 0, with no warning.
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("sigma", [1.6e-162, 9.4e153])
+    def test_the_extreme_sigmas_give_finite_kernels(self, catalog, sigma):
+        rng = random.Random(61)
+        graphs = [build_scene_graph(random_scene(rng, f"s{i}"), catalog, CFG) for i in range(4)]
+        pairs = [(g1, g2) for g1 in graphs for g2 in graphs]
+        assert all(math.isfinite(v) for v in marginalized_kernels(pairs, KernelConfig(sigma=sigma)))
+
+
 class TestStepCount:
     """Every kernel is its path-pair series summed to the lengths
     0..``KernelConfig.steps``, whatever the pair."""

@@ -1,19 +1,25 @@
 import json
 import logging
+import math
 from collections import Counter
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, Scene, ScoredDetection
 from scenesel.entropy import EntropyConfig
-from scenesel.kernel import KernelConfig
+from scenesel import sampler
+from scenesel.kernel import KernelConfig, build_scene_graph, marginalized_kernel, scene_content
 from scenesel.sampler import (
     STAGE_NAMES,
     STRATEGIES,
     SimilarityCache,
     StagePlan,
+    _content_digest,
+    _read_cache_file,
     farthest_sampling,
     run_al_rounds,
     three_stage_select,
@@ -134,6 +140,81 @@ class TestFarthestSampling:
                 best = max(min(1.0 - sim[i, j] for j in prev) for i in rest)
                 got = min(1.0 - sim[chosen, j] for j in prev)
                 assert got == pytest.approx(best, abs=1e-12)
+
+
+def _argbest(ids, values, candidates, maximize):
+    """Index of the best value among candidates; ties go to the smallest id."""
+    best = None
+    for i in candidates:
+        if best is None:
+            best = i
+            continue
+        v, b = values[i], values[best]
+        if (v > b if maximize else v < b) or (v == b and ids[i] < ids[best]):
+            best = i
+    return best
+
+
+def farthest_sampling_loop(pool_ids, similarity_matrix, k):
+    """``farthest_sampling`` written as a loop over the candidates of each
+    pick: the oracle of its array version."""
+    n = len(pool_ids)
+    if k < 1:
+        return []
+    sim = np.asarray(similarity_matrix, dtype=float)
+    if n == 1:
+        return [pool_ids[0]]
+    hub = _argbest(pool_ids, sim.sum(axis=1), range(n), maximize=True)
+    first = _argbest(pool_ids, sim[:, hub], [i for i in range(n) if i != hub], maximize=False)
+    selected = [first]
+    remaining = set(range(n)) - {first}
+    min_dissim = 1.0 - sim[:, first]
+    while len(selected) < k:
+        pick = _argbest(pool_ids, min_dissim, remaining, maximize=True)
+        selected.append(pick)
+        remaining.discard(pick)
+        min_dissim = np.minimum(min_dissim, 1.0 - sim[:, pick])
+    return [pool_ids[i] for i in selected]
+
+
+@st.composite
+def tied_similarity_spaces(draw):
+    """(ids, similarity matrix, k): a symmetric matrix with a unit diagonal
+    whose scenes fall into groups of equal rows (scenes of equal content),
+    with values drawn from a few exact ones and any in [0, 1], and distinct
+    ids in no particular order."""
+    n = draw(st.integers(1, 9))
+    group = draw(st.lists(st.integers(0, n - 1), min_size=n, max_size=n))
+    values = st.one_of(st.sampled_from([0.0, 0.1, 0.2, 0.25, 0.3, 0.5, 0.7, 1.0]), st.floats(0.0, 1.0))
+    base = np.eye(n)
+    for i in range(n):
+        for j in range(i + 1, n):
+            base[i, j] = base[j, i] = draw(values)
+    ids = draw(st.lists(st.text("abcxyz", min_size=1, max_size=3), min_size=n, max_size=n, unique=True))
+    return ids, base[np.ix_(group, group)], draw(st.integers(0, n))
+
+
+class TestFarthestSamplingOracle:
+    # Which row sums of this matrix tie depends on the order each row is
+    # summed in: the input order picks "a", the id order would pick "e".
+    @example(
+        (
+            ["d", "c", "e", "a"],
+            np.array([[1.0, 0.7, 0.2, 0.7], [0.7, 1.0, 0.7, 0.2], [0.2, 0.7, 1.0, 0.25], [0.7, 0.2, 0.25, 1.0]]),
+            1,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    @given(tied_similarity_spaces())
+    def test_array_picks_equal_the_loop_picks(self, space):
+        ids, sim, k = space
+        assert farthest_sampling(ids, sim, k) == farthest_sampling_loop(ids, sim, k)
+
+    def test_nan_is_rejected(self):
+        sim = np.eye(3)
+        sim[0, 1] = sim[1, 0] = math.nan
+        with pytest.raises(ValueError, match="NaN"):
+            farthest_sampling(["a", "b", "c"], sim, 2)
 
 
 def dominant_pool():
@@ -626,3 +707,136 @@ class TestSimilarityCache:
         cache.matrix(list(preds.values()))
         with pytest.raises(ValueError, match="load needs a new cache"):
             cache.load(tmp_path / "c.json")
+
+
+class PerPairCache:
+    """``SimilarityCache`` written one pair at a time: a dict of
+    similarities by content pair, each kernel value from the one-pair
+    ``marginalized_kernel`` or from ``stored`` (what ``_read_cache_file``
+    returns), normalized with ``math.sqrt``. The oracle of the array store."""
+
+    def __init__(self, stored=None):
+        self.stored = stored
+        self.pairs, self.self_k, self.graphs = {}, {}, {}
+        self.evaluations = self.reused = 0
+
+    def _kernel(self, stored, digest, g1, g2):
+        value = None if self.stored is None else stored.get(digest)
+        if value is None:
+            self.evaluations += 1
+            return marginalized_kernel(g1, g2, KER)
+        self.reused += 1
+        return value
+
+    def _self_kernel(self, content, graph):
+        if content not in self.self_k:
+            stored = None if self.stored is None else self.stored[0]
+            self.self_k[content] = self._kernel(stored, _content_digest(content), graph, graph)
+        return self.self_k[content]
+
+    def similarity(self, s1, s2):
+        c1, c2 = (scene_content(s, DEFAULT_CATALOG, KER) for s in (s1, s2))
+        if c1 == c2:
+            return 1.0
+        key = (c1, c2) if c1 < c2 else (c2, c1)
+        if key not in self.pairs:
+            g1, g2 = (self.graphs.setdefault(c, build_scene_graph(s, DEFAULT_CATALOG, KER)) for c, s in ((c1, s1), (c2, s2)))
+            sa, sb = self._self_kernel(c1, g1), self._self_kernel(c2, g2)
+            digests = tuple(sorted(_content_digest(c) for c in (c1, c2)))
+            cross = self._kernel(None if self.stored is None else self.stored[1], digests, g1, g2)
+            self.pairs[key] = min(cross / math.sqrt(sa * sb), 1.0)
+        return self.pairs[key]
+
+    def matrix(self, scenes):
+        sim = np.eye(len(scenes))
+        for i in range(len(scenes)):
+            for j in range(i + 1, len(scenes)):
+                sim[i, j] = sim[j, i] = self.similarity(scenes[i], scenes[j])
+        return sim
+
+    def pair_similarities(self, scenes, index_pairs):
+        return [self.similarity(scenes[i], scenes[j]) for i, j in index_pairs]
+
+
+def twins(scenes, suffix):
+    """Scenes of the same content as ``scenes`` under other ids: other
+    sizes and yaws, and none of the detections below tau."""
+    return [
+        Scene(
+            s.id + suffix,
+            tuple(
+                replace(d, box=replace(d.box, w=d.box.w + 1.0, theta=0.0))
+                for d in s.detections
+                if d.confidence >= KER.tau
+            ),
+        )
+        for s in scenes
+    ]
+
+
+class TestArrayStoreMatchesPerPairOracle:
+    """The array store against ``PerPairCache``, with ``==``: the same
+    floats, ``evaluations`` and ``reused`` after each call of a sequence."""
+
+    @staticmethod
+    def assert_same(cache, oracle, calls):
+        for scenes, index_pairs in calls:
+            if index_pairs is None:
+                got, want = cache.matrix(scenes), oracle.matrix(scenes)
+                assert got.shape == want.shape and (got == want).all()
+            else:
+                assert cache.pair_similarities(scenes, index_pairs) == oracle.pair_similarities(scenes, index_pairs)
+            assert (cache.evaluations, cache.reused) == (oracle.evaluations, oracle.reused)
+
+    @staticmethod
+    def scenes(n=14, seed=5):
+        _, preds = predicted_pool(n=n, seed=seed)
+        scenes = sorted(preds.values(), key=lambda s: s.id)
+        # equal contents under other ids, interleaved with their originals
+        return [s for pair in zip(scenes, twins(scenes, "-twin")) for s in pair][: n + n // 2]
+
+    @pytest.mark.parametrize("block", [sampler.BLOCK_PAIRS, 5])
+    def test_matrices_and_pair_lists(self, monkeypatch, block):
+        # At 5 pairs a block, every call but the smallest spans blocks, and
+        # twins put one pair's content in more than one block.
+        monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
+        scenes = self.scenes()
+        pairs = [(1, 0), (2, 5), (5, 2), (3, 4), (2, 5), (4, 4), (0, 3), (7, 6), (8, 11), (11, 8), (9, 9)]
+        calls = [
+            (scenes[:4], [(0, 1)]),
+            (scenes, pairs),
+            (scenes[::-1], None),
+            (scenes[3:9], None),
+            (scenes, [(i, j) for i in range(len(scenes)) for j in range(len(scenes))]),
+        ]
+        self.assert_same(fresh_cache(), PerPairCache(), calls)
+
+    @pytest.mark.parametrize("block", [sampler.BLOCK_PAIRS, 5])
+    def test_after_load(self, tmp_path, monkeypatch, block):
+        monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
+        scenes = self.scenes()
+        path = tmp_path / "state.similarity.json"
+        writer = fresh_cache()
+        writer.load(path)
+        writer.matrix(scenes[2:10])
+        writer.save(path, [scenes[4]])
+        cache = fresh_cache()
+        cache.load(path)
+        oracle = PerPairCache(_read_cache_file(path, cache.fingerprint))
+        self.assert_same(cache, oracle, [(scenes, [(12, 3), (3, 12), (6, 6)]), (scenes, None)])
+        assert cache.reused > 0 and cache.evaluations > 0
+
+    def test_hits_and_misses_count_the_pairs_asked_for(self):
+        scenes = self.scenes(n=6)  # 6 scenes and the twins of 3
+        contents = [scene_content(s, DEFAULT_CATALOG, KER) for s in scenes]
+        equal = sum(contents[i] == contents[j] for i in range(9) for j in range(i + 1, 9))
+        distinct = len(set(contents))
+        assert equal >= 3
+        cache = fresh_cache()
+        cache.matrix(scenes)
+        # Pairs of equal content are hits, the others misses, however many
+        # of them share one pair of contents.
+        assert (cache.hits, cache.misses) == (equal, 36 - equal)
+        assert cache.evaluations == distinct + distinct * (distinct - 1) // 2 < 9 + 36 - equal
+        cache.pair_similarities(scenes, [(0, 2), (2, 0), (4, 4)])
+        assert (cache.hits, cache.misses) == (equal + 3, 36 - equal)
