@@ -119,12 +119,15 @@ def cmd_synth(args) -> int:
     pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
     predictor = synth.make_predictor(noise, cfg.anchors, cfg.catalog, args.seed)
     out = Path(args.out)
-    for sid, scene in sorted(pool.items()):
+    # Each scene leaves the pool as it is written, and with it the
+    # predictor's copy of its prediction.
+    for sid in sorted(pool):
+        scene = pool.pop(sid)
         pred = predictor(scene)
         kitti.write_label_file(scene, out / "ground_truth" / f"{sid}.txt")
         kitti.write_label_file(pred, out / "labels" / f"{sid}.txt")
         kitti.save_mixture_sidecar(pred, out / "sidecars" / f"{sid}.mdn")
-    print(f"wrote {len(pool)} scenes to {out}")
+    print(f"wrote {spec.n_scenes} scenes to {out}")
     return 0
 
 
@@ -276,10 +279,12 @@ def _write_report(prefix: Path, report: diagnostics.DiagReport) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
-    strategies = [s.strip() for s in args.strategies.split(",") if s.strip()]
-    for s in strategies:
+    strategies = [s.strip() for s in args.strategies.split(",")]
+    for i, s in enumerate(strategies):
         if s not in STRATEGIES:
             raise DataError(f"unknown strategy {s!r}; valid: {', '.join(STRATEGIES)}")
+        if s in strategies[:i]:
+            raise DataError(f"strategy {s!r} is listed more than once; valid: {', '.join(STRATEGIES)}")
     spec = _pool_spec_from_args(args)
     noise = _noise_from_args(args)
     pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,8 +68,9 @@ class NoiseModel:
 
     def __post_init__(self):
         for name in ("confidence_noise", "position_noise_per_meter", "false_positive_rate", "mean_spread"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative")
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not (0.0 <= self.misclass_rate <= 1.0):
             raise ValueError("misclass_rate must be in [0, 1]")
         if self.mixture_components < 1:
@@ -150,7 +152,10 @@ def generate_pool(
 
 
 def _sigmoid(z: float) -> float:
-    return 1.0 / (1.0 + math.exp(-z))
+    try:
+        return 1.0 / (1.0 + math.exp(-z))
+    except OverflowError:  # z below about -709.78: the limit
+        return 0.0
 
 
 def _residual_mixture(
@@ -280,10 +285,24 @@ def make_predictor(
 
     Each scene gets its own seed stream derived from (seed, scene id), so the
     output does not depend on invocation order.
+
+    The callable predicts each scene object once: it keeps the prediction,
+    keyed by the identity of the input scene, and returns that same object
+    on every later call with that scene. An entry lives exactly as long as
+    its input scene; a weak reference drops it when the scene is collected,
+    so no id is reused while its entry exists. The key is identity, not
+    equality, because two equal scenes may differ in their bits (``-0.0``
+    against ``0.0``), which the prediction copies.
     """
+    memo: dict[int, tuple[Scene, weakref.ref]] = {}
 
     def predictor(scene: Scene) -> Scene:
-        rng = np.random.default_rng(np.random.SeedSequence([seed, _stable_id_seed(scene.id)]))
-        return simulate_predictions(scene, noise, anchors, catalog, rng)
+        key = id(scene)
+        entry = memo.get(key)
+        if entry is None:
+            rng = np.random.default_rng(np.random.SeedSequence([seed, _stable_id_seed(scene.id)]))
+            pred = simulate_predictions(scene, noise, anchors, catalog, rng)
+            entry = memo[key] = (pred, weakref.ref(scene, lambda _ref: memo.pop(key, None)))
+        return entry[0]
 
     return predictor

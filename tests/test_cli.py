@@ -54,6 +54,35 @@ class TestSynth:
     def test_bad_class_mix_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--class-mix", "0.5,0.2,0.2") == 2
 
+    def test_a_confidence_logit_below_the_exp_range_is_confidence_zero(self, tmp_path):
+        out = tmp_path / "pool"
+        assert run("--seed", 1, "synth", "--out", out, "--n-scenes", 50, "--conf-noise", 1000) == 0
+        confidences = [
+            float(line.split()[-1]) for path in (out / "labels").iterdir() for line in path.read_text().splitlines()
+        ]
+        assert confidences and all(0.0 <= c <= 1.0 for c in confidences)
+        assert 0.0 in confidences
+
+
+# A noise flag, the NoiseModel field it sets, and the values that are no
+# setting: a non-finite or negative noise is a usage error naming the field.
+NOISE_FLAGS = [
+    ("--conf-noise", "confidence_noise"),
+    ("--pos-noise", "position_noise_per_meter"),
+    ("--fp-rate", "false_positive_rate"),
+    ("--mean-spread", "mean_spread"),
+]
+
+
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+@pytest.mark.parametrize("flag, field", NOISE_FLAGS)
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "-0.5"])
+def test_a_noise_flag_that_is_no_finite_non_negative_number_is_a_usage_error(tmp_path, capsys, command, flag, field, value):
+    out = tmp_path / "out"
+    assert run(command, "--out", out, "--n-scenes", 12, f"{flag}={value}") == 2
+    assert f"{field} must be finite and non-negative" in capsys.readouterr().err
+    assert not out.exists()
+
 
 class TestScore:
     def test_entropy_csv_sorted_by_id(self, pool_dir, tmp_path):
@@ -489,6 +518,37 @@ class TestSimulate:
         code = run("simulate", "--out", tmp_path / "s", "--strategies", "oracle")
         assert code == 3
 
+    @pytest.mark.parametrize(
+        "strategies, message",
+        [
+            ("", "unknown strategy ''"),
+            ("random,", "unknown strategy ''"),
+            ("random,tscenejal,random", "strategy 'random' is listed more than once"),
+            ("fs-only, fs-only", "strategy 'fs-only' is listed more than once"),
+        ],
+    )
+    def test_empty_or_repeated_strategy_rejected_before_any_file_is_written(self, tmp_path, capsys, strategies, message):
+        out = tmp_path / "s"
+        assert run("simulate", "--out", out, "--n-scenes", 20, "--strategies", strategies) == 3
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_each_scene_is_predicted_once_across_strategies_and_rounds(self, tmp_path, monkeypatch):
+        predicted = []
+        simulate_predictions = synth.simulate_predictions
+
+        def counting(gt_scene, *args):
+            predicted.append(gt_scene.id)
+            return simulate_predictions(gt_scene, *args)
+
+        monkeypatch.setattr(synth, "simulate_predictions", counting)
+        code = run(
+            "--seed", 4, "simulate", "--out", tmp_path / "sim", "--n-scenes", 30, "--n0", 6,
+            "--strategies", ",".join(sampler.STRATEGIES), "--n-r", 3, "--rounds", 2,
+        )
+        assert code == 0
+        assert len(predicted) == len(set(predicted)) == 24  # every unlabeled scene, once
+
     def test_pool_below_n_r_names_pool_and_n_r(self, tmp_path, capsys):
         # The default --n0 10 labels all five scenes, leaving none to select.
         code = run("simulate", "--out", tmp_path / "s", "--n-scenes", 5, "--n-r", 1, "--rounds", 1)
@@ -861,6 +921,24 @@ class TestInvariance:
                 assert all(r.kernel_evals >= w.kernel_evals for r, w in zip(split, whole))
                 split = [replace(r, kernel_evals=w.kernel_evals) for r, w in zip(split, whole)]
             assert split == whole, new_cache
+
+    @pytest.mark.parametrize("strategy", sampler.STRATEGIES)
+    def test_rounds_do_not_depend_on_a_warm_predictor(self, strategy):
+        # A predictor that has already predicted every scene, in reverse
+        # order, against a fresh one.
+        cfg, pool, cold = self.pool_and_predictor()
+        _, _, warm = self.pool_and_predictor()
+        for sid in sorted(pool, reverse=True):
+            warm(pool[sid])
+
+        def rounds(predictor):
+            state = state_mod.RoundState.fresh(pool, n0=4, budget_total=len(pool), rng_seed=4)
+            return sampler.run_al_rounds(
+                pool, cfg.plan, 2, predictor, pool.__getitem__, state, cfg.catalog, cfg.anchors,
+                cfg.entropy, cfg.kernel, cfg.uncertainty, strategy=strategy,
+            )
+
+        assert rounds(warm) == rounds(cold)
 
     def test_selection_does_not_depend_on_a_warm_cache(self):
         cfg, pool, predictor = self.pool_and_predictor()

@@ -1,7 +1,11 @@
+import gc
+import math
+import weakref
+
 import numpy as np
 import pytest
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, RESIDUAL_DIMS
+from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, RESIDUAL_DIMS, Box3D, Scene, ScoredDetection
 from scenesel.kernel import KernelConfig
 from scenesel.diagnostics import sample_pair_similarities
 from scenesel.sampler import SimilarityCache
@@ -9,6 +13,7 @@ from scenesel.synth import (
     NoiseModel,
     PoolSpec,
     _residual_mixture,
+    _sigmoid,
     generate_pool,
     make_predictor,
     simulate_predictions,
@@ -40,6 +45,8 @@ class TestSpecValidation:
             NoiseModel(misclass_rate=1.5)
         with pytest.raises(ValueError):
             NoiseModel(confidence_noise=-0.1)
+        with pytest.raises(ValueError):
+            NoiseModel(mean_spread=math.nan)
         with pytest.raises(ValueError):
             NoiseModel(mixture_components=0)
 
@@ -132,12 +139,13 @@ class TestSimulatePredictions:
             assert scene_uncertainty(pred, DEFAULT_ANCHORS, cfg) == 0.0
 
     def test_order_independent_determinism(self):
+        # One fresh predictor per direction: a predictor reads a scene it
+        # has predicted back from its memo.
         pool = self.pool()
-        predictor = make_predictor(
-            NoiseModel(confidence_noise=0.2, position_noise_per_meter=0.01), DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=7
-        )
-        forward = [predictor(pool[sid]) for sid in sorted(pool)]
-        backward = [predictor(pool[sid]) for sid in sorted(pool, reverse=True)]
+        noise = NoiseModel(confidence_noise=0.2, position_noise_per_meter=0.01)
+        forward, backward = (make_predictor(noise, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=7) for _ in range(2))
+        forward = [forward(pool[sid]) for sid in sorted(pool)]
+        backward = [backward(pool[sid]) for sid in sorted(pool, reverse=True)]
         assert forward == list(reversed(backward))
 
     def test_poisson_false_positive_mean(self):
@@ -151,8 +159,6 @@ class TestSimulatePredictions:
         assert np.mean(counts) == pytest.approx(2.0, abs=0.05)
 
     def test_au_grows_with_range(self):
-        from scenesel.core import Box3D, Scene, ScoredDetection
-
         noise = NoiseModel(position_noise_per_meter=0.02)
         near = Scene(
             id="near",
@@ -166,8 +172,6 @@ class TestSimulatePredictions:
         p_far = simulate_predictions(far, noise, DEFAULT_ANCHORS, DEFAULT_CATALOG, np.random.default_rng(0))
         mix_near = p_near.mixtures
         mix_far = p_far.mixtures
-        from scenesel.core import RESIDUAL_DIMS
-
         for dim in RESIDUAL_DIMS:
             assert mixture_au(mix_far, dim) > mixture_au(mix_near, dim)
 
@@ -192,6 +196,52 @@ class TestSimulatePredictions:
         pred = predictor(next(iter(pool.values())))
         means = pred.mixtures.block[0, 1]
         assert any(len(set(row)) > 1 for row in means.tolist())
+
+    @pytest.mark.parametrize("z", [-1000.0, -709.79, -1e308, -math.inf])
+    def test_sigmoid_is_zero_where_exp_overflows(self, z):
+        assert _sigmoid(z) == 0.0
+
+    @pytest.mark.parametrize("z", [-709.78, -30.0, -1.0, 0.0, 2.5, 40.0, 1e308])
+    def test_sigmoid_keeps_its_expression_elsewhere(self, z):
+        assert _sigmoid(z) == 1.0 / (1.0 + math.exp(-z))
+
+
+class TestPredictorMemo:
+    NOISE = NoiseModel(confidence_noise=0.5, position_noise_per_meter=0.005, false_positive_rate=0.3, mixture_components=3)
+
+    def predictor(self, noise=NOISE):
+        return make_predictor(noise, DEFAULT_ANCHORS, DEFAULT_CATALOG, seed=3)
+
+    def test_same_scene_object_gives_the_same_prediction_object(self):
+        scene = next(iter(generate_pool(PoolSpec(n_scenes=1, class_mix=MIX_90_5_5), DEFAULT_CATALOG).values()))
+        predictor = self.predictor()
+        pred = predictor(scene)
+        assert predictor(scene) is pred
+        copy = Scene(id=scene.id, detections=scene.detections)
+        assert predictor(copy) is not pred
+        assert predictor(copy) == pred
+
+    def test_prediction_is_collected_with_its_scene(self):
+        pool = generate_pool(PoolSpec(n_scenes=3, class_mix=MIX_90_5_5), DEFAULT_CATALOG)
+        predictor = self.predictor()
+        kept = {sid: weakref.ref(predictor(scene)) for sid, scene in pool.items()}
+        del pool["scene_000001"]
+        gc.collect()
+        assert kept["scene_000001"]() is None
+        assert kept["scene_000000"]() is predictor(pool["scene_000000"])
+
+    def test_key_is_identity_not_equality(self):
+        # Equal scenes whose bits differ: the noiseless predictor copies x
+        # bit for bit, so each must get its own prediction.
+        def scene(x):
+            box = Box3D(x=x, y=10.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.0)
+            return Scene(id="s", detections=(ScoredDetection("car", 1.0, box),))
+
+        negative, positive = scene(-0.0), scene(0.0)
+        assert negative == positive
+        predictor = self.predictor(NoiseModel())
+        signs = [math.copysign(1.0, predictor(s).detections[0].box.x) for s in (negative, positive, negative)]
+        assert signs == [-1.0, 1.0, -1.0]
 
 
 def reference_residual_mixture(noise, rng, nominal, rng_range, var_scale=1.0):
