@@ -48,6 +48,7 @@ from .uncertainty import (
     mixture_mean,
     propagate_uncertainty,
     rank_by_uncertainty,
+    scene_uncertainties,
     scene_uncertainty,
 )
 

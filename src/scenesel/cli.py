@@ -23,7 +23,7 @@ from .uncertainty import (
     NearSingularYawError,
     PropagationOverflowError,
     UncertaintyShortfallError,
-    scene_uncertainty,
+    scene_uncertainties,
 )
 
 log = logging.getLogger("scenesel")
@@ -144,9 +144,8 @@ def cmd_score(args) -> int:
         _write_csv(out, ["scene_id", "entropy"], rows)
     elif args.metric == "uncertainty":
         with _naming_scene_file(args.pool):
-            rows = [
-                [s.id, f"{scene_uncertainty(s, cfg.anchors, cfg.uncertainty):.9f}"] for s in scenes
-            ]
+            scores = scene_uncertainties(scenes, cfg.anchors, cfg.uncertainty).tolist()
+            rows = [[s.id, f"{u:.9f}"] for s, u in zip(scenes, scores)]
         _write_csv(out, ["scene_id", "uncertainty"], rows)
     else:  # similarity: emit the pairwise matrix
         with _naming_scene_file(args.pool):
@@ -177,7 +176,7 @@ def cmd_select(args) -> int:
         raise ValueError(f"{'select --init' if args.init else 'a select round'} takes no {', '.join(ignored)}")
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
-    sidecars = {s.id: kitti.sidecar_path(args.pool, s.id) for s in scenes}
+    kitti.check_sidecars(args.pool, scenes)
     by_id = {s.id: s for s in scenes}
     state_path = Path(args.state)
     out = Path(args.out)
@@ -216,7 +215,7 @@ def cmd_select(args) -> int:
 
     def with_mixtures(scene):
         if scene.id not in parsed:
-            parsed[scene.id] = kitti.load_mixture_sidecar(sidecars[scene.id], scene)
+            parsed[scene.id] = kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, scene.id), scene)
         return parsed[scene.id]
 
     with _naming_scene_file(args.pool):
@@ -344,8 +343,7 @@ def cmd_stats(args) -> int:
         scenes = kitti.attach_sidecars(args.pool, labeled)
         # A sidecar whose scene cannot be scored is a faulty sidecar too.
         with _naming_scene_file(args.pool):
-            for s in scenes:
-                scene_uncertainty(s, cfg.anchors, cfg.uncertainty)
+            scene_uncertainties(scenes, cfg.anchors, cfg.uncertainty)
     except DataError as exc:
         log.warning("loading the pool without sidecars: %s", exc)
         scenes = labeled

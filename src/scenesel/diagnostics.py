@@ -15,7 +15,7 @@ import numpy as np
 from .core import AnchorTable, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
 from .sampler import SimilarityCache
-from .uncertainty import UncertaintyConfig, scene_uncertainty
+from .uncertainty import UncertaintyConfig, scene_uncertainties
 
 log = logging.getLogger(__name__)
 
@@ -124,7 +124,7 @@ def selection_report(
 
     unc_hist: dict[str, list] = {}
     try:
-        unc = [scene_uncertainty(s, anchors, uncertainty_cfg) for s in selected]
+        unc = scene_uncertainties(selected, anchors, uncertainty_cfg)
         hist, edges = np.histogram(unc, bins=10)
         unc_hist = {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in hist]}
     except DataError as exc:

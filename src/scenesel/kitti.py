@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import json
 import logging
+import os
 from math import isfinite
 from pathlib import Path
 
@@ -179,13 +180,34 @@ def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:
     return path
 
 
+def check_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> None:
+    """A data error, as ``sidecar_path`` raises it, for the first scene in
+    order without its ``sidecars/<id>.mdn`` under a pool directory.
+
+    One listing of ``sidecars/`` stands in for a path and a ``stat`` per
+    scene. A name the listing lacks, or holds as a symbolic link, is looked
+    up with ``sidecar_path``, so a directory that cannot be listed, or a
+    link, is judged as ``sidecar_path`` judges it.
+    """
+    try:
+        with os.scandir(Path(pool_dir) / "sidecars") as entries:
+            listed = {e.name for e in entries if not e.is_symlink()}
+    except OSError:
+        listed = set()
+    for s in scenes:
+        if f"{s.id}.mdn" not in listed:
+            sidecar_path(pool_dir, s.id)
+
+
 def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog | None = None) -> list[Scene]:
     """Load every ``labels/<id>.txt`` in a pool directory, sorted by id."""
     pool_dir = Path(pool_dir)
     labels = pool_dir / "labels"
     if not labels.is_dir():
         raise DataError(f"no labels/ directory under {pool_dir}")
-    return [parse_label_file(label_path, catalog=catalog) for label_path in sorted(labels.glob("*.txt"))]
+    with os.scandir(labels) as entries:
+        names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+    return [parse_label_file(labels / name, catalog=catalog) for name in names]
 
 
 def attach_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> list[Scene]:

@@ -26,7 +26,7 @@ from .kernel import (
     scene_content,
 )
 from .state import RoundState
-from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainty
+from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainties
 
 log = logging.getLogger(__name__)
 
@@ -629,9 +629,7 @@ def _round_report(
         mean_sim = float(np.mean(sim[np.triu_indices(len(sim), 1)]))
 
     try:
-        mean_unc = float(
-            np.mean([scene_uncertainty(s, anchors, uncertainty_cfg) for s in selected_preds])
-        )
+        mean_unc = float(np.mean(scene_uncertainties(selected_preds, anchors, uncertainty_cfg)))
     except DataError as exc:
         log.warning("round %d: mean uncertainty omitted: %s", round_index, exc)
         mean_unc = None

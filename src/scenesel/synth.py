@@ -46,8 +46,8 @@ class PoolSpec:
             raise ValueError("class_mix entries must be non-negative")
         if not (1 <= self.objects_min <= self.objects_max):
             raise ValueError("need 1 <= objects_min <= objects_max")
-        if self.spatial_extent <= 0:
-            raise ValueError("spatial_extent must be positive")
+        if not 0 < self.spatial_extent < math.inf:
+            raise ValueError(f"spatial_extent must be positive and finite, got {self.spatial_extent}")
         g = self.redundancy_groups
         if g is not None and not (1 <= g <= self.n_scenes):
             raise ValueError("redundancy_groups must be in [1, n_scenes]")

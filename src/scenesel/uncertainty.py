@@ -4,13 +4,19 @@ Mixture ``variances`` are variances throughout (not standard deviations):
 the aleatoric term aggregates them linearly into a variance-like quantity,
 and the exact identity Var = EU + AU then holds when AU is the
 mixture-weighted mean of component variances.
+
+``scene_uncertainties`` is the one scoring path: it scores a list of scenes
+in one array pass per CHUNK_SCENES scenes, and ``scene_uncertainty`` is its
+one-scene call. ``rank_by_uncertainty``, the round and selection reports and
+the CLI each score a list with one call. A scene the pass cannot score (no
+mixtures, or a term that is not finite) is looked up again on its own, in
+input order, for the error that names it.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass
-from operator import mul
 
 import numpy as np
 
@@ -19,6 +25,11 @@ from .core import Anchor, AnchorTable, DataError, DEFAULT_TAU, MixtureParams, RE
 log = logging.getLogger(__name__)
 
 SEC_SINGULAR_COS = 1e-6
+
+# Scenes scored in one array pass. Bounds the pass's working set: the
+# chunk's kept mixture rows, a few arrays of their moments and terms, and
+# one zero-padded matrix of their row sums.
+CHUNK_SCENES = 128
 
 
 @dataclass(frozen=True)
@@ -32,31 +43,38 @@ class UncertaintyConfig:
 
 
 # The plain-loop moments of one detection's row: the oracle the array
-# scoring of ``scene_uncertainty`` must match float for float.
-# ``sum(map(mul, a, b))`` adds the same products in the same order as
-# ``sum(x * y for x, y in zip(a, b))``, without a generator frame per term.
+# scoring of ``scene_uncertainties`` must match float for float. Every sum
+# adds left to right from 0.0, by its loop: the builtin ``sum`` of floats
+# is compensated from Python 3.12 on.
 
 
 def _row(params: MixtureParams, dim: str, detection: int) -> list[list[float]]:
     return params.block[detection, :, RESIDUAL_DIMS.index(dim)].tolist()
 
 
+def _dot(a: list[float], b: list[float]) -> float:
+    total = 0.0
+    for x, y in zip(a, b):
+        total += x * y
+    return total
+
+
 def mixture_mean(params: MixtureParams, dim: str, detection: int = 0) -> float:
     weights, means, _ = _row(params, dim, detection)
-    return sum(map(mul, weights, means))
+    return _dot(weights, means)
 
 
 def mixture_au(params: MixtureParams, dim: str, detection: int = 0) -> float:
     """Aleatoric part: mixture-weighted mean of component variances."""
     weights, _, variances = _row(params, dim, detection)
-    return sum(map(mul, weights, variances))
+    return _dot(weights, variances)
 
 
 def mixture_eu(params: MixtureParams, dim: str, detection: int = 0) -> float:
     """Epistemic part: mixture-weighted spread of component means."""
     weights, means, _ = _row(params, dim, detection)
-    mean = sum(map(mul, weights, means))
-    return sum(w * (m - mean) ** 2 for w, m in zip(weights, means))
+    mean = _dot(weights, means)
+    return _dot(weights, [(m - mean) ** 2 for m in means])
 
 
 class NearSingularYawError(SceneDataError):
@@ -108,34 +126,18 @@ def propagate_uncertainty(
     return _propagate(tuple(residual_au), means, anchor), _propagate(tuple(residual_eu), means, anchor)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # non-finite results raise below
-def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig) -> float:
-    """Mean over the filtered detections' 7 propagated terms of au + eta*eu.
+def _kept(scene: Scene, config: UncertaintyConfig) -> list[int]:
+    return [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
 
-    Zero eligible detections score 0. Detections are filtered by the shared
-    confidence threshold; a scene with counted detections but no mixture
-    parameters is a data error, a detection whose yaw residual mean is
-    within SEC_SINGULAR_COS of a zero cosine a ``NearSingularYawError``, and
-    one whose propagated variances are not finite a
-    ``PropagationOverflowError``, each for the first such detection.
 
-    The moments are array operations over the kept rows of the scene's
-    block, every sum in the order of the plain loops of ``mixture_mean``,
-    ``mixture_au``, ``mixture_eu`` and ``propagate_uncertainty``, so every
-    float is theirs for any K: over components a loop of K array adds
-    (numpy's ``sum`` adds in another order from K = 8), over the 7
-    dimensions and across detections Python's ``sum`` and ``+=``.
-    ``(m - mean) ** 2`` is ``np.float_power``, which is C ``pow`` as
-    Python's ``**`` is, and the yaw's cosine is ``math.cos``.
+@np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite terms fail their scene
+def _terms(block: np.ndarray, d2, h2, config: UncertaintyConfig):
+    """The (R, 7) box-space terms au + eta*eu of the R rows of a
+    (R, 3, 7, K) block, with the rows' squared anchor diagonals ``d2`` and
+    heights ``h2``; also the rows' residual means, AU and EU.
+
+    The factors are those of ``_propagate``; a yaw near +-pi/2 gets NaN.
     """
-    kept = [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
-    if not kept:
-        return 0.0
-    if scene.mixtures is None:
-        raise DataError(f"scene {scene.id!r}: {len(kept)} counted detections have no mixture parameters")
-    block = scene.mixtures.block
-    if len(kept) < len(block):
-        block = block[kept]
     weighted = block[:, 1:] * block[:, :1]  # w*m and w*v
     mean_au = 0.0
     for i in range(block.shape[3]):
@@ -145,37 +147,147 @@ def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyCon
     eu = 0.0
     for i in range(block.shape[3]):
         eu = eu + spread[..., i]
+    cos_t = np.array([math.cos(t) for t in mean[:, 6].tolist()])
+    sec2 = np.where(abs(cos_t) >= SEC_SINGULAR_COS, 1.0 / (cos_t * cos_t), math.nan)
+    sizes = mean[:, 3:6] * mean[:, 3:6]
+    scale = np.column_stack((d2, d2, h2, sizes, sec2))
+    return scale * au + config.eta * (scale * eu), mean, au, eu
 
-    # The factors of ``_propagate``, one row per detection; a yaw near
-    # +-pi/2 gets NaN and fails below.
-    factors = []
-    for det, (_, _, _, mw, mh, ml, mt) in zip(kept, mean.tolist()):
-        anchor = anchors.for_class(scene.detections[det].class_label)
-        d2 = anchor.diagonal**2
-        cos_t = math.cos(mt)
-        sec2 = 1.0 / (cos_t * cos_t) if abs(cos_t) >= SEC_SINGULAR_COS else math.nan
-        factors.append((d2, d2, anchor.height**2, mw * mw, mh * mh, ml * ml, sec2))
-    scale = np.array(factors)
-    terms = scale * au + config.eta * (scale * eu)
-    finite = np.isfinite(terms)
-    if not finite.all():
-        # The first failing detection, through the plain loop: a yaw near
-        # +-pi/2 is the one argument it rejects; anything else overflowed.
-        row = int(finite.all(1).argmin())
-        det = scene.detections[kept[row]]
-        where = f"scene {scene.id!r}: detection {kept[row]} ({det.class_label})"
+
+def _anchor_factors(anchors: AnchorTable, label: str) -> tuple[float, float]:
+    """A class's squared anchor diagonal and height; NaN for a class without
+    an anchor, whose scenes then fail and are looked up for the KeyError."""
+    try:
+        anchor = anchors.for_class(label)
+    except KeyError:
+        return math.nan, math.nan
+    return anchor.diagonal**2, anchor.height**2
+
+
+@np.errstate(over="ignore", invalid="ignore")  # failed scenes' sums; finite terms may still add up to inf
+def _score_chunk(scenes, anchors: AnchorTable, config: UncertaintyConfig, out: np.ndarray) -> list[int]:
+    """Write the scenes' scores into ``out``, which holds zeros, the score
+    of a scene with no kept detection; return the positions of the scenes
+    that failed, whose scores are left NaN.
+
+    The kept rows of all scenes with one K are concatenated and scored
+    together. Each row's 7 terms add left to right from 0.0, and each
+    scene's row sums in detection order from 0.0, through a matrix padded
+    with zeros after each scene's last row, as a loop over one scene adds.
+    """
+    failed = []
+    groups: dict[int, tuple[list, list, list, list]] = {}  # K -> positions, counts, blocks, labels
+    for pos, scene in enumerate(scenes):
+        kept = _kept(scene, config)
+        if not kept:
+            continue
+        if scene.mixtures is None:
+            out[pos] = math.nan
+            failed.append(pos)
+            continue
+        block = scene.mixtures.block
+        positions, counts, blocks, labels = groups.setdefault(block.shape[3], ([], [], [], []))
+        positions.append(pos)
+        counts.append(len(kept))
+        blocks.append(block if len(kept) == len(block) else block[kept])
+        labels += [scene.detections[i].class_label for i in kept]
+    for positions, counts, blocks, labels in groups.values():
+        factors = {label: _anchor_factors(anchors, label) for label in set(labels)}
+        d2, h2 = np.array([factors[label] for label in labels]).T
+        terms = _terms(np.concatenate(blocks), d2, h2, config)[0]
+        rows = 0.0
+        for j in range(terms.shape[1]):
+            rows = rows + terms[:, j]
+        counts = np.array(counts)
+        filled = np.arange(counts.max()) < counts[:, None]
+        padded = np.zeros(filled.shape)
+        padded[filled] = rows
+        total = 0.0
+        for j in range(padded.shape[1]):
+            total = total + padded[:, j]
+        finite = np.ones(filled.shape, dtype=bool)
+        finite[filled] = np.isfinite(terms).all(1)
+        ok = finite.all(1)
+        out[positions] = np.where(ok, total / (7 * counts), math.nan)
+        failed += [pos for pos, good in zip(positions, ok.tolist()) if not good]
+    return sorted(failed)
+
+
+def _raise_failure(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig):
+    """Raise the error of a scene the array pass could not score, as a
+    lone scene finds it: no mixtures, then the first kept detection without
+    an anchor (``KeyError``), then the first kept detection whose terms are
+    not finite, through the plain loop: a yaw near +-pi/2 is the one
+    argument it rejects; anything else overflowed."""
+    kept = _kept(scene, config)
+    if scene.mixtures is None:
+        raise DataError(f"scene {scene.id!r}: {len(kept)} counted detections have no mixture parameters")
+    kept_anchors = [anchors.for_class(scene.detections[i].class_label) for i in kept]
+    terms, mean, au, eu = _terms(
+        scene.mixtures.block[kept],
+        [a.diagonal**2 for a in kept_anchors],
+        [a.height**2 for a in kept_anchors],
+        config,
+    )
+    row = int(np.isfinite(terms).all(1).argmin())
+    where = f"scene {scene.id!r}: detection {kept[row]} ({scene.detections[kept[row]].class_label})"
+    try:
+        propagate_uncertainty(
+            tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()), kept_anchors[row]
+        )
+    except ValueError as exc:
+        raise NearSingularYawError(f"{where}: {exc}", scene.id) from exc
+    raise PropagationOverflowError(f"{where}: propagated variances are not finite", scene.id)
+
+
+def _scores(scenes, anchors: AnchorTable, config: UncertaintyConfig, excluded: list[int] | None = None) -> np.ndarray:
+    """The scenes' scores, in CHUNK_SCENES chunks, then each failed scene's
+    error in input order. With ``excluded``, a near-singular yaw does not
+    raise: the scene is logged, its position appended, its score left NaN."""
+    scores = np.zeros(len(scenes))
+    failed = []
+    for lo in range(0, len(scenes), CHUNK_SCENES):
+        hi = lo + CHUNK_SCENES
+        failed += [lo + pos for pos in _score_chunk(scenes[lo:hi], anchors, config, scores[lo:hi])]
+    for pos in failed:
         try:
-            propagate_uncertainty(
-                tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()),
-                anchors.for_class(det.class_label),
-            )
-        except ValueError as exc:
-            raise NearSingularYawError(f"{where}: {exc}", scene.id) from exc
-        raise PropagationOverflowError(f"{where}: propagated variances are not finite", scene.id)
-    total = 0.0
-    for row in terms.tolist():
-        total += sum(row)
-    return total / (7 * len(kept))
+            _raise_failure(scenes[pos], anchors, config)
+        except NearSingularYawError as exc:
+            if excluded is None:
+                raise
+            log.warning("excluding scene %s from uncertainty ranking: %s", scenes[pos].id, exc)
+            excluded.append(pos)
+    return scores
+
+
+def scene_uncertainties(scenes: list[Scene], anchors: AnchorTable, config: UncertaintyConfig) -> np.ndarray:
+    """Each scene's mean over its filtered detections' 7 propagated terms
+    of au + eta*eu, in input order.
+
+    Zero eligible detections score 0. Detections are filtered by the shared
+    confidence threshold. The first scene in input order that cannot be
+    scored raises: one with counted detections but no mixture parameters a
+    ``DataError``, a class without an anchor a ``KeyError``, a detection
+    whose yaw residual mean is within SEC_SINGULAR_COS of a zero cosine a
+    ``NearSingularYawError``, and one whose propagated variances are not
+    finite a ``PropagationOverflowError``, each for its first such detection.
+
+    The moments are array operations over the kept rows of every scene
+    with the same K, each sum in the order of the plain loops of
+    ``mixture_mean``, ``mixture_au``, ``mixture_eu`` and
+    ``propagate_uncertainty``, so every float is theirs for any K and any
+    list: over components a loop of K array adds (numpy's ``sum`` adds in
+    another order from K = 8), over the 7 dimensions and across a scene's
+    detections a loop of array adds, left to right from 0.0.
+    ``(m - mean) ** 2`` is ``np.float_power``, which is C ``pow`` as
+    Python's ``**`` is, and the yaw's cosine is ``math.cos``.
+    """
+    return _scores(scenes, anchors, config)
+
+
+def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig) -> float:
+    """The one-scene call of ``scene_uncertainties``."""
+    return float(scene_uncertainties([scene], anchors, config)[0])
 
 
 def rank_by_uncertainty(
@@ -189,19 +301,15 @@ def rank_by_uncertainty(
     """
     if top_n > len(scenes):
         raise ValueError(f"top_n={top_n} exceeds {len(scenes)} scenes")
-    scored = []
-    excluded = []
-    for s in scenes:
-        try:
-            scored.append((scene_uncertainty(s, anchors, config), s.id))
-        except NearSingularYawError as exc:
-            log.warning("excluding scene %s from uncertainty ranking: %s", s.id, exc)
-            excluded.append(s.id)
+    excluded: list[int] = []
+    scores = _scores(scenes, anchors, config, excluded)
+    skip = set(excluded)
+    scored = [(score, s.id) for pos, (s, score) in enumerate(zip(scenes, scores.tolist())) if pos not in skip]
     if top_n > len(scored):
         raise UncertaintyShortfallError(
             f"{len(excluded)} of {len(scenes)} scenes excluded for a yaw residual near +-pi/2, "
-            f"the first {excluded[0]!r}, leave {len(scored)} to rank, below top_n={top_n}",
-            excluded[0],
+            f"the first {scenes[excluded[0]].id!r}, leave {len(scored)} to rank, below top_n={top_n}",
+            scenes[excluded[0]].id,
         )
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     return [sid for _, sid in scored[:top_n]]

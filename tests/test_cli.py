@@ -84,6 +84,15 @@ def test_a_noise_flag_that_is_no_finite_non_negative_number_is_a_usage_error(tmp
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["synth", "simulate"])
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1"])
+def test_an_extent_that_is_no_finite_positive_number_is_a_usage_error(tmp_path, capsys, command, value):
+    out = tmp_path / "out"
+    assert run("--seed", 1, command, "--out", out, "--n-scenes", 5, f"--extent={value}") == 2
+    assert "spatial_extent must be positive and finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
 class TestScore:
     def test_entropy_csv_sorted_by_id(self, pool_dir, tmp_path):
         out = tmp_path / "entropy.csv"
@@ -397,6 +406,16 @@ class TestSelect:
         assert run("select", "--pool", pool_dir, "--state", fresh, "--out", out, "--init", "--n0", 4) == 3
         assert f"missing mixture sidecar: {sidecar}" in capsys.readouterr().err
         assert not fresh.exists()
+
+    def test_missing_sidecar_directory_is_data_error_naming_the_first_scene(self, pool_dir, tmp_path, capsys):
+        state, out = self.init_state(pool_dir, tmp_path)
+        shutil.rmtree(pool_dir / "sidecars")
+        before = state.read_bytes()
+        capsys.readouterr()
+        for init in ((), ("--init",)):
+            assert run("select", "--pool", pool_dir, "--state", state, "--out", out, *init) == 3
+            assert f"missing mixture sidecar: {pool_dir / 'sidecars' / 'scene_000000.mdn'}" in capsys.readouterr().err
+        assert state.read_bytes() == before
 
     def test_unlabeled_ids_missing_from_pool_are_data_error(self, pool_dir, tmp_path, capsys):
         # Scenes removed from the pool after --init would otherwise stay

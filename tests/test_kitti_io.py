@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from scenesel.core import DataError, ParseError, Scene
 from scenesel.kitti import (
     attach_sidecars,
+    check_sidecars,
     load_mixture_sidecar,
     load_pool_dir,
     parse_label_file,
@@ -230,3 +231,40 @@ class TestPoolDir:
         write_label_file(random_scene(random.Random(1), "x"), tmp_path / "labels" / "x.txt")
         with pytest.raises(DataError, match="x.mdn"):
             attach_sidecars(tmp_path, load_pool_dir(tmp_path, catalog))
+
+    def test_load_lists_txt_names_only_sorted(self, tmp_path, catalog):
+        (tmp_path / "labels").mkdir()
+        for name in ("c.txt", "a.txt", "B.txt", "notes.md", "d.TXT"):
+            (tmp_path / "labels" / name).write_text("")
+        assert [s.id for s in load_pool_dir(tmp_path, catalog)] == ["B", "a", "c"]
+
+
+class TestCheckSidecars:
+    """One listing of ``sidecars/``, judged as a ``stat`` per scene is."""
+
+    def pool(self, tmp_path, ids=("a", "b", "c")):
+        (tmp_path / "sidecars").mkdir()
+        for sid in ids:
+            (tmp_path / "sidecars" / f"{sid}.mdn").write_text("{}")
+        return [Scene(sid) for sid in ("a", "b", "c")]
+
+    def test_all_present(self, tmp_path):
+        check_sidecars(tmp_path, self.pool(tmp_path))
+
+    def test_the_first_missing_in_scene_order_is_named(self, tmp_path):
+        scenes = self.pool(tmp_path, ids=("a",))
+        with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/b\.mdn$"):
+            check_sidecars(tmp_path, scenes)
+
+    def test_missing_directory_names_the_first_scene(self, tmp_path):
+        with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/a\.mdn$"):
+            check_sidecars(tmp_path, [Scene("a"), Scene("b")])
+
+    def test_symbolic_links_count_as_their_targets(self, tmp_path):
+        scenes = self.pool(tmp_path, ids=("a", "b"))
+        (tmp_path / "sidecars" / "c.mdn").symlink_to(tmp_path / "sidecars" / "a.mdn")
+        check_sidecars(tmp_path, scenes)
+        (tmp_path / "sidecars" / "c.mdn").unlink()
+        (tmp_path / "sidecars" / "c.mdn").symlink_to(tmp_path / "nowhere.mdn")
+        with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/c\.mdn$"):
+            check_sidecars(tmp_path, scenes)

@@ -40,6 +40,11 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PoolSpec(n_scenes=5, class_mix=MIX_90_5_5, redundancy_groups=6)
 
+    @pytest.mark.parametrize("extent", [0.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_spatial_extent_is_positive_and_finite(self, extent):
+        with pytest.raises(ValueError, match="spatial_extent must be positive and finite"):
+            PoolSpec(n_scenes=5, class_mix=MIX_90_5_5, spatial_extent=extent)
+
     def test_noise_model_ranges(self):
         with pytest.raises(ValueError):
             NoiseModel(misclass_rate=1.5)

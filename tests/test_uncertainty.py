@@ -1,12 +1,17 @@
+import functools
+import logging
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
 from scenesel.core import Anchor, AnchorTable, DataError, MixtureParams, RESIDUAL_DIMS, Scene, SceneDataError, ScoredDetection
+from scenesel import uncertainty
 from scenesel.uncertainty import (
     NearSingularYawError,
+    PropagationOverflowError,
     UncertaintyConfig,
     UncertaintyShortfallError,
     mixture_au,
@@ -14,6 +19,7 @@ from scenesel.uncertainty import (
     mixture_mean,
     propagate_uncertainty,
     rank_by_uncertainty,
+    scene_uncertainties,
     scene_uncertainty,
 )
 from conftest import make_box, make_detection, mixture_from_rows, scene_with_mixtures, uniform_mixture
@@ -128,15 +134,21 @@ class TestPropagation:
             propagate_uncertainty(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
 
 
+def left_to_right(values) -> float:
+    """The sum of ``values`` added left to right from 0.0, as the builtin
+    ``sum`` of floats adds up to Python 3.11 (from 3.12 it compensates)."""
+    return functools.reduce(operator.add, values, 0.0)
+
+
 def reference_moments(params, detection):
-    """Per-dimension AU, EU and means as the generator-form sums that the
-    ``sum(map(mul, ...))`` forms replaced: the floats must not change."""
+    """Per-dimension AU, EU and means as generator-form sums added left to
+    right: the floats of the moment functions must be these."""
     au, eu, means = [], [], []
     for i in range(len(RESIDUAL_DIMS)):
         weights, row_m, variances = params.block[detection, :, i].tolist()
-        mean = sum(w * m for w, m in zip(weights, row_m))
-        au.append(sum(w * v for w, v in zip(weights, variances)))
-        eu.append(sum(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
+        mean = left_to_right(w * m for w, m in zip(weights, row_m))
+        au.append(left_to_right(w * v for w, v in zip(weights, variances)))
+        eu.append(left_to_right(w * (m - mean) ** 2 for w, m in zip(weights, row_m)))
         means.append(mean)
     return tuple(au), tuple(eu), tuple(means)
 
@@ -168,7 +180,7 @@ def oracle_scene_uncertainty(scene, anchors, config):
         eu = tuple(mixture_eu(p, d, i) for d in RESIDUAL_DIMS)
         means = tuple(mixture_mean(p, d, i) for d in RESIDUAL_DIMS)
         box_au, box_eu = propagate_uncertainty(au, eu, means, anchors.for_class(scene.detections[i].class_label))
-        total += sum(a + config.eta * e for a, e in zip(box_au, box_eu))
+        total += left_to_right(a + config.eta * e for a, e in zip(box_au, box_eu))
     return total / (7 * len(kept))
 
 
@@ -302,8 +314,6 @@ class TestRanking:
     def test_near_singular_excluded_with_warning(self, anchors, caplog):
         bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
         scenes = [self._scene("good", 0.4), scene_with_mixtures("bad", (make_detection(), bad))]
-        import logging
-
         with caplog.at_level(logging.WARNING):
             assert rank_by_uncertainty(scenes, anchors, CFG, 1) == ["good"]
         assert any("excluding scene" in r.message for r in caplog.records)
@@ -316,3 +326,129 @@ class TestRanking:
         assert info.value.scene_id == "b1"
         with pytest.raises(ValueError, match="top_n=4 exceeds 3 scenes"):
             rank_by_uncertainty(scenes, anchors, CFG, 4)
+
+
+def hexes(values) -> list[str]:
+    return [float(v).hex() for v in values]
+
+
+def golden_predictions(seed: int):
+    """The predictions that ``test_golden`` digests: a 200-scene pool of
+    2-6 objects under the CLI's default noise."""
+    from scenesel import synth
+    from scenesel.config import build_config
+
+    cfg = build_config(environ={})
+    spec = synth.PoolSpec(n_scenes=200, class_mix=(0.9, 0.05, 0.05), objects_min=2, objects_max=6, rng_seed=seed)
+    pool = synth.generate_pool(spec, cfg.catalog, cfg.anchors)
+    noise = synth.NoiseModel(
+        confidence_noise=0.5,
+        position_noise_per_meter=0.005,
+        false_positive_rate=0.3,
+        misclass_rate=0.05,
+        mixture_components=3,
+        mean_spread=0.1,
+    )
+    predictor = synth.make_predictor(noise, cfg.anchors, cfg.catalog, seed)
+    return [predictor(pool[sid]) for sid in sorted(pool)], cfg
+
+
+def overflow_scene(sid):
+    """A scene whose third detection's w mean of 1e200 squares to inf."""
+    ok, big = uniform_mixture(k=2, mean=0.1), uniform_mixture(k=2, mean=0.1)
+    block = big.block.copy()
+    block[0, 1, RESIDUAL_DIMS.index("w")] = 1e200
+    return scene_with_mixtures(
+        sid, (make_detection(confidence=0.1), ok), (make_detection(), ok), (make_detection(), MixtureParams(block))
+    )
+
+
+def singular_scene(sid):
+    bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
+    return scene_with_mixtures(sid, (make_detection(), bad))
+
+
+class TestSceneUncertainties:
+    """The list pass against the per-scene path, ``float.hex`` for
+    ``float.hex``, and its failures against the per-scene ones."""
+
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_golden_predictions(self, seed):
+        preds, cfg = golden_predictions(seed)
+        assert len(preds) > uncertainty.CHUNK_SCENES
+        one_by_one = [scene_uncertainty(p, cfg.anchors, cfg.uncertainty) for p in preds]
+        assert hexes(scene_uncertainties(preds, cfg.anchors, cfg.uncertainty)) == hexes(one_by_one)
+        assert hexes(one_by_one) == hexes(oracle_scene_uncertainty(p, cfg.anchors, cfg.uncertainty) for p in preds)
+
+    def mixed_scenes(self, rng, n):
+        """Scenes of K from 1 to 9 in one list, some with no kept detection
+        (empty, all below tau, or below tau without mixtures)."""
+        scenes = []
+        for i in range(n):
+            kind = rng.randrange(8)
+            if kind == 0:
+                scenes.append(Scene(f"e{i}"))
+            elif kind == 1:
+                scenes.append(Scene(f"n{i}", (make_detection("car", 0.1), make_detection("cyclist", 0.2))))
+            else:
+                labels = [rng.choice(("car", "pedestrian", "cyclist")) for _ in range(rng.randint(1, 9))]
+                dets = tuple(ScoredDetection(c, rng.choice((0.1, 0.5, 0.9, 1.0)), make_box()) for c in labels)
+                scenes.append(Scene(f"s{i}", dets, random_block(rng, len(dets), rng.randint(1, 9))))
+        return scenes
+
+    @pytest.mark.parametrize("chunk", [1, 3, 128])
+    def test_mixed_k_and_empty_scenes_over_chunks(self, anchors, monkeypatch, chunk):
+        monkeypatch.setattr(uncertainty, "CHUNK_SCENES", chunk)
+        scenes = self.mixed_scenes(random.Random(7), 300)
+        assert {len(s.mixtures.block[0, 0, 0]) for s in scenes if s.mixtures is not None} == set(range(1, 10))
+        got = scene_uncertainties(scenes, anchors, CFG)
+        assert got.shape == (300,) and got.dtype == np.float64
+        assert hexes(got) == hexes(oracle_scene_uncertainty(s, anchors, CFG) for s in scenes)
+        assert hexes(got) == hexes(scene_uncertainty(s, anchors, CFG) for s in scenes)
+        assert all(got[i] == 0.0 for i, s in enumerate(scenes) if s.id[0] in "en")
+
+    def test_empty_list(self, anchors):
+        assert scene_uncertainties([], anchors, CFG).shape == (0,)
+
+    def test_near_singular_scenes_are_excluded_in_order(self, anchors, caplog, monkeypatch):
+        monkeypatch.setattr(uncertainty, "CHUNK_SCENES", 2)
+        good = [TestRanking()._scene(sid, var) for sid, var in (("g1", 0.3), ("g2", 0.1), ("g3", 0.2))]
+        scenes = [good[0], singular_scene("b1"), good[1], singular_scene("b2"), good[2]]
+        with caplog.at_level(logging.WARNING, logger=uncertainty.__name__):
+            assert rank_by_uncertainty(scenes, anchors, CFG, 3) == ["g1", "g3", "g2"]
+        excluded = [r.getMessage() for r in caplog.records if r.getMessage().startswith("excluding scene")]
+        assert [m.split()[2] for m in excluded] == ["b1", "b2"]
+        assert len(excluded) == len(caplog.records)
+        with pytest.raises(NearSingularYawError, match=r"scene 'b1': detection 0 \(car\): yaw residual mean "):
+            scene_uncertainties(scenes, anchors, CFG)
+
+    @pytest.mark.parametrize("order", ["overflow_first", "missing_first"])
+    def test_a_later_failure_raises_the_per_scene_error(self, order):
+        preds, cfg = golden_predictions(1)
+        overflow = overflow_scene("over")
+        missing = Scene("bare", (make_detection("car", 0.9),))
+        late = [overflow, missing] if order == "overflow_first" else [missing, overflow]
+        scenes = preds[:150] + [late[0]] + preds[150:] + [late[1]]
+        expected = (
+            (PropagationOverflowError, r"^scene 'over': detection 2 \(car\): propagated variances are not finite$")
+            if order == "overflow_first"
+            else (DataError, r"^scene 'bare': 1 counted detections have no mixture parameters$")
+        )
+        for call in (
+            lambda: scene_uncertainties(scenes, cfg.anchors, cfg.uncertainty),
+            lambda: scene_uncertainty(late[0], cfg.anchors, cfg.uncertainty),
+            lambda: rank_by_uncertainty(scenes, cfg.anchors, cfg.uncertainty, 5),
+        ):
+            with pytest.raises(expected[0], match=expected[1]) as info:
+                call()
+            assert type(info.value) is expected[0]
+
+    def test_a_class_without_an_anchor_is_a_key_error(self, anchors):
+        ok = TestRanking()._scene("ok", 0.2)
+        # An overflowing and a near-singular row after the anchorless one:
+        # the anchor lookup comes first, as for a lone scene.
+        bad = with_yaw_means(uniform_mixture(var=0.1, mean=1.0), math.pi / 2)
+        truck = scene_with_mixtures("t", (make_detection("truck"), uniform_mixture()), (make_detection(), bad))
+        for scenes in ([ok, truck], [truck]):
+            with pytest.raises(KeyError, match="no anchor for class 'truck'"):
+                scene_uncertainties(scenes, anchors, CFG)
