@@ -311,8 +311,10 @@ class Anchor:
     height: float
 
     def __post_init__(self):
-        if not (self.length > 0 and self.width > 0 and self.height > 0):
-            raise ValueError("anchor dimensions must be positive")
+        if not (0 < self.length < math.inf and 0 < self.width < math.inf and 0 < self.height < math.inf):
+            raise ValueError(
+                f"anchor dimensions must be positive and finite, got {self.length},{self.width},{self.height}"
+            )
 
     @property
     def diagonal(self) -> float:

@@ -15,8 +15,8 @@ class EntropyConfig:
     def __post_init__(self):
         if not (0.0 <= self.tau <= 1.0):
             raise ValueError(f"tau must be in [0, 1], got {self.tau}")
-        if not self.zeta > 0:
-            raise ValueError("zeta must be positive")
+        if not (0.0 < self.zeta < math.inf):
+            raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
 
 
 def filtered_class_counts(

@@ -9,7 +9,8 @@ node kernel is zero between different labels, so only the label-matched
 drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
 ICML 2004). ``indexed_kernels`` is the one solver: it evaluates many pairs,
 given as indices into a list of graphs, at once, one stacked fixed point per
-live-count group whatever the graph sizes. ``marginalized_kernels`` is its
+live-count group whatever the graph sizes, on live-node matrices built from
+whole-row copies of the graphs' weights. ``marginalized_kernels`` is its
 call over a list of graph pairs, and ``marginalized_kernel`` the one-pair call.
 Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
 kernel is the sum of its path-pair terms up to one length K fixed by gamma
@@ -35,8 +36,10 @@ from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, Sce
 
 # Bytes of live-node matrices M_LL solved in one stacked fixed point: a
 # batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
-# engine's working set: the gathers that build them hold a few arrays of
-# this size. A pair whose M_LL alone is larger is solved on its own.
+# engine's working set: building a batch holds about two arrays of this
+# size, M_LL and the second graphs' edge weights, beside gathers of b
+# (A + 1) L elements, A the batch's largest live node, which are smaller
+# wherever L > A. A pair whose M_LL alone is larger is solved on its own.
 BATCH_BYTES = 256 * 1024
 
 
@@ -61,8 +64,8 @@ class KernelConfig:
             raise ValueError(f"sigma must make 2 sigma^2 a positive finite float, got sigma={self.sigma}")
         if not self.tol > 0:
             raise ValueError("tol must be positive")
-        if not self.min_dist > 0:
-            raise ValueError("min_dist must be positive")
+        if not (0.0 < self.min_dist < math.inf):
+            raise ValueError(f"min_dist must be positive and finite, got {self.min_dist}")
 
     @property
     def steps(self) -> int:
@@ -222,11 +225,13 @@ def indexed_kernels(
     order of the flat index i * |V2| + j. A pair with no live node is 0.0.
 
     Pairs are grouped by their live count L, whatever their graph sizes. A
-    group builds its matrices M_LL in one gather from the call's edge
-    weights and iterates them as one stacked matmul, at most BATCH_BYTES of
-    M_LL at a time, for the ``config.steps`` steps that every pair takes.
-    So every value is the float a lone pair gets, and a cross kernel and
-    its two self-kernels are the same truncated series.
+    group builds its matrices M_LL from the call's edge weights, at most
+    BATCH_BYTES of M_LL at a time: per side, one gather of the weights from
+    each graph node to the live nodes, then one whole-row copy per live
+    node (``_live_edges``). It iterates them in place as one stacked matmul
+    for the ``config.steps`` steps that every pair takes. So every value is
+    the float a lone pair gets, and a cross kernel and its two self-kernels
+    are the same truncated series.
     """
     first = np.asarray(first, dtype=np.intp)
     second = np.asarray(second, dtype=np.intp)
@@ -306,8 +311,19 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     The graph of pair p has its n[p] x n[p] weights at ``flat[at[p]:]`` and
     ``nodes[p, x]`` is its node in live node x; entry (p, x, y) is the
     weight of the edge nodes[p, x] -> nodes[p, y].
+
+    Built in two gathers, neither with an index as large as the result.
+    The first reads, for each node a up to the batch's largest live node A,
+    the weights of the edges a -> nodes[p, y]: a (b, A + 1, L) array whose
+    rows past n[p] - 1 repeat row n[p] - 1. The second copies row
+    nodes[p, x] of it whole for each live node x. The floats are those of
+    the element-wise gather.
     """
-    return flat[(at[:, None] + nodes * n[:, None])[:, :, None] + nodes[:, None, :]]
+    b, count = nodes.shape
+    rows = int(nodes.max()) + 1
+    source = np.minimum(np.arange(rows), (n - 1)[:, None])
+    to_live = flat[(at[:, None] + source * n[:, None])[:, :, None] + nodes[:, None, :]]
+    return np.take(to_live.reshape(b * rows, count), nodes + rows * np.arange(b)[:, None], axis=0)
 
 
 def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> np.ndarray:
@@ -331,15 +347,19 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
     m *= (((1.0 - config.gamma) / (n1 - 1)) * ((1.0 - config.gamma) / (n2 - 1)))[:, None, None]
     m *= 0.5
 
+    # R_L as (b, L, 1) columns, stepped in place through one buffer: the
+    # same per-pair matrix-vector products and adds as r = q + M_LL r.
     q = config.gamma**2
-    r = np.full((b, count), q)
+    r = np.full((b, count, 1), q)
+    step = np.empty_like(r)
     for _ in range(config.steps):
-        r = q + np.matmul(m, r[:, :, None])[:, :, 0]
+        np.matmul(m, r, out=step)
+        np.add(q, step, out=r)
 
     # kv_L . R_L, one dot product per pair, so that no pair's float depends
     # on the others in its batch
     kv = np.full((count, 1), 0.5)
-    return 1.0 / (n1 * n2) * np.matmul(r[:, None, :], kv)[:, 0, 0]
+    return 1.0 / (n1 * n2) * np.matmul(r.reshape(b, 1, count), kv)[:, 0, 0]
 
 
 def kernel_brute_force(

@@ -64,6 +64,9 @@ class StagePlan:
             raise ValueError("n_r must be >= 1")
         if not (self.k1 >= self.k2 >= 1.0):
             raise ValueError(f"need k1 >= k2 >= 1, got k1={self.k1} k2={self.k2}")
+        # The stage sizes floor k1 * n_r and k2 * n_r, which must be finite.
+        if not math.isfinite(self.k1 * self.n_r):
+            raise ValueError(f"need k1 * n_r finite, got k1={self.k1} n_r={self.n_r}")
         if sorted(self.order) != sorted(STAGE_NAMES):
             raise ValueError(f"order must be a permutation of {STAGE_NAMES}")
 

@@ -38,8 +38,8 @@ class UncertaintyConfig:
     tau: float = DEFAULT_TAU  # confidence filter, shared with the entropy metric
 
     def __post_init__(self):
-        if self.eta < 0:
-            raise ValueError("eta must be non-negative")
+        if not (0.0 <= self.eta < math.inf):
+            raise ValueError(f"eta must be non-negative and finite, got {self.eta}")
 
 
 # The plain-loop moments of one detection's row: the oracle the array

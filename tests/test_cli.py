@@ -602,6 +602,21 @@ class TestPlanFlags:
         assert json.loads(state.read_text())["round_index"] == 0
 
 
+    # Not an OverflowError traceback from floor(inf * n_r), exit 1.
+    @pytest.mark.parametrize("command", ["select", "simulate"])
+    def test_infinite_multipliers_are_invalid_configuration(self, pool_dir, tmp_path, capsys, command):
+        state, out = tmp_path / "state.json", tmp_path / "out"
+        if command == "select":
+            assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--init", "--n0", 4) == 0
+            argv = ("select", "--pool", pool_dir, "--state", state, "--out", out)
+        else:
+            argv = ("simulate", "--out", out, "--n-scenes", 12)
+        before = sorted(tmp_path.rglob("*"))
+        assert run("--seed", 9, *argv, "--n-r", 1, "--k1", "inf", "--k2", "inf") == 3
+        assert "error: invalid configuration: need k1 * n_r finite, got k1=inf n_r=1" in capsys.readouterr().err
+        assert sorted(tmp_path.rglob("*")) == before
+
+
 class TestStats:
     def test_pool_stats_written(self, pool_dir, tmp_path):
         out = tmp_path / "stats"

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from scenesel.config import KEYS, build_config, parse_config_file
+from scenesel.cli import main
+from scenesel.config import ENV_PREFIX, KEYS, build_config, parse_config_file
 from scenesel.core import DataError
 
 
@@ -146,3 +147,32 @@ class TestReadmeTable:
             assert len(keys) == len(defaults), line
             for key, default in zip(keys, defaults):
                 assert KEYS[key](default) == self.value(cfg, key), key
+
+
+class TestNonFiniteValues:
+    """No float setting is infinite or NaN: each such value is an invalid
+    configuration before any file is read or written. The one exception is
+    ``kernel.tol = inf``, a bound every series meets with no step."""
+
+    @pytest.fixture(scope="class")
+    def tiny_pool(self, tmp_path_factory):
+        pool = tmp_path_factory.mktemp("pool") / "pool"
+        assert main(["--seed", "2", "synth", "--out", str(pool), "--n-scenes", "4"]) == 0
+        return pool
+
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    @pytest.mark.parametrize(
+        "key, setting",
+        [*((key, "{}") for key, convert in KEYS.items() if convert is float), ("anchor.car", "{},1.6,1.56")],
+    )
+    def test_every_float_key_rejects_a_non_finite_value(self, tiny_pool, tmp_path, capsys, monkeypatch, key, setting, value):
+        monkeypatch.setenv(ENV_PREFIX + key.replace(".", "_").upper(), setting.format(value))
+        out = tmp_path / "scores.csv"
+        code = main(["score", "--pool", str(tiny_pool), "--metric", "similarity", "--out", str(out)])
+        if (key, value) == ("kernel.tol", "inf"):
+            assert build_config().kernel.steps == 0
+            assert code == 0 and out.exists()
+            return
+        assert code == 3
+        assert "error: invalid configuration: " in capsys.readouterr().err
+        assert not out.exists()

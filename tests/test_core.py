@@ -31,9 +31,12 @@ class TestAnchorDiagonal:
     def test_three_four_five(self):
         assert Anchor(length=4.0, width=3.0, height=1.0).diagonal == pytest.approx(5.0)
 
-    def test_zero_dimension_rejected(self):
-        with pytest.raises(ValueError):
-            Anchor(length=0.0, width=1.0, height=1.0)
+    @pytest.mark.parametrize("bad", [0.0, -1.0, math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("field", ["length", "width", "height"])
+    def test_a_dimension_that_is_no_positive_finite_float_is_rejected(self, field, bad):
+        dims = {"length": 3.9, "width": 1.6, "height": 1.56, field: bad}
+        with pytest.raises(ValueError, match="anchor dimensions must be positive and finite"):
+            Anchor(**dims)
 
     def test_kitti_car_anchor(self):
         # sqrt(1.6^2 + 3.9^2), computed directly

@@ -110,6 +110,12 @@ class TestCategoryEntropy:
 
 
 class TestCountsEntropy:
+    # An infinite zeta would score every scene 0.0.
+    @pytest.mark.parametrize("zeta", [0.0, -1e-12, math.inf, -math.inf, math.nan])
+    def test_a_zeta_that_is_no_positive_finite_float_is_rejected(self, zeta):
+        with pytest.raises(ValueError, match="zeta must be positive and finite"):
+            EntropyConfig(zeta=zeta)
+
     def test_single_class_clamped_to_zero(self):
         # -ln(1 + zeta) < 0 before the clamp
         assert counts_entropy({"car": 5, "pedestrian": 0}, zeta=1e-12) == 0.0

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -194,6 +195,15 @@ class TestSigma:
         graphs = [build_scene_graph(random_scene(rng, f"s{i}"), catalog, CFG) for i in range(4)]
         pairs = [(g1, g2) for g1 in graphs for g2 in graphs]
         assert all(math.isfinite(v) for v in marginalized_kernels(pairs, KernelConfig(sigma=sigma)))
+
+
+class TestMinDist:
+    # An infinite clamp would make every distance overflow, blamed on the
+    # first scene's label file.
+    @pytest.mark.parametrize("min_dist", [0.0, -0.1, math.inf, -math.inf, math.nan])
+    def test_a_min_dist_that_is_no_positive_finite_float_is_rejected(self, min_dist):
+        with pytest.raises(ValueError, match="min_dist must be positive and finite"):
+            KernelConfig(min_dist=min_dist)
 
 
 class TestStepCount:
@@ -428,6 +438,31 @@ class TestBatchedEngine:
         assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
 
+    def test_car_heavy_graphs_of_15_to_22_nodes(self, batch_sizes):
+        # The live count of graphs of ego, c cars, p pedestrians and y
+        # cyclists is 1 + c1 c2 + p1 p2 + y1 y2: five pairs of five node-count
+        # pairs share L = 100, several to a stacked solve, and two pairs
+        # with L > 181 fill a batch alone.
+        rng = random.Random(73)
+
+        def graph(cars, pedestrians, cyclists):
+            labels = ["car"] * cars + ["pedestrian"] * pedestrians + ["cyclist"] * cyclists
+            rng.shuffle(labels)
+            return graph_with_labels(rng, (EGO_LABEL, *labels))
+
+        base = graph(7, 1, 6)
+        pairs = [(base, graph(*shape)) for shape in [(8, 1, 7), (9, 0, 6), (10, 5, 4), (11, 4, 3), (12, 3, 2)]]
+        all_car = graph(21, 0, 0)
+        pairs += [(all_car, all_car), (pairs[-1][1], all_car)]
+        assert [live_count(g1, g2) for g1, g2 in pairs] == [100] * 5 + [442, 253]
+        assert len({(g1.num_nodes, g2.num_nodes) for g1, g2 in pairs[:5]}) == 5
+        assert {g.num_nodes for pair in pairs for g in pair} == {15, 16, 17, 18, 19, 20, 22}
+        per_batch = BATCH_BYTES // (8 * 100**2)
+        assert 1 < per_batch < 5
+        batched = marginalized_kernels(pairs, CFG)
+        assert sorted(batch_sizes) == sorted([1, 1, per_batch, 5 - per_batch])
+        assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
+
     def test_ego_times_ego_only_live_node(self):
         # The one live node has no live successor (the walk would have to
         # stay on the ego node of both graphs), so R_L = q and the kernel is
@@ -466,6 +501,41 @@ class TestBatchedEngine:
         for i in range(n):
             for j in range(i + 1, n):
                 assert sim[i, j] == sim[j, i] == cache.similarity(scenes[i], scenes[j])
+
+
+class TestLiveAssembly:
+    """How ``indexed_kernels`` builds the edge weights between live nodes."""
+
+    def test_live_edges_are_the_live_nodes_submatrices(self):
+        # One batch of one live count, L = 6, over graphs of 3, 7, 12 and 7
+        # nodes; a pair's live nodes repeat and reach its graph's last node.
+        rng = random.Random(79)
+        graphs = [graph_with_labels(rng, ("a",) * n) for n in (3, 7, 12, 7)]
+        flat = np.concatenate([g.weight_array.reshape(-1) for g in graphs])
+        n = np.array([g.num_nodes for g in graphs])
+        at = np.cumsum(n * n) - n * n
+        nodes = np.array([sorted(rng.choices(range(k), k=5)) + [k - 1] for k in n.tolist()])
+        edges = kernel_module._live_edges(flat, at, n, nodes)
+        assert edges.shape == (4, 6, 6)
+        for p, g in enumerate(graphs):
+            assert np.array_equal(edges[p], g.weight_array[np.ix_(nodes[p], nodes[p])])
+
+    def test_a_lone_large_pair_holds_about_two_live_matrices(self):
+        # An all-car 22-node pair has L = 1 + 21 * 21 = 442 live nodes and
+        # one 8 L^2-byte M_LL; building it must not hold an index array, or
+        # a gathered copy, of that size beside the two sides' weights.
+        rng = random.Random(83)
+        graphs = [graph_with_labels(rng, (EGO_LABEL,) + ("car",) * 21) for _ in range(2)]
+        first, second = np.array([0]), np.array([1])
+        assert live_count(*graphs) == 442
+        kernel_module.indexed_kernels(graphs, first, second, CFG)  # builds the weight arrays
+        tracemalloc.start()
+        try:
+            kernel_module.indexed_kernels(graphs, first, second, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * 8 * 442**2
 
 
 class TestBruteForce:

@@ -68,6 +68,12 @@ class TestStagePlan:
         with pytest.raises(ValueError):
             StagePlan(n_r=5, k1=3.0, k2=0.5)
 
+    # floor(k1 * n_r) of an infinite product is an OverflowError.
+    @pytest.mark.parametrize("k1, k2, n_r", [(math.inf, math.inf, 1), (math.inf, 2.5, 20), (1e308, 2.5, 20)])
+    def test_a_k1_times_n_r_that_is_not_finite_is_rejected(self, k1, k2, n_r):
+        with pytest.raises(ValueError, match="need k1 \\* n_r finite"):
+            StagePlan(n_r=n_r, k1=k1, k2=k2)
+
     def test_n_r_positive(self):
         with pytest.raises(ValueError):
             StagePlan(n_r=0)

@@ -229,6 +229,13 @@ def with_yaw_means(m, yaw_means):
 
 
 class TestSceneUncertainty:
+    # An infinite or NaN eta would fail every scene as if its sidecar held
+    # non-finite variances.
+    @pytest.mark.parametrize("eta", [-0.5, math.inf, -math.inf, math.nan])
+    def test_an_eta_that_is_no_non_negative_finite_float_is_rejected(self, eta):
+        with pytest.raises(ValueError, match="eta must be non-negative and finite"):
+            UncertaintyConfig(eta=eta)
+
     def _unit_anchors(self):
         return AnchorTable.from_dict(
             {c: unit_anchor() for c in ("car", "pedestrian", "cyclist")}
