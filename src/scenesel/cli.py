@@ -160,15 +160,16 @@ def cmd_score(args) -> int:
 def cmd_select(args) -> int:
     """Initialize the round state (``--init``) or run one selection round.
 
-    Labels are parsed for every pool scene, and every scene must have its
-    mixture sidecar, but a sidecar is parsed only for a scene that reaches
-    the uncertainty stage (with the default order, floor(k2*n_r) scenes);
-    ``--init`` parses none. A round reads and then rewrites the similarity
-    cache file next to the state file (``state.json`` ->
-    ``state.similarity.json``), dropping the values of the scenes it
-    labeled; ``--init`` leaves that file alone. A flag of the other mode
-    (``--n0`` and ``--budget`` are ``--init``'s, the plan flags a round's)
-    is a usage error, raised before any file is read.
+    A round is one ``tscenejal`` round of ``sampler.run_al_rounds``. Every
+    pool scene must have its mixture sidecar, but a sidecar is parsed only
+    for a scene that reaches the uncertainty stage (with the default order,
+    floor(k2*n_r) scenes); ``--init`` parses none. A round writes its
+    selection and reports, then saves the state, which commits the round,
+    and last rewrites the similarity cache file it read (``state.json`` ->
+    ``state.similarity.json``) without the values of the scenes it labeled;
+    ``--init`` leaves that file alone. A flag of the other mode (``--n0``
+    and ``--budget`` are ``--init``'s, the plan flags a round's) is a usage
+    error, raised before any file is read.
     """
     other_mode = ("n_r", "k1", "k2", "order") if args.init else ("n0", "budget")
     ignored = ["--" + f.replace("_", "-") for f in other_mode if getattr(args, f) is not None]
@@ -194,17 +195,7 @@ def cmd_select(args) -> int:
     missing = sorted(st.unlabeled_ids - by_id.keys())
     if missing:
         raise DataError(f"{state_path}: unlabeled ids not in pool: {missing[:5]}")
-    unlabeled = [by_id[i] for i in sorted(st.unlabeled_ids)]
-    if len(unlabeled) < cfg.plan.n_r:
-        raise DataError(
-            f"unlabeled pool of {len(unlabeled)} cannot supply n_r={cfg.plan.n_r} scenes"
-        )
-    if st.budget_left < cfg.plan.n_r:
-        raise DataError(
-            f"budget of {st.budget_total} scenes has {st.budget_left} left, "
-            f"cannot supply n_r={cfg.plan.n_r} scenes"
-        )
-    # One cache serves the selection and its report, so the report's pairs
+    # One cache serves the selection and its reports, so the reports' pairs
     # among the selected scenes are cache hits. Likewise the parsed sidecars:
     # every selected scene went through the uncertainty stage. The cache
     # starts from the kernel values the rounds before kept in its file.
@@ -218,13 +209,17 @@ def cmd_select(args) -> int:
             parsed[scene.id] = kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, scene.id), scene)
         return parsed[scene.id]
 
-    with _naming_scene_file(args.pool):
-        selected, slog = sampler.three_stage_select(
-            unlabeled, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache, with_mixtures
-        )
-    # The kernel values the selection needed: what it would have evaluated
+    try:
+        with _naming_scene_file(args.pool):
+            new_st, (report,) = sampler.run_al_rounds(
+                by_id, cfg.plan, 1, lambda scene: scene, lambda scene_id: None, st, cfg.catalog, cfg.anchors,
+                cfg.entropy, cfg.kernel, cfg.uncertainty, strategy="tscenejal", cache=cache, with_mixtures=with_mixtures,
+            )
+    except sampler.ShortfallError as exc:  # exit 2 in ``simulate``, whose flags make the pool
+        raise DataError(str(exc)) from exc
+    # The kernel values the round needed: what it would have evaluated
     # without the file.
-    needed = slog.kernel_evals + cache.reused
+    needed = report.kernel_evals + cache.reused
     # Another run may have advanced the state while this one selected; write
     # nothing over it. This narrows the window between load and save; it is
     # not a lock.
@@ -234,26 +229,21 @@ def cmd_select(args) -> int:
             f"{state_path}: round_index moved from {st.round_index} to {current} "
             "while this round was selecting; nothing written"
         )
-    st = st.with_selection(tuple(selected))
-    state_mod.save_round_state(st, state_path)
-    write_text_atomic(out / f"selected_round_{st.round_index:03d}.txt", "\n".join(selected) + "\n")
-    report = diagnostics.selection_report(
-        [with_mixtures(by_id[i]) for i in selected],
-        scenes,
-        cfg.entropy,
-        cfg.uncertainty,
-        cfg.anchors,
-        cache,
-        rng_seed=args.seed,
+    selected = report.selected_ids
+    write_text_atomic(out / f"selected_round_{report.round_index:03d}.txt", "\n".join(selected) + "\n")
+    diag = diagnostics.selection_report(
+        [with_mixtures(by_id[i]) for i in selected], scenes, cfg.entropy, cfg.uncertainty, cfg.anchors, cache, args.seed
     )
-    _write_report(out / f"report_round_{st.round_index:03d}", report)
+    _write_report(out / f"report_round_{report.round_index:03d}", diag)
+    # The commit: a round that fails before it leaves the state as it was.
+    state_mod.save_round_state(new_st, state_path)
     # Last, so that a crash before it only loses the round's new values.
     cache.save(cache_path, [by_id[i] for i in selected])
-    log.info("stage sizes %s, kernel evals %d, %d evaluated", slog.stage_sizes, needed, slog.kernel_evals)
-    log.info("similarity cache: %d pairs hit, %d missed (selection and report)", cache.hits, cache.misses)
+    log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
+    log.info("similarity cache: %d pairs hit, %d missed (selection and reports)", cache.hits, cache.misses)
     print(
-        f"round {st.round_index}: selected {len(selected)} scenes "
-        f"(stage sizes {slog.stage_sizes}, kernel evals {needed}, {slog.kernel_evals} evaluated)"
+        f"round {report.round_index}: selected {len(selected)} scenes "
+        f"(stage sizes {report.stage_sizes}, kernel evals {needed}, {report.kernel_evals} evaluated)"
     )
     return 0
 

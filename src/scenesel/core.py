@@ -315,6 +315,11 @@ class Anchor:
             raise ValueError(
                 f"anchor dimensions must be positive and finite, got {self.length},{self.width},{self.height}"
             )
+        # The uncertainty terms scale by the squared diagonal and height.
+        if not (math.isfinite(self.diagonal * self.diagonal) and math.isfinite(self.height * self.height)):
+            raise ValueError(
+                f"anchor diagonal and height must have finite squares, got {self.length},{self.width},{self.height}"
+            )
 
     @property
     def diagonal(self) -> float:
@@ -380,14 +385,19 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     Creates the parent directory. Each write has a temporary file of its own
     next to the target, so a crash, or another writer of the same file,
     leaves either the old file or one whole new one, never a partial write.
-    A write or rename that fails removes its temporary file.
+    A write or rename that fails removes its temporary file. A target that
+    cannot be written (its directory cannot be made, or it is a directory)
+    is a ``DataError`` naming it.
     """
     path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
-        tmp.write_text(text, encoding="utf-8", newline="\n")
-        tmp.replace(path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
+        path.parent.mkdir(parents=True, exist_ok=True)
+        try:
+            tmp.write_text(text, encoding="utf-8", newline="\n")
+            tmp.replace(path)
+        except BaseException:
+            tmp.unlink(missing_ok=True)
+            raise
+    except OSError as exc:
+        raise DataError(f"{path}: cannot write file: {exc}") from exc

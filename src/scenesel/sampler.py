@@ -423,6 +423,10 @@ def _unchanged(scene: Scene) -> Scene:
     return scene
 
 
+class ShortfallError(ValueError):
+    """The unlabeled pool or the budget cannot supply a round's n_r scenes."""
+
+
 def _run_stage(stage, scenes, size, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures):
     """The ``size`` ids of ``scenes`` that one metric stage keeps, in its order.
 
@@ -482,7 +486,7 @@ def three_stage_select(
         sizes[0] = pool_size
         sizes[1] = min(sizes[1], max(plan.n_r, math.floor(plan.k2 * pool_size / plan.k1)))
         log.warning(
-            "degraded round: pool %d < floor(k1*n_r)=%d, stage sizes now %s",
+            "degraded round: pool %d < floor(k1*n_r)=%.6g, stage sizes now %s",
             pool_size,
             math.floor(plan.k1 * plan.n_r),
             tuple(sizes),
@@ -533,6 +537,7 @@ def run_al_rounds(
     uncertainty_cfg: UncertaintyConfig,
     strategy: str = "tscenejal",
     cache: SimilarityCache | None = None,
+    with_mixtures: Callable[[Scene], Scene] = _unchanged,
 ) -> tuple[RoundState, list[RoundReport]]:
     """Drive ``rounds`` selection rounds, returning the new state and reports.
 
@@ -541,22 +546,26 @@ def run_al_rounds(
     the predictor on the scenes its strategy reads: every unlabeled scene
     for a strategy that ranks predictions, and for ``random``, which picks
     its ids before any prediction, only the picked scenes, whose
-    predictions the round report reads. A round whose unlabeled pool holds
-    fewer than n_r scenes is an error, under every strategy, before the
-    strategy runs. Deterministic given the state's rng_seed. A predictor
-    failure on a scene the round predicts, or an oracle failure, aborts the
-    round; a ``random`` round does not predict, and so does not fail on, a
-    scene it does not pick. The input state object is never mutated. A
-    ``cache`` must have been made for ``catalog`` and ``kernel_cfg``;
-    without one, the rounds share a new cache.
+    predictions the round report reads. A budget that cannot cover the
+    rounds, or a round whose unlabeled pool holds fewer than n_r scenes, is
+    a ``ShortfallError``, under every strategy, before the strategy runs.
+    Deterministic given the state's rng_seed. A predictor failure on a
+    scene the round predicts, or an oracle failure, aborts the round; a
+    ``random`` round does not predict, and so does not fail on, a scene it
+    does not pick. The input state object is never mutated. A ``cache``
+    must have been made for ``catalog`` and ``kernel_cfg``; without one, the
+    rounds share a new cache. The uncertainty stage and the round report
+    read ``with_mixtures(prediction)``. The one round driver, of ``scenesel
+    simulate`` and ``scenesel select`` alike.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; valid: {', '.join(STRATEGIES)}")
     if rounds * plan.n_r > state.budget_left:
-        raise ValueError(
-            f"budget {state.budget_total} cannot cover {rounds} more rounds of {plan.n_r}"
+        raise ShortfallError(
+            f"budget of {state.budget_total} scenes has {state.budget_left} left, "
+            f"cannot supply {rounds} round{'s' * (rounds != 1)} of n_r={plan.n_r} scenes"
         )
     if cache is None:
         cache = SimilarityCache(catalog, kernel_cfg)
@@ -572,7 +581,7 @@ def run_al_rounds(
         evaluated_before = cache.evaluations
         unlabeled = [pool[i] for i in sorted(state.unlabeled_ids)]
         if len(unlabeled) < plan.n_r:
-            raise ValueError(f"pool of {len(unlabeled)} scenes is below n_r={plan.n_r}")
+            raise ShortfallError(f"unlabeled pool of {len(unlabeled)} scenes is below n_r={plan.n_r}")
         if strategy == "random":
             rng = np.random.default_rng(np.random.SeedSequence([state.rng_seed, round_index]))
             picked = rng.choice(len(unlabeled), size=plan.n_r, replace=False)
@@ -582,11 +591,11 @@ def run_al_rounds(
         else:
             preds = [predictor(s) for s in unlabeled]
             if strategy == "tscenejal":
-                selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache)
+                selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures)
                 stage_sizes = slog.stage_sizes
             else:
                 selected = _run_stage(
-                    _SINGLE_STAGE[strategy], preds, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, _unchanged
+                    _SINGLE_STAGE[strategy], preds, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures
                 )
                 stage_sizes = None
             pred_by_id = {p.id: p for p in preds}
@@ -597,7 +606,7 @@ def run_al_rounds(
             _round_report(
                 round_index,
                 strategy,
-                selected_preds,
+                [with_mixtures(p) for p in selected_preds],
                 stage_sizes,
                 evaluated_before,
                 anchors,

@@ -6,6 +6,7 @@ this test makes the same break fail the unit suite. So does a refactor that
 binds one of them before the wrappers are installed, so that the traced run
 records no span for it.
 """
+import re
 import sys
 from pathlib import Path
 
@@ -52,3 +53,28 @@ def test_the_similarity_stage_records_its_spans():
     assert calls["sampler.matrix"] == 1
     assert calls["kernel.build_scene_graph"] == len({scene_content(s, DEFAULT_CATALOG, KernelConfig()) for s in scenes})
     assert calls["sampler.farthest_sampling"] == 1
+
+
+def test_a_select_round_records_one_round_driver_span(tmp_path, capsys):
+    # ``select`` runs its round through ``sampler.run_al_rounds``, looked up
+    # on the module, so the traced run records the round and its kernel
+    # count; a direct import in ``cli`` would record neither.
+    from scenesel import cli
+
+    pool, state, out = tmp_path / "pool", tmp_path / "state.json", tmp_path / "sel"
+    select = ["select", "--pool", str(pool), "--state", str(state), "--out", str(out)]
+    assert cli.main(["--seed", "2", "synth", "--out", str(pool), "--n-scenes", "12"]) == 0
+    assert cli.main([*select, "--init", "--n0", "2"]) == 0
+    inst = instrumentation()
+    inst.install()
+    try:
+        capsys.readouterr()
+        assert cli.main([*select, "--n-r", "2"]) == 0
+    finally:
+        inst.remove()
+    evaluated = int(re.search(r", (\d+) evaluated\)", capsys.readouterr().out).group(1))
+    _, _, calls = inst.tracer.totals(0)
+    assert calls["sampler.run_al_rounds"] == 1
+    assert calls["sampler.three_stage_select"] == 1
+    assert evaluated > 0
+    assert inst.tracer.counts["sampler.reported_kernel_evals"] == evaluated

@@ -312,9 +312,11 @@ class TestSelect:
             assert run("-v", "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
         hits, misses = map(int, re.search(r"similarity cache: (\d+) pairs hit, (\d+) missed", caplog.text).groups())
         # The similarity stage asks for the 36 pairs of the 9 scenes the
-        # entropy stage keeps, cold; the report's 3 pairs among the 3
-        # selected are hits.
-        assert (hits, misses) == (3, 36)
+        # entropy stage keeps, cold; the 3 pairs among the 3 selected are
+        # hits twice, once for the round report and once for the report files.
+        assert (hits, misses) == (6, 36)
+        # The round report scores the selected scenes with their sidecars.
+        assert "mean uncertainty omitted" not in caplog.text
         assert re.fullmatch(
             r"round 1: selected 3 scenes \(stage sizes \(9, 7, 3\), kernel evals \d+, \d+ evaluated\)\n",
             capsys.readouterr().out,
@@ -510,6 +512,27 @@ class TestSelect:
             rounds.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
         assert rounds[1] == rounds[0]
 
+    def test_an_unwritable_report_commits_no_round_and_a_rerun_writes_a_clean_one(
+        self, pool_dir, tmp_path, capsys, monkeypatch
+    ):
+        # The state save commits the round: a report file that cannot be
+        # written leaves the state, and the similarity cache file, as they
+        # were.
+        _, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        blocker = out / "report_round_001.hist.csv"
+        blocker.mkdir(parents=True)
+        before = state.read_bytes()
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
+        capsys.readouterr()
+        assert run(*select) == 3
+        assert f"error: {blocker}: cannot write file: " in capsys.readouterr().err
+        assert state.read_bytes() == before
+        assert not state.with_suffix(".similarity.json").exists()
+        blocker.rmdir()
+        assert run(*select) == 0
+        assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
+
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"
         code = run("select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 99)
@@ -615,6 +638,31 @@ class TestPlanFlags:
         assert run("--seed", 9, *argv, "--n-r", 1, "--k1", "inf", "--k2", "inf") == 3
         assert "error: invalid configuration: need k1 * n_r finite, got k1=inf n_r=1" in capsys.readouterr().err
         assert sorted(tmp_path.rglob("*")) == before
+
+    @pytest.mark.parametrize(
+        "n_r, k1, k2, warning, plain",
+        [
+            (1, "1e308", 2, "floor(k1*n_r)=1e+308, stage sizes now (4, 1, 1)", (4, 1)),  # not 309 digits
+            (2, "123456.5", 2, "floor(k1*n_r)=246913, stage sizes now (4, 2, 2)", (2, 1)),
+        ],
+    )
+    def test_the_degraded_round_warning_gives_floor_k1_n_r_to_six_digits(self, tmp_path, caplog, n_r, k1, k2, warning, plain):
+        # The degraded round of a 4-scene pool selects what the plan of its
+        # stage sizes, ``plain``, selects without degrading.
+        pool = tmp_path / "pool"
+        assert run("--seed", 2, "synth", "--out", pool, "--n-scenes", 4) == 0
+        selected, warnings = [], []
+        for plan in ((k1, k2), plain):
+            state, out = tmp_path / str(plan) / "state.json", tmp_path / str(plan) / "sel"
+            select = ("--seed", 9, "select", "--pool", pool, "--state", state, "--out", out)
+            assert run(*select, "--init") == 0
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert run(*select, "--n-r", n_r, "--k1", plan[0], "--k2", plan[1]) == 0
+            warnings.append([r.getMessage() for r in caplog.records if r.getMessage().startswith("degraded round")])
+            selected.append((out / "selected_round_001.txt").read_bytes())
+        assert warnings == [[f"degraded round: pool 4 < {warning}"], []]
+        assert selected[0] == selected[1]
 
 
 class TestStats:
@@ -815,6 +863,7 @@ FAULTS = {
     "ids: missing": ("ids", lambda p: None, {"stats": 3}),
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
     "ids: repeated id": ("ids", lambda p: p.write_text("scene_000001\nscene_000002\nscene_000001\n"), {"stats": 3}),
+    "report: a directory in the way": ("report", lambda p: p.mkdir(parents=True), {"select": 3}),
 }
 
 
@@ -829,6 +878,7 @@ SAID = {
     "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
+    "report: a directory in the way": (": cannot write file: ",),
     "label: center too far out": ("scene '{sid}': the distance from (0.0, 0.0, 0.0) to (1e+200, ",),
     "sidecar: every yaw near pi/2": {
         "select": ("excluded for a yaw residual near +-pi/2, the first '{sid}'",),
@@ -865,8 +915,10 @@ class TestFaultMatrix:
             "config": tmp_path / "scenesel.conf",
             "ids": tmp_path / "ids.txt",
             "cache": state.with_suffix(".similarity.json"),
+            "report": sel / "report_round_001.hist.csv",
         }[where]
         inject(target)
+        state_before = state.read_bytes()
         config = ("--config", target) if where == "config" else ()
         ids = ("--ids", target) if where == "ids" else ()
         commands = {
@@ -893,6 +945,8 @@ class TestFaultMatrix:
                 assert part in said, (command, said)
             if code == 0 and where == "sidecar":
                 assert "loading the pool without sidecars" in caplog.text
+            if code:  # a failed command commits no round
+                assert state.read_bytes() == state_before, command
 
 
 class TestInvariance:
@@ -1004,6 +1058,33 @@ class TestInvariance:
             assert run(*select, "--n-r", 3) == 0
             outputs.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
         assert outputs[1] == outputs[0]
+
+    def test_n_select_rounds_are_one_run_al_rounds_call_of_n_rounds(self, pool_dir, tmp_path):
+        # Three ``select`` processes that keep the similarity cache file,
+        # against one in-memory call of three rounds over the parsed labels
+        # that attaches each sidecar when the uncertainty stage first asks.
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        assert run(*select, "--init", "--n0", 4) == 0
+        start = state_mod.load_round_state(state)
+        for _ in range(3):
+            assert run(*select, "--n-r", 3) == 0
+        cfg = build_config(overrides={"plan.n_r": 3}, environ={})
+        pool = {s.id: s for s in kitti.load_pool_dir(pool_dir, cfg.catalog)}
+        parsed = {}
+
+        def with_mixtures(scene):
+            if scene.id not in parsed:
+                parsed[scene.id] = kitti.load_mixture_sidecar(kitti.sidecar_path(pool_dir, scene.id), scene)
+            return parsed[scene.id]
+
+        final, reports = sampler.run_al_rounds(
+            pool, cfg.plan, 3, lambda scene: scene, lambda sid: None, start, cfg.catalog, cfg.anchors,
+            cfg.entropy, cfg.kernel, cfg.uncertainty, with_mixtures=with_mixtures,
+        )
+        per_round = [(out / f"selected_round_{r:03d}.txt").read_text().split() for r in (1, 2, 3)]
+        assert [list(r.selected_ids) for r in reports] == per_round
+        assert state_mod.load_round_state(state) == final
 
     def test_select_does_not_depend_on_the_similarity_cache_file(self, pool_dir, tmp_path, capsys):
         # Rounds that keep the file, and rounds that start each without it,

@@ -176,3 +176,13 @@ class TestNonFiniteValues:
         assert code == 3
         assert "error: invalid configuration: " in capsys.readouterr().err
         assert not out.exists()
+
+    # Not an OverflowError traceback (exit 1) from squaring the diagonal
+    # in the uncertainty terms.
+    @pytest.mark.parametrize("setting", ["1e200,1.6,1.56", "3.9,1.6,1e200"])
+    def test_an_anchor_whose_square_overflows_is_invalid_configuration(self, tiny_pool, tmp_path, capsys, monkeypatch, setting):
+        monkeypatch.setenv(ENV_PREFIX + "ANCHOR_CAR", setting)
+        out = tmp_path / "scores.csv"
+        assert main(["score", "--pool", str(tiny_pool), "--metric", "uncertainty", "--out", str(out)]) == 3
+        assert "error: invalid configuration: anchor diagonal and height must have finite squares" in capsys.readouterr().err
+        assert not out.exists()

@@ -38,6 +38,13 @@ class TestAnchorDiagonal:
         with pytest.raises(ValueError, match="anchor dimensions must be positive and finite"):
             Anchor(**dims)
 
+    @pytest.mark.parametrize("dims", [(1e200, 1.6, 1.56), (3.9, 1e200, 1.56), (3.9, 1.6, 1e200)])
+    def test_a_dimension_whose_square_overflows_is_rejected(self, dims):
+        # ``1e200 ** 2`` raises OverflowError where the uncertainty terms
+        # square the anchor's diagonal and height.
+        with pytest.raises(ValueError, match="anchor diagonal and height must have finite squares"):
+            Anchor(*dims)
+
     def test_kitti_car_anchor(self):
         # sqrt(1.6^2 + 3.9^2), computed directly
         assert Anchor(length=3.9, width=1.6, height=1.56).diagonal == pytest.approx(4.215447781671598, abs=1e-12)
@@ -379,11 +386,26 @@ class TestWriteTextAtomic:
             monkeypatch.setattr(Path, "write_text", half_then_fail)
         else:
             monkeypatch.setattr(os, "replace", fail)
-        with pytest.raises(OSError):
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot write file: "):
             write_text_atomic(target, "new text\n")
         monkeypatch.undo()
         assert target.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["selected.txt"]
+
+    @pytest.mark.parametrize(
+        "make, target",
+        [
+            (lambda d: (d / "report.csv").mkdir(), "report.csv"),  # the rename fails
+            (lambda d: (d / "out").write_text("x"), "out/report.csv"),  # the mkdir fails
+        ],
+        ids=["directory", "parent is a file"],
+    )
+    def test_unwritable_target_is_data_error_naming_it(self, tmp_path, make, target):
+        make(tmp_path)
+        before = sorted(os.listdir(tmp_path))
+        with pytest.raises(DataError, match=f"^{re.escape(str(tmp_path / target))}: cannot write file: "):
+            write_text_atomic(tmp_path / target, "text\n")
+        assert sorted(os.listdir(tmp_path)) == before
 
     def test_utf8_newlines_mode_and_parent_directories(self, tmp_path):
         target = tmp_path / "new" / "dir" / "report.txt"
