@@ -212,33 +212,55 @@ def cmd_select(args) -> int:
     try:
         with _naming_scene_file(args.pool):
             new_st, (report,) = sampler.run_al_rounds(
-                by_id, cfg.plan, 1, lambda scene: scene, lambda scene_id: None, st, cfg.catalog, cfg.anchors,
-                cfg.entropy, cfg.kernel, cfg.uncertainty, strategy="tscenejal", cache=cache, with_mixtures=with_mixtures,
+                by_id,
+                cfg.plan,
+                1,
+                lambda scene: scene,
+                lambda scene_id: None,
+                st,
+                cfg.catalog,
+                cfg.anchors,
+                cfg.entropy,
+                cfg.kernel,
+                cfg.uncertainty,
+                strategy="tscenejal",
+                cache=cache,
+                with_mixtures=with_mixtures,
             )
     except sampler.ShortfallError as exc:  # exit 2 in ``simulate``, whose flags make the pool
         raise DataError(str(exc)) from exc
+    selected = report.selected_ids
     # The kernel values the round needed: what it would have evaluated
     # without the file.
     needed = report.kernel_evals + cache.reused
+    diag = diagnostics.selection_report(
+        [with_mixtures(by_id[i]) for i in selected],
+        scenes,
+        cfg.entropy,
+        cfg.uncertainty,
+        cfg.anchors,
+        cache,
+        rng_seed=args.seed,
+    )
     # Another run may have advanced the state while this one selected; write
-    # nothing over it. This narrows the window between load and save; it is
-    # not a lock.
+    # nothing over it. Only the atomic writes lie between this check and the
+    # save; it narrows the window between load and save, it is not a lock.
     current = state_mod.load_round_state(state_path).round_index
     if current != st.round_index:
         raise DataError(
             f"{state_path}: round_index moved from {st.round_index} to {current} "
             "while this round was selecting; nothing written"
         )
-    selected = report.selected_ids
     write_text_atomic(out / f"selected_round_{report.round_index:03d}.txt", "\n".join(selected) + "\n")
-    diag = diagnostics.selection_report(
-        [with_mixtures(by_id[i]) for i in selected], scenes, cfg.entropy, cfg.uncertainty, cfg.anchors, cache, args.seed
-    )
     _write_report(out / f"report_round_{report.round_index:03d}", diag)
     # The commit: a round that fails before it leaves the state as it was.
     state_mod.save_round_state(new_st, state_path)
-    # Last, so that a crash before it only loses the round's new values.
-    cache.save(cache_path, [by_id[i] for i in selected])
+    # Last, so that a failure here only loses the round's new values; the
+    # file only saves kernel work, so the committed round still succeeds.
+    try:
+        cache.save(cache_path, [by_id[i] for i in selected])
+    except DataError as exc:
+        log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
     log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
     log.info("similarity cache: %d pairs hit, %d missed (selection and reports)", cache.hits, cache.misses)
     print(

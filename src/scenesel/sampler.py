@@ -481,7 +481,7 @@ def three_stage_select(
     degraded = False
     if pool_size < sizes[0]:
         if pool_size < plan.n_r:
-            raise ValueError(f"pool of {pool_size} scenes is below n_r={plan.n_r}")
+            raise ShortfallError(f"unlabeled pool of {pool_size} scenes is below n_r={plan.n_r}")
         degraded = True
         sizes[0] = pool_size
         sizes[1] = min(sizes[1], max(plan.n_r, math.floor(plan.k2 * pool_size / plan.k1)))

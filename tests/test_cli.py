@@ -533,6 +533,28 @@ class TestSelect:
         assert run(*select) == 0
         assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
 
+    def test_an_unwritable_cache_file_warns_after_the_round_is_committed(
+        self, pool_dir, tmp_path, caplog, monkeypatch
+    ):
+        # The cache file is rewritten after the state save commits the
+        # round, and it only saves kernel work: failing to write it is a
+        # warning, and the round's files are those of a clean round.
+        _, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        cache_file = state.with_suffix(".similarity.json")
+        save = state_mod.save_round_state
+
+        def save_then_block_the_cache_file(st, path):
+            save(st, path)
+            cache_file.mkdir()
+
+        monkeypatch.setattr(state_mod, "save_round_state", save_then_block_the_cache_file)
+        with caplog.at_level(logging.WARNING):
+            assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+        assert f"{cache_file}: cannot write file: " in caplog.text
+        assert "round 1 is committed without its new kernel values" in caplog.text
+        assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
+
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"
         code = run("select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 99)
