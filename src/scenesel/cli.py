@@ -166,10 +166,11 @@ def cmd_select(args) -> int:
     floor(k2*n_r) scenes); ``--init`` parses none. A round writes its
     selection and reports, then saves the state, which commits the round,
     and last rewrites the similarity cache file it read (``state.json`` ->
-    ``state.similarity.json``) without the values of the scenes it labeled;
-    ``--init`` leaves that file alone. A flag of the other mode (``--n0``
-    and ``--budget`` are ``--init``'s, the plan flags a round's) is a usage
-    error, raised before any file is read.
+    ``state.similarity.json``) without the values of the scenes it labeled,
+    with a warning if that write fails; ``--init`` leaves that file alone.
+    A flag of the other mode (``--n0`` and ``--budget`` are ``--init``'s,
+    the plan flags a round's) is a usage error, raised before any file is
+    read.
     """
     other_mode = ("n_r", "k1", "k2", "order") if args.init else ("n0", "budget")
     ignored = ["--" + f.replace("_", "-") for f in other_mode if getattr(args, f) is not None]
