@@ -28,11 +28,9 @@ from .kernel import (
     indexed_kernels,
     kernel_brute_force,
     marginalized_kernel,
-    marginalized_kernels,
 )
 from .sampler import (
     RoundReport,
-    SelectionLog,
     SimilarityCache,
     StagePlan,
     STRATEGIES,

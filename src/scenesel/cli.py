@@ -107,6 +107,14 @@ def _add_plan_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", default=None, help="comma-separated stage order")
 
 
+def _check_counts(args, *flags: str) -> None:
+    """A negative count flag is a usage error that names the flag."""
+    for f in flags:
+        value = getattr(args, f)
+        if value is not None and value < 0:
+            raise ValueError(f"--{f} must be >= 0, got {value}")
+
+
 def _config_from_args(args) -> CliConfig:
     overrides = {f"plan.{f}": getattr(args, f, None) for f in ("n_r", "k1", "k2", "order", "rounds")}
     return build_config(path=args.config, overrides=overrides)
@@ -169,13 +177,15 @@ def cmd_select(args) -> int:
     ``state.similarity.json``) without the values of the scenes it labeled,
     with a warning if that write fails; ``--init`` leaves that file alone.
     A flag of the other mode (``--n0`` and ``--budget`` are ``--init``'s,
-    the plan flags a round's) is a usage error, raised before any file is
-    read.
+    the plan flags a round's), or a negative ``--n0`` or ``--budget``, is a
+    usage error, raised before any file is read. ``--budget`` defaults to
+    the pool size; a budget of 0 is kept, and the first round stops on it.
     """
     other_mode = ("n_r", "k1", "k2", "order") if args.init else ("n0", "budget")
     ignored = ["--" + f.replace("_", "-") for f in other_mode if getattr(args, f) is not None]
     if ignored:
         raise ValueError(f"{'select --init' if args.init else 'a select round'} takes no {', '.join(ignored)}")
+    _check_counts(args, "n0", "budget")
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
     kitti.check_sidecars(args.pool, scenes)
@@ -187,7 +197,7 @@ def cmd_select(args) -> int:
         n0 = args.n0 or 0
         if n0 > len(by_id):
             raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
-        st = state_mod.RoundState.fresh(by_id, n0, args.budget or len(by_id), args.seed)
+        st = state_mod.RoundState.fresh(by_id, n0, len(by_id) if args.budget is None else args.budget, args.seed)
         state_mod.save_round_state(st, state_path)
         print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
         return 0
@@ -290,6 +300,7 @@ def _write_report(prefix: Path, report: diagnostics.DiagReport) -> None:
 
 
 def cmd_simulate(args) -> int:
+    _check_counts(args, "n0")
     cfg = _config_from_args(args)
     strategies = [s.strip() for s in args.strategies.split(",")]
     for i, s in enumerate(strategies):

@@ -10,8 +10,8 @@ drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
 ICML 2004). ``indexed_kernels`` is the one solver: it evaluates many pairs,
 given as indices into a list of graphs, at once, one stacked fixed point per
 live-count group whatever the graph sizes, on live-node matrices built from
-whole-row copies of the graphs' weights. ``marginalized_kernels`` is its
-call over a list of graph pairs, and ``marginalized_kernel`` the one-pair call.
+whole-row copies of the graphs' weights. ``marginalized_kernel`` is its
+one-pair call.
 Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
 kernel is the sum of its path-pair terms up to one length K fixed by gamma
 and tol. Such a truncated sum is positive semidefinite (Kashima et al.), so
@@ -184,28 +184,9 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
 def marginalized_kernel(g1: SceneGraph, g2: SceneGraph, config: KernelConfig) -> float:
     """Expected path-pair kernel between two graphs (unnormalized).
 
-    The one-pair call of ``marginalized_kernels``.
+    The one-pair call of ``indexed_kernels``, each graph in its own slot.
     """
-    return marginalized_kernels([(g1, g2)], config)[0]
-
-
-def marginalized_kernels(
-    pairs: list[tuple[SceneGraph, SceneGraph]], config: KernelConfig
-) -> list[float]:
-    """Unnormalized kernels of many graph pairs, in input order: the call
-    of ``indexed_kernels`` over the pairs' distinct graph objects."""
-    slot: dict[int, int] = {}
-    graphs: list[SceneGraph] = []
-    index = []
-    for pair in pairs:
-        for g in pair:
-            at = slot.get(id(g))
-            if at is None:
-                at = slot[id(g)] = len(graphs)
-                graphs.append(g)
-            index.append(at)
-    index = np.array(index, dtype=np.intp).reshape(-1, 2)
-    return indexed_kernels(graphs, index[:, 0], index[:, 1], config).tolist()
+    return float(indexed_kernels([g1, g2], np.array([0]), np.array([1]), config)[0])
 
 
 def indexed_kernels(

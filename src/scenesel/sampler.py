@@ -445,14 +445,6 @@ def _run_stage(stage, scenes, size, anchors, entropy_cfg, uncertainty_cfg, cache
     raise ValueError(f"unknown stage {stage!r}; valid: {', '.join(STAGE_NAMES)}")
 
 
-@dataclass
-class SelectionLog:
-    stage_sizes: tuple[int, int, int]
-    kernel_evals: int
-    entropy_sorts: int
-    degraded: bool
-
-
 def three_stage_select(
     unlabeled_scenes: list[Scene],
     plan: StagePlan,
@@ -461,28 +453,25 @@ def three_stage_select(
     uncertainty_cfg: UncertaintyConfig,
     cache: SimilarityCache,
     with_mixtures: Callable[[Scene], Scene] = _unchanged,
-) -> tuple[list[str], SelectionLog]:
-    """Run the three metric stages in the configured order.
+) -> tuple[list[str], tuple[int, int, int]]:
+    """Run the three metric stages in the configured order; return the
+    selected ids and the three stage sizes the round ran.
 
     Stage target sizes are floor(k1*n_r), floor(k2*n_r), n_r regardless of
     which metric runs at which position. If the pool is smaller than the
     first stage, the round is degraded: the multipliers shrink
-    proportionally so stage 1 consumes the whole pool, with a warning and
-    ``SelectionLog.degraded`` set. A pool below n_r is an error. Classes are
-    those of ``cache.catalog``, and similarities come from ``cache``, under
-    its kernel config. The uncertainty stage ranks ``with_mixtures(scene)``
-    for each scene it is handed, so scenes may come without mixtures when
-    ``with_mixtures`` attaches them; by default the scenes carry their own.
-    The log's ``kernel_evals`` is the kernel work of this call: the growth
-    of ``cache.evaluations``.
+    proportionally so stage 1 consumes the whole pool, with a warning, and
+    the returned sizes are the shrunk ones. A pool below n_r fails in the
+    first stage that cannot keep its size; ``run_al_rounds`` checks the
+    pool first. Classes are those of ``cache.catalog``, and similarities
+    come from ``cache``, under its kernel config. The uncertainty stage
+    ranks ``with_mixtures(scene)`` for each scene it is handed, so scenes
+    may come without mixtures when ``with_mixtures`` attaches them; by
+    default the scenes carry their own.
     """
     pool_size = len(unlabeled_scenes)
     sizes = list(plan.stage_sizes())
-    degraded = False
     if pool_size < sizes[0]:
-        if pool_size < plan.n_r:
-            raise ShortfallError(f"unlabeled pool of {pool_size} scenes is below n_r={plan.n_r}")
-        degraded = True
         sizes[0] = pool_size
         sizes[1] = min(sizes[1], max(plan.n_r, math.floor(plan.k2 * pool_size / plan.k1)))
         log.warning(
@@ -492,8 +481,6 @@ def three_stage_select(
             tuple(sizes),
         )
 
-    evaluated_before = cache.evaluations
-
     by_id = {s.id: s for s in unlabeled_scenes}
     candidates = sorted(by_id)
     for stage, size in zip(plan.order, sizes):
@@ -501,18 +488,12 @@ def three_stage_select(
         candidates = _run_stage(
             stage, scenes, size, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures
         )
-    return list(candidates), SelectionLog(
-        stage_sizes=tuple(sizes),
-        kernel_evals=cache.evaluations - evaluated_before,
-        entropy_sorts=plan.order.count("entropy"),
-        degraded=degraded,
-    )
+    return list(candidates), tuple(sizes)
 
 
 @dataclass
 class RoundReport:
     round_index: int
-    strategy: str
     selected_ids: tuple[str, ...]
     stage_sizes: tuple[int, int, int] | None
     kernel_evals: int
@@ -556,7 +537,8 @@ def run_al_rounds(
     must have been made for ``catalog`` and ``kernel_cfg``; without one, the
     rounds share a new cache. The uncertainty stage and the round report
     read ``with_mixtures(prediction)``. The one round driver, of ``scenesel
-    simulate`` and ``scenesel select`` alike.
+    simulate`` and ``scenesel select`` alike, and the one place that checks
+    a round's pool and counts its kernel work (``RoundReport.kernel_evals``).
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -591,8 +573,7 @@ def run_al_rounds(
         else:
             preds = [predictor(s) for s in unlabeled]
             if strategy == "tscenejal":
-                selected, slog = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures)
-                stage_sizes = slog.stage_sizes
+                selected, stage_sizes = three_stage_select(preds, plan, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures)
             else:
                 selected = _run_stage(
                     _SINGLE_STAGE[strategy], preds, plan.n_r, anchors, entropy_cfg, uncertainty_cfg, cache, with_mixtures
@@ -605,7 +586,6 @@ def run_al_rounds(
         reports.append(
             _round_report(
                 round_index,
-                strategy,
                 [with_mixtures(p) for p in selected_preds],
                 stage_sizes,
                 evaluated_before,
@@ -621,7 +601,6 @@ def run_al_rounds(
 
 def _round_report(
     round_index: int,
-    strategy: str,
     selected_preds: list[Scene],
     stage_sizes,
     evaluated_before: int,
@@ -648,7 +627,6 @@ def _round_report(
 
     return RoundReport(
         round_index=round_index,
-        strategy=strategy,
         selected_ids=tuple(s.id for s in selected_preds),
         stage_sizes=stage_sizes,
         kernel_evals=cache.evaluations - evaluated_before,

@@ -26,6 +26,7 @@ from scenesel.kernel import (
     marginalized_kernel,
 )
 from scenesel.kitti import parse_label_file, serialize_label_file
+from scenesel import sampler
 from scenesel.sampler import (
     SimilarityCache,
     StagePlan,
@@ -206,13 +207,13 @@ def test_07_stage_size_contract(capsys):
     for n_r in (2, 7, 20):
         _, preds = _predicted_pool(n=3 * n_r + 5, seed=n_r)
         plan = StagePlan(n_r=n_r)
-        selected, slog = three_stage_select(
+        selected, sizes = three_stage_select(
             preds, plan, DEFAULT_ANCHORS, ENT, UNC,
             SimilarityCache(DEFAULT_CATALOG, KER),
         )
         expected = (math.floor(3 * n_r), math.floor(2.5 * n_r), n_r)
-        ok = ok and slog.stage_sizes == expected and len(selected) == n_r
-        details.append(f"n_r={n_r}:{slog.stage_sizes}")
+        ok = ok and sizes == expected and len(selected) == n_r
+        details.append(f"n_r={n_r}:{sizes}")
     verdict(capsys, 7, "stage sizes are floor(3n), floor(2.5n), n", ok, " ".join(details))
 
 
@@ -331,17 +332,25 @@ def test_11_parser_and_state_fidelity(capsys, tmp_path):
     verdict(capsys, 11, "label files and round state roundtrip exactly", ok)
 
 
-def test_12_complexity_contract(capsys):
+def test_12_complexity_contract(capsys, monkeypatch):
+    # Entropy sorts are counted where the entropy stage calls the ranking.
+    rank = sampler.rank_by_entropy
+    sorts = []
+
+    def counting(*args, **kwargs):
+        sorts.append(1)
+        return rank(*args, **kwargs)
+
+    monkeypatch.setattr(sampler, "rank_by_entropy", counting)
     ok = True
     details = []
     for n_r, pool_n in ((7, 40), (20, 80)):
         _, preds = _predicted_pool(n=pool_n, seed=n_r)
-        _, slog = three_stage_select(
-            preds, StagePlan(n_r=n_r), DEFAULT_ANCHORS, ENT, UNC,
-            SimilarityCache(DEFAULT_CATALOG, KER),
-        )
+        cache = SimilarityCache(DEFAULT_CATALOG, KER)
+        sorts.clear()
+        three_stage_select(preds, StagePlan(n_r=n_r), DEFAULT_ANCHORS, ENT, UNC, cache)
         bound = math.floor(3 * n_r) ** 2
-        ok = ok and slog.kernel_evals <= bound and slog.entropy_sorts == 1
-        details.append(f"n_r={n_r}:{slog.kernel_evals}<={bound}")
+        ok = ok and cache.evaluations <= bound and len(sorts) == 1
+        details.append(f"n_r={n_r}:{cache.evaluations}<={bound}")
     verdict(capsys, 12, "kernel evaluations bounded by the first-stage size squared",
             ok, " ".join(details))

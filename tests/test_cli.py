@@ -1,6 +1,7 @@
 import json
 import logging
 import math
+import os
 import re
 import shutil
 from dataclasses import replace
@@ -555,6 +556,18 @@ class TestSelect:
         assert "round 1 is committed without its new kernel values" in caplog.text
         assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
 
+    def test_init_budget_0_is_kept_and_stops_the_first_round(self, pool_dir, tmp_path, capsys):
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        assert run(*select, "--init", "--n0", 4, "--budget", 0) == 0
+        assert json.loads(state.read_text())["budget_total"] == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert run(*select, "--n-r", 3) == 3
+        assert "budget of 0 scenes has 0 left" in capsys.readouterr().err
+        assert state.read_bytes() == before
+        assert not out.exists()
+
     def test_init_n0_above_pool_is_data_error(self, pool_dir, tmp_path):
         state = tmp_path / "state.json"
         code = run("select", "--pool", pool_dir, "--state", state, "--out", tmp_path / "o", "--init", "--n0", 99)
@@ -646,6 +659,25 @@ class TestPlanFlags:
         assert "unrecognized arguments: --rounds" in capsys.readouterr().err
         assert json.loads(state.read_text())["round_index"] == 0
 
+
+    @pytest.mark.parametrize(
+        "argv, named",
+        [
+            (("select", "--init", "--n0", -1), "--n0 must be >= 0, got -1"),
+            (("select", "--init", "--budget", -3), "--budget must be >= 0, got -3"),
+            (("select", "--init", "--n0", 2, "--budget", -1), "--budget must be >= 0, got -1"),
+            (("simulate", "--n0", -2), "--n0 must be >= 0, got -2"),
+        ],
+    )
+    def test_a_negative_count_is_a_usage_error_naming_the_flag_before_any_file_is_read(
+        self, tmp_path, capsys, argv, named
+    ):
+        # No pool and no config file: a command that read one first would exit 3.
+        paths = ("--pool", tmp_path / "no_pool", "--state", tmp_path / "state.json") if argv[0] == "select" else ()
+        config = ("--config", tmp_path / "no.conf")
+        assert run(*config, argv[0], *paths, "--out", tmp_path / "out", *argv[1:]) == 2
+        assert named in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     # Not an OverflowError traceback from floor(inf * n_r), exit 1.
     @pytest.mark.parametrize("command", ["select", "simulate"])
@@ -920,7 +952,50 @@ SAID = {
 }
 
 
+# The output half of the fault matrix. command: (its argv for a pool and an
+# --out path, the file under --out that a directory is put in place of).
+OUTPUTS = {
+    "synth": (lambda pool, out: ("synth", "--out", out, "--n-scenes", 4), "labels/scene_000001.txt"),
+    "score": (lambda pool, out: ("score", "--pool", pool, "--metric", "similarity", "--out", out), ""),
+    "simulate": (
+        lambda pool, out: ("simulate", "--out", out, "--n-scenes", 12, "--n-r", 2, "--rounds", 1),
+        "tscenejal/rounds.csv",
+    ),
+    "stats": (lambda pool, out: ("stats", "--pool", pool, "--out", out), "stats.summary.txt"),
+}
+
+
 class TestFaultMatrix:
+    @pytest.mark.parametrize(
+        "fault", ["a directory at a target path", "an --out whose parent is a regular file", "an unwritable --out"]
+    )
+    @pytest.mark.parametrize("command", OUTPUTS)
+    def test_output_fault_exits_3_naming_the_path(self, tmp_path, capsys, command, fault):
+        argv, under_out = OUTPUTS[command]
+        if fault == "a directory at a target path":
+            out = tmp_path / "out"
+            named = out / under_out
+            named.mkdir(parents=True)
+        elif fault == "an --out whose parent is a regular file":
+            (tmp_path / "file").write_text("")
+            out = named = tmp_path / "file" / "out"
+        else:
+            if os.geteuid() == 0:
+                pytest.skip("root writes into a directory of mode 500")
+            locked = tmp_path / "locked"
+            locked.mkdir()
+            locked.chmod(0o500)
+            out = named = locked / "out"
+        pool = tmp_path / "pool"
+        assert run("--seed", 3, "synth", "--out", pool, "--n-scenes", 12, "--groups", 3) == 0
+        capsys.readouterr()
+        try:
+            assert run("--seed", 3, *argv(pool, out)) == 3
+        finally:
+            if fault == "an unwritable --out":
+                locked.chmod(0o700)
+        assert f"error: {named}" in capsys.readouterr().err
+
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_exits_with_its_code_naming_the_file(self, tmp_path, capsys, caplog, fault):
         where, inject, exits = FAULTS[fault]
@@ -1060,10 +1135,10 @@ class TestInvariance:
         def select(cache):
             return sampler.three_stage_select(preds, cfg.plan, cfg.anchors, cfg.entropy, cfg.uncertainty, cache)
 
-        cold_ids, cold_log = select(sampler.SimilarityCache(cfg.catalog, cfg.kernel))
-        warm_ids, warm_log = select(warm)
+        cold_ids, cold_sizes = select(sampler.SimilarityCache(cfg.catalog, cfg.kernel))
+        warm_ids, warm_sizes = select(warm)
         assert warm_ids == cold_ids
-        assert warm_log.stage_sizes == cold_log.stage_sizes
+        assert warm_sizes == cold_sizes
         assert warm.evaluations == evaluated  # every pair was a hit
 
     def test_select_does_not_depend_on_the_order_files_are_written(self, pool_dir, tmp_path):

@@ -7,7 +7,9 @@ itself. The package ``__init__`` only re-exports names, so neither its
 definitions nor its references count; tests do not count either. Dunder
 methods are called by Python, so they are not checked. A module-level name
 nothing refers to may stay only with its reason in ``ALLOWED``; a method or
-property may not.
+property may not. Every field of a dataclass must be read as an attribute
+(``x.field``) by a module of ``src/scenesel`` or ``bench/``, unless
+``ALLOWED`` holds ``(module, "Class.field")`` with its reason.
 """
 import ast
 from pathlib import Path
@@ -52,6 +54,34 @@ def members(path: Path) -> set[tuple[str, str]]:
         if isinstance(top, ast.ClassDef)
         for node in top.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not _is_dunder(node.name)
+    }
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for d in node.decorator_list:
+        target = d.func if isinstance(d, ast.Call) else d
+        if (target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)) == "dataclass":
+            return True
+    return False
+
+
+def fields(path: Path) -> set[tuple[str, str]]:
+    """(class, field) of the module's top-level dataclasses."""
+    return {
+        (top.name, node.target.id)
+        for top in ast.parse(path.read_text()).body
+        if isinstance(top, ast.ClassDef) and _is_dataclass(top)
+        for node in top.body
+        if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+    }
+
+
+def attribute_reads(path: Path) -> set[str]:
+    """Attribute names the module reads."""
+    return {
+        node.attr
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
     }
 
 
@@ -102,9 +132,41 @@ def test_every_method_and_property_is_referenced():
     assert unused == []
 
 
+def test_every_dataclass_field_is_read():
+    read = set().union(*(attribute_reads(p) for p in REFERRING))
+    unread = sorted(
+        (path.stem, f"{cls}.{name}")
+        for path in MODULES
+        for cls, name in fields(path)
+        if name not in read and (path.stem, f"{cls}.{name}") not in ALLOWED
+    )
+    assert unread == []
+
+
+def test_the_field_check_sees_a_field_nothing_reads(tmp_path):
+    module = tmp_path / "m.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "@dataclass(frozen=True)\n"
+        "class Log:\n"
+        "    sizes: tuple\n"
+        "    degraded: bool = False\n"
+        "def sizes(log):\n"
+        "    log.degraded = True\n"  # a write is not a read
+        "    return log.sizes\n"
+    )
+    assert fields(module) == {("Log", "sizes"), ("Log", "degraded")}
+    assert {name for _, name in fields(module)} - attribute_reads(module) == {"degraded"}
+
+
 def test_allowed_names_are_defined_and_unreferenced():
     used = set().union(*(references(p) for p in REFERRING))
+    read = set().union(*(attribute_reads(p) for p in REFERRING))
     for (mod, name), reason in ALLOWED.items():
         assert reason
-        assert name in definitions(SRC / f"{mod}.py"), (mod, name)
-        assert name not in used, (mod, name)
+        if "." in name:
+            assert tuple(name.split(".")) in fields(SRC / f"{mod}.py"), (mod, name)
+            assert name.split(".")[1] not in read, (mod, name)
+        else:
+            assert name in definitions(SRC / f"{mod}.py"), (mod, name)
+            assert name not in used, (mod, name)

@@ -14,14 +14,25 @@ from scenesel.kernel import (
     KernelConfig,
     SceneGraph,
     build_scene_graph,
+    indexed_kernels,
     kernel_brute_force,
     marginalized_kernel,
-    marginalized_kernels,
 )
 from scenesel.sampler import BLOCK_PAIRS, SimilarityCache
 from conftest import random_scene
 
 CFG = KernelConfig()
+
+
+def pair_kernels(pairs, config=CFG) -> list[float]:
+    """``indexed_kernels`` over a list of graph pairs, each distinct graph
+    object in one slot."""
+    slot = {}
+    for pair in pairs:
+        for g in pair:
+            slot.setdefault(id(g), (len(slot), g))
+    index = np.array([[slot[id(g1)][0], slot[id(g2)][0]] for g1, g2 in pairs], dtype=np.intp).reshape(-1, 2)
+    return indexed_kernels([g for _, g in slot.values()], index[:, 0], index[:, 1], config).tolist()
 
 
 def similarity(s1, s2, catalog):
@@ -194,7 +205,7 @@ class TestSigma:
         rng = random.Random(61)
         graphs = [build_scene_graph(random_scene(rng, f"s{i}"), catalog, CFG) for i in range(4)]
         pairs = [(g1, g2) for g1 in graphs for g2 in graphs]
-        assert all(math.isfinite(v) for v in marginalized_kernels(pairs, KernelConfig(sigma=sigma)))
+        assert all(math.isfinite(v) for v in pair_kernels(pairs, KernelConfig(sigma=sigma)))
 
 
 class TestMinDist:
@@ -281,9 +292,9 @@ class TestCauchySchwarz:
             moved = dataclasses.replace(d, box=dataclasses.replace(d.box, x=d.box.x + 1e-9))
             scenes.append(Scene(f"copy{i}", (moved, *s.detections[1:])))
         graphs = [build_scene_graph(s, catalog, CFG) for s in scenes]
-        selfs = marginalized_kernels([(g, g) for g in graphs], CFG)
+        selfs = pair_kernels([(g, g) for g in graphs], CFG)
         index_pairs = [(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))]
-        crosses = marginalized_kernels([(graphs[i], graphs[j]) for i, j in index_pairs], CFG)
+        crosses = pair_kernels([(graphs[i], graphs[j]) for i, j in index_pairs], CFG)
         eps = np.finfo(float).eps
         worst = max(cross / math.sqrt(selfs[i] * selfs[j]) for (i, j), cross in zip(index_pairs, crosses))
         assert worst <= 1 + 4 * eps
@@ -365,11 +376,11 @@ def batch_sizes(monkeypatch):
 
 
 class TestBatchedEngine:
-    """``marginalized_kernels`` returns, with ``==``, the floats of one-pair calls."""
+    """``indexed_kernels`` returns, with ``==``, the floats of one-pair calls."""
 
     @staticmethod
     def assert_same_as_single(pairs):
-        batched = marginalized_kernels(pairs, CFG)
+        batched = pair_kernels(pairs, CFG)
         assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
         return batched
 
@@ -402,7 +413,7 @@ class TestBatchedEngine:
         only_a = [random_graph(rng, labels=("a",)) for _ in range(4)]
         only_b = [random_graph(rng, labels=("b",)) for _ in range(4)]
         pairs = [(a, b) for a in only_a for b in only_b] + [(only_a[0], only_a[1])]
-        batched = marginalized_kernels(pairs, CFG)
+        batched = pair_kernels(pairs, CFG)
         assert batched[:-1] == [0.0] * 16
         assert batched[-1] > 0
         assert batch_sizes == [1]  # the pairs with no live node are not iterated
@@ -421,7 +432,7 @@ class TestBatchedEngine:
         per_batch = BATCH_BYTES // (8 * 13**2)
         pairs = [(rng.choice(graphs), rng.choice(graphs)) for _ in range(3 * per_batch + 1)]
         assert {live_count(g1, g2) for g1, g2 in pairs} == {13}
-        batched = marginalized_kernels(pairs, CFG)
+        batched = pair_kernels(pairs, CFG)
         assert batch_sizes == [per_batch] * 3 + [1]
         assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
@@ -433,7 +444,7 @@ class TestBatchedEngine:
         graphs = [random_graph(rng, max_nodes=7, labels=("a", "b", "c", "d")) for _ in range(40)]
         pairs = [(g1, g2) for g1 in graphs for g2 in graphs if live_count(g1, g2) == 6]
         assert len({(g1.num_nodes, g2.num_nodes) for g1, g2 in pairs}) >= 5
-        batched = marginalized_kernels(pairs, CFG)
+        batched = pair_kernels(pairs, CFG)
         assert batch_sizes == [len(pairs)]  # one stacked solve
         assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
@@ -459,7 +470,7 @@ class TestBatchedEngine:
         assert {g.num_nodes for pair in pairs for g in pair} == {15, 16, 17, 18, 19, 20, 22}
         per_batch = BATCH_BYTES // (8 * 100**2)
         assert 1 < per_batch < 5
-        batched = marginalized_kernels(pairs, CFG)
+        batched = pair_kernels(pairs, CFG)
         assert sorted(batch_sizes) == sorted([1, 1, per_batch, 5 - per_batch])
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
 
