@@ -40,7 +40,7 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
 # The file at fault, under a pool directory, in each error that names a
 # scene by id alone.
 _SCENE_FILES = {
-    DistanceOverflowError: lambda pool_dir, scene_id: Path(pool_dir) / "labels" / f"{scene_id}.txt",
+    DistanceOverflowError: kitti.label_path,
     NearSingularYawError: kitti.sidecar_path,
     PropagationOverflowError: kitti.sidecar_path,
     UncertaintyShortfallError: kitti.sidecar_path,
@@ -57,15 +57,18 @@ def _naming_scene_file(pool_dir):
         raise DataError(f"{_SCENE_FILES[type(exc)](pool_dir, exc.scene_id)}: {exc}") from exc
 
 
-def _mix_from_flag(value: str) -> tuple[float, ...]:
-    return tuple(float(v) for v in value.split(","))
-
-
 def _pool_spec_from_args(args) -> synth.PoolSpec:
-    objects_min, objects_max = (int(v) for v in args.objects.split(","))
+    try:
+        class_mix = tuple(float(v) for v in args.class_mix.split(","))
+    except ValueError:
+        raise ValueError(f"--class-mix must be comma-separated numbers, got {args.class_mix!r}") from None
+    try:
+        objects_min, objects_max = (int(v) for v in args.objects.split(","))
+    except ValueError:
+        raise ValueError(f"--objects must be two comma-separated integers min,max, got {args.objects!r}") from None
     return synth.PoolSpec(
         n_scenes=args.n_scenes,
-        class_mix=_mix_from_flag(args.class_mix),
+        class_mix=class_mix,
         objects_min=objects_min,
         objects_max=objects_max,
         spatial_extent=args.extent,
@@ -133,8 +136,8 @@ def cmd_synth(args) -> int:
         scene = pool.pop(sid)
         pred = predictor(scene)
         kitti.write_label_file(scene, out / "ground_truth" / f"{sid}.txt")
-        kitti.write_label_file(pred, out / "labels" / f"{sid}.txt")
-        kitti.save_mixture_sidecar(pred, out / "sidecars" / f"{sid}.mdn")
+        kitti.write_label_file(pred, kitti.label_path(out, sid))
+        kitti.save_mixture_sidecar(pred, kitti.sidecar_path(out, sid))
     print(f"wrote {spec.n_scenes} scenes to {out}")
     return 0
 
@@ -143,7 +146,7 @@ def cmd_score(args) -> int:
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
     if args.metric == "uncertainty":
-        scenes = kitti.attach_sidecars(args.pool, scenes)
+        scenes = list(map(kitti.sidecar_reader(args.pool, scenes), scenes))
     if not scenes:
         raise DataError(f"no label files under {args.pool}")
     out = Path(args.out)
@@ -188,7 +191,7 @@ def cmd_select(args) -> int:
     _check_counts(args, "n0", "budget")
     cfg = _config_from_args(args)
     scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
-    kitti.check_sidecars(args.pool, scenes)
+    with_mixtures = kitti.sidecar_reader(args.pool, scenes)
     by_id = {s.id: s for s in scenes}
     state_path = Path(args.state)
     out = Path(args.out)
@@ -213,13 +216,6 @@ def cmd_select(args) -> int:
     cache = SimilarityCache(cfg.catalog, cfg.kernel)
     cache_path = state_path.with_suffix(".similarity.json")  # next to the state
     cache.load(cache_path)
-    parsed = {}
-
-    def with_mixtures(scene):
-        if scene.id not in parsed:
-            parsed[scene.id] = kitti.load_mixture_sidecar(kitti.sidecar_path(args.pool, scene.id), scene)
-        return parsed[scene.id]
-
     try:
         with _naming_scene_file(args.pool):
             new_st, (report,) = sampler.run_al_rounds(
@@ -364,7 +360,7 @@ def cmd_stats(args) -> int:
     cfg = _config_from_args(args)
     labeled = kitti.load_pool_dir(args.pool, cfg.catalog)
     try:
-        scenes = kitti.attach_sidecars(args.pool, labeled)
+        scenes = list(map(kitti.sidecar_reader(args.pool, labeled), labeled))
         # A sidecar whose scene cannot be scored is a faulty sidecar too.
         with _naming_scene_file(args.pool):
             scene_uncertainties(scenes, cfg.anchors, cfg.uncertainty)

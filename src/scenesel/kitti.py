@@ -12,6 +12,9 @@ Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
 of weights, means and variances; the entries of one sidecar share one K.
 They are written from, and read into, the scene's one mixture block.
+
+A pool directory holds ``labels/<id>.txt`` and ``sidecars/<id>.mdn``; this
+module is the one place that spells out that layout.
 """
 from __future__ import annotations
 
@@ -41,7 +44,7 @@ SIDECAR_VERSION = 1
 FLOAT_FMT = "{:.6f}"
 
 
-def parse_label_file(path: str | Path, catalog: ClassCatalog | None = None) -> Scene:
+def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
     """Parse one label file into a Scene whose id is the file stem.
 
     Checks each line in this order: 15 or 16 fields, numeric fields and a
@@ -68,7 +71,7 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog | None = None) -> S
         label = fields[0]
         if label == "DontCare":
             continue
-        if catalog is not None and label not in catalog:
+        if label not in catalog:
             log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
             continue
         # truncated, occluded, alpha, 2D bbox (4), h w l, x y z, rotation_y[, score]
@@ -171,23 +174,32 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     return Scene(id=scene.id, detections=scene.detections, mixtures=mixtures)
 
 
+def label_path(pool_dir: str | Path, scene_id: str) -> Path:
+    return Path(pool_dir) / "labels" / f"{scene_id}.txt"
+
+
 def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:
-    """``sidecars/<scene_id>.mdn`` under a pool directory; a data error if
-    the file does not exist."""
-    path = Path(pool_dir) / "sidecars" / f"{scene_id}.mdn"
-    if not path.exists():
-        raise DataError(f"missing mixture sidecar: {path}")
-    return path
+    return Path(pool_dir) / "sidecars" / f"{scene_id}.mdn"
 
 
-def check_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> None:
-    """A data error, as ``sidecar_path`` raises it, for the first scene in
-    order without its ``sidecars/<id>.mdn`` under a pool directory.
+def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog) -> list[Scene]:
+    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id."""
+    labels = Path(pool_dir) / "labels"
+    if not labels.is_dir():
+        raise DataError(f"no labels/ directory under {labels.parent}")
+    with os.scandir(labels) as entries:
+        names = sorted(e.name for e in entries if e.name.endswith(".txt"))
+    return [parse_label_file(labels / name, catalog) for name in names]
 
-    One listing of ``sidecars/`` stands in for a path and a ``stat`` per
-    scene. A name the listing lacks, or holds as a symbolic link, is looked
-    up with ``sidecar_path``, so a directory that cannot be listed, or a
-    link, is judged as ``sidecar_path`` judges it.
+
+def sidecar_reader(pool_dir: str | Path, scenes: list[Scene]):
+    """Scene -> the scene with its sidecar attached, for a pool directory's
+    scenes: parsed on the first call for a scene id, the same object after.
+
+    The first of ``scenes`` in order without a sidecar is a data error,
+    "missing mixture sidecar: <path>", before any is parsed. One listing of
+    ``sidecars/`` stands in for a ``stat`` per scene; a name it lacks, or
+    holds as a symbolic link, is judged by a ``stat`` of its own.
     """
     try:
         with os.scandir(Path(pool_dir) / "sidecars") as entries:
@@ -196,21 +208,14 @@ def check_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> None:
         listed = set()
     for s in scenes:
         if f"{s.id}.mdn" not in listed:
-            sidecar_path(pool_dir, s.id)
+            path = sidecar_path(pool_dir, s.id)
+            if not path.exists():
+                raise DataError(f"missing mixture sidecar: {path}")
+    parsed: dict[str, Scene] = {}
 
+    def with_mixtures(scene: Scene) -> Scene:
+        if scene.id not in parsed:
+            parsed[scene.id] = load_mixture_sidecar(sidecar_path(pool_dir, scene.id), scene)
+        return parsed[scene.id]
 
-def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog | None = None) -> list[Scene]:
-    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id."""
-    pool_dir = Path(pool_dir)
-    labels = pool_dir / "labels"
-    if not labels.is_dir():
-        raise DataError(f"no labels/ directory under {pool_dir}")
-    with os.scandir(labels) as entries:
-        names = sorted(e.name for e in entries if e.name.endswith(".txt"))
-    return [parse_label_file(labels / name, catalog=catalog) for name in names]
-
-
-def attach_sidecars(pool_dir: str | Path, scenes: list[Scene]) -> list[Scene]:
-    """The scenes with their ``sidecars/<id>.mdn`` under a pool directory
-    attached, in order; each sidecar must exist."""
-    return [load_mixture_sidecar(sidecar_path(pool_dir, s.id), s) for s in scenes]
+    return with_mixtures

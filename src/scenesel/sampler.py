@@ -501,7 +501,6 @@ class RoundReport:
     mean_pairwise_similarity: float | None
     mean_uncertainty: float | None
     class_counts: dict[str, int]
-    object_count: int
 
 
 def run_al_rounds(
@@ -634,5 +633,4 @@ def _round_report(
         mean_pairwise_similarity=mean_sim,
         mean_uncertainty=mean_unc,
         class_counts=counts,
-        object_count=sum(counts.values()),
     )

@@ -55,6 +55,19 @@ class TestSynth:
     def test_bad_class_mix_is_usage_error(self, tmp_path):
         assert run("synth", "--out", tmp_path / "x", "--class-mix", "0.5,0.2,0.2") == 2
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--objects", "5", "--objects must be two comma-separated integers min,max, got '5'"),
+            ("--class-mix", "0.9,lots,0.05", "--class-mix must be comma-separated numbers, got '0.9,lots,0.05'"),
+        ],
+    )
+    def test_a_flag_value_that_does_not_parse_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, flag, value, message):
+        # --objects 5 was "not enough values to unpack (expected 2, got 1)".
+        assert run("synth", "--out", tmp_path / "x", flag, value) == 2
+        assert capsys.readouterr().err == f"usage error: {message}\n"
+        assert not (tmp_path / "x").exists()
+
     def test_a_confidence_logit_below_the_exp_range_is_confidence_zero(self, tmp_path):
         out = tmp_path / "pool"
         assert run("--seed", 1, "synth", "--out", out, "--n-scenes", 50, "--conf-noise", 1000) == 0
@@ -138,6 +151,16 @@ class TestScore:
         assert code == 3
         err = capsys.readouterr().err
         assert f"{sidecar}: entry 0: mixture {field} must be finite" in err
+
+    def test_a_missing_sidecar_is_named_before_an_earlier_malformed_one(self, pool_dir, tmp_path, capsys):
+        # Was the malformed sidecar: each was checked just before it was parsed.
+        (pool_dir / "sidecars" / "scene_000001.mdn").write_text("{not json")
+        missing = pool_dir / "sidecars" / "scene_000005.mdn"
+        missing.unlink()
+        code = run("score", "--pool", pool_dir, "--metric", "uncertainty", "--out", tmp_path / "u.csv")
+        assert code == 3
+        assert capsys.readouterr().err == f"error: missing mixture sidecar: {missing}\n"
+        assert not (tmp_path / "u.csv").exists()
 
     def test_empty_pool_is_data_error(self, tmp_path):
         empty = tmp_path / "empty"
@@ -965,36 +988,53 @@ OUTPUTS = {
 }
 
 
+def _faulty_out(tmp_path, fault, under_out=""):
+    """An --out path with an output fault, and the path its error names."""
+    if fault == "a directory at a target path":
+        (tmp_path / "out" / under_out).mkdir(parents=True)
+        return tmp_path / "out", tmp_path / "out" / under_out
+    if fault == "an --out whose parent is a regular file":
+        (tmp_path / "file").write_text("")
+        return tmp_path / "file" / "out", tmp_path / "file" / "out"
+    if os.geteuid() == 0:
+        pytest.skip("root writes into a directory of mode 500")
+    (tmp_path / "locked").mkdir(mode=0o500)
+    return tmp_path / "locked" / "out", tmp_path / "locked" / "out"
+
+
 class TestFaultMatrix:
+    @pytest.fixture()
+    def pool(self, tmp_path):
+        """The pool's path; afterwards a locked --out is made writable again,
+        so that ``tmp_path`` can be removed."""
+        yield tmp_path / "pool"
+        if (tmp_path / "locked").exists():
+            (tmp_path / "locked").chmod(0o700)
+
     @pytest.mark.parametrize(
         "fault", ["a directory at a target path", "an --out whose parent is a regular file", "an unwritable --out"]
     )
     @pytest.mark.parametrize("command", OUTPUTS)
-    def test_output_fault_exits_3_naming_the_path(self, tmp_path, capsys, command, fault):
+    def test_output_fault_exits_3_naming_the_path(self, tmp_path, pool, capsys, command, fault):
         argv, under_out = OUTPUTS[command]
-        if fault == "a directory at a target path":
-            out = tmp_path / "out"
-            named = out / under_out
-            named.mkdir(parents=True)
-        elif fault == "an --out whose parent is a regular file":
-            (tmp_path / "file").write_text("")
-            out = named = tmp_path / "file" / "out"
-        else:
-            if os.geteuid() == 0:
-                pytest.skip("root writes into a directory of mode 500")
-            locked = tmp_path / "locked"
-            locked.mkdir()
-            locked.chmod(0o500)
-            out = named = locked / "out"
-        pool = tmp_path / "pool"
+        out, named = _faulty_out(tmp_path, fault, under_out)
         assert run("--seed", 3, "synth", "--out", pool, "--n-scenes", 12, "--groups", 3) == 0
         capsys.readouterr()
-        try:
-            assert run("--seed", 3, *argv(pool, out)) == 3
-        finally:
-            if fault == "an unwritable --out":
-                locked.chmod(0o700)
+        assert run("--seed", 3, *argv(pool, out)) == 3
         assert f"error: {named}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["an --out whose parent is a regular file", "an unwritable --out"])
+    def test_select_output_fault_exits_3_naming_the_path_and_commits_no_round(self, tmp_path, pool, capsys, fault):
+        out, named = _faulty_out(tmp_path, fault)
+        state = tmp_path / "state" / "state.json"
+        assert run("--seed", 3, "synth", "--out", pool, "--n-scenes", 12, "--groups", 3) == 0
+        assert run("--seed", 3, "select", "--pool", pool, "--state", state, "--out", out, "--init", "--n0", 4) == 0
+        before = state.read_bytes()
+        capsys.readouterr()
+        assert run("--seed", 3, "select", "--pool", pool, "--state", state, "--out", out, "--n-r", 2) == 3
+        assert f"error: {named}" in capsys.readouterr().err
+        assert state.read_bytes() == before
+        assert not state.with_suffix(".similarity.json").exists()
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_exits_with_its_code_naming_the_file(self, tmp_path, capsys, caplog, fault):
@@ -1167,17 +1207,10 @@ class TestInvariance:
         for _ in range(3):
             assert run(*select, "--n-r", 3) == 0
         cfg = build_config(overrides={"plan.n_r": 3}, environ={})
-        pool = {s.id: s for s in kitti.load_pool_dir(pool_dir, cfg.catalog)}
-        parsed = {}
-
-        def with_mixtures(scene):
-            if scene.id not in parsed:
-                parsed[scene.id] = kitti.load_mixture_sidecar(kitti.sidecar_path(pool_dir, scene.id), scene)
-            return parsed[scene.id]
-
+        scenes = kitti.load_pool_dir(pool_dir, cfg.catalog)
         final, reports = sampler.run_al_rounds(
-            pool, cfg.plan, 3, lambda scene: scene, lambda sid: None, start, cfg.catalog, cfg.anchors,
-            cfg.entropy, cfg.kernel, cfg.uncertainty, with_mixtures=with_mixtures,
+            {s.id: s for s in scenes}, cfg.plan, 3, lambda scene: scene, lambda sid: None, start, cfg.catalog,
+            cfg.anchors, cfg.entropy, cfg.kernel, cfg.uncertainty, with_mixtures=kitti.sidecar_reader(pool_dir, scenes),
         )
         per_round = [(out / f"selected_round_{r:03d}.txt").read_text().split() for r in (1, 2, 3)]
         assert [list(r.selected_ids) for r in reports] == per_round

@@ -130,7 +130,7 @@ def library_rounds(seed: int, strategy: str) -> dict:
         "selection_entropy": [repr(r.selection_entropy) for r in reports],
         "mean_uncertainty": [repr(r.mean_uncertainty) for r in reports],
         "class_counts": [r.class_counts for r in reports],
-        "object_count": [r.object_count for r in reports],
+        "object_count": [sum(r.class_counts.values()) for r in reports],
     }
 
 

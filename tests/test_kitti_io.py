@@ -4,20 +4,22 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from scenesel.core import DataError, ParseError, Scene
+from scenesel import kitti
+from scenesel.core import DEFAULT_CATALOG, ClassCatalog, DataError, ParseError, Scene
 from scenesel.kitti import (
-    attach_sidecars,
-    check_sidecars,
     load_mixture_sidecar,
     load_pool_dir,
     parse_label_file,
     save_mixture_sidecar,
     serialize_label_file,
+    sidecar_reader,
     write_label_file,
 )
 from conftest import make_detection, mixture_from_rows, random_scene, scene_with_mixtures, uniform_mixture
 
 SAMPLE_LINE = "Car 0.0 0 -1.57 614 181 727 284 1.57 1.73 4.15 1.0 1.47 8.41 -1.56 0.9"
+# The catalog of the sample line's class, as KITTI spells it.
+CAR = ClassCatalog(("Car",))
 
 
 def with_field(index, value, line=SAMPLE_LINE):
@@ -51,7 +53,7 @@ class TestParse:
     def test_sample_line(self, tmp_path):
         p = tmp_path / "000001.txt"
         p.write_text(SAMPLE_LINE + "\n")
-        scene = parse_label_file(p)
+        scene = parse_label_file(p, CAR)
         assert scene.id == "000001"
         assert len(scene.detections) == 1
         det = scene.detections[0]
@@ -66,19 +68,19 @@ class TestParse:
     def test_missing_score_defaults_to_one(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text(" ".join(SAMPLE_LINE.split()[:15]) + "\n")
-        assert parse_label_file(p).detections[0].confidence == 1.0
+        assert parse_label_file(p, CAR).detections[0].confidence == 1.0
 
     def test_empty_file(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text("")
-        assert parse_label_file(p).detections == ()
+        assert parse_label_file(p, CAR).detections == ()
 
     @pytest.mark.parametrize("bad", REJECTED_LINES.values(), ids=REJECTED_LINES.keys())
     def test_rejected_line_names_path_and_line(self, tmp_path, bad):
         p = tmp_path / "s.txt"
         p.write_bytes(SAMPLE_LINE.encode() + b"\n" + bad + b"\n" + SAMPLE_LINE.encode() + b"\n")
         with pytest.raises(ParseError) as excinfo:
-            parse_label_file(p)
+            parse_label_file(p, CAR)
         assert excinfo.value.line_no == 2
         assert excinfo.value.path == str(p)
         assert str(excinfo.value).startswith(f"{p}:2: ")
@@ -86,7 +88,7 @@ class TestParse:
     def test_dontcare_skipped(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text(DONTCARE_LINE + "\n")
-        assert parse_label_file(p).detections == ()
+        assert parse_label_file(p, CAR).detections == ()
 
     def test_unknown_class_policy(self, tmp_path, catalog):
         p = tmp_path / "s.txt"
@@ -101,7 +103,7 @@ class TestRoundtrip:
     def test_score_normalized_on_roundtrip(self, tmp_path):
         p = tmp_path / "s.txt"
         p.write_text(" ".join(SAMPLE_LINE.split()[:15]) + "\n")
-        scene = parse_label_file(p)
+        scene = parse_label_file(p, CAR)
         text = serialize_label_file(scene)
         assert text.split()[-1] == "1.000000"
 
@@ -111,7 +113,7 @@ class TestRoundtrip:
         scene = random_scene(random.Random(seed), "scene")
         tmp = tmp_path_factory.mktemp("rt") / "scene.txt"
         write_label_file(scene, tmp)
-        assert parse_label_file(tmp) == scene
+        assert parse_label_file(tmp, DEFAULT_CATALOG) == scene
 
 
 def saved_sidecar(tmp_path, *mixtures):
@@ -218,19 +220,21 @@ class TestPoolDir:
         (tmp_path / "labels").mkdir()
         (tmp_path / "sidecars").mkdir()
         rng = random.Random(0)
+        saved = {}
         for sid in ("b", "a"):
             scene = random_scene(rng, sid, max_objects=2)
             write_label_file(scene, tmp_path / "labels" / f"{sid}.txt")
-            withm = scene_with_mixtures(sid, *((d, uniform_mixture()) for d in scene.detections))
-            save_mixture_sidecar(withm, tmp_path / "sidecars" / f"{sid}.mdn")
-        scenes = attach_sidecars(tmp_path, load_pool_dir(tmp_path, catalog))
+            saved[sid] = scene_with_mixtures(sid, *((d, uniform_mixture()) for d in scene.detections))
+            save_mixture_sidecar(saved[sid], tmp_path / "sidecars" / f"{sid}.mdn")
+        scenes = load_pool_dir(tmp_path, catalog)
         assert [s.id for s in scenes] == ["a", "b"]
+        assert list(map(sidecar_reader(tmp_path, scenes), scenes)) == [saved["a"], saved["b"]]
 
     def test_missing_sidecar_names_file(self, tmp_path, catalog):
         (tmp_path / "labels").mkdir()
         write_label_file(random_scene(random.Random(1), "x"), tmp_path / "labels" / "x.txt")
         with pytest.raises(DataError, match="x.mdn"):
-            attach_sidecars(tmp_path, load_pool_dir(tmp_path, catalog))
+            sidecar_reader(tmp_path, load_pool_dir(tmp_path, catalog))
 
     def test_load_lists_txt_names_only_sorted(self, tmp_path, catalog):
         (tmp_path / "labels").mkdir()
@@ -239,8 +243,9 @@ class TestPoolDir:
         assert [s.id for s in load_pool_dir(tmp_path, catalog)] == ["B", "a", "c"]
 
 
-class TestCheckSidecars:
-    """One listing of ``sidecars/``, judged as a ``stat`` per scene is."""
+class TestSidecarReader:
+    """One listing of ``sidecars/``, judged as a ``stat`` per scene is, before
+    any sidecar is parsed; then one parse per scene id."""
 
     def pool(self, tmp_path, ids=("a", "b", "c")):
         (tmp_path / "sidecars").mkdir()
@@ -249,22 +254,38 @@ class TestCheckSidecars:
         return [Scene(sid) for sid in ("a", "b", "c")]
 
     def test_all_present(self, tmp_path):
-        check_sidecars(tmp_path, self.pool(tmp_path))
+        sidecar_reader(tmp_path, self.pool(tmp_path))
 
     def test_the_first_missing_in_scene_order_is_named(self, tmp_path):
         scenes = self.pool(tmp_path, ids=("a",))
         with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/b\.mdn$"):
-            check_sidecars(tmp_path, scenes)
+            sidecar_reader(tmp_path, scenes)
 
     def test_missing_directory_names_the_first_scene(self, tmp_path):
         with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/a\.mdn$"):
-            check_sidecars(tmp_path, [Scene("a"), Scene("b")])
+            sidecar_reader(tmp_path, [Scene("a"), Scene("b")])
 
     def test_symbolic_links_count_as_their_targets(self, tmp_path):
         scenes = self.pool(tmp_path, ids=("a", "b"))
         (tmp_path / "sidecars" / "c.mdn").symlink_to(tmp_path / "sidecars" / "a.mdn")
-        check_sidecars(tmp_path, scenes)
+        sidecar_reader(tmp_path, scenes)
         (tmp_path / "sidecars" / "c.mdn").unlink()
         (tmp_path / "sidecars" / "c.mdn").symlink_to(tmp_path / "nowhere.mdn")
         with pytest.raises(DataError, match=r"^missing mixture sidecar: .*/sidecars/c\.mdn$"):
-            check_sidecars(tmp_path, scenes)
+            sidecar_reader(tmp_path, scenes)
+
+    def test_each_scene_is_parsed_once_on_its_first_call(self, tmp_path, monkeypatch):
+        scenes = self.pool(tmp_path)
+        read = sidecar_reader(tmp_path, scenes)
+        parsed = []
+
+        def parse(path, scene):
+            parsed.append(path)
+            return Scene(scene.id)
+
+        monkeypatch.setattr(kitti, "load_mixture_sidecar", parse)
+        first = read(scenes[1])
+        assert read(scenes[1]) is first
+        assert read(Scene("b")) is first
+        read(scenes[0])
+        assert parsed == [tmp_path / "sidecars" / "b.mdn", tmp_path / "sidecars" / "a.mdn"]

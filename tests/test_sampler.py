@@ -400,7 +400,6 @@ class TestRunRounds:
             assert r.mean_pairwise_similarity is not None
             assert 0.0 <= r.mean_pairwise_similarity <= 1.0
             assert r.mean_uncertainty is not None and r.mean_uncertainty >= 0.0
-            assert r.object_count == sum(r.class_counts.values())
 
     def test_deterministic_across_runs(self):
         s1, r1 = self.run()
