@@ -809,6 +809,18 @@ def _append_label(target, line: bytes):
     target.write_bytes(target.read_bytes() + line + b"\n")
 
 
+# Where LABEL_LINE keeps the fields that label faults change.
+_LABEL_FIELD = {"h": 8, "w": 9, "l": 10, "x": 11, "rotation_y": 14, "score": 15}
+
+
+def _label_fault(**values):
+    """A fault that appends LABEL_LINE with some fields replaced."""
+    fields = LABEL_LINE.split()
+    for name, value in values.items():
+        fields[_LABEL_FIELD[name]] = value
+    return lambda p: _append_label(p, " ".join(fields).encode())
+
+
 def _edit_sidecar(edit):
     """A fault that rewrites a sidecar's list of entries in place."""
 
@@ -892,18 +904,26 @@ def _string_labeled_ids(target):
 
 
 ALL_POOL_COMMANDS = {"select": 3, "score": 3, "stats": 3}
+# A malformed label line fails every command that parses the pool.
+LABEL_EXITS = {"select --init": 3, **ALL_POOL_COMMANDS}
 # A sidecar fault is a data error for ``select`` and ``score``; ``stats``
 # logs it and reports on the labels alone.
 SIDECAR_EXITS = {"select": 3, "score": 3, "stats": 0}
 # fault: (the file it goes into, how it is injected, {command: exit code})
 FAULTS = {
     "label: inf occluded": (
-        "label", lambda p: _append_label(p, LABEL_LINE.replace(" 0 0.0 ", " inf 0.0 ", 1).encode()), ALL_POOL_COMMANDS
+        "label", lambda p: _append_label(p, LABEL_LINE.replace(" 0 0.0 ", " inf 0.0 ", 1).encode()), LABEL_EXITS
     ),
-    "label: nan location": (
-        "label", lambda p: _append_label(p, LABEL_LINE.replace("5.0", "nan").encode()), ALL_POOL_COMMANDS
-    ),
-    "label: not UTF-8": ("label", lambda p: _append_label(p, b"car \xff" + LABEL_LINE[3:].encode()), ALL_POOL_COMMANDS),
+    "label: nan location": ("label", _label_fault(x="nan"), LABEL_EXITS),
+    "label: not UTF-8": ("label", lambda p: _append_label(p, b"car \xff" + LABEL_LINE[3:].encode()), LABEL_EXITS),
+    "label: 14 fields": ("label", lambda p: _append_label(p, LABEL_LINE.rsplit(" ", 2)[0].encode()), LABEL_EXITS),
+    "label: bad number": ("label", _label_fault(w="wide"), LABEL_EXITS),
+    "label: zero size": ("label", _label_fault(h="0"), LABEL_EXITS),
+    "label: negative size": ("label", _label_fault(w="-1.6"), LABEL_EXITS),
+    "label: inf size": ("label", _label_fault(l="inf"), LABEL_EXITS),
+    "label: nan yaw": ("label", _label_fault(rotation_y="nan"), LABEL_EXITS),
+    "label: confidence above 1": ("label", _label_fault(score="1.5"), LABEL_EXITS),
+    "label: negative confidence": ("label", _label_fault(score="-0.25"), LABEL_EXITS),
     "state: not UTF-8": ("state", lambda p: p.write_bytes(b"\xff\xfe{"), {"select": 3}),
     "state: labeled_ids is a string": ("state", _string_labeled_ids, {"select": 3}),
     "sidecar: not UTF-8": ("sidecar", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), SIDECAR_EXITS),
@@ -946,9 +966,20 @@ FAULTS = {
 
 # What a fault's message, or for exit 0 its warning, says besides the file,
 # or {command: what it says} where the commands differ; "{sid}" is the
-# faulty scene's id.
+# faulty scene's id, and "{line}" is "<file>:<n>" for the file's last line n.
 _NEAR_SINGULAR_YAW = ("scene '{sid}': detection ", "yaw residual mean 1.5707963267948966 is too close to +-pi/2")
 SAID = {
+    "label: inf occluded": ("{line}: occluded must be finite, got inf",),
+    "label: nan location": ("{line}: box center must be finite, got x=nan y=1.0 z=0.5",),
+    "label: not UTF-8": ("{line}: not UTF-8: ",),
+    "label: 14 fields": ("{line}: expected 15 or 16 fields, got 14",),
+    "label: bad number": ("{line}: bad numeric field: could not convert string to float: 'wide'",),
+    "label: zero size": ("{line}: box dimensions must be positive and finite, got w=1.6 l=3.9 h=0.0",),
+    "label: negative size": ("{line}: box dimensions must be positive and finite, got w=-1.6 l=3.9 h=1.5",),
+    "label: inf size": ("{line}: box dimensions must be positive and finite, got w=1.6 l=inf h=1.5",),
+    "label: nan yaw": ("{line}: yaw must be finite",),
+    "label: confidence above 1": ("{line}: confidence must be in [0, 1], got 1.5",),
+    "label: negative confidence": ("{line}: confidence must be in [0, 1], got -0.25",),
     "sidecar: entry rows differ in K": ("entry 0: all dimensions must share the same component count",),
     "sidecar: entries differ in K": ("entry 1: mixture has 1 components but entry 0 has 3",),
     "sidecar: non-numeric value": ("entry 0: could not convert string to float: 'wide'",),
@@ -1058,7 +1089,10 @@ class TestFaultMatrix:
         state_before = state.read_bytes()
         config = ("--config", target) if where == "config" else ()
         ids = ("--ids", target) if where == "ids" else ()
+        last_line = f"{target}:{len(target.read_bytes().splitlines())}" if target.exists() else None
         commands = {
+            "select --init": ("select", "--pool", pool, "--state", tmp_path / "fresh.json", "--out", tmp_path / "fresh",
+                              "--init", "--n0", 4),
             "select": ("select", "--pool", pool, "--state", state, "--out", sel,
                        "--n-r", 2, "--order", "uncertainty,entropy,similarity"),
             "select, similarity first": ("select", "--pool", pool, "--state", state, "--out", sel,
@@ -1078,7 +1112,7 @@ class TestFaultMatrix:
             parts = SAID.get(fault, ())
             if isinstance(parts, dict):
                 parts = parts[command]
-            for part in [str(target), *(part.format(sid=sid) for part in parts)]:
+            for part in [str(target), *(part.format(sid=sid, line=last_line) for part in parts)]:
                 assert part in said, (command, said)
             if code == 0 and where == "sidecar":
                 assert "loading the pool without sidecars" in caplog.text

@@ -26,6 +26,8 @@ every kernel came to run the same ``KernelConfig.steps`` steps in place of
 stopping each pair at its own residual: those floats moved by at most
 9.8e-8 relative; the ids, counts, entropies, uncertainties and mixture
 digests did not move.
+The digests of the label files that ``synth`` writes, predicted and ground
+truth, were recorded before a scene came to hold its boxes as one array.
 To record it again after a deliberate change of behaviour, run
 ``PYTHONPATH=src python tests/test_golden.py`` and explain the change.
 """
@@ -181,19 +183,39 @@ def cli_select_digests(work: Path) -> dict:
     return steps
 
 
-def synth_sidecar_digests(work: Path) -> dict:
-    """sha256 of every sidecar ``synth --seed 2`` writes for 30 scenes, with
-    the default flags and with 8 components and no false positives."""
-    out = {}
-    for name, flags in {"default": (), "k8_no_fp": ("--components", 8, "--fp-rate", 0)}.items():
-        pool = work / name
+SYNTH_RUNS = {"default": (), "k8_no_fp": ("--components", 8, "--fp-rate", 0)}
+
+
+def synth_pools(work: Path) -> dict[str, Path]:
+    """``synth --seed 2`` pools of 30 scenes, with the default flags and with
+    8 components and no false positives."""
+    pools = {}
+    for name, flags in SYNTH_RUNS.items():
+        pool = pools[name] = work / name
         with contextlib.redirect_stdout(io.StringIO()):
             assert main(["--seed", "2", "synth", "--out", str(pool), "--n-scenes", "30", *map(str, flags)]) == 0
-        digest = hashlib.sha256()
-        for f in sorted((pool / "sidecars").iterdir()):
-            digest.update(f.name.encode() + b"\n" + f.read_bytes() + b"\n")
-        out[name] = digest.hexdigest()
-    return out
+    return pools
+
+
+def _directory_digest(directory: Path) -> str:
+    digest = hashlib.sha256()
+    for f in sorted(directory.iterdir()):
+        digest.update(f.name.encode() + b"\n" + f.read_bytes() + b"\n")
+    return digest.hexdigest()
+
+
+def synth_sidecar_digests(pools: dict[str, Path]) -> dict:
+    """sha256 of every sidecar of each ``synth_pools`` pool."""
+    return {name: _directory_digest(pool / "sidecars") for name, pool in pools.items()}
+
+
+def synth_label_digests(pools: dict[str, Path]) -> dict:
+    """sha256 of every predicted and every ground-truth label file of each
+    ``synth_pools`` pool."""
+    return {
+        name: {part: _directory_digest(pool / part) for part in ("labels", "ground_truth")}
+        for name, pool in pools.items()
+    }
 
 
 @pytest.fixture(scope="module")
@@ -222,14 +244,23 @@ def test_cli_select_outputs_match_golden(golden, tmp_path):
     assert cli_select_digests(tmp_path) == golden["select_outputs"]
 
 
-def test_synth_sidecars_match_golden(golden, tmp_path):
-    assert synth_sidecar_digests(tmp_path) == golden["sidecars"]
+@pytest.fixture(scope="module")
+def synth_pool_dirs(tmp_path_factory):
+    return synth_pools(tmp_path_factory.mktemp("synth"))
+
+
+def test_synth_sidecars_match_golden(golden, synth_pool_dirs):
+    assert synth_sidecar_digests(synth_pool_dirs) == golden["sidecars"]
+
+
+def test_synth_labels_match_golden(golden, synth_pool_dirs):
+    assert synth_label_digests(synth_pool_dirs) == golden["synth_labels"]
 
 
 if __name__ == "__main__":
     import tempfile
 
-    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}, "select_outputs": {}, "sidecars": {}}
+    doc = {"run_al_rounds": {}, "cli": {}, "mixtures": {}, "select_outputs": {}, "sidecars": {}, "synth_labels": {}}
     for seed in SEEDS:
         doc["run_al_rounds"][str(seed)] = {s: library_rounds(seed, s) for s in sampler.STRATEGIES}
         doc["mixtures"][str(seed)] = {name: mixture_digests(seed, n) for name, n in MIXTURE_NOISE.items()}
@@ -238,7 +269,9 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         doc["select_outputs"] = cli_select_digests(Path(tmp))
     with tempfile.TemporaryDirectory() as tmp:
-        doc["sidecars"] = synth_sidecar_digests(Path(tmp))
+        pools = synth_pools(Path(tmp))
+        doc["sidecars"] = synth_sidecar_digests(pools)
+        doc["synth_labels"] = synth_label_digests(pools)
     # One line per list of ids or counts.
     text = re.sub(r"\[\s+([^][{}]*?)\s+\]", lambda m: "[" + re.sub(r",\s+", ", ", m.group(1)) + "]", json.dumps(doc, indent=1))
     FIXTURE.write_text(text + "\n")
