@@ -1089,7 +1089,7 @@ class TestFaultMatrix:
         state_before = state.read_bytes()
         config = ("--config", target) if where == "config" else ()
         ids = ("--ids", target) if where == "ids" else ()
-        last_line = f"{target}:{len(target.read_bytes().splitlines())}" if target.exists() else None
+        last_line = f"{target}:{len(target.read_bytes().splitlines())}" if where == "label" else None
         commands = {
             "select --init": ("select", "--pool", pool, "--state", tmp_path / "fresh.json", "--out", tmp_path / "fresh",
                               "--init", "--n0", 4),
