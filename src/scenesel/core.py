@@ -1,8 +1,11 @@
 """Shared domain types: catalogs, boxes, detections, scenes, anchors.
 
-All types are immutable value objects; a mixture block is a read-only
-array. ``read_text`` is the package's one way to read a file and
-``write_text_atomic`` its one way to write one.
+All types are immutable value objects. A scene holds its detections as
+columns: a tuple of class labels and one read-only float64 array of boxes
+and confidences; its mixtures are one read-only block. ``Box3D`` and
+``ScoredDetection`` are one detection as objects, which ``Scene`` builds
+its arrays from and gives back as a view. ``read_text`` is the package's
+one way to read a file and ``write_text_atomic`` its one way to write one.
 """
 from __future__ import annotations
 
@@ -87,6 +90,35 @@ class ClassCatalog:
 DEFAULT_CATALOG = ClassCatalog(classes=("car", "pedestrian", "cyclist"))
 
 
+#: The columns of ``Scene.boxes``: the fields of ``Box3D``, then the
+#: detection's confidence.
+BOX_COLUMNS = ("x", "y", "z", "w", "l", "h", "theta", "confidence")
+
+
+def box_fault(x, y, z, w, l, h, theta) -> str | None:
+    """The message of the first rule of ``Box3D`` the values break, or None."""
+    if not (0 < w < math.inf and 0 < l < math.inf and 0 < h < math.inf):
+        return f"box dimensions must be positive and finite, got w={w} l={l} h={h}"
+    if not math.isfinite(theta):
+        return "yaw must be finite"
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        return f"box center must be finite, got x={x} y={y} z={z}"
+    return None
+
+
+def confidence_fault(confidence) -> str | None:
+    """The message of the rule of ``ScoredDetection`` the value breaks, or None."""
+    if not (0.0 <= confidence <= 1.0):
+        return f"confidence must be in [0, 1], got {confidence}"
+    return None
+
+
+def row_fault(row) -> str | None:
+    """The message of the first rule one row of ``Scene.boxes`` breaks,
+    box before confidence, or None."""
+    return box_fault(*row[:7]) or confidence_fault(row[7])
+
+
 @dataclass(frozen=True)
 class Box3D:
     """7-DoF box: center (x, y, z) in the ego sensor frame, sizes, yaw."""
@@ -100,15 +132,9 @@ class Box3D:
     theta: float
 
     def __post_init__(self):
-        if not (0 < self.w < math.inf and 0 < self.l < math.inf and 0 < self.h < math.inf):
-            raise ValueError(f"box dimensions must be positive and finite, got w={self.w} l={self.l} h={self.h}")
-        if not math.isfinite(self.theta):
-            raise ValueError("yaw must be finite")
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            raise ValueError(f"box center must be finite, got x={self.x} y={self.y} z={self.z}")
-
-    def range_to_origin(self) -> float:
-        return math.sqrt(self.x * self.x + self.y * self.y + self.z * self.z)
+        fault = box_fault(self.x, self.y, self.z, self.w, self.l, self.h, self.theta)
+        if fault:
+            raise ValueError(fault)
 
 
 class MixtureError(ValueError):
@@ -279,27 +305,87 @@ class ScoredDetection:
     box: Box3D
 
     def __post_init__(self):
-        if not (0.0 <= self.confidence <= 1.0):
-            raise ValueError(f"confidence must be in [0, 1], got {self.confidence}")
+        fault = confidence_fault(self.confidence)
+        if fault:
+            raise ValueError(fault)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, init=False)
 class Scene:
-    """One frame: a unique id plus its (possibly empty) detections and,
-    for predictions, their mixtures."""
+    """One frame: a unique id, the class label of each detection, one
+    read-only float64 (D, 8) array ``boxes`` of their boxes and confidences
+    (columns as BOX_COLUMNS) and, for predictions, their mixtures.
+
+    Every row must keep the rules of ``Box3D`` and ``ScoredDetection``; the
+    rows are checked together, and the first failing row raises their
+    ``ValueError``. ``Scene(id, detections=...)`` builds the columns from
+    ``ScoredDetection`` objects, and ``detections`` gives them back. Equal
+    scenes may differ in their bits: -0.0 equals 0.0, as in ``MixtureParams``.
+    """
 
     id: str
-    detections: tuple[ScoredDetection, ...] = ()
-    mixtures: MixtureParams | None = None
+    labels: tuple[str, ...]
+    boxes: np.ndarray
+    mixtures: MixtureParams | None
 
-    def __post_init__(self):
-        if not self.id:
+    def __init__(self, id, labels=(), boxes=(), mixtures=None, *, detections=None):
+        if not id:
             raise ValueError("scene id must be non-empty")
-        if self.mixtures is not None and len(self.mixtures.block) != len(self.detections):
+        if detections is not None:
+            labels = [d.class_label for d in detections]
+            boxes = [(b.x, b.y, b.z, b.w, b.l, b.h, b.theta, d.confidence) for d in detections for b in (d.box,)]
+        labels = tuple(labels)
+        boxes = np.array(boxes, dtype=np.float64)
+        if boxes.shape == (0,):
+            boxes = boxes.reshape(0, len(BOX_COLUMNS))
+        if boxes.ndim != 2 or boxes.shape[1] != len(BOX_COLUMNS):
+            raise ValueError(f"scene {id!r}: boxes must have shape (D, {len(BOX_COLUMNS)}), got {boxes.shape}")
+        if len(labels) != len(boxes):
+            raise ValueError(f"scene {id!r} has {len(labels)} labels but {len(boxes)} boxes")
+        _check_boxes(boxes)
+        if mixtures is not None and len(mixtures.block) != len(boxes):
             raise ValueError(
-                f"scene {self.id!r} has {len(self.detections)} detections "
-                f"but {len(self.mixtures.block)} mixtures"
+                f"scene {id!r} has {len(boxes)} detections but {len(mixtures.block)} mixtures"
             )
+        boxes.flags.writeable = False
+        # Frozen: the fields are set once, past the dataclass's __setattr__.
+        self.__dict__.update(id=id, labels=labels, boxes=boxes, mixtures=mixtures)
+
+    @property
+    def detections(self) -> tuple[ScoredDetection, ...]:
+        """The detections as objects holding Python floats, built on each read."""
+        return tuple(
+            ScoredDetection(label, row[7], Box3D(*row[:7])) for label, row in zip(self.labels, self.boxes.tolist())
+        )
+
+    def __eq__(self, other):
+        if not isinstance(other, Scene):
+            return NotImplemented
+        return (
+            self.id == other.id
+            and self.labels == other.labels
+            and bool((self.boxes == other.boxes).all())
+            and self.mixtures == other.mixtures
+        )
+
+    def __hash__(self):
+        # + 0.0 turns -0.0 into 0.0: equal scenes hash alike.
+        return hash((self.id, self.labels, (self.boxes + 0.0).tobytes(), self.mixtures))
+
+
+def _check_boxes(boxes: np.ndarray) -> None:
+    """Raise the ``ValueError`` of the first row of ``boxes`` that breaks a
+    rule; the rows are walked only when the column checks find one."""
+    if not len(boxes):
+        return
+    lo, hi = boxes.min(0).tolist(), boxes.max(0).tolist()
+    # min and max keep a NaN, so finite extremes mean finite columns.
+    if all(map(math.isfinite, lo + hi)) and min(lo[3:6]) > 0 and lo[7] >= 0.0 and hi[7] <= 1.0:
+        return
+    for row in boxes.tolist():
+        fault = row_fault(row)
+        if fault:
+            raise ValueError(fault)
 
 
 @dataclass(frozen=True)
@@ -369,7 +455,8 @@ def read_text(path: str | Path) -> str:
     UTF-8 is a ``ParseError`` naming it and the line of the first bad byte.
     """
     try:
-        data = Path(path).read_bytes()
+        with open(path, "rb") as fh:
+            data = fh.read()
     except OSError as exc:
         raise DataError(f"{path}: cannot read file: {exc}") from exc
     try:

@@ -3,6 +3,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain, repeat
+
+import numpy as np
 
 from .core import ClassCatalog, DEFAULT_TAU, Scene
 
@@ -19,17 +22,29 @@ class EntropyConfig:
             raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
 
 
+def scene_class_counts(scenes: list[Scene], catalog: ClassCatalog, config: EntropyConfig) -> np.ndarray:
+    """(N, C) counts of each scene's detections per catalog class, in
+    catalog order, keeping only those with confidence >= tau: one pass
+    over the columns of all the scenes."""
+    n = catalog.num_classes
+    code = {c: i for i, c in enumerate(catalog.classes)}
+    # Code n stands for the classes outside the catalog.
+    labels = chain.from_iterable(s.labels for s in scenes)
+    codes = np.fromiter(map(code.get, labels, repeat(n)), dtype=np.intp)
+    owner = np.repeat(np.arange(len(scenes)), [len(s.labels) for s in scenes])
+    if len(codes):
+        keep = np.concatenate([s.boxes for s in scenes])[:, 7] >= config.tau
+        codes, owner = codes[keep], owner[keep]
+    counts = np.bincount(owner * (n + 1) + codes, minlength=len(scenes) * (n + 1))
+    return counts.reshape(len(scenes), n + 1)[:, :n]
+
+
 def filtered_class_counts(
     scenes: list[Scene], catalog: ClassCatalog, config: EntropyConfig
 ) -> dict[str, int]:
     """Count the detections of ``scenes`` per catalog class, keeping only
     those with confidence >= tau."""
-    counts = {c: 0 for c in catalog.classes}
-    for scene in scenes:
-        for det in scene.detections:
-            if det.confidence >= config.tau and det.class_label in counts:
-                counts[det.class_label] += 1
-    return counts
+    return dict(zip(catalog.classes, scene_class_counts(scenes, catalog, config).sum(0).tolist()))
 
 
 def counts_entropy(class_counts: dict[str, int], zeta: float = 0.0) -> float:
@@ -66,8 +81,8 @@ def rank_by_entropy(
     """Ids of the top_n scenes by descending entropy, ties by ascending id."""
     if top_n > len(scenes):
         raise ValueError(f"top_n={top_n} exceeds pool size {len(scenes)}")
-    scored = sorted(
-        ((category_entropy(s, catalog, config), s.id) for s in scenes),
-        key=lambda pair: (-pair[0], pair[1]),
-    )
-    return [sid for _, sid in scored[:top_n]]
+    # Scenes of equal counts have equal entropies: each distinct row is scored once.
+    rows, inverse = np.unique(scene_class_counts(scenes, catalog, config), axis=0, return_inverse=True)
+    negated = [-counts_entropy(dict(zip(catalog.classes, row)), config.zeta) for row in rows.tolist()]
+    ranked = sorted(zip(map(negated.__getitem__, inverse.reshape(-1).tolist()), (s.id for s in scenes)))
+    return [sid for _, sid in ranked[:top_n]]

@@ -29,6 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import accumulate, chain, compress
 
 import numpy as np
 
@@ -139,13 +140,28 @@ def scene_content(
     """All that ``build_scene_graph`` reads of a scene: the label and center
     (x, y, z) of each detection that passes the confidence filter and the
     catalog, in scene order. Scenes of equal content have equal graphs."""
-    tau = config.tau
-    return tuple(
-        (d.class_label, b.x, b.y, b.z)
-        for d in scene.detections
-        if d.confidence >= tau and d.class_label in catalog
-        for b in (d.box,)
-    )
+    return scene_contents([scene], catalog, config)[0]
+
+
+def scene_contents(
+    scenes: list[Scene], catalog: ClassCatalog, config: KernelConfig
+) -> list[tuple[tuple[str, float, float, float], ...]]:
+    """``scene_content`` of each scene, in input order, from the columns of
+    all the scenes at once."""
+    if not scenes:
+        return []
+    boxes = np.concatenate([s.boxes for s in scenes])
+    labels = list(chain.from_iterable(s.labels for s in scenes))
+    keep = boxes[:, 7] >= config.tau
+    if not set(labels).issubset(catalog.classes):
+        keep &= np.isin(labels, catalog.classes)
+    keep = keep.tolist()
+    kept = list(compress(zip(labels, *boxes[:, :3].T.tolist()), keep))
+    # Scene i holds rows ends[i] to ends[i + 1]; kept[before[r]] is the first
+    # kept row from row r on.
+    ends = list(accumulate((len(s.labels) for s in scenes), initial=0))
+    before = list(accumulate(keep, initial=0))
+    return [tuple(kept[before[lo] : before[hi]]) for lo, hi in zip(ends, ends[1:])]
 
 
 def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig) -> SceneGraph:

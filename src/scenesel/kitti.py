@@ -3,10 +3,11 @@
 Label lines carry, whitespace-separated: type, truncated, occluded, alpha,
 2D bbox (4 values), dimensions h w l, location x y z, rotation_y, and an
 optional score (15 or 16 fields). ``location`` is used as the box center
-as-is; calibration files are out of scope. ``parse_label_file`` turns each
-line straight into a ``Box3D`` and a ``ScoredDetection``, with no
-intermediate record; the fields the package does not model are checked and
-dropped. Every file is read through ``core.read_text``.
+as-is; calibration files are out of scope. ``parse_label_file`` turns a
+file into a scene's columns: the labels, and one array of the numbers of
+all its lines, whose checks run as column checks; the fields the package
+does not model are checked and dropped. Every file is read through
+``core.read_text``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -24,8 +25,9 @@ import os
 from math import isfinite
 from pathlib import Path
 
+import numpy as np
+
 from .core import (
-    Box3D,
     ClassCatalog,
     DataError,
     MixtureError,
@@ -33,15 +35,19 @@ from .core import (
     ParseError,
     RESIDUAL_DIMS,
     Scene,
-    ScoredDetection,
     read_text,
+    row_fault,
     write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
 
 SIDECAR_VERSION = 1
-FLOAT_FMT = "{:.6f}"
+
+
+# Where the numbers of a label line after its type (truncated, occluded,
+# alpha, 2D bbox (4), h w l, x y z, rotation_y, score) go in ``Scene.boxes``.
+_BOX_FIELDS = np.array([10, 11, 12, 8, 9, 7, 13, 14])
 
 
 def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
@@ -49,14 +55,56 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
 
     Checks each line in this order: 15 or 16 fields, numeric fields and a
     finite ``occluded`` (also on the lines then skipped: "DontCare", and with
-    a warning classes outside the catalog), then the box and the score, in
-    ``Box3D`` and ``ScoredDetection``. A missing score is confidence 1.0.
-    Every failure is a ``ParseError`` with the path and line number.
+    a warning classes outside the catalog), then the rules of ``Box3D`` and
+    of ``ScoredDetection``. A missing score is confidence 1.0. Every failure
+    is a ``ParseError`` with the path and line number.
+
+    The numbers of all lines go through ``float`` into one array and are
+    checked as columns; only a file that fails a check is parsed again line
+    by line, to find its first failing line.
     """
     path = Path(path)
+    lines = read_text(path).splitlines()
+    rows = [fields for fields in map(str.split, lines) if fields]
+    scene = _scene_of_rows(path.stem, rows, catalog)
+    if scene is None:
+        return _parse_lines(path, lines, catalog)
+    if len(scene.labels) < len(rows):
+        for line_no, fields in enumerate(map(str.split, lines), start=1):
+            if fields and fields[0] != "DontCare" and fields[0] not in catalog:
+                _warn_unknown_class(path, line_no, fields[0])
+    return scene
+
+
+def _scene_of_rows(scene_id: str, rows: list[list[str]], catalog: ClassCatalog) -> Scene | None:
+    """The scene of a file's non-blank lines split into fields, or None when
+    a line fails a check of ``parse_label_file``."""
+    if not rows:
+        return Scene(scene_id)
+    if not set(map(len, rows)) <= {15, 16}:
+        return None
+    # An object array's cast calls ``float`` on each token; "1" is the
+    # missing score.
+    tokens = np.array([f[1:] if len(f) == 16 else [*f[1:], "1"] for f in rows], dtype=object)
+    try:
+        values = tokens.astype(np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(values[:, 1]).all():
+        return None
+    classes = catalog.classes
+    kept = [i for i, fields in enumerate(rows) if fields[0] != "DontCare" and fields[0] in classes]
+    try:
+        return Scene(scene_id, [rows[i][0] for i in kept], values.take(kept, 0).take(_BOX_FIELDS, 1))
+    except ValueError:
+        return None
+
+
+def _parse_lines(path: Path, lines: list[str], catalog: ClassCatalog) -> Scene:
+    """``parse_label_file`` one line at a time, each line checked in order."""
     where = str(path)
-    detections = []
-    for line_no, raw in enumerate(read_text(path).splitlines(), start=1):
+    labels, rows = [], []
+    for line_no, raw in enumerate(lines, start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -72,16 +120,26 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
         if label == "DontCare":
             continue
         if label not in catalog:
-            log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
+            _warn_unknown_class(path, line_no, label)
             continue
-        # truncated, occluded, alpha, 2D bbox (4), h w l, x y z, rotation_y[, score]
         h, w, l, x, y, z, theta = values[7:14]
-        try:
-            box = Box3D(x, y, z, w, l, h, theta)
-            detections.append(ScoredDetection(label, values[14] if len(values) == 15 else 1.0, box))
-        except ValueError as exc:
-            raise ParseError(str(exc), where, line_no) from exc
-    return Scene(id=path.stem, detections=tuple(detections))
+        row = (x, y, z, w, l, h, theta, values[14] if len(values) == 15 else 1.0)
+        fault = row_fault(row)
+        if fault:
+            raise ParseError(fault, where, line_no)
+        labels.append(label)
+        rows.append(row)
+    return Scene(path.stem, labels, rows)
+
+
+def _warn_unknown_class(path: Path, line_no: int, label: str) -> None:
+    log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
+
+
+# A label line as ``serialize_label_file`` writes it: the class, zeros for
+# what a Scene does not model (truncated, occluded, alpha, 2D bbox), then
+# h w l, x y z, rotation_y and the score.
+_LINE = "{} 0.000000 0 0.000000 0.000000 0.000000 0.000000 0.000000" + " {:.6f}" * 8 + "\n"
 
 
 def serialize_label_file(scene: Scene) -> str:
@@ -93,33 +151,10 @@ def serialize_label_file(scene: Scene) -> str:
     digits, making parse(serialize(s)) exact for scenes representable at that
     precision.
     """
-    lines = []
-    f = FLOAT_FMT.format
-    for det in scene.detections:
-        b = det.box
-        lines.append(
-            " ".join(
-                [
-                    det.class_label,
-                    f(0.0),  # truncated
-                    "0",  # occluded
-                    f(0.0),  # alpha
-                    f(0.0),
-                    f(0.0),
-                    f(0.0),
-                    f(0.0),  # bbox2d
-                    f(b.h),
-                    f(b.w),
-                    f(b.l),
-                    f(b.x),
-                    f(b.y),
-                    f(b.z),
-                    f(b.theta),
-                    f(det.confidence),
-                ]
-            )
-        )
-    return "".join(line + "\n" for line in lines)
+    return "".join(
+        _LINE.format(label, h, w, l, x, y, z, theta, confidence)
+        for label, (x, y, z, w, l, h, theta, confidence) in zip(scene.labels, scene.boxes.tolist())
+    )
 
 
 def write_label_file(scene: Scene, path: str | Path) -> None:
@@ -128,7 +163,7 @@ def write_label_file(scene: Scene, path: str | Path) -> None:
 
 def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
     if scene.mixtures is None:
-        if scene.detections:
+        if scene.labels:
             raise DataError(f"scene {scene.id!r} has no mixture parameters to save")
         rows = []
     else:
@@ -154,10 +189,10 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     entries = doc.get("detections", [])
     if not isinstance(entries, list):
         raise DataError(f"{path}: sidecar detections must be a list, got {type(entries).__name__}")
-    if len(entries) != len(scene.detections):
+    if len(entries) != len(scene.labels):
         raise DataError(
             f"{path}: sidecar has {len(entries)} entries but scene {scene.id!r} has "
-            f"{len(scene.detections)} detections"
+            f"{len(scene.labels)} detections"
         )
     if not entries:
         return scene
@@ -171,7 +206,7 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
         mixtures = MixtureParams.from_rows(rows)
     except MixtureError as exc:
         raise DataError(f"{path}: entry {exc.entry}: {exc}") from exc
-    return Scene(id=scene.id, detections=scene.detections, mixtures=mixtures)
+    return Scene(scene.id, scene.labels, scene.boxes, mixtures)
 
 
 def label_path(pool_dir: str | Path, scene_id: str) -> Path:
@@ -189,7 +224,7 @@ def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog) -> list[Scene]:
         raise DataError(f"no labels/ directory under {labels.parent}")
     with os.scandir(labels) as entries:
         names = sorted(e.name for e in entries if e.name.endswith(".txt"))
-    return [parse_label_file(labels / name, catalog) for name in names]
+    return [parse_label_file(os.path.join(labels, name), catalog) for name in names]
 
 
 def sidecar_reader(pool_dir: str | Path, scenes: list[Scene]):

@@ -23,7 +23,7 @@ from .kernel import (
     build_scene_graph,
     indexed_kernels,
     marginalized_kernel,  # unused here; bench/spans.py patches this name
-    scene_content,
+    scene_contents,
 )
 from .state import RoundState
 from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainties
@@ -159,7 +159,7 @@ class SimilarityCache:
         content of a scene in ``dropped``."""
         if self._stored is None:
             raise ValueError("save needs a cache that was loaded")
-        drop = {_content_digest(scene_content(s, self.catalog, self.config)) for s in dropped}
+        drop = {_content_digest(c) for c in scene_contents(dropped, self.catalog, self.config)}
         selfs, crosses = self._stored
         pairs = {}
         for (a, b), value in sorted(crosses.items()):
@@ -172,8 +172,7 @@ class SimilarityCache:
         }
         write_text_atomic(path, json.dumps(doc))
 
-    def _key(self, scene: Scene) -> int:
-        content = scene_content(scene, self.catalog, self.config)
+    def _key(self, content) -> int:
         key = self._keys.get(content)
         if key is None:
             key = self._keys[content] = len(self._contents)
@@ -218,7 +217,8 @@ class SimilarityCache:
     def _scan(self, scenes, first: np.ndarray, second: np.ndarray) -> np.ndarray:
         """The similarity of ``scenes[first[p]]`` and ``scenes[second[p]]``
         for each p: hits from the store, misses through ``_fill``."""
-        keys = np.fromiter(map(self._key, scenes), dtype=np.int64, count=len(scenes))
+        contents = scene_contents(scenes, self.catalog, self.config)
+        keys = np.fromiter(map(self._key, contents), dtype=np.int64, count=len(scenes))
         if len(self._contents) > len(self._self_k):
             self._self_k = np.concatenate([self._self_k, np.full(len(self._contents) - len(self._self_k), np.nan)])
         a, b = keys[first], keys[second]

@@ -15,13 +15,12 @@ import numpy as np
 
 from .core import (
     AnchorTable,
-    Box3D,
     ClassCatalog,
     DEFAULT_ANCHORS,
     MixtureParams,
     RESIDUAL_DIMS,
     Scene,
-    ScoredDetection,
+    box_fault,
 )
 
 MIX_SUM_TOL = 1e-9
@@ -129,26 +128,29 @@ def generate_pool(
     pool: dict[str, Scene] = {}
     for i in range(spec.n_scenes):
         rng = np.random.default_rng(np.random.SeedSequence([spec.rng_seed, 2, i]))
-        dets = []
-        for obj in templates[i % g]:
-            dets.append(
-                ScoredDetection(
-                    class_label=obj["class"],
-                    confidence=1.0,
-                    box=Box3D(
-                        x=obj["x"] + float(rng.normal(0.0, 0.05)),
-                        y=obj["y"] + float(rng.normal(0.0, 0.05)),
-                        z=obj["z"] + float(rng.normal(0.0, 0.02)),
-                        w=obj["w"] * float(np.exp(rng.normal(0.0, 0.01))),
-                        l=obj["l"] * float(np.exp(rng.normal(0.0, 0.01))),
-                        h=obj["h"] * float(np.exp(rng.normal(0.0, 0.01))),
-                        theta=obj["theta"] + float(rng.normal(0.0, 0.01)),
-                    ),
-                )
+        template = templates[i % g]
+        # x, y, z, w, l, h, theta, confidence: the draws in that order.
+        boxes = [
+            (
+                obj["x"] + float(rng.normal(0.0, 0.05)),
+                obj["y"] + float(rng.normal(0.0, 0.05)),
+                obj["z"] + float(rng.normal(0.0, 0.02)),
+                obj["w"] * float(np.exp(rng.normal(0.0, 0.01))),
+                obj["l"] * float(np.exp(rng.normal(0.0, 0.01))),
+                obj["h"] * float(np.exp(rng.normal(0.0, 0.01))),
+                obj["theta"] + float(rng.normal(0.0, 0.01)),
+                1.0,
             )
+            for obj in template
+        ]
         sid = _scene_id(i)
-        pool[sid] = Scene(id=sid, detections=tuple(dets))
+        pool[sid] = Scene(sid, [obj["class"] for obj in template], boxes)
     return pool
+
+
+def _range(x: float, y: float, z: float) -> float:
+    """Distance of a box center from the origin."""
+    return math.sqrt(x * x + y * y + z * z)
 
 
 def _sigmoid(z: float) -> float:
@@ -189,8 +191,9 @@ def simulate_predictions(
     catalog: ClassCatalog,
     rng: np.random.Generator,
 ) -> Scene:
-    """Noisy predictions for one ground-truth scene, with their mixtures as
-    one (D, 3, 7, K) block filled detection by detection in stream order.
+    """Noisy predictions for one ground-truth scene: its boxes as one
+    (D, 8) array and its mixtures as one (D, 3, 7, K) block, filled
+    detection by detection in stream order.
 
     Residual variance grows with range; component-mean disagreement (and so
     the epistemic term) scales with ``mean_spread``. False positives are
@@ -198,29 +201,25 @@ def simulate_predictions(
     truth exactly with confidence 1.0 and all component means equal.
     """
     sigma = noise.position_noise_per_meter
-    preds, mixtures = [], []
-    for det in gt_scene.detections:
-        gt = det.box
-        rng_range = gt.range_to_origin()
+    labels, boxes, mixtures = [], [], []
+    for label, (gx, gy, gz, gw, gl, gh, gtheta, _) in zip(gt_scene.labels, gt_scene.boxes.tolist()):
+        rng_range = _range(gx, gy, gz)
         pos_std = sigma * rng_range
         # The box noise in one draw (x, y, z only under position noise, then
         # w, l, h, theta): the same stream and floats as one rng.normal each.
         if pos_std:
             zx, zy, zz, zw, zl, zh, zt = rng.standard_normal(7).tolist()
-            x, y, z = gt.x + pos_std * zx, gt.y + pos_std * zy, gt.z + pos_std * zz
+            x, y, z = gx + pos_std * zx, gy + pos_std * zy, gz + pos_std * zz
         else:
             zw, zl, zh, zt = rng.standard_normal(4).tolist()
-            x, y, z = gt.x, gt.y, gt.z
-        box = Box3D(
-            x=x,
-            y=y,
-            z=z,
-            w=gt.w * float(np.exp(sigma * zw)),
-            l=gt.l * float(np.exp(sigma * zl)),
-            h=gt.h * float(np.exp(sigma * zh)),
-            theta=gt.theta + sigma * zt,
-        )
-        label = det.class_label
+            x, y, z = gx, gy, gz
+        w = gw * float(np.exp(sigma * zw))
+        l = gl * float(np.exp(sigma * zl))
+        h = gh * float(np.exp(sigma * zh))
+        theta = gtheta + sigma * zt
+        fault = box_fault(x, y, z, w, l, h, theta)
+        if fault:
+            raise ValueError(fault)
         if noise.misclass_rate > 0 and rng.random() < noise.misclass_rate:
             others = [c for c in catalog.classes if c != label]
             if others:
@@ -232,43 +231,43 @@ def simulate_predictions(
         anchor = anchors.for_class(label)
         diagonal = anchor.diagonal
         nominal = [
-            (box.x - gt.x) / diagonal,
-            (box.y - gt.y) / diagonal,
-            (box.z - gt.z) / anchor.height,
-            math.log(box.w / anchor.width),
-            math.log(box.h / anchor.height),
-            math.log(box.l / anchor.length),
-            box.theta - gt.theta,
+            (x - gx) / diagonal,
+            (y - gy) / diagonal,
+            (z - gz) / anchor.height,
+            math.log(w / anchor.width),
+            math.log(h / anchor.height),
+            math.log(l / anchor.length),
+            theta - gtheta,
         ]
         mixtures.append(_residual_mixture(noise, rng, nominal, rng_range))
-        preds.append(ScoredDetection(label, conf, box))
+        labels.append(label)
+        boxes.append((x, y, z, w, l, h, theta, conf))
 
     if noise.false_positive_rate > 0:
         for _ in range(int(rng.poisson(noise.false_positive_rate))):
             cls = catalog.classes[int(rng.integers(catalog.num_classes))]
             a = anchors.for_class(cls)
-            box = Box3D(
-                x=float(rng.uniform(-60.0, 60.0)),
-                y=float(rng.uniform(-60.0, 60.0)),
-                z=float(rng.uniform(-0.5, 0.5)),
-                w=a.width * float(np.exp(rng.normal(0.0, 0.1))),
-                l=a.length * float(np.exp(rng.normal(0.0, 0.1))),
-                h=a.height * float(np.exp(rng.normal(0.0, 0.1))),
-                theta=float(rng.uniform(-math.pi, math.pi)),
-            )
+            x = float(rng.uniform(-60.0, 60.0))
+            y = float(rng.uniform(-60.0, 60.0))
+            z = float(rng.uniform(-0.5, 0.5))
+            w = a.width * float(np.exp(rng.normal(0.0, 0.1)))
+            l = a.length * float(np.exp(rng.normal(0.0, 0.1)))
+            h = a.height * float(np.exp(rng.normal(0.0, 0.1)))
+            theta = float(rng.uniform(-math.pi, math.pi))
             nominal = [
                 0.0,
                 0.0,
                 0.0,
-                math.log(box.w / a.width),
-                math.log(box.h / a.height),
-                math.log(box.l / a.length),
+                math.log(w / a.width),
+                math.log(h / a.height),
+                math.log(l / a.length),
                 0.0,
             ]
-            mixtures.append(_residual_mixture(noise, rng, nominal, box.range_to_origin(), var_scale=4.0))
-            preds.append(ScoredDetection(cls, float(rng.uniform(0.05, 0.95)), box))
+            mixtures.append(_residual_mixture(noise, rng, nominal, _range(x, y, z), var_scale=4.0))
+            labels.append(cls)
+            boxes.append((x, y, z, w, l, h, theta, float(rng.uniform(0.05, 0.95))))
     block = np.reshape(mixtures, (-1, 3, len(RESIDUAL_DIMS), noise.mixture_components))
-    return Scene(id=gt_scene.id, detections=tuple(preds), mixtures=MixtureParams(block))
+    return Scene(gt_scene.id, labels, boxes, MixtureParams(block))
 
 
 def _stable_id_seed(scene_id: str) -> int:

@@ -127,7 +127,8 @@ def propagate_uncertainty(
 
 
 def _kept(scene: Scene, config: UncertaintyConfig) -> list[int]:
-    return [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
+    tau = config.tau
+    return [i for i, confidence in enumerate(scene.boxes[:, 7].tolist()) if confidence >= tau]
 
 
 @np.errstate(over="ignore", invalid="ignore", divide="ignore")  # non-finite terms fail their scene
@@ -190,7 +191,7 @@ def _score_chunk(scenes, anchors: AnchorTable, config: UncertaintyConfig, out: n
         positions.append(pos)
         counts.append(len(kept))
         blocks.append(block if len(kept) == len(block) else block[kept])
-        labels += [scene.detections[i].class_label for i in kept]
+        labels += [scene.labels[i] for i in kept]
     for positions, counts, blocks, labels in groups.values():
         factors = {label: _anchor_factors(anchors, label) for label in set(labels)}
         d2, h2 = np.array([factors[label] for label in labels]).T
@@ -222,7 +223,7 @@ def _raise_failure(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig
     kept = _kept(scene, config)
     if scene.mixtures is None:
         raise DataError(f"scene {scene.id!r}: {len(kept)} counted detections have no mixture parameters")
-    kept_anchors = [anchors.for_class(scene.detections[i].class_label) for i in kept]
+    kept_anchors = [anchors.for_class(scene.labels[i]) for i in kept]
     terms, mean, au, eu = _terms(
         scene.mixtures.block[kept],
         [a.diagonal**2 for a in kept_anchors],
@@ -230,7 +231,7 @@ def _raise_failure(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig
         config,
     )
     row = int(np.isfinite(terms).all(1).argmin())
-    where = f"scene {scene.id!r}: detection {kept[row]} ({scene.detections[kept[row]].class_label})"
+    where = f"scene {scene.id!r}: detection {kept[row]} ({scene.labels[kept[row]]})"
     try:
         propagate_uncertainty(
             tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()), kept_anchors[row]

@@ -25,6 +25,13 @@ def anchors():
     return DEFAULT_ANCHORS
 
 
+def scene_of(id, detections=(), mixtures=None):
+    """A scene from ``ScoredDetection`` objects: the tests' one way to turn
+    detections into a scene's columns."""
+    boxes = [(b.x, b.y, b.z, b.w, b.l, b.h, b.theta, d.confidence) for d in detections for b in (d.box,)]
+    return Scene(id, [d.class_label for d in detections], boxes, mixtures)
+
+
 def make_box(x=1.0, y=2.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.1):
     return Box3D(x=x, y=y, z=z, w=w, l=l, h=h, theta=theta)
 
@@ -56,7 +63,7 @@ def scene_with_mixtures(scene_id, *pairs):
     if not pairs:
         return Scene(scene_id)
     dets, mixtures = zip(*pairs)
-    return Scene(scene_id, tuple(dets), stack_mixtures(*mixtures))
+    return scene_of(scene_id, tuple(dets), stack_mixtures(*mixtures))
 
 
 def random_scene(rng: random.Random, scene_id: str, catalog=DEFAULT_CATALOG, max_objects=4):
@@ -77,4 +84,4 @@ def random_scene(rng: random.Random, scene_id: str, catalog=DEFAULT_CATALOG, max
                 ),
             )
         )
-    return Scene(id=scene_id, detections=tuple(dets))
+    return scene_of(id=scene_id, detections=tuple(dets))

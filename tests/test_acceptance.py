@@ -15,7 +15,6 @@ import pytest
 from scenesel.core import (
     DEFAULT_ANCHORS,
     DEFAULT_CATALOG,
-    Scene,
     ScoredDetection,
 )
 from scenesel.diagnostics import category_kl_to_uniform, sample_pair_similarities
@@ -38,7 +37,7 @@ from scenesel.state import RoundState, load_round_state, save_round_state
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig, mixture_au, mixture_eu, propagate_uncertainty
 
-from conftest import make_box, mixture_from_rows, random_scene
+from conftest import make_box, mixture_from_rows, random_scene, scene_of
 from test_kernel import random_graph
 from test_uncertainty import unit_anchor
 
@@ -101,7 +100,7 @@ def test_02_kernel_algebra(capsys):
         # Each scene next to a same-content copy under another id: the unit
         # diagonal is set, not computed, so self-similarity is read off the
         # (scene, copy) entries, normalized by the matrix's own self-kernels.
-        copies = [Scene(f"{s.id}_copy", s.detections) for s in scenes]
+        copies = [scene_of(f"{s.id}_copy", s.detections) for s in scenes]
         both = SimilarityCache(DEFAULT_CATALOG, KER).matrix(scenes + copies)
         gram = both[:10, :10]
         min_eig = min(min_eig, float(np.linalg.eigvalsh(gram).min()))
@@ -118,7 +117,7 @@ def test_03_entropy_bounds_and_threshold_behavior(capsys):
         0.0 <= category_entropy(random_scene(rng, f"e{i}", max_objects=6), DEFAULT_CATALOG, ENT) <= upper
         for i in range(10_000)
     )
-    noisy = Scene(
+    noisy = scene_of(
         id="single_car",
         detections=(
             ScoredDetection("car", 0.95, make_box(x=8.0)),

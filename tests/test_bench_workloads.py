@@ -13,8 +13,8 @@ from pathlib import Path
 import pytest
 
 from scenesel import uncertainty
-from scenesel.core import DEFAULT_ANCHORS, MixtureParams, Scene, ScoredDetection
-from conftest import make_box, uniform_mixture
+from scenesel.core import DEFAULT_ANCHORS, MixtureParams, ScoredDetection
+from conftest import make_box, scene_of, uniform_mixture
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 SEED = 1
@@ -67,7 +67,7 @@ def test_traced_episodes_count_every_layer_the_benchmark_reads(workloads, tmp_pa
     disk = workloads.DiskWorkload(SEED, tmp_path / "work", n_scenes=100, objects="2,6", rounds=1)
     block = uniform_mixture(var=0.1).block.copy()
     block[0, 1, 6] = math.pi / 2  # a yaw residual mean the ranking excludes
-    singular = Scene("singular", (ScoredDetection("car", 0.9, make_box()),), MixtureParams(block))
+    singular = scene_of("singular", (ScoredDetection("car", 0.9, make_box()),), MixtureParams(block))
     instr.install()
     try:
         assert problems_of_one_episode(workloads, loop) == []

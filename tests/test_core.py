@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import os
 import random
@@ -11,6 +12,7 @@ import pytest
 
 from scenesel.core import (
     Anchor,
+    BOX_COLUMNS,
     Box3D,
     ClassCatalog,
     DataError,
@@ -24,7 +26,7 @@ from scenesel.core import (
     read_text,
     write_text_atomic,
 )
-from conftest import uniform_mixture, mixture_from_rows
+from conftest import mixture_from_rows, scene_of, stack_mixtures, uniform_mixture
 
 
 class TestAnchorDiagonal:
@@ -82,9 +84,6 @@ class TestBox3D:
     def test_nonfinite_center_rejected(self, center):
         with pytest.raises(ValueError, match="box center must be finite"):
             Box3D(*center, w=1.0, l=1.0, h=1.0, theta=0.0)
-
-    def test_range(self):
-        assert Box3D(3, 0, 4, 1, 1, 1, 0).range_to_origin() == pytest.approx(5.0)
 
 
 class TestMixtureParams:
@@ -284,14 +283,14 @@ class TestMixtureBlock:
             mixtures.block[0, 1, 0, 0] = 5.0
         source[0, 1, 0, 0] = 5.0
         assert mixtures.block[0, 1, 0, 0] == 0.0
-        scene = Scene("s", (ScoredDetection("car", 0.9, Box3D(0, 0, 0, 1, 1, 1, 0)),), mixtures)
+        scene = scene_of("s", (ScoredDetection("car", 0.9, Box3D(0, 0, 0, 1, 1, 1, 0)),), mixtures)
         with pytest.raises(ValueError, match="read-only"):
             scene.mixtures.block[0, 2] = 1.0
 
     def test_scene_needs_one_mixture_per_detection(self):
         det = ScoredDetection("car", 0.9, Box3D(0, 0, 0, 1, 1, 1, 0))
         with pytest.raises(ValueError, match="2 detections but 1 mixtures"):
-            Scene("s", (det, det), uniform_mixture())
+            scene_of("s", (det, det), uniform_mixture())
 
     def test_equal_blocks_are_equal_values(self):
         a, b = uniform_mixture(k=3, var=0.5), uniform_mixture(k=3, var=0.5)
@@ -312,6 +311,91 @@ class TestSceneAndDetection:
     def test_empty_scene_id_rejected(self):
         with pytest.raises(ValueError):
             Scene(id="")
+
+
+class TestSceneColumns:
+    ROWS = [(1.0, 2.0, 0.0, 1.6, 3.9, 1.56, 0.1, 0.9), (-4.0, 0.5, 0.2, 0.6, 0.8, 1.73, -2.0, 0.3)]
+
+    def test_columns_of_labels_and_boxes(self):
+        scene = Scene("s", ["car", "pedestrian"], self.ROWS)
+        assert scene.labels == ("car", "pedestrian")
+        assert scene.boxes.dtype == np.float64 and scene.boxes.shape == (2, len(BOX_COLUMNS)) == (2, 8)
+        assert scene.boxes.tolist() == [list(row) for row in self.ROWS]
+
+    def test_equal_scenes_treat_negative_zero_as_zero(self):
+        zero = Scene("s", ["car"], [(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.5)])
+        negative = Scene("s", ["car"], [(-0.0, -0.0, -0.0, 1.0, 1.0, 1.0, -0.0, 0.5)])
+        assert zero == negative and hash(zero) == hash(negative)
+        assert zero != Scene("t", ["car"], zero.boxes)
+        assert zero != Scene("s", ["cyclist"], zero.boxes)
+        assert zero != Scene("s", ["car"], [(0.0, 0.0, 0.0, 1.0, 1.0, 1.0, 0.0, 0.6)])
+        assert zero != Scene("s", ["car"], zero.boxes, uniform_mixture())
+
+    def test_boxes_are_read_only_and_not_the_callers(self):
+        source = np.array(self.ROWS)
+        scene = Scene("s", ["car", "pedestrian"], source)
+        with pytest.raises(ValueError, match="read-only"):
+            scene.boxes[0, 0] = 5.0
+        source[0, 0] = 5.0
+        assert scene.boxes[0, 0] == 1.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            scene.boxes = source
+
+    @pytest.mark.parametrize("boxes", [(), [], np.empty((0, 8))])
+    def test_an_empty_scene_has_shape_0_by_8(self, boxes):
+        scene = Scene("s", (), boxes)
+        assert scene.boxes.shape == (0, 8) and scene.labels == () and scene.detections == ()
+        assert scene == Scene("s") == Scene("s", detections=())
+
+    def test_mixture_count_is_checked(self):
+        with pytest.raises(ValueError, match="2 detections but 1 mixtures"):
+            Scene("s", ["car", "pedestrian"], self.ROWS, uniform_mixture())
+
+    @pytest.mark.parametrize(
+        "labels, boxes, message",
+        [
+            (["car"], ROWS, "has 1 labels but 2 boxes"),
+            (["car"], [ROWS[0][:7]], r"boxes must have shape \(D, 8\), got \(1, 7\)"),
+            (["car"], ROWS[0], r"got \(8,\)"),
+        ],
+    )
+    def test_shape_faults(self, labels, boxes, message):
+        with pytest.raises(ValueError, match=message):
+            Scene("s", labels, boxes)
+
+    @pytest.mark.parametrize(
+        "column, value",
+        [("w", 0.0), ("l", -1.0), ("h", math.inf), ("w", math.nan), ("theta", math.nan), ("x", math.inf),
+         ("z", -math.inf), ("y", math.nan), ("confidence", 1.5), ("confidence", -1e-300), ("confidence", math.nan)],
+    )
+    def test_a_bad_row_raises_what_its_objects_raise(self, column, value):
+        rows = [list(row) for row in self.ROWS] * 2
+        rows[1][BOX_COLUMNS.index(column)] = value
+        rows[3][BOX_COLUMNS.index("w")] = -5.0  # a later fault is not the one reported
+        with pytest.raises(ValueError) as expected:
+            ScoredDetection("car", rows[1][7], Box3D(*rows[1][:7]))
+        with pytest.raises(ValueError) as got:
+            Scene("s", ["car"] * 4, rows)
+        assert str(got.value) == str(expected.value)
+
+    def test_detections_hold_python_floats(self):
+        # ``repr`` of a box is what the golden predictions digest reads; an
+        # np.float64 field would print as ``np.float64(...)`` under numpy 2.
+        scene = Scene("s", ["car", "pedestrian"], self.ROWS)
+        dets = scene.detections
+        assert dets == (
+            ScoredDetection("car", 0.9, Box3D(1.0, 2.0, 0.0, 1.6, 3.9, 1.56, 0.1)),
+            ScoredDetection("pedestrian", 0.3, Box3D(-4.0, 0.5, 0.2, 0.6, 0.8, 1.73, -2.0)),
+        )
+        for det in dets:
+            assert type(det.confidence) is float
+            assert all(type(getattr(det.box, f)) is float for f in BOX_COLUMNS[:7])
+        assert repr(dets[0].box) == "Box3D(x=1.0, y=2.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.1)"
+
+    def test_detections_build_the_same_columns(self):
+        scene = Scene("s", ["car", "pedestrian"], self.ROWS, stack_mixtures(uniform_mixture(k=2), uniform_mixture(k=2, mean=0.5)))
+        again = Scene("s", detections=scene.detections, mixtures=scene.mixtures)
+        assert again == scene and again.boxes.tobytes() == scene.boxes.tobytes()
 
 
 class TestAnchorTable:

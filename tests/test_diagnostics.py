@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, Scene, ScoredDetection
+from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, ScoredDetection
 from scenesel.diagnostics import (
     category_kl_to_uniform,
     sample_pair_similarities,
@@ -20,7 +20,7 @@ from scenesel.sampler import SimilarityCache
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
 
-from conftest import make_box, scene_with_mixtures, uniform_mixture
+from conftest import make_box, scene_of, scene_with_mixtures, uniform_mixture
 
 ENT = EntropyConfig()
 KER = KernelConfig()
@@ -78,7 +78,7 @@ def fresh_cache():
 
 def duplicated_scenes(n=6):
     det = ScoredDetection("car", 0.9, make_box(x=4.0, y=3.0))
-    return [Scene(id=f"dup_{i}", detections=(det,)) for i in range(n)]
+    return [scene_of(id=f"dup_{i}", detections=(det,)) for i in range(n)]
 
 
 class TestPairSampling:
@@ -191,7 +191,7 @@ class TestSelectionReport:
 
     def test_selection_outside_pool_rejected(self):
         pool = duplicated_scenes(3)
-        stray = Scene(id="stray", detections=())
+        stray = scene_of(id="stray", detections=())
         with pytest.raises(ValueError):
             self.report([stray], pool)
 

@@ -11,15 +11,16 @@ from scenesel.entropy import (
     counts_entropy,
     filtered_class_counts,
     rank_by_entropy,
+    scene_class_counts,
 )
-from conftest import make_detection, random_scene
+from conftest import make_detection, random_scene, scene_of
 
 
 CFG = EntropyConfig()
 
 
 def scene_with(dets, sid="s"):
-    return Scene(id=sid, detections=tuple(dets))
+    return scene_of(id=sid, detections=tuple(dets))
 
 
 class TestFilteredCounts:
@@ -92,8 +93,8 @@ class TestCategoryEntropy:
         e = category_entropy(s, DEFAULT_CATALOG, CFG)
         shuffled = list(s.detections)
         rng.shuffle(shuffled)
-        assert category_entropy(Scene("s", tuple(shuffled)), DEFAULT_CATALOG, CFG) == e
-        doubled = Scene("s", s.detections + s.detections)
+        assert category_entropy(scene_of("s", tuple(shuffled)), DEFAULT_CATALOG, CFG) == e
+        doubled = scene_of("s", s.detections + s.detections)
         assert category_entropy(doubled, DEFAULT_CATALOG, CFG) == pytest.approx(e, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
@@ -153,3 +154,45 @@ class TestRankByEntropy:
     def test_top_n_too_large(self, catalog):
         with pytest.raises(ValueError):
             rank_by_entropy(self._scenes(catalog), catalog, CFG, 4)
+
+
+class TestOnePassCounts:
+    """The counts of a list in one pass over the columns of all its scenes,
+    against a loop over each scene's detections."""
+
+    @staticmethod
+    def loop_counts(scene, catalog, config):
+        counts = {c: 0 for c in catalog.classes}
+        for det in scene.detections:
+            if det.confidence >= config.tau and det.class_label in counts:
+                counts[det.class_label] += 1
+        return counts
+
+    @staticmethod
+    def scenes(seed):
+        rng = random.Random(seed)
+        scenes = [random_scene(rng, f"s{i:03d}", max_objects=6) for i in range(60)]
+        # a class outside the catalog, a confidence at tau, empty scenes
+        scenes.append(scene_with([make_detection("truck", 0.9), make_detection("car", CFG.tau)], "t"))
+        scenes += [Scene("e0"), Scene("e1")]
+        return scenes
+
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    def test_rows_and_totals_match_the_loop(self, catalog, seed, tau):
+        config = EntropyConfig(tau=tau)
+        scenes = self.scenes(seed)
+        rows = scene_class_counts(scenes, catalog, config).tolist()
+        loops = [self.loop_counts(s, catalog, config) for s in scenes]
+        assert rows == [list(counts.values()) for counts in loops]
+        assert filtered_class_counts(scenes, catalog, config) == {
+            c: sum(counts[c] for counts in loops) for c in catalog.classes
+        }
+        assert scene_class_counts([], catalog, config).shape == (0, catalog.num_classes)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_ranking_matches_the_sort_of_each_scene_entropy(self, catalog, seed):
+        scenes = self.scenes(seed)
+        expected = sorted(scenes, key=lambda s: (-category_entropy(s, catalog, CFG), s.id))
+        assert rank_by_entropy(scenes, catalog, CFG, len(scenes)) == [s.id for s in expected]
+        assert rank_by_entropy([], catalog, CFG, 0) == []

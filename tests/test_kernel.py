@@ -19,7 +19,7 @@ from scenesel.kernel import (
     marginalized_kernel,
 )
 from scenesel.sampler import BLOCK_PAIRS, SimilarityCache
-from conftest import random_scene
+from conftest import random_scene, scene_of
 
 CFG = KernelConfig()
 
@@ -120,7 +120,7 @@ class TestBuildSceneGraph:
 
     def test_single_car_distance_five(self, catalog):
         det = ScoredDetection("car", 0.9, Box3D(3, 0, 4, 1.6, 3.9, 1.56, 0.0))
-        g = build_scene_graph(Scene("s", (det,)), catalog, CFG)
+        g = build_scene_graph(scene_of("s", (det,)), catalog, CFG)
         assert g.labels == (EGO_LABEL, "car")
         assert g.weights[0][1] == pytest.approx(0.2)
         assert g.weights[1][0] == pytest.approx(0.2)
@@ -128,14 +128,14 @@ class TestBuildSceneGraph:
     def test_identical_centers_clamped(self, catalog):
         box = Box3D(2, 2, 0, 1, 1, 1, 0)
         dets = (ScoredDetection("car", 0.9, box), ScoredDetection("pedestrian", 0.9, box))
-        g = build_scene_graph(Scene("s", dets), catalog, CFG)
+        g = build_scene_graph(scene_of("s", dets), catalog, CFG)
         assert g.weights[1][2] == pytest.approx(1.0 / CFG.min_dist)
 
     def test_an_overflowing_distance_is_a_data_error_naming_the_scene(self, catalog):
         # 1e150 m squares to 1e300, a float; 1e200 m does not.
-        far = Scene("s", (ScoredDetection("car", 0.9, Box3D(1e150, 0, 0, 1, 1, 1, 0)),))
+        far = scene_of("s", (ScoredDetection("car", 0.9, Box3D(1e150, 0, 0, 1, 1, 1, 0)),))
         assert build_scene_graph(far, catalog, CFG).weights[0][1] == 1e-150
-        too_far = Scene("s", (ScoredDetection("car", 0.9, Box3D(1e200, 0, 0, 1, 1, 1, 0)),))
+        too_far = scene_of("s", (ScoredDetection("car", 0.9, Box3D(1e200, 0, 0, 1, 1, 1, 0)),))
         with pytest.raises(DistanceOverflowError, match="scene 's': the distance from") as info:
             build_scene_graph(too_far, catalog, CFG)
         assert info.value.scene_id == "s"
@@ -145,18 +145,44 @@ class TestBuildSceneGraph:
             ScoredDetection("car", 0.9, Box3D(1, 0, 0, 1, 1, 1, 0)),
             ScoredDetection("car", 0.1, Box3D(5, 0, 0, 1, 1, 1, 0)),
         )
-        g = build_scene_graph(Scene("s", dets), catalog, CFG)
+        g = build_scene_graph(scene_of("s", dets), catalog, CFG)
         assert g.num_nodes == 2  # ego + one above-threshold car
 
     def test_graph_depends_on_the_scene_content_alone(self, catalog):
         # Other ids, sizes, yaws, scores above tau and filtered detections:
         # the same content, so the same graph.
         kept = ScoredDetection("car", 0.9, Box3D(1, 2, 0, 1, 1, 1, 0))
-        a = Scene("a", (kept, ScoredDetection("pedestrian", 0.1, Box3D(4, 0, 0, 1, 1, 1, 0))))
-        b = Scene("b", (ScoredDetection("car", 0.5, Box3D(1, 2, 0, 2, 3, 1, 1.0)), ScoredDetection("truck", 0.9, kept.box)))
+        a = scene_of("a", (kept, ScoredDetection("pedestrian", 0.1, Box3D(4, 0, 0, 1, 1, 1, 0))))
+        b = scene_of("b", (ScoredDetection("car", 0.5, Box3D(1, 2, 0, 2, 3, 1, 1.0)), ScoredDetection("truck", 0.9, kept.box)))
         assert kernel_module.scene_content(a, catalog, CFG) == (("car", 1.0, 2.0, 0.0),)
         assert kernel_module.scene_content(b, catalog, CFG) == kernel_module.scene_content(a, catalog, CFG)
         assert build_scene_graph(b, catalog, CFG) == build_scene_graph(a, catalog, CFG)
+
+    @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
+    def test_contents_of_a_list_are_each_scene_content(self, catalog, tau):
+        # Read from the columns of all the scenes at once, against a loop
+        # over each scene's detections: equal values, and the same bits
+        # (-0.0 stays -0.0).
+        config = KernelConfig(tau=tau)
+        rng = random.Random(61)
+        scenes = [random_scene(rng, f"s{i}", max_objects=6) for i in range(40)]
+        scenes += [
+            Scene("empty"),
+            scene_of("signed", (ScoredDetection("car", 0.9, Box3D(-0.0, 1.0, -0.0, 1, 1, 1, 0)),)),
+            scene_of("other", (ScoredDetection("truck", 0.9, Box3D(1, 0, 0, 1, 1, 1, 0)),)),
+        ]
+        loops = [
+            tuple(
+                (d.class_label, d.box.x, d.box.y, d.box.z)
+                for d in s.detections
+                if d.confidence >= tau and d.class_label in catalog
+            )
+            for s in scenes
+        ]
+        contents = kernel_module.scene_contents(scenes, catalog, config)
+        assert repr(contents) == repr(loops)
+        assert [kernel_module.scene_content(s, catalog, config) for s in scenes] == contents
+        assert kernel_module.scene_contents([], catalog, config) == []
 
 
 class TestMarginalizedKernel:
@@ -290,7 +316,7 @@ class TestCauchySchwarz:
         for i, s in enumerate(scenes[:12]):
             d = s.detections[0]
             moved = dataclasses.replace(d, box=dataclasses.replace(d.box, x=d.box.x + 1e-9))
-            scenes.append(Scene(f"copy{i}", (moved, *s.detections[1:])))
+            scenes.append(scene_of(f"copy{i}", (moved, *s.detections[1:])))
         graphs = [build_scene_graph(s, catalog, CFG) for s in scenes]
         selfs = pair_kernels([(g, g) for g in graphs], CFG)
         index_pairs = [(i, j) for i in range(len(graphs)) for j in range(i + 1, len(graphs))]
@@ -592,7 +618,7 @@ class TestSimilarity:
         rng = random.Random(13)
         for i in range(5):
             s = random_scene(rng, f"s{i}")
-            copy = Scene(f"copy{i}", s.detections)
+            copy = scene_of(f"copy{i}", s.detections)
             assert similarity(s, copy, catalog) == pytest.approx(1.0, abs=1e-9)
 
     def test_rigid_rotation_invariance(self, catalog):
@@ -618,24 +644,24 @@ class TestSimilarity:
             )
             for d in s.detections
         )
-        assert similarity(s, Scene("r", rotated), catalog) == pytest.approx(1.0, abs=1e-6)
+        assert similarity(s, scene_of("r", rotated), catalog) == pytest.approx(1.0, abs=1e-6)
 
     def test_shared_structure_beats_disjoint_classes(self, catalog):
-        cars = Scene(
+        cars = scene_of(
             "cars",
             (
                 ScoredDetection("car", 0.9, Box3D(5, 0, 0, 1.6, 3.9, 1.56, 0)),
                 ScoredDetection("car", 0.9, Box3D(0, 8, 0, 1.6, 3.9, 1.56, 0)),
             ),
         )
-        cars2 = Scene(
+        cars2 = scene_of(
             "cars2",
             (
                 ScoredDetection("car", 0.9, Box3D(6, 0, 0, 1.6, 3.9, 1.56, 0)),
                 ScoredDetection("car", 0.9, Box3D(0, 7, 0, 1.6, 3.9, 1.56, 0)),
             ),
         )
-        peds = Scene(
+        peds = scene_of(
             "peds",
             (
                 ScoredDetection("pedestrian", 0.9, Box3D(5, 0, 0, 0.6, 0.8, 1.7, 0)),
@@ -647,18 +673,18 @@ class TestSimilarity:
     def test_label_sensitivity(self, catalog):
         # Relabeling one node to a class the other graph lacks never raises
         # similarity.
-        base = Scene(
+        base = scene_of(
             "b",
             (
                 ScoredDetection("car", 0.9, Box3D(5, 0, 0, 1.6, 3.9, 1.56, 0)),
                 ScoredDetection("car", 0.9, Box3D(0, 8, 0, 1.6, 3.9, 1.56, 0)),
             ),
         )
-        other = Scene(
+        other = scene_of(
             "o",
             (ScoredDetection("car", 0.9, Box3D(4, 1, 0, 1.6, 3.9, 1.56, 0)),),
         )
-        relabeled = Scene(
+        relabeled = scene_of(
             "rl",
             (
                 ScoredDetection("cyclist", 0.9, Box3D(5, 0, 0, 1.6, 3.9, 1.56, 0)),

@@ -15,7 +15,7 @@ from scenesel.kitti import (
     sidecar_reader,
     write_label_file,
 )
-from conftest import make_detection, mixture_from_rows, random_scene, scene_with_mixtures, uniform_mixture
+from conftest import make_detection, mixture_from_rows, random_scene, scene_of, scene_with_mixtures, uniform_mixture
 
 SAMPLE_LINE = "Car 0.0 0 -1.57 614 181 727 284 1.57 1.73 4.15 1.0 1.47 8.41 -1.56 0.9"
 # The catalog of the sample line's class, as KITTI spells it.
@@ -122,7 +122,7 @@ def saved_sidecar(tmp_path, *mixtures):
     scene = scene_with_mixtures("s", *((make_detection(), m) for m in mixtures))
     path = tmp_path / "s.mdn"
     save_mixture_sidecar(scene, path)
-    return path, Scene("s", scene.detections)
+    return path, scene_of("s", scene.detections)
 
 
 def edited(path, edit):
@@ -144,7 +144,7 @@ class TestSidecar:
     def test_count_mismatch(self, tmp_path):
         m = uniform_mixture()
         path, three = saved_sidecar(tmp_path, m, m, m)
-        two = Scene("s", three.detections[:2])
+        two = scene_of("s", three.detections[:2])
         with pytest.raises(DataError, match="3 entries"):
             load_mixture_sidecar(path, two)
 
@@ -166,7 +166,7 @@ class TestSidecar:
         path = tmp_path / "new" / "s.mdn"
         save_mixture_sidecar(scene, path)
         assert [p.name for p in path.parent.iterdir()] == ["s.mdn"]
-        assert load_mixture_sidecar(path, Scene("s", (make_detection(),))) == scene
+        assert load_mixture_sidecar(path, scene_of("s", (make_detection(),))) == scene
 
     def test_block_is_written_as_nested_rows(self, tmp_path):
         m = mixture_from_rows((0.5, 0.5), (0.1, -0.2), (0.01, 0.02))

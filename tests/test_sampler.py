@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, Scene, ScoredDetection
+from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, ScoredDetection
 from scenesel.entropy import EntropyConfig
 from scenesel import sampler
 from scenesel.kernel import KernelConfig, build_scene_graph, marginalized_kernel, scene_content
@@ -28,7 +28,7 @@ from scenesel.state import RoundState
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
 from scenesel.uncertainty import UncertaintyConfig
 
-from conftest import make_box, scene_with_mixtures, uniform_mixture
+from conftest import make_box, scene_of, scene_with_mixtures, uniform_mixture
 
 ENT = EntropyConfig()
 KER = KernelConfig()
@@ -278,7 +278,7 @@ class TestThreeStageSelect:
         # The uncertainty stage ranks what ``with_mixtures`` returns; the
         # other stages never ask for it.
         _, preds = predicted_pool(n=12)
-        bare = [Scene(p.id, p.detections) for p in preds.values()]
+        bare = [scene_of(p.id, p.detections) for p in preds.values()]
         asked = []
 
         def with_mixtures(scene):
@@ -620,7 +620,7 @@ class TestSimilarityCache:
         _, preds = predicted_pool(n=3)
         a, c = sorted(preds.values(), key=lambda s: s.id)[:2]
         kept = [d for d in a.detections if d.confidence >= KER.tau]
-        twin = Scene("twin", tuple(replace(d, box=replace(d.box, w=d.box.w + 1.0, theta=0.0)) for d in kept))
+        twin = scene_of("twin", tuple(replace(d, box=replace(d.box, w=d.box.w + 1.0, theta=0.0)) for d in kept))
         cache = fresh_cache()
         assert cache.similarity(a, twin) == 1.0
         assert cache.evaluations == 0
@@ -651,7 +651,7 @@ class TestSimilarityCache:
         near[1] = (centers[1][0] + 4.077785640339489e-12, *centers[1][1:])
 
         def scene(sid, cs):
-            return Scene(sid, tuple(ScoredDetection("car", 1.0, make_box(*c)) for c in cs))
+            return scene_of(sid, tuple(ScoredDetection("car", 1.0, make_box(*c)) for c in cs))
 
         assert fresh_cache().similarity(scene("a", centers), scene("b", near)) == 1.0
 
@@ -690,9 +690,9 @@ class TestSimilarityCache:
 
     def test_signed_zeros_digest_alike(self, tmp_path):
         box = make_box(x=0.0, y=5.0)
-        zero = Scene("zero", (ScoredDetection("car", 0.9, box),))
-        negative = Scene("negative", (ScoredDetection("car", 0.9, replace(box, x=-0.0)),))
-        other = Scene("other", (ScoredDetection("car", 0.9, make_box(x=3.0)),))
+        zero = scene_of("zero", (ScoredDetection("car", 0.9, box),))
+        negative = scene_of("negative", (ScoredDetection("car", 0.9, replace(box, x=-0.0)),))
+        other = scene_of("other", (ScoredDetection("car", 0.9, make_box(x=3.0)),))
         path = self.saved(tmp_path, [zero, other])
         cache = fresh_cache()
         cache.load(path)
@@ -775,7 +775,7 @@ def twins(scenes, suffix):
     """Scenes of the same content as ``scenes`` under other ids: other
     sizes and yaws, and none of the detections below tau."""
     return [
-        Scene(
+        scene_of(
             s.id + suffix,
             tuple(
                 replace(d, box=replace(d.box, w=d.box.w + 1.0, theta=0.0))

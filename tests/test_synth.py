@@ -5,7 +5,7 @@ import weakref
 import numpy as np
 import pytest
 
-from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, RESIDUAL_DIMS, Box3D, Scene, ScoredDetection
+from scenesel.core import DEFAULT_ANCHORS, DEFAULT_CATALOG, RESIDUAL_DIMS, Box3D, ScoredDetection
 from scenesel.kernel import KernelConfig
 from scenesel.diagnostics import sample_pair_similarities
 from scenesel.sampler import SimilarityCache
@@ -19,6 +19,8 @@ from scenesel.synth import (
     simulate_predictions,
 )
 from scenesel.uncertainty import UncertaintyConfig, mixture_au, scene_uncertainty
+
+from conftest import scene_of
 
 MIX_90_5_5 = (0.9, 0.05, 0.05)
 
@@ -165,11 +167,11 @@ class TestSimulatePredictions:
 
     def test_au_grows_with_range(self):
         noise = NoiseModel(position_noise_per_meter=0.02)
-        near = Scene(
+        near = scene_of(
             id="near",
             detections=(ScoredDetection("car", 1.0, Box3D(x=10.0, y=0.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.0)),),
         )
-        far = Scene(
+        far = scene_of(
             id="far",
             detections=(ScoredDetection("car", 1.0, Box3D(x=60.0, y=0.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.0)),),
         )
@@ -222,7 +224,7 @@ class TestPredictorMemo:
         predictor = self.predictor()
         pred = predictor(scene)
         assert predictor(scene) is pred
-        copy = Scene(id=scene.id, detections=scene.detections)
+        copy = scene_of(id=scene.id, detections=scene.detections)
         assert predictor(copy) is not pred
         assert predictor(copy) == pred
 
@@ -240,7 +242,7 @@ class TestPredictorMemo:
         # bit for bit, so each must get its own prediction.
         def scene(x):
             box = Box3D(x=x, y=10.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.0)
-            return Scene(id="s", detections=(ScoredDetection("car", 1.0, box),))
+            return scene_of(id="s", detections=(ScoredDetection("car", 1.0, box),))
 
         negative, positive = scene(-0.0), scene(0.0)
         assert negative == positive

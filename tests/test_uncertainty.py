@@ -22,7 +22,7 @@ from scenesel.uncertainty import (
     scene_uncertainties,
     scene_uncertainty,
 )
-from conftest import make_box, make_detection, mixture_from_rows, scene_with_mixtures, uniform_mixture
+from conftest import make_box, make_detection, mixture_from_rows, scene_of, scene_with_mixtures, uniform_mixture
 
 CFG = UncertaintyConfig()
 UNIT_ANCHOR = Anchor(length=1.0, width=1e-9, height=1.0)  # diagonal ~ 1
@@ -206,7 +206,7 @@ class TestArrayUncertainty:
         for n in range(300):
             labels = [rng.choice(("car", "pedestrian", "cyclist")) for _ in range(rng.randint(1, 6))]
             dets = tuple(ScoredDetection(c, rng.choice((0.1, 0.5, 0.9, 1.0)), make_box()) for c in labels)
-            scene = Scene(f"s{n}", dets, random_block(rng, len(dets), k))
+            scene = scene_of(f"s{n}", dets, random_block(rng, len(dets), k))
             assert scene_uncertainty(scene, anchors, CFG) == oracle_scene_uncertainty(scene, anchors, CFG)
 
     def test_overflowing_propagation_is_a_data_error_naming_scene_and_detection(self, anchors):
@@ -285,7 +285,7 @@ class TestSceneUncertainty:
         assert isinstance(info.value, SceneDataError) and info.value.scene_id == "s"
 
     def test_missing_mixture_raises(self, anchors):
-        scene = Scene("s", (make_detection("car", 0.9),))
+        scene = scene_of("s", (make_detection("car", 0.9),))
         with pytest.raises(DataError, match="mixture"):
             scene_uncertainty(scene, anchors, CFG)
 
@@ -396,11 +396,11 @@ class TestSceneUncertainties:
             if kind == 0:
                 scenes.append(Scene(f"e{i}"))
             elif kind == 1:
-                scenes.append(Scene(f"n{i}", (make_detection("car", 0.1), make_detection("cyclist", 0.2))))
+                scenes.append(scene_of(f"n{i}", (make_detection("car", 0.1), make_detection("cyclist", 0.2))))
             else:
                 labels = [rng.choice(("car", "pedestrian", "cyclist")) for _ in range(rng.randint(1, 9))]
                 dets = tuple(ScoredDetection(c, rng.choice((0.1, 0.5, 0.9, 1.0)), make_box()) for c in labels)
-                scenes.append(Scene(f"s{i}", dets, random_block(rng, len(dets), rng.randint(1, 9))))
+                scenes.append(scene_of(f"s{i}", dets, random_block(rng, len(dets), rng.randint(1, 9))))
         return scenes
 
     @pytest.mark.parametrize("chunk", [1, 3, 128])
@@ -433,7 +433,7 @@ class TestSceneUncertainties:
     def test_a_later_failure_raises_the_per_scene_error(self, order):
         preds, cfg = golden_predictions(1)
         overflow = overflow_scene("over")
-        missing = Scene("bare", (make_detection("car", 0.9),))
+        missing = scene_of("bare", (make_detection("car", 0.9),))
         late = [overflow, missing] if order == "overflow_first" else [missing, overflow]
         scenes = preds[:150] + [late[0]] + preds[150:] + [late[1]]
         expected = (
