@@ -1,3 +1,4 @@
+import ast
 import dataclasses
 import math
 import os
@@ -368,10 +369,12 @@ class TestSceneColumns:
         [("w", 0.0), ("l", -1.0), ("h", math.inf), ("w", math.nan), ("theta", math.nan), ("x", math.inf),
          ("z", -math.inf), ("y", math.nan), ("confidence", 1.5), ("confidence", -1e-300), ("confidence", math.nan)],
     )
-    def test_a_bad_row_raises_what_its_objects_raise(self, column, value):
+    @pytest.mark.parametrize("later_fault", [False, True])
+    def test_a_bad_row_raises_what_its_objects_raise(self, column, value, later_fault):
         rows = [list(row) for row in self.ROWS] * 2
         rows[1][BOX_COLUMNS.index(column)] = value
-        rows[3][BOX_COLUMNS.index("w")] = -5.0  # a later fault is not the one reported
+        if later_fault:  # not the one reported
+            rows[3][BOX_COLUMNS.index("w")] = -5.0
         with pytest.raises(ValueError) as expected:
             ScoredDetection("car", rows[1][7], Box3D(*rows[1][:7]))
         with pytest.raises(ValueError) as got:
@@ -391,6 +394,13 @@ class TestSceneColumns:
             assert type(det.confidence) is float
             assert all(type(getattr(det.box, f)) is float for f in BOX_COLUMNS[:7])
         assert repr(dets[0].box) == "Box3D(x=1.0, y=2.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.1)"
+
+    def test_no_module_of_the_package_reads_the_detections_view(self):
+        # The view serves callers outside the package; the package reads the columns.
+        src = Path(__file__).resolve().parent.parent / "src" / "scenesel"
+        for path in sorted(src.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            assert "detections" not in {n.attr for n in ast.walk(tree) if isinstance(n, ast.Attribute)}, path.name
 
     def test_detections_build_the_same_columns(self):
         scene = Scene("s", ["car", "pedestrian"], self.ROWS, stack_mixtures(uniform_mixture(k=2), uniform_mixture(k=2, mean=0.5)))
