@@ -2,8 +2,9 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 
 import numpy as np
 
@@ -43,8 +44,13 @@ def filtered_class_counts(
     scenes: list[Scene], catalog: ClassCatalog, config: EntropyConfig
 ) -> dict[str, int]:
     """Count the detections of ``scenes`` per catalog class, keeping only
-    those with confidence >= tau."""
-    return dict(zip(catalog.classes, scene_class_counts(scenes, catalog, config).sum(0).tolist()))
+    those with confidence >= tau: the column sums of ``scene_class_counts``,
+    counted without its per-scene rows."""
+    if not scenes:
+        return dict.fromkeys(catalog.classes, 0)
+    keep = (np.concatenate([s.boxes for s in scenes])[:, 7] >= config.tau).tolist()
+    kept = Counter(compress(chain.from_iterable(s.labels for s in scenes), keep))
+    return {c: kept[c] for c in catalog.classes}
 
 
 def counts_entropy(class_counts: dict[str, int], zeta: float = 0.0) -> float:
