@@ -2,9 +2,8 @@
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, compress, repeat
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -44,13 +43,9 @@ def filtered_class_counts(
     scenes: list[Scene], catalog: ClassCatalog, config: EntropyConfig
 ) -> dict[str, int]:
     """Count the detections of ``scenes`` per catalog class, keeping only
-    those with confidence >= tau: the column sums of ``scene_class_counts``,
-    counted without its per-scene rows."""
-    if not scenes:
-        return dict.fromkeys(catalog.classes, 0)
-    keep = (np.concatenate([s.boxes for s in scenes])[:, 7] >= config.tau).tolist()
-    kept = Counter(compress(chain.from_iterable(s.labels for s in scenes), keep))
-    return {c: kept[c] for c in catalog.classes}
+    those with confidence >= tau: the column sums of ``scene_class_counts``."""
+    totals = scene_class_counts(scenes, catalog, config).sum(axis=0)
+    return dict(zip(catalog.classes, totals.tolist()))
 
 
 def counts_entropy(class_counts: dict[str, int], zeta: float = 0.0) -> float:

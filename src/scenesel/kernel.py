@@ -140,18 +140,14 @@ def scene_content(
     """All that ``build_scene_graph`` reads of a scene: the label and center
     (x, y, z) of each detection that passes the confidence filter and the
     catalog, in scene order. Scenes of equal content have equal graphs."""
-    x, y, z, *_, confidence = scene.boxes.T.tolist()
-    tau, classes = config.tau, catalog.classes
-    keep = [c >= tau and label in classes for label, c in zip(scene.labels, confidence)]
-    return tuple(compress(zip(scene.labels, x, y, z), keep))
+    return scene_contents([scene], catalog, config)[0]
 
 
 def scene_contents(
     scenes: list[Scene], catalog: ClassCatalog, config: KernelConfig
 ) -> list[tuple[tuple[str, float, float, float], ...]]:
     """``scene_content`` of each scene, in input order, from the columns of
-    all the scenes at once: for a list, fewer numpy calls than one
-    ``scene_content`` per scene."""
+    all the scenes at once."""
     if not scenes:
         return []
     boxes = np.concatenate([s.boxes for s in scenes])

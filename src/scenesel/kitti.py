@@ -65,13 +65,15 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
     """
     path = Path(path)
     lines = read_text(path).splitlines()
-    rows = [fields for fields in map(str.split, lines) if fields]
+    split = list(map(str.split, lines))
+    rows = list(filter(None, split))
     scene = _scene_of_rows(path.stem, rows, catalog)
     if scene is None:
         return _parse_lines(path, lines, catalog)
     if len(scene.labels) < len(rows):
-        for line_no, fields in enumerate(map(str.split, lines), start=1):
-            if fields and fields[0] != "DontCare" and fields[0] not in catalog:
+        classes = catalog.classes
+        for line_no, fields in enumerate(split, start=1):
+            if fields and fields[0] not in classes and fields[0] != "DontCare":
                 _warn_unknown_class(path, line_no, fields[0])
     return scene
 

@@ -28,8 +28,7 @@ def anchors():
 def scene_of(id, detections=(), mixtures=None):
     """A scene from ``ScoredDetection`` objects: the tests' one way to turn
     detections into a scene's columns."""
-    boxes = [(b.x, b.y, b.z, b.w, b.l, b.h, b.theta, d.confidence) for d in detections for b in (d.box,)]
-    return Scene(id, [d.class_label for d in detections], boxes, mixtures)
+    return Scene(id, detections=detections, mixtures=mixtures)
 
 
 def make_box(x=1.0, y=2.0, z=0.0, w=1.6, l=3.9, h=1.56, theta=0.1):
