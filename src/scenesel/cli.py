@@ -174,11 +174,16 @@ def cmd_select(args) -> int:
     A round is one ``tscenejal`` round of ``sampler.run_al_rounds``. Every
     pool scene must have its mixture sidecar, but a sidecar is parsed only
     for a scene that reaches the uncertainty stage (with the default order,
-    floor(k2*n_r) scenes); ``--init`` parses none. A round writes its
+    floor(k2*n_r) scenes); ``--init`` parses none. A label file is parsed
+    only if the parsed-pool file next to the state (``state.json`` ->
+    ``state.pool.npz``) lacks its bytes' digest. A round writes its
     selection and reports, then saves the state, which commits the round,
-    and last rewrites the similarity cache file it read (``state.json`` ->
-    ``state.similarity.json``) without the values of the scenes it labeled,
-    with a warning if that write fails; ``--init`` leaves that file alone.
+    then rewrites the similarity cache file it read
+    (``state.similarity.json``) without the values of the scenes it
+    labeled, and last the parsed-pool file, if the label files read are not
+    those it holds; a failed write of either file is a warning. ``--init``
+    saves the state and then the parsed-pool file, and leaves the similarity
+    cache file alone.
     A flag of the other mode (``--n0`` and ``--budget`` are ``--init``'s,
     the plan flags a round's), or a negative ``--n0`` or ``--budget``, is a
     usage error, raised before any file is read. ``--budget`` defaults to
@@ -190,10 +195,14 @@ def cmd_select(args) -> int:
         raise ValueError(f"{'select --init' if args.init else 'a select round'} takes no {', '.join(ignored)}")
     _check_counts(args, "n0", "budget")
     cfg = _config_from_args(args)
-    scenes = kitti.load_pool_dir(args.pool, cfg.catalog)
+    state_path = Path(args.state)
+    pool_path = state_path.with_suffix(".pool.npz")
+    parsed = kitti.ParsedPool()
+    parsed.load(pool_path, cfg.catalog)
+    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, parsed)
+    log.info("label files: %d parsed, %d from %s", parsed.parsed, len(scenes) - parsed.parsed, pool_path)
     with_mixtures = kitti.sidecar_reader(args.pool, scenes)
     by_id = {s.id: s for s in scenes}
-    state_path = Path(args.state)
     out = Path(args.out)
 
     if args.init:
@@ -202,6 +211,7 @@ def cmd_select(args) -> int:
             raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
         st = state_mod.RoundState.fresh(by_id, n0, len(by_id) if args.budget is None else args.budget, args.seed)
         state_mod.save_round_state(st, state_path)
+        _save_parsed_pool(parsed, pool_path, cfg.catalog)
         print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
         return 0
 
@@ -268,6 +278,7 @@ def cmd_select(args) -> int:
         cache.save(cache_path, [by_id[i] for i in selected])
     except DataError as exc:
         log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
+    _save_parsed_pool(parsed, pool_path, cfg.catalog)
     log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
     log.info("similarity cache: %d pairs hit, %d missed (selection and reports)", cache.hits, cache.misses)
     print(
@@ -275,6 +286,15 @@ def cmd_select(args) -> int:
         f"(stage sizes {report.stage_sizes}, kernel evals {needed}, {report.kernel_evals} evaluated)"
     )
     return 0
+
+
+def _save_parsed_pool(parsed: kitti.ParsedPool, path: Path, catalog) -> None:
+    """Save the parsed-pool file after the state: it only saves parsing, so
+    a failed write is a warning."""
+    try:
+        parsed.save(path, catalog)
+    except DataError as exc:
+        log.warning("%s; the next run parses the label files again", exc)
 
 
 def _write_report(prefix: Path, report: diagnostics.DiagReport) -> None:

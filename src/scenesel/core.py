@@ -4,15 +4,19 @@ All types are immutable value objects. A scene holds its detections as
 columns: a tuple of class labels and one read-only float64 array of boxes
 and confidences; its mixtures are one read-only block. ``Box3D`` and
 ``ScoredDetection`` are one detection as objects, which ``Scene`` builds
-its arrays from and gives back as a view. ``read_text`` is the package's
-one way to read a file and ``write_text_atomic`` its one way to write one.
+its arrays from and gives back as a view. ``open_binary`` is the package's
+one way to read a file (``read_bytes`` reads it whole, ``read_text``
+decodes that) and ``write_atomic`` its one way to write one.
 """
 from __future__ import annotations
 
 import math
 import os
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO
 
 import numpy as np
 
@@ -448,17 +452,32 @@ DEFAULT_ANCHORS = AnchorTable.from_dict(
 )
 
 
-def read_text(path: str | Path) -> str:
-    """The text of a UTF-8 file, newlines as stored.
+@contextmanager
+def open_binary(path: str | Path) -> Iterator[BinaryIO]:
+    """The file, open for reading bytes. A file that cannot be opened or
+    read is a ``DataError`` naming it."""
+    try:
+        with open(path, "rb") as fh:
+            yield fh
+    except OSError as exc:
+        raise DataError(f"{path}: cannot read file: {exc}") from exc
+
+
+def read_bytes(path: str | Path) -> bytes:
+    """The bytes of a file, read through ``open_binary``."""
+    with open_binary(path) as fh:
+        return fh.read()
+
+
+def read_text(path: str | Path, data: bytes | None = None) -> str:
+    """The text of a UTF-8 file, newlines as stored: of ``data``, the
+    file's bytes, if the caller has read them already.
 
     A file that cannot be read is a ``DataError`` naming it; one that is not
     UTF-8 is a ``ParseError`` naming it and the line of the first bad byte.
     """
-    try:
-        with open(path, "rb") as fh:
-            data = fh.read()
-    except OSError as exc:
-        raise DataError(f"{path}: cannot read file: {exc}") from exc
+    if data is None:
+        data = read_bytes(path)
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -467,7 +486,14 @@ def read_text(path: str | Path) -> str:
 
 
 def write_text_atomic(path: str | Path, text: str) -> None:
-    """Write UTF-8 text through a temporary file and a rename.
+    """Write UTF-8 text through ``write_atomic``."""
+    data = text.encode("utf-8")
+    write_atomic(path, lambda fh: fh.write(data))
+
+
+def write_atomic(path: str | Path, write: Callable[[BinaryIO], object]) -> None:
+    """Write a file through a temporary file and a rename: ``write`` writes
+    its bytes to the temporary file, open for writing bytes.
 
     Creates the parent directory. Each write has a temporary file of its own
     next to the target, so a crash, or another writer of the same file,
@@ -481,7 +507,8 @@ def write_text_atomic(path: str | Path, text: str) -> None:
     try:
         path.parent.mkdir(parents=True, exist_ok=True)
         try:
-            tmp.write_text(text, encoding="utf-8", newline="\n")
+            with tmp.open("wb") as fh:
+                write(fh)
             tmp.replace(path)
         except BaseException:
             tmp.unlink(missing_ok=True)

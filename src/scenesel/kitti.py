@@ -7,7 +7,7 @@ as-is; calibration files are out of scope. ``parse_label_file`` turns a
 file into a scene's columns: the labels, and one array of the numbers of
 all its lines, whose checks run as column checks; the fields the package
 does not model are checked and dropped. Every file is read through
-``core.read_text``.
+``core.open_binary``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -15,19 +15,26 @@ of weights, means and variances; the entries of one sidecar share one K.
 They are written from, and read into, the scene's one mixture block.
 
 A pool directory holds ``labels/<id>.txt`` and ``sidecars/<id>.mdn``; this
-module is the one place that spells out that layout.
+module is the one place that spells out that layout. ``load_pool_dir``
+parses only the label files whose bytes a ``ParsedPool`` has not seen; the
+pool keeps the columns of those it has in one npz file across processes.
 """
 from __future__ import annotations
 
+import hashlib
 import json
 import logging
 import os
+import zipfile
+import zlib
+from collections.abc import Iterable
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
 from .core import (
+    BOX_COLUMNS,
     ClassCatalog,
     DataError,
     MixtureError,
@@ -35,14 +42,20 @@ from .core import (
     ParseError,
     RESIDUAL_DIMS,
     Scene,
+    _check_boxes,
+    open_binary,
+    read_bytes,
     read_text,
     row_fault,
+    write_atomic,
     write_text_atomic,
 )
 
 log = logging.getLogger(__name__)
 
 SIDECAR_VERSION = 1
+#: The layout version of a parsed-pool file; a file of another is replaced.
+POOL_FORMAT = 1
 
 
 # Where the numbers of a label line after its type (truncated, occluded,
@@ -50,8 +63,9 @@ SIDECAR_VERSION = 1
 _BOX_FIELDS = np.array([10, 11, 12, 8, 9, 7, 13, 14])
 
 
-def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
-    """Parse one label file into a Scene whose id is the file stem.
+def parse_label_file(path: str | Path, catalog: ClassCatalog, data: bytes | None = None) -> Scene:
+    """Parse one label file into a Scene whose id is the file stem; ``data``
+    are the file's bytes, if the caller has read them already.
 
     Checks each line in this order: 15 or 16 fields, numeric fields and a
     finite ``occluded`` (also on the lines then skipped: "DontCare", and with
@@ -64,18 +78,27 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog) -> Scene:
     by line, to find its first failing line.
     """
     path = Path(path)
-    lines = read_text(path).splitlines()
+    lines = read_text(path, data).splitlines()
     split = list(map(str.split, lines))
     rows = list(filter(None, split))
     scene = _scene_of_rows(path.stem, rows, catalog)
     if scene is None:
         return _parse_lines(path, lines, catalog)
     if len(scene.labels) < len(rows):
-        classes = catalog.classes
-        for line_no, fields in enumerate(split, start=1):
-            if fields and fields[0] not in classes and fields[0] != "DontCare":
-                _warn_unknown_class(path, line_no, fields[0])
+        for line_no, label in _unknown_classes(split, catalog):
+            _warn_unknown_class(path, line_no, label)
     return scene
+
+
+def _unknown_classes(split: Iterable[list[str]], catalog: ClassCatalog) -> list[tuple[int, str]]:
+    """(line number, class) of each line of a file, split into fields, whose
+    class is neither in the catalog nor "DontCare"."""
+    classes = catalog.classes
+    return [
+        (line_no, fields[0])
+        for line_no, fields in enumerate(split, start=1)
+        if fields and fields[0] not in classes and fields[0] != "DontCare"
+    ]
 
 
 def _scene_of_rows(scene_id: str, rows: list[list[str]], catalog: ClassCatalog) -> Scene | None:
@@ -198,6 +221,15 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
         )
     if not entries:
         return scene
+    try:
+        # One cast and one check; a sidecar that fails either is read again
+        # entry by entry, for the message that names its first fault.
+        triples = [(e["weights"], e["means"], e["variances"]) for e in entries]
+        mixtures = MixtureParams(np.array(triples, dtype=np.float64))
+    except (KeyError, TypeError, ValueError, OverflowError):
+        pass
+    else:
+        return Scene(scene.id, scene.labels, scene.boxes, mixtures)
     rows = []
     for idx, entry in enumerate(entries):
         try:
@@ -219,14 +251,139 @@ def sidecar_path(pool_dir: str | Path, scene_id: str) -> Path:
     return Path(pool_dir) / "sidecars" / f"{scene_id}.mdn"
 
 
-def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog) -> list[Scene]:
-    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id."""
+def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog, store: ParsedPool | None = None) -> list[Scene]:
+    """Load every ``labels/<id>.txt`` in a pool directory, sorted by id.
+
+    Each file is read once and its bytes hashed: a file whose digest
+    ``store`` holds is built from the stored columns, any other parsed
+    from the bytes read. ``store`` learns every file read.
+    """
     labels = Path(pool_dir) / "labels"
     if not labels.is_dir():
         raise DataError(f"no labels/ directory under {labels.parent}")
     with os.scandir(labels) as entries:
         names = sorted(e.name for e in entries if e.name.endswith(".txt"))
-    return [parse_label_file(os.path.join(labels, name), catalog) for name in names]
+    store = ParsedPool() if store is None else store
+    scenes = []
+    for name in names:
+        path = os.path.join(labels, name)
+        data = read_bytes(path)
+        digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+        # Taken out, so that the loaded arrays outlive the load only in the
+        # scenes' own copies; a file of equal bytes reuses the first's.
+        columns = store.stored.pop(digest, None) or store.read.get(digest)
+        if columns is None:
+            scene = parse_label_file(path, catalog, data)
+            store.parsed += 1
+            # A file whose parse warned is not stored: it warns in every run.
+            warned = _unknown_classes(map(str.split, read_text(path, data).splitlines()), catalog)
+        else:
+            scene, warned = Scene(name[: -len(".txt")], *columns), False
+        store.read[digest] = None if warned else (scene.labels, scene.boxes)
+        scenes.append(scene)
+    return scenes
+
+
+# The arrays of a parsed-pool file: its stamp, one digest and one row count
+# per label file, and the rows of all the files in digest order, each label
+# as its index in the catalog.
+_POOL_ARRAYS = ("format", "catalog", "digests", "counts", "labels", "boxes")
+
+
+class ParsedPool:
+    """The parsed columns of label files, by a blake2b digest of each file's
+    bytes: ``load_pool_dir`` takes the entry of a file whose digest
+    ``stored`` holds out of it and builds the file's scene from it, instead
+    of parsing the file.
+
+    ``load`` and ``save`` keep them across processes in one npz file of
+    plain arrays, stamped with POOL_FORMAT and the catalog, which is all
+    that a parse reads besides the file. ``read`` maps the digest of every
+    file ``load_pool_dir`` read to its columns, or to None for a file whose
+    parse logged a warning: such a file is never stored. ``parsed`` counts
+    the files parsed.
+    """
+
+    def __init__(self):
+        self.stored: dict[str, tuple[tuple[str, ...], np.ndarray]] = {}
+        self.read: dict[str, tuple[tuple[str, ...], np.ndarray] | None] = {}
+        self.parsed = 0
+        self._loaded = None  # how many files the file loaded holds, if it is current
+
+    def load(self, path: str | Path, catalog: ClassCatalog) -> None:
+        """Take the columns of the parsed-pool file ``path``.
+
+        A missing file holds none. A file of another stamp is not read: a
+        warning names it, and ``save`` replaces it. A file that is not an
+        npz of the arrays ``save`` writes, with their dtypes and shapes, or
+        that holds a label outside the catalog or a box that breaks a rule
+        of ``Scene``, is a ``DataError`` naming it.
+        """
+        path = Path(path)
+        if not path.exists():
+            return
+        try:
+            # Streamed from the file: the whole file in memory at once would
+            # raise the peak memory of a round.
+            with open_binary(path) as fh, np.load(fh, allow_pickle=False) as npz:
+                fmt, classes, *columns = (npz[name] for name in _POOL_ARRAYS)
+        # What numpy and zipfile raise for bytes that are no npz of these
+        # arrays: not a zip, cut short, an npy, a member missing or pickled.
+        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
+            raise DataError(f"{path}: invalid parsed-pool file: {exc}") from exc
+        current = fmt.shape == () and fmt.dtype.kind in "iu" and int(fmt) == POOL_FORMAT
+        if not current or classes.tolist() != list(catalog.classes):
+            log.warning("%s: made for another catalog or format; replacing it", path)
+            return
+        try:
+            self.stored = _pool_columns(*columns, catalog)
+        except ValueError as exc:
+            raise DataError(f"{path}: invalid parsed-pool file: {exc}") from exc
+        self._loaded = len(self.stored)
+
+    def save(self, path: str | Path, catalog: ClassCatalog) -> None:
+        """Write the columns of every file in ``read`` that has them to the
+        parsed-pool file ``path``, atomically, unless the file loaded holds
+        exactly those files."""
+        kept = {d: c for d, c in sorted(self.read.items()) if c is not None}
+        # Every file loaded was read (and taken out of ``stored``), and no
+        # other file is kept: the file holds exactly ``kept``.
+        if not self.stored and len(kept) == self._loaded:
+            return
+        code = {c: i for i, c in enumerate(catalog.classes)}
+        arrays = {
+            "format": np.int64(POOL_FORMAT),
+            "catalog": np.array(catalog.classes, dtype=np.str_),
+            "digests": np.array(list(kept), dtype=np.str_),
+            "counts": np.array([len(labels) for labels, _ in kept.values()], dtype=np.int64),
+            "labels": np.array([code[c] for labels, _ in kept.values() for c in labels], dtype=np.int64),
+            "boxes": np.concatenate([np.empty((0, len(BOX_COLUMNS))), *(boxes for _, boxes in kept.values())]),
+        }
+        # Streamed to the file, as ``load`` reads it.
+        write_atomic(path, lambda fh: np.savez(fh, **arrays))
+
+
+def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict:
+    """The columns by digest that a parsed-pool file's arrays hold; a
+    ``ValueError`` names the first rule they break."""
+    for name, array, fits in (
+        ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
+        ("counts", counts, counts.dtype == np.int64 and counts.shape == digests.shape),
+        ("labels", labels, labels.dtype == np.int64 and labels.ndim == 1),
+        ("boxes", boxes, boxes.dtype == np.float64 and boxes.shape == (len(labels), len(BOX_COLUMNS))),
+    ):
+        if not fits:
+            raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+    if (counts < 0).any() or counts.sum() != len(labels):
+        raise ValueError(f"the counts must be non-negative and sum to the {len(labels)} rows, got {counts.sum()}")
+    if len(labels) and not 0 <= labels.min() <= labels.max() < catalog.num_classes:
+        raise ValueError(f"a label is not the index of one of the catalog's {catalog.num_classes} classes")
+    _check_boxes(boxes)
+    names, ends = [catalog.classes[i] for i in labels.tolist()], np.cumsum(counts).tolist()
+    return {
+        d: (tuple(names[end - n : end]), boxes[end - n : end])
+        for d, n, end in zip(digests.tolist(), counts.tolist(), ends)
+    }
 
 
 def sidecar_reader(pool_dir: str | Path, scenes: list[Scene]):

@@ -7,6 +7,7 @@ import shutil
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from scenesel import kitti, sampler, state as state_mod, synth
@@ -579,6 +580,91 @@ class TestSelect:
         assert "round 1 is committed without its new kernel values" in caplog.text
         assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
 
+    def parsed_labels(self, monkeypatch):
+        """Record the id of every label file parsed from now on."""
+        parsed = []
+        parse = kitti.parse_label_file
+
+        def counting(path, *args):
+            parsed.append(Path(path).stem)
+            return parse(path, *args)
+
+        monkeypatch.setattr(kitti, "parse_label_file", counting)
+        return parsed
+
+    def test_a_round_after_init_parses_no_label_file_and_an_edited_one_once(
+        self, pool_dir, tmp_path, caplog, monkeypatch
+    ):
+        parsed = self.parsed_labels(monkeypatch)
+        pool_file = tmp_path / "state.pool.npz"
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        logged = []
+        for step in ("--init", "round", "edit, round"):
+            if step == "edit, round":
+                label = kitti.label_path(pool_dir, "scene_000005")
+                label.write_text(label.read_text().replace(" ", "  ", 1))
+            parsed.clear()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="scenesel"):
+                assert run("-v", *select, *(("--init", "--n0", 4) if step == "--init" else ("--n-r", 3))) == 0
+            logged.append((len(parsed), re.findall(r"label files: .*", caplog.text)))
+        assert parsed == ["scene_000005"]
+        assert logged == [
+            (24, [f"label files: 24 parsed, 0 from {pool_file}"]),
+            (0, [f"label files: 0 parsed, 24 from {pool_file}"]),
+            (1, [f"label files: 1 parsed, 23 from {pool_file}"]),
+        ]
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert run(*select, "--n-r", 3) == 0
+        assert "label files" not in caplog.text  # not without -v
+
+    @pytest.mark.parametrize("mode", ["--init", "a round"])
+    def test_a_directory_in_place_of_the_parsed_pool_file_is_a_warning(
+        self, pool_dir, tmp_path, caplog, monkeypatch, mode
+    ):
+        # The file is written after the state and only saves parsing: a
+        # write that fails is a warning, and the run writes what a clean one
+        # does.
+        pool_file = tmp_path / "state.pool.npz"
+        if mode == "a round":
+            _, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
+            state, out = self.init_state(pool_dir, tmp_path)
+            pool_file.unlink()  # so that the round writes it
+            flags = ("--n-r", 3)
+        else:
+            state, out = tmp_path / "state.json", tmp_path / "sel"
+            flags = ("--init", "--n0", 4)
+        save = state_mod.save_round_state
+
+        def save_then_block_the_pool_file(st, path):
+            save(st, path)
+            pool_file.mkdir()
+
+        monkeypatch.setattr(state_mod, "save_round_state", save_then_block_the_pool_file)
+        with caplog.at_level(logging.WARNING):
+            assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, *flags) == 0
+        assert f"{pool_file}: cannot write file: " in caplog.text
+        assert "the next run parses the label files again" in caplog.text
+        if mode == "a round":
+            assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
+        else:
+            assert json.loads(state.read_text())["round_index"] == 0
+
+    def test_another_catalog_replaces_the_parsed_pool_file_with_a_warning(self, pool_dir, tmp_path, caplog):
+        state, out = self.init_state(pool_dir, tmp_path)
+        pool_file = tmp_path / "state.pool.npz"
+        config = tmp_path / "scenesel.conf"
+        config.write_text("classes = car,pedestrian,cyclist,truck\nanchor.truck = 10.0,2.6,3.2\n")
+        select = ("--config", config, "--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        with caplog.at_level(logging.WARNING):
+            assert run(*select, "--n-r", 3) == 0
+        assert f"{pool_file}: made for another catalog or format; replacing it" in caplog.text
+        with np.load(pool_file) as npz:
+            assert npz["catalog"].tolist() == ["car", "pedestrian", "cyclist", "truck"]
+            assert len(npz["digests"]) == 24
+
     def test_init_budget_0_is_kept_and_stops_the_first_round(self, pool_dir, tmp_path, capsys):
         state, out = tmp_path / "state.json", tmp_path / "sel"
         select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
@@ -896,6 +982,26 @@ def _cache_file(scenes=None, pairs=None, fingerprint=None):
     return inject
 
 
+def _pool_arrays(edit):
+    """A fault that rewrites the arrays of a parsed-pool file."""
+
+    def inject(target):
+        with np.load(target) as npz:
+            arrays = dict(npz)
+        edit(arrays)
+        with open(target, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    return inject
+
+
+def _set(name, at, value):
+    def edit(arrays):
+        arrays[name][at] = value
+
+    return edit
+
+
 def _string_labeled_ids(target):
     # One id as a string, not a list: it would load as its characters.
     doc = json.loads(target.read_text())
@@ -909,6 +1015,8 @@ LABEL_EXITS = {"select --init": 3, **ALL_POOL_COMMANDS}
 # A sidecar fault is a data error for ``select`` and ``score``; ``stats``
 # logs it and reports on the labels alone.
 SIDECAR_EXITS = {"select": 3, "score": 3, "stats": 0}
+# Both modes of ``select`` read the parsed-pool file next to the state.
+POOL_FILE_EXITS = {"select": 3, "select --init over the state": 3}
 # fault: (the file it goes into, how it is injected, {command: exit code})
 FAULTS = {
     "label: inf occluded": (
@@ -951,6 +1059,16 @@ FAULTS = {
         "cache", _cache_file(scenes={"d1": 0.5}, pairs={"d1": {"d2": 0.1}}), {"select": 3}
     ),
     "similarity cache: stale fingerprint": ("cache", _cache_file(fingerprint="0" * 64), {"select": 0}),
+    "parsed pool: not a zip": ("pool", lambda p: p.write_bytes(b"not a zip"), POOL_FILE_EXITS),
+    "parsed pool: missing array": ("pool", _pool_arrays(lambda a: a.pop("counts")), POOL_FILE_EXITS),
+    "parsed pool: float32 boxes": (
+        "pool", _pool_arrays(lambda a: a.update(boxes=a["boxes"].astype(np.float32))), POOL_FILE_EXITS
+    ),
+    "parsed pool: 7 box columns": ("pool", _pool_arrays(lambda a: a.update(boxes=a["boxes"][:, :7])), POOL_FILE_EXITS),
+    "parsed pool: counts that do not sum to the rows": ("pool", _pool_arrays(_set("counts", 0, 99)), POOL_FILE_EXITS),
+    "parsed pool: label outside the catalog": ("pool", _pool_arrays(_set("labels", 0, 3)), POOL_FILE_EXITS),
+    "parsed pool: NaN box": ("pool", _pool_arrays(_set("boxes", (0, 0), float("nan"))), POOL_FILE_EXITS),
+    "parsed pool: zero width": ("pool", _pool_arrays(_set("boxes", (0, 3), 0.0)), POOL_FILE_EXITS),
     "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
     "label: center too far out": (
@@ -1003,6 +1121,18 @@ SAID = {
     "similarity cache: string kernel": ("kernel value '0.5' is not a number",),
     "similarity cache: pair without self-kernels": ("pair (d1, d2) of a scene with no self-kernel",),
     "similarity cache: stale fingerprint": ("made for another kernel config, catalog or format; replacing it",),
+    "parsed pool: not a zip": ("invalid parsed-pool file: ",),
+    "parsed pool: missing array": ("invalid parsed-pool file: ", "counts"),
+    "parsed pool: float32 boxes": ("invalid parsed-pool file: boxes has dtype float32 and shape",),
+    "parsed pool: 7 box columns": ("invalid parsed-pool file: boxes has dtype float64 and shape (",),
+    "parsed pool: counts that do not sum to the rows": (
+        "invalid parsed-pool file: the counts must be non-negative and sum to the",
+    ),
+    "parsed pool: label outside the catalog": (
+        "invalid parsed-pool file: a label is not the index of one of the catalog's 3 classes",
+    ),
+    "parsed pool: NaN box": ("invalid parsed-pool file: box center must be finite, got x=nan",),
+    "parsed pool: zero width": ("invalid parsed-pool file: box dimensions must be positive and finite, got w=0.0",),
 }
 
 
@@ -1083,6 +1213,7 @@ class TestFaultMatrix:
             "config": tmp_path / "scenesel.conf",
             "ids": tmp_path / "ids.txt",
             "cache": state.with_suffix(".similarity.json"),
+            "pool": state.with_suffix(".pool.npz"),
             "report": sel / "report_round_001.hist.csv",
         }[where]
         inject(target)
@@ -1093,6 +1224,8 @@ class TestFaultMatrix:
         commands = {
             "select --init": ("select", "--pool", pool, "--state", tmp_path / "fresh.json", "--out", tmp_path / "fresh",
                               "--init", "--n0", 4),
+            "select --init over the state": ("select", "--pool", pool, "--state", state, "--out", sel,
+                                             "--init", "--n0", 4),
             "select": ("select", "--pool", pool, "--state", state, "--out", sel,
                        "--n-r", 2, "--order", "uncertainty,entropy,similarity"),
             "select, similarity first": ("select", "--pool", pool, "--state", state, "--out", sel,
@@ -1273,3 +1406,65 @@ class TestInvariance:
         assert [n for n, _ in printed[0]] == [n for n, _ in printed[1]]
         assert all(n == e for n, e in printed[1])
         assert all(e < n for n, e in printed[0][1:])
+
+    def test_select_does_not_depend_on_the_parsed_pool_file(self, pool_dir, tmp_path):
+        # Rounds that keep the file, and rounds that start each without it.
+        outputs = []
+        for keep in (True, False):
+            state, out = tmp_path / f"keep_{keep}" / "state.json", tmp_path / f"keep_{keep}" / "sel"
+            select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+            assert run(*select, "--init", "--n0", 4) == 0
+            for _ in range(3):
+                if not keep:
+                    state.with_suffix(".pool.npz").unlink()
+                assert run(*select, "--n-r", 3) == 0
+            outputs.append({f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]})
+        assert outputs[0] == outputs[1]
+
+    def test_a_label_file_edited_between_rounds_is_ranked_with_its_new_content(self, pool_dir, tmp_path, monkeypatch):
+        # Round 2 after an edit, with the file round 1 left and without it.
+        warm, cold = tmp_path / "warm", tmp_path / "cold"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", warm / "state.json", "--out", warm / "sel")
+        assert run(*select, "--init", "--n0", 4) == 0
+        assert run(*select, "--n-r", 3) == 0
+        shutil.copytree(warm, cold)
+        (cold / "state.pool.npz").unlink()
+        sid = sorted(json.loads((warm / "state.json").read_text())["unlabeled_ids"])[0]
+        label = kitti.label_path(pool_dir, sid)
+        lines = []
+        for line in label.read_text().splitlines():
+            fields = line.split()
+            fields[11] = f"{float(fields[11]) + 5.0:.6f}"  # every box 5 m further along x
+            lines.append(" ".join(fields))
+        label.write_text("\n".join(lines) + "\n")
+        ranked = []
+        rank = sampler.rank_by_entropy
+
+        def recording(scenes, *args):
+            ranked.extend(s for s in scenes if s.id == sid)
+            return rank(scenes, *args)
+
+        outputs = []
+        for work in (warm, cold):
+            with monkeypatch.context() as m:
+                m.setattr(sampler, "rank_by_entropy", recording)
+                assert run(*select[:5], "--state", work / "state.json", "--out", work / "sel", "--n-r", 3) == 0
+            outputs.append({f.name: f.read_bytes() for f in [work / "state.json", *sorted((work / "sel").iterdir())]})
+        edited = kitti.parse_label_file(label, build_config(environ={}).catalog)
+        assert ranked == [edited, edited]
+        assert outputs[0] == outputs[1]
+
+    def test_an_unknown_class_warns_alike_in_every_run(self, pool_dir, tmp_path, caplog):
+        # A file whose parse warns is never stored, so every run parses it.
+        label = kitti.label_path(pool_dir, "scene_000003")
+        label.write_text(label.read_text() + "truck" + " 0" * 14 + "\n")
+        line = len(label.read_text().splitlines())
+        state, out = tmp_path / "state.json", tmp_path / "sel"
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out)
+        warned = []
+        for flags in (("--init", "--n0", 4), ("--n-r", 3), ("--n-r", 3)):
+            caplog.clear()
+            with caplog.at_level(logging.WARNING):
+                assert run(*select, *flags) == 0
+            warned.append([r.getMessage() for r in caplog.records if "unknown class" in r.getMessage()])
+        assert warned == [[f"{label}:{line}: skipping unknown class 'truck'"]] * 3

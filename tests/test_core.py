@@ -24,7 +24,9 @@ from scenesel.core import (
     Scene,
     ScoredDetection,
     WEIGHT_SUM_TOL,
+    read_bytes,
     read_text,
+    write_atomic,
     write_text_atomic,
 )
 from conftest import mixture_from_rows, scene_of, stack_mixtures, uniform_mixture
@@ -420,17 +422,16 @@ class TestAnchorTable:
 
 
 class TestWriteTextAtomic:
-    def test_concurrent_writers_each_publish_a_whole_file(self, tmp_path, monkeypatch):
+    def test_concurrent_writers_each_publish_a_whole_file(self, tmp_path):
         # Writer A is held with half its text written while writer B writes
         # and renames the same target; then A finishes. Neither may fail, and
         # the published file must be one writer's whole text.
         target = tmp_path / "state.json"
-        texts = {"A": "A" * 10 + "\n", "B": "B" * 8 + "\n"}
+        texts = {"A": b"A" * 10 + b"\n", "B": b"B" * 8 + b"\n"}
         a_half_written, b_done = threading.Event(), threading.Event()
-        plain_write_text = Path.write_text
 
-        def write_in_halves(self, data, encoding=None, errors=None, newline=None):
-            with self.open("w", encoding=encoding, errors=errors, newline=newline) as f:
+        def write_in_halves(data):
+            def write(f):
                 f.write(data[: len(data) // 2])
                 f.flush()
                 if threading.current_thread().name == "A":
@@ -438,18 +439,19 @@ class TestWriteTextAtomic:
                     assert b_done.wait(10)
                 f.write(data[len(data) // 2 :])
 
+            return write
+
         errors = []
 
         def writer(name):
             try:
-                write_text_atomic(target, texts[name])
+                write_atomic(target, write_in_halves(texts[name]))
             except Exception as exc:
                 errors.append((name, exc))
             finally:
                 if name == "B":
                     b_done.set()
 
-        monkeypatch.setattr(Path, "write_text", write_in_halves)
         a = threading.Thread(target=writer, args=("A",), name="A")
         a.start()
         assert a_half_written.wait(10)
@@ -458,9 +460,8 @@ class TestWriteTextAtomic:
         b.join(10)
         a.join(10)
         assert not a.is_alive() and not b.is_alive()
-        monkeypatch.setattr(Path, "write_text", plain_write_text)
         assert errors == []
-        assert target.read_text(encoding="utf-8") in texts.values()
+        assert target.read_bytes() in texts.values()
         assert os.listdir(tmp_path) == ["state.json"]
 
     @pytest.mark.parametrize("failing", ["write", "rename"])
@@ -468,20 +469,20 @@ class TestWriteTextAtomic:
         target = tmp_path / "selected.txt"
         write_text_atomic(target, "old\n")
 
-        def half_then_fail(self, data, encoding=None, errors=None, newline=None):
-            with self.open("w", encoding=encoding, errors=errors, newline=newline) as f:
-                f.write(data[: len(data) // 2])
+        def half_then_fail(f):
+            f.write(b"new ")
             raise OSError("disk full")
 
         def fail(*args, **kwargs):
             raise OSError("rename refused")
 
-        if failing == "write":
-            monkeypatch.setattr(Path, "write_text", half_then_fail)
-        else:
+        if failing == "rename":
             monkeypatch.setattr(os, "replace", fail)
         with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot write file: "):
-            write_text_atomic(target, "new text\n")
+            if failing == "write":
+                write_atomic(target, half_then_fail)
+            else:
+                write_text_atomic(target, "new text\n")
         monkeypatch.undo()
         assert target.read_text(encoding="utf-8") == "old\n"
         assert os.listdir(tmp_path) == ["selected.txt"]
@@ -509,6 +510,18 @@ class TestWriteTextAtomic:
         plain.write_text("x")
         assert target.stat().st_mode == plain.stat().st_mode
 
+    def test_bytes_go_through_the_same_path(self, tmp_path):
+        # Text is written as its UTF-8 bytes, by the one writer of bytes.
+        target = tmp_path / "new" / "pool.npz"
+        write_atomic(target, lambda f: f.write(b"\x00\xff\n"))
+        assert target.read_bytes() == b"\x00\xff\n"
+        assert os.listdir(target.parent) == ["pool.npz"]
+        target.unlink()
+        target.mkdir()
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot write file: "):
+            write_atomic(target, lambda f: f.write(b"x"))
+        assert os.listdir(target.parent) == ["pool.npz"]
+
 
 class TestReadText:
     def test_utf8_text_round_trips_a_write(self, tmp_path):
@@ -523,11 +536,23 @@ class TestReadText:
         with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot read file: "):
             read_text(target)
 
-    def test_non_utf8_file_is_parse_error_at_the_bad_line(self, tmp_path):
+    @pytest.mark.parametrize("given", [False, True], ids=["read", "bytes given"])
+    def test_non_utf8_file_is_parse_error_at_the_bad_line(self, tmp_path, given):
         target = tmp_path / "input.txt"
         target.write_bytes(b"a\nb\nc \xff d\n")
         with pytest.raises(ParseError) as excinfo:
-            read_text(target)
+            read_text(target, read_bytes(target) if given else None)
         assert isinstance(excinfo.value, DataError)
         assert (excinfo.value.path, excinfo.value.line_no) == (str(target), 3)
         assert "not UTF-8" in str(excinfo.value)
+
+    def test_given_bytes_are_not_read_again(self, tmp_path):
+        # The text of the bytes a caller read, even where the file is gone.
+        assert read_text(tmp_path / "gone.txt", "zé\n".encode()) == "zé\n"
+
+    @pytest.mark.parametrize("make", [lambda p: None, lambda p: p.mkdir()], ids=["missing", "directory"])
+    def test_read_bytes_of_an_unreadable_file_is_data_error_naming_it(self, tmp_path, make):
+        target = tmp_path / "input.npz"
+        make(target)
+        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot read file: "):
+            read_bytes(target)

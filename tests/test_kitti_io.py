@@ -1,12 +1,15 @@
 import json
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from scenesel import kitti
-from scenesel.core import DEFAULT_CATALOG, ClassCatalog, DataError, ParseError, Scene
+from scenesel.cli import main
+from scenesel.core import DEFAULT_CATALOG, ClassCatalog, DataError, ParseError, Scene, _block_of_rows
 from scenesel.kitti import (
+    ParsedPool,
     load_mixture_sidecar,
     load_pool_dir,
     parse_label_file,
@@ -213,6 +216,107 @@ class TestSidecar:
         with pytest.raises(DataError) as err:
             load_mixture_sidecar(path, bare)
         assert str(err.value).startswith(f"{path}: {message}")
+
+
+def test_sidecars_cast_as_one_array_give_the_blocks_of_block_of_rows(tmp_path, catalog):
+    # The float of every number of a synth pool's sidecars, cast by numpy,
+    # against ``float`` on each number, as ``_block_of_rows`` does.
+    assert main(["--seed", "5", "synth", "--out", str(tmp_path), "--n-scenes", "12", "--objects", "2,12"]) == 0
+    scenes = load_pool_dir(tmp_path, catalog)
+    assert sum(len(s.labels) for s in scenes) > 20
+    for scene in scenes:
+        path = kitti.sidecar_path(tmp_path, scene.id)
+        entries = json.loads(path.read_text())["detections"]
+        expected = _block_of_rows([(e["weights"], e["means"], e["variances"]) for e in entries])
+        block = load_mixture_sidecar(path, scene).mixtures.block
+        assert block.shape == expected.shape
+        assert list(map(float.hex, block.reshape(-1).tolist())) == list(map(float.hex, expected.reshape(-1).tolist()))
+
+
+class TestParsedPool:
+    """``load_pool_dir`` with a store: each file read once, a stored one
+    built from its columns, a new one parsed from the bytes read."""
+
+    def pool(self, tmp_path, n=4):
+        rng = random.Random(3)
+        for i in range(n):
+            write_label_file(random_scene(rng, f"s{i}", max_objects=4), tmp_path / "labels" / f"s{i}.txt")
+        return tmp_path
+
+    def reloaded(self, path, catalog):
+        store = ParsedPool()
+        store.load(path, catalog)
+        return store
+
+    def test_stored_scenes_equal_parsed_ones_bit_for_bit(self, tmp_path, catalog):
+        pool = self.pool(tmp_path)
+        first = ParsedPool()
+        parsed = load_pool_dir(pool, catalog, first)
+        first.save(tmp_path / "state.pool.npz", catalog)
+        again = self.reloaded(tmp_path / "state.pool.npz", catalog)
+        stored = load_pool_dir(pool, catalog, again)
+        assert (first.parsed, again.parsed) == (4, 0)
+        assert stored == parsed
+        assert [s.boxes.tobytes() for s in stored] == [s.boxes.tobytes() for s in parsed]
+        assert all(not s.boxes.flags.writeable for s in stored)
+
+    def test_each_label_file_is_read_once(self, tmp_path, catalog, monkeypatch):
+        pool = self.pool(tmp_path)
+        read = []
+        read_bytes = kitti.read_bytes
+
+        def counting(path):
+            read.append(str(path))
+            return read_bytes(path)
+
+        monkeypatch.setattr(kitti, "read_bytes", counting)
+        load_pool_dir(pool, catalog)
+        assert sorted(read) == sorted(map(str, (pool / "labels").iterdir()))
+
+    def test_an_unchanged_pool_is_not_written_again_and_a_changed_one_holds_what_was_read(self, tmp_path, catalog):
+        pool, path = self.pool(tmp_path), tmp_path / "state.pool.npz"
+        store = ParsedPool()
+        load_pool_dir(pool, catalog, store)
+        store.save(path, catalog)
+        path.write_bytes(path.read_bytes())  # a new inode: a rewrite would replace it
+        inode = path.stat().st_ino
+        store = self.reloaded(path, catalog)
+        load_pool_dir(pool, catalog, store)
+        store.save(path, catalog)
+        assert path.stat().st_ino == inode
+        (pool / "labels" / "s0.txt").unlink()
+        store = self.reloaded(path, catalog)
+        load_pool_dir(pool, catalog, store)
+        store.save(path, catalog)
+        assert path.stat().st_ino != inode
+        assert len(self.reloaded(path, catalog).stored) == 3
+
+    def test_files_of_equal_bytes_are_parsed_once_and_stored_once(self, tmp_path, catalog):
+        # Scenes without a detection have empty label files, all alike.
+        pool, path = self.pool(tmp_path, n=2), tmp_path / "state.pool.npz"
+        for sid in ("e1", "e2", "e3"):
+            (pool / "labels" / f"{sid}.txt").write_text("")
+        parsed = []
+        for _ in range(2):
+            store = self.reloaded(path, catalog)
+            scenes = load_pool_dir(pool, catalog, store)
+            store.save(path, catalog)
+            parsed.append(store.parsed)
+        assert parsed == [3, 0]
+        assert [s.id for s in scenes] == ["e1", "e2", "e3", "s0", "s1"]
+        assert len(self.reloaded(path, catalog).stored) == 3
+        inode = path.stat().st_ino
+        store = self.reloaded(path, catalog)
+        load_pool_dir(pool, catalog, store)
+        store.save(path, catalog)
+        assert path.stat().st_ino == inode  # nothing changed, nothing written
+
+    def test_a_file_that_is_not_a_pool_file_is_data_error_naming_it(self, tmp_path, catalog):
+        path = tmp_path / "state.pool.npz"
+        with open(path, "wb") as fh:
+            np.save(fh, np.zeros(3))  # an npy array, not an npz
+        with pytest.raises(DataError, match=f"^{path}: invalid parsed-pool file: "):
+            self.reloaded(path, catalog)
 
 
 class TestPoolDir:
