@@ -35,12 +35,13 @@ import numpy as np
 
 from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
 
-# Bytes of live-node matrices M_LL solved in one stacked fixed point: a
-# batch holds BATCH_BYTES // (8 L^2) pairs of live count L. Bounds the
-# engine's working set: building a batch holds about two arrays of this
-# size, M_LL and the second graphs' edge weights, beside gathers of b
-# (A + 1) L elements, A the batch's largest live node, which are smaller
-# wherever L > A. A pair whose M_LL alone is larger is solved on its own.
+# Bytes of the largest array one stacked fixed point builds. A batch of b
+# pairs of live count L builds M_LL, 8 b L^2 bytes, and per side a gather
+# of b (A + 1) L floats and its int64 index, A + 1 at most the larger
+# graph's node count; the batch holds BATCH_BYTES // (8 L max(L, A + 1))
+# pairs, so building it holds about three arrays of this size. The node
+# lists of a live-count group are listed up to BATCH_BYTES at a time too.
+# A pair whose arrays alone are larger is solved on its own.
 BATCH_BYTES = 256 * 1024
 
 
@@ -221,35 +222,43 @@ def indexed_kernels(
     pair solves R_L = q + M_LL R_L over its live nodes alone, in ascending
     order of the flat index i * |V2| + j. A pair with no live node is 0.0.
 
-    Pairs are grouped by their live count L, whatever their graph sizes. A
-    group builds its matrices M_LL from the call's edge weights, at most
-    BATCH_BYTES of M_LL at a time: per side, one gather of the weights from
-    each graph node to the live nodes, then one whole-row copy per live
-    node (``_live_edges``). It iterates them in place as one stacked matmul
-    for the ``config.steps`` steps that every pair takes. So every value is
-    the float a lone pair gets, and a cross kernel and its two self-kernels
-    are the same truncated series.
+    Pairs are grouped by their live count L, whatever their graph sizes,
+    counted from the graphs' label histograms. Across the call a pair
+    holds only its two graph indices, a swap flag, its place in the
+    live-count order and its value. A group lists its pairs' live nodes
+    when it is solved, up to BATCH_BYTES of lists at a time, and builds
+    their matrices M_LL from the call's edge weights in batches bounded by
+    BATCH_BYTES: per side, one gather of the weights from each graph node
+    to the live nodes, then one whole-row copy per live node
+    (``_live_edges``). It iterates them in place as one stacked matmul for
+    the ``config.steps`` steps that every pair takes. So every value is the
+    float a lone pair gets, and a cross kernel and its two self-kernels are
+    the same truncated series.
     """
-    first = np.asarray(first, dtype=np.intp)
-    second = np.asarray(second, dtype=np.intp)
     values = np.zeros(len(first))
     if not len(first):
         return values
     # Canonical argument order, so that K(a, b) and K(b, a) share one float
     # result: the graph of smaller (labels, weights) goes first. One rank per
     # graph of the call orders every pair; graphs of equal content, whose
-    # ranks differ, compute alike in either order.
-    rank = np.empty(len(graphs), dtype=np.intp)
+    # ranks differ, compute alike in either order. A pair is put in that
+    # order when its group is solved.
+    rank = np.empty(len(graphs), dtype=np.int32)
     rank[sorted(range(len(graphs)), key=lambda g: (graphs[g].labels, graphs[g].weights))] = np.arange(len(graphs))
     swap = rank[second] < rank[first]
-    first, second = np.where(swap, second, first), np.where(swap, first, second)
 
-    # The call's graphs: labels as integer codes in one flat buffer,
-    # weights in another, each graph at its own offset.
+    # The call's graphs: labels as integer codes, one row per graph, and
+    # weights in one flat buffer, each graph at its own offset. The rows
+    # are padded with -1 for a pair's first graph and -2 for its second, so
+    # that padding matches nothing.
     codes: dict[str, int] = {}
     label_codes = np.array([codes.setdefault(a, len(codes)) for g in graphs for a in g.labels])
     sizes = np.array([g.num_nodes for g in graphs])
-    label_at = np.cumsum(sizes) - sizes
+    graph_of = np.repeat(np.arange(len(graphs)), sizes)
+    node = np.arange(len(label_codes)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    labels1 = np.full((len(graphs), int(sizes.max())), -1)
+    labels1[graph_of, node] = label_codes
+    labels2 = np.where(labels1 < 0, -2, labels1)
     weight_at = np.cumsum(sizes * sizes) - sizes * sizes
     # A walk never stays on a node, so a step pair that stays on a node of
     # either graph has M entry 0. The first graph of a pair reads its
@@ -258,48 +267,61 @@ def indexed_kernels(
     # edge kernel exactly 0.0, and every other entry is computed as if the
     # diagonal were not there.
     weights_minus = np.concatenate([g.weight_array.reshape(-1) for g in graphs])
-    node = np.arange(len(label_codes)) - np.repeat(label_at, sizes)
     diagonal = np.repeat(weight_at, sizes) + node * (np.repeat(sizes, sizes) + 1)
     weights_minus[diagonal] = -math.inf
     weights_plus = weights_minus.copy()
     weights_plus[diagonal] = math.inf
-    n1, n2 = sizes[first], sizes[second]
 
-    # Live sets, one label-match array per (|V1|, |V2|) group: with its rows
-    # sorted by live count, one nonzero call lists every row's live nodes.
-    live: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
-    by_size = np.lexsort((n2, n1))
-    bounds = np.flatnonzero(np.diff(n1[by_size]) | np.diff(n2[by_size])) + 1
-    for members in np.split(by_size, bounds):
-        a, b = int(n1[members[0]]), int(n2[members[0]])
-        l1 = label_codes[label_at[first[members]][:, None] + np.arange(a)]
-        l2 = label_codes[label_at[second[members]][:, None] + np.arange(b)]
-        match = (l1[:, :, None] == l2[:, None, :]).reshape(len(members), a * b)
-        counts = match.sum(axis=1)
-        by_count = np.argsort(counts, kind="stable")
-        members, counts = members[by_count], counts[by_count]
-        # flat indices i * b + j; int32 halves what the call holds until the
-        # pairs are solved
-        nodes = np.nonzero(match[by_count])[1].astype(np.int32)
-        node_at = np.cumsum(counts) - counts
-        runs = np.flatnonzero(np.diff(counts)) + 1
-        for lo, hi in zip([0, *runs.tolist()], [*runs.tolist(), len(counts)]):
-            count = int(counts[lo])
-            if count:
-                flat = nodes[node_at[lo] : node_at[lo] + (hi - lo) * count].reshape(hi - lo, count)
-                live.setdefault(count, []).append((members[lo:hi], flat))
+    # Live counts: a pair's label-matched node pairs number the sum, over
+    # labels, of the label's node count in one graph times that in the other.
+    per_label = np.bincount(label_codes * len(graphs) + graph_of, minlength=len(codes) * len(graphs))
+    counts = np.zeros(len(first), dtype=np.int64)
+    for row in per_label.reshape(len(codes), len(graphs)):
+        term = row[first]
+        term *= row[second]
+        counts += term
+    del term
+    # The pairs of live count L are order[ends[L - 1]:ends[L]]; those of
+    # none keep the kernel 0.0.
+    order = np.argsort(counts, kind="stable")
+    ends = np.cumsum(np.bincount(counts)).tolist()
+    del counts
 
-    for count, parts in live.items():
-        members = np.concatenate([p[0] for p in parts])
-        nodes = np.concatenate([p[1] for p in parts])
-        size = max(1, BATCH_BYTES // (8 * count * count))
-        for lo in range(0, len(members), size):
-            batch = members[lo : lo + size]
-            i, j = np.divmod(nodes[lo : lo + size], n2[batch][:, None])
-            m = _live_edges(weights_plus, weight_at[first[batch]], n1[batch], i)
-            np.subtract(m, _live_edges(weights_minus, weight_at[second[batch]], n2[batch], j), out=m)
-            values[batch] = _solve_live(m, n1[batch], n2[batch], config)
+    for count in range(1, len(ends)):
+        members = order[ends[count - 1] : ends[count]]
+        if not len(members):
+            continue
+        f, s, flip = first[members], second[members], swap[members]
+        f, s = np.where(flip, s, f), np.where(flip, f, s)
+        a, b = int(sizes[f].max()), int(sizes[s].max())
+        size = max(1, BATCH_BYTES // (8 * count * max(count, a, b)))
+        # pairs listed at once: whole batches, their label matches (a b
+        # bytes a pair) and node lists (12 L bytes) within BATCH_BYTES
+        span = size * max(1, BATCH_BYTES // (size * (a * b + 12 * count)))
+        for at in range(0, len(members), span):
+            nodes = _live_nodes(labels1[f[at : at + span], :a], labels2[s[at : at + span], :b], count)
+            for start in range(at, min(at + span, len(members)), size):
+                batch = slice(start, start + size)
+                i, j = np.divmod(nodes[start - at : start - at + size], b)
+                n1, n2 = sizes[f[batch]], sizes[s[batch]]
+                m = _live_edges(weights_plus, weight_at[f[batch]], n1, i)
+                np.subtract(m, _live_edges(weights_minus, weight_at[s[batch]], n2, j), out=m)
+                values[members[batch]] = _solve_live(m, n1, n2, config)
     return values
+
+
+def _live_nodes(labels1: np.ndarray, labels2: np.ndarray, count: int) -> np.ndarray:
+    """The live nodes of g pairs of one live count, (g, count): entry (p, x)
+    is i * b + j for the x-th label-matched node pair (i, j) of pair p, in
+    ascending order, from the pairs' padded label codes, (g, a) and (g, b)."""
+    g, a = labels1.shape
+    b = labels2.shape[1]
+    match = labels1[:, :, None] == labels2[:, None, :]
+    # one flat index array, not nonzero's two; each row holds count of them
+    flat = np.flatnonzero(match)
+    del match
+    np.remainder(flat, a * b, out=flat)
+    return flat.astype(np.int32 if a * b <= 2**31 else np.int64).reshape(g, count)
 
 
 def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarray) -> np.ndarray:
@@ -318,8 +340,12 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     """
     b, count = nodes.shape
     rows = int(nodes.max()) + 1
-    source = np.minimum(np.arange(rows), (n - 1)[:, None])
-    to_live = flat[(at[:, None] + source * n[:, None])[:, :, None] + nodes[:, None, :]]
+    # the offset of row a of each pair's graph, freed once the index is built
+    row_at = at[:, None] + np.minimum(np.arange(rows), (n - 1)[:, None]) * n[:, None]
+    index = row_at[:, :, None] + nodes[:, None, :]
+    del row_at
+    to_live = flat[index]
+    del index
     return np.take(to_live.reshape(b * rows, count), nodes + rows * np.arange(b)[:, None], axis=0)
 
 

@@ -1,7 +1,7 @@
 """Farthest sampling, the three-stage joint selector, and the round driver.
 
-Stage scoring is pure and parallelizable; stage transitions and state
-updates are strictly sequential, with a single writer over the round state.
+A round runs in one process, one stage after the other, each stage on the
+ids the stage before it kept; the round state has a single writer.
 """
 from __future__ import annotations
 
@@ -38,13 +38,18 @@ _SINGLE_STAGE = {
     "fs-only": "similarity",
     "uncertainty-only": "uncertainty",
 }
-# Distinct missing pairs ``SimilarityCache`` evaluates in one
-# ``indexed_kernels`` call. Bounds the memory the batch holds.
-# Every pair takes the same ``KernelConfig.steps`` steps, so a larger block
-# fills larger stacked solves at no cost in steps: the cold 240-scene matrix
-# of the benchmark's ``fs_pool`` workload (seed 1) makes 8 calls and 371
-# stacked solves at 4096, against 29 and 788 at 1024.
-BLOCK_PAIRS = 4096
+# Bytes of pair state that one ``indexed_kernels`` call of a scan holds.
+# Beside its graphs and one stacked batch (``kernel.BATCH_BYTES``), a call
+# holds about _PAIR_BYTES a pair (42 measured): the pair's scene, key and
+# graph indices (int32), its place in the live-count order, a swap flag and
+# its value. So a call takes CALL_BYTES // _PAIR_BYTES = 43,690 distinct
+# missing pairs, and their self-kernels. Every pair takes the same
+# ``KernelConfig.steps`` steps, so larger calls fill larger stacked solves
+# at no cost in steps: the cold 240-scene matrix of the benchmark's
+# ``fs_pool`` workload (seed 1, 28,680 pairs) makes 1 call and 234 stacked
+# solves, against 8 calls and 371 at 4,096 pairs a call.
+CALL_BYTES = 2 * 1024 * 1024
+_PAIR_BYTES = 48
 # The layout of a similarity cache file and the floats of the kernel it
 # stores. It is part of the file's fingerprint: bump it when either changes,
 # and a file of the old format is replaced, not read. 2: every kernel is the
@@ -94,17 +99,23 @@ class SimilarityCache:
     and ``pair_similarities`` (the pairs asked for) make one pass,
     ``_scan``, over their pairs as index arrays: it serves every hit with
     one ``np.searchsorted``, sets the pairs of equal content to 1.0 and
-    hands the distinct missing pairs to ``_fill`` in scan order, BLOCK_PAIRS
-    at a time. ``_fill`` evaluates a block in one ``indexed_kernels`` call and
-    is the only code that calls the kernel and normalizes; self-kernels
-    whose product is not a normal float (a tiny ``gamma``) are a
-    ``DataError``. ``hits`` and ``misses`` count the pairs asked for that
+    hands the distinct missing pairs to ``_fill`` in scan order, as int32
+    scene indices, as many at a time as fit in CALL_BYTES of call state,
+    so a scan of up to 43,690 missing pairs makes one call. ``_fill``
+    evaluates them in one ``indexed_kernels`` call and is the only code
+    that calls the kernel and normalizes; self-kernels whose product is
+    not a normal float (a tiny ``gamma``) are a ``DataError`` naming the
+    first such pair in scan order. The scan then merges its new pairs into
+    the store in one sorted insert and reads every value from it. Across
+    the calls it holds its pair codes, the distinct missing pairs (their
+    scene indices and sorted places, int32, and codes) and their
+    similarities. ``hits`` and ``misses`` count the pairs asked for that
     were of equal content or in the store when their scan began, and the
     others: a pair asked for twice in one cold call is two misses and one
-    evaluation. ``evaluations`` counts the kernel
-    values ``_fill`` has evaluated, self-kernels included, so the kernel
-    work of any call is the growth of ``evaluations`` across it.
-    ``similarity`` is the one-pair call of ``matrix``.
+    evaluation. ``evaluations`` counts the kernel values ``_fill`` has
+    evaluated, self-kernels included, so the kernel work of any call is
+    the growth of ``evaluations`` across it. ``similarity`` is the one-pair
+    call of ``matrix``.
 
     ``load`` and ``save`` keep the kernel values across processes in one
     JSON file, keyed by a digest of each scene's content and stamped with
@@ -219,48 +230,81 @@ class SimilarityCache:
         for each p: hits from the store, misses through ``_fill``."""
         contents = scene_contents(scenes, self.catalog, self.config)
         keys = np.fromiter(map(self._key, contents), dtype=np.int64, count=len(scenes))
+        del contents
         if len(self._contents) > len(self._self_k):
             self._self_k = np.concatenate([self._self_k, np.full(len(self._contents) - len(self._self_k), np.nan)])
+        # pair codes lo << 32 | hi, built in place
         a, b = keys[first], keys[second]
-        codes = np.minimum(a, b) << 32 | np.maximum(a, b)
-        values, found = self._lookup(codes)
         same = a == b
-        values[same] = 1.0
-        miss = np.flatnonzero(~(found | same))
+        codes = np.minimum(a, b)
+        np.maximum(a, b, out=b)
+        del a
+        codes <<= 32
+        codes |= b
+        del b
+        values, found = self._lookup(codes, same)
+        miss = np.flatnonzero(~found)
         self.hits += len(codes) - len(miss)
         self.misses += len(miss)
-        if len(miss):
-            # the distinct missing pairs, in scan order
-            _, at = np.unique(codes[miss], return_index=True)
-            todo = miss[np.sort(at)]
-            for lo in range(0, len(todo), BLOCK_PAIRS):
-                block = todo[lo : lo + BLOCK_PAIRS]
-                self._fill(scenes, keys, first[block], second[block], codes[block])
-            values[miss] = self._lookup(codes[miss])[0]
-        return values
+        if not len(miss):
+            return values
+        # Across the kernel calls the scan holds its pair codes, its
+        # distinct missing pairs and their similarities; the values are read
+        # from the store again once the new pairs are merged into it.
+        del values, found
+        new, todo, places = _distinct(codes, miss)
+        del miss
+        # The scenes and keys of the missing pairs as int32, so that the
+        # calls hold int32 indices; the scan's own stay intp, which numpy
+        # indexes without a cast.
+        todo_first, todo_second = first[todo].astype(np.int32), second[todo].astype(np.int32)
+        keys = keys.astype(np.int32)
+        del todo
+        similarity = np.empty(len(new))
+        size = max(1, CALL_BYTES // _PAIR_BYTES)
+        for lo in range(0, len(places), size):
+            block = slice(lo, lo + size)
+            similarity[places[block]] = self._fill(scenes, keys, todo_first[block], todo_second[block])
+        del todo_first, todo_second, places
+        self._merge(new, similarity)
+        del new, similarity
+        return self._lookup(codes, same)[0]
 
-    def _lookup(self, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The stored similarity of each pair code, and whether it is stored."""
+    def _merge(self, codes: np.ndarray, similarities: np.ndarray) -> None:
+        """Put the sorted new pair ``codes`` and their ``similarities``
+        into the store, in one sorted insert."""
+        at = np.searchsorted(self._codes, codes)
+        self._codes = np.insert(self._codes, at, codes)
+        self._values = np.insert(self._values, at, similarities)
+
+    def _lookup(self, codes: np.ndarray, same: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The similarity of each pair code, 1.0 where ``same`` (a pair of
+        equal content), and whether it is known: stored or same."""
         values = np.zeros(len(codes))
-        if not len(self._codes):
-            return values, np.zeros(len(codes), dtype=bool)
-        at = np.minimum(np.searchsorted(self._codes, codes), len(self._codes) - 1)
-        found = self._codes[at] == codes
-        values[found] = self._values[at[found]]
+        found = same.copy()
+        if len(self._codes):
+            at = np.searchsorted(self._codes, codes)
+            np.minimum(at, len(self._codes) - 1, out=at)
+            stored = self._codes[at] == codes
+            values[stored] = self._values[at[stored]]
+            found |= stored
+        values[same] = 1.0
         return values, found
 
-    def _fill(self, scenes, keys, first, second, codes) -> None:
-        """Store the similarities of the distinct missing pairs ``codes``,
-        of ``scenes[first[p]]`` and ``scenes[second[p]]``, each kernel value
-        taken from the loaded file if it holds it, else evaluated."""
-        lo, hi = codes >> 32, codes & 0xFFFFFFFF
+    def _fill(self, scenes, keys, first, second) -> np.ndarray:
+        """The similarities of the distinct missing pairs of ``scenes[first[p]]``
+        and ``scenes[second[p]]``, each kernel value taken from the loaded
+        file if it holds it, else evaluated."""
+        lo, hi = keys[first], keys[second]
+        np.minimum(lo, keys[second], out=lo)
+        np.maximum(hi, keys[first], out=hi)
         # By key: a scene of that key in the block, or -1.
         scene_of = np.full(len(self._contents), -1)
-        ends = np.concatenate([first, second])
-        scene_of[keys[ends]] = ends
+        scene_of[keys[first]] = first
+        scene_of[keys[second]] = second
         needs_self = np.flatnonzero((scene_of >= 0) & np.isnan(self._self_k))
-        cross = np.zeros(len(codes))
-        evaluate = np.ones(len(codes), dtype=bool)
+        # the pairs to evaluate: all, or those the loaded file does not hold
+        evaluate = slice(None)
         if self._stored is not None:
             stored_self, stored_cross = self._stored
             for k in needs_self.tolist():
@@ -269,6 +313,8 @@ class SimilarityCache:
                     self._self_k[k] = value
                     self.reused += 1
             needs_self = needs_self[np.isnan(self._self_k[needs_self])]
+            cross = np.zeros(len(lo))
+            evaluate = np.ones(len(lo), dtype=bool)
             for p, pair in enumerate(zip(lo.tolist(), hi.tolist())):
                 value = stored_cross.get(self._digest_pair(*pair))
                 if value is not None:
@@ -277,7 +323,7 @@ class SimilarityCache:
                     self.reused += 1
         # One kernel call over the graphs of the keys it needs: the
         # self-kernels first, then the cross kernels.
-        slot = np.full(len(self._contents), -1)
+        slot = np.full(len(self._contents), -1, dtype=np.int32)
         slot[needs_self] = slot[lo[evaluate]] = slot[hi[evaluate]] = 0
         graph_keys = np.flatnonzero(slot == 0)
         slot[graph_keys] = np.arange(len(graph_keys))
@@ -290,10 +336,14 @@ class SimilarityCache:
         )
         self.evaluations += len(values)
         self._self_k[needs_self] = values[: len(needs_self)]
-        cross[evaluate] = values[len(needs_self) :]
+        if self._stored is None:
+            cross = values[len(needs_self) :]
+        else:
+            cross[evaluate] = values[len(needs_self) :]
         # Self-kernels scale with gamma^2: a tiny gamma makes their product
         # 0 (no similarity) or subnormal (an inexact one).
-        product = self._self_k[lo] * self._self_k[hi]
+        product = self._self_k[lo]
+        product *= self._self_k[hi]
         inexact = np.flatnonzero(~(product >= sys.float_info.min))
         if len(inexact):
             p = inexact[0]
@@ -311,11 +361,26 @@ class SimilarityCache:
             )
         # A cross kernel and its self-kernels are one truncated series, so
         # only rounding can put a near-copy's similarity above 1.
-        similarity = np.minimum(cross / np.sqrt(product), 1.0)
-        order = np.argsort(codes)
-        at = np.searchsorted(self._codes, codes[order])
-        self._codes = np.insert(self._codes, at, codes[order])
-        self._values = np.insert(self._values, at, similarity[order])
+        np.sqrt(product, out=product)
+        np.divide(cross, product, out=cross)
+        return np.minimum(cross, 1.0, out=cross)
+
+
+def _distinct(codes: np.ndarray, miss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The distinct codes among ``codes[miss]``, sorted; and for each in
+    scan order, the position of its first pair and its place in the sorted
+    codes (int32 below 2^31 pairs)."""
+    missing = codes[miss]
+    order = np.argsort(missing)
+    missing = missing[order]
+    heads = np.flatnonzero(np.concatenate([[True], missing[1:] != missing[:-1]]))
+    new = missing[heads]
+    del missing
+    # the first position of each code: the least of its run
+    first_at = np.minimum.reduceat(order, heads)
+    del order, heads
+    by_scan = np.argsort(first_at)
+    return new, miss[first_at[by_scan]], by_scan.astype(np.int32 if len(codes) < 2**31 else np.int64)
 
 
 def _content_digest(content) -> str:

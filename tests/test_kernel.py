@@ -18,7 +18,8 @@ from scenesel.kernel import (
     kernel_brute_force,
     marginalized_kernel,
 )
-from scenesel.sampler import BLOCK_PAIRS, SimilarityCache
+from scenesel import sampler
+from scenesel.sampler import SimilarityCache
 from conftest import random_scene, scene_of
 
 CFG = KernelConfig()
@@ -500,6 +501,21 @@ class TestBatchedEngine:
         assert sorted(batch_sizes) == sorted([1, 1, per_batch, 5 - per_batch])
         assert batched == [per_pair_reference(g1, g2) for g1, g2 in pairs]
 
+    def test_a_small_live_count_is_batched_by_its_gathers(self, batch_sizes):
+        # Two live nodes, the first and the last of 12-node graphs: a
+        # batch's M_LL is 8 L^2 = 32 bytes a pair, but each side gathers the
+        # weights from all 12 nodes to both live nodes, 8 * 12 * L bytes a
+        # pair, so the gathers bound the batch.
+        rng = random.Random(89)
+        firsts = [graph_with_labels(rng, (EGO_LABEL,) + ("x",) * 10 + ("a",)) for _ in range(4)]
+        seconds = [graph_with_labels(rng, (EGO_LABEL,) + ("y",) * 10 + ("a",)) for _ in range(4)]
+        per_batch = BATCH_BYTES // (8 * 2 * 12)
+        pairs = [(rng.choice(firsts), rng.choice(seconds)) for _ in range(4 * per_batch + 1)]
+        assert {live_count(g1, g2) for g1, g2 in pairs} == {2}
+        batched = pair_kernels(pairs, CFG)
+        assert batch_sizes == [per_batch] * 4 + [1]
+        assert batched == [marginalized_kernel(g1, g2, CFG) for g1, g2 in pairs]
+
     def test_ego_times_ego_only_live_node(self):
         # The one live node has no live successor (the walk would have to
         # stay on the ego node of both graphs), so R_L = q and the kernel is
@@ -520,13 +536,16 @@ class TestBatchedEngine:
             assert full_product_reference(g1, g2) == pytest.approx(expected, rel=1e-6)
             assert kernel_brute_force(g1, g2, CFG, 40) == pytest.approx(expected, rel=1e-12)
 
-    def test_matrix_over_more_than_one_block(self, catalog):
+    def test_matrix_over_more_than_one_block(self, catalog, monkeypatch):
+        # 5 distinct missing pairs a call, so that the matrix spans calls.
+        per_call = 5
+        monkeypatch.setattr(sampler, "CALL_BYTES", per_call * sampler._PAIR_BYTES)
         rng = random.Random(59)
-        n = math.isqrt(2 * BLOCK_PAIRS) + 8
+        n = math.isqrt(2 * per_call) + 8
         scenes = [random_scene(rng, f"s{i:03d}", max_objects=5) for i in range(n)]
         contents = [kernel_module.scene_content(s, catalog, CFG) for s in scenes]
         # The pairs of different content are the ones the matrix evaluates.
-        assert sum(contents[i] != contents[j] for i in range(n) for j in range(i + 1, n)) > BLOCK_PAIRS
+        assert sum(contents[i] != contents[j] for i in range(n) for j in range(i + 1, n)) > per_call
         cache = SimilarityCache(catalog, CFG)
         sim = cache.matrix(scenes)
         # Scenes of equal content (here those with no detection above tau)
@@ -573,6 +592,27 @@ class TestLiveAssembly:
         finally:
             tracemalloc.stop()
         assert peak < 2.5 * 8 * 442**2
+
+    def test_a_batch_holds_about_three_arrays_of_the_batch_bound(self):
+        # Pairs of live count 2 on 12-node graphs: were a batch bounded by
+        # its M_LL alone, one batch of all 5,461 pairs would gather 1 MB of
+        # weights per side, and hold an index array as large.
+        rng = random.Random(97)
+        graphs = [graph_with_labels(rng, (EGO_LABEL,) + ("x",) * 10 + ("a",)) for _ in range(4)]
+        graphs += [graph_with_labels(rng, (EGO_LABEL,) + ("y",) * 10 + ("a",)) for _ in range(4)]
+        n_pairs = 4 * (BATCH_BYTES // (8 * 2 * 12)) + 1
+        first = np.array([rng.randrange(4) for _ in range(n_pairs)])
+        second = np.array([4 + rng.randrange(4) for _ in range(n_pairs)])
+        kernel_module.indexed_kernels(graphs, first, second, CFG)  # builds the weight arrays
+        tracemalloc.start()
+        try:
+            kernel_module.indexed_kernels(graphs, first, second, CFG)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # Two gathers of a side, the other side's M_LL, and per pair the
+        # call's value, order and swap flag and the group's graph indices.
+        assert peak < 3 * BATCH_BYTES + 40 * n_pairs
 
 
 class TestBruteForce:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, ScoredDetection
+from scenesel.core import ClassCatalog, DataError, DEFAULT_ANCHORS, DEFAULT_CATALOG, ScoredDetection
 from scenesel.entropy import EntropyConfig
 from scenesel import sampler
 from scenesel.kernel import KernelConfig, build_scene_graph, marginalized_kernel, scene_content
@@ -787,6 +787,16 @@ def twins(scenes, suffix):
     ]
 
 
+# Distinct missing pairs one ``indexed_kernels`` call of a scan takes.
+PAIRS_PER_CALL = sampler.CALL_BYTES // sampler._PAIR_BYTES
+
+
+def call_bound(monkeypatch, per_call):
+    """Bound each ``indexed_kernels`` call of a scan to ``per_call``
+    distinct missing pairs."""
+    monkeypatch.setattr(sampler, "CALL_BYTES", per_call * sampler._PAIR_BYTES)
+
+
 class TestArrayStoreMatchesPerPairOracle:
     """The array store against ``PerPairCache``, with ``==``: the same
     floats, ``evaluations`` and ``reused`` after each call of a sequence."""
@@ -808,11 +818,11 @@ class TestArrayStoreMatchesPerPairOracle:
         # equal contents under other ids, interleaved with their originals
         return [s for pair in zip(scenes, twins(scenes, "-twin")) for s in pair][: n + n // 2]
 
-    @pytest.mark.parametrize("block", [sampler.BLOCK_PAIRS, 5])
-    def test_matrices_and_pair_lists(self, monkeypatch, block):
-        # At 5 pairs a block, every call but the smallest spans blocks, and
-        # twins put one pair's content in more than one block.
-        monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
+    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5])
+    def test_matrices_and_pair_lists(self, monkeypatch, per_call):
+        # At 5 pairs a call, every scan but the smallest spans calls, and
+        # twins put one pair's content in more than one call.
+        call_bound(monkeypatch, per_call)
         scenes = self.scenes()
         pairs = [(1, 0), (2, 5), (5, 2), (3, 4), (2, 5), (4, 4), (0, 3), (7, 6), (8, 11), (11, 8), (9, 9)]
         calls = [
@@ -824,9 +834,9 @@ class TestArrayStoreMatchesPerPairOracle:
         ]
         self.assert_same(fresh_cache(), PerPairCache(), calls)
 
-    @pytest.mark.parametrize("block", [sampler.BLOCK_PAIRS, 5])
-    def test_after_load(self, tmp_path, monkeypatch, block):
-        monkeypatch.setattr(sampler, "BLOCK_PAIRS", block)
+    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5])
+    def test_after_load(self, tmp_path, monkeypatch, per_call):
+        call_bound(monkeypatch, per_call)
         scenes = self.scenes()
         path = tmp_path / "state.similarity.json"
         writer = fresh_cache()
@@ -853,3 +863,87 @@ class TestArrayStoreMatchesPerPairOracle:
         assert cache.evaluations == distinct + distinct * (distinct - 1) // 2 < 9 + 36 - equal
         cache.pair_similarities(scenes, [(0, 2), (2, 0), (4, 4)])
         assert (cache.hits, cache.misses) == (equal + 3, 36 - equal)
+
+
+class TestScanCalls:
+    """How many ``indexed_kernels`` calls and store merges a scan makes."""
+
+    @staticmethod
+    def counted(monkeypatch):
+        """Counters of ``indexed_kernels`` calls, their pairs, and store merges."""
+        counts = {"calls": 0, "pairs": 0, "merges": 0}
+        kernels, merge = sampler.indexed_kernels, SimilarityCache._merge
+
+        def counting_kernels(graphs, first, second, config):
+            counts["calls"] += 1
+            counts["pairs"] += len(first)
+            return kernels(graphs, first, second, config)
+
+        def counting_merge(cache, codes, similarities):
+            counts["merges"] += 1
+            return merge(cache, codes, similarities)
+
+        monkeypatch.setattr(sampler, "indexed_kernels", counting_kernels)
+        monkeypatch.setattr(SimilarityCache, "_merge", counting_merge)
+        return counts
+
+    def test_a_cold_pool_matrix_within_the_bound_is_one_call_and_one_merge(self, monkeypatch):
+        # A 240-scene pool, as the farthest sampling of a whole pool asks for:
+        # more missing pairs than the 4,096 a call once took, fewer than
+        # the bound.
+        _, preds = predicted_pool(n=240, seed=7)
+        scenes = sorted(preds.values(), key=lambda s: s.id)
+        distinct = len({scene_content(s, DEFAULT_CATALOG, KER) for s in scenes})
+        assert 4096 < distinct * (distinct - 1) // 2 <= PAIRS_PER_CALL
+        counts = self.counted(monkeypatch)
+        cache = fresh_cache()
+        cache.matrix(scenes)
+        assert counts == {"calls": 1, "pairs": cache.evaluations, "merges": 1}
+        assert cache.evaluations == distinct + distinct * (distinct - 1) // 2
+        cache.matrix(scenes)  # all hits: no call and no merge
+        assert counts["calls"] == counts["merges"] == 1
+
+    @pytest.mark.parametrize("per_call", [1, 7, 40])
+    def test_a_matrix_over_the_bound_makes_one_call_per_bound(self, monkeypatch, per_call):
+        scenes = TestArrayStoreMatchesPerPairOracle.scenes(n=12)  # 12 scenes and the twins of 6
+        one_call = fresh_cache().matrix(scenes)
+        contents = [scene_content(s, DEFAULT_CATALOG, KER) for s in scenes]
+        distinct = len(set(contents))
+        call_bound(monkeypatch, per_call)
+        counts = self.counted(monkeypatch)
+        cache = fresh_cache()
+        sim = cache.matrix(scenes)
+        assert counts["calls"] == math.ceil(distinct * (distinct - 1) // 2 / per_call)
+        assert counts["merges"] == 1
+        assert (sim == one_call).all()
+        assert cache.evaluations == distinct + distinct * (distinct - 1) // 2
+
+    @staticmethod
+    def tiny_gamma_scenes():
+        """Scenes whose self-kernels at gamma = 3e-77 multiply to a normal
+        float, except between the scenes of many classes ("mixed")."""
+
+        def scene(sid, specs):
+            return scene_of(sid, tuple(ScoredDetection(label, 0.9, make_box(x, y)) for label, x, y in specs))
+
+        def mixed(sid, shift):
+            return scene(sid, [("car", 4.0 + shift, 1.0), ("pedestrian", 8.0, -2.0), ("cyclist", -6.0, 3.0 + shift), ("car", 10.0, 10.0)])
+
+        cars = [scene(f"cars{k}", [("car", 5.0 * i + k, 3.0) for i in range(1, 7)]) for k in range(2)]
+        return [cars[0], mixed("mixed0", 0.0), cars[1], mixed("mixed1", 1.0), mixed("mixed2", 2.0)]
+
+    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5, 2, 1])
+    def test_a_tiny_gamma_names_the_same_pair_at_every_bound(self, monkeypatch, per_call):
+        call_bound(monkeypatch, per_call)
+        config = KernelConfig(gamma=3e-77)
+        scenes = self.tiny_gamma_scenes()
+        # Pairs of the cars scenes, and of a cars scene and a mixed one,
+        # are normal: the first pair of mixed scenes in scan order is named.
+        with pytest.raises(DataError, match="scenes 'mixed0' and 'mixed1' multiply to"):
+            SimilarityCache(DEFAULT_CATALOG, config).matrix(scenes)
+        # (mixed1, mixed2) comes first in scan order, (mixed0, mixed1)
+        # first in key order.
+        cache = SimilarityCache(DEFAULT_CATALOG, config)
+        assert cache.pair_similarities(scenes, [(0, 2), (0, 1), (1, 2)])[1] > 0
+        with pytest.raises(DataError, match="scenes 'mixed2' and 'mixed1' multiply to"):
+            cache.pair_similarities(scenes, [(0, 3), (4, 3), (2, 4), (1, 3)])
