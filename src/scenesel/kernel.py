@@ -281,16 +281,16 @@ def indexed_kernels(
         term *= row[second]
         counts += term
     del term
-    # The pairs of live count L are order[ends[L - 1]:ends[L]]; those of
-    # none keep the kernel 0.0.
+    # The pairs of live count L are order[ends[L] - per_count[L]:ends[L]];
+    # those of none keep the kernel 0.0.
     order = np.argsort(counts, kind="stable")
-    ends = np.cumsum(np.bincount(counts)).tolist()
+    per_count = np.bincount(counts)
     del counts
+    ends = np.cumsum(per_count)
 
-    for count in range(1, len(ends)):
-        members = order[ends[count - 1] : ends[count]]
-        if not len(members):
-            continue
+    present = np.flatnonzero(per_count)
+    for count in present[present > 0].tolist():
+        members = order[ends[count] - per_count[count] : ends[count]]
         f, s, flip = first[members], second[members], swap[members]
         f, s = np.where(flip, s, f), np.where(flip, f, s)
         a, b = int(sizes[f].max()), int(sizes[s].max())

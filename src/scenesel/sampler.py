@@ -38,18 +38,17 @@ _SINGLE_STAGE = {
     "fs-only": "similarity",
     "uncertainty-only": "uncertainty",
 }
-# Bytes of pair state that one ``indexed_kernels`` call of a scan holds.
-# Beside its graphs and one stacked batch (``kernel.BATCH_BYTES``), a call
-# holds about _PAIR_BYTES a pair (42 measured): the pair's scene, key and
-# graph indices (int32), its place in the live-count order, a swap flag and
-# its value. So a call takes CALL_BYTES // _PAIR_BYTES = 43,690 distinct
-# missing pairs, and their self-kernels. Every pair takes the same
-# ``KernelConfig.steps`` steps, so larger calls fill larger stacked solves
-# at no cost in steps: the cold 240-scene matrix of the benchmark's
-# ``fs_pool`` workload (seed 1, 28,680 pairs) makes 1 call and 234 stacked
-# solves, against 8 calls and 371 at 4,096 pairs a call.
-CALL_BYTES = 2 * 1024 * 1024
-_PAIR_BYTES = 48
+# Distinct missing pairs that one ``indexed_kernels`` call of a scan takes,
+# with their self-kernels. Beside its graphs and one stacked batch
+# (``kernel.BATCH_BYTES``), a call holds about 49 bytes a pair (measured):
+# the pair's scene, key and graph indices (int32), whether it is evaluated,
+# its place in the live-count order, a swap flag, its kernel and its
+# similarity, so about 1.6 MB at this bound. Every pair takes the same ``KernelConfig.steps`` steps, so larger
+# calls fill larger stacked solves at no cost in steps. This is the
+# smallest power of two that takes the cold 240-scene matrix of the
+# benchmark's ``fs_pool`` workload (28,920 pairs) in one call, which makes
+# 234 stacked solves against 8 calls and 371 at 4,096 pairs a call.
+PAIRS_PER_CALL = 32_768
 # The layout of a similarity cache file and the floats of the kernel it
 # stores. It is part of the file's fingerprint: bump it when either changes,
 # and a file of the old format is replaced, not read. 2: every kernel is the
@@ -100,12 +99,11 @@ class SimilarityCache:
     ``_scan``, over their pairs as index arrays: it serves every hit with
     one ``np.searchsorted``, sets the pairs of equal content to 1.0 and
     hands the distinct missing pairs to ``_fill`` in scan order, as int32
-    scene indices, as many at a time as fit in CALL_BYTES of call state,
-    so a scan of up to 43,690 missing pairs makes one call. ``_fill``
-    evaluates them in one ``indexed_kernels`` call and is the only code
-    that calls the kernel and normalizes; self-kernels whose product is
-    not a normal float (a tiny ``gamma``) are a ``DataError`` naming the
-    first such pair in scan order. The scan then merges its new pairs into
+    scene indices, up to PAIRS_PER_CALL at a time. ``_fill`` evaluates
+    them in one ``indexed_kernels`` call and is the only code that calls
+    the kernel and normalizes; self-kernels whose product is not a normal
+    float (a tiny ``gamma``) are a ``DataError`` naming the first such pair
+    in scan order. The scan then merges its new pairs into
     the store in one sorted insert and reads every value from it. Across
     the calls it holds its pair codes, the distinct missing pairs (their
     scene indices and sorted places, int32, and codes) and their
@@ -252,8 +250,12 @@ class SimilarityCache:
         # distinct missing pairs and their similarities; the values are read
         # from the store again once the new pairs are merged into it.
         del values, found
-        new, todo, places = _distinct(codes, miss)
-        del miss
+        new, at = np.unique(codes[miss], return_index=True)
+        # each distinct missing pair in scan order: its first pair and its
+        # place among the sorted new codes
+        places = np.argsort(at).astype(np.int32)
+        todo = miss[at[places]]
+        del miss, at
         # The scenes and keys of the missing pairs as int32, so that the
         # calls hold int32 indices; the scan's own stay intp, which numpy
         # indexes without a cast.
@@ -261,9 +263,8 @@ class SimilarityCache:
         keys = keys.astype(np.int32)
         del todo
         similarity = np.empty(len(new))
-        size = max(1, CALL_BYTES // _PAIR_BYTES)
-        for lo in range(0, len(places), size):
-            block = slice(lo, lo + size)
+        for lo in range(0, len(places), PAIRS_PER_CALL):
+            block = slice(lo, lo + PAIRS_PER_CALL)
             similarity[places[block]] = self._fill(scenes, keys, todo_first[block], todo_second[block])
         del todo_first, todo_second, places
         self._merge(new, similarity)
@@ -304,7 +305,8 @@ class SimilarityCache:
         scene_of[keys[second]] = second
         needs_self = np.flatnonzero((scene_of >= 0) & np.isnan(self._self_k))
         # the pairs to evaluate: all, or those the loaded file does not hold
-        evaluate = slice(None)
+        cross = np.zeros(len(lo))
+        evaluate = np.ones(len(lo), dtype=bool)
         if self._stored is not None:
             stored_self, stored_cross = self._stored
             for k in needs_self.tolist():
@@ -313,8 +315,6 @@ class SimilarityCache:
                     self._self_k[k] = value
                     self.reused += 1
             needs_self = needs_self[np.isnan(self._self_k[needs_self])]
-            cross = np.zeros(len(lo))
-            evaluate = np.ones(len(lo), dtype=bool)
             for p, pair in enumerate(zip(lo.tolist(), hi.tolist())):
                 value = stored_cross.get(self._digest_pair(*pair))
                 if value is not None:
@@ -336,10 +336,7 @@ class SimilarityCache:
         )
         self.evaluations += len(values)
         self._self_k[needs_self] = values[: len(needs_self)]
-        if self._stored is None:
-            cross = values[len(needs_self) :]
-        else:
-            cross[evaluate] = values[len(needs_self) :]
+        cross[evaluate] = values[len(needs_self) :]
         # Self-kernels scale with gamma^2: a tiny gamma makes their product
         # 0 (no similarity) or subnormal (an inexact one).
         product = self._self_k[lo]
@@ -364,23 +361,6 @@ class SimilarityCache:
         np.sqrt(product, out=product)
         np.divide(cross, product, out=cross)
         return np.minimum(cross, 1.0, out=cross)
-
-
-def _distinct(codes: np.ndarray, miss: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The distinct codes among ``codes[miss]``, sorted; and for each in
-    scan order, the position of its first pair and its place in the sorted
-    codes (int32 below 2^31 pairs)."""
-    missing = codes[miss]
-    order = np.argsort(missing)
-    missing = missing[order]
-    heads = np.flatnonzero(np.concatenate([[True], missing[1:] != missing[:-1]]))
-    new = missing[heads]
-    del missing
-    # the first position of each code: the least of its run
-    first_at = np.minimum.reduceat(order, heads)
-    del order, heads
-    by_scan = np.argsort(first_at)
-    return new, miss[first_at[by_scan]], by_scan.astype(np.int32 if len(codes) < 2**31 else np.int64)
 
 
 def _content_digest(content) -> str:

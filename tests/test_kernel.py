@@ -539,7 +539,7 @@ class TestBatchedEngine:
     def test_matrix_over_more_than_one_block(self, catalog, monkeypatch):
         # 5 distinct missing pairs a call, so that the matrix spans calls.
         per_call = 5
-        monkeypatch.setattr(sampler, "CALL_BYTES", per_call * sampler._PAIR_BYTES)
+        monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         rng = random.Random(59)
         n = math.isqrt(2 * per_call) + 8
         scenes = [random_scene(rng, f"s{i:03d}", max_objects=5) for i in range(n)]

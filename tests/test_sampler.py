@@ -787,16 +787,6 @@ def twins(scenes, suffix):
     ]
 
 
-# Distinct missing pairs one ``indexed_kernels`` call of a scan takes.
-PAIRS_PER_CALL = sampler.CALL_BYTES // sampler._PAIR_BYTES
-
-
-def call_bound(monkeypatch, per_call):
-    """Bound each ``indexed_kernels`` call of a scan to ``per_call``
-    distinct missing pairs."""
-    monkeypatch.setattr(sampler, "CALL_BYTES", per_call * sampler._PAIR_BYTES)
-
-
 class TestArrayStoreMatchesPerPairOracle:
     """The array store against ``PerPairCache``, with ``==``: the same
     floats, ``evaluations`` and ``reused`` after each call of a sequence."""
@@ -818,11 +808,11 @@ class TestArrayStoreMatchesPerPairOracle:
         # equal contents under other ids, interleaved with their originals
         return [s for pair in zip(scenes, twins(scenes, "-twin")) for s in pair][: n + n // 2]
 
-    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5])
+    @pytest.mark.parametrize("per_call", [sampler.PAIRS_PER_CALL, 5])
     def test_matrices_and_pair_lists(self, monkeypatch, per_call):
         # At 5 pairs a call, every scan but the smallest spans calls, and
         # twins put one pair's content in more than one call.
-        call_bound(monkeypatch, per_call)
+        monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         scenes = self.scenes()
         pairs = [(1, 0), (2, 5), (5, 2), (3, 4), (2, 5), (4, 4), (0, 3), (7, 6), (8, 11), (11, 8), (9, 9)]
         calls = [
@@ -834,9 +824,9 @@ class TestArrayStoreMatchesPerPairOracle:
         ]
         self.assert_same(fresh_cache(), PerPairCache(), calls)
 
-    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5])
+    @pytest.mark.parametrize("per_call", [sampler.PAIRS_PER_CALL, 5])
     def test_after_load(self, tmp_path, monkeypatch, per_call):
-        call_bound(monkeypatch, per_call)
+        monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         scenes = self.scenes()
         path = tmp_path / "state.similarity.json"
         writer = fresh_cache()
@@ -894,7 +884,7 @@ class TestScanCalls:
         _, preds = predicted_pool(n=240, seed=7)
         scenes = sorted(preds.values(), key=lambda s: s.id)
         distinct = len({scene_content(s, DEFAULT_CATALOG, KER) for s in scenes})
-        assert 4096 < distinct * (distinct - 1) // 2 <= PAIRS_PER_CALL
+        assert 4096 < distinct * (distinct - 1) // 2 <= sampler.PAIRS_PER_CALL
         counts = self.counted(monkeypatch)
         cache = fresh_cache()
         cache.matrix(scenes)
@@ -909,7 +899,7 @@ class TestScanCalls:
         one_call = fresh_cache().matrix(scenes)
         contents = [scene_content(s, DEFAULT_CATALOG, KER) for s in scenes]
         distinct = len(set(contents))
-        call_bound(monkeypatch, per_call)
+        monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         counts = self.counted(monkeypatch)
         cache = fresh_cache()
         sim = cache.matrix(scenes)
@@ -932,9 +922,9 @@ class TestScanCalls:
         cars = [scene(f"cars{k}", [("car", 5.0 * i + k, 3.0) for i in range(1, 7)]) for k in range(2)]
         return [cars[0], mixed("mixed0", 0.0), cars[1], mixed("mixed1", 1.0), mixed("mixed2", 2.0)]
 
-    @pytest.mark.parametrize("per_call", [PAIRS_PER_CALL, 5, 2, 1])
+    @pytest.mark.parametrize("per_call", [sampler.PAIRS_PER_CALL, 5, 2, 1])
     def test_a_tiny_gamma_names_the_same_pair_at_every_bound(self, monkeypatch, per_call):
-        call_bound(monkeypatch, per_call)
+        monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         config = KernelConfig(gamma=3e-77)
         scenes = self.tiny_gamma_scenes()
         # Pairs of the cars scenes, and of a cars scene and a mixed one,
