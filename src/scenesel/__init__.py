@@ -39,15 +39,6 @@ from .sampler import (
     three_stage_select,
 )
 from .state import RoundState, load_round_state, save_round_state
-from .uncertainty import (
-    UncertaintyConfig,
-    mixture_au,
-    mixture_eu,
-    mixture_mean,
-    propagate_uncertainty,
-    rank_by_uncertainty,
-    scene_uncertainties,
-    scene_uncertainty,
-)
+from .uncertainty import UncertaintyConfig, propagate_uncertainty, rank_by_uncertainty, scene_uncertainties
 
 __version__ = "0.1.0"

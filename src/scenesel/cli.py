@@ -7,6 +7,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import fcntl
 import io
 import logging
 import sys
@@ -177,13 +178,16 @@ def cmd_select(args) -> int:
     floor(k2*n_r) scenes); ``--init`` parses none. A label file is parsed
     only if the parsed-pool file next to the state (``state.json`` ->
     ``state.pool.npz``) lacks its bytes' digest. A round writes its
-    selection and reports, then saves the state, which commits the round,
-    then rewrites the similarity cache file it read
+    selection and the report files of its summary, then saves the state,
+    which commits the round, then rewrites the similarity cache file it read
     (``state.similarity.json``) without the values of the scenes it
     labeled, and last the parsed-pool file, if the label files read are not
     those it holds; a failed write of either file is a warning. ``--init``
     saves the state and then the parsed-pool file, and leaves the similarity
-    cache file alone.
+    cache file alone. Both modes hold the lock file next to the state
+    (``state.lock``) from before they read the pool or the state to their
+    end, so that two runs never work on one state at once; a run that finds
+    it held writes nothing (a data error naming it).
     A flag of the other mode (``--n0`` and ``--budget`` are ``--init``'s,
     the plan flags a round's), or a negative ``--n0`` or ``--budget``, is a
     usage error, raised before any file is read. ``--budget`` defaults to
@@ -196,96 +200,98 @@ def cmd_select(args) -> int:
     _check_counts(args, "n0", "budget")
     cfg = _config_from_args(args)
     state_path = Path(args.state)
-    pool_path = state_path.with_suffix(".pool.npz")
-    parsed = kitti.ParsedPool()
-    parsed.load(pool_path, cfg.catalog)
-    scenes = kitti.load_pool_dir(args.pool, cfg.catalog, parsed)
-    log.info("label files: %d parsed, %d from %s", parsed.parsed, len(scenes) - parsed.parsed, pool_path)
-    with_mixtures = kitti.sidecar_reader(args.pool, scenes)
-    by_id = {s.id: s for s in scenes}
-    out = Path(args.out)
+    with _holding_lock(state_path.with_suffix(".lock")):
+        pool_path = state_path.with_suffix(".pool.npz")
+        parsed = kitti.ParsedPool()
+        parsed.load(pool_path, cfg.catalog)
+        scenes = kitti.load_pool_dir(args.pool, cfg.catalog, parsed)
+        log.info("label files: %d parsed, %d from %s", parsed.parsed, len(scenes) - parsed.parsed, pool_path)
+        with_mixtures = kitti.sidecar_reader(args.pool, scenes)
+        by_id = {s.id: s for s in scenes}
+        out = Path(args.out)
 
-    if args.init:
-        n0 = args.n0 or 0
-        if n0 > len(by_id):
-            raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
-        st = state_mod.RoundState.fresh(by_id, n0, len(by_id) if args.budget is None else args.budget, args.seed)
-        state_mod.save_round_state(st, state_path)
+        if args.init:
+            n0 = args.n0 or 0
+            if n0 > len(by_id):
+                raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
+            st = state_mod.RoundState.fresh(by_id, n0, len(by_id) if args.budget is None else args.budget, args.seed)
+            state_mod.save_round_state(st, state_path)
+            _save_parsed_pool(parsed, pool_path, cfg.catalog)
+            print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
+            return 0
+
+        st = state_mod.load_round_state(state_path)
+        missing = sorted(st.unlabeled_ids - by_id.keys())
+        if missing:
+            raise DataError(f"{state_path}: unlabeled ids not in pool: {missing[:5]}")
+        # One cache serves the selection and its summary, so the summary's pairs
+        # are cache hits. Likewise the parsed sidecars: every selected scene went
+        # through the uncertainty stage. The cache starts from the kernel values
+        # the rounds before kept in its file.
+        cache = SimilarityCache(cfg.catalog, cfg.kernel)
+        cache_path = state_path.with_suffix(".similarity.json")  # next to the state
+        cache.load(cache_path)
+        try:
+            with _naming_scene_file(args.pool):
+                new_st, (report,) = sampler.run_al_rounds(
+                    by_id,
+                    cfg.plan,
+                    1,
+                    lambda scene: scene,
+                    lambda scene_id: None,
+                    st,
+                    cfg.catalog,
+                    cfg.anchors,
+                    cfg.entropy,
+                    cfg.kernel,
+                    cfg.uncertainty,
+                    strategy="tscenejal",
+                    cache=cache,
+                    with_mixtures=with_mixtures,
+                )
+        except sampler.ShortfallError as exc:  # exit 2 in ``simulate``, whose flags make the pool
+            raise DataError(str(exc)) from exc
+        selected = report.selected_ids
+        # The kernel values the round needed: what it would have evaluated
+        # without the file.
+        needed = report.kernel_evals + cache.reused
+        write_text_atomic(out / f"selected_round_{report.round_index:03d}.txt", "\n".join(selected) + "\n")
+        _write_report(out / f"report_round_{report.round_index:03d}", report.summary)
+        # The commit: a round that fails before it leaves the state as it was.
+        state_mod.save_round_state(new_st, state_path)
+        # Last, so that a failure here only loses the round's new values; the
+        # file only saves kernel work, so the committed round still succeeds.
+        try:
+            cache.save(cache_path, [by_id[i] for i in selected])
+        except DataError as exc:
+            log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
         _save_parsed_pool(parsed, pool_path, cfg.catalog)
-        print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
+        log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
+        log.info("similarity cache: %d pairs hit, %d missed (selection and summary)", cache.hits, cache.misses)
+        print(
+            f"round {report.round_index}: selected {len(selected)} scenes "
+            f"(stage sizes {report.stage_sizes}, kernel evals {needed}, {report.kernel_evals} evaluated)"
+        )
         return 0
 
-    st = state_mod.load_round_state(state_path)
-    missing = sorted(st.unlabeled_ids - by_id.keys())
-    if missing:
-        raise DataError(f"{state_path}: unlabeled ids not in pool: {missing[:5]}")
-    # One cache serves the selection and its reports, so the reports' pairs
-    # among the selected scenes are cache hits. Likewise the parsed sidecars:
-    # every selected scene went through the uncertainty stage. The cache
-    # starts from the kernel values the rounds before kept in its file.
-    cache = SimilarityCache(cfg.catalog, cfg.kernel)
-    cache_path = state_path.with_suffix(".similarity.json")  # next to the state
-    cache.load(cache_path)
+
+@contextmanager
+def _holding_lock(path: Path):
+    """Hold an exclusive ``flock`` on ``path``, made if missing, while the
+    block runs. The lock goes when the file closes, at the block's end or
+    the process's, so it is never stale. A file that cannot be opened, or
+    a lock another open file holds, is a ``DataError`` naming the file."""
     try:
-        with _naming_scene_file(args.pool):
-            new_st, (report,) = sampler.run_al_rounds(
-                by_id,
-                cfg.plan,
-                1,
-                lambda scene: scene,
-                lambda scene_id: None,
-                st,
-                cfg.catalog,
-                cfg.anchors,
-                cfg.entropy,
-                cfg.kernel,
-                cfg.uncertainty,
-                strategy="tscenejal",
-                cache=cache,
-                with_mixtures=with_mixtures,
-            )
-    except sampler.ShortfallError as exc:  # exit 2 in ``simulate``, whose flags make the pool
-        raise DataError(str(exc)) from exc
-    selected = report.selected_ids
-    # The kernel values the round needed: what it would have evaluated
-    # without the file.
-    needed = report.kernel_evals + cache.reused
-    diag = diagnostics.selection_report(
-        [with_mixtures(by_id[i]) for i in selected],
-        scenes,
-        cfg.entropy,
-        cfg.uncertainty,
-        cfg.anchors,
-        cache,
-        rng_seed=args.seed,
-    )
-    # Another run may have advanced the state while this one selected; write
-    # nothing over it. Only the atomic writes lie between this check and the
-    # save; it narrows the window between load and save, it is not a lock.
-    current = state_mod.load_round_state(state_path).round_index
-    if current != st.round_index:
-        raise DataError(
-            f"{state_path}: round_index moved from {st.round_index} to {current} "
-            "while this round was selecting; nothing written"
-        )
-    write_text_atomic(out / f"selected_round_{report.round_index:03d}.txt", "\n".join(selected) + "\n")
-    _write_report(out / f"report_round_{report.round_index:03d}", diag)
-    # The commit: a round that fails before it leaves the state as it was.
-    state_mod.save_round_state(new_st, state_path)
-    # Last, so that a failure here only loses the round's new values; the
-    # file only saves kernel work, so the committed round still succeeds.
-    try:
-        cache.save(cache_path, [by_id[i] for i in selected])
-    except DataError as exc:
-        log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
-    _save_parsed_pool(parsed, pool_path, cfg.catalog)
-    log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
-    log.info("similarity cache: %d pairs hit, %d missed (selection and reports)", cache.hits, cache.misses)
-    print(
-        f"round {report.round_index}: selected {len(selected)} scenes "
-        f"(stage sizes {report.stage_sizes}, kernel evals {needed}, {report.kernel_evals} evaluated)"
-    )
-    return 0
+        path.parent.mkdir(parents=True, exist_ok=True)
+        fh = open(path, "a")
+    except OSError as exc:
+        raise DataError(f"{path}: cannot open lock file: {exc}") from exc
+    with fh:
+        try:
+            fcntl.flock(fh, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        except BlockingIOError:
+            raise DataError(f"{path}: another select holds this lock on the state; nothing written") from None
+        yield
 
 
 def _save_parsed_pool(parsed: kitti.ParsedPool, path: Path, catalog) -> None:
@@ -297,20 +303,23 @@ def _save_parsed_pool(parsed: kitti.ParsedPool, path: Path, catalog) -> None:
         log.warning("%s; the next run parses the label files again", exc)
 
 
-def _write_report(prefix: Path, report: diagnostics.DiagReport) -> None:
+def _write_report(prefix: Path, report: diagnostics.SelectionReport) -> None:
     _write_csv(
         prefix.with_suffix(".hist.csv"),
         ["class", "count"],
-        [[c, n] for c, n in sorted(report.class_histogram.items())],
+        [[c, n] for c, n in sorted(report.class_counts.items())],
     )
+    # A selection of no objects is written with no similarity or
+    # uncertainty, although ``rounds.csv`` gives its similarity.
+    shown = report.object_count > 0
     lines = [
         f"object_count = {report.object_count}",
         f"discrete_entropy = {report.discrete_entropy}",
         f"category_kl = {report.category_kl}",
-        f"similarity_mean = {report.similarity_mean}",
-        f"similarity_std = {report.similarity_std}",
-        f"pair_sample_count = {report.pair_sample_count}",
-        f"uncertainty_histogram = {report.uncertainty_histogram}",
+        f"similarity_mean = {report.similarity_mean if shown else None}",
+        f"similarity_std = {report.similarity_std if shown else None}",
+        f"pair_sample_count = {report.pair_sample_count if shown else 0}",
+        f"uncertainty_histogram = {report.uncertainty_histogram if shown else dict()}",
     ]
     write_text_atomic(prefix.with_suffix(".summary.txt"), "\n".join(lines) + "\n")
 
@@ -353,16 +362,17 @@ def cmd_simulate(args) -> int:
         sdir = out / strategy
         rows = []
         for rep in reports:
+            summary = rep.summary
             rows.append(
                 [
                     rep.round_index,
                     len(rep.selected_ids),
-                    f"{rep.selection_entropy:.6f}",
-                    "" if rep.mean_pairwise_similarity is None else f"{rep.mean_pairwise_similarity:.6f}",
-                    "" if rep.mean_uncertainty is None else f"{rep.mean_uncertainty:.6f}",
+                    f"{summary.entropy:.6f}",
+                    "" if summary.similarity_mean is None else f"{summary.similarity_mean:.6f}",
+                    "" if summary.mean_uncertainty is None else f"{summary.mean_uncertainty:.6f}",
                     rep.kernel_evals,
                 ]
-                + [rep.class_counts[c] for c in cfg.catalog.classes]
+                + [summary.class_counts[c] for c in cfg.catalog.classes]
             )
             comparison_rows.append([strategy] + rows[-1])
             write_text_atomic(
@@ -402,14 +412,14 @@ def cmd_stats(args) -> int:
     else:
         selected = scenes
     with _naming_scene_file(args.pool):
+        # It may summarize a whole pool, so it alone samples the pairs.
         report = diagnostics.selection_report(
             selected,
-            scenes,
+            SimilarityCache(cfg.catalog, cfg.kernel),
+            cfg.anchors,
             cfg.entropy,
             cfg.uncertainty,
-            cfg.anchors,
-            SimilarityCache(cfg.catalog, cfg.kernel),
-            rng_seed=args.seed,
+            sample_seed=args.seed,
         )
     _write_report(Path(args.out) / "stats", report)
     print(f"wrote stats for {len(selected)} of {len(scenes)} scenes to {args.out}")

@@ -1,38 +1,67 @@
-"""Dataset-level diagnostics: class balance, similarity spread, uncertainty.
+"""The one summary of a selection: class balance, similarity spread, uncertainty.
 
-These embody the selection objectives as measurable quantities over a chosen
-subset: KL of the class histogram against the uniform target, summary stats
-of sampled pairwise similarities, and binned per-scene uncertainty.
+``selection_report`` embodies the selection objectives as measurable
+quantities over a chosen subset: its class histogram with the histogram's
+entropy and KL against the uniform target, summary stats of its pairwise
+similarities, and its per-scene uncertainty. ``sampler.run_al_rounds``
+makes one per round, over every pair of the round's selection; ``stats``
+makes one for a pool or a selection of it, over a seeded sample of
+REPORT_PAIRS pairs.
 """
 from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .core import AnchorTable, DataError, Scene
 from .entropy import EntropyConfig, counts_entropy, filtered_class_counts
-from .sampler import SimilarityCache
 from .uncertainty import UncertaintyConfig, scene_uncertainties
+
+if TYPE_CHECKING:  # sampler imports this module to summarize its rounds
+    from .sampler import SimilarityCache
 
 log = logging.getLogger(__name__)
 
-# Scene pairs whose similarities a report samples.
+# Scene pairs whose similarities a sampled report takes.
 REPORT_PAIRS = 200
 
 
 @dataclass
-class DiagReport:
-    class_histogram: dict[str, int]
+class SelectionReport:
+    """The summary of a selection.
+
+    ``entropy`` is the class histogram's entropy with ``EntropyConfig.zeta``,
+    as the entropy stage scores a scene; ``discrete_entropy`` is its plain
+    entropy, and it and ``category_kl`` are None for a histogram of no
+    objects. The similarity stats, over ``pair_sample_count`` pairs, are None
+    below two scenes. ``uncertainties`` holds each scene's score in
+    selection order, and is empty, with a ``mean_uncertainty`` of None, when
+    the selection is empty or cannot be scored.
+    """
+
+    class_counts: dict[str, int]
     object_count: int
+    entropy: float
     discrete_entropy: float | None
     category_kl: float | None
     similarity_mean: float | None
     similarity_std: float | None
     pair_sample_count: int
-    uncertainty_histogram: dict[str, list] = field(default_factory=dict)
+    mean_uncertainty: float | None
+    uncertainties: tuple[float, ...]
+
+    @property
+    def uncertainty_histogram(self) -> dict[str, list]:
+        """The uncertainties in 10 equal bins: their edges and counts; empty
+        without uncertainties. Made when read, as only report files show it."""
+        if not self.uncertainties:
+            return {}
+        hist, edges = np.histogram(self.uncertainties, bins=10)
+        return {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in hist]}
 
 
 def category_kl_to_uniform(class_counts: dict[str, int], num_classes: int) -> float:
@@ -78,65 +107,59 @@ def sample_pair_similarities(
 
 def selection_report(
     selected: list[Scene],
-    pool: list[Scene],
+    cache: SimilarityCache,
+    anchors: AnchorTable,
     entropy_cfg: EntropyConfig,
     uncertainty_cfg: UncertaintyConfig,
-    anchors: AnchorTable,
-    cache: SimilarityCache,
-    rng_seed: int = 0,
-) -> DiagReport:
+    sample_seed: int | None = None,
+) -> SelectionReport:
     """Summarize a selection: class balance over the classes of
-    ``cache.catalog``, similarity spread over REPORT_PAIRS sampled pairs from
-    ``cache``, uncertainty.
+    ``cache.catalog``, similarity spread from ``cache``, uncertainty.
 
-    An empty selection yields a zeroed report with KL marked not applicable.
+    The similarity stats are taken over every pair of the selection, in
+    the order of the upper triangle of ``cache.matrix``; with a
+    ``sample_seed``, over REPORT_PAIRS pairs sampled with that seed
+    (``sample_pair_similarities``), all of them when the selection has no
+    more pairs. A selection that cannot be scored for uncertainty is
+    logged and summarized without it.
     """
-    pool_ids = {s.id for s in pool}
-    for s in selected:
-        if s.id not in pool_ids:
-            raise ValueError(f"selected scene {s.id!r} not in pool")
-
     catalog = cache.catalog
     counts = filtered_class_counts(selected, catalog, entropy_cfg)
     total = sum(counts.values())
-
-    if not selected or total == 0:
-        return DiagReport(
-            class_histogram=counts,
-            object_count=total,
-            discrete_entropy=None,
-            category_kl=None,
-            similarity_mean=None,
-            similarity_std=None,
-            pair_sample_count=0,
-        )
-
-    entropy = counts_entropy(counts)
-    kl = category_kl_to_uniform(counts, catalog.num_classes)
+    discrete = kl = None
+    if total:
+        discrete = counts_entropy(counts)
+        kl = category_kl_to_uniform(counts, catalog.num_classes)
 
     sim_mean = sim_std = None
     pair_count = 0
     if len(selected) >= 2:
-        sims = sample_pair_similarities(selected, REPORT_PAIRS, rng_seed, cache)
+        if sample_seed is None:
+            sims = cache.matrix(selected)[np.triu_indices(len(selected), 1)]
+        else:
+            sims = sample_pair_similarities(selected, REPORT_PAIRS, sample_seed, cache)
         sim_mean = float(np.mean(sims))
         sim_std = float(np.std(sims))
         pair_count = len(sims)
 
-    unc_hist: dict[str, list] = {}
-    try:
-        unc = scene_uncertainties(selected, anchors, uncertainty_cfg)
-        hist, edges = np.histogram(unc, bins=10)
-        unc_hist = {"bin_edges": [float(e) for e in edges], "counts": [int(c) for c in hist]}
-    except DataError as exc:
-        log.warning("uncertainty histogram omitted: %s", exc)
+    mean_unc, unc = None, ()
+    if selected:
+        try:
+            scores = scene_uncertainties(selected, anchors, uncertainty_cfg)
+        except DataError as exc:
+            log.warning("uncertainty omitted: %s", exc)
+        else:
+            mean_unc, unc = float(np.mean(scores)), tuple(scores.tolist())
 
-    return DiagReport(
-        class_histogram=counts,
+    return SelectionReport(
+        class_counts=counts,
         object_count=total,
-        discrete_entropy=entropy,
+        entropy=counts_entropy(counts, entropy_cfg.zeta),
+        discrete_entropy=discrete,
         category_kl=kl,
         similarity_mean=sim_mean,
         similarity_std=sim_std,
         pair_sample_count=pair_count,
-        uncertainty_histogram=unc_hist,
+        mean_uncertainty=mean_unc,
+        uncertainties=unc,
     )

@@ -288,6 +288,7 @@ def indexed_kernels(
     del counts
     ends = np.cumsum(per_count)
 
+    steps = config.steps  # three logarithms: once per call, not per batch
     present = np.flatnonzero(per_count)
     for count in present[present > 0].tolist():
         members = order[ends[count] - per_count[count] : ends[count]]
@@ -306,7 +307,7 @@ def indexed_kernels(
                 n1, n2 = sizes[f[batch]], sizes[s[batch]]
                 m = _live_edges(weights_plus, weight_at[f[batch]], n1, i)
                 np.subtract(m, _live_edges(weights_minus, weight_at[s[batch]], n2, j), out=m)
-                values[members[batch]] = _solve_live(m, n1, n2, config)
+                values[members[batch]] = _solve_live(m, n1, n2, config, steps)
     return values
 
 
@@ -349,11 +350,11 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     return np.take(to_live.reshape(b * rows, count), nodes + rows * np.arange(b)[:, None], axis=0)
 
 
-def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig) -> np.ndarray:
+def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig, steps: int) -> np.ndarray:
     """Kernels of b pairs with the same live count L, from the graphs' node
     counts and the (b, L, L) differences e - e' of the edge weights between
     their live nodes (see ``_live_edges``), which become M_LL in place.
-    Runs ``config.steps`` steps of R_L = q + M_LL R_L from R_L = q."""
+    Runs ``steps`` (``config.steps``) steps of R_L = q + M_LL R_L from R_L = q."""
     b, count, _ = m.shape
     # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
     # are the same float.
@@ -375,7 +376,7 @@ def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelCon
     q = config.gamma**2
     r = np.full((b, count, 1), q)
     step = np.empty_like(r)
-    for _ in range(config.steps):
+    for _ in range(steps):
         np.matmul(m, r, out=step)
         np.add(q, step, out=r)
 

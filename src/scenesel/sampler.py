@@ -16,8 +16,9 @@ from typing import Callable
 
 import numpy as np
 
+from . import diagnostics
 from .core import AnchorTable, ClassCatalog, DataError, ParseError, Scene, read_text, write_text_atomic
-from .entropy import EntropyConfig, counts_entropy, filtered_class_counts, rank_by_entropy
+from .entropy import EntropyConfig, rank_by_entropy
 from .kernel import (
     KernelConfig,
     build_scene_graph,
@@ -26,7 +27,7 @@ from .kernel import (
     scene_contents,
 )
 from .state import RoundState
-from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainties
+from .uncertainty import UncertaintyConfig, rank_by_uncertainty
 
 log = logging.getLogger(__name__)
 
@@ -542,10 +543,7 @@ class RoundReport:
     selected_ids: tuple[str, ...]
     stage_sizes: tuple[int, int, int] | None
     kernel_evals: int
-    selection_entropy: float
-    mean_pairwise_similarity: float | None
-    mean_uncertainty: float | None
-    class_counts: dict[str, int]
+    summary: diagnostics.SelectionReport
 
 
 def run_al_rounds(
@@ -579,10 +577,13 @@ def run_al_rounds(
     ``random`` round does not predict, and so does not fail on, a scene it
     does not pick. The input state object is never mutated. A ``cache``
     must have been made for ``catalog`` and ``kernel_cfg``; without one, the
-    rounds share a new cache. The uncertainty stage and the round report
-    read ``with_mixtures(prediction)``. The one round driver, of ``scenesel
-    simulate`` and ``scenesel select`` alike, and the one place that checks
-    a round's pool and counts its kernel work (``RoundReport.kernel_evals``).
+    rounds share a new cache. The uncertainty stage and the round's
+    ``summary`` (``diagnostics.selection_report`` over every pair of the
+    selection) read ``with_mixtures(prediction)``. The one round driver, of
+    ``scenesel simulate`` and ``scenesel select`` alike, and the one place
+    that checks a round's pool and counts its kernel work:
+    ``RoundReport.kernel_evals`` is the growth of ``cache.evaluations``
+    across the round, its selection and its summary.
     """
     if rounds < 1:
         raise ValueError("rounds must be >= 1")
@@ -627,55 +628,10 @@ def run_al_rounds(
             selected_preds = [pred_by_id[i] for i in selected]
         for sid in selected:
             oracle(sid)  # ground-truth reveal; the simulated pool already holds it
-        reports.append(
-            _round_report(
-                round_index,
-                [with_mixtures(p) for p in selected_preds],
-                stage_sizes,
-                evaluated_before,
-                anchors,
-                entropy_cfg,
-                uncertainty_cfg,
-                cache,
-            )
+        summary = diagnostics.selection_report(
+            [with_mixtures(p) for p in selected_preds], cache, anchors, entropy_cfg, uncertainty_cfg
         )
+        kernel_evals = cache.evaluations - evaluated_before
+        reports.append(RoundReport(round_index, tuple(selected), stage_sizes, kernel_evals, summary))
         state = state.with_selection(tuple(selected))
     return state, reports
-
-
-def _round_report(
-    round_index: int,
-    selected_preds: list[Scene],
-    stage_sizes,
-    evaluated_before: int,
-    anchors: AnchorTable,
-    entropy_cfg: EntropyConfig,
-    uncertainty_cfg: UncertaintyConfig,
-    cache: SimilarityCache,
-) -> RoundReport:
-    """The round's report. Its ``kernel_evals`` is the growth of
-    ``cache.evaluations`` since ``evaluated_before``, taken when the round
-    began, so it counts the selection's kernel work and the report's."""
-    counts = filtered_class_counts(selected_preds, cache.catalog, entropy_cfg)
-
-    mean_sim = None
-    if len(selected_preds) >= 2:
-        sim = cache.matrix(selected_preds)
-        mean_sim = float(np.mean(sim[np.triu_indices(len(sim), 1)]))
-
-    try:
-        mean_unc = float(np.mean(scene_uncertainties(selected_preds, anchors, uncertainty_cfg)))
-    except DataError as exc:
-        log.warning("round %d: mean uncertainty omitted: %s", round_index, exc)
-        mean_unc = None
-
-    return RoundReport(
-        round_index=round_index,
-        selected_ids=tuple(s.id for s in selected_preds),
-        stage_sizes=stage_sizes,
-        kernel_evals=cache.evaluations - evaluated_before,
-        selection_entropy=counts_entropy(counts, entropy_cfg.zeta),
-        mean_pairwise_similarity=mean_sim,
-        mean_uncertainty=mean_unc,
-        class_counts=counts,
-    )

@@ -6,11 +6,13 @@ and the exact identity Var = EU + AU then holds when AU is the
 mixture-weighted mean of component variances.
 
 ``scene_uncertainties`` is the one scoring path: it scores a list of scenes
-in one array pass per CHUNK_SCENES scenes, and ``scene_uncertainty`` is its
-one-scene call. ``rank_by_uncertainty``, the round and selection reports and
-the CLI each score a list with one call. A scene the pass cannot score (no
-mixtures, or a term that is not finite) is looked up again on its own, in
-input order, for the error that names it.
+in one array pass per CHUNK_SCENES scenes. ``rank_by_uncertainty``, the
+selection summary (``diagnostics.selection_report``) and the CLI each score
+a list with one call. A scene the pass cannot score (no mixtures, or a term
+that is not finite) is looked up again on its own, in input order, for the
+error that names it. The plain loops the array pass must match float for
+float, the mixture moments of one detection's row, are test references
+(``tests/uncertainty_oracle.py``).
 """
 from __future__ import annotations
 
@@ -20,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Anchor, AnchorTable, DataError, DEFAULT_TAU, MixtureParams, RESIDUAL_DIMS, Scene, SceneDataError
+from .core import Anchor, AnchorTable, DataError, DEFAULT_TAU, RESIDUAL_DIMS, Scene, SceneDataError
 
 log = logging.getLogger(__name__)
 
@@ -40,41 +42,6 @@ class UncertaintyConfig:
     def __post_init__(self):
         if not (0.0 <= self.eta < math.inf):
             raise ValueError(f"eta must be non-negative and finite, got {self.eta}")
-
-
-# The plain-loop moments of one detection's row: the oracle the array
-# scoring of ``scene_uncertainties`` must match float for float. Every sum
-# adds left to right from 0.0, by its loop: the builtin ``sum`` of floats
-# is compensated from Python 3.12 on.
-
-
-def _row(params: MixtureParams, dim: str, detection: int) -> list[list[float]]:
-    return params.block[detection, :, RESIDUAL_DIMS.index(dim)].tolist()
-
-
-def _dot(a: list[float], b: list[float]) -> float:
-    total = 0.0
-    for x, y in zip(a, b):
-        total += x * y
-    return total
-
-
-def mixture_mean(params: MixtureParams, dim: str, detection: int = 0) -> float:
-    weights, means, _ = _row(params, dim, detection)
-    return _dot(weights, means)
-
-
-def mixture_au(params: MixtureParams, dim: str, detection: int = 0) -> float:
-    """Aleatoric part: mixture-weighted mean of component variances."""
-    weights, _, variances = _row(params, dim, detection)
-    return _dot(weights, variances)
-
-
-def mixture_eu(params: MixtureParams, dim: str, detection: int = 0) -> float:
-    """Epistemic part: mixture-weighted spread of component means."""
-    weights, means, _ = _row(params, dim, detection)
-    mean = _dot(weights, means)
-    return _dot(weights, [(m - mean) ** 2 for m in means])
 
 
 class NearSingularYawError(SceneDataError):
@@ -274,21 +241,16 @@ def scene_uncertainties(scenes: list[Scene], anchors: AnchorTable, config: Uncer
     finite a ``PropagationOverflowError``, each for its first such detection.
 
     The moments are array operations over the kept rows of every scene
-    with the same K, each sum in the order of the plain loops of
-    ``mixture_mean``, ``mixture_au``, ``mixture_eu`` and
-    ``propagate_uncertainty``, so every float is theirs for any K and any
-    list: over components a loop of K array adds (numpy's ``sum`` adds in
+    with the same K, each sum in the order of the plain loops of the
+    mixture moments (the mean, the variance-weighted AU and the spread EU
+    of one detection's row) and ``propagate_uncertainty``, so every float
+    is theirs for any K and any list: over components a loop of K array adds (numpy's ``sum`` adds in
     another order from K = 8), over the 7 dimensions and across a scene's
     detections a loop of array adds, left to right from 0.0.
     ``(m - mean) ** 2`` is ``np.float_power``, which is C ``pow`` as
     Python's ``**`` is, and the yaw's cosine is ``math.cos``.
     """
     return _scores(scenes, anchors, config)
-
-
-def scene_uncertainty(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig) -> float:
-    """The one-scene call of ``scene_uncertainties``."""
-    return float(scene_uncertainties([scene], anchors, config)[0])
 
 
 def rank_by_uncertainty(

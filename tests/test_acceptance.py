@@ -35,11 +35,12 @@ from scenesel.sampler import (
 )
 from scenesel.state import RoundState, load_round_state, save_round_state
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
-from scenesel.uncertainty import UncertaintyConfig, mixture_au, mixture_eu, propagate_uncertainty
+from scenesel.uncertainty import UncertaintyConfig, propagate_uncertainty
 
 from conftest import make_box, mixture_from_rows, random_scene, scene_of
 from test_kernel import random_graph
 from test_uncertainty import unit_anchor
+from uncertainty_oracle import mixture_au, mixture_eu
 
 ENT = EntropyConfig()
 KER = KernelConfig()
@@ -295,7 +296,7 @@ def strategy_uncertainties():
                 gt, StagePlan(n_r=10), 2, predictor, gt.__getitem__, state,
                 DEFAULT_CATALOG, DEFAULT_ANCHORS, ENT, KER, UNC, strategy=strategy,
             )
-            means[strategy] = float(np.mean([r.mean_uncertainty for r in reports]))
+            means[strategy] = float(np.mean([r.summary.mean_uncertainty for r in reports]))
         per_seed.append(means)
     return per_seed
 

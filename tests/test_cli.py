@@ -1,3 +1,4 @@
+import fcntl
 import json
 import logging
 import math
@@ -338,10 +339,10 @@ class TestSelect:
         hits, misses = map(int, re.search(r"similarity cache: (\d+) pairs hit, (\d+) missed", caplog.text).groups())
         # The similarity stage asks for the 36 pairs of the 9 scenes the
         # entropy stage keeps, cold; the 3 pairs among the 3 selected are
-        # hits twice, once for the round report and once for the report files.
-        assert (hits, misses) == (6, 36)
-        # The round report scores the selected scenes with their sidecars.
-        assert "mean uncertainty omitted" not in caplog.text
+        # hits once, for the round's summary, which writes the report files.
+        assert (hits, misses) == (3, 36)
+        # The summary scores the selected scenes with their sidecars.
+        assert "uncertainty omitted" not in caplog.text
         assert re.fullmatch(
             r"round 1: selected 3 scenes \(stage sizes \(9, 7, 3\), kernel evals \d+, \d+ evaluated\)\n",
             capsys.readouterr().out,
@@ -461,23 +462,21 @@ class TestSelect:
         assert state.read_bytes() == before
         assert not out.exists() or not list(out.iterdir())
 
-    def test_state_advanced_during_the_round_is_not_overwritten(self, pool_dir, tmp_path, capsys, monkeypatch):
-        # Another run saves round 1 between this run's load and its save.
+    @pytest.mark.parametrize("mode", [("--n-r", 3), ("--init",)], ids=["round", "init"])
+    def test_a_held_lock_is_a_data_error_naming_it_and_writes_nothing(self, pool_dir, tmp_path, capsys, mode):
         state, out = self.init_state(pool_dir, tmp_path)
-        select = sampler.three_stage_select
-
-        def racing(unlabeled, *args, **kwargs):
-            other = state_mod.load_round_state(state).with_selection((unlabeled[0].id,))
-            state_mod.save_round_state(other, state)
-            return select(unlabeled, *args, **kwargs)
-
-        monkeypatch.setattr(sampler, "three_stage_select", racing)
+        lock = state.with_suffix(".lock")
+        before = state.read_bytes()
         capsys.readouterr()
-        assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 3
-        assert "round_index moved from 0 to 1" in capsys.readouterr().err
-        doc = json.loads(state.read_text())
-        assert doc["round_index"] == 1 and len(doc["per_round_selected"][0]) == 1
+        # Held on another open file description of the lock file, as by another run.
+        with open(lock, "a") as held:
+            fcntl.flock(held, fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert run("select", "--pool", pool_dir, "--state", state, "--out", out, *mode) == 3
+            assert f"error: {lock}: another select holds this lock" in capsys.readouterr().err
+        assert state.read_bytes() == before
         assert not out.exists() or not list(out.iterdir())
+        # The lock goes with the file that held it.
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
 
     def test_no_sidecars_flag_is_usage_error(self, pool_dir, tmp_path, capsys):
         # Every stage order ranks by uncertainty, which needs the sidecars.
@@ -888,6 +887,50 @@ class TestStats:
         assert f"{ids_file}: ids not in pool: ['scene_999999']" in capsys.readouterr().err
 
 
+class TestOneSummary:
+    """``select``, ``simulate`` and ``stats`` write one summary of a selection,
+    ``diagnostics.selection_report``."""
+
+    def first_round(self, tmp_path, *flags):
+        """A round of ``flags`` on a 66-scene ``synth`` pool; its pool and --out."""
+        pool, state, out = tmp_path / "pool", tmp_path / "state.json", tmp_path / "sel"
+        assert run("--seed", 4, "synth", "--out", pool, "--n-scenes", 66) == 0
+        assert run("select", "--pool", pool, "--state", state, "--out", out, "--init") == 0
+        assert run("--seed", 4, "select", "--pool", pool, "--state", state, "--out", out, *flags) == 0
+        return pool, out
+
+    def test_stats_of_a_round_selection_writes_the_round_report(self, tmp_path):
+        pool, out = self.first_round(tmp_path, "--n-r", 20)
+        # 190 pairs are within REPORT_PAIRS: stats takes every pair, whatever its seed.
+        ids = out / "selected_round_001.txt"
+        assert run("--seed", 11, "stats", "--pool", pool, "--ids", ids, "--out", tmp_path / "stats") == 0
+        for suffix in (".summary.txt", ".hist.csv"):
+            assert (tmp_path / "stats" / f"stats{suffix}").read_bytes() == (out / f"report_round_001{suffix}").read_bytes()
+        assert "pair_sample_count = 190\n" in (out / "report_round_001.summary.txt").read_text()
+
+    def test_a_round_report_takes_every_pair_of_the_selection(self, tmp_path):
+        _, out = self.first_round(tmp_path, "--n-r", 21)
+        assert "pair_sample_count = 210\n" in (out / "report_round_001.summary.txt").read_text()
+
+    def test_a_selection_of_no_objects_has_no_similarity_in_its_report_files(self, tmp_path):
+        # No predicted confidence reaches a tau of 1, so no scene has an object.
+        config = tmp_path / "tau.conf"
+        config.write_text("entropy.tau = 1.0\n")
+        pool, state, out = tmp_path / "pool", tmp_path / "state.json", tmp_path / "sel"
+        assert run("--seed", 1, "synth", "--out", pool, "--n-scenes", 12) == 0
+        assert run("--config", config, "select", "--pool", pool, "--state", state, "--out", out, "--init") == 0
+        assert run("--config", config, "select", "--pool", pool, "--state", state, "--out", out, "--n-r", 3) == 0
+        assert (out / "report_round_001.summary.txt").read_text() == (
+            "object_count = 0\ndiscrete_entropy = None\ncategory_kl = None\nsimilarity_mean = None\n"
+            "similarity_std = None\npair_sample_count = 0\nuncertainty_histogram = {}\n"
+        )
+        # ``rounds.csv`` gives the same kind of round its mean similarity.
+        sim = tmp_path / "sim"
+        argv = ("simulate", "--out", sim, "--n-scenes", 12, "--n0", 0, "--n-r", 3, "--rounds", 1, "--strategies", "tscenejal")
+        assert run("--config", config, "--seed", 1, *argv) == 0
+        assert (sim / "tscenejal" / "rounds.csv").read_text().splitlines()[1] == "1,3,0.000000,1.000000,0.000000,0,0,0,0"
+
+
 LABEL_LINE = "car 0.0 0 0.0 0 0 0 0 1.5 1.6 3.9 5.0 1.0 0.5 0.1 0.8"
 
 
@@ -1002,6 +1045,18 @@ def _set(name, at, value):
     return edit
 
 
+def _unopenable(target):
+    # ``select --init`` made the file.
+    if os.geteuid() == 0:
+        pytest.skip("root opens a file of mode 000")
+    target.chmod(0o000)
+
+
+def _directory_in_place(target):
+    target.unlink()
+    target.mkdir()
+
+
 def _string_labeled_ids(target):
     # One id as a string, not a list: it would load as its characters.
     doc = json.loads(target.read_text())
@@ -1015,7 +1070,8 @@ LABEL_EXITS = {"select --init": 3, **ALL_POOL_COMMANDS}
 # A sidecar fault is a data error for ``select`` and ``score``; ``stats``
 # logs it and reports on the labels alone.
 SIDECAR_EXITS = {"select": 3, "score": 3, "stats": 0}
-# Both modes of ``select`` read the parsed-pool file next to the state.
+# Both modes of ``select`` read the parsed-pool file next to the state,
+# and take the lock file next to it.
 POOL_FILE_EXITS = {"select": 3, "select --init over the state": 3}
 # fault: (the file it goes into, how it is injected, {command: exit code})
 FAULTS = {
@@ -1079,6 +1135,8 @@ FAULTS = {
     "ids: not UTF-8": ("ids", lambda p: p.write_bytes(b"scene_000001\n\xff\n"), {"stats": 3}),
     "ids: repeated id": ("ids", lambda p: p.write_text("scene_000001\nscene_000002\nscene_000001\n"), {"stats": 3}),
     "report: a directory in the way": ("report", lambda p: p.mkdir(parents=True), {"select": 3}),
+    "lock: unopenable": ("lock", _unopenable, POOL_FILE_EXITS),
+    "lock: a directory in the way": ("lock", _directory_in_place, POOL_FILE_EXITS),
 }
 
 
@@ -1105,6 +1163,8 @@ SAID = {
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
     "report: a directory in the way": (": cannot write file: ",),
+    "lock: unopenable": (": cannot open lock file: ",),
+    "lock: a directory in the way": (": cannot open lock file: ",),
     "label: center too far out": ("scene '{sid}': the distance from (0.0, 0.0, 0.0) to (1e+200, ",),
     "sidecar: every yaw near pi/2": {
         "select": ("excluded for a yaw residual near +-pi/2, the first '{sid}'",),
@@ -1214,6 +1274,7 @@ class TestFaultMatrix:
             "ids": tmp_path / "ids.txt",
             "cache": state.with_suffix(".similarity.json"),
             "pool": state.with_suffix(".pool.npz"),
+            "lock": state.with_suffix(".lock"),
             "report": sel / "report_round_001.hist.csv",
         }[where]
         inject(target)

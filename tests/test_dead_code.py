@@ -19,19 +19,7 @@ SRC = ROOT / "src" / "scenesel"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 REFERRING = MODULES + sorted((ROOT / "bench").glob("*.py"))
 
-_REFERENCE_FOR_ACCEPTANCE = (
-    "reference moment that acceptance checks 03/04 and TestOnePassUncertainty "
-    "compare the array scoring of scene_uncertainties against"
-)
-ALLOWED = {
-    ("uncertainty", "mixture_mean"): _REFERENCE_FOR_ACCEPTANCE,
-    ("uncertainty", "mixture_au"): _REFERENCE_FOR_ACCEPTANCE,
-    ("uncertainty", "mixture_eu"): _REFERENCE_FOR_ACCEPTANCE,
-    ("uncertainty", "scene_uncertainty"): (
-        "public one-scene call of scene_uncertainties, which every program path "
-        "calls once per list; the golden digests and the tests score one scene with it"
-    ),
-}
+ALLOWED = {}
 
 _DEFS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from scenesel.core import ClassCatalog, DEFAULT_ANCHORS, DEFAULT_CATALOG, DataError, ScoredDetection
 from scenesel.diagnostics import (
+    REPORT_PAIRS,
     category_kl_to_uniform,
     sample_pair_similarities,
     selection_report,
@@ -141,72 +142,85 @@ class TestPairSampling:
 
 
 class TestSelectionReport:
-    def report(self, selected, pool):
-        return selection_report(
-            selected, pool, ENT, UNC, DEFAULT_ANCHORS, fresh_cache(), rng_seed=0
-        )
+    def report(self, selected, sample_seed=0):
+        return selection_report(selected, fresh_cache(), DEFAULT_ANCHORS, ENT, UNC, sample_seed=sample_seed)
 
     def test_empty_selection_zeroed(self):
-        pool = duplicated_scenes()
-        rep = self.report([], pool)
+        rep = self.report([])
         assert rep.object_count == 0
         assert rep.category_kl is None
         assert rep.discrete_entropy is None
+        assert rep.entropy == 0.0
         assert rep.similarity_mean is None
         assert rep.pair_sample_count == 0
+        assert rep.mean_uncertainty is None and rep.uncertainty_histogram == {}
 
     def test_full_pool_histogram(self):
         spec = PoolSpec(n_scenes=6, class_mix=(0.5, 0.3, 0.2), rng_seed=2)
         pool = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
-        rep = self.report(pool, pool)
+        rep = self.report(pool)
         truth = {c: 0 for c in DEFAULT_CATALOG.classes}
         for s in pool:
             for d in s.detections:
                 truth[d.class_label] += 1
-        assert rep.class_histogram == truth
+        assert rep.class_counts == truth
         assert rep.object_count == sum(truth.values())
         assert rep.category_kl == pytest.approx(
             math.log(3.0) - rep.discrete_entropy, abs=1e-9
         )
+        # one histogram, two entropies: with and without the stability constant
+        assert rep.discrete_entropy == counts_entropy(truth)
+        assert rep.entropy == counts_entropy(truth, ENT.zeta)
         assert 0.0 <= rep.similarity_mean <= 1.0
-        # ground-truth scenes carry no mixtures, so no uncertainty histogram
-        assert rep.uncertainty_histogram == {}
+        # ground-truth scenes carry no mixtures, so no uncertainty
+        assert rep.mean_uncertainty is None and rep.uncertainty_histogram == {}
 
     def test_classes_come_from_the_cache(self):
         spec = PoolSpec(n_scenes=6, class_mix=(0.5, 0.3, 0.2), rng_seed=2)
         pool = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
         cars = sum(d.class_label == "car" for s in pool for d in s.detections)
         car_only = SimilarityCache(ClassCatalog(("car",)), KER)
-        rep = selection_report(pool, pool, ENT, UNC, DEFAULT_ANCHORS, car_only, rng_seed=0)
-        assert rep.class_histogram == {"car": cars} and rep.object_count == cars
+        rep = selection_report(pool, car_only, DEFAULT_ANCHORS, ENT, UNC)
+        assert rep.class_counts == {"car": cars} and rep.object_count == cars
         assert rep.category_kl == 0.0
 
     def test_omitted_uncertainty_is_logged(self, caplog):
-        pool = duplicated_scenes(3)
         with caplog.at_level(logging.WARNING, logger="scenesel.diagnostics"):
-            rep = self.report(pool, pool)
-        assert rep.uncertainty_histogram == {}
-        assert "uncertainty histogram omitted" in caplog.text
+            rep = self.report(duplicated_scenes(3))
+        assert rep.mean_uncertainty is None and rep.uncertainty_histogram == {}
+        assert "uncertainty omitted: " in caplog.text
         assert "no mixture parameters" in caplog.text
 
-    def test_selection_outside_pool_rejected(self):
-        pool = duplicated_scenes(3)
-        stray = scene_of(id="stray", detections=())
-        with pytest.raises(ValueError):
-            self.report([stray], pool)
+    @pytest.mark.parametrize("n", [2, 20, 21, 24])
+    def test_every_pair_unless_sampled(self, n):
+        # Without a seed, every pair of the selection in the order of the
+        # matrix's upper triangle; with one, REPORT_PAIRS of them, which is
+        # every pair up to 20 scenes.
+        spec = PoolSpec(n_scenes=n, class_mix=(0.5, 0.3, 0.2), rng_seed=4)
+        pool = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
+        sims = fresh_cache().matrix(pool)[np.triu_indices(n, 1)]
+        every = selection_report(pool, fresh_cache(), DEFAULT_ANCHORS, ENT, UNC)
+        assert every.pair_sample_count == n * (n - 1) // 2
+        assert (every.similarity_mean, every.similarity_std) == (float(np.mean(sims)), float(np.std(sims)))
+        sampled = self.report(pool, sample_seed=3)
+        assert sampled.pair_sample_count == min(REPORT_PAIRS, n * (n - 1) // 2)
+        if n * (n - 1) // 2 <= REPORT_PAIRS:
+            assert sampled == every
+        else:
+            assert sampled.similarity_mean != every.similarity_mean
 
     def test_uncertainty_histogram_with_sidecars(self):
         mix = uniform_mixture(k=2, mean=0.05, var=0.01)
         scenes = [scene_with_mixtures(f"m{i}", (ScoredDetection("car", 0.9, make_box(x=3.0 + i)), mix)) for i in range(4)]
-        rep = self.report(scenes, scenes)
+        rep = self.report(scenes)
         assert sum(rep.uncertainty_histogram["counts"]) == 4
         assert len(rep.uncertainty_histogram["bin_edges"]) == 11
 
     def test_pure_function_of_inputs(self):
         spec = PoolSpec(n_scenes=8, class_mix=(0.5, 0.3, 0.2), rng_seed=7)
         pool = sorted(generate_pool(spec, DEFAULT_CATALOG).values(), key=lambda s: s.id)
-        r1 = self.report(pool[:5], pool)
-        r2 = self.report(pool[:5], pool)
+        r1 = self.report(pool[:5])
+        r2 = self.report(pool[:5])
         assert r1 == r2
 
     def test_entropy_selection_beats_random_on_imbalanced_pool(self):
@@ -224,8 +238,8 @@ class TestSelectionReport:
             ent_ids = rank_by_entropy(preds, DEFAULT_CATALOG, ENT, 8)
             rng = np.random.default_rng(seed)
             rnd_ids = [preds[i].id for i in rng.choice(len(preds), size=8, replace=False)]
-            rep_e = self.report([by_id[i] for i in ent_ids], preds)
-            rep_r = self.report([by_id[i] for i in rnd_ids], preds)
+            rep_e = self.report([by_id[i] for i in ent_ids])
+            rep_r = self.report([by_id[i] for i in rnd_ids])
             kls_ent.append(rep_e.category_kl)
             kls_rnd.append(rep_r.category_kl)
         assert np.median(kls_ent) < np.median(kls_rnd)

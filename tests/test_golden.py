@@ -46,7 +46,8 @@ from scenesel import sampler, synth
 from scenesel.cli import main
 from scenesel.config import build_config
 from scenesel.state import RoundState
-from scenesel.uncertainty import scene_uncertainty
+
+from uncertainty_oracle import scene_uncertainty
 
 FIXTURE = Path(__file__).resolve().parent / "golden_selections.json"
 SEEDS = (1, 2)
@@ -128,11 +129,11 @@ def library_rounds(seed: int, strategy: str) -> dict:
     return {
         "selected": [list(r.selected_ids) for r in reports],
         "kernel_evals": [r.kernel_evals for r in reports],
-        "mean_pairwise_similarity": [repr(r.mean_pairwise_similarity) for r in reports],
-        "selection_entropy": [repr(r.selection_entropy) for r in reports],
-        "mean_uncertainty": [repr(r.mean_uncertainty) for r in reports],
-        "class_counts": [r.class_counts for r in reports],
-        "object_count": [sum(r.class_counts.values()) for r in reports],
+        "mean_pairwise_similarity": [repr(r.summary.similarity_mean) for r in reports],
+        "selection_entropy": [repr(r.summary.entropy) for r in reports],
+        "mean_uncertainty": [repr(r.summary.mean_uncertainty) for r in reports],
+        "class_counts": [r.summary.class_counts for r in reports],
+        "object_count": [sum(r.summary.class_counts.values()) for r in reports],
     }
 
 

@@ -394,9 +394,9 @@ def batch_sizes(monkeypatch):
     sizes = []
     solve = kernel_module._solve_live
 
-    def counted(m, n1, n2, config):
+    def counted(m, *args):
         sizes.append(len(m))
-        return solve(m, n1, n2, config)
+        return solve(m, *args)
 
     monkeypatch.setattr(kernel_module, "_solve_live", counted)
     return sizes

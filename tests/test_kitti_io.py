@@ -140,7 +140,7 @@ class TestSidecar:
         path, bare = saved_sidecar(tmp_path, m)
         loaded = load_mixture_sidecar(path, bare)
         assert loaded.mixtures == m
-        from scenesel.uncertainty import mixture_au
+        from uncertainty_oracle import mixture_au
 
         assert mixture_au(loaded.mixtures, "x") == pytest.approx(0.04)
 

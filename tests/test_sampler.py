@@ -397,9 +397,9 @@ class TestRunRounds:
         for r in reports:
             assert len(r.selected_ids) == 3
             assert r.stage_sizes == (9, 7, 3)
-            assert r.mean_pairwise_similarity is not None
-            assert 0.0 <= r.mean_pairwise_similarity <= 1.0
-            assert r.mean_uncertainty is not None and r.mean_uncertainty >= 0.0
+            assert r.summary.similarity_mean is not None
+            assert 0.0 <= r.summary.similarity_mean <= 1.0
+            assert r.summary.mean_uncertainty is not None and r.summary.mean_uncertainty >= 0.0
 
     def test_deterministic_across_runs(self):
         s1, r1 = self.run()
@@ -466,7 +466,7 @@ class TestRunRounds:
     def test_omitted_uncertainty_is_logged(self, caplog):
         gt, _ = predicted_pool(n=8, seed=5)
         state = RoundState.fresh(gt, n0=0, budget_total=2, rng_seed=5)
-        with caplog.at_level(logging.WARNING, logger="scenesel.sampler"):
+        with caplog.at_level(logging.WARNING, logger="scenesel.diagnostics"):
             _, reports = run_al_rounds(
                 gt,
                 StagePlan(n_r=2),
@@ -481,8 +481,8 @@ class TestRunRounds:
                 UNC,
                 strategy="random",
             )
-        assert reports[0].mean_uncertainty is None
-        assert "round 1: mean uncertainty omitted" in caplog.text
+        assert reports[0].summary.mean_uncertainty is None
+        assert "uncertainty omitted: " in caplog.text
         assert "no mixture parameters" in caplog.text
 
     def test_random_strategy_seed_sensitivity(self):

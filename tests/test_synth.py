@@ -18,9 +18,10 @@ from scenesel.synth import (
     make_predictor,
     simulate_predictions,
 )
-from scenesel.uncertainty import UncertaintyConfig, mixture_au, scene_uncertainty
+from scenesel.uncertainty import UncertaintyConfig
 
 from conftest import scene_of
+from uncertainty_oracle import mixture_au, scene_uncertainty
 
 MIX_90_5_5 = (0.9, 0.05, 0.05)
 

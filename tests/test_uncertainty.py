@@ -14,15 +14,12 @@ from scenesel.uncertainty import (
     PropagationOverflowError,
     UncertaintyConfig,
     UncertaintyShortfallError,
-    mixture_au,
-    mixture_eu,
-    mixture_mean,
     propagate_uncertainty,
     rank_by_uncertainty,
     scene_uncertainties,
-    scene_uncertainty,
 )
 from conftest import make_box, make_detection, mixture_from_rows, scene_of, scene_with_mixtures, uniform_mixture
+from uncertainty_oracle import mixture_au, mixture_eu, mixture_mean, scene_uncertainty
 
 CFG = UncertaintyConfig()
 UNIT_ANCHOR = Anchor(length=1.0, width=1e-9, height=1.0)  # diagonal ~ 1
