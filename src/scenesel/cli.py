@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import diagnostics, kitti, sampler, state as state_mod, synth
 from .config import CliConfig, build_config
-from .core import DataError, SceneSelError, read_text, write_text_atomic
+from .core import DataError, SceneSelError, open_binary, read_text, write_text_atomic
 from .entropy import category_entropy
 from .kernel import DistanceOverflowError
 from .sampler import STRATEGIES, SimilarityCache
@@ -187,7 +187,8 @@ def cmd_select(args) -> int:
     cache file alone. Both modes hold the lock file next to the state
     (``state.lock``) from before they read the pool or the state to their
     end, so that two runs never work on one state at once; a run that finds
-    it held writes nothing (a data error naming it).
+    it held writes nothing (a data error naming it). A round whose state
+    file cannot be opened fails before it makes the lock or its directory.
     A flag of the other mode (``--n0`` and ``--budget`` are ``--init``'s,
     the plan flags a round's), or a negative ``--n0`` or ``--budget``, is a
     usage error, raised before any file is read. ``--budget`` defaults to
@@ -200,6 +201,9 @@ def cmd_select(args) -> int:
     _check_counts(args, "n0", "budget")
     cfg = _config_from_args(args)
     state_path = Path(args.state)
+    if not args.init:
+        with open_binary(state_path):  # the read error of a missing state
+            pass
     with _holding_lock(state_path.with_suffix(".lock")):
         pool_path = state_path.with_suffix(".pool.npz")
         parsed = kitti.ParsedPool()

@@ -1,8 +1,9 @@
 """Stage-2 metric: scene graphs and the marginalized random-walk kernel.
 
 A scene becomes a complete directed graph over its confidence-filtered
-objects plus an ego node at the origin; edge weights are inverse center
-distances. Graph similarity is the expected product kernel over random-walk
+objects plus an ego node at the origin. A graph holds one read-only array
+of edge weights, the inverse center distances of all node pairs, computed
+at once. Graph similarity is the expected product kernel over random-walk
 path pairs, evaluated by fixed-point iteration on the product graph. The
 node kernel is zero between different labels, so only the label-matched
 ("live") product nodes enter the fixed point and the kernel; the solver
@@ -28,7 +29,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import accumulate, chain, compress
 
 import numpy as np
@@ -95,44 +95,42 @@ class DistanceOverflowError(SceneDataError):
     finite float; ``scene_id`` names the scene."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SceneGraph:
     """Complete directed graph with labeled nodes and positive edge weights.
 
-    ``weights[i][j]`` is the weight of the directed edge i -> j; the diagonal
-    must be zero (no self-loops). Contains exactly one ego node; a mirror node
-    stands in when the scene has no above-threshold objects.
+    ``weights`` is one read-only float64 (n, n) array, the graph's own copy;
+    ``weights[i, j]`` weighs the edge i -> j and the diagonal is zero (no
+    self-loops). Contains exactly one ego node; a mirror node stands in when
+    the scene has no above-threshold objects.
     """
 
     labels: tuple[str, ...]
-    weights: tuple[tuple[float, ...], ...]
+    weights: np.ndarray
 
     def __post_init__(self):
         n = len(self.labels)
         if n < 2:
             raise ValueError("graph needs at least two nodes")
-        if len(self.weights) != n or any(len(row) != n for row in self.weights):
+        try:
+            w = np.array(self.weights, dtype=np.float64)
+        except ValueError:  # ragged rows
+            w = np.empty(0)
+        if w.shape != (n, n):
             raise ValueError("weight matrix shape mismatch")
-        for i, row in enumerate(self.weights):
-            for j, w in enumerate(row):
-                if i == j:
-                    if w != 0:
-                        raise ValueError(f"diagonal weight ({i},{i}) must be zero")
-                    continue
-                if not (w > 0 and math.isfinite(w)):
-                    raise ValueError(f"edge weight ({i},{j}) must be positive and finite")
+        ok = (w > 0) & (w < math.inf)  # not NaN
+        np.fill_diagonal(ok, w.diagonal() == 0)
+        if not ok.all():  # name the first bad entry in row-major order
+            i, j = divmod(int(ok.argmin()), n)
+            if i == j:
+                raise ValueError(f"diagonal weight ({i},{i}) must be zero")
+            raise ValueError(f"edge weight ({i},{j}) must be positive and finite")
+        w.flags.writeable = False
+        object.__setattr__(self, "weights", w)
 
     @property
     def num_nodes(self) -> int:
         return len(self.labels)
-
-    # The read-only weight array the kernel needs, built on first use and kept
-    # with the graph, so a cache that keeps its graphs builds it once per scene.
-    @cached_property
-    def weight_array(self) -> np.ndarray:
-        a = np.array(self.weights)
-        a.flags.writeable = False
-        return a
 
 
 def scene_content(
@@ -175,27 +173,22 @@ def build_scene_graph(scene: Scene, catalog: ClassCatalog, config: KernelConfig)
     """
     kept = scene_content(scene, catalog, config)
     if not kept:
-        return SceneGraph(
-            labels=(EGO_LABEL, MIRROR_LABEL),
-            weights=((0.0, 1.0), (1.0, 0.0)),
-        )
+        return SceneGraph(labels=(EGO_LABEL, MIRROR_LABEL), weights=((0.0, 1.0), (1.0, 0.0)))
     centers = [(0.0, 0.0, 0.0)] + [c[1:] for c in kept]
     labels = (EGO_LABEL,) + tuple(c[0] for c in kept)
-    n = len(labels)
-    weights = [[0.0] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            dx = centers[i][0] - centers[j][0]
-            dy = centers[i][1] - centers[j][1]
-            dz = centers[i][2] - centers[j][2]
-            dist = max(math.sqrt(dx * dx + dy * dy + dz * dz), config.min_dist)
-            if math.isinf(dist):
-                raise DistanceOverflowError(
-                    f"scene {scene.id!r}: the distance from {centers[i]} to {centers[j]} overflows",
-                    scene.id,
-                )
-            weights[i][j] = weights[j][i] = 1.0 / dist
-    return SceneGraph(labels=labels, weights=tuple(tuple(row) for row in weights))
+    xyz = np.array(centers)
+    # Each distance as sqrt((dx*dx + dy*dy) + dz*dz); one that overflows is
+    # inf, and the first in row-major order lies above the diagonal.
+    with np.errstate(over="ignore"):
+        d = xyz[:, None, :] - xyz[None, :, :]
+        d *= d
+        dist = np.sqrt((d[..., 0] + d[..., 1]) + d[..., 2])
+        weights = 1.0 / np.maximum(dist, config.min_dist)
+    if np.isinf(dist).any():
+        i, j = divmod(int(np.isinf(dist).argmax()), len(centers))
+        raise DistanceOverflowError(f"scene {scene.id!r}: the distance from {centers[i]} to {centers[j]} overflows", scene.id)
+    np.fill_diagonal(weights, 0.0)
+    return SceneGraph(labels=labels, weights=weights)
 
 
 def marginalized_kernel(g1: SceneGraph, g2: SceneGraph, config: KernelConfig) -> float:
@@ -244,7 +237,7 @@ def indexed_kernels(
     # ranks differ, compute alike in either order. A pair is put in that
     # order when its group is solved.
     rank = np.empty(len(graphs), dtype=np.int32)
-    rank[sorted(range(len(graphs)), key=lambda g: (graphs[g].labels, graphs[g].weights))] = np.arange(len(graphs))
+    rank[sorted(range(len(graphs)), key=lambda g: (graphs[g].labels, graphs[g].weights.tolist()))] = np.arange(len(graphs))
     swap = rank[second] < rank[first]
 
     # The call's graphs: labels as integer codes, one row per graph, and
@@ -266,7 +259,7 @@ def indexed_kernels(
     # whose diagonal is -inf: such a step pair's |e - e'| is +inf and its
     # edge kernel exactly 0.0, and every other entry is computed as if the
     # diagonal were not there.
-    weights_minus = np.concatenate([g.weight_array.reshape(-1) for g in graphs])
+    weights_minus = np.concatenate([g.weights.reshape(-1) for g in graphs])
     diagonal = np.repeat(weight_at, sizes) + node * (np.repeat(sizes, sizes) + 1)
     weights_minus[diagonal] = -math.inf
     weights_plus = weights_minus.copy()
@@ -408,8 +401,9 @@ def kernel_brute_force(
         return math.exp(-abs(e - ep) / (2.0 * config.sigma**2))
 
     n1, n2 = g1.num_nodes, g2.num_nodes
-    out1 = [[j for j in range(n1) if g1.weights[i][j] > 0] for i in range(n1)]
-    out2 = [[j for j in range(n2) if g2.weights[i][j] > 0] for i in range(n2)]
+    w1, w2 = g1.weights.tolist(), g2.weights.tolist()
+    out1 = [[j for j in range(n1) if w1[i][j] > 0] for i in range(n1)]
+    out2 = [[j for j in range(n2) if w2[i][j] > 0] for i in range(n2)]
     start = 1.0 / (n1 * n2)
     gamma = config.gamma
 
@@ -434,7 +428,7 @@ def kernel_brute_force(
                     kv = node_k(g1.labels[u], g2.labels[v])
                     if kv == 0.0:
                         continue
-                    step = val * pi * pj * edge_k(g1.weights[i][u], g2.weights[j][v]) * kv
+                    step = val * pi * pj * edge_k(w1[i][u], w2[j][v]) * kv
                     nxt[(u, v)] = nxt.get((u, v), 0.0) + step
         mass = nxt
         if not mass:

@@ -478,6 +478,18 @@ class TestSelect:
         # The lock goes with the file that held it.
         assert run("select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
 
+    @pytest.mark.parametrize("where", ["nodir/state.json", "state.json"], ids=["missing directory", "missing file"])
+    def test_a_round_without_its_state_leaves_nothing_behind(self, pool_dir, tmp_path, capsys, where):
+        work = tmp_path / "work"
+        work.mkdir()
+        state = work / where
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", work / "sel", "--n-r", 2) == 3
+        assert f"error: {state}: cannot read file: " in capsys.readouterr().err
+        assert not list(work.iterdir())
+        # --init makes the state's directory, and the round then runs.
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", work / "sel", "--init") == 0
+        assert run("select", "--pool", pool_dir, "--state", state, "--out", work / "sel", "--n-r", 2) == 0
+
     def test_no_sidecars_flag_is_usage_error(self, pool_dir, tmp_path, capsys):
         # Every stage order ranks by uncertainty, which needs the sidecars.
         state, out = self.init_state(pool_dir, tmp_path)

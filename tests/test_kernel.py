@@ -47,11 +47,11 @@ def similarity_matrix(scenes, catalog):
 
 def graph_with_labels(rng: random.Random, labels: tuple[str, ...]) -> SceneGraph:
     n = len(labels)
-    weights = [[0.0] * n for _ in range(n)]
+    weights = np.zeros((n, n))
     for i in range(n):
         for j in range(i + 1, n):
-            weights[i][j] = weights[j][i] = rng.uniform(0.05, 2.0)
-    return SceneGraph(labels=labels, weights=tuple(tuple(r) for r in weights))
+            weights[i, j] = weights[j, i] = rng.uniform(0.05, 2.0)
+    return SceneGraph(labels=labels, weights=weights)
 
 
 def random_graph(rng: random.Random, max_nodes=5, labels=("a", "b", "c")):
@@ -112,12 +112,44 @@ class TestSceneGraph:
         with pytest.raises(ValueError, match=r"diagonal weight \(0,0\) must be zero"):
             SceneGraph(("a", "b"), ((0.5, 1.0), (1.0, 0.0)))
 
+    @pytest.mark.parametrize(
+        "labels, weights, message",
+        [
+            (("a",), ((0.0,),), "graph needs at least two nodes"),
+            (("a", "b"), ((0.0, 1.0), (1.0, 0.0), (1.0, 1.0)), "weight matrix shape mismatch"),
+            (("a", "b"), ((0.0, 1.0), (1.0,)), "weight matrix shape mismatch"),
+            (("a", "b"), ((0.0, 0.0), (1.0, 0.0)), r"edge weight \(0,1\) must be positive and finite"),
+            (("a", "b"), ((0.0, 1.0), (-1.0, 0.0)), r"edge weight \(1,0\) must be positive and finite"),
+            (("a", "b"), ((0.0, math.inf), (1.0, 0.0)), r"edge weight \(0,1\) must be positive and finite"),
+            (("a", "b"), ((0.0, 1.0), (math.nan, 0.0)), r"edge weight \(1,0\) must be positive and finite"),
+            # The first bad entry in row-major order is named: an edge
+            # before a diagonal entry, then a diagonal entry before an edge.
+            (("a", "b", "c"), ((0, 1, -1), (1, 2, 1), (1, 1, 0)), r"edge weight \(0,2\) must be positive"),
+            (("a", "b", "c"), ((0, 1, 1), (1, 2, 0), (1, 1, 0)), r"diagonal weight \(1,1\) must be zero"),
+        ],
+        ids=[
+            "one node", "three rows", "ragged rows", "zero edge", "negative edge", "inf edge", "nan edge",
+            "edge before diagonal", "diagonal before edge",
+        ],
+    )
+    def test_each_check_names_the_first_bad_entry(self, labels, weights, message):
+        with pytest.raises(ValueError, match=message):
+            SceneGraph(labels, weights)
+
+    def test_weights_are_a_read_only_float64_copy(self):
+        given = np.array([[0, 2], [2, 0]])
+        g = SceneGraph(("a", "b"), given)
+        assert g.weights.dtype == np.float64 and g.weights.shape == (2, 2)
+        assert not g.weights.flags.writeable
+        given[0, 1] = 5
+        assert g.weights.tolist() == [[0.0, 2.0], [2.0, 0.0]]
+
 
 class TestBuildSceneGraph:
     def test_empty_scene_gives_ego_mirror_unit_edges(self, catalog):
         g = build_scene_graph(Scene("s"), catalog, CFG)
         assert g.labels == (EGO_LABEL, MIRROR_LABEL)
-        assert g.weights == ((0.0, 1.0), (1.0, 0.0))
+        assert g.weights.tolist() == [[0.0, 1.0], [1.0, 0.0]]
 
     def test_single_car_distance_five(self, catalog):
         det = ScoredDetection("car", 0.9, Box3D(3, 0, 4, 1.6, 3.9, 1.56, 0.0))
@@ -157,7 +189,8 @@ class TestBuildSceneGraph:
         b = scene_of("b", (ScoredDetection("car", 0.5, Box3D(1, 2, 0, 2, 3, 1, 1.0)), ScoredDetection("truck", 0.9, kept.box)))
         assert kernel_module.scene_content(a, catalog, CFG) == (("car", 1.0, 2.0, 0.0),)
         assert kernel_module.scene_content(b, catalog, CFG) == kernel_module.scene_content(a, catalog, CFG)
-        assert build_scene_graph(b, catalog, CFG) == build_scene_graph(a, catalog, CFG)
+        ga, gb = build_scene_graph(a, catalog, CFG), build_scene_graph(b, catalog, CFG)
+        assert (gb.labels, gb.weights.tolist()) == (ga.labels, ga.weights.tolist())
 
     @pytest.mark.parametrize("tau", [0.0, 0.3, 1.0])
     def test_contents_of_a_list_are_each_scene_content(self, catalog, tau):
@@ -329,7 +362,38 @@ class TestCauchySchwarz:
 
 
 def canonical(g1: SceneGraph, g2: SceneGraph) -> tuple[SceneGraph, SceneGraph]:
-    return (g2, g1) if (g2.labels, g2.weights) < (g1.labels, g1.weights) else (g1, g2)
+    return (g2, g1) if (g2.labels, g2.weights.tolist()) < (g1.labels, g1.weights.tolist()) else (g1, g2)
+
+
+class TestCanonicalOrder:
+    def test_the_rank_key_sorts_as_the_weight_tuples_do(self, monkeypatch):
+        # ``indexed_kernels`` puts the graph of smaller (labels, weights)
+        # first in a pair; its key must order graphs as the comparison of
+        # (labels, weight tuples) does, ties included. Graphs of equal labels
+        # whose weights differ only in their last edge, equal graphs, and a
+        # diagonal of -0.0 (equal to 0.0) are among them.
+        rng = random.Random(101)
+        graphs = [random_graph(rng, max_nodes=4, labels=("a", "b")) for _ in range(40)]
+        for g in graphs[:10]:
+            last = g.weights.copy()
+            last[-1, -2] += 0.25
+            negative_zero = g.weights.copy()
+            np.fill_diagonal(negative_zero, -0.0)
+            graphs += [SceneGraph(g.labels, last), SceneGraph(g.labels, g.weights), SceneGraph(g.labels, negative_zero)]
+        rng.shuffle(graphs)
+        keys = []
+
+        def spy(items, key):
+            keys.append(key)
+            return sorted(items, key=key)
+
+        # the key indexed_kernels passes to ``sorted``, a builtin it looks up as a global
+        monkeypatch.setattr(kernel_module, "sorted", spy, raising=False)
+        indexed_kernels(graphs, np.array([0]), np.array([1]), CFG)
+        (key,) = keys
+        order = list(range(len(graphs)))
+        by_tuples = sorted(order, key=lambda g: (graphs[g].labels, tuple(map(tuple, graphs[g].weights.tolist()))))
+        assert sorted(order, key=key) == by_tuples
 
 
 def per_pair_reference(g1: SceneGraph, g2: SceneGraph, config=CFG) -> float:
@@ -567,14 +631,14 @@ class TestLiveAssembly:
         # nodes; a pair's live nodes repeat and reach its graph's last node.
         rng = random.Random(79)
         graphs = [graph_with_labels(rng, ("a",) * n) for n in (3, 7, 12, 7)]
-        flat = np.concatenate([g.weight_array.reshape(-1) for g in graphs])
+        flat = np.concatenate([g.weights.reshape(-1) for g in graphs])
         n = np.array([g.num_nodes for g in graphs])
         at = np.cumsum(n * n) - n * n
         nodes = np.array([sorted(rng.choices(range(k), k=5)) + [k - 1] for k in n.tolist()])
         edges = kernel_module._live_edges(flat, at, n, nodes)
         assert edges.shape == (4, 6, 6)
         for p, g in enumerate(graphs):
-            assert np.array_equal(edges[p], g.weight_array[np.ix_(nodes[p], nodes[p])])
+            assert np.array_equal(edges[p], g.weights[np.ix_(nodes[p], nodes[p])])
 
     def test_a_lone_large_pair_holds_about_two_live_matrices(self):
         # An all-car 22-node pair has L = 1 + 21 * 21 = 442 live nodes and
@@ -584,7 +648,6 @@ class TestLiveAssembly:
         graphs = [graph_with_labels(rng, (EGO_LABEL,) + ("car",) * 21) for _ in range(2)]
         first, second = np.array([0]), np.array([1])
         assert live_count(*graphs) == 442
-        kernel_module.indexed_kernels(graphs, first, second, CFG)  # builds the weight arrays
         tracemalloc.start()
         try:
             kernel_module.indexed_kernels(graphs, first, second, CFG)
@@ -603,7 +666,6 @@ class TestLiveAssembly:
         n_pairs = 4 * (BATCH_BYTES // (8 * 2 * 12)) + 1
         first = np.array([rng.randrange(4) for _ in range(n_pairs)])
         second = np.array([4 + rng.randrange(4) for _ in range(n_pairs)])
-        kernel_module.indexed_kernels(graphs, first, second, CFG)  # builds the weight arrays
         tracemalloc.start()
         try:
             kernel_module.indexed_kernels(graphs, first, second, CFG)
