@@ -135,7 +135,8 @@ def selection_report(
     pair_count = 0
     if len(selected) >= 2:
         if sample_seed is None:
-            sims = cache.matrix(selected)[np.triu_indices(len(selected), 1)]
+            n = len(selected)
+            sims = cache.matrix(selected)[np.arange(n)[:, None] < np.arange(n)]
         else:
             sims = sample_pair_similarities(selected, REPORT_PAIRS, sample_seed, cache)
         sim_mean = float(np.mean(sims))

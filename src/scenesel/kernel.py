@@ -12,7 +12,11 @@ ICML 2004). ``indexed_kernels`` is the one solver: it evaluates many pairs,
 given as indices into a list of graphs, at once, one stacked fixed point per
 live-count group whatever the graph sizes, on live-node matrices built from
 whole-row copies of the graphs' weights. ``marginalized_kernel`` is its
-one-pair call.
+one-pair call. A call of E live-matrix entries is split into
+E // ``SPLIT_ENTRIES`` shares, at most one per CPU the process may run on;
+the calling process solves the first share and one forked child each other
+one. Every float is the one the in-process
+solve gives, and no process outlives the call.
 Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
 kernel is the sum of its path-pair terms up to one length K fixed by gamma
 and tol. Such a truncated sum is positive semidefinite (Kashima et al.), so
@@ -27,9 +31,14 @@ complete graphs is (1-gamma)/(|V|-1) to every other node.
 """
 from __future__ import annotations
 
+import logging
 import math
+import os
+import pickle
+import signal
 from dataclasses import dataclass
 from itertools import accumulate, chain, compress
+from typing import NoReturn
 
 import numpy as np
 
@@ -43,6 +52,18 @@ from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, Sce
 # lists of a live-count group are listed up to BATCH_BYTES at a time too.
 # A pair whose arrays alone are larger is solved on its own.
 BATCH_BYTES = 256 * 1024
+# Live-matrix entries (the sum of L^2 over a call's pairs) per share of a
+# call split across the process's CPUs: a call of E entries is split into
+# E // SPLIT_ENTRIES shares, at most one per CPU. A fork and its wait cost
+# about 2 ms and this many entries take 10-20 ms in one process, so a
+# call of fewer than twice as many is not split: the 60-scene
+# matrices of a ``select`` round on 8-20-object scenes hold 10-17 M
+# entries, the cold 240-scene matrix of 2-6-object scenes 7.0 M, and the
+# 20-60-scene matrices of 2-6-object scenes at most 0.22 M, which stay in
+# one process.
+SPLIT_ENTRIES = 1_000_000
+
+log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -227,6 +248,18 @@ def indexed_kernels(
     the ``config.steps`` steps that every pair takes. So every value is the
     float a lone pair gets, and a cross kernel and its two self-kernels are
     the same truncated series.
+
+    A call whose pairs hold E live-matrix entries (the sum of L^2) is split
+    into E // ``SPLIT_ENTRIES`` shares, at most one per CPU in
+    ``os.sched_getaffinity(0)``, each live-count group's pairs dealt
+    round-robin. This process solves the first share and one forked child
+    each other share, with the same group loop; a child writes its values
+    to a pipe as raw float64 bytes and exits. Since no pair's float depends
+    on its batch, every value is the in-process one. Every child is reaped
+    before the call returns or raises, and killed first if the call
+    raises; a child's exception is raised here with its type and message.
+    Where the platform cannot fork, or a fork fails, this process solves
+    the share itself and logs a warning.
     """
     values = np.zeros(len(first))
     if not len(first):
@@ -283,25 +316,109 @@ def indexed_kernels(
 
     steps = config.steps  # three logarithms: once per call, not per batch
     present = np.flatnonzero(per_count)
-    for count in present[present > 0].tolist():
-        members = order[ends[count] - per_count[count] : ends[count]]
-        f, s, flip = first[members], second[members], swap[members]
-        f, s = np.where(flip, s, f), np.where(flip, f, s)
-        a, b = int(sizes[f].max()), int(sizes[s].max())
-        size = max(1, BATCH_BYTES // (8 * count * max(count, a, b)))
-        # pairs listed at once: whole batches, their label matches (a b
-        # bytes a pair) and node lists (12 L bytes) within BATCH_BYTES
-        span = size * max(1, BATCH_BYTES // (size * (a * b + 12 * count)))
-        for at in range(0, len(members), span):
-            nodes = _live_nodes(labels1[f[at : at + span], :a], labels2[s[at : at + span], :b], count)
-            for start in range(at, min(at + span, len(members)), size):
-                batch = slice(start, start + size)
-                i, j = np.divmod(nodes[start - at : start - at + size], b)
-                n1, n2 = sizes[f[batch]], sizes[s[batch]]
-                m = _live_edges(weights_plus, weight_at[f[batch]], n1, i)
-                np.subtract(m, _live_edges(weights_minus, weight_at[s[batch]], n2, j), out=m)
-                values[members[batch]] = _solve_live(m, n1, n2, config, steps)
+    groups = [(count, order[ends[count] - per_count[count] : ends[count]]) for count in present[present > 0].tolist()]
+
+    def solve(share: list[tuple[int, np.ndarray]]) -> None:
+        """Put the values of ``share``'s pairs, (live count, places) groups, into ``values``."""
+        for count, members in share:
+            f, s, flip = first[members], second[members], swap[members]
+            f, s = np.where(flip, s, f), np.where(flip, f, s)
+            a, b = int(sizes[f].max()), int(sizes[s].max())
+            size = max(1, BATCH_BYTES // (8 * count * max(count, a, b)))
+            # pairs listed at once: whole batches, their label matches (a b
+            # bytes a pair) and node lists (12 L bytes) within BATCH_BYTES
+            span = size * max(1, BATCH_BYTES // (size * (a * b + 12 * count)))
+            for at in range(0, len(members), span):
+                nodes = _live_nodes(labels1[f[at : at + span], :a], labels2[s[at : at + span], :b], count)
+                for start in range(at, min(at + span, len(members)), size):
+                    batch = slice(start, start + size)
+                    i, j = np.divmod(nodes[start - at : start - at + size], b)
+                    n1, n2 = sizes[f[batch]], sizes[s[batch]]
+                    m = _live_edges(weights_plus, weight_at[f[batch]], n1, i)
+                    np.subtract(m, _live_edges(weights_minus, weight_at[s[batch]], n2, j), out=m)
+                    values[members[batch]] = _solve_live(m, n1, n2, config, steps)
+
+    entries = sum(count * count * len(members) for count, members in groups)
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    shares = max(1, min(cpus, entries // SPLIT_ENTRIES))
+    # each live-count group's pairs dealt round-robin
+    _split(solve, [[(c, m[k::shares]) for c, m in groups if len(m) > k] for k in range(shares)], values)
     return values
+
+
+def _split(solve, shares: list[list[tuple[int, np.ndarray]]], values: np.ndarray) -> None:
+    """Solve ``shares[0]`` in this process and each other share, if any, in a
+    forked child, which sends its values back through a pipe as raw float64
+    bytes and exits; put them into ``values``. Every child is reaped before
+    this returns or raises, and killed first if it raises. A child's
+    exception is raised here. Where a child cannot be forked, this process
+    solves its share, with a warning."""
+    children = []  # (pid, read end of its pipe, its pairs' places in values)
+    mine = shares[:1]
+    try:
+        for k in range(1, len(shares)):
+            read, write = os.pipe()
+            try:
+                pid = os.fork()  # AttributeError where the platform has none
+            except (AttributeError, OSError) as exc:
+                os.close(read)
+                os.close(write)
+                log.warning(
+                    "cannot fork a kernel process (%s); solving %d of %d shares of the call in this one",
+                    exc, len(shares) - k + 1, len(shares),
+                )
+                mine += shares[k:]
+                break
+            if pid == 0:
+                os.close(read)
+                _child(solve, shares[k], values, write)
+            os.close(write)
+            children.append((pid, read, _places(shares[k])))
+        for share in mine:
+            solve(share)
+        while children:
+            pid, read, places = children[0]
+            with open(read, "rb", closefd=False) as pipe:
+                data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            os.close(read)
+            children.pop(0)
+            if code == 1:
+                raise pickle.loads(data)
+            if code != 0 or len(data) != 8 * len(places):
+                raise ChildProcessError(f"kernel process {pid} ended with exit code {code} and {len(data)} of {8 * len(places)} bytes")
+            values[places] = np.frombuffer(data)
+    except BaseException:
+        for pid, _, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, read, _ in children:
+            os.waitpid(pid, 0)
+            os.close(read)
+
+
+def _places(share: list[tuple[int, np.ndarray]]) -> np.ndarray:
+    return np.concatenate([members for _, members in share])
+
+
+def _child(solve, share, values: np.ndarray, write: int) -> NoReturn:
+    """The forked child's whole life: solve ``share``, write its values
+    (exit code 0) or its pickled exception (exit code 1) to ``write``, exit."""
+    code = 1
+    try:
+        try:
+            solve(share)
+            payload, code = values[_places(share)].tobytes(), 0
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps(exc)
+            except Exception:  # an exception that does not pickle
+                payload = pickle.dumps(RuntimeError(f"{type(exc).__name__}: {exc}"))
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+    finally:
+        os._exit(code)
 
 
 def _live_nodes(labels1: np.ndarray, labels2: np.ndarray, count: int) -> np.ndarray:

@@ -212,11 +212,15 @@ class SimilarityCache:
     def matrix(self, scenes: list[Scene]) -> np.ndarray:
         """Symmetric similarity matrix in input order with a unit diagonal."""
         n = len(scenes)
-        first, second = np.triu_indices(n, 1)
+        # The pairs above the diagonal in row-major order: row i holds
+        # n - 1 - i of them.
+        index = np.arange(n)
+        upper = index[:, None] < index
+        first, second = np.repeat(index, index[::-1]), np.broadcast_to(index, (n, n))[upper]
         values = self._scan(scenes, first, second)
         sim = np.eye(n)
-        sim[first, second] = values
-        sim[second, first] = values
+        sim[upper] = values
+        sim.T[upper] = values
         return sim
 
     def pair_similarities(self, scenes: list[Scene], index_pairs: list[tuple[int, int]]) -> list[float]:
