@@ -173,18 +173,20 @@ def cmd_select(args) -> int:
     """Initialize the round state (``--init``) or run one selection round.
 
     A round is one ``tscenejal`` round of ``sampler.run_al_rounds``. Every
-    pool scene must have its mixture sidecar, but a sidecar is parsed only
+    pool scene must have its mixture sidecar, but a sidecar is read only
     for a scene that reaches the uncertainty stage (with the default order,
-    floor(k2*n_r) scenes); ``--init`` parses none. A label file is parsed
-    only if the parsed-pool file next to the state (``state.json`` ->
-    ``state.pool.npz``) lacks its bytes' digest. A round writes its
-    selection and the report files of its summary, then saves the state,
-    which commits the round, then rewrites the similarity cache file it read
-    (``state.similarity.json``) without the values of the scenes it
-    labeled, and last the parsed-pool file, if the label files read are not
-    those it holds; a failed write of either file is a warning. ``--init``
-    saves the state and then the parsed-pool file, and leaves the similarity
-    cache file alone. Both modes hold the lock file next to the state
+    floor(k2*n_r) scenes), and parsed only if the sidecar store next to the
+    state (``state.json`` -> ``state.sidecars.npz``) lacks its bytes'
+    digest; ``--init`` reads none. A label file is parsed only if the
+    parsed-pool file (``state.pool.npz``) lacks its bytes' digest. A round
+    writes its selection and the report files of its summary, then saves
+    the state, which commits the round, then rewrites the similarity cache
+    file it read (``state.similarity.npz``) and the sidecar store, each
+    without the values of the scenes it labeled, and last the parsed-pool
+    file, if the label files read are not those it holds; a failed write of
+    any of the three is a warning. ``--init`` saves the state and then the
+    parsed-pool file, and leaves the similarity cache file and the sidecar
+    store alone. Both modes hold the lock file next to the state
     (``state.lock``) from before they read the pool or the state to their
     end, so that two runs never work on one state at once; a run that finds
     it held writes nothing (a data error naming it). A round whose state
@@ -210,7 +212,9 @@ def cmd_select(args) -> int:
         parsed.load(pool_path, cfg.catalog)
         scenes = kitti.load_pool_dir(args.pool, cfg.catalog, parsed)
         log.info("label files: %d parsed, %d from %s", parsed.parsed, len(scenes) - parsed.parsed, pool_path)
-        with_mixtures = kitti.sidecar_reader(args.pool, scenes)
+        # The store is loaded for a round only; the reader looks it up per call.
+        sidecars, sidecars_path = kitti.SidecarStore(), state_path.with_suffix(".sidecars.npz")
+        with_mixtures = kitti.sidecar_reader(args.pool, scenes, sidecars)
         by_id = {s.id: s for s in scenes}
         out = Path(args.out)
 
@@ -233,8 +237,9 @@ def cmd_select(args) -> int:
         # through the uncertainty stage. The cache starts from the kernel values
         # the rounds before kept in its file.
         cache = SimilarityCache(cfg.catalog, cfg.kernel)
-        cache_path = state_path.with_suffix(".similarity.json")  # next to the state
+        cache_path = state_path.with_suffix(".similarity.npz")  # next to the state
         cache.load(cache_path)
+        sidecars.load(sidecars_path)
         try:
             with _naming_scene_file(args.pool):
                 new_st, (report,) = sampler.run_al_rounds(
@@ -269,7 +274,12 @@ def cmd_select(args) -> int:
             cache.save(cache_path, [by_id[i] for i in selected])
         except DataError as exc:
             log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
+        try:
+            sidecars.save(sidecars_path, selected)
+        except DataError as exc:
+            log.warning("%s; the next round parses the sidecars of this one again", exc)
         _save_parsed_pool(parsed, pool_path, cfg.catalog)
+        log.info("sidecars: %d parsed, %d from %s", sidecars.parsed, len(sidecars.read) - sidecars.parsed, sidecars_path)
         log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
         log.info("similarity cache: %d pairs hit, %d missed (selection and summary)", cache.hits, cache.misses)
         print(

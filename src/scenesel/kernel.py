@@ -16,7 +16,19 @@ one-pair call. A call of E live-matrix entries is split into
 E // ``SPLIT_ENTRIES`` shares, at most one per CPU the process may run on;
 the calling process solves the first share and one forked child each other
 one. Every float is the one the in-process
-solve gives, and no process outlives the call.
+solve gives, and no process outlives the call. A child that ends without its
+values (killed by a signal, as the out-of-memory killer does) has its share
+solved by the caller, with a warning.
+
+The split runs as it is on Python 3.12 and later. There ``os.fork`` warns
+(a ``DeprecationWarning``, hidden by default) when the process has more
+than one OS thread at the fork. numpy's bundled OpenBLAS, the one other
+thread source, stops its thread pool in its own ``pthread_atfork`` handler
+before each fork, so the fork sees one thread and does not warn: measured
+with that library through ``ctypes`` on Python 3.12.1 and 3.13.0, as on
+3.11.7. A program that runs threads of its own around the kernel gets the
+warning; the child runs only this call's numpy code, on the thread that
+forked, and exits.
 Every pair runs the same ``KernelConfig.steps`` fixed-point steps, so a
 kernel is the sum of its path-pair terms up to one length K fixed by gamma
 and tol. Such a truncated sum is positive semidefinite (Kashima et al.), so
@@ -258,8 +270,8 @@ def indexed_kernels(
     on its batch, every value is the in-process one. Every child is reaped
     before the call returns or raises, and killed first if the call
     raises; a child's exception is raised here with its type and message.
-    Where the platform cannot fork, or a fork fails, this process solves
-    the share itself and logs a warning.
+    Where the platform cannot fork, a fork fails, or a child ends without
+    its values, this process solves the share itself and logs a warning.
     """
     values = np.zeros(len(first))
     if not len(first):
@@ -351,9 +363,10 @@ def _split(solve, shares: list[list[tuple[int, np.ndarray]]], values: np.ndarray
     forked child, which sends its values back through a pipe as raw float64
     bytes and exits; put them into ``values``. Every child is reaped before
     this returns or raises, and killed first if it raises. A child's
-    exception is raised here. Where a child cannot be forked, this process
-    solves its share, with a warning."""
-    children = []  # (pid, read end of its pipe, its pairs' places in values)
+    exception is raised here. Where a child cannot be forked, or ends
+    without its values (killed by a signal, as the out-of-memory killer
+    does), this process solves its share, with a warning."""
+    children = []  # (pid, read end of its pipe, its share)
     mine = shares[:1]
     try:
         for k in range(1, len(shares)):
@@ -373,11 +386,11 @@ def _split(solve, shares: list[list[tuple[int, np.ndarray]]], values: np.ndarray
                 os.close(read)
                 _child(solve, shares[k], values, write)
             os.close(write)
-            children.append((pid, read, _places(shares[k])))
+            children.append((pid, read, shares[k]))
         for share in mine:
             solve(share)
         while children:
-            pid, read, places = children[0]
+            pid, read, share = children[0]
             with open(read, "rb", closefd=False) as pipe:
                 data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -385,9 +398,15 @@ def _split(solve, shares: list[list[tuple[int, np.ndarray]]], values: np.ndarray
             children.pop(0)
             if code == 1:
                 raise pickle.loads(data)
-            if code != 0 or len(data) != 8 * len(places):
-                raise ChildProcessError(f"kernel process {pid} ended with exit code {code} and {len(data)} of {8 * len(places)} bytes")
-            values[places] = np.frombuffer(data)
+            places = _places(share)
+            if code == 0 and len(data) == 8 * len(places):
+                values[places] = np.frombuffer(data)
+            else:
+                log.warning(
+                    "kernel process %d ended with exit code %d and %d of %d bytes; solving its share in this one",
+                    pid, code, len(data), 8 * len(places),
+                )
+                solve(share)
     except BaseException:
         for pid, _, _ in children:
             os.kill(pid, signal.SIGKILL)

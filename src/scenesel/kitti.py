@@ -7,7 +7,7 @@ as-is; calibration files are out of scope. ``parse_label_file`` turns a
 file into a scene's columns: the labels, and one array of the numbers of
 all its lines, whose checks run as column checks; the fields the package
 does not model are checked and dropped. Every file is read through
-``core.open_binary``.
+``core.read_bytes``, or streamed through ``core.read_arrays``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -18,6 +18,9 @@ A pool directory holds ``labels/<id>.txt`` and ``sidecars/<id>.mdn``; this
 module is the one place that spells out that layout. ``load_pool_dir``
 parses only the label files whose bytes a ``ParsedPool`` has not seen; the
 pool keeps the columns of those it has in one npz file across processes.
+``sidecar_reader`` likewise parses only the sidecars whose bytes a
+``SidecarStore`` has not seen, and the store keeps the mixtures of those it
+has in one npz file.
 """
 from __future__ import annotations
 
@@ -25,8 +28,6 @@ import hashlib
 import json
 import logging
 import os
-import zipfile
-import zlib
 from collections.abc import Iterable
 from math import isfinite
 from pathlib import Path
@@ -43,11 +44,11 @@ from .core import (
     RESIDUAL_DIMS,
     Scene,
     _check_boxes,
-    open_binary,
+    read_arrays,
     read_bytes,
     read_text,
     row_fault,
-    write_atomic,
+    write_arrays,
     write_text_atomic,
 )
 
@@ -56,6 +57,8 @@ log = logging.getLogger(__name__)
 SIDECAR_VERSION = 1
 #: The layout version of a parsed-pool file; a file of another is replaced.
 POOL_FORMAT = 1
+#: The layout version of a sidecar store file; a file of another is replaced.
+SIDECAR_STORE_FORMAT = 1
 
 
 # Where the numbers of a label line after its type (truncated, occluded,
@@ -199,12 +202,13 @@ def save_mixture_sidecar(scene: Scene, path: str | Path) -> None:
     write_text_atomic(path, json.dumps(doc))
 
 
-def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
+def load_mixture_sidecar(path: str | Path, scene: Scene, data: bytes | None = None) -> Scene:
     """The scene with the sidecar's mixtures attached: one block whose
-    entries are the detections in file order, all with one K."""
+    entries are the detections in file order, all with one K; ``data`` are
+    the file's bytes, if the caller has read them already."""
     path = Path(path)
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path, data))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid sidecar JSON: {exc}", str(path)) from exc
     if not isinstance(doc, dict):
@@ -229,7 +233,7 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
     except (KeyError, TypeError, ValueError, OverflowError):
         pass
     else:
-        return Scene(scene.id, scene.labels, scene.boxes, mixtures)
+        return Scene.from_checked(scene.id, scene.labels, scene.boxes, mixtures)
     rows = []
     for idx, entry in enumerate(entries):
         try:
@@ -240,7 +244,7 @@ def load_mixture_sidecar(path: str | Path, scene: Scene) -> Scene:
         mixtures = MixtureParams.from_rows(rows)
     except MixtureError as exc:
         raise DataError(f"{path}: entry {exc.entry}: {exc}") from exc
-    return Scene(scene.id, scene.labels, scene.boxes, mixtures)
+    return Scene.from_checked(scene.id, scene.labels, scene.boxes, mixtures)
 
 
 def label_path(pool_dir: str | Path, scene_id: str) -> Path:
@@ -255,8 +259,9 @@ def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog, store: ParsedPool
     """Load every ``labels/<id>.txt`` in a pool directory, sorted by id.
 
     Each file is read once and its bytes hashed: a file whose digest
-    ``store`` holds is built from the stored columns, any other parsed
-    from the bytes read. ``store`` learns every file read.
+    ``store`` holds is built from the stored columns, which ``store``
+    checked when it loaded them, with no check of its own; any other is
+    parsed from the bytes read. ``store`` learns every file read.
     """
     labels = Path(pool_dir) / "labels"
     if not labels.is_dir():
@@ -269,8 +274,8 @@ def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog, store: ParsedPool
         path = os.path.join(labels, name)
         data = read_bytes(path)
         digest = hashlib.blake2b(data, digest_size=16).hexdigest()
-        # Taken out, so that the loaded arrays outlive the load only in the
-        # scenes' own copies; a file of equal bytes reuses the first's.
+        # Taken out, so that the stored columns outlive the load only in
+        # the scenes; a file of equal bytes reuses the first's.
         columns = store.stored.pop(digest, None) or store.read.get(digest)
         if columns is None:
             scene = parse_label_file(path, catalog, data)
@@ -278,7 +283,7 @@ def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog, store: ParsedPool
             # A file whose parse warned is not stored: it warns in every run.
             warned = _unknown_classes(map(str.split, read_text(path, data).splitlines()), catalog)
         else:
-            scene, warned = Scene(name[: -len(".txt")], *columns), False
+            scene, warned = Scene.from_checked(name[: -len(".txt")], *columns), False
         store.read[digest] = None if warned else (scene.labels, scene.boxes)
         scenes.append(scene)
     return scenes
@@ -322,15 +327,9 @@ class ParsedPool:
         path = Path(path)
         if not path.exists():
             return
-        try:
-            # Streamed from the file: the whole file in memory at once would
-            # raise the peak memory of a round.
-            with open_binary(path) as fh, np.load(fh, allow_pickle=False) as npz:
-                fmt, classes, *columns = (npz[name] for name in _POOL_ARRAYS)
-        # What numpy and zipfile raise for bytes that are no npz of these
-        # arrays: not a zip, cut short, an npy, a member missing or pickled.
-        except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
-            raise DataError(f"{path}: invalid parsed-pool file: {exc}") from exc
+        # Streamed from the file: the whole file in memory at once would
+        # raise the peak memory of a round.
+        fmt, classes, *columns = read_arrays(path, _POOL_ARRAYS, "parsed-pool file")
         current = fmt.shape == () and fmt.dtype.kind in "iu" and int(fmt) == POOL_FORMAT
         if not current or classes.tolist() != list(catalog.classes):
             log.warning("%s: made for another catalog or format; replacing it", path)
@@ -360,12 +359,14 @@ class ParsedPool:
             "boxes": np.concatenate([np.empty((0, len(BOX_COLUMNS))), *(boxes for _, boxes in kept.values())]),
         }
         # Streamed to the file, as ``load`` reads it.
-        write_atomic(path, lambda fh: np.savez(fh, **arrays))
+        write_arrays(path, arrays)
 
 
 def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict:
-    """The columns by digest that a parsed-pool file's arrays hold; a
-    ``ValueError`` names the first rule they break."""
+    """The columns by digest that a parsed-pool file's arrays hold, the
+    boxes as read-only views of ``boxes``, checked here once for every
+    scene built from them; a ``ValueError`` names the first rule they
+    break."""
     for name, array, fits in (
         ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
         ("counts", counts, counts.dtype == np.int64 and counts.shape == digests.shape),
@@ -379,6 +380,7 @@ def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict
     if len(labels) and not 0 <= labels.min() <= labels.max() < catalog.num_classes:
         raise ValueError(f"a label is not the index of one of the catalog's {catalog.num_classes} classes")
     _check_boxes(boxes)
+    boxes.flags.writeable = False
     names, ends = [catalog.classes[i] for i in labels.tolist()], np.cumsum(counts).tolist()
     return {
         d: (tuple(names[end - n : end]), boxes[end - n : end])
@@ -386,14 +388,114 @@ def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict
     }
 
 
-def sidecar_reader(pool_dir: str | Path, scenes: list[Scene]):
+# The arrays of a sidecar store file: its stamp, one digest, detection
+# count D and component count K per sidecar (K = 0 for one of no
+# detection), and the (D, 3, 7, K) blocks of all of them, flattened, in
+# digest order.
+_STORE_ARRAYS = ("format", "digests", "counts", "components", "values")
+
+
+class SidecarStore:
+    """The mixtures of parsed sidecars, by a blake2b digest of each file's
+    bytes: ``sidecar_reader`` serves a sidecar whose digest ``stored``
+    holds, with a block of as many detections as its scene, from it
+    instead of parsing the file.
+
+    ``load`` and ``save`` keep them across processes in one npz file of
+    plain arrays, stamped with SIDECAR_STORE_FORMAT alone: a parse reads
+    nothing but the file and the scene's detection count. ``stored`` maps
+    a digest to its mixtures, None for a sidecar of no detection. ``read``
+    maps the id of every scene whose sidecar ``sidecar_reader`` read to the
+    sidecar's digest and mixtures; ``parsed`` counts the sidecars parsed.
+    """
+
+    def __init__(self):
+        self.stored: dict[str, MixtureParams | None] = {}
+        self.read: dict[str, tuple[str, MixtureParams | None]] = {}
+        self.parsed = 0
+
+    def load(self, path: str | Path) -> None:
+        """Take the mixtures of the sidecar store file ``path``.
+
+        A missing file holds none. A file of another stamp is not read: a
+        warning names it, and ``save`` replaces it. A file that is not an
+        npz of the arrays ``save`` writes, with their dtypes and shapes, or
+        whose counts do not fit its values, or that holds a mixture that
+        breaks a rule of ``MixtureParams``, is a ``DataError`` naming it.
+        """
+        path = Path(path)
+        if not path.exists():
+            return
+        fmt, *arrays = read_arrays(path, _STORE_ARRAYS, "sidecar store file")
+        if not (fmt.shape == () and fmt.dtype.kind in "iu" and int(fmt) == SIDECAR_STORE_FORMAT):
+            log.warning("%s: made for another format; replacing it", path)
+            return
+        try:
+            self.stored = _stored_mixtures(*arrays)
+        except ValueError as exc:
+            raise DataError(f"{path}: invalid sidecar store file: {exc}") from exc
+
+    def save(self, path: str | Path, dropped: Iterable[str]) -> None:
+        """Write the mixtures of every sidecar in ``read`` but those of the
+        scenes whose ids ``dropped`` holds to the file ``path``, atomically."""
+        dropped = set(dropped)
+        kept = {digest: mixtures for sid, (digest, mixtures) in self.read.items() if sid not in dropped}
+        digests = sorted(kept)
+        blocks = [kept[d].block if kept[d] else np.empty((0, 3, len(RESIDUAL_DIMS), 0)) for d in digests]
+        write_arrays(
+            path,
+            {
+                "format": np.int64(SIDECAR_STORE_FORMAT),
+                "digests": np.array(digests, dtype=np.str_),
+                "counts": np.array([b.shape[0] for b in blocks], dtype=np.int64),
+                "components": np.array([b.shape[3] for b in blocks], dtype=np.int64),
+                "values": np.concatenate([np.empty(0), *(b.reshape(-1) for b in blocks)]),
+            },
+        )
+
+
+def _stored_mixtures(digests, counts, components, values) -> dict:
+    """The mixtures by digest that a sidecar store file's arrays hold; a
+    ``ValueError`` names the first rule they break."""
+    for name, array, fits in (
+        ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
+        ("counts", counts, counts.dtype == np.int64 and counts.shape == digests.shape),
+        ("components", components, components.dtype == np.int64 and components.shape == digests.shape),
+        ("values", values, values.dtype == np.float64 and values.ndim == 1),
+    ):
+        if not fits:
+            raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+    if (counts < 0).any() or (components < 0).any() or (components[counts > 0] < 1).any():
+        raise ValueError("the counts must be non-negative, and a sidecar of detections needs a component")
+    row = 3 * len(RESIDUAL_DIMS)
+    # Python ints: a count read from the file does not overflow.
+    sizes = [row * d * k for d, k in zip(counts.tolist(), components.tolist())]
+    if sum(sizes) != len(values):
+        raise ValueError(f"the counts and components make {sum(sizes)} values, not the {len(values)} stored")
+    stored, at = {}, 0
+    for digest, d, k, size in zip(digests.tolist(), counts.tolist(), components.tolist(), sizes):
+        try:
+            stored[digest] = MixtureParams(values[at : at + size].reshape(d, 3, len(RESIDUAL_DIMS), k)) if d else None
+        except MixtureError as exc:
+            raise ValueError(f"sidecar {digest}: entry {exc.entry}: {exc}") from exc
+        at += size
+    return stored
+
+
+def sidecar_reader(pool_dir: str | Path, scenes: list[Scene], store: SidecarStore | None = None):
     """Scene -> the scene with its sidecar attached, for a pool directory's
-    scenes: parsed on the first call for a scene id, the same object after.
+    scenes: read on the first call for a scene id, the same object after.
 
     The first of ``scenes`` in order without a sidecar is a data error,
-    "missing mixture sidecar: <path>", before any is parsed. One listing of
+    "missing mixture sidecar: <path>", before any is read. One listing of
     ``sidecars/`` stands in for a ``stat`` per scene; a name it lacks, or
     holds as a symbolic link, is judged by a ``stat`` of its own.
+
+    Each sidecar is read once and its bytes hashed: one whose digest
+    ``store`` holds with as many detections as the scene takes the stored
+    mixtures, which ``store`` checked when it loaded them; any other is
+    parsed from the bytes read, so an edited sidecar is parsed again.
+    ``store`` learns every sidecar read.
     """
     try:
         with os.scandir(Path(pool_dir) / "sidecars") as entries:
@@ -405,11 +507,23 @@ def sidecar_reader(pool_dir: str | Path, scenes: list[Scene]):
             path = sidecar_path(pool_dir, s.id)
             if not path.exists():
                 raise DataError(f"missing mixture sidecar: {path}")
-    parsed: dict[str, Scene] = {}
+    store = SidecarStore() if store is None else store
+    attached: dict[str, Scene] = {}
 
     def with_mixtures(scene: Scene) -> Scene:
-        if scene.id not in parsed:
-            parsed[scene.id] = load_mixture_sidecar(sidecar_path(pool_dir, scene.id), scene)
-        return parsed[scene.id]
+        if scene.id not in attached:
+            path = sidecar_path(pool_dir, scene.id)
+            data = read_bytes(path)
+            digest = hashlib.blake2b(data, digest_size=16).hexdigest()
+            mixtures = store.stored.get(digest)
+            if digest not in store.stored or (len(mixtures.block) if mixtures else 0) != len(scene.labels):
+                attached[scene.id] = load_mixture_sidecar(path, scene, data)
+                store.parsed += 1
+            elif mixtures:
+                attached[scene.id] = Scene.from_checked(scene.id, scene.labels, scene.boxes, mixtures)
+            else:
+                attached[scene.id] = scene
+            store.read[scene.id] = (digest, attached[scene.id].mixtures)
+        return attached[scene.id]
 
     return with_mixtures

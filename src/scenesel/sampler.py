@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics
-from .core import AnchorTable, ClassCatalog, DataError, ParseError, Scene, read_text, write_text_atomic
+from .core import AnchorTable, ClassCatalog, DataError, Scene, read_arrays, write_arrays
 from .entropy import EntropyConfig, rank_by_entropy
 from .kernel import (
     KernelConfig,
@@ -53,8 +53,14 @@ PAIRS_PER_CALL = 32_768
 # The layout of a similarity cache file and the floats of the kernel it
 # stores. It is part of the file's fingerprint: bump it when either changes,
 # and a file of the old format is replaced, not read. 2: every kernel is the
-# series of ``KernelConfig.steps`` steps, not stopped per pair at tol.
-CACHE_FORMAT = 2
+# series of ``KernelConfig.steps`` steps, not stopped per pair at tol. 3: an
+# npz of arrays, not JSON.
+CACHE_FORMAT = 3
+# The arrays of a similarity cache file: its fingerprint; the sorted content
+# digests of its scenes and their self-kernels; and its cross kernels, each
+# under the places (i, j), i < j, of its two scenes' digests, sorted by
+# (i, j).
+_CACHE_ARRAYS = ("fingerprint", "digests", "self_kernels", "pairs", "values")
 
 
 @dataclass(frozen=True)
@@ -117,8 +123,10 @@ class SimilarityCache:
     call of ``matrix``.
 
     ``load`` and ``save`` keep the kernel values across processes in one
-    JSON file, keyed by a digest of each scene's content and stamped with
-    ``fingerprint``. After ``load``, ``_fill`` takes each kernel value the
+    npz file of plain arrays, keyed by a digest of each scene's content and
+    stamped with ``fingerprint`` (``_StoredKernels``). After ``load``,
+    ``_fill`` looks the kernel values of its keys up in the file's sorted
+    digests and pair codes with ``np.searchsorted``, takes each value the
     file holds from it instead of evaluating it, and ``reused`` counts the
     values so taken: ``evaluations + reused`` is what a cache without the
     file would have evaluated.
@@ -137,8 +145,7 @@ class SimilarityCache:
         self.reused = 0
         self.hits = 0
         self.misses = 0
-        # After ``load``: the file's kernel values and those evaluated since,
-        # self-kernels by content digest and cross kernels by digest pair.
+        # After ``load``: the file's kernel values and those evaluated since.
         self._stored = None
         self._digests = {}  # key -> content digest, made when first needed
 
@@ -155,13 +162,25 @@ class SimilarityCache:
 
         A missing file holds no value. A file of another ``fingerprint`` is
         not read: a warning names it, and ``save`` replaces it. A file that
-        is not UTF-8 JSON, not an object, or holds a value that is not a
-        kernel value (a number in [0, 1], above 0 for a self-kernel) is a
+        is not an npz of the arrays ``save`` writes, with their dtypes and
+        shapes, whose digests or pairs are not sorted and distinct, that
+        holds a pair of a place with no self-kernel, or a value that is not
+        a kernel value (a number in [0, 1], above 0 for a self-kernel), is a
         ``DataError`` naming it.
         """
         if self._keys or self._stored is not None:
             raise ValueError("load needs a new cache")
-        self._stored = _read_cache_file(Path(path), self.fingerprint)
+        path, stored = Path(path), _StoredKernels.empty()
+        if path.exists():
+            fingerprint, *arrays = read_arrays(path, _CACHE_ARRAYS, "similarity cache file")
+            if fingerprint.shape == () and fingerprint.dtype.kind == "U" and fingerprint.item() == self.fingerprint:
+                try:
+                    stored = _StoredKernels(*arrays)
+                except ValueError as exc:
+                    raise DataError(f"{path}: invalid similarity cache file: {exc}") from exc
+            else:
+                log.warning("%s: made for another kernel config, catalog or format; replacing it", path)
+        self._stored = stored
 
     def save(self, path: str | Path, dropped: list[Scene]) -> None:
         """Write the values ``load`` took and those evaluated since to the
@@ -169,18 +188,8 @@ class SimilarityCache:
         content of a scene in ``dropped``."""
         if self._stored is None:
             raise ValueError("save needs a cache that was loaded")
-        drop = {_content_digest(c) for c in scene_contents(dropped, self.catalog, self.config)}
-        selfs, crosses = self._stored
-        pairs = {}
-        for (a, b), value in sorted(crosses.items()):
-            if a not in drop and b not in drop:
-                pairs.setdefault(a, {})[b] = value
-        doc = {
-            "fingerprint": self.fingerprint,
-            "scenes": {d: value for d, value in sorted(selfs.items()) if d not in drop},
-            "pairs": pairs,
-        }
-        write_text_atomic(path, json.dumps(doc))
+        drop = np.array([_content_digest(c) for c in scene_contents(dropped, self.catalog, self.config)], dtype=np.str_)
+        write_arrays(path, {"fingerprint": np.str_(self.fingerprint), **self._stored.arrays(drop)})
 
     def _key(self, content) -> int:
         key = self._keys.get(content)
@@ -194,10 +203,6 @@ class SimilarityCache:
         if digest is None:
             digest = self._digests[key] = _content_digest(self._contents[key])
         return digest
-
-    def _digest_pair(self, lo: int, hi: int) -> tuple[str, str]:
-        a, b = self._digest(lo), self._digest(hi)
-        return (a, b) if a < b else (b, a)
 
     def _graph(self, key: int, scene: Scene):
         g = self._graphs.get(key)
@@ -313,19 +318,22 @@ class SimilarityCache:
         cross = np.zeros(len(lo))
         evaluate = np.ones(len(lo), dtype=bool)
         if self._stored is not None:
-            stored_self, stored_cross = self._stored
-            for k in needs_self.tolist():
-                value = stored_self.get(self._digest(k))
-                if value is not None:
-                    self._self_k[k] = value
-                    self.reused += 1
-            needs_self = needs_self[np.isnan(self._self_k[needs_self])]
-            for p, pair in enumerate(zip(lo.tolist(), hi.tolist())):
-                value = stored_cross.get(self._digest_pair(*pair))
-                if value is not None:
-                    cross[p] = value
-                    evaluate[p] = False
-                    self.reused += 1
+            # The content digest of each key in the block, and its place in
+            # the file's digests, or -1.
+            used = np.flatnonzero(scene_of >= 0)
+            digest_of = np.full(len(self._contents), "", dtype="U32")
+            digest_of[used] = [self._digest(k) for k in used.tolist()]
+            place = np.full(len(self._contents), -1)
+            place[used] = _places_in(self._stored.digests, digest_of[used])
+            known = needs_self[place[needs_self] >= 0]
+            self._self_k[known] = self._stored.self_kernels[place[known]]
+            self.reused += len(known)
+            needs_self = needs_self[place[needs_self] < 0]
+            both = np.flatnonzero((place[lo] >= 0) & (place[hi] >= 0))
+            found, stored = self._stored.cross_kernels(place[lo[both]], place[hi[both]])
+            cross[both[found]] = stored
+            evaluate[both[found]] = False
+            self.reused += len(stored)
         # One kernel call over the graphs of the keys it needs: the
         # self-kernels first, then the cross kernels.
         slot = np.full(len(self._contents), -1, dtype=np.int32)
@@ -355,11 +363,8 @@ class SimilarityCache:
                 "so their similarity cannot be computed; raise kernel.gamma"
             )
         if self._stored is not None:
-            stored_self, stored_cross = self._stored
-            stored_self.update((self._digest(k), v) for k, v in zip(needs_self.tolist(), values[: len(needs_self)].tolist()))
-            stored_cross.update(
-                (self._digest_pair(a, b), v)
-                for a, b, v in zip(lo[evaluate].tolist(), hi[evaluate].tolist(), cross[evaluate].tolist())
+            self._stored.add(
+                digest_of[needs_self], values[: len(needs_self)], digest_of[lo[evaluate]], digest_of[hi[evaluate]], cross[evaluate]
             )
         # A cross kernel and its self-kernels are one truncated series, so
         # only rounding can put a near-copy's similarity above 1.
@@ -377,48 +382,94 @@ def _content_digest(content) -> str:
     return digest.hexdigest()
 
 
-def _read_cache_file(path: Path, fingerprint: str) -> tuple[dict, dict]:
-    """The self-kernels by digest and cross kernels by digest pair of a
-    similarity cache file; see ``SimilarityCache.load``."""
-    selfs, crosses = {}, {}
-    if not path.exists():
-        return selfs, crosses
-    try:
-        doc = json.loads(read_text(path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid similarity cache JSON: {exc}", str(path)) from exc
-    if not isinstance(doc, dict):
-        raise DataError(f"{path}: similarity cache is not a JSON object")
-    if doc.get("fingerprint") != fingerprint:
-        log.warning("%s: made for another kernel config, catalog or format; replacing it", path)
-        return selfs, crosses
-    try:
-        for digest, value in _mapping(doc["scenes"], "scenes").items():
-            selfs[digest] = _kernel_value(value, self_kernel=True)
-        for a, partners in _mapping(doc["pairs"], "pairs").items():
-            for b, value in _mapping(partners, f"pairs of {a}").items():
-                if a not in selfs or b not in selfs:
-                    raise ValueError(f"pair ({a}, {b}) of a scene with no self-kernel")
-                crosses[(a, b) if a < b else (b, a)] = _kernel_value(value, self_kernel=False)
-    except (KeyError, ValueError) as exc:
-        raise DataError(f"{path}: invalid similarity cache: {exc}") from exc
-    return selfs, crosses
+class _StoredKernels:
+    """The kernel values of a similarity cache file as sorted arrays, and
+    those evaluated since it was loaded: ``digests`` (sorted, distinct) and
+    their ``self_kernels``; ``codes``, the places ``i << 32 | j`` (i < j)
+    of each cross kernel's two digests, sorted and distinct, and their
+    ``values``; ``added``, the arrays of each ``add``. Made from a file's
+    arrays, a ``ValueError`` names the first rule they break."""
+
+    def __init__(self, digests, self_kernels, pairs, values):
+        for name, array, fits in (
+            ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
+            ("self_kernels", self_kernels, self_kernels.dtype == np.float64 and self_kernels.shape == digests.shape),
+            ("pairs", pairs, pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2),
+            ("values", values, values.dtype == np.float64 and values.shape == pairs.shape[:1]),
+        ):
+            if not fits:
+                raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+        if not (digests[1:] > digests[:-1]).all():
+            raise ValueError("the digests must be sorted and distinct")
+        # Every kernel lies in [0, 1/2], and a self-kernel is positive (the
+        # ego nodes match); the comparisons are false for NaN.
+        for kernels, positive in ((self_kernels, True), (values, False)):
+            bad = ~((0 < kernels if positive else 0 <= kernels) & (kernels <= 1))
+            if bad.any():
+                raise ValueError(f"kernel value {float(kernels[bad][0])!r} is not in {'(0, 1]' if positive else '[0, 1]'}")
+        first, second = pairs.T
+        bad = ~((0 <= first) & (first < second) & (second < len(digests)))
+        if bad.any():
+            raise ValueError(
+                f"pair {tuple(pairs[bad][0].tolist())} is not two places i < j among the {len(digests)} "
+                "scenes with self-kernels"
+            )
+        codes = first << 32 | second
+        if not (codes[1:] > codes[:-1]).all():
+            raise ValueError("the pairs must be sorted and distinct")
+        self.digests, self.self_kernels, self.codes, self.values = digests, self_kernels, codes, values
+        self.added = []
+
+    @classmethod
+    def empty(cls) -> "_StoredKernels":
+        return cls(np.empty(0, dtype="U32"), np.empty(0), np.empty((0, 2), dtype=np.int64), np.empty(0))
+
+    def cross_kernels(self, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Whether the file holds the cross kernel of the digests at places
+        ``a[p]`` and ``b[p]``, for each p, and the values it holds."""
+        at = _places_in(self.codes, np.minimum(a, b) << 32 | np.maximum(a, b))
+        found = at >= 0
+        return found, self.values[at[found]]
+
+    def add(self, digests, self_kernels, first, second, values) -> None:
+        """Keep the self-kernels of ``digests`` and the cross kernels of the
+        digest pairs ``first[p]``, ``second[p]``, all evaluated since the load."""
+        self.added.append((digests, self_kernels, first, second, values))
+
+    def arrays(self, drop: np.ndarray) -> dict[str, np.ndarray]:
+        """The arrays of a cache file of every value held, less those that
+        involve a digest in ``drop``."""
+        added = list(zip(*self.added)) or [()] * 5
+        digests, first_at, inverse = np.unique(
+            np.concatenate([self.digests, *added[0]]), return_index=True, return_inverse=True
+        )
+        self_kernels = np.concatenate([self.self_kernels, *added[1]])[first_at]
+        # every cross kernel under the places of its digests in ``digests``
+        at = inverse[: len(self.digests)]
+        first = np.concatenate([at[self.codes >> 32], *(np.searchsorted(digests, f) for f in added[2])])
+        second = np.concatenate([at[self.codes & 0xFFFFFFFF], *(np.searchsorted(digests, s) for s in added[3])])
+        values = np.concatenate([self.values, *added[4]])
+        # not ``np.isin``, whose sort imports ``numpy.ma``
+        keep = _places_in(np.sort(drop), digests) < 0
+        place = np.cumsum(keep) - 1
+        kept = keep[first] & keep[second]
+        first, second = place[first[kept]], place[second[kept]]
+        codes, unique = np.unique(np.minimum(first, second) << 32 | np.maximum(first, second), return_index=True)
+        return {
+            "digests": digests[keep],
+            "self_kernels": self_kernels[keep],
+            "pairs": np.stack([codes >> 32, codes & 0xFFFFFFFF], axis=1),
+            "values": values[kept][unique],
+        }
 
 
-def _mapping(value, what: str) -> dict:
-    if not isinstance(value, dict):
-        raise ValueError(f"{what} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _kernel_value(value, self_kernel: bool) -> float:
-    """A kernel value read from a cache file. Every kernel lies in [0, 1/2],
-    and a self-kernel is positive (the ego nodes match)."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"kernel value {value!r} is not a number")
-    if not (0 < value <= 1 if self_kernel else 0 <= value <= 1):
-        raise ValueError(f"kernel value {value!r} is not in {'(0, 1]' if self_kernel else '[0, 1]'}")
-    return float(value)
+def _places_in(table: np.ndarray, items: np.ndarray) -> np.ndarray:
+    """The place of each of ``items`` in the sorted, distinct ``table``, or -1."""
+    if not len(table):
+        return np.full(len(items), -1)
+    at = np.searchsorted(table, items)
+    np.minimum(at, len(table) - 1, out=at)
+    return np.where(table[at] == items, at, -1)
 
 
 def _first_best(values: np.ndarray, candidates: np.ndarray, maximize: bool) -> int:

@@ -1,17 +1,19 @@
 import fcntl
+import hashlib
 import json
 import logging
 import math
 import os
 import re
 import shutil
+import signal
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from scenesel import kitti, sampler, state as state_mod, synth
+from scenesel import kernel, kitti, sampler, state as state_mod, synth
 from scenesel.cli import main
 from scenesel.config import build_config
 
@@ -353,9 +355,9 @@ class TestSelect:
         parsed = []
         load = kitti.load_mixture_sidecar
 
-        def counting(path, scene):
+        def counting(path, scene, data=None):
             parsed.append(str(path))
-            return load(path, scene)
+            return load(path, scene, data)
 
         monkeypatch.setattr(kitti, "load_mixture_sidecar", counting)
         return parsed
@@ -387,6 +389,79 @@ class TestSelect:
             assert len(parsed) == int(sizes[1]) == 7
         else:
             assert sorted(Path(p).stem for p in parsed) == sorted(unlabeled)
+
+    def ranked_by_uncertainty(self, monkeypatch):
+        """Record, from now on, the scenes of each uncertainty ranking."""
+        ranked = []
+        rank = sampler.rank_by_uncertainty
+
+        def recording(scenes, *args):
+            ranked.append(list(scenes))
+            return rank(scenes, *args)
+
+        monkeypatch.setattr(sampler, "rank_by_uncertainty", recording)
+        return ranked
+
+    def test_a_second_round_parses_only_the_sidecars_new_to_the_uncertainty_stage(
+        self, pool_dir, tmp_path, caplog, monkeypatch
+    ):
+        # The sidecar store next to the state keeps the mixtures of the
+        # sidecars a round read, less those of the scenes it labeled.
+        parsed = self.parsed_sidecars(monkeypatch)
+        ranked = self.ranked_by_uncertainty(monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        store = state.with_suffix(".sidecars.npz")
+        assert not store.exists()  # --init reads no sidecar
+        per_round, logs = [], []
+        for _ in range(2):
+            parsed.clear()
+            caplog.clear()
+            with caplog.at_level(logging.INFO, logger="scenesel"):
+                assert run("--seed", 9, "-v", "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+            per_round.append(sorted(Path(p).stem for p in parsed))
+            logs.append(caplog.text)
+        first, second = ({s.id for s in scenes} for scenes in ranked)
+        assert per_round == [sorted(first), sorted(second - first)]
+        assert 0 < len(second - first) < len(second) == 7
+        assert f"sidecars: {len(first)} parsed, 0 from {store}" in logs[0]
+        assert f"sidecars: {len(second - first)} parsed, {len(second & first)} from {store}" in logs[1]
+
+    def test_a_sidecar_edited_between_rounds_is_parsed_again(self, pool_dir, tmp_path, monkeypatch):
+        # Round 2 after an edit of a sidecar whose mixtures the store holds,
+        # with the store round 1 left and without it.
+        warm, cold, probe = tmp_path / "warm", tmp_path / "cold", tmp_path / "probe"
+        select = ("--seed", 9, "select", "--pool", pool_dir)
+        assert run(*select, "--state", warm / "state.json", "--out", warm / "sel", "--init", "--n0", 4) == 0
+        assert run(*select, "--state", warm / "state.json", "--out", warm / "sel", "--n-r", 3) == 0
+        shutil.copytree(warm, cold)
+        (cold / "state.sidecars.npz").unlink()
+        shutil.copytree(warm, probe)
+        with monkeypatch.context() as m:
+            ranked = self.ranked_by_uncertainty(m)
+            assert run(*select, "--state", probe / "state.json", "--out", probe / "sel", "--n-r", 3) == 0
+        with np.load(warm / "state.sidecars.npz") as npz:
+            stored = set(npz["digests"].tolist())
+        # a scene that round 2 ranks, from the store
+        sid = min(
+            s.id for s in ranked[0]
+            if hashlib.blake2b(kitti.sidecar_path(pool_dir, s.id).read_bytes(), digest_size=16).hexdigest() in stored
+        )
+        sidecar = kitti.sidecar_path(pool_dir, sid)
+        doc = json.loads(sidecar.read_text())
+        for entry in doc["detections"]:
+            entry["variances"] = [[2.0 * v for v in row] for row in entry["variances"]]
+        sidecar.write_text(json.dumps(doc))
+        parsed = self.parsed_sidecars(monkeypatch)
+        ranked = self.ranked_by_uncertainty(monkeypatch)
+        outputs = []
+        for work in (warm, cold):
+            assert run(*select, "--state", work / "state.json", "--out", work / "sel", "--n-r", 3) == 0
+            outputs.append({f.name: f.read_bytes() for f in [work / "state.json", *sorted((work / "sel").iterdir())]})
+        assert parsed.count(str(sidecar)) == 2
+        scene = next(s for s in kitti.load_pool_dir(pool_dir, build_config(environ={}).catalog) if s.id == sid)
+        edited = kitti.load_mixture_sidecar(sidecar, scene).mixtures
+        assert [s.mixtures for scenes in ranked for s in scenes if s.id == sid] == [edited, edited]
+        assert outputs[0] == outputs[1]
 
     def test_nan_sidecar_is_data_error(self, pool_dir, tmp_path, capsys, monkeypatch):
         # The NaN goes into a sidecar that a clean round parses, for a scene
@@ -502,7 +577,7 @@ class TestSelect:
         # The file next to the state holds the kernel values of the scenes
         # still unlabeled; ``--init`` leaves it alone.
         state, out = self.init_state(pool_dir, tmp_path)
-        cache_file = tmp_path / "state.similarity.json"
+        cache_file = tmp_path / "state.similarity.npz"
         assert not cache_file.exists()
         select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
         for _ in range(2):
@@ -531,7 +606,7 @@ class TestSelect:
             state, out = self.init_state(pool_dir, work)
             select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
             assert run(*select) == 0
-            kept = (work / "state.similarity.json").read_bytes()
+            kept = (work / "state.similarity.npz").read_bytes()
             if crash:
 
                 def killed(*args):
@@ -541,7 +616,7 @@ class TestSelect:
                     m.setattr(sampler.SimilarityCache, "save", killed)
                     with pytest.raises(KeyboardInterrupt):
                         run(*select)
-                assert (work / "state.similarity.json").read_bytes() == kept
+                assert (work / "state.similarity.npz").read_bytes() == kept
             else:
                 assert run(*select) == 0
             assert run(*select) == 0
@@ -564,7 +639,7 @@ class TestSelect:
         assert run(*select) == 3
         assert f"error: {blocker}: cannot write file: " in capsys.readouterr().err
         assert state.read_bytes() == before
-        assert not state.with_suffix(".similarity.json").exists()
+        assert not state.with_suffix(".similarity.npz").exists()
         blocker.rmdir()
         assert run(*select) == 0
         assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
@@ -577,7 +652,7 @@ class TestSelect:
         # warning, and the round's files are those of a clean round.
         _, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
         state, out = self.init_state(pool_dir, tmp_path)
-        cache_file = state.with_suffix(".similarity.json")
+        cache_file = state.with_suffix(".similarity.npz")
         save = state_mod.save_round_state
 
         def save_then_block_the_cache_file(st, path):
@@ -1021,18 +1096,56 @@ def _singular_yaw_everywhere(target):
         sidecar.write_text(json.dumps(doc))
 
 
-def _cache_file(scenes=None, pairs=None, fingerprint=None):
-    """A fault that writes a similarity cache file: by default one valid,
-    empty file of the CLI's default kernel config and catalog."""
+def _cache_file(edit=lambda arrays: None):
+    """A fault that writes a similarity cache file: one valid file of the
+    CLI's default kernel config and catalog, with two scenes and their
+    pair, after ``edit`` changed its arrays."""
     cfg = build_config(environ={})
 
     def inject(target):
-        doc = {
-            "fingerprint": fingerprint or sampler.SimilarityCache(cfg.catalog, cfg.kernel).fingerprint,
-            "scenes": scenes if scenes is not None else {},
-            "pairs": pairs if pairs is not None else {},
+        arrays = {
+            "fingerprint": np.str_(sampler.SimilarityCache(cfg.catalog, cfg.kernel).fingerprint),
+            "digests": np.array(["d1", "d2"]),
+            "self_kernels": np.array([0.5, 0.5]),
+            "pairs": np.array([[0, 1]]),
+            "values": np.array([0.1]),
         }
-        target.write_text(json.dumps(doc))
+        edit(arrays)
+        with open(target, "wb") as fh:
+            np.savez(fh, **arrays)
+
+    return inject
+
+
+def _cut_short(target):
+    # A valid file's first half.
+    _cache_file()(target)
+    target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
+
+
+def _npy(target):
+    with open(target, "wb") as fh:
+        np.save(fh, np.zeros(3))  # an npy array, not an npz
+
+
+def _sidecar_store(edit=lambda arrays: None):
+    """A fault that writes a sidecar store file: one valid file holding one
+    sidecar of one one-component detection, after ``edit`` changed its
+    arrays."""
+
+    def inject(target):
+        block = np.zeros((1, 3, 7, 1))
+        block[0, 0] = block[0, 2] = 1.0  # weight 1, mean 0, variance 1
+        arrays = {
+            "format": np.int64(kitti.SIDECAR_STORE_FORMAT),
+            "digests": np.array(["0" * 32]),
+            "counts": np.array([1]),
+            "components": np.array([1]),
+            "values": block.reshape(-1),
+        }
+        edit(arrays)
+        with open(target, "wb") as fh:
+            np.savez(fh, **arrays)
 
     return inject
 
@@ -1114,19 +1227,33 @@ FAULTS = {
     "sidecar: detections not a list": (
         "sidecar", lambda p: p.write_text('{"version": 1, "detections": 5}'), SIDECAR_EXITS
     ),
-    "similarity cache: not JSON": ("cache", lambda p: p.write_text("{not json"), {"select": 3}),
-    "similarity cache: not UTF-8": ("cache", lambda p: p.write_bytes(b"{\xff}"), {"select": 3}),
-    "similarity cache: not an object": ("cache", lambda p: p.write_text("[1]"), {"select": 3}),
-    "similarity cache: NaN kernel": ("cache", _cache_file(scenes={"d1": float("nan")}), {"select": 3}),
-    "similarity cache: kernel above 1": (
-        "cache", _cache_file(scenes={"d1": 0.5, "d2": 0.5}, pairs={"d1": {"d2": 1.5}}), {"select": 3}
+    "similarity cache: not a zip": ("cache", lambda p: p.write_text("{not json"), {"select": 3}),
+    "similarity cache: cut short": ("cache", _cut_short, {"select": 3}),
+    "similarity cache: an npy, not an npz": ("cache", _npy, {"select": 3}),
+    "similarity cache: missing array": ("cache", _cache_file(lambda a: a.pop("values")), {"select": 3}),
+    "similarity cache: NaN kernel": ("cache", _cache_file(_set("self_kernels", 0, float("nan"))), {"select": 3}),
+    "similarity cache: kernel above 1": ("cache", _cache_file(_set("values", 0, 1.5)), {"select": 3}),
+    "similarity cache: zero self-kernel": ("cache", _cache_file(_set("self_kernels", 0, 0.0)), {"select": 3}),
+    "similarity cache: string kernel": (
+        "cache", _cache_file(lambda a: a.update(self_kernels=np.array(["0.5", "0.5"]))), {"select": 3}
     ),
-    "similarity cache: zero self-kernel": ("cache", _cache_file(scenes={"d1": 0.0}), {"select": 3}),
-    "similarity cache: string kernel": ("cache", _cache_file(scenes={"d1": "0.5"}), {"select": 3}),
-    "similarity cache: pair without self-kernels": (
-        "cache", _cache_file(scenes={"d1": 0.5}, pairs={"d1": {"d2": 0.1}}), {"select": 3}
+    "similarity cache: pair without self-kernels": ("cache", _cache_file(_set("pairs", (0, 1), 2)), {"select": 3}),
+    "similarity cache: unsorted digests": (
+        "cache", _cache_file(lambda a: a.update(digests=np.array(["d2", "d1"]))), {"select": 3}
     ),
-    "similarity cache: stale fingerprint": ("cache", _cache_file(fingerprint="0" * 64), {"select": 0}),
+    "similarity cache: stale fingerprint": (
+        "cache", _cache_file(lambda a: a.update(fingerprint=np.str_("0" * 64))), {"select": 0}
+    ),
+    "sidecar store: not a zip": ("sidecar store", lambda p: p.write_bytes(b"not a zip"), {"select": 3}),
+    "sidecar store: missing array": ("sidecar store", _sidecar_store(lambda a: a.pop("components")), {"select": 3}),
+    "sidecar store: float32 values": (
+        "sidecar store", _sidecar_store(lambda a: a.update(values=a["values"].astype(np.float32))), {"select": 3}
+    ),
+    "sidecar store: counts that do not fit the values": (
+        "sidecar store", _sidecar_store(_set("counts", 0, 2)), {"select": 3}
+    ),
+    "sidecar store: NaN mean": ("sidecar store", _sidecar_store(_set("values", 7, float("nan"))), {"select": 3}),
+    "sidecar store: stale format": ("sidecar store", _sidecar_store(lambda a: a.update(format=np.int64(99))), {"select": 0}),
     "parsed pool: not a zip": ("pool", lambda p: p.write_bytes(b"not a zip"), POOL_FILE_EXITS),
     "parsed pool: missing array": ("pool", _pool_arrays(lambda a: a.pop("counts")), POOL_FILE_EXITS),
     "parsed pool: float32 boxes": (
@@ -1185,14 +1312,27 @@ SAID = {
     },
     "sidecar: not an object": ("sidecar is not a JSON object",),
     "sidecar: detections not a list": ("sidecar detections must be a list, got int",),
-    "similarity cache: not JSON": ("invalid similarity cache JSON",),
-    "similarity cache: not an object": ("similarity cache is not a JSON object",),
-    "similarity cache: NaN kernel": ("kernel value nan is not in (0, 1]",),
-    "similarity cache: kernel above 1": ("kernel value 1.5 is not in [0, 1]",),
-    "similarity cache: zero self-kernel": ("kernel value 0.0 is not in (0, 1]",),
-    "similarity cache: string kernel": ("kernel value '0.5' is not a number",),
-    "similarity cache: pair without self-kernels": ("pair (d1, d2) of a scene with no self-kernel",),
+    "similarity cache: not a zip": ("invalid similarity cache file: ",),
+    "similarity cache: cut short": ("invalid similarity cache file: ",),
+    "similarity cache: an npy, not an npz": ("invalid similarity cache file: ",),
+    "similarity cache: missing array": ("invalid similarity cache file: ", "values"),
+    "similarity cache: NaN kernel": ("invalid similarity cache file: kernel value nan is not in (0, 1]",),
+    "similarity cache: kernel above 1": ("invalid similarity cache file: kernel value 1.5 is not in [0, 1]",),
+    "similarity cache: zero self-kernel": ("invalid similarity cache file: kernel value 0.0 is not in (0, 1]",),
+    "similarity cache: string kernel": ("invalid similarity cache file: self_kernels has dtype <U3 and shape (2,)",),
+    "similarity cache: pair without self-kernels": (
+        "invalid similarity cache file: pair (0, 2) is not two places i < j among the 2 scenes with self-kernels",
+    ),
+    "similarity cache: unsorted digests": ("invalid similarity cache file: the digests must be sorted and distinct",),
     "similarity cache: stale fingerprint": ("made for another kernel config, catalog or format; replacing it",),
+    "sidecar store: not a zip": ("invalid sidecar store file: ",),
+    "sidecar store: missing array": ("invalid sidecar store file: ", "components"),
+    "sidecar store: float32 values": ("invalid sidecar store file: values has dtype float32 and shape (21,)",),
+    "sidecar store: counts that do not fit the values": (
+        "invalid sidecar store file: the counts and components make 42 values, not the 21 stored",
+    ),
+    "sidecar store: NaN mean": ("invalid sidecar store file: sidecar 0000", ": entry 0: mixture means must be finite"),
+    "sidecar store: stale format": ("made for another format; replacing it",),
     "parsed pool: not a zip": ("invalid parsed-pool file: ",),
     "parsed pool: missing array": ("invalid parsed-pool file: ", "counts"),
     "parsed pool: float32 boxes": ("invalid parsed-pool file: boxes has dtype float32 and shape",),
@@ -1267,7 +1407,35 @@ class TestFaultMatrix:
         assert run("--seed", 3, "select", "--pool", pool, "--state", state, "--out", out, "--n-r", 2) == 3
         assert f"error: {named}" in capsys.readouterr().err
         assert state.read_bytes() == before
-        assert not state.with_suffix(".similarity.json").exists()
+        assert not state.with_suffix(".similarity.npz").exists()
+
+    def test_a_killed_kernel_process_is_a_warning_and_the_round_is_the_same(self, tmp_path, caplog, monkeypatch):
+        # The out-of-memory killer's SIGKILL on every forked kernel process:
+        # the round solves their shares itself, warns, and writes what a
+        # round without a split writes.
+        def sigkill_self(*args):
+            try:
+                os.kill(os.getpid(), signal.SIGKILL)
+            finally:
+                os._exit(9)  # never reached: the child is already dead
+
+        pool = tmp_path / "pool"
+        assert run("--seed", 3, "synth", "--out", pool, "--n-scenes", 12, "--groups", 3) == 0
+        written = []
+        for killed in (False, True):
+            state, sel = tmp_path / f"killed_{killed}" / "state.json", tmp_path / f"killed_{killed}" / "sel"
+            select = ("--seed", 9, "select", "--pool", pool, "--state", state, "--out", sel)
+            assert run(*select, "--init", "--n0", 4) == 0
+            caplog.clear()
+            with monkeypatch.context() as m, caplog.at_level(logging.WARNING):
+                if killed:  # every call of more than one live-matrix entry split in two
+                    m.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+                    m.setattr(kernel, "SPLIT_ENTRIES", 1)
+                    m.setattr(kernel, "_child", sigkill_self)
+                assert run(*select, "--n-r", 2) == 0
+            written.append({f.name: f.read_bytes() for f in [state, *sorted(sel.iterdir())]})
+        assert re.search(r"kernel process \d+ ended with exit code -9 and 0 of \d+ bytes; solving its share", caplog.text)
+        assert written[1] == written[0]
 
     @pytest.mark.parametrize("fault", FAULTS)
     def test_fault_exits_with_its_code_naming_the_file(self, tmp_path, capsys, caplog, fault):
@@ -1284,7 +1452,8 @@ class TestFaultMatrix:
             "state": state,
             "config": tmp_path / "scenesel.conf",
             "ids": tmp_path / "ids.txt",
-            "cache": state.with_suffix(".similarity.json"),
+            "cache": state.with_suffix(".similarity.npz"),
+            "sidecar store": state.with_suffix(".sidecars.npz"),
             "pool": state.with_suffix(".pool.npz"),
             "lock": state.with_suffix(".lock"),
             "report": sel / "report_round_001.hist.csv",
@@ -1468,7 +1637,7 @@ class TestInvariance:
             counts = []
             for _ in range(3):
                 if not keep:
-                    state.with_suffix(".similarity.json").unlink(missing_ok=True)
+                    state.with_suffix(".similarity.npz").unlink(missing_ok=True)
                 capsys.readouterr()
                 assert run(*select, "--n-r", 3) == 0
                 line = capsys.readouterr().out

@@ -17,11 +17,15 @@ from scenesel.cli import main
 
 out = sys.argv[1]
 argv = [
-    ["--seed", "2", "synth", "--out", f"{out}/pool", "--n-scenes", "40", "--objects", "2,12"],
+    ["--seed", "2", "synth", "--out", f"{out}/pool", "--n-scenes", "80", "--objects", "2,12"],
     ["select", "--pool", f"{out}/pool", "--state", f"{out}/state/state.json",
      "--out", f"{out}/sel", "--init", "--n0", "6"],
     ["select", "--pool", f"{out}/pool", "--state", f"{out}/state/state.json",
      "--out", f"{out}/sel", "--n-r", "4"],
+    # a round that drops the values of 20 scenes from a stored file of
+    # about 70, enough for numpy's set operations to sort
+    ["select", "--pool", f"{out}/pool", "--state", f"{out}/state/state.json",
+     "--out", f"{out}/sel", "--n-r", "20"],
     ["--seed", "3", "simulate", "--out", f"{out}/sim", "--n-scenes", "30", "--n0", "6",
      "--strategies", "random,entropy-only,fs-only,uncertainty-only,tscenejal",
      "--n-r", "3", "--rounds", "2"],

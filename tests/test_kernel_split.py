@@ -1,8 +1,9 @@
 """``indexed_kernels`` split across forked processes: the same floats as
-the in-process solve, a child's failure raised in the caller, and no
-process left behind."""
+the in-process solve, a child's failure raised in the caller, a killed
+child's share solved in the caller, and no process left behind."""
 import logging
 import os
+import signal
 
 import numpy as np
 import pytest
@@ -152,3 +153,25 @@ def test_a_platform_without_fork_solves_in_process_with_one_warning(call, in_pro
         values = indexed_kernels(*call, CFG)
     assert hexes(values) == hexes(in_process)
     assert len(caplog.records) == 1
+
+
+def sigkill_self(*args):
+    """A child's whole life as the out-of-memory killer ends it."""
+    try:
+        os.kill(os.getpid(), signal.SIGKILL)
+    finally:
+        os._exit(9)  # never reached: the child is already dead
+
+
+def test_a_killed_child_has_its_share_solved_here_with_one_warning(call, in_process, three_cpus, monkeypatch, caplog):
+    monkeypatch.setattr(kernel_module, "_child", sigkill_self)
+    with caplog.at_level(logging.WARNING, logger="scenesel.kernel"):
+        values = indexed_kernels(*call, CFG)
+    assert hexes(values) == hexes(in_process)
+    assert len(three_cpus) == 2
+    # one warning per killed child, each with the signal's exit code
+    assert len(caplog.records) == 2
+    for record in caplog.records:
+        assert "ended with exit code -9 and 0 of " in record.getMessage()
+        assert record.getMessage().endswith("bytes; solving its share in this one")
+    assert_no_child_left()

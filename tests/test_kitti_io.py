@@ -10,6 +10,7 @@ from scenesel.cli import main
 from scenesel.core import DEFAULT_CATALOG, ClassCatalog, DataError, ParseError, Scene, _block_of_rows
 from scenesel.kitti import (
     ParsedPool,
+    SidecarStore,
     load_mixture_sidecar,
     load_pool_dir,
     parse_label_file,
@@ -18,7 +19,7 @@ from scenesel.kitti import (
     sidecar_reader,
     write_label_file,
 )
-from conftest import make_detection, mixture_from_rows, random_scene, scene_of, scene_with_mixtures, uniform_mixture
+from conftest import make_box, make_detection, mixture_from_rows, random_scene, scene_of, scene_with_mixtures, uniform_mixture
 
 SAMPLE_LINE = "Car 0.0 0 -1.57 614 181 727 284 1.57 1.73 4.15 1.0 1.47 8.41 -1.56 0.9"
 # The catalog of the sample line's class, as KITTI spells it.
@@ -383,7 +384,7 @@ class TestSidecarReader:
         read = sidecar_reader(tmp_path, scenes)
         parsed = []
 
-        def parse(path, scene):
+        def parse(path, scene, data=None):
             parsed.append(path)
             return Scene(scene.id)
 
@@ -393,3 +394,75 @@ class TestSidecarReader:
         assert read(Scene("b")) is first
         read(scenes[0])
         assert parsed == [tmp_path / "sidecars" / "b.mdn", tmp_path / "sidecars" / "a.mdn"]
+
+
+class TestSidecarStore:
+    """The mixtures of the sidecars a reader read, kept by digest across
+    processes: a stored sidecar is not parsed again, an edited or dropped
+    one is."""
+
+    @staticmethod
+    def pool(tmp_path, catalog):
+        """Scenes a, b and c with their sidecars; b has no detection."""
+        (tmp_path / "labels").mkdir()
+        (tmp_path / "sidecars").mkdir()
+        for sid, n in (("a", 2), ("b", 0), ("c", 1)):
+            dets = [make_detection(box=make_box(x=float(i))) for i in range(n)]
+            scene = scene_with_mixtures(sid, *((d, uniform_mixture(k=2, var=0.1 * (i + 1))) for i, d in enumerate(dets)))
+            write_label_file(scene, tmp_path / "labels" / f"{sid}.txt")
+            save_mixture_sidecar(scene, tmp_path / "sidecars" / f"{sid}.mdn")
+        return load_pool_dir(tmp_path, catalog)
+
+    @staticmethod
+    def parsed_ids(monkeypatch):
+        parsed = []
+        load = kitti.load_mixture_sidecar
+
+        def counting(path, scene, data=None):
+            parsed.append(scene.id)
+            return load(path, scene, data)
+
+        monkeypatch.setattr(kitti, "load_mixture_sidecar", counting)
+        return parsed
+
+    def test_a_saved_store_serves_the_kept_sidecars_with_the_parsed_mixtures(self, tmp_path, catalog, monkeypatch):
+        scenes = self.pool(tmp_path, catalog)
+        parsed = self.parsed_ids(monkeypatch)
+        first = SidecarStore()
+        want = list(map(sidecar_reader(tmp_path, scenes, first), scenes))
+        assert (parsed, first.parsed) == (["a", "b", "c"], 3)
+        first.save(tmp_path / "state.sidecars.npz", ["c"])  # c is labeled
+        parsed.clear()
+        store = SidecarStore()
+        store.load(tmp_path / "state.sidecars.npz")
+        assert sorted(sid for sid, (digest, _) in first.read.items() if digest in store.stored) == ["a", "b"]
+        got = list(map(sidecar_reader(tmp_path, scenes, store), scenes))
+        assert got == want
+        assert got[1] is scenes[1]  # no detection: the scene as it is
+        assert (parsed, store.parsed, len(store.read)) == (["c"], 1, 3)
+
+    def test_an_edited_sidecar_is_parsed_again(self, tmp_path, catalog, monkeypatch):
+        scenes = self.pool(tmp_path, catalog)
+        first = SidecarStore()
+        list(map(sidecar_reader(tmp_path, scenes, first), scenes))
+        first.save(tmp_path / "state.sidecars.npz", [])
+        edited = scene_with_mixtures("a", *((d, uniform_mixture(k=2, var=0.5)) for d in scenes[0].detections))
+        save_mixture_sidecar(edited, tmp_path / "sidecars" / "a.mdn")
+        parsed = self.parsed_ids(monkeypatch)
+        store = SidecarStore()
+        store.load(tmp_path / "state.sidecars.npz")
+        assert sidecar_reader(tmp_path, scenes, store)(scenes[0]).mixtures == edited.mixtures
+        assert parsed == ["a"]
+
+    def test_a_stored_block_of_another_detection_count_is_parsed(self, tmp_path, catalog):
+        # Scene a's label file loses a line; its sidecar, stored with two
+        # detections, no longer fits, and the parse says so.
+        scenes = self.pool(tmp_path, catalog)
+        first = SidecarStore()
+        list(map(sidecar_reader(tmp_path, scenes, first), scenes))
+        first.save(tmp_path / "state.sidecars.npz", [])
+        store = SidecarStore()
+        store.load(tmp_path / "state.sidecars.npz")
+        one = Scene("a", scenes[0].labels[:1], scenes[0].boxes[:1])
+        with pytest.raises(DataError, match="sidecar has 2 entries but scene 'a' has 1 detections"):
+            sidecar_reader(tmp_path, scenes, store)(one)

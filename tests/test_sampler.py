@@ -1,4 +1,3 @@
-import json
 import logging
 import math
 from collections import Counter
@@ -19,7 +18,6 @@ from scenesel.sampler import (
     SimilarityCache,
     StagePlan,
     _content_digest,
-    _read_cache_file,
     farthest_sampling,
     run_al_rounds,
     three_stage_select,
@@ -657,7 +655,7 @@ class TestSimilarityCache:
 
     def saved(self, tmp_path, scenes, dropped=()):
         """A cache file holding the values of every pair of ``scenes``."""
-        path = tmp_path / "state.similarity.json"
+        path = tmp_path / "state.similarity.npz"
         cache = fresh_cache()
         cache.load(path)
         cache.matrix(scenes)
@@ -680,11 +678,11 @@ class TestSimilarityCache:
     def test_save_drops_every_value_of_the_dropped_scenes(self, tmp_path):
         _, preds = predicted_pool(n=5)
         scenes = sorted(preds.values(), key=lambda s: s.id)
-        doc = json.loads(self.saved(tmp_path, scenes, dropped=scenes[:2]).read_text())
-        assert len(doc["scenes"]) == 3
-        assert sum(len(p) for p in doc["pairs"].values()) == 3
+        selfs, crosses = stored_kernels(self.saved(tmp_path, scenes, dropped=scenes[:2]))
+        assert len(selfs) == 3
+        assert len(crosses) == 3
         cache = fresh_cache()
-        cache.load(tmp_path / "state.similarity.json")
+        cache.load(tmp_path / "state.similarity.npz")
         cache.matrix(scenes[2:])
         assert (cache.reused, cache.evaluations) == (6, 0)
 
@@ -710,22 +708,36 @@ class TestSimilarityCache:
         cache.matrix(scenes)
         assert (cache.reused, cache.evaluations) == (0, 6)
         cache.save(path, [])
-        assert json.loads(path.read_text())["fingerprint"] == cache.fingerprint != fresh_cache().fingerprint
+        with np.load(path) as npz:
+            assert npz["fingerprint"].item() == cache.fingerprint != fresh_cache().fingerprint
 
     def test_load_needs_a_new_cache_and_save_a_loaded_one(self, tmp_path):
         _, preds = predicted_pool(n=2)
         cache = fresh_cache()
         with pytest.raises(ValueError, match="save needs a cache that was loaded"):
-            cache.save(tmp_path / "c.json", [])
+            cache.save(tmp_path / "c.npz", [])
         cache.matrix(list(preds.values()))
         with pytest.raises(ValueError, match="load needs a new cache"):
-            cache.load(tmp_path / "c.json")
+            cache.load(tmp_path / "c.npz")
+
+
+def stored_kernels(path):
+    """The kernel values of a similarity cache file, read with ``np.load``:
+    self-kernels by content digest and cross kernels by sorted digest pair."""
+    with np.load(path) as npz:
+        digests = npz["digests"].tolist()
+        selfs = dict(zip(digests, npz["self_kernels"].tolist()))
+        crosses = {
+            tuple(sorted((digests[i], digests[j]))): value
+            for (i, j), value in zip(npz["pairs"].tolist(), npz["values"].tolist())
+        }
+    return selfs, crosses
 
 
 class PerPairCache:
     """``SimilarityCache`` written one pair at a time: a dict of
     similarities by content pair, each kernel value from the one-pair
-    ``marginalized_kernel`` or from ``stored`` (what ``_read_cache_file``
+    ``marginalized_kernel`` or from ``stored`` (what ``stored_kernels``
     returns), normalized with ``math.sqrt``. The oracle of the array store."""
 
     def __init__(self, stored=None):
@@ -828,14 +840,14 @@ class TestArrayStoreMatchesPerPairOracle:
     def test_after_load(self, tmp_path, monkeypatch, per_call):
         monkeypatch.setattr(sampler, "PAIRS_PER_CALL", per_call)
         scenes = self.scenes()
-        path = tmp_path / "state.similarity.json"
+        path = tmp_path / "state.similarity.npz"
         writer = fresh_cache()
         writer.load(path)
         writer.matrix(scenes[2:10])
         writer.save(path, [scenes[4]])
         cache = fresh_cache()
         cache.load(path)
-        oracle = PerPairCache(_read_cache_file(path, cache.fingerprint))
+        oracle = PerPairCache(stored_kernels(path))
         self.assert_same(cache, oracle, [(scenes, [(12, 3), (3, 12), (6, 6)]), (scenes, None)])
         assert cache.reused > 0 and cache.evaluations > 0
 
