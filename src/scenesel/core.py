@@ -478,14 +478,34 @@ def open_binary(path: str | Path) -> Iterator[BinaryIO]:
         raise _unreadable(path, exc) from exc
 
 
+# Bytes asked of each read of ``read_bytes``: a label file (about 2 KB) or
+# a mixture sidecar (about 20 KB) comes in one read and the empty read at
+# its end. Of 4, 8, 16, 32 and 64 KiB, 32 KiB read 1,000 sidecars fastest.
+READ_CHUNK = 32 * 1024
+
+
 def read_bytes(path: str | Path) -> bytes:
-    """The bytes of a file, with the error of ``open_binary``, read without
-    its generator, which adds about a quarter to a small file's read."""
+    """The bytes of a file, with the error of ``open_binary``.
+
+    Read through ``os.open`` and ``os.read``, ``READ_CHUNK`` bytes at a time
+    until the empty read at the end, without the buffered file object of
+    ``open``: 1,000 label files of about 2 KB took 2.6-4.0 ms this way and
+    5.4-8.1 ms through ``open``, 1,000 sidecars of about 20 KB 5.5-6.9 ms
+    and 15-21 ms (``timeit`` minima on a 2-core Xeon guest, without hashing).
+    """
     try:
-        with open(path, "rb") as fh:
-            return fh.read()
+        fd = os.open(path, os.O_RDONLY | getattr(os, "O_BINARY", 0))
+        try:
+            chunks = []
+            while chunk := os.read(fd, READ_CHUNK):
+                chunks.append(chunk)
+        finally:
+            os.close(fd)
     except OSError as exc:
+        # the read of a directory names no file; ``open`` names it
+        exc.filename = os.fspath(path)
         raise _unreadable(path, exc) from exc
+    return b"".join(chunks)
 
 
 def _unreadable(path, exc: OSError) -> DataError:

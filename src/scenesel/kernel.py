@@ -11,14 +11,17 @@ drops the others exactly (Kashima, Tsuda & Inokuchi, ICML 2003; Mahe et al.,
 ICML 2004). ``indexed_kernels`` is the one solver: it evaluates many pairs,
 given as indices into a list of graphs, at once, one stacked fixed point per
 live-count group whatever the graph sizes, on live-node matrices built from
-whole-row copies of the graphs' weights. ``marginalized_kernel`` is its
-one-pair call. A call of E live-matrix entries is split into
-E // ``SPLIT_ENTRIES`` shares, at most one per CPU the process may run on;
-the calling process solves the first share and one forked child each other
-one. Every float is the one the in-process
-solve gives, and no process outlives the call. A child that ends without its
-values (killed by a signal, as the out-of-memory killer does) has its share
-solved by the caller, with a warning.
+whole-row copies of the graphs' weights. The edge kernel's
+|e - e'| / (2 sigma^2) is a multiply by 1 / (2 sigma^2) where 2 sigma^2 is
+a power of two with a finite reciprocal (sigma = 1, the default, among
+them), and a divide otherwise: the same floats, since both round the same
+real number. ``marginalized_kernel`` is its one-pair call. A call of E
+live-matrix entries is split into E // ``SPLIT_ENTRIES`` shares, at most
+one per CPU the process may run on; the calling process solves the first
+share and one forked child each other one. Every float is the one the
+in-process solve gives, and no process outlives the call. A child that
+ends without its values (killed by a signal, as the out-of-memory killer
+does) has its share solved by the caller, with a warning.
 
 The split runs as it is on Python 3.12 and later. There ``os.fork`` warns
 (a ``DeprecationWarning``, hidden by default) when the process has more
@@ -58,11 +61,15 @@ from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, Sce
 
 # Bytes of the largest array one stacked fixed point builds. A batch of b
 # pairs of live count L builds M_LL, 8 b L^2 bytes, and per side a gather
-# of b (A + 1) L floats and its int64 index, A + 1 at most the larger
-# graph's node count; the batch holds BATCH_BYTES // (8 L max(L, A + 1))
-# pairs, so building it holds about three arrays of this size. The node
-# lists of a live-count group are listed up to BATCH_BYTES at a time too.
-# A pair whose arrays alone are larger is solved on its own.
+# of b A L floats and its int64 index, A the largest node count of the
+# group's graphs on that side; the batch holds BATCH_BYTES // (8 L max(L, A))
+# pairs, so building it holds about three arrays of this size. A
+# live-count group's pairs are listed a span of whole batches at a time,
+# up to BATCH_BYTES of arrays: a b label matches and 12 L bytes of node
+# lists a pair while the span is listed, then, held while its batches run,
+# each side's live nodes (8 L bytes a pair) and the pairs' node counts and
+# weight offsets (32 bytes). A pair whose arrays alone are larger is solved
+# on its own.
 BATCH_BYTES = 256 * 1024
 # Live-matrix entries (the sum of L^2 over a call's pairs) per share of a
 # call split across the process's CPUs: a call of E entries is split into
@@ -326,29 +333,37 @@ def indexed_kernels(
     del counts
     ends = np.cumsum(per_count)
 
-    steps = config.steps  # three logarithms: once per call, not per batch
+    # once per call, not per batch: three logarithms, and the reciprocal rule
+    steps, scale = config.steps, _edge_scale(config.sigma)
     present = np.flatnonzero(per_count)
     groups = [(count, order[ends[count] - per_count[count] : ends[count]]) for count in present[present > 0].tolist()]
 
     def solve(share: list[tuple[int, np.ndarray]]) -> None:
         """Put the values of ``share``'s pairs, (live count, places) groups, into ``values``."""
-        for count, members in share:
-            f, s, flip = first[members], second[members], swap[members]
-            f, s = np.where(flip, s, f), np.where(flip, f, s)
-            a, b = int(sizes[f].max()), int(sizes[s].max())
-            size = max(1, BATCH_BYTES // (8 * count * max(count, a, b)))
-            # pairs listed at once: whole batches, their label matches (a b
-            # bytes a pair) and node lists (12 L bytes) within BATCH_BYTES
-            span = size * max(1, BATCH_BYTES // (size * (a * b + 12 * count)))
-            for at in range(0, len(members), span):
-                nodes = _live_nodes(labels1[f[at : at + span], :a], labels2[s[at : at + span], :b], count)
-                for start in range(at, min(at + span, len(members)), size):
-                    batch = slice(start, start + size)
-                    i, j = np.divmod(nodes[start - at : start - at + size], b)
-                    n1, n2 = sizes[f[batch]], sizes[s[batch]]
-                    m = _live_edges(weights_plus, weight_at[f[batch]], n1, i)
-                    np.subtract(m, _live_edges(weights_minus, weight_at[s[batch]], n2, j), out=m)
-                    values[members[batch]] = _solve_live(m, n1, n2, config, steps)
+        # Near the smallest sigma, |e - e'| / (2 sigma^2) overflows to inf,
+        # and the edge kernel is its limit, 0.
+        with np.errstate(over="ignore"):
+            for count, members in share:
+                f, s, flip = first[members], second[members], swap[members]
+                f, s = np.where(flip, s, f), np.where(flip, f, s)
+                a, b = int(sizes[f].max()), int(sizes[s].max())
+                size = max(1, BATCH_BYTES // (8 * count * max(count, a, b)))
+                # pairs listed at once: whole batches, their label matches (a b
+                # bytes a pair) and node lists (12 L bytes), then the span's
+                # live nodes per side (8 L bytes) and node counts and weight
+                # offsets (32 bytes), within BATCH_BYTES
+                span = size * max(1, BATCH_BYTES // (size * (a * b + 12 * count + 32)))
+                for at in range(0, len(members), span):
+                    f_span, s_span = f[at : at + span], s[at : at + span]
+                    i, j = np.divmod(_live_nodes(labels1[f_span, :a], labels2[s_span, :b], count), b)
+                    n1, n2 = sizes[f_span], sizes[s_span]
+                    at1, at2 = weight_at[f_span], weight_at[s_span]
+                    for start in range(0, len(f_span), size):
+                        batch = slice(start, start + size)
+                        m = _live_edges(weights_plus, at1[batch], n1[batch], i[batch], a)
+                        np.subtract(m, _live_edges(weights_minus, at2[batch], n2[batch], j[batch], b), out=m)
+                        kernels = _solve_live(m, n1[batch], n2[batch], config, steps, scale)
+                        values[members[at + start : at + start + size]] = kernels
 
     entries = sum(count * count * len(members) for count, members in groups)
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
@@ -454,22 +469,21 @@ def _live_nodes(labels1: np.ndarray, labels2: np.ndarray, count: int) -> np.ndar
     return flat.astype(np.int32 if a * b <= 2**31 else np.int64).reshape(g, count)
 
 
-def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarray, rows: int) -> np.ndarray:
     """Edge weights between the live nodes of b pairs on one side, (b, L, L).
 
     The graph of pair p has its n[p] x n[p] weights at ``flat[at[p]:]`` and
     ``nodes[p, x]`` is its node in live node x; entry (p, x, y) is the
-    weight of the edge nodes[p, x] -> nodes[p, y].
+    weight of the edge nodes[p, x] -> nodes[p, y]. ``rows`` exceeds every
+    live node: the group's largest node count on this side.
 
     Built in two gathers, neither with an index as large as the result.
-    The first reads, for each node a up to the batch's largest live node A,
-    the weights of the edges a -> nodes[p, y]: a (b, A + 1, L) array whose
-    rows past n[p] - 1 repeat row n[p] - 1. The second copies row
-    nodes[p, x] of it whole for each live node x. The floats are those of
-    the element-wise gather.
+    The first reads, for each node a below ``rows``, the weights of the
+    edges a -> nodes[p, y]: a (b, rows, L) array whose rows past n[p] - 1
+    repeat row n[p] - 1. The second copies row nodes[p, x] of it whole for
+    each live node x. The floats are those of the element-wise gather.
     """
     b, count = nodes.shape
-    rows = int(nodes.max()) + 1
     # the offset of row a of each pair's graph, freed once the index is built
     row_at = at[:, None] + np.minimum(np.arange(rows), (n - 1)[:, None]) * n[:, None]
     index = row_at[:, :, None] + nodes[:, None, :]
@@ -479,19 +493,38 @@ def _live_edges(flat: np.ndarray, at: np.ndarray, n: np.ndarray, nodes: np.ndarr
     return np.take(to_live.reshape(b * rows, count), nodes + rows * np.arange(b)[:, None], axis=0)
 
 
-def _solve_live(m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig, steps: int) -> np.ndarray:
+def _edge_scale(sigma: float) -> tuple[np.ufunc, float]:
+    """The ufunc and operand that take |e - e'| to -|e - e'| / (2 sigma^2),
+    with 2 sigma^2 as computed (-x / c and x / -c are the same float).
+
+    Where 2 sigma^2 is a power of two whose reciprocal is finite (sigma = 1,
+    the default, gives 2), a multiply by -1 / (2 sigma^2), which is exact;
+    otherwise the divide. The product and the quotient are then the
+    correctly rounded values of the same real number, so they are the same
+    float for every input, +-0, +-inf and overflowing or subnormal results
+    included. On a (2, 100, 100) array the divide took 14 us, the multiply
+    5 us and the exp that follows 18 us (``timeit`` minima, 2-core Xeon).
+    """
+    two_sigma_sq = 2.0 * sigma**2
+    if math.frexp(two_sigma_sq)[0] == 0.5 and 1.0 / two_sigma_sq < math.inf:
+        return np.multiply, -1.0 / two_sigma_sq
+    return np.divide, -two_sigma_sq
+
+
+def _solve_live(
+    m: np.ndarray, n1: np.ndarray, n2: np.ndarray, config: KernelConfig, steps: int, scale: tuple[np.ufunc, float]
+) -> np.ndarray:
     """Kernels of b pairs with the same live count L, from the graphs' node
     counts and the (b, L, L) differences e - e' of the edge weights between
     their live nodes (see ``_live_edges``), which become M_LL in place.
-    Runs ``steps`` (``config.steps``) steps of R_L = q + M_LL R_L from R_L = q."""
+    Runs ``steps`` (``config.steps``) steps of R_L = q + M_LL R_L from R_L = q.
+    ``scale`` is ``_edge_scale(config.sigma)``; a scaled entry may overflow,
+    which the caller's ``np.errstate`` allows."""
     b, count, _ = m.shape
-    # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place: -x / c and x / -c
-    # are the same float.
+    # Edge kernel exp(-|e - e'| / (2 sigma^2)), in place
     np.abs(m, out=m)
-    # Near the smallest sigma the quotient overflows to -inf, whose edge
-    # kernel is its limit, 0.
-    with np.errstate(over="ignore"):
-        np.divide(m, -(2.0 * config.sigma**2), out=m)
+    ufunc, operand = scale
+    ufunc(m, operand, out=m)
     np.exp(m, out=m)
     # Every graph is complete, so each step of a walk on g1 has probability
     # (1-gamma)/(n1-1) and each on g2 (1-gamma)/(n2-1). M_LL is the edge

@@ -11,6 +11,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from scenesel import core
 from scenesel.core import (
     Anchor,
     BOX_COLUMNS,
@@ -554,5 +555,20 @@ class TestReadText:
     def test_read_bytes_of_an_unreadable_file_is_data_error_naming_it(self, tmp_path, make):
         target = tmp_path / "input.npz"
         make(target)
-        with pytest.raises(DataError, match=f"^{re.escape(str(target))}: cannot read file: "):
+        # the message of the error that reading through ``open`` gives
+        with pytest.raises(OSError) as opened:
+            with open(target, "rb") as fh:
+                fh.read()
+        with pytest.raises(DataError) as excinfo:
             read_bytes(target)
+        assert str(excinfo.value) == f"{target}: cannot read file: {opened.value}"
+
+    @pytest.mark.parametrize(
+        "size", [0, 1, core.READ_CHUNK - 1, core.READ_CHUNK, core.READ_CHUNK + 1, 3 * core.READ_CHUNK + 5]
+    )
+    def test_read_bytes_reads_the_whole_file(self, tmp_path, size):
+        target = tmp_path / "input.bin"
+        data = random.Random(size).randbytes(size)
+        target.write_bytes(data)
+        assert read_bytes(target) == data
+        assert read_bytes(str(target)) == data

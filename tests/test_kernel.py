@@ -267,6 +267,36 @@ class TestSigma:
         pairs = [(g1, g2) for g1 in graphs for g2 in graphs]
         assert all(math.isfinite(v) for v in pair_kernels(pairs, KernelConfig(sigma=sigma)))
 
+    # |e - e'| / (2 sigma^2) is a multiply by -1 / (2 sigma^2) where 2 sigma^2
+    # is a power of two with a finite reciprocal, a divide otherwise; every
+    # float is the divide's, +-0, +-inf, overflow and subnormals included.
+    @pytest.mark.parametrize(
+        "sigma, ufunc",
+        [
+            (1.0, np.multiply), (0.5, np.multiply), (2.0**-10, np.multiply), (2.0**500, np.multiply),
+            (0.05, np.divide), (3.0, np.divide), (math.sqrt(2.0), np.divide), (1.6e-162, np.divide),
+        ],
+    )
+    def test_the_edge_scale_gives_the_floats_of_the_divide(self, sigma, ufunc):
+        tiny, least_normal, most = 5e-324, 2.2250738585072014e-308, 1.7976931348623157e308
+        x = [0.0, -0.0, math.inf, -math.inf, tiny, 3 * tiny, 2.0**-1060 + tiny, least_normal, 1.5 * least_normal]
+        x += [1e-300, 0.1, 1.0, 7.3, 1e300, most]
+        rng = random.Random(103)
+        x = np.array(x + [rng.uniform(0.0, 20.0) for _ in range(200)])
+        chosen, operand = kernel_module._edge_scale(sigma)
+        assert chosen is ufunc
+        with np.errstate(over="ignore"):
+            got, want = chosen(x, operand), np.divide(x, -(2.0 * sigma**2))
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in want.tolist()]
+
+    @pytest.mark.parametrize("sigma", [0.05, 0.5, math.sqrt(2.0)])
+    def test_kernels_of_other_sigmas_are_the_per_pair_references(self, sigma):
+        rng = random.Random(107)
+        graphs = [random_graph(rng, max_nodes=9) for _ in range(12)]
+        pairs = [(g1, g2) for g1 in graphs for g2 in graphs]
+        config = KernelConfig(sigma=sigma)
+        assert pair_kernels(pairs, config) == [per_pair_reference(g1, g2, config) for g1, g2 in pairs]
+
 
 class TestMinDist:
     # An infinite clamp would make every distance overflow, blamed on the
@@ -635,7 +665,7 @@ class TestLiveAssembly:
         n = np.array([g.num_nodes for g in graphs])
         at = np.cumsum(n * n) - n * n
         nodes = np.array([sorted(rng.choices(range(k), k=5)) + [k - 1] for k in n.tolist()])
-        edges = kernel_module._live_edges(flat, at, n, nodes)
+        edges = kernel_module._live_edges(flat, at, n, nodes, int(n.max()))
         assert edges.shape == (4, 6, 6)
         for p, g in enumerate(graphs):
             assert np.array_equal(edges[p], g.weights[np.ix_(nodes[p], nodes[p])])
