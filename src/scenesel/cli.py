@@ -11,6 +11,7 @@ import fcntl
 import io
 import logging
 import sys
+from collections.abc import Callable
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -28,6 +29,8 @@ from .uncertainty import (
 )
 
 log = logging.getLogger("scenesel")
+# What a failed rewrite of the parsed-pool file loses, in either mode of ``select``.
+_LABELS_AGAIN = "the next run parses the label files again"
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -224,7 +227,7 @@ def cmd_select(args) -> int:
                 raise DataError(f"--n0 {n0} exceeds pool size {len(by_id)}")
             st = state_mod.RoundState.fresh(by_id, n0, len(by_id) if args.budget is None else args.budget, args.seed)
             state_mod.save_round_state(st, state_path)
-            _save_parsed_pool(parsed, pool_path, cfg.catalog)
+            _save_after_commit(lambda: parsed.save(pool_path, cfg.catalog), _LABELS_AGAIN)
             print(f"initialized state: {len(st.labeled_ids)} labeled, {len(st.unlabeled_ids)} unlabeled")
             return 0
 
@@ -268,17 +271,15 @@ def cmd_select(args) -> int:
         _write_report(out / f"report_round_{report.round_index:03d}", report.summary)
         # The commit: a round that fails before it leaves the state as it was.
         state_mod.save_round_state(new_st, state_path)
-        # Last, so that a failure here only loses the round's new values; the
-        # file only saves kernel work, so the committed round still succeeds.
-        try:
-            cache.save(cache_path, [by_id[i] for i in selected])
-        except DataError as exc:
-            log.warning("%s; round %d is committed without its new kernel values", exc, report.round_index)
-        try:
-            sidecars.save(sidecars_path, selected)
-        except DataError as exc:
-            log.warning("%s; the next round parses the sidecars of this one again", exc)
-        _save_parsed_pool(parsed, pool_path, cfg.catalog)
+        # Last, so that a failure here only loses the round's new values.
+        _save_after_commit(
+            lambda: cache.save(cache_path, [by_id[i] for i in selected]),
+            f"round {report.round_index} is committed without its new kernel values",
+        )
+        _save_after_commit(
+            lambda: sidecars.save(sidecars_path, selected), "the next round parses the sidecars of this one again"
+        )
+        _save_after_commit(lambda: parsed.save(pool_path, cfg.catalog), _LABELS_AGAIN)
         log.info("sidecars: %d parsed, %d from %s", sidecars.parsed, len(sidecars.read) - sidecars.parsed, sidecars_path)
         log.info("stage sizes %s, kernel evals %d, %d evaluated", report.stage_sizes, needed, report.kernel_evals)
         log.info("similarity cache: %d pairs hit, %d missed (selection and summary)", cache.hits, cache.misses)
@@ -308,13 +309,14 @@ def _holding_lock(path: Path):
         yield
 
 
-def _save_parsed_pool(parsed: kitti.ParsedPool, path: Path, catalog) -> None:
-    """Save the parsed-pool file after the state: it only saves parsing, so
-    a failed write is a warning."""
+def _save_after_commit(save: Callable[[], None], lost: str) -> None:
+    """Rewrite a file beside the state after the state committed the run:
+    the file only saves work, so a failed ``save`` is a warning that says
+    what is ``lost``, and the run still succeeds."""
     try:
-        parsed.save(path, catalog)
+        save()
     except DataError as exc:
-        log.warning("%s; the next run parses the label files again", exc)
+        log.warning("%s; %s", exc, lost)
 
 
 def _write_report(prefix: Path, report: diagnostics.SelectionReport) -> None:

@@ -6,12 +6,14 @@ and confidences; its mixtures are one read-only block. ``Box3D`` and
 ``ScoredDetection`` are one detection as objects, which ``Scene`` builds
 its arrays from and gives back as a view. ``read_bytes`` reads a file
 whole (``read_text`` decodes that) and ``open_binary`` opens one to be
-streamed (``read_arrays`` streams an npz file), each with the one error of
-a file that cannot be read; ``write_atomic`` is the package's one way to
-write a file (``write_arrays`` writes an npz file through it).
+streamed (``read_arrays`` streams an npz file, ``read_store`` a stamped
+one), each with the one error of a file that cannot be read;
+``write_atomic`` is the package's one way to write a file (``write_arrays``
+writes an npz file through it).
 """
 from __future__ import annotations
 
+import logging
 import math
 import os
 import zipfile
@@ -23,6 +25,8 @@ from pathlib import Path
 from typing import BinaryIO
 
 import numpy as np
+
+log = logging.getLogger(__name__)
 
 #: Order of the seven box-residual dimensions used everywhere in the package.
 RESIDUAL_DIMS = ("x", "y", "z", "w", "h", "l", "theta")
@@ -522,6 +526,37 @@ def read_arrays(path: str | Path, names: tuple[str, ...], what: str) -> list[np.
             return [npz[name] for name in names]
     except (ValueError, KeyError, TypeError, EOFError, zipfile.BadZipFile, zlib.error) as exc:
         raise DataError(f"{path}: invalid {what}: {exc}") from exc
+
+
+def read_store(path: str | Path, stamp: dict, names: tuple[str, ...], what: str, made_for: str, build: Callable):
+    """``build(*arrays)`` of the arrays ``names`` of an npz file that keeps
+    work across runs, stamped with the arrays ``stamp``, streamed through
+    ``read_arrays``; None for a missing file, and for a file whose stamp
+    differs in shape, dtype kind or value, with a warning naming it, "made
+    for another <made_for>", so that its writer replaces it. A file that
+    ``read_arrays`` or ``build`` (with a ``ValueError``) rejects is a
+    ``DataError`` naming it: "invalid <what>"."""
+    if not os.path.exists(path):
+        return None
+    # Streamed: the whole file in memory would raise a round's peak memory.
+    arrays = read_arrays(path, (*stamp, *names), what)
+    for want, got in zip(map(np.asarray, stamp.values()), arrays):
+        # ``array_equal`` compares shapes first: no error for a longer catalog
+        if got.dtype.kind != want.dtype.kind or not np.array_equal(got, want):
+            log.warning("%s: made for another %s; replacing it", path, made_for)
+            return None
+    try:
+        return build(*arrays[len(stamp) :])
+    except ValueError as exc:
+        raise DataError(f"{path}: invalid {what}: {exc}") from exc
+
+
+def check_layout(*arrays: tuple[str, np.ndarray, bool]) -> None:
+    """Raise a ``ValueError`` naming the first (name, array, fits) whose
+    array does not fit, with its dtype and shape."""
+    for name, array, fits in arrays:
+        if not fits:
+            raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
 
 
 def write_arrays(path: str | Path, arrays: dict[str, np.ndarray]) -> None:

@@ -7,7 +7,7 @@ as-is; calibration files are out of scope. ``parse_label_file`` turns a
 file into a scene's columns: the labels, and one array of the numbers of
 all its lines, whose checks run as column checks; the fields the package
 does not model are checked and dropped. Every file is read through
-``core.read_bytes``, or streamed through ``core.read_arrays``.
+``core.read_bytes``, or, if stamped (below), through ``core.read_store``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -44,8 +44,9 @@ from .core import (
     RESIDUAL_DIMS,
     Scene,
     _check_boxes,
-    read_arrays,
+    check_layout,
     read_bytes,
+    read_store,
     read_text,
     row_fault,
     write_arrays,
@@ -289,10 +290,15 @@ def load_pool_dir(pool_dir: str | Path, catalog: ClassCatalog, store: ParsedPool
     return scenes
 
 
-# The arrays of a parsed-pool file: its stamp, one digest and one row count
-# per label file, and the rows of all the files in digest order, each label
-# as its index in the catalog.
-_POOL_ARRAYS = ("format", "catalog", "digests", "counts", "labels", "boxes")
+# The arrays of a parsed-pool file after its stamp (``_pool_stamp``): one
+# digest and one row count per label file, and the rows of all the files in
+# digest order, each label as its index in the catalog.
+_POOL_ARRAYS = ("digests", "counts", "labels", "boxes")
+
+
+def _pool_stamp(catalog: ClassCatalog) -> dict[str, np.ndarray]:
+    """A parsed-pool file's stamp: all that a parse reads besides the file."""
+    return {"format": np.int64(POOL_FORMAT), "catalog": np.array(catalog.classes, dtype=np.str_)}
 
 
 class ParsedPool:
@@ -302,11 +308,10 @@ class ParsedPool:
     of parsing the file.
 
     ``load`` and ``save`` keep them across processes in one npz file of
-    plain arrays, stamped with POOL_FORMAT and the catalog, which is all
-    that a parse reads besides the file. ``read`` maps the digest of every
-    file ``load_pool_dir`` read to its columns, or to None for a file whose
-    parse logged a warning: such a file is never stored. ``parsed`` counts
-    the files parsed.
+    plain arrays, stamped with ``_pool_stamp``. ``read`` maps the digest
+    of every file ``load_pool_dir`` read to its columns, or to None for a
+    file whose parse logged a warning: such a file is never stored.
+    ``parsed`` counts the files parsed.
     """
 
     def __init__(self):
@@ -316,29 +321,16 @@ class ParsedPool:
         self._loaded = None  # how many files the file loaded holds, if it is current
 
     def load(self, path: str | Path, catalog: ClassCatalog) -> None:
-        """Take the columns of the parsed-pool file ``path``.
-
-        A missing file holds none. A file of another stamp is not read: a
-        warning names it, and ``save`` replaces it. A file that is not an
-        npz of the arrays ``save`` writes, with their dtypes and shapes, or
-        that holds a label outside the catalog or a box that breaks a rule
-        of ``Scene``, is a ``DataError`` naming it.
-        """
-        path = Path(path)
-        if not path.exists():
-            return
-        # Streamed from the file: the whole file in memory at once would
-        # raise the peak memory of a round.
-        fmt, classes, *columns = read_arrays(path, _POOL_ARRAYS, "parsed-pool file")
-        current = fmt.shape == () and fmt.dtype.kind in "iu" and int(fmt) == POOL_FORMAT
-        if not current or classes.tolist() != list(catalog.classes):
-            log.warning("%s: made for another catalog or format; replacing it", path)
-            return
-        try:
-            self.stored = _pool_columns(*columns, catalog)
-        except ValueError as exc:
-            raise DataError(f"{path}: invalid parsed-pool file: {exc}") from exc
-        self._loaded = len(self.stored)
+        """Take the columns of the parsed-pool file ``path``, read through
+        ``core.read_store``: a file whose arrays do not have the dtypes and
+        shapes ``save`` writes, or that holds a label outside the catalog or
+        a box that breaks a rule of ``Scene``, is invalid."""
+        stored = read_store(
+            path, _pool_stamp(catalog), _POOL_ARRAYS, "parsed-pool file", "catalog or format",
+            lambda *columns: _pool_columns(*columns, catalog),
+        )
+        if stored is not None:
+            self.stored, self._loaded = stored, len(stored)
 
     def save(self, path: str | Path, catalog: ClassCatalog) -> None:
         """Write the columns of every file in ``read`` that has them to the
@@ -351,8 +343,7 @@ class ParsedPool:
             return
         code = {c: i for i, c in enumerate(catalog.classes)}
         arrays = {
-            "format": np.int64(POOL_FORMAT),
-            "catalog": np.array(catalog.classes, dtype=np.str_),
+            **_pool_stamp(catalog),
             "digests": np.array(list(kept), dtype=np.str_),
             "counts": np.array([len(labels) for labels, _ in kept.values()], dtype=np.int64),
             "labels": np.array([code[c] for labels, _ in kept.values() for c in labels], dtype=np.int64),
@@ -367,14 +358,12 @@ def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict
     boxes as read-only views of ``boxes``, checked here once for every
     scene built from them; a ``ValueError`` names the first rule they
     break."""
-    for name, array, fits in (
+    check_layout(
         ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
         ("counts", counts, counts.dtype == np.int64 and counts.shape == digests.shape),
         ("labels", labels, labels.dtype == np.int64 and labels.ndim == 1),
         ("boxes", boxes, boxes.dtype == np.float64 and boxes.shape == (len(labels), len(BOX_COLUMNS))),
-    ):
-        if not fits:
-            raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+    )
     if (counts < 0).any() or counts.sum() != len(labels):
         raise ValueError(f"the counts must be non-negative and sum to the {len(labels)} rows, got {counts.sum()}")
     if len(labels) and not 0 <= labels.min() <= labels.max() < catalog.num_classes:
@@ -388,11 +377,14 @@ def _pool_columns(digests, counts, labels, boxes, catalog: ClassCatalog) -> dict
     }
 
 
-# The arrays of a sidecar store file: its stamp, one digest, detection
+# The stamp of a sidecar store file: SIDECAR_STORE_FORMAT alone, since a
+# parse reads nothing but the file and the scene's detection count.
+_STORE_STAMP = {"format": np.int64(SIDECAR_STORE_FORMAT)}
+# The arrays of a sidecar store file after its stamp: one digest, detection
 # count D and component count K per sidecar (K = 0 for one of no
 # detection), and the (D, 3, 7, K) blocks of all of them, flattened, in
 # digest order.
-_STORE_ARRAYS = ("format", "digests", "counts", "components", "values")
+_STORE_ARRAYS = ("digests", "counts", "components", "values")
 
 
 class SidecarStore:
@@ -402,10 +394,9 @@ class SidecarStore:
     instead of parsing the file.
 
     ``load`` and ``save`` keep them across processes in one npz file of
-    plain arrays, stamped with SIDECAR_STORE_FORMAT alone: a parse reads
-    nothing but the file and the scene's detection count. ``stored`` maps
-    a digest to its mixtures, None for a sidecar of no detection. ``read``
-    maps the id of every scene whose sidecar ``sidecar_reader`` read to the
+    plain arrays, stamped with ``_STORE_STAMP``. ``stored`` maps a digest
+    to its mixtures, None for a sidecar of no detection. ``read`` maps the
+    id of every scene whose sidecar ``sidecar_reader`` read to the
     sidecar's digest and mixtures; ``parsed`` counts the sidecars parsed.
     """
 
@@ -415,25 +406,11 @@ class SidecarStore:
         self.parsed = 0
 
     def load(self, path: str | Path) -> None:
-        """Take the mixtures of the sidecar store file ``path``.
-
-        A missing file holds none. A file of another stamp is not read: a
-        warning names it, and ``save`` replaces it. A file that is not an
-        npz of the arrays ``save`` writes, with their dtypes and shapes, or
-        whose counts do not fit its values, or that holds a mixture that
-        breaks a rule of ``MixtureParams``, is a ``DataError`` naming it.
-        """
-        path = Path(path)
-        if not path.exists():
-            return
-        fmt, *arrays = read_arrays(path, _STORE_ARRAYS, "sidecar store file")
-        if not (fmt.shape == () and fmt.dtype.kind in "iu" and int(fmt) == SIDECAR_STORE_FORMAT):
-            log.warning("%s: made for another format; replacing it", path)
-            return
-        try:
-            self.stored = _stored_mixtures(*arrays)
-        except ValueError as exc:
-            raise DataError(f"{path}: invalid sidecar store file: {exc}") from exc
+        """Take the mixtures of the sidecar store file ``path``, read through
+        ``core.read_store``: a file whose arrays do not have the dtypes and
+        shapes ``save`` writes, whose counts do not fit its values, or that
+        holds a mixture that breaks a rule of ``MixtureParams``, is invalid."""
+        self.stored = read_store(path, _STORE_STAMP, _STORE_ARRAYS, "sidecar store file", "format", _stored_mixtures) or {}
 
     def save(self, path: str | Path, dropped: Iterable[str]) -> None:
         """Write the mixtures of every sidecar in ``read`` but those of the
@@ -445,7 +422,7 @@ class SidecarStore:
         write_arrays(
             path,
             {
-                "format": np.int64(SIDECAR_STORE_FORMAT),
+                **_STORE_STAMP,
                 "digests": np.array(digests, dtype=np.str_),
                 "counts": np.array([b.shape[0] for b in blocks], dtype=np.int64),
                 "components": np.array([b.shape[3] for b in blocks], dtype=np.int64),
@@ -457,14 +434,12 @@ class SidecarStore:
 def _stored_mixtures(digests, counts, components, values) -> dict:
     """The mixtures by digest that a sidecar store file's arrays hold; a
     ``ValueError`` names the first rule they break."""
-    for name, array, fits in (
+    check_layout(
         ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
         ("counts", counts, counts.dtype == np.int64 and counts.shape == digests.shape),
         ("components", components, components.dtype == np.int64 and components.shape == digests.shape),
         ("values", values, values.dtype == np.float64 and values.ndim == 1),
-    ):
-        if not fits:
-            raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+    )
     if (counts < 0).any() or (components < 0).any() or (components[counts > 0] < 1).any():
         raise ValueError("the counts must be non-negative, and a sidecar of detections needs a component")
     row = 3 * len(RESIDUAL_DIMS)

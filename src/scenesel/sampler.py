@@ -17,7 +17,7 @@ from typing import Callable
 import numpy as np
 
 from . import diagnostics
-from .core import AnchorTable, ClassCatalog, DataError, Scene, read_arrays, write_arrays
+from .core import AnchorTable, ClassCatalog, DataError, Scene, check_layout, read_store, write_arrays
 from .entropy import EntropyConfig, rank_by_entropy
 from .kernel import (
     KernelConfig,
@@ -56,11 +56,11 @@ PAIRS_PER_CALL = 32_768
 # series of ``KernelConfig.steps`` steps, not stopped per pair at tol. 3: an
 # npz of arrays, not JSON.
 CACHE_FORMAT = 3
-# The arrays of a similarity cache file: its fingerprint; the sorted content
-# digests of its scenes and their self-kernels; and its cross kernels, each
-# under the places (i, j), i < j, of its two scenes' digests, sorted by
-# (i, j).
-_CACHE_ARRAYS = ("fingerprint", "digests", "self_kernels", "pairs", "values")
+# The arrays of a similarity cache file after its stamp (``_stamp``, the
+# fingerprint): the sorted content digests of its scenes and their
+# self-kernels; and its cross kernels, each under the places (i, j), i < j,
+# of its two scenes' digests, sorted by (i, j).
+_CACHE_ARRAYS = ("digests", "self_kernels", "pairs", "values")
 
 
 @dataclass(frozen=True)
@@ -156,31 +156,22 @@ class SimilarityCache:
         doc = {"format": CACHE_FORMAT, "kernel": asdict(self.config), "catalog": list(self.catalog.classes)}
         return hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest()
 
-    def load(self, path: str | Path) -> None:
-        """Take the kernel values of the cache file ``path``, and keep every
-        value evaluated from now on for ``save``; for a new cache only.
+    def _stamp(self) -> dict[str, np.ndarray]:
+        return {"fingerprint": np.str_(self.fingerprint)}
 
-        A missing file holds no value. A file of another ``fingerprint`` is
-        not read: a warning names it, and ``save`` replaces it. A file that
-        is not an npz of the arrays ``save`` writes, with their dtypes and
-        shapes, whose digests or pairs are not sorted and distinct, that
-        holds a pair of a place with no self-kernel, or a value that is not
-        a kernel value (a number in [0, 1], above 0 for a self-kernel), is a
-        ``DataError`` naming it.
-        """
+    def load(self, path: str | Path) -> None:
+        """Take the kernel values of the cache file ``path``, read through
+        ``core.read_store``, and keep every value evaluated from now on for
+        ``save``; for a new cache only. A file is invalid whose arrays do
+        not have the dtypes and shapes ``save`` writes, whose digests or
+        pairs are not sorted and distinct, that holds a pair of a place with
+        no self-kernel, or a value that is not a kernel value (a number in
+        [0, 1], above 0 for a self-kernel)."""
         if self._keys or self._stored is not None:
             raise ValueError("load needs a new cache")
-        path, stored = Path(path), _StoredKernels.empty()
-        if path.exists():
-            fingerprint, *arrays = read_arrays(path, _CACHE_ARRAYS, "similarity cache file")
-            if fingerprint.shape == () and fingerprint.dtype.kind == "U" and fingerprint.item() == self.fingerprint:
-                try:
-                    stored = _StoredKernels(*arrays)
-                except ValueError as exc:
-                    raise DataError(f"{path}: invalid similarity cache file: {exc}") from exc
-            else:
-                log.warning("%s: made for another kernel config, catalog or format; replacing it", path)
-        self._stored = stored
+        self._stored = read_store(
+            path, self._stamp(), _CACHE_ARRAYS, "similarity cache file", "kernel config, catalog or format", _StoredKernels
+        ) or _StoredKernels.empty()
 
     def save(self, path: str | Path, dropped: list[Scene]) -> None:
         """Write the values ``load`` took and those evaluated since to the
@@ -189,7 +180,7 @@ class SimilarityCache:
         if self._stored is None:
             raise ValueError("save needs a cache that was loaded")
         drop = np.array([_content_digest(c) for c in scene_contents(dropped, self.catalog, self.config)], dtype=np.str_)
-        write_arrays(path, {"fingerprint": np.str_(self.fingerprint), **self._stored.arrays(drop)})
+        write_arrays(path, {**self._stamp(), **self._stored.arrays(drop)})
 
     def _key(self, content) -> int:
         key = self._keys.get(content)
@@ -391,14 +382,12 @@ class _StoredKernels:
     arrays, a ``ValueError`` names the first rule they break."""
 
     def __init__(self, digests, self_kernels, pairs, values):
-        for name, array, fits in (
+        check_layout(
             ("digests", digests, digests.dtype.kind == "U" and digests.ndim == 1),
             ("self_kernels", self_kernels, self_kernels.dtype == np.float64 and self_kernels.shape == digests.shape),
             ("pairs", pairs, pairs.dtype == np.int64 and pairs.ndim == 2 and pairs.shape[1] == 2),
             ("values", values, values.dtype == np.float64 and values.shape == pairs.shape[:1]),
-        ):
-            if not fits:
-                raise ValueError(f"{name} has dtype {array.dtype} and shape {array.shape}")
+        )
         if not (digests[1:] > digests[:-1]).all():
             raise ValueError("the digests must be sorted and distinct")
         # Every kernel lies in [0, 1/2], and a self-kernel is positive (the

@@ -666,6 +666,26 @@ class TestSelect:
         assert "round 1 is committed without its new kernel values" in caplog.text
         assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
 
+    def test_an_unwritable_sidecar_store_warns_after_the_round_is_committed(
+        self, pool_dir, tmp_path, caplog, monkeypatch
+    ):
+        # Like the cache file: the store only saves parsing.
+        _, clean = self.clean_round(pool_dir, tmp_path, monkeypatch)
+        state, out = self.init_state(pool_dir, tmp_path)
+        store_file = state.with_suffix(".sidecars.npz")
+        save = state_mod.save_round_state
+
+        def save_then_block_the_store_file(st, path):
+            save(st, path)
+            store_file.mkdir()
+
+        monkeypatch.setattr(state_mod, "save_round_state", save_then_block_the_store_file)
+        with caplog.at_level(logging.WARNING):
+            assert run("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3) == 0
+        assert f"{store_file}: cannot write file: " in caplog.text
+        assert "the next round parses the sidecars of this one again" in caplog.text
+        assert {f.name: f.read_bytes() for f in [state, *sorted(out.iterdir())]} == clean
+
     def parsed_labels(self, monkeypatch):
         """Record the id of every label file parsed from now on."""
         parsed = []
@@ -750,6 +770,36 @@ class TestSelect:
         with np.load(pool_file) as npz:
             assert npz["catalog"].tolist() == ["car", "pedestrian", "cyclist", "truck"]
             assert len(npz["digests"]) == 24
+
+    def test_a_later_round_reads_the_files_beside_the_state_as_current(self, pool_dir, tmp_path, caplog):
+        # The files keep their members, stamp first, and their dtypes, so
+        # that the files an earlier version wrote are read, not replaced.
+        state, out = self.init_state(pool_dir, tmp_path)
+        select = ("--seed", 9, "select", "--pool", pool_dir, "--state", state, "--out", out, "--n-r", 3)
+        assert run(*select) == 0
+        with caplog.at_level(logging.WARNING):
+            assert run(*select) == 0
+        assert "replacing it" not in caplog.text
+        string, int64, float64 = "U", "i8", "f8"  # any string length
+        layouts = {
+            ".similarity.npz": dict(
+                fingerprint=(string, 0), digests=(string, 1), self_kernels=(float64, 1), pairs=(int64, 2),
+                values=(float64, 1),
+            ),
+            ".sidecars.npz": dict(
+                format=(int64, 0), digests=(string, 1), counts=(int64, 1), components=(int64, 1), values=(float64, 1)
+            ),
+            ".pool.npz": dict(
+                format=(int64, 0), catalog=(string, 1), digests=(string, 1), counts=(int64, 1), labels=(int64, 1),
+                boxes=(float64, 2),
+            ),
+        }
+        for suffix, layout in layouts.items():
+            with np.load(state.with_suffix(suffix)) as npz:
+                assert npz.files == list(layout)
+                arrays = {name: npz[name] for name in npz.files}
+            members = {n: ("U" if a.dtype.kind == "U" else a.dtype.str[1:], a.ndim) for n, a in arrays.items()}
+            assert members == layout, suffix
 
     def test_init_budget_0_is_kept_and_stops_the_first_round(self, pool_dir, tmp_path, capsys):
         state, out = tmp_path / "state.json", tmp_path / "sel"
@@ -1117,10 +1167,14 @@ def _cache_file(edit=lambda arrays: None):
     return inject
 
 
-def _cut_short(target):
-    # A valid file's first half.
-    _cache_file()(target)
-    target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
+def _cut_short(write):
+    """A fault that keeps the first half of the valid file ``write`` writes."""
+
+    def inject(target):
+        write(target)
+        target.write_bytes(target.read_bytes()[: target.stat().st_size // 2])
+
+    return inject
 
 
 def _npy(target):
@@ -1228,7 +1282,7 @@ FAULTS = {
         "sidecar", lambda p: p.write_text('{"version": 1, "detections": 5}'), SIDECAR_EXITS
     ),
     "similarity cache: not a zip": ("cache", lambda p: p.write_text("{not json"), {"select": 3}),
-    "similarity cache: cut short": ("cache", _cut_short, {"select": 3}),
+    "similarity cache: cut short": ("cache", _cut_short(_cache_file()), {"select": 3}),
     "similarity cache: an npy, not an npz": ("cache", _npy, {"select": 3}),
     "similarity cache: missing array": ("cache", _cache_file(lambda a: a.pop("values")), {"select": 3}),
     "similarity cache: NaN kernel": ("cache", _cache_file(_set("self_kernels", 0, float("nan"))), {"select": 3}),
@@ -1254,6 +1308,8 @@ FAULTS = {
     ),
     "sidecar store: NaN mean": ("sidecar store", _sidecar_store(_set("values", 7, float("nan"))), {"select": 3}),
     "sidecar store: stale format": ("sidecar store", _sidecar_store(lambda a: a.update(format=np.int64(99))), {"select": 0}),
+    "sidecar store: cut short": ("sidecar store", _cut_short(_sidecar_store()), {"select": 3}),
+    "sidecar store: an npy, not an npz": ("sidecar store", _npy, {"select": 3}),
     "parsed pool: not a zip": ("pool", lambda p: p.write_bytes(b"not a zip"), POOL_FILE_EXITS),
     "parsed pool: missing array": ("pool", _pool_arrays(lambda a: a.pop("counts")), POOL_FILE_EXITS),
     "parsed pool: float32 boxes": (
@@ -1264,6 +1320,9 @@ FAULTS = {
     "parsed pool: label outside the catalog": ("pool", _pool_arrays(_set("labels", 0, 3)), POOL_FILE_EXITS),
     "parsed pool: NaN box": ("pool", _pool_arrays(_set("boxes", (0, 0), float("nan"))), POOL_FILE_EXITS),
     "parsed pool: zero width": ("pool", _pool_arrays(_set("boxes", (0, 3), 0.0)), POOL_FILE_EXITS),
+    "parsed pool: stale format": ("pool", _pool_arrays(lambda a: a.update(format=np.int64(99))), {"select": 0}),
+    "parsed pool: cut short": ("pool", _cut_short(_pool_arrays(lambda a: None)), POOL_FILE_EXITS),
+    "parsed pool: an npy, not an npz": ("pool", _npy, POOL_FILE_EXITS),
     "config: missing": ("config", lambda p: None, {**ALL_POOL_COMMANDS, "simulate": 3}),
     "config: not UTF-8": ("config", lambda p: p.write_bytes(b"plan.n_r = \xff\n"), {**ALL_POOL_COMMANDS, "simulate": 3}),
     "label: center too far out": (
@@ -1333,6 +1392,8 @@ SAID = {
     ),
     "sidecar store: NaN mean": ("invalid sidecar store file: sidecar 0000", ": entry 0: mixture means must be finite"),
     "sidecar store: stale format": ("made for another format; replacing it",),
+    "sidecar store: cut short": ("invalid sidecar store file: ",),
+    "sidecar store: an npy, not an npz": ("invalid sidecar store file: ",),
     "parsed pool: not a zip": ("invalid parsed-pool file: ",),
     "parsed pool: missing array": ("invalid parsed-pool file: ", "counts"),
     "parsed pool: float32 boxes": ("invalid parsed-pool file: boxes has dtype float32 and shape",),
@@ -1345,6 +1406,9 @@ SAID = {
     ),
     "parsed pool: NaN box": ("invalid parsed-pool file: box center must be finite, got x=nan",),
     "parsed pool: zero width": ("invalid parsed-pool file: box dimensions must be positive and finite, got w=0.0",),
+    "parsed pool: stale format": ("made for another catalog or format; replacing it",),
+    "parsed pool: cut short": ("invalid parsed-pool file: ",),
+    "parsed pool: an npy, not an npz": ("invalid parsed-pool file: ",),
 }
 
 

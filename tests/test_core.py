@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import logging
 import math
 import os
 import random
@@ -572,3 +573,63 @@ class TestReadText:
         target.write_bytes(data)
         assert read_bytes(target) == data
         assert read_bytes(str(target)) == data
+
+
+class TestReadStore:
+    """``read_store``: the one reader of the stamped files beside a state."""
+
+    STAMP = {"format": np.int64(1), "catalog": np.array(["car", "pedestrian", "cyclist"])}
+
+    def read(self, path, build=lambda values: values):
+        return core.read_store(path, self.STAMP, ("values",), "test store file", "catalog or format", build)
+
+    def test_a_missing_file_holds_nothing_and_is_not_made(self, tmp_path):
+        assert self.read(tmp_path / "store.npz") is None
+        assert os.listdir(tmp_path) == []
+
+    def test_a_file_with_the_stamp_round_trips(self, tmp_path):
+        path = tmp_path / "store.npz"
+        core.write_arrays(path, {**self.STAMP, "values": np.arange(3.0)})
+        assert self.read(path).tolist() == [0.0, 1.0, 2.0]
+
+    @pytest.mark.parametrize(
+        "stamp",
+        [
+            {"format": np.int64(2)},
+            {"format": np.str_("1")},
+            {"format": np.float64(1.0)},
+            {"catalog": np.array(["car", "pedestrian", "cyclist", "truck"])},
+            {"catalog": np.array(["car", "cyclist", "pedestrian"])},
+        ],
+        ids=["another value", "a string", "an equal float", "another shape", "another order"],
+    )
+    def test_a_file_of_another_stamp_is_not_read_and_warns_once(self, tmp_path, caplog, stamp):
+        path = tmp_path / "store.npz"
+        core.write_arrays(path, {**self.STAMP, **stamp, "values": np.arange(3.0)})
+
+        def build(values):
+            raise AssertionError("a file of another stamp is built")
+
+        with caplog.at_level(logging.WARNING, logger="scenesel.core"):
+            assert self.read(path, build) is None
+        assert [r.getMessage() for r in caplog.records] == [f"{path}: made for another catalog or format; replacing it"]
+
+    def test_a_value_error_of_build_is_a_data_error_naming_the_file(self, tmp_path):
+        path = tmp_path / "store.npz"
+        core.write_arrays(path, {**self.STAMP, "values": np.arange(3.0)})
+
+        def build(values):
+            raise ValueError("values break a rule")
+
+        with pytest.raises(DataError) as excinfo:
+            self.read(path, build)
+        assert str(excinfo.value) == f"{path}: invalid test store file: values break a rule"
+
+    @pytest.mark.parametrize("missing", ["catalog", "values"])
+    def test_a_file_without_a_member_is_a_data_error_naming_the_file(self, tmp_path, missing):
+        path = tmp_path / "store.npz"
+        arrays = {**self.STAMP, "values": np.arange(3.0)}
+        del arrays[missing]
+        core.write_arrays(path, arrays)
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: invalid test store file: "):
+            self.read(path)

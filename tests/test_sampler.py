@@ -702,7 +702,7 @@ class TestSimilarityCache:
         scenes = sorted(preds.values(), key=lambda s: s.id)
         path = self.saved(tmp_path, scenes)
         cache = SimilarityCache(DEFAULT_CATALOG, KernelConfig(gamma=0.2))
-        with caplog.at_level(logging.WARNING, logger="scenesel.sampler"):
+        with caplog.at_level(logging.WARNING, logger="scenesel.core"):
             cache.load(path)
         assert f"{path}: made for another kernel config, catalog or format; replacing it" in caplog.text
         cache.matrix(scenes)
