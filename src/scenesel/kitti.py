@@ -3,11 +3,12 @@
 Label lines carry, whitespace-separated: type, truncated, occluded, alpha,
 2D bbox (4 values), dimensions h w l, location x y z, rotation_y, and an
 optional score (15 or 16 fields). ``location`` is used as the box center
-as-is; calibration files are out of scope. ``parse_label_file`` turns a
-file into a scene's columns: the labels, and one array of the numbers of
-all its lines, whose checks run as column checks; the fields the package
-does not model are checked and dropped. Every file is read through
-``core.read_bytes``, or, if stamped (below), through ``core.read_store``.
+as-is; calibration files are out of scope. ``parse_label_file`` reads a
+file one line at a time: it splits each line, converts its numbers with
+``float`` and checks them before the next line, so the first failing line
+is the one it names; the fields the package does not model are checked
+and dropped. Every file is read through ``core.read_bytes``, or, if
+stamped (below), through ``core.read_store``.
 
 Mixture sidecars are JSON documents (extension ``.mdn``) with one entry per
 detection in file order, each holding 7 residual dimensions x K components
@@ -62,11 +63,6 @@ POOL_FORMAT = 1
 SIDECAR_STORE_FORMAT = 1
 
 
-# Where the numbers of a label line after its type (truncated, occluded,
-# alpha, 2D bbox (4), h w l, x y z, rotation_y, score) go in ``Scene.boxes``.
-_BOX_FIELDS = np.array([10, 11, 12, 8, 9, 7, 13, 14])
-
-
 def parse_label_file(path: str | Path, catalog: ClassCatalog, data: bytes | None = None) -> Scene:
     """Parse one label file into a Scene whose id is the file stem; ``data``
     are the file's bytes, if the caller has read them already.
@@ -75,65 +71,14 @@ def parse_label_file(path: str | Path, catalog: ClassCatalog, data: bytes | None
     finite ``occluded`` (also on the lines then skipped: "DontCare", and with
     a warning classes outside the catalog), then the rules of ``Box3D`` and
     of ``ScoredDetection``. A missing score is confidence 1.0. Every failure
-    is a ``ParseError`` with the path and line number.
-
-    The numbers of all lines go through ``float`` into one array and are
-    checked as columns; only a file that fails a check is parsed again line
-    by line, to find its first failing line.
+    is a ``ParseError`` with the path and line number of the first failing
+    line. A warning for an unknown class is logged when its line is read, so
+    a file that fails has warned for the lines before it.
     """
     path = Path(path)
-    lines = read_text(path, data).splitlines()
-    split = list(map(str.split, lines))
-    rows = list(filter(None, split))
-    scene = _scene_of_rows(path.stem, rows, catalog)
-    if scene is None:
-        return _parse_lines(path, lines, catalog)
-    if len(scene.labels) < len(rows):
-        for line_no, label in _unknown_classes(split, catalog):
-            _warn_unknown_class(path, line_no, label)
-    return scene
-
-
-def _unknown_classes(split: Iterable[list[str]], catalog: ClassCatalog) -> list[tuple[int, str]]:
-    """(line number, class) of each line of a file, split into fields, whose
-    class is neither in the catalog nor "DontCare"."""
-    classes = catalog.classes
-    return [
-        (line_no, fields[0])
-        for line_no, fields in enumerate(split, start=1)
-        if fields and fields[0] not in classes and fields[0] != "DontCare"
-    ]
-
-
-def _scene_of_rows(scene_id: str, rows: list[list[str]], catalog: ClassCatalog) -> Scene | None:
-    """The scene of a file's non-blank lines split into fields, or None when
-    a line fails a check of ``parse_label_file``."""
-    if not rows:
-        return Scene(scene_id)
-    if not set(map(len, rows)) <= {15, 16}:
-        return None
-    # An object array's cast calls ``float`` on each token; "1" is the
-    # missing score.
-    tokens = np.array([f[1:] if len(f) == 16 else [*f[1:], "1"] for f in rows], dtype=object)
-    try:
-        values = tokens.astype(np.float64)
-    except ValueError:
-        return None
-    if not np.isfinite(values[:, 1]).all():
-        return None
-    classes = catalog.classes
-    kept = [i for i, fields in enumerate(rows) if fields[0] != "DontCare" and fields[0] in classes]
-    try:
-        return Scene(scene_id, [rows[i][0] for i in kept], values.take(kept, 0).take(_BOX_FIELDS, 1))
-    except ValueError:
-        return None
-
-
-def _parse_lines(path: Path, lines: list[str], catalog: ClassCatalog) -> Scene:
-    """``parse_label_file`` one line at a time, each line checked in order."""
-    where = str(path)
+    where, classes = str(path), catalog.classes
     labels, rows = [], []
-    for line_no, raw in enumerate(lines, start=1):
+    for line_no, raw in enumerate(read_text(path, data).splitlines(), start=1):
         fields = raw.split()
         if not fields:
             continue
@@ -148,8 +93,8 @@ def _parse_lines(path: Path, lines: list[str], catalog: ClassCatalog) -> Scene:
         label = fields[0]
         if label == "DontCare":
             continue
-        if label not in catalog:
-            _warn_unknown_class(path, line_no, label)
+        if label not in classes:
+            log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
             continue
         h, w, l, x, y, z, theta = values[7:14]
         row = (x, y, z, w, l, h, theta, values[14] if len(values) == 15 else 1.0)
@@ -161,8 +106,15 @@ def _parse_lines(path: Path, lines: list[str], catalog: ClassCatalog) -> Scene:
     return Scene(path.stem, labels, rows)
 
 
-def _warn_unknown_class(path: Path, line_no: int, label: str) -> None:
-    log.warning("%s:%d: skipping unknown class %r", path, line_no, label)
+def _unknown_classes(split: Iterable[list[str]], catalog: ClassCatalog) -> list[tuple[int, str]]:
+    """(line number, class) of each line of a file, split into fields, whose
+    class is neither in the catalog nor "DontCare"."""
+    classes = catalog.classes
+    return [
+        (line_no, fields[0])
+        for line_no, fields in enumerate(split, start=1)
+        if fields and fields[0] not in classes and fields[0] != "DontCare"
+    ]
 
 
 # A label line as ``serialize_label_file`` writes it: the class, zeros for
@@ -214,7 +166,8 @@ def load_mixture_sidecar(path: str | Path, scene: Scene, data: bytes | None = No
         raise ParseError(f"invalid sidecar JSON: {exc}", str(path)) from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: sidecar is not a JSON object")
-    if doc.get("version") != SIDECAR_VERSION:
+    # ``type`` and not ``==``: true and 1.0 equal 1 in Python.
+    if type(doc.get("version")) is not int or doc["version"] != SIDECAR_VERSION:
         raise DataError(f"{path}: unsupported sidecar version {doc.get('version')!r}")
     entries = doc.get("detections", [])
     if not isinstance(entries, list):

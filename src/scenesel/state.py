@@ -95,21 +95,30 @@ def load_round_state(path: str | Path) -> RoundState:
         raise DataError(f"{path}: cannot read round state: {exc}") from exc
     if not isinstance(doc, dict):
         raise DataError(f"{path}: invalid round state: not a JSON object")
-    if doc.get("version") != STATE_VERSION:
+    # ``type`` and not ``==``: true and 1.0 equal 1 in Python.
+    if type(doc.get("version")) is not int or doc["version"] != STATE_VERSION:
         raise DataError(f"{path}: unsupported state version {doc.get('version')!r}")
     try:
         return RoundState(
-            round_index=int(doc["round_index"]),
+            round_index=_int(doc["round_index"], "round_index"),
             labeled_ids=frozenset(_ids(doc["labeled_ids"], "labeled_ids")),
             unlabeled_ids=frozenset(_ids(doc["unlabeled_ids"], "unlabeled_ids")),
-            budget_total=int(doc["budget_total"]),
+            budget_total=_int(doc["budget_total"], "budget_total"),
             per_round_selected=tuple(
                 _ids(r, "per_round_selected entry") for r in _list(doc["per_round_selected"], "per_round_selected")
             ),
-            rng_seed=int(doc["rng_seed"]),
+            rng_seed=_int(doc["rng_seed"], "rng_seed"),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: invalid round state: {exc}") from exc
+
+
+def _int(value, what: str) -> int:
+    """A JSON integer; anything else, ``true`` and ``7.0`` too, is a
+    ``TypeError`` (``int`` would pass 7.9 as 7)."""
+    if type(value) is not int:
+        raise TypeError(f"{what} must be an integer, got {value!r}")
+    return value
 
 
 def _list(value, what: str) -> list:

@@ -1243,6 +1243,13 @@ def _string_labeled_ids(target):
     target.write_text(json.dumps(doc))
 
 
+def _float_seed(target):
+    # ``int`` would load it as 7.
+    doc = json.loads(target.read_text())
+    doc["rng_seed"] = 7.9
+    target.write_text(json.dumps(doc))
+
+
 ALL_POOL_COMMANDS = {"select": 3, "score": 3, "stats": 3}
 # A malformed label line fails every command that parses the pool.
 LABEL_EXITS = {"select --init": 3, **ALL_POOL_COMMANDS}
@@ -1269,6 +1276,7 @@ FAULTS = {
     "label: negative confidence": ("label", _label_fault(score="-0.25"), LABEL_EXITS),
     "state: not UTF-8": ("state", lambda p: p.write_bytes(b"\xff\xfe{"), {"select": 3}),
     "state: labeled_ids is a string": ("state", _string_labeled_ids, {"select": 3}),
+    "state: float seed": ("state", _float_seed, {"select": 3}),
     "sidecar: not UTF-8": ("sidecar", lambda p: p.write_bytes(b"\xff" + p.read_bytes()), SIDECAR_EXITS),
     "sidecar: missing": ("sidecar", lambda p: p.unlink(), SIDECAR_EXITS),
     "sidecar: not JSON": ("sidecar", lambda p: p.write_text("{not json"), SIDECAR_EXITS),
@@ -1359,6 +1367,7 @@ SAID = {
     "sidecar: non-numeric value": ("entry 0: could not convert string to float: 'wide'",),
     "sidecar: overflowing w mean": ("scene '{sid}': detection ", "propagated variances are not finite"),
     "state: labeled_ids is a string": ("invalid round state: labeled_ids must be a list, got str",),
+    "state: float seed": ("invalid round state: rng_seed must be an integer, got 7.9",),
     "ids: repeated id": ("id 'scene_000001' is listed more than once",),
     "report: a directory in the way": (": cannot write file: ",),
     "lock: unopenable": (": cannot open lock file: ",),

@@ -179,6 +179,16 @@ class TestSidecar:
         assert entries[0] == {"weights": [[0.5, 0.5]] * 7, "means": [[0.1, -0.2]] * 7, "variances": [[0.01, 0.02]] * 7}
         assert entries[1]["means"] == [[0.0, 0.0]] * 7
 
+    @pytest.mark.parametrize("version", [True, 1.0, 2])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, version):
+        path, bare = saved_sidecar(tmp_path, uniform_mixture())
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as err:
+            load_mixture_sidecar(path, bare)
+        assert str(err.value) == f"{path}: unsupported sidecar version {version!r}"
+
     @pytest.mark.parametrize(
         "fault, message",
         [

@@ -1,8 +1,8 @@
-"""``kitti.parse_label_file`` against the per-line parse it replaced.
+"""``kitti.parse_label_file`` against an independent oracle.
 
 ``reference_parse`` is the parser as it was when every kept line became a
-``Box3D`` and a ``ScoredDetection``, with their checks written out here, so
-that the oracle shares no check with the code under test. On random and
+``Box3D`` and a ``ScoredDetection``, written out here with those checks,
+so that the oracle shares no check with the package. On random and
 hand-made files the two must give the same id, labels, ``float.hex`` of all
 eight columns and warnings; on a faulty file, the same ``ParseError`` text
 and line number, and the same warnings before it.

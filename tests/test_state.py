@@ -161,6 +161,41 @@ class TestPersistence:
             load_round_state(path)
         assert str(err.value).startswith(f"{path}: invalid round state: {key}")
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("rng_seed", 7.9),
+            ("rng_seed", "7"),
+            ("rng_seed", True),
+            ("rng_seed", 7.0),
+            ("budget_total", 2.5),
+            ("round_index", 1.0),
+            ("round_index", None),
+        ],
+    )
+    def test_integer_fields_must_be_json_integers(self, tmp_path, key, value):
+        # ``int`` would load 7.9, "7" and true as 7, 7 and 1.
+        st = RoundState.fresh(POOL, n0=0, budget_total=12, rng_seed=7).with_selection((POOL[0],))
+        path = tmp_path / "state.json"
+        save_round_state(st, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as err:
+            load_round_state(path)
+        assert str(err.value) == f"{path}: invalid round state: {key} must be an integer, got {value!r}"
+
+    @pytest.mark.parametrize("version", [True, 1.0])
+    def test_version_must_be_the_json_integer_1(self, tmp_path, version):
+        path = tmp_path / "state.json"
+        save_round_state(RoundState.fresh(POOL, n0=0, budget_total=6, rng_seed=7), path)
+        doc = json.loads(path.read_text())
+        doc["version"] = version
+        path.write_text(json.dumps(doc))
+        with pytest.raises(DataError) as err:
+            load_round_state(path)
+        assert str(err.value) == f"{path}: unsupported state version {version!r}"
+
     def test_non_object_document_raises_data_error(self, tmp_path):
         path = tmp_path / "state.json"
         path.write_text(json.dumps(POOL))
