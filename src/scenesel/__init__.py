@@ -39,6 +39,6 @@ from .sampler import (
     three_stage_select,
 )
 from .state import RoundState, load_round_state, save_round_state
-from .uncertainty import UncertaintyConfig, propagate_uncertainty, rank_by_uncertainty, scene_uncertainties
+from .uncertainty import UncertaintyConfig, rank_by_uncertainty, scene_uncertainties
 
 __version__ = "0.1.0"

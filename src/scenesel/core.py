@@ -37,6 +37,14 @@ WEIGHT_SUM_TOL = 1e-9
 #: configs share: a detection counts when its confidence is at least tau.
 DEFAULT_TAU = 0.3
 
+
+def check_tau(tau: float) -> None:
+    """The one check of the three configs' tau: a NaN or out-of-range tau
+    would silently keep no detection, or every one."""
+    if not (0.0 <= tau <= 1.0):
+        raise ValueError(f"tau must be in [0, 1], got {tau}")
+
+
 #: The node labels a scene graph reserves: the ego vehicle, and the
 #: stand-in node of a scene with no kept detection.
 EGO_LABEL = "__ego__"

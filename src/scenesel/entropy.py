@@ -7,7 +7,7 @@ from itertools import chain, repeat
 
 import numpy as np
 
-from .core import ClassCatalog, DEFAULT_TAU, Scene
+from .core import check_tau, ClassCatalog, DEFAULT_TAU, Scene
 
 
 @dataclass(frozen=True)
@@ -16,8 +16,7 @@ class EntropyConfig:
     zeta: float = 1e-12
 
     def __post_init__(self):
-        if not (0.0 <= self.tau <= 1.0):
-            raise ValueError(f"tau must be in [0, 1], got {self.tau}")
+        check_tau(self.tau)
         if not (0.0 < self.zeta < math.inf):
             raise ValueError(f"zeta must be positive and finite, got {self.zeta}")
 

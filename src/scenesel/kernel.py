@@ -57,7 +57,7 @@ from typing import NoReturn
 
 import numpy as np
 
-from .core import ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
+from .core import check_tau, ClassCatalog, DEFAULT_TAU, EGO_LABEL, MIRROR_LABEL, Scene, SceneDataError
 
 # Bytes of the largest array one stacked fixed point builds. A batch of b
 # pairs of live count L builds M_LL, 8 b L^2 bytes, and per side a gather
@@ -108,6 +108,7 @@ class KernelConfig:
             raise ValueError("tol must be positive")
         if not (0.0 < self.min_dist < math.inf):
             raise ValueError(f"min_dist must be positive and finite, got {self.min_dist}")
+        check_tau(self.tau)
 
     @property
     def steps(self) -> int:

@@ -39,6 +39,8 @@ class PoolSpec:
     def __post_init__(self):
         if self.n_scenes < 1:
             raise ValueError("n_scenes must be >= 1")
+        if not all(math.isfinite(p) for p in self.class_mix):
+            raise ValueError(f"class_mix entries must be finite, got {self.class_mix}")
         if abs(sum(self.class_mix) - 1.0) > MIX_SUM_TOL:
             raise ValueError(f"class_mix must sum to 1, got {sum(self.class_mix)}")
         if any(p < 0 for p in self.class_mix):

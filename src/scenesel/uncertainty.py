@@ -11,8 +11,8 @@ selection summary (``diagnostics.selection_report``) and the CLI each score
 a list with one call. A scene the pass cannot score (no mixtures, or a term
 that is not finite) is looked up again on its own, in input order, for the
 error that names it. The plain loops the array pass must match float for
-float, the mixture moments of one detection's row, are test references
-(``tests/uncertainty_oracle.py``).
+float, one detection's mixture moments and ``propagate_uncertainty``, are
+test references (``tests/uncertainty_oracle.py``).
 """
 from __future__ import annotations
 
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Anchor, AnchorTable, DataError, DEFAULT_TAU, RESIDUAL_DIMS, Scene, SceneDataError
+from .core import AnchorTable, check_tau, DataError, DEFAULT_TAU, Scene, SceneDataError
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +42,7 @@ class UncertaintyConfig:
     def __post_init__(self):
         if not (0.0 <= self.eta < math.inf):
             raise ValueError(f"eta must be non-negative and finite, got {self.eta}")
+        check_tau(self.tau)
 
 
 class NearSingularYawError(SceneDataError):
@@ -59,40 +60,6 @@ class UncertaintyShortfallError(SceneDataError):
     names the first excluded scene."""
 
 
-def _propagate(variances: tuple[float, ...], means: tuple[float, ...], anchor: Anchor) -> tuple[float, ...]:
-    d2 = anchor.diagonal**2
-    h2 = anchor.height**2
-    vx, vy, vz, vw, vh, vl, vt = variances
-    mx, my, mz, mw, mh, ml, mt = means
-    cos_t = math.cos(mt)
-    if abs(cos_t) < SEC_SINGULAR_COS:
-        raise ValueError(f"yaw residual mean {mt} is too close to +-pi/2 for secant propagation")
-    sec2 = 1.0 / (cos_t * cos_t)
-    return (d2 * vx, d2 * vy, h2 * vz, mw * mw * vw, mh * mh * vh, ml * ml * vl, sec2 * vt)
-
-
-def propagate_uncertainty(
-    residual_au: tuple[float, ...],
-    residual_eu: tuple[float, ...],
-    residual_means: tuple[float, ...],
-    anchor: Anchor,
-) -> tuple[tuple[float, ...], tuple[float, ...]]:
-    """Scale residual-space variances into box space: (au, eu).
-
-    x, y scale by the squared anchor diagonal, z by the squared anchor
-    height, w/h/l by the squared residual mean, and yaw by sec^2 of the yaw
-    residual mean. AU and EU use identical factors. A yaw residual mean
-    within SEC_SINGULAR_COS of a zero cosine is a ``ValueError``.
-    """
-    n = len(RESIDUAL_DIMS)
-    if not (len(residual_au) == len(residual_eu) == len(residual_means) == n):
-        raise ValueError(f"expected {n} residual entries")
-    if any(v < 0 for v in (*residual_au, *residual_eu)):
-        raise ValueError("residual variances must be non-negative")
-    means = tuple(residual_means)
-    return _propagate(tuple(residual_au), means, anchor), _propagate(tuple(residual_eu), means, anchor)
-
-
 def _kept(scene: Scene, config: UncertaintyConfig) -> list[int]:
     tau = config.tau
     return [i for i, confidence in enumerate(scene.boxes[:, 7].tolist()) if confidence >= tau]
@@ -102,9 +69,10 @@ def _kept(scene: Scene, config: UncertaintyConfig) -> list[int]:
 def _terms(block: np.ndarray, d2, h2, config: UncertaintyConfig):
     """The (R, 7) box-space terms au + eta*eu of the R rows of a
     (R, 3, 7, K) block, with the rows' squared anchor diagonals ``d2`` and
-    heights ``h2``; also the rows' residual means, AU and EU.
+    heights ``h2``; also the rows' (R, 7) residual means.
 
-    The factors are those of ``_propagate``; a yaw near +-pi/2 gets NaN.
+    AU and EU scale alike: x, y by ``d2``, z by ``h2``, w/h/l by the squared
+    residual mean, yaw by sec^2 of its mean: NaN where |cos| < SEC_SINGULAR_COS.
     """
     weighted = block[:, 1:] * block[:, :1]  # w*m and w*v
     mean_au = 0.0
@@ -119,7 +87,7 @@ def _terms(block: np.ndarray, d2, h2, config: UncertaintyConfig):
     sec2 = np.where(abs(cos_t) >= SEC_SINGULAR_COS, 1.0 / (cos_t * cos_t), math.nan)
     sizes = mean[:, 3:6] * mean[:, 3:6]
     scale = np.column_stack((d2, d2, h2, sizes, sec2))
-    return scale * au + config.eta * (scale * eu), mean, au, eu
+    return scale * au + config.eta * (scale * eu), mean
 
 
 def _anchor_factors(anchors: AnchorTable, label: str) -> tuple[float, float]:
@@ -185,13 +153,13 @@ def _raise_failure(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig
     """Raise the error of a scene the array pass could not score, as a
     lone scene finds it: no mixtures, then the first kept detection without
     an anchor (``KeyError``), then the first kept detection whose terms are
-    not finite, through the plain loop: a yaw near +-pi/2 is the one
-    argument it rejects; anything else overflowed."""
+    not finite: near-singular if its yaw mean's cosine is within
+    SEC_SINGULAR_COS of zero (as ``_terms`` tests it), else overflowed."""
     kept = _kept(scene, config)
     if scene.mixtures is None:
         raise DataError(f"scene {scene.id!r}: {len(kept)} counted detections have no mixture parameters")
     kept_anchors = [anchors.for_class(scene.labels[i]) for i in kept]
-    terms, mean, au, eu = _terms(
+    terms, mean = _terms(
         scene.mixtures.block[kept],
         [a.diagonal**2 for a in kept_anchors],
         [a.height**2 for a in kept_anchors],
@@ -199,12 +167,10 @@ def _raise_failure(scene: Scene, anchors: AnchorTable, config: UncertaintyConfig
     )
     row = int(np.isfinite(terms).all(1).argmin())
     where = f"scene {scene.id!r}: detection {kept[row]} ({scene.labels[kept[row]]})"
-    try:
-        propagate_uncertainty(
-            tuple(au[row].tolist()), tuple(eu[row].tolist()), tuple(mean[row].tolist()), kept_anchors[row]
-        )
-    except ValueError as exc:
-        raise NearSingularYawError(f"{where}: {exc}", scene.id) from exc
+    yaw = float(mean[row, 6])
+    if abs(math.cos(yaw)) < SEC_SINGULAR_COS:
+        why = f"yaw residual mean {yaw} is too close to +-pi/2 for secant propagation"
+        raise NearSingularYawError(f"{where}: {why}", scene.id)
     raise PropagationOverflowError(f"{where}: propagated variances are not finite", scene.id)
 
 
@@ -240,11 +206,12 @@ def scene_uncertainties(scenes: list[Scene], anchors: AnchorTable, config: Uncer
     ``NearSingularYawError``, and one whose propagated variances are not
     finite a ``PropagationOverflowError``, each for its first such detection.
 
-    The moments are array operations over the kept rows of every scene
-    with the same K, each sum in the order of the plain loops of the
-    mixture moments (the mean, the variance-weighted AU and the spread EU
-    of one detection's row) and ``propagate_uncertainty``, so every float
-    is theirs for any K and any list: over components a loop of K array adds (numpy's ``sum`` adds in
+    The moments and their propagation (see ``_terms``) are array
+    operations over the kept rows of every scene with the same K, each sum
+    in the order of the plain loops of the test oracle (the mean, the
+    variance-weighted AU and the spread EU of one detection's row, then
+    ``propagate_uncertainty``), so every float is theirs for any K and any
+    list: over components a loop of K array adds (numpy's ``sum`` adds in
     another order from K = 8), over the 7 dimensions and across a scene's
     detections a loop of array adds, left to right from 0.0.
     ``(m - mean) ** 2`` is ``np.float_power``, which is C ``pow`` as

@@ -35,11 +35,11 @@ from scenesel.sampler import (
 )
 from scenesel.state import RoundState, load_round_state, save_round_state
 from scenesel.synth import NoiseModel, PoolSpec, generate_pool, make_predictor
-from scenesel.uncertainty import UncertaintyConfig, propagate_uncertainty
+from scenesel.uncertainty import UncertaintyConfig
 
 from conftest import make_box, mixture_from_rows, random_scene, scene_of
 from test_kernel import random_graph
-from test_uncertainty import unit_anchor
+from test_uncertainty import array_propagation, unit_anchor
 from uncertainty_oracle import mixture_au, mixture_eu
 
 ENT = EntropyConfig()
@@ -163,7 +163,7 @@ def test_05_propagation_identity(capsys):
     for _ in range(200):
         au = tuple(float(v) for v in rng.uniform(0.0, 3.0, 7))
         eu = tuple(float(v) for v in rng.uniform(0.0, 3.0, 7))
-        out_au, out_eu = propagate_uncertainty(au, eu, means, anchor)
+        out_au, out_eu = array_propagation(au, eu, means, anchor)
         worst = max(
             worst,
             max(abs(a - b) for a, b in zip(out_au, au)),

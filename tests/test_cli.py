@@ -64,6 +64,7 @@ class TestSynth:
         [
             ("--objects", "5", "--objects must be two comma-separated integers min,max, got '5'"),
             ("--class-mix", "0.9,lots,0.05", "--class-mix must be comma-separated numbers, got '0.9,lots,0.05'"),
+            ("--class-mix", "nan,0.5,0.5", "class_mix entries must be finite, got (nan, 0.5, 0.5)"),
         ],
     )
     def test_a_flag_value_that_does_not_parse_is_a_usage_error_naming_the_flag(self, tmp_path, capsys, flag, value, message):

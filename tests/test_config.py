@@ -1,3 +1,4 @@
+import math
 import re
 from pathlib import Path
 
@@ -6,6 +7,9 @@ import pytest
 from scenesel.cli import main
 from scenesel.config import ENV_PREFIX, KEYS, build_config, parse_config_file
 from scenesel.core import DataError
+from scenesel.entropy import EntropyConfig
+from scenesel.kernel import KernelConfig
+from scenesel.uncertainty import UncertaintyConfig
 
 
 class TestConfigFile:
@@ -186,3 +190,13 @@ class TestNonFiniteValues:
         assert main(["score", "--pool", str(tiny_pool), "--metric", "uncertainty", "--out", str(out)]) == 3
         assert "error: invalid configuration: anchor diagonal and height must have finite squares" in capsys.readouterr().err
         assert not out.exists()
+
+
+# The CLI checks entropy.tau and copies it into the other two; a library
+# caller's NaN kernel tau kept no detection, so every similarity was 1.
+@pytest.mark.parametrize("config", [EntropyConfig, KernelConfig, UncertaintyConfig])
+@pytest.mark.parametrize("tau", [math.nan, 2.0, -1.0, math.inf, -math.inf])
+def test_every_config_checks_its_tau_alike(config, tau):
+    with pytest.raises(ValueError, match=re.escape(f"tau must be in [0, 1], got {tau}")):
+        config(tau=tau)
+    assert config(tau=0.0).tau == 0.0 and config(tau=1.0).tau == 1.0

@@ -35,6 +35,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             PoolSpec(n_scenes=5, class_mix=(1.2, -0.1, -0.1))
 
+    # A NaN passed both checks above, and numpy's sampler then rejected the
+    # pool with a message that named no setting.
+    @pytest.mark.parametrize("mix", [(math.nan, 0.5, 0.5), (math.inf, 0.0, 0.0), (0.5, 0.5, -math.inf)])
+    def test_a_class_mix_entry_that_is_not_finite_is_rejected(self, mix):
+        with pytest.raises(ValueError, match=r"^class_mix entries must be finite, got \("):
+            PoolSpec(n_scenes=5, class_mix=mix)
+
     def test_object_bounds_checked(self):
         with pytest.raises(ValueError):
             PoolSpec(n_scenes=5, class_mix=MIX_90_5_5, objects_min=4, objects_max=2)

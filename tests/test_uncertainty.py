@@ -1,7 +1,5 @@
-import functools
 import logging
 import math
-import operator
 import random
 
 import numpy as np
@@ -12,14 +10,23 @@ from scenesel import uncertainty
 from scenesel.uncertainty import (
     NearSingularYawError,
     PropagationOverflowError,
+    SEC_SINGULAR_COS,
     UncertaintyConfig,
     UncertaintyShortfallError,
-    propagate_uncertainty,
     rank_by_uncertainty,
     scene_uncertainties,
 )
 from conftest import make_box, make_detection, mixture_from_rows, scene_of, scene_with_mixtures, uniform_mixture
-from uncertainty_oracle import mixture_au, mixture_eu, mixture_mean, scene_uncertainty
+from uncertainty_oracle import (
+    left_to_right,
+    mixture_au,
+    mixture_eu,
+    mixture_mean,
+    oracle_scene_uncertainty,
+    propagate_uncertainty,
+    propagated_terms,
+    scene_uncertainty,
+)
 
 CFG = UncertaintyConfig()
 UNIT_ANCHOR = Anchor(length=1.0, width=1e-9, height=1.0)  # diagonal ~ 1
@@ -97,13 +104,32 @@ class TestMixtureMoments:
             assert draws.var() == pytest.approx(expected, rel=0.03)
 
 
+def array_propagation(au, eu, means, anchor) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """One detection's box-space (AU, EU) from the array pass's terms, for
+    residual moments ``au``, ``eu`` and ``means``: AU from one component per
+    dimension at ``means`` with variance ``au``, at eta 0; EU from two
+    equal-weight components at ``means`` -+ sqrt(``eu``) with variance 0, at
+    eta 1 (its residual EU is ``eu`` up to rounding)."""
+    means = np.array(means, dtype=float)
+
+    def terms(weights, row_means, variances, eta):
+        block = np.array([weights, row_means, variances])[None]  # (1, 3, 7, K)
+        d2, h2 = [anchor.diagonal**2], [anchor.height**2]
+        return tuple(uncertainty._terms(block, d2, h2, UncertaintyConfig(eta=eta))[0][0].tolist())
+
+    spread = np.sqrt(np.array(eu, dtype=float))
+    box_au = terms(np.ones((7, 1)), means[:, None], np.array(au, dtype=float)[:, None], 0.0)
+    box_eu = terms(np.full((7, 2), 0.5), np.stack([means - spread, means + spread], 1), np.zeros((7, 2)), 1.0)
+    return box_au, box_eu
+
+
 class TestPropagation:
     def test_identity_case(self):
         a = unit_anchor()
         au = tuple([0.3] * 7)
         eu = tuple([0.1] * 7)
         means = (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 0.0)  # unit residual means, zero yaw
-        out_au, out_eu = propagate_uncertainty(au, eu, means, a)
+        out_au, out_eu = array_propagation(au, eu, means, a)
         for got in out_au:
             assert got == pytest.approx(0.3, abs=1e-12)
         for got in out_eu:
@@ -112,29 +138,28 @@ class TestPropagation:
     def test_diagonal_scaling(self):
         a = Anchor(length=math.sqrt(2.0), width=math.sqrt(2.0), height=1.0)  # diagonal 2
         au = (0.1, 0, 0, 0, 0, 0, 0)
-        out_au, _ = propagate_uncertainty(au, tuple([0.0] * 7), (0, 0, 0, 1, 1, 1, 0), a)
+        out_au, _ = array_propagation(au, tuple([0.0] * 7), (0, 0, 0, 1, 1, 1, 0), a)
         assert out_au[0] == pytest.approx(0.4)
 
     def test_secant_scaling(self):
         a = unit_anchor()
         vars7 = (0, 0, 0, 0, 0, 0, 0.01)
         means = (0, 0, 0, 1, 1, 1, math.pi / 3)
-        out_au, _ = propagate_uncertainty(vars7, tuple([0.0] * 7), means, a)
+        out_au, _ = array_propagation(vars7, tuple([0.0] * 7), means, a)
         assert out_au[6] == pytest.approx(0.04, rel=1e-9)  # sec^2(pi/3) = 4
 
     def test_near_singular_yaw_rejected(self):
-        # An argument outside the secant's domain; ``scene_uncertainty``
-        # turns it into a NearSingularYawError naming the scene.
+        # An argument outside the secant's domain: the oracle rejects it,
+        # and the array pass's yaw term is NaN, which
+        # ``scene_uncertainty`` turns into a NearSingularYawError naming
+        # the scene.
         a = unit_anchor()
         means = (0, 0, 0, 1, 1, 1, math.pi / 2)
         with pytest.raises(ValueError, match=r"yaw residual mean 1.5707963267948966 is too close to \+-pi/2"):
             propagate_uncertainty(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
-
-
-def left_to_right(values) -> float:
-    """The sum of ``values`` added left to right from 0.0, as the builtin
-    ``sum`` of floats adds up to Python 3.11 (from 3.12 it compensates)."""
-    return functools.reduce(operator.add, values, 0.0)
+        out_au, out_eu = array_propagation(tuple([0.1] * 7), tuple([0.0] * 7), means, a)
+        assert math.isnan(out_au[6]) and math.isnan(out_eu[6])
+        assert all(math.isfinite(v) for v in out_au[:6] + out_eu[:6])
 
 
 def reference_moments(params, detection):
@@ -161,24 +186,6 @@ def random_block(rng: random.Random, n_detections: int, k: int) -> MixtureParams
         variances = [[rng.choice((0.0, rng.random())) for _ in range(k)] for _ in RESIDUAL_DIMS]
         entries.append((rows_w, means, variances))
     return MixtureParams.from_rows(entries)
-
-
-def oracle_scene_uncertainty(scene, anchors, config):
-    """``scene_uncertainty`` as plain loops over each kept detection's rows:
-    ``mixture_mean``, ``mixture_au``, ``mixture_eu``, then
-    ``propagate_uncertainty``."""
-    kept = [i for i, d in enumerate(scene.detections) if d.confidence >= config.tau]
-    if not kept:
-        return 0.0
-    total = 0.0
-    for i in kept:
-        p = scene.mixtures
-        au = tuple(mixture_au(p, d, i) for d in RESIDUAL_DIMS)
-        eu = tuple(mixture_eu(p, d, i) for d in RESIDUAL_DIMS)
-        means = tuple(mixture_mean(p, d, i) for d in RESIDUAL_DIMS)
-        box_au, box_eu = propagate_uncertainty(au, eu, means, anchors.for_class(scene.detections[i].class_label))
-        total += left_to_right(a + config.eta * e for a, e in zip(box_au, box_eu))
-    return total / (7 * len(kept))
 
 
 class TestOnePassUncertainty:
@@ -456,3 +463,110 @@ class TestSceneUncertainties:
         for scenes in ([ok, truck], [truck]):
             with pytest.raises(KeyError, match="no anchor for class 'truck'"):
                 scene_uncertainties(scenes, anchors, CFG)
+
+
+def oracle_outcome(scene, anchors, config):
+    """What the plain loops make of a scene with mixtures: the type and text
+    of the error of its first kept detection that fails (a ``ValueError``
+    of ``propagate_uncertainty`` is a near-singular yaw, a term that is not
+    finite an overflow), else its score's ``float.hex``."""
+    for i, d in enumerate(scene.detections):
+        if d.confidence < config.tau:
+            continue
+        where = f"scene {scene.id!r}: detection {i} ({d.class_label})"
+        try:
+            terms = propagated_terms(scene, anchors, config, i)
+        except ValueError as exc:
+            return NearSingularYawError, f"{where}: {exc}"
+        if not all(math.isfinite(t) for t in terms):
+            return PropagationOverflowError, f"{where}: propagated variances are not finite"
+    return float, oracle_scene_uncertainty(scene, anchors, config).hex()
+
+
+def array_outcome(scenes, anchors, config):
+    """The same of ``scene_uncertainties`` over a list: the first failing
+    scene's error, else the first scene's score."""
+    try:
+        return float, float(scene_uncertainties(scenes, anchors, config)[0]).hex()
+    except SceneDataError as exc:
+        return type(exc), str(exc)
+
+
+def boundary_yaws() -> list[float]:
+    """Yaw means whose cosine is +-SEC_SINGULAR_COS, and 4 ulps to each
+    side, of both signs."""
+    yaws = []
+    for cos in (SEC_SINGULAR_COS, -SEC_SINGULAR_COS):
+        below = above = math.acos(cos)
+        yaws.append(below)
+        for _ in range(4):
+            below, above = math.nextafter(below, 0.0), math.nextafter(above, 4.0)
+            yaws += [below, above]
+    return yaws + [-y for y in yaws]
+
+
+SINGULAR = {"theta": math.pi / 2}
+
+
+class TestFaultClassification:
+    """A scene whose kept rows fail raises the error type and text that the
+    oracle's ``propagate_uncertainty`` implies for its first failing row."""
+
+    def faulty_scene(self, rng, sid, faults, k):
+        """A scene of random rows of K components with one kept row per
+        fault, in order, whose means of each named dimension are the
+        fault's value; kept good rows around them, and a failing row below
+        tau that no check reaches."""
+        rows = []
+        for fault in faults:
+            rows += [(0.9, {})] * rng.randint(0, 2) + [(0.9, fault)]
+        rows += [(0.9, {})] * rng.randint(0, 2)
+        rows.insert(rng.randint(0, len(rows)), (0.1, {"theta": math.pi / 2, "w": 1e200}))
+        block = random_block(rng, len(rows), k).block.copy()
+        for det, (_, fault) in enumerate(rows):
+            for dim, value in fault.items():
+                block[det, 1, RESIDUAL_DIMS.index(dim)] = value
+        dets = tuple(ScoredDetection(rng.choice(("car", "pedestrian", "cyclist")), c, make_box()) for c, _ in rows)
+        return scene_of(sid, dets, MixtureParams(block))
+
+    def check(self, scene, anchors):
+        expected = oracle_outcome(scene, anchors, CFG)
+        assert array_outcome([scene], anchors, CFG) == expected
+        return expected[0]
+
+    def test_yaw_means_at_the_secant_boundary(self, anchors):
+        # One component, so the yaw mean is the value set. Alone the row
+        # scores or is near-singular; with an overflowing w it fails either
+        # way, near-singular first.
+        rng = random.Random(36)
+        alone, with_overflow = set(), set()
+        for n, yaw in enumerate(boundary_yaws()):
+            alone.add(self.check(self.faulty_scene(rng, f"y{n}", [{"theta": yaw}], 1), anchors))
+            both = {"theta": yaw, "w": 1e200}
+            with_overflow.add(self.check(self.faulty_scene(rng, f"b{n}", [both], 1), anchors))
+        assert alone == {float, NearSingularYawError}
+        assert with_overflow == {PropagationOverflowError, NearSingularYawError}
+
+    # A size mean of 1e160 squares to inf, while its components' spread
+    # about it squares to a finite float in the oracle's Python ``**``
+    # (1e200 would overflow there, unless K is 1).
+    @pytest.mark.parametrize("k, big", [(1, 1e200), (3, 1e160)])
+    def test_overflow_and_near_singular_rows_in_either_order(self, anchors, k, big):
+        rng = random.Random(360 + k)
+        scenes = []
+        for n in range(20):
+            overflow = {rng.choice(("w", "h", "l")): rng.choice((big, -big))}
+            cases = [
+                ([overflow], PropagationOverflowError),
+                ([overflow, SINGULAR], PropagationOverflowError),
+                ([SINGULAR, overflow], NearSingularYawError),
+                ([{**SINGULAR, **overflow}], NearSingularYawError),
+                ([{**SINGULAR, **overflow}, overflow], NearSingularYawError),
+            ]
+            for c, (faults, kind) in enumerate(cases):
+                scene = self.faulty_scene(rng, f"s{n}.{c}", faults, k)
+                assert self.check(scene, anchors) is kind
+                scenes.append(scene)
+        # In one list, the first failing scene's error, after a good one.
+        good = scene_with_mixtures("good", (make_detection(), uniform_mixture(k=k)))
+        assert array_outcome([good, *scenes], anchors, CFG) == oracle_outcome(scenes[0], anchors, CFG)
